@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -206,7 +208,13 @@ def model_payload(spec_dict: dict, T_grid: list[float],
 
 
 def _payload_worker(args):
-    return model_payload(*args)
+    """One model's payload; a solver failure becomes an error payload, which
+    the checks turn into unresolved verdicts."""
+    try:
+        return model_payload(*args)
+    except EigensolverError as exc:
+        return {"model": args[0], "label": ModelSpec.from_dict(args[0]).label(),
+                "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +347,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_results_csv(payloads: list[dict], path: str) -> None:
-    lines = [",".join(CSV_FIELDS)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
     for payload in payloads:
         for rec in payload.get("rows", []):
-            lines.append(",".join(str(rec[f]) for f in CSV_FIELDS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+            writer.writerow(rec[f] for f in CSV_FIELDS)
+    _atomic_write(path, buf.getvalue())
 
 
 def emit_plotdata(outdir: str, payloads: list[dict],
@@ -422,18 +432,11 @@ def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
     rule_dict = config.rule.to_dict()
     tasks = [(m.to_dict(), list(config.T_grid), rule_dict)
              for m in config.models]
-    payloads: list[dict] = []
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(_payload_worker, tasks))
     else:
-        for task in tasks:
-            try:
-                payloads.append(_payload_worker(task))
-            except EigensolverError as exc:
-                payloads.append({"model": task[0],
-                                 "label": ModelSpec.from_dict(task[0]).label(),
-                                 "error": str(exc)})
+        payloads = list(map(_payload_worker, tasks))
     verdicts = run_checks(config, payloads)
     osc_results = None
     if config.oscillator is not None and (

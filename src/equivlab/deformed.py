@@ -17,8 +17,6 @@ threshold is ever compared against.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +24,8 @@ import numpy as np
 
 from .geometry.base import AssembledModel, degree_map
 from .geometry import cp1 as cp1mod
-from .geometry.torus import dolbeault_coefficient
+from .geometry.torus import laplace_eigenvalue, modes
 from .linalg import hermitian_eigenvalues, hermiticity_defect
-
-RESULT_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -49,20 +45,15 @@ DEFAULT_RULE = ThresholdRule()
 
 @dataclass
 class DeformedOperator:
-    """d_T blocks per (cell, degree) plus Gram-adjoint blocks.
+    """d_T blocks per (cell, degree).
 
-    Bases are orthonormal, so the stored adjoint of each block is its
-    conjugate transpose; the pairing identity <d_T u, w> = <u, d_T^* w>
-    holds entrywise by construction and is asserted in the tests.
+    Bases are orthonormal, so the adjoint of each block is its conjugate
+    transpose.
     """
 
     model: AssembledModel
     T: float
     blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    adjoint_blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def degree_block(self, cell_index: int, r: int) -> np.ndarray:
-        return self.blocks[(cell_index, r)]
 
 
 def assemble_deformed(model: AssembledModel, T: float) -> DeformedOperator:
@@ -72,9 +63,7 @@ def assemble_deformed(model: AssembledModel, T: float) -> DeformedOperator:
     op = DeformedOperator(model=model, T=float(T))
     for ci, cell in enumerate(model.cells):
         for r in range(-model.n, model.n + 1):
-            mat = degree_map(cell, model.n, r, T)
-            op.blocks[(ci, r)] = mat
-            op.adjoint_blocks[(ci, r)] = mat.conj().T
+            op.blocks[(ci, r)] = degree_map(cell, model.n, r, T)
     return op
 
 
@@ -143,13 +132,6 @@ class SpectrumResult:
     resolved: bool
     T: float
 
-    def to_dict(self) -> dict:
-        return {"schema_version": RESULT_SCHEMA_VERSION,
-                "degree": self.degree, "T": self.T, "dim": self.dim,
-                "kernel_count": self.kernel_count, "gap": self.gap,
-                "threshold": self.threshold, "resolved": self.resolved,
-                "eigenvalues": self.eigenvalues}
-
 
 def cluster_kernel(evals: np.ndarray, rule: ThresholdRule = DEFAULT_RULE
                    ) -> tuple[int, float, bool, float]:
@@ -192,10 +174,6 @@ def spectrum(dsq: DiracSquare, r: int, how_many: int = 8,
 class CohomologyTable:
     dims: dict[int, int]
     source: str
-
-    def to_dict(self) -> dict:
-        return {"dims": {str(r): d for r, d in sorted(self.dims.items())},
-                "source": self.source}
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyTable):
@@ -245,24 +223,17 @@ def bochner_check(model: AssembledModel, T) -> dict:
 
 
 def _bochner_torus(model: AssembledModel, T: float) -> dict:
-    tau = model.spec.tau
-    c = model.spec.field.c
-    shift = 2.0 * T * T * abs(c) ** 2
+    spec = model.spec
+    shift = 2.0 * T * T * abs(spec.field.c) ** 2
+    jks = modes(spec.cutoff)
+    # per mode, both sides are scalar (2|mu|^2 + 2T^2|c|^2) on every label;
+    # the left side is assembled from the blocks to keep the comparison
+    # honest.  Cell ci is mode jks[ci].
     worst = 0.0
-    for j in range(-model.spec.cutoff, model.spec.cutoff + 1):
-        for kk in range(-model.spec.cutoff, model.spec.cutoff + 1):
-            mu = dolbeault_coefficient(tau, j, kk)
-            lam0 = 2.0 * abs(mu) ** 2
-            # per mode, both sides are scalar (2|mu|^2 + 2T^2|c|^2) on every
-            # label; assemble the left side from the blocks to keep the
-            # comparison honest.
-            cell_model = AssembledModel(spec=model.spec, n=1, cells=[
-                next(cell for cell in model.cells
-                     if cell.name == f"jk({j},{kk})")])
-            dsq = dirac(assemble_deformed(cell_model, T))
-            for (ci, r), h in dsq.cells.items():
-                target = (lam0 + shift) * np.eye(h.shape[0])
-                worst = max(worst, float(np.linalg.norm(h - target, 2)))
+    for (ci, r), h in dirac(assemble_deformed(model, T)).cells.items():
+        lam0 = laplace_eigenvalue(spec.tau, *jks[ci])
+        target = (lam0 + shift) * np.eye(h.shape[0])
+        worst = max(worst, float(np.linalg.norm(h - target, 2)))
     return {"residual": worst, "zero_order_term": 0.0, "exact": False}
 
 
@@ -359,9 +330,6 @@ class SweepResult:
     unresolved: list[tuple[float, int]]
     min_eig_over_T2: dict[float, float]   # only for empty-zero-set models
 
-    def gap_trajectory(self) -> list[tuple[float, int, float]]:
-        return [(row.T, row.degree, row.result.gap) for row in self.rows]
-
 
 def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
             how_many: int = 8) -> SweepResult:
@@ -416,28 +384,3 @@ def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
             rec[f"lam{i + 1}"] = f"{val:.17g}" if val != "" else ""
         out.append(rec)
     return out
-
-
-def write_sweep_csv(sweep: SweepResult, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for rec in sweep_rows_for_csv(sweep):
-            writer.writerow(rec)
-
-
-def write_sweep_json(sweep: SweepResult, path: str) -> None:
-    payload = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "model": sweep.model.spec.to_dict(),
-        "tables": {f"{T:.17g}": table.to_dict()
-                   for T, table in sorted(sweep.tables.items())},
-        "rows": [row.result.to_dict() for row in sweep.rows],
-        "unresolved": sweep.unresolved,
-        "min_eig_over_T2": {f"{T:.17g}": v
-                            for T, v in sorted(sweep.min_eig_over_T2.items())},
-        "leakage": sweep.model.leakage,
-        "gram_conditions": sweep.model.gram_conditions,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)

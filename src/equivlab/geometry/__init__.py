@@ -4,7 +4,6 @@ from .base import (  # noqa: F401
     ModelError,
     ModelSpec,
     SpectralCell,
-    degree_labels,
     degree_map,
     export_blocks,
     load_blocks_metadata,
@@ -22,22 +21,3 @@ def assemble(spec: ModelSpec) -> AssembledModel:
     if spec.kind == "cp1":
         return assemble_cp1(spec)
     return assemble_product(spec)
-
-
-def combine_models(left: ModelSpec, right: ModelSpec,
-                   lift: str = "left") -> AssembledModel:
-    """Product of two assembled factors with the field lifted from the named
-    factor; the supported combination is projective line times torus."""
-    spec = ModelSpec(kind="product", left=left, right=right,
-                     field=FieldSpec("product_lift", factor=lift))
-    return assemble_product(spec)
-
-
-def leakage_report(model: AssembledModel) -> dict:
-    """Truncation leakage per (operator, block): the operator norm of image
-    components outside the truncated span, plus Gram condition numbers.
-    Zero for every assembled operator on every model (the truncations are
-    exactly invariant); the metric-dual wedge on the curved model is the one
-    reported nonzero entry."""
-    return {"leakage": dict(model.leakage),
-            "gram_conditions": dict(model.gram_conditions)}

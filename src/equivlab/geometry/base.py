@@ -4,15 +4,14 @@ An assembled model is a list of independent spectral cells.  Each cell holds,
 per bidegree (p, q), an orthonormal section basis together with the float
 matrices of the Dolbeault operator (raising q) and of contraction by the
 model's vector field (lowering p).  Cells are exact invariant sectors of all
-operators involved (Fourier modes, rotation charges), so spectra of the full
-model are the merged spectra of its cells.
+operators involved (Fourier modes, rotation charges), so the spectrum of the
+full model is the union of the spectra of its cells.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -197,9 +196,6 @@ class AssembledModel:
     def degree_dim(self, r: int) -> int:
         return sum(c.degree_dim(r, self.n) for c in self.cells)
 
-    def iter_cells(self) -> Iterator[SpectralCell]:
-        return iter(self.cells)
-
 
 def degree_map(cell: SpectralCell, n: int, r: int, T: float) -> np.ndarray:
     """Matrix of (dbar + T iv) from the degree-r block to the degree-(r+1)
@@ -224,13 +220,6 @@ def degree_map(cell: SpectralCell, n: int, r: int, T: float) -> np.ndarray:
         if blk is not None and (p - 1, q) in row_off and blk.size and T != 0:
             out[row_off[(p - 1, q)]:row_off[(p - 1, q)] + blk.shape[0], col:col + w] += T * blk
         col += w
-    return out
-
-
-def degree_labels(cell: SpectralCell, n: int, r: int) -> list[str]:
-    out: list[str] = []
-    for pq in cell.pqs_of_degree(r, n):
-        out.extend(cell.labels[pq])
     return out
 
 

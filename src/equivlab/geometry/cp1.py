@@ -445,7 +445,7 @@ class Cp1Exact:
                 gram_y = [[l2_pair(a, b) for b in images] for a in images]
                 if tgt_secs:
                     bmat = [[l2_pair(v, y) for y in images] for v in tgt_secs]
-                    xmat = _fsolve_posdef(tgt.grams[chi], bmat)
+                    xmat = tgt.orthos[chi].solve(bmat)
                     corr = fmatmul(ftranspose(bmat), xmat)
                     resid = [[gram_y[i][j] - corr[i][j]
                               for j in range(len(images))]
@@ -480,9 +480,8 @@ class Cp1Exact:
                 if sl is None:
                     continue
                 # adjoint of m: G_src^{-1} m^T G_tgt
-                g_src = src.grams[chi]
-                g_tgt = tgt.grams[chi]
-                adj = _fsolve_posdef(g_src, fmatmul(ftranspose(m), g_tgt))
+                solver = src.orthos[chi]
+                adj = solver.solve(fmatmul(ftranspose(m), tgt.grams[chi]))
                 # projected dual wedge block: columns solve G_src x = <u_i, W y_j>
                 tgt_monos = tgt.monomials[sl]
                 src_sl = src.chunk_slices[chi]
@@ -494,7 +493,7 @@ class Cp1Exact:
                         yj = dual_field_wedge(tgt.basis_section(self.k, sl.start + j))
                         row.append(l2_pair(ui, yj))
                     rhs.append(row)
-                proj = _fsolve_posdef(g_src, rhs)
+                proj = solver.solve(rhs)
                 for i in range(len(proj)):
                     for j in range(len(proj[0])):
                         worst = max(worst, abs(proj[i][j] - adj[i][j]))
@@ -539,18 +538,6 @@ def _frank(m: FMatrix) -> int:
         if rank == rows:
             break
     return rank
-
-
-def _fsolve_posdef(g: FMatrix, b: FMatrix) -> FMatrix:
-    """Solve G X = B exactly for symmetric positive definite rational G."""
-    if not g or not b or not b[0]:
-        return [[] for _ in g]
-    from ..linalg import ldlt, invert_unit_lower
-    L, D = ldlt(g)
-    Linv = invert_unit_lower(L)
-    y = fmatmul(Linv, b)
-    y = [[y[i][j] / D[i] for j in range(len(y[0]))] for i in range(len(y))]
-    return fmatmul(ftranspose(Linv), y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ contracts the left factor only.  Both factor models are orthonormalized
 before tensoring, so every product Gram is the identity.
 
 Each pair (left rotation charge, right Fourier mode) spans an exact
-invariant sector; the assembled model is the list of those cells.  A merged
-single-cell assembly of the same data is available for cross-checks at
-small cutoffs.
+invariant sector; the assembled model is the list of those cells, built by
+tensoring each cell of the assembled projective-line model with each mode.
 """
 
 from __future__ import annotations
@@ -18,32 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .base import AssembledModel, FieldSpec, ModelSpec, PQ, SpectralCell
-from .cp1 import Cp1Exact, _chunk_dim, assemble_cp1
-from .torus import dolbeault_coefficient
+from .cp1 import assemble_cp1
+from .torus import dolbeault_coefficient, modes
 
 _PQS1 = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def _left_blocks(exact: Cp1Exact, chi: int):
-    """Orthonormal float blocks and labels of one left charge sector."""
-    dims = {pq: _chunk_dim(exact.blocks[pq], chi) for pq in _PQS1}
-    labels = {}
-    for pq, d in dims.items():
-        if d:
-            blk = exact.blocks[pq]
-            sl = blk.chunk_slices[chi]
-            labels[pq] = blk.labels[sl]
-    dbar = {}
-    for pq in ((0, 0), (1, 0)):
-        if dims[pq] and dims[(pq[0], 1)]:
-            dbar[pq] = exact.ortho_chunk(exact.dbar_chunks[pq], pq,
-                                         (pq[0], 1), chi)
-    iv = {}
-    for pq in ((1, 0), (1, 1)):
-        if dims[pq] and dims[(0, pq[1])]:
-            iv[pq] = exact.ortho_chunk(exact.iv_chunks[pq], pq,
-                                       (0, pq[1]), chi)
-    return dims, labels, dbar, iv
 
 
 def _product_cell(name: str, ldims, llabels, ldbar, liv,
@@ -109,66 +86,17 @@ def _product_cell(name: str, ldims, llabels, ldbar, liv,
     return SpectralCell(name=name, dims=dims, labels=labels, dbar=dbar, iv=iv)
 
 
-def assemble_product(spec: ModelSpec, merged_modes: bool = False) -> AssembledModel:
+def assemble_product(spec: ModelSpec) -> AssembledModel:
     spec.validate()
     left = assemble_cp1(spec.left)
-    exact: Cp1Exact = left.exact
-    tau = spec.right.tau
-    cutoff_r = spec.right.cutoff
-    modes = [(j, k) for j in range(-cutoff_r, cutoff_r + 1)
-             for k in range(-cutoff_r, cutoff_r + 1)]
-    cells: list[SpectralCell] = []
-    for chi in exact.charges():
-        ldims, llabels, ldbar, liv = _left_blocks(exact, chi)
-        if not any(ldims.values()):
-            continue
-        if merged_modes:
-            sub = [_product_cell(f"chi{chi}/jk{jk}", ldims, llabels, ldbar, liv,
-                                 dolbeault_coefficient(tau, *jk), f"jk{jk}")
-                   for jk in modes]
-            cells.append(_merge_cells(f"chi{chi}/all-modes", sub))
-        else:
-            for jk in modes:
-                mu = dolbeault_coefficient(tau, *jk)
-                cells.append(_product_cell(f"chi{chi}/jk{jk}", ldims, llabels,
-                                           ldbar, liv, mu, f"jk{jk}"))
-    leakage = dict(left.leakage)
-    conds = dict(left.gram_conditions)
-    return AssembledModel(spec=spec, n=2, cells=cells, leakage=leakage,
-                          gram_conditions=conds, exact=None)
-
-
-def _merge_cells(name: str, cells: list[SpectralCell]) -> SpectralCell:
-    """Direct sum of cells (used only for small cross-check assemblies)."""
-    dims: dict[PQ, int] = {}
-    labels: dict[PQ, list[str]] = {}
-    offsets: list[dict[PQ, int]] = []
-    for cell in cells:
-        offs = {}
-        for pq, d in cell.dims.items():
-            offs[pq] = dims.get(pq, 0)
-            dims[pq] = dims.get(pq, 0) + d
-            labels.setdefault(pq, []).extend(cell.labels[pq])
-        offsets.append(offs)
-    dbar: dict[PQ, np.ndarray] = {}
-    iv: dict[PQ, np.ndarray] = {}
-    for opname, store in (("dbar", dbar), ("iv", iv)):
-        for pq in dims:
-            tgt = (pq[0], pq[1] + 1) if opname == "dbar" else (pq[0] - 1, pq[1])
-            if tgt not in dims:
-                continue
-            mat = np.zeros((dims[tgt], dims[pq]), dtype=complex)
-            filled = False
-            for cell, offs in zip(cells, offsets):
-                blk = getattr(cell, opname).get(pq)
-                if blk is None or not blk.size or tgt not in offs:
-                    continue
-                mat[offs[tgt]:offs[tgt] + blk.shape[0],
-                    offs[pq]:offs[pq] + blk.shape[1]] = blk
-                filled = True
-            if filled:
-                store[pq] = mat
-    return SpectralCell(name=name, dims=dims, labels=labels, dbar=dbar, iv=iv)
+    tau, jks = spec.right.tau, modes(spec.right.cutoff)
+    cells = [_product_cell(f"{cell.name}/jk{jk}", cell.dims, cell.labels,
+                           cell.dbar, cell.iv,
+                           dolbeault_coefficient(tau, *jk), f"jk{jk}")
+             for cell in left.cells for jk in jks]
+    return AssembledModel(spec=spec, n=2, cells=cells,
+                          leakage=dict(left.leakage),
+                          gram_conditions=dict(left.gram_conditions))
 
 
 def product_model(k: int, cp1_cutoff: int, tau: complex,

@@ -44,36 +44,16 @@ def mode_cell(tau: complex, j: int, k: int, c: complex) -> SpectralCell:
     )
 
 
-def _merged_cell(tau: complex, cutoff: int, c: complex) -> SpectralCell:
-    modes = [(j, k) for j in range(-cutoff, cutoff + 1)
-             for k in range(-cutoff, cutoff + 1)]
-    m = len(modes)
-    mus = np.array([dolbeault_coefficient(tau, j, k) for j, k in modes])
-    labels = {pq: [f"jk({j},{k}):p{pq[0]}q{pq[1]}" for j, k in modes] for pq in _PQS}
-    iv = {}
-    if c != 0:
-        iv = {(1, 0): c * np.eye(m, dtype=complex),
-              (1, 1): c * np.eye(m, dtype=complex)}
-    return SpectralCell(
-        name="all-modes",
-        dims={pq: m for pq in _PQS},
-        labels=labels,
-        dbar={(0, 0): np.diag(mus).astype(complex),
-              (1, 0): np.diag(-mus).astype(complex)},
-        iv=iv,
-    )
+def modes(cutoff: int) -> list[tuple[int, int]]:
+    """Fourier modes (j, k) with |j|, |k| <= cutoff, in cell order."""
+    return [(j, k) for j in range(-cutoff, cutoff + 1)
+            for k in range(-cutoff, cutoff + 1)]
 
 
-def assemble_torus(spec: ModelSpec, merged: bool = False) -> AssembledModel:
+def assemble_torus(spec: ModelSpec) -> AssembledModel:
     spec.validate()
-    c = spec.field.c
-    tau, cutoff = spec.tau, spec.cutoff
-    if merged:
-        cells = [_merged_cell(tau, cutoff, c)]
-    else:
-        cells = [mode_cell(tau, j, k, c)
-                 for j in range(-cutoff, cutoff + 1)
-                 for k in range(-cutoff, cutoff + 1)]
+    cells = [mode_cell(spec.tau, j, k, spec.field.c)
+             for j, k in modes(spec.cutoff)]
     leakage = {f"{op}:p{p}q{q}": 0.0
                for op in ("dbar", "iv", "dual_wedge") for p, q in _PQS}
     conds = {f"p{p}q{q}": 1.0 for p, q in _PQS}

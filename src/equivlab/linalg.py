@@ -67,10 +67,6 @@ def ftranspose(a: FMatrix) -> FMatrix:
     return [list(row) for row in zip(*a)] if a else []
 
 
-def fsub(a: FMatrix, b: FMatrix) -> FMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def is_zero_matrix(a: FMatrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -138,9 +134,11 @@ class Orthonormalizer:
         out /= source.sqrt_d[None, :]
         return out
 
-    def coords_to_orthonormal(self, x: np.ndarray) -> np.ndarray:
-        lt = to_float(ftranspose(self.L)) if self.dim else np.zeros((0, 0))
-        return self.sqrt_d * (lt @ x)
+    def solve(self, b: FMatrix) -> FMatrix:
+        """Exact X with G X = B, as L^{-T} D^{-1} L^{-1} B."""
+        y = fmatmul(self.Linv, b)
+        y = [[x / d for x in row] for row, d in zip(y, self.D)]
+        return fmatmul(ftranspose(self.Linv), y)
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:
@@ -160,12 +158,8 @@ def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndar
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
+    """Frobenius norm of h - h^*: an upper bound on its spectral norm that
+    needs no singular value decomposition."""
     if h.size == 0:
         return 0.0
-    return float(np.linalg.norm(h - h.conj().T, ord=2))
-
-
-def gram_condition(gram_float: np.ndarray) -> float:
-    if gram_float.size == 0:
-        return 1.0
-    return float(np.linalg.cond(gram_float))
+    return float(np.linalg.norm(h - h.conj().T))

@@ -1,12 +1,15 @@
 """Config validation, run determinism, artifact schemas, exit codes."""
 
+import csv
 import json
 import os
 
 import pytest
 
+from equivlab import deformed
 from equivlab.cli import (ConfigError, load_config, main, parse_config, run)
 from equivlab.deformed import CSV_FIELDS
+from equivlab.linalg import EigensolverError
 
 
 def small_config(tmp_name="smoke"):
@@ -177,7 +180,38 @@ def test_oscillator_subcommand(tmp_path):
 
 def test_parallel_run_matches_serial(tmp_path):
     config = parse_config(small_config())
-    run(config, str(tmp_path / "serial"), jobs=1)
+    serial = run(config, str(tmp_path / "serial"), jobs=1)
     run(config, str(tmp_path / "parallel"), jobs=2)
-    assert ((tmp_path / "serial" / "results.csv").read_bytes()
-            == (tmp_path / "parallel" / "results.csv").read_bytes())
+    names = [os.path.relpath(a, tmp_path / "serial") for a in serial.artifacts]
+    assert len(names) == 6
+    for name in names:
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes()), name
+
+
+def test_results_csv_columns_parse(tmp_path):
+    config = parse_config(small_config())
+    run(config, str(tmp_path / "out"))
+    payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want = [{f: str(rec[f]) for f in CSV_FIELDS}
+            for payload in payloads["payloads"] for rec in payload["rows"]]
+    assert rows == want
+    labels = {payload["model"]["kind"]: payload["label"]
+              for payload in payloads["payloads"]}
+    assert all(row["model"] == labels[row["kind"]] for row in rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_eigensolver_failure_is_unresolved(tmp_path, monkeypatch, jobs):
+    def failing(h, context=None):
+        raise EigensolverError("no convergence", dict(context or {}))
+
+    monkeypatch.setattr(deformed, "hermitian_eigenvalues", failing)
+    config = parse_config(small_config())
+    report = run(config, str(tmp_path / "out"), jobs=jobs)
+    # every configured check of both models
+    assert len(report.verdicts) == 2 * 5
+    assert set(report.verdicts.values()) == {"unresolved"}
+    assert report.exit_code() == 1

@@ -77,17 +77,18 @@ def test_deformed_blocks_at_T0_equal_plain():
 
 
 def test_adjoint_pairing_identity():
+    # <u, D_T^2 u> = 2 (|d_r u|^2 + |d_{r-1}^* u|^2) with d^* the conjugate
+    # transpose in the orthonormal bases
     rng = np.random.default_rng(5)
     model = cp1_model(1, 6)
     op = assemble_deformed(model, 2.0)
-    for (ci, r), a in op.blocks.items():
-        if not a.size:
-            continue
-        b = op.adjoint_blocks[(ci, r)]
-        u = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-        w = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-        lhs = np.vdot(w, a @ u)
-        rhs = np.vdot(b @ w, u)
+    for (ci, r), h in dirac(op).cells.items():
+        u = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        here = op.blocks[(ci, r)]
+        below = op.blocks.get((ci, r - 1), np.zeros((h.shape[0], 0)))
+        lhs = np.vdot(u, h @ u)
+        rhs = 2.0 * (np.linalg.norm(here @ u) ** 2
+                     + np.linalg.norm(below.conj().T @ u) ** 2)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 

@@ -1,15 +1,10 @@
 """External interface surfaces: descriptor serialization, the matrix
-container export, sweep CSV/JSON writers, and the leakage report."""
-
-import csv
-import json
+container export, spectrum truncation, and the reported leakage."""
 
 import numpy as np
 
-from equivlab.deformed import (dirac, assemble_deformed, spectrum, t_sweep,
-                               write_sweep_csv, write_sweep_json, CSV_FIELDS)
-from equivlab.geometry import (assemble, combine_models, cp1_model,
-                               leakage_report, torus_model)
+from equivlab.deformed import dirac, assemble_deformed, spectrum
+from equivlab.geometry import assemble, cp1_model, torus_model
 from equivlab.geometry.base import (FieldSpec, ModelSpec, export_blocks,
                                     load_blocks_metadata)
 
@@ -31,15 +26,6 @@ def test_model_spec_json_roundtrip():
         assert assemble(back).n == spec.n
 
 
-def test_combine_models_matches_direct_product():
-    left = ModelSpec(kind="cp1", k=0, cutoff=4, field=FieldSpec("linear"))
-    right = ModelSpec(kind="torus", tau=1j, cutoff=1,
-                      field=FieldSpec("constant", c=1.0))
-    model = combine_models(left, right)
-    assert model.n == 2
-    assert model.degree_dim(0) > 0
-
-
 def test_export_blocks_container(tmp_path):
     model = torus_model(1j, 1, 1.0)
     path = str(tmp_path / "blocks.npz")
@@ -55,25 +41,6 @@ def test_export_blocks_container(tmp_path):
         assert data[key].flags["C_CONTIGUOUS"]
 
 
-def test_sweep_csv_and_json_writers(tmp_path):
-    model = cp1_model(0, 4)
-    sweep = t_sweep(model, [1.0, 2.0])
-    csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
-    write_sweep_csv(sweep, str(csv_path))
-    write_sweep_json(sweep, str(json_path))
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 3
-    assert set(rows[0]) == set(CSV_FIELDS)
-    assert {row["T"] for row in rows} == {"1", "2"}
-    payload = json.loads(json_path.read_text())
-    assert payload["model"]["kind"] == "cp1"
-    assert set(payload["tables"]) == {"1", "2"}
-    assert all("eigenvalues" in row for row in payload["rows"])
-    assert "leakage" in payload and "gram_conditions" in payload
-
-
 def test_spectrum_how_many():
     model = torus_model(1j, 2, 1.0)
     dsq = dirac(assemble_deformed(model, 1.0))
@@ -83,9 +50,11 @@ def test_spectrum_how_many():
 
 
 def test_leakage_report_shape():
-    report = leakage_report(cp1_model(0, 6))
-    assert set(report) == {"leakage", "gram_conditions"}
-    assert report["leakage"]["dbar:p0q0"] == 0.0
-    assert report["leakage"]["dual_wedge:p0q0"] > 0
-    report_torus = leakage_report(torus_model(1j, 2, 1.0))
-    assert all(v == 0.0 for v in report_torus["leakage"].values())
+    # the assembled operators are exactly invariant; only the metric-dual
+    # wedge on the curved model leaks out of the truncation
+    model = cp1_model(0, 6)
+    assert model.leakage["dbar:p0q0"] == 0.0
+    assert model.leakage["dual_wedge:p0q0"] > 0
+    assert set(model.gram_conditions) == {"p0q0", "p1q0", "p0q1", "p1q1"}
+    torus = torus_model(1j, 2, 1.0)
+    assert all(v == 0.0 for v in torus.leakage.values())

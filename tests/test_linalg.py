@@ -66,6 +66,13 @@ def test_orthonormalizer_matches_float_congruence():
     assert abs(np.trace(got) - np.trace(mf)) < 1e-9
 
 
+def test_orthonormalizer_solve_is_exact():
+    rng = np.random.default_rng(3)
+    g = random_spd(rng, 6)
+    b = frac_matrix(rng.integers(-4, 5, size=(6, 3)).tolist())
+    assert fmatmul(g, Orthonormalizer(g).solve(b)) == b
+
+
 def test_hermitian_eigenvalues_diagnostics():
     bad = np.full((3, 3), np.nan)
     with pytest.raises((EigensolverError, np.linalg.LinAlgError)):

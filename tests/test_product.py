@@ -1,5 +1,5 @@
-"""Product model: Kunneth counting, the graded tensor sign, and agreement
-between the per-sector assembly and a dense merged assembly."""
+"""Product model: Kunneth counting, the graded tensor sign, and the Kunneth
+splitting of the Dirac square against independently assembled factors."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,8 @@ import pytest
 from equivlab.deformed import (assemble_deformed, complex_property_defect,
                                dirac, spectral_table)
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
-from equivlab.geometry.product import assemble_product, product_model
-
-
-def small_spec(k=0, nl=4, nr=1):
-    return ModelSpec(
-        kind="product", field=FieldSpec("product_lift", factor="left"),
-        left=ModelSpec(kind="cp1", k=k, cutoff=nl, field=FieldSpec("linear")),
-        right=ModelSpec(kind="torus", tau=1j, cutoff=nr,
-                        field=FieldSpec("constant", c=1.0)))
+from equivlab.geometry import cp1_model, torus_model
+from equivlab.geometry.product import product_model
 
 
 def test_degree_range_and_kunneth_dims():
@@ -47,18 +40,23 @@ def test_complex_property_on_product():
         assert complex_property_defect(assemble_deformed(model, T)) < 1e-12
 
 
-def test_sector_cells_match_dense_assembly():
-    spec = small_spec()
-    cells = assemble_product(spec)
-    dense = assemble_product(spec, merged_modes=True)
-    d1 = dirac(assemble_deformed(cells, 2.0))
-    d2 = dirac(assemble_deformed(dense, 2.0))
+def test_kunneth_spectra_match_factor_sums():
+    # d = d_L (x) 1 + sign (x) dbar_R squares to a Laplacian that splits as
+    # L (x) 1 + 1 (x) R, so in degree r the product spectrum is the union over
+    # r_L of (cp1 spectrum at T in r_L) + (undeformed torus spectrum in r - r_L)
+    k, n_left, tau, n_right, T = 1, 5, 0.3 + 1.1j, 1, 2.0
+    product = dirac(assemble_deformed(
+        product_model(k, n_left, tau, n_right), T))
+    left = dirac(assemble_deformed(cp1_model(k, n_left), T))
+    right = dirac(assemble_deformed(torus_model(tau, n_right, 1.0), 0.0))
     for r in range(-2, 3):
-        e1 = d1.merged_eigenvalues(r)
-        e2 = d2.merged_eigenvalues(r)
-        assert e1.shape == e2.shape
-        scale = max(1.0, float(e1[-1])) if len(e1) else 1.0
-        assert np.allclose(e1, e2, atol=1e-10 * scale)
+        sums = [np.add.outer(left.merged_eigenvalues(r_left),
+                             right.merged_eigenvalues(r - r_left)).ravel()
+                for r_left in (-1, 0, 1) if abs(r - r_left) <= 1]
+        want = np.sort(np.concatenate(sums))
+        got = product.merged_eigenvalues(r)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
 
 
 def test_localized_table_positive_dimensional_zero_set():

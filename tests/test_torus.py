@@ -13,7 +13,7 @@ import pytest
 
 from equivlab.deformed import assemble_deformed, complex_property_defect, dirac
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
-from equivlab.geometry.torus import (assemble_torus, dolbeault_coefficient,
+from equivlab.geometry.torus import (dolbeault_coefficient,
                                      laplace_eigenvalue, torus_model)
 
 
@@ -104,15 +104,3 @@ def test_deformed_spectrum_shifts_by_2T2():
         got = dsq.merged_eigenvalues(r)
         want = base.merged_eigenvalues(r) + shift
         assert np.allclose(got, want, atol=1e-9)
-
-
-def test_merged_and_per_mode_assemblies_agree():
-    spec = ModelSpec(kind="torus", tau=1j, cutoff=2,
-                     field=FieldSpec("constant", c=1.0))
-    per_mode = assemble_torus(spec)
-    merged = assemble_torus(spec, merged=True)
-    d1 = dirac(assemble_deformed(per_mode, 2.0))
-    d2 = dirac(assemble_deformed(merged, 2.0))
-    for r in (-1, 0, 1):
-        assert np.allclose(d1.merged_eigenvalues(r), d2.merged_eigenvalues(r),
-                           atol=1e-10)
