@@ -244,9 +244,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
         if "bochner" in config.checks and payload["bochner"] is not None:
             res = payload["bochner"]
             if res["exact"]:
-                leak = max((v for k, v in payload["leakage"].items()
-                            if k.startswith("dual_wedge")), default=0.0)
-                ok = res["residual"] <= max(10.0 * leak, 0.0) + 0.0
+                # rational arithmetic: the identity holds or it does not
+                ok = res["residual"] == 0.0
             else:
                 ok = res["residual"] <= _FLOAT_ZERO
             verdicts[f"bochner:{label}"] = "pass" if ok else "fail"

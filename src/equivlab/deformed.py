@@ -237,77 +237,86 @@ def _bochner_torus(model: AssembledModel, T: float) -> dict:
     return {"residual": worst, "zero_order_term": 0.0, "exact": False}
 
 
-def _apply_dt(sections: dict, T: Fraction, k: int) -> dict:
-    """(dbar_T + dbar_T^*) on a tuple-keyed family of exact sections."""
+def _add_section(out: dict, pq, sec) -> None:
+    """Add sec into a (p,q)-keyed family that holds only nonzero sections."""
+    if pq in out:
+        sec = cp1mod.section_add(out[pq], sec)
+    if sec.is_zero():
+        out.pop(pq, None)
+    else:
+        out[pq] = sec
+
+
+def _apply_d0(sections: dict) -> dict:
+    """dbar + dbar^* on a (p,q)-keyed family of exact sections."""
     out: dict = {}
-
-    def add(pq, sec):
-        if sec.is_zero():
-            return
-        if pq in out:
-            out[pq] = cp1mod.section_add(out[pq], sec)
-        else:
-            out[pq] = sec
-
-    for pq, sec in sections.items():
-        p, q = pq
+    for (p, q), sec in sections.items():
         if q == 0:
-            add((p, 1), cp1mod.dbar(sec))
-        if p == 1:
-            add((0, q), cp1mod.section_scale(cp1mod.field_contract(sec), T))
-        if q == 1:
-            add((p, 0), cp1mod.dbar_star(sec))
-        if p == 0:
-            add((1, q), cp1mod.section_scale(cp1mod.dual_field_wedge(sec), T))
+            _add_section(out, (p, 1), cp1mod.dbar(sec))
+        else:
+            _add_section(out, (p, 0), cp1mod.dbar_star(sec))
     return out
 
 
+def _apply_v(sections: dict) -> dict:
+    """iv + wedge by the dual field: the part of d_T + d_T^* linear in T."""
+    out: dict = {}
+    for (p, q), sec in sections.items():
+        if p == 1:
+            _add_section(out, (0, q), cp1mod.field_contract(sec))
+        else:
+            _add_section(out, (1, q), cp1mod.dual_field_wedge(sec))
+    return out
+
+
+def _largest_coefficient(sections) -> Fraction:
+    return max((abs(co) for sec in sections for _, co in sec.terms),
+               default=Fraction(0))
+
+
 def _bochner_cp1(model: AssembledModel, T) -> dict:
+    """With D = dbar + dbar^* and V = iv + (dual field) wedge, d_T + d_T^*
+    = D + T V, so
+
+        2 (D + T V)^2 - 2 D^2 - 2 T^2 |v|^2 - 2 T Theta
+            = 2 T (D V + V D - Theta) + 2 T^2 (V^2 - |v|^2).
+
+    Both brackets are T-free: the curvature identity D V + V D = Theta and
+    the Clifford identity V^2 = |v|^2 are applied to every truncated basis
+    section with integer coefficients.  The residual at T is the largest
+    coefficient of the right side, exactly 0 when both identities hold."""
     T = Fraction(T)
     exact: cp1mod.Cp1Exact = model.exact
-    k = exact.k
     worst = Fraction(0)
-    zero_order_norm = Fraction(0)
+    curvature_norm = Fraction(0)
     for pq, block in exact.blocks.items():
-        for i in range(block.dim):
-            e = block.basis_section(k, i)
-            # left side: 2 (dbar_T + dbar_T^*)^2 e
-            once = _apply_dt({pq: e}, T, k)
-            lhs: dict = {}
-            for spq, sec in _apply_dt(once, T, k).items():
-                lhs[spq] = cp1mod.section_scale(sec, 2)
-            # right side: 2 (dbar + dbar^*)^2 e + 2 T^2 |v|^2 e + 2 T Theta e
-            rhs: dict = {}
-            for spq, sec in _apply_dt(_apply_dt({pq: e}, Fraction(0), k),
-                                      Fraction(0), k).items():
-                rhs[spq] = cp1mod.section_scale(sec, 2)
-            extra = cp1mod.section_scale(cp1mod.field_norm_mul(e), 2 * T * T)
-            rhs[pq] = cp1mod.section_add(rhs[pq], extra) if pq in rhs else extra
+        for a, b in block.monomials:
+            e = cp1mod.CPSection.make(exact.k, *pq, block.den, {(a, b): 1})
+            d0e, ve = _apply_d0({pq: e}), _apply_v({pq: e})
+            curvature = _apply_d0(ve)
+            for spq, sec in _apply_v(d0e).items():
+                _add_section(curvature, spq, sec)
             if pq == (0, 0):
-                zterm = cp1mod.section_scale(cp1mod.curvature_wedge(e), 2 * T)
-                if not zterm.is_zero():
-                    rhs[(1, 1)] = (cp1mod.section_add(rhs[(1, 1)], zterm)
-                                   if (1, 1) in rhs else zterm)
-                    zero_order_norm = max(
-                        zero_order_norm,
-                        max(abs(co) for _, co in zterm.terms))
+                theta = cp1mod.curvature_wedge(e)
+                curvature_norm = max(curvature_norm,
+                                     _largest_coefficient([theta]))
+                _add_section(curvature, (1, 1), cp1mod.section_scale(theta, -1))
             if pq == (1, 1):
-                zterm = cp1mod.section_scale(cp1mod.curvature_contract(e), 2 * T)
-                if not zterm.is_zero():
-                    rhs[(0, 0)] = (cp1mod.section_add(rhs[(0, 0)], zterm)
-                                   if (0, 0) in rhs else zterm)
-            for spq in set(lhs) | set(rhs):
-                a = lhs.get(spq)
-                b = rhs.get(spq)
-                if a is None:
-                    diff = cp1mod.section_scale(b, -1)
-                elif b is None:
-                    diff = a
-                else:
-                    diff = cp1mod.section_add(a, cp1mod.section_scale(b, -1))
-                if not diff.is_zero():
-                    worst = max(worst, max(abs(co) for _, co in diff.terms))
-    return {"residual": float(worst), "zero_order_term": float(zero_order_norm),
+                theta = cp1mod.curvature_contract(e)
+                _add_section(curvature, (0, 0), cp1mod.section_scale(theta, -1))
+            clifford = _apply_v(ve)
+            _add_section(clifford, pq, cp1mod.section_scale(
+                cp1mod.field_norm_mul(e), -1))
+            if not (curvature or clifford):
+                continue
+            residual: dict = {}
+            for part, factor in ((curvature, 2 * T), (clifford, 2 * T * T)):
+                for spq, sec in part.items():
+                    _add_section(residual, spq,
+                                 cp1mod.section_scale(sec, factor))
+            worst = max(worst, _largest_coefficient(residual.values()))
+    return {"residual": float(worst),
+            "zero_order_term": float(abs(2 * T) * curvature_norm),
             "exact": True}
 
 

@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from ..linalg import (FMatrix, Orthonormalizer, fmatmul, ftranspose,
-                      fzeros, is_zero_matrix, to_float)
+from ..linalg import (FMatrix, Orthonormalizer, fmatmul, fmatmul_float,
+                      ftranspose, fzeros, is_zero_matrix, to_float, to_ints)
 from .base import AssembledModel, FieldSpec, ModelError, ModelSpec, PQ, SpectralCell
 
 Terms = dict[tuple[int, int], Fraction]
@@ -81,7 +81,7 @@ def _shift(terms: Terms, da: int, db: int, factor: Fraction | int = 1) -> Terms:
 
 def _acc(dst: Terms, src: Terms) -> None:
     for ab, co in src.items():
-        new = dst.get(ab, Fraction(0)) + co
+        new = dst.get(ab, 0) + co
         if new:
             dst[ab] = new
         elif ab in dst:
@@ -97,10 +97,9 @@ def section_add(x: CPSection, y: CPSection) -> CPSection:
     return CPSection.make(x.k, x.p, x.q, den, out)
 
 
-def section_scale(x: CPSection, factor) -> CPSection:
-    f = Fraction(factor)
+def section_scale(x: CPSection, factor: int | Fraction) -> CPSection:
     return CPSection.make(x.k, x.p, x.q, x.den,
-                          {ab: co * f for ab, co in x.terms})
+                          {ab: co * factor for ab, co in x.terms})
 
 
 def embed(s: CPSection, new_den: int) -> CPSection:
@@ -222,19 +221,39 @@ def weight_exponent(p: int, q: int, den: int, k: int) -> int:
 
 
 def l2_pair(x: CPSection, y: CPSection) -> Fraction:
-    """Exact L2 pairing of two real-coefficient sections of one block."""
+    """Exact L2 pairing of two real-coefficient sections of one block.
+
+    Embedding x and y at the common denominator exponent and pairing term
+    by term gives, for terms (a, b) of x and (c, d) of y of equal charge,
+    the Beta moments of u = a + d + t weighted by binom(dx + dy, t)
+    (Vandermonde), dx and dy the embedding shifts.  The sum runs over the
+    integer moment numerators u! (P-u-2)! and integer coefficients, with one
+    division by (P-1)! and the coefficient denominators at the end."""
     if (x.k, x.p, x.q) != (y.k, y.p, y.q):
         raise ModelError("pairing of sections from different blocks")
+    if not x.terms or not y.terms:
+        return Fraction(0)
     den = max(x.den, y.den)
-    x, y = embed(x, den), embed(y, den)
+    shift = 2 * den - x.den - y.den
     big_p = weight_exponent(x.p, x.q, den, x.k)
-    total = Fraction(0)
-    ydict = y.term_dict()
-    for (a, b), cx in x.terms:
-        for (c, d), cy in ydict.items():
-            if a - b == c - d:
-                total += cx * cy * beta_moment(a + d, big_p)
-    return total
+    xnums, xden = to_ints([co for _, co in x.terms])
+    ynums, yden = to_ints([co for _, co in y.terms])
+    by_charge: dict[int, list[tuple[int, int]]] = {}
+    for ((c, d), _), ny in zip(y.terms, ynums):
+        by_charge.setdefault(c - d, []).append((d, ny))
+    coeffs: dict[int, int] = {}         # a + d -> integer coefficient
+    for ((a, b), _), nx in zip(x.terms, xnums):
+        for d, ny in by_charge.get(a - b, ()):
+            coeffs[a + d] = coeffs.get(a + d, 0) + nx * ny
+    if not coeffs:
+        return Fraction(0)
+    top = max(coeffs) + shift
+    if top > big_p - 2:
+        raise ModelError(f"divergent moment: u={top}, P={big_p}")
+    fact = math.factorial
+    total = sum(co * math.comb(shift, t) * fact(u + t) * fact(big_p - u - t - 2)
+                for u, co in coeffs.items() for t in range(shift + 1))
+    return Fraction(total, xden * yden * fact(big_p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +402,28 @@ class Cp1Exact:
     # -- exact identity checks ---------------------------------------------
 
     def deformed_square_is_zero(self, T: Fraction) -> bool:
-        """(dbar + T iv)^2 = 0 as exact chunk matrices, every degree."""
+        """(dbar + T iv)^2 = 0 as exact chunk matrices, every degree.
+
+        dbar^2 and iv^2 vanish by degree, so the square is T times the
+        degree -1 -> +1 composite dbar iv + iv dbar: zero at T = 0, and for
+        T != 0 zero exactly when that T-free composite is."""
+        return not T or self._anticommutator_is_zero
+
+    @cached_property
+    def _anticommutator_is_zero(self) -> bool:
         for chi in self.charges():
-            # degree -1 -> 0 -> +1: d0 o dm1 must vanish.
-            dm1_top = self._chunk(self.dbar_chunks[(1, 0)], chi)      # (1,0)->(1,1)
-            dm1_bot = self._chunk(self.iv_chunks[(1, 0)], chi)        # (1,0)->(0,0)
-            d0_from00 = self._chunk(self.dbar_chunks[(0, 0)], chi)    # (0,0)->(0,1)
-            d0_from11 = self._chunk(self.iv_chunks[(1, 1)], chi)      # (1,1)->(0,1)
-            sdim = _chunk_dim(self.blocks[(1, 0)], chi)
-            if sdim == 0:
+            if _chunk_dim(self.blocks[(1, 0)], chi) == 0:
                 continue
+            # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1)
+            iv_bot = self._chunk(self.iv_chunks[(1, 0)], chi)
+            dbar_top = self._chunk(self.dbar_chunks[(1, 0)], chi)
+            dbar_00 = self._chunk(self.dbar_chunks[(0, 0)], chi)
+            iv_11 = self._chunk(self.iv_chunks[(1, 1)], chi)
             comp = None
-            if d0_from00 and dm1_bot:
-                comp = fmatmul(d0_from00, _scale(dm1_bot, T))
-            if d0_from11 and dm1_top:
-                second = _scale(fmatmul(d0_from11, dm1_top), T)
+            if dbar_00 and iv_bot:
+                comp = fmatmul(dbar_00, iv_bot)
+            if iv_11 and dbar_top:
+                second = fmatmul(iv_11, dbar_top)
                 comp = second if comp is None else _add(comp, second)
             if comp is not None and not is_zero_matrix(comp):
                 return False
@@ -453,9 +479,8 @@ class Cp1Exact:
                 else:
                     resid = gram_y
                 ortho = src.orthos[chi]
-                core = fmatmul(fmatmul(ortho.Linv, resid),
-                               ftranspose(ortho.Linv))
-                w = to_float(core)
+                w = fmatmul_float(fmatmul(ortho.Linv, resid),
+                                  ftranspose(ortho.Linv))
                 w /= ortho.sqrt_d[:, None]
                 w /= ortho.sqrt_d[None, :]
                 if w.size:
@@ -464,49 +489,10 @@ class Cp1Exact:
             out[(0, q)] = worst
         return out
 
-    def adjoint_consistency_defect(self) -> float:
-        """Gram-adjoint of the assembled field-contraction block versus the
-        Gram-projected wedge-by-dual-field block; zero in exact arithmetic,
-        returned as the float of the largest entry difference."""
-        worst = Fraction(0)
-        for q in (0, 1):
-            src = self.blocks[(1, q)]      # domain of the contraction
-            tgt = self.blocks[(0, q)]
-            for chi in src.charges:
-                m = self._chunk(self.iv_chunks[(1, q)], chi)
-                if m is None:
-                    continue
-                sl = tgt.chunk_slices.get(chi)
-                if sl is None:
-                    continue
-                # adjoint of m: G_src^{-1} m^T G_tgt
-                solver = src.orthos[chi]
-                adj = solver.solve(fmatmul(ftranspose(m), tgt.grams[chi]))
-                # projected dual wedge block: columns solve G_src x = <u_i, W y_j>
-                tgt_monos = tgt.monomials[sl]
-                src_sl = src.chunk_slices[chi]
-                rhs = []
-                for i in range(src_sl.stop - src_sl.start):
-                    row = []
-                    ui = src.basis_section(self.k, src_sl.start + i)
-                    for j in range(len(tgt_monos)):
-                        yj = dual_field_wedge(tgt.basis_section(self.k, sl.start + j))
-                        row.append(l2_pair(ui, yj))
-                    rhs.append(row)
-                proj = solver.solve(rhs)
-                for i in range(len(proj)):
-                    for j in range(len(proj[0])):
-                        worst = max(worst, abs(proj[i][j] - adj[i][j]))
-        return float(worst)
-
 
 def _chunk_dim(block: Block, chi: int) -> int:
     sl = block.chunk_slices.get(chi)
     return 0 if sl is None else sl.stop - sl.start
-
-
-def _scale(m: FMatrix, f: Fraction) -> FMatrix:
-    return [[x * f for x in row] for row in m]
 
 
 def _add(a: FMatrix, b: FMatrix) -> FMatrix:

@@ -2,14 +2,26 @@
 
 The weighted monomial bases used on the curved model have exactly computable
 but badly conditioned Gram matrices.  All factorization work is therefore
-done in Fraction arithmetic: G = L D L^T with unit lower triangular L and a
-positive rational diagonal D.  Floating point enters only in the final
-diagonal scaling by D^{1/2}, which is entrywise stable, so the orthonormal
-operator blocks fed to the dense eigensolver carry no factorization error.
+exact: G = L D L^T with unit lower triangular L and a positive rational
+diagonal D.  Floating point enters only in the final diagonal scaling by
+D^{1/2}, which is entrywise stable, so the orthonormal operator blocks fed
+to the dense eigensolver carry no factorization error.
+
+Matrices are lists of Fraction rows, but the arithmetic runs on Python
+integers: products scale each row and column to one common denominator and
+form integer dot products, the factorization is Bareiss fraction-free
+elimination (Math. Comp. 22, 1968) on the integer Gram numerators, and the
+triangular inverse keeps each row over one denominator.  A Fraction is built
+once per output entry, and the float view of a product divides the integer
+numerator by its denominator directly (as correctly rounded as
+float(Fraction)).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +38,22 @@ class GramError(ValueError):
         super().__init__(
             f"Gram matrix not positive definite: pivot {pivot_index} = {pivot_value}")
 
+    def __reduce__(self):
+        return type(self), (self.pivot_index, self.pivot_value)
+
 
 class EigensolverError(RuntimeError):
     """Dense eigensolver failure with conditioning diagnostics attached."""
 
     def __init__(self, message: str, diagnostics: dict):
+        self.message = message
         self.diagnostics = diagnostics
         super().__init__(f"{message}; diagnostics: {diagnostics}")
+
+    def __reduce__(self):
+        # unpickling calls the class with these, not with self.args, so the
+        # error survives a trip back from a worker process
+        return type(self), (self.message, self.diagnostics)
 
 
 def fzeros(rows: int, cols: int) -> FMatrix:
@@ -46,21 +67,48 @@ def fidentity(n: int) -> FMatrix:
     return out
 
 
+def _common_denominator(xs) -> int:
+    # pairwise, so no argument tuple is built per call (freed tuples of
+    # small sizes stay on the interpreter's free lists)
+    return functools.reduce(math.lcm, (x.denominator for x in xs), 1)
+
+
+def to_ints(row) -> tuple[list[int], int]:
+    """A rational vector as integer numerators over its least common
+    denominator: (nums, den) with row[i] = nums[i] / den."""
+    den = _common_denominator(row)
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _int_product(a: FMatrix, b: FMatrix
+                 ) -> tuple[list[list[int]], list[int], list[int]]:
+    """a b over the integers: entry (i, j) is nums[i][j] / (aden[i] bden[j]).
+    Each row of a and each column of b is scaled to integers over its own
+    common denominator, so an entry is one integer dot product."""
+    rows = [to_ints(row) for row in a]
+    cols = [to_ints(col) for col in zip(*b)]
+    nums = [[sum(map(operator.mul, anums, bnums)) for bnums, _ in cols]
+            for anums, _ in rows]
+    return nums, [d for _, d in rows], [d for _, d in cols]
+
+
 def fmatmul(a: FMatrix, b: FMatrix) -> FMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = fzeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += aik * bk[j]
-    return out
+    """Exact product, one Fraction per output entry."""
+    if not a or not b or not b[0]:
+        return fzeros(len(a), len(b[0]) if b else 0)
+    nums, adens, bdens = _int_product(a, b)
+    return [[Fraction(n, aden * bden) for n, bden in zip(row, bdens)]
+            for row, aden in zip(nums, adens)]
+
+
+def fmatmul_float(a: FMatrix, b: FMatrix) -> np.ndarray:
+    """to_float(fmatmul(a, b)) without building the Fractions: integer
+    true division is correctly rounded, as float(Fraction) is."""
+    if not a or not b or not b[0]:
+        return np.zeros((len(a), len(b[0]) if b else 0))
+    nums, adens, bdens = _int_product(a, b)
+    return np.array([[n / (aden * bden) for n, bden in zip(row, bdens)]
+                     for row, aden in zip(nums, adens)], dtype=float)
 
 
 def ftranspose(a: FMatrix) -> FMatrix:
@@ -72,33 +120,61 @@ def is_zero_matrix(a: FMatrix) -> bool:
 
 
 def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
-    """G = L D L^T for symmetric positive definite rational G."""
+    """G = L D L^T for symmetric positive definite rational G, reading the
+    lower triangle only.
+
+    Bareiss fraction-free elimination on the integer matrix c G, c the
+    common denominator: after step j each remaining entry is the minor of
+    c G on the leading j+1 rows and columns bordered by its own row and
+    column (Sylvester's identity), so the division by the previous pivot is
+    exact.  Pivot j is the leading (j+1)-minor; D_j is the ratio of
+    consecutive pivots over c and L_ij the entry below pivot j over it.
+    """
     n = len(g)
+    c = _common_denominator(x for i, row in enumerate(g) for x in row[:i + 1])
+    a = [[x.numerator * (c // x.denominator) for x in row[:i + 1]]
+         for i, row in enumerate(g)]
     L = fidentity(n)
     D: list[Fraction] = [Fraction(0)] * n
+    prev = 1
     for j in range(n):
-        d = g[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if d <= 0:
-            raise GramError(j, d)
-        D[j] = d
+        pivot = a[j][j]
+        if pivot <= 0:
+            raise GramError(j, Fraction(pivot, c * prev))
+        D[j] = Fraction(pivot, c * prev)
+        col = [0] * j + [a[i][j] for i in range(j, n)]
         for i in range(j + 1, n):
-            s = g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / d
+            L[i][j] = Fraction(col[i], pivot)
+            ai, aij = a[i], col[i]
+            ai[j + 1:] = [(pivot * x - aij * y) // prev
+                          for x, y in zip(ai[j + 1:], col[j + 1:i + 1])]
+        prev = pivot
     return L, D
 
 
 def invert_unit_lower(L: FMatrix) -> FMatrix:
-    """Inverse of a unit lower triangular rational matrix."""
+    """Inverse of a unit lower triangular rational matrix, row by row:
+    row i is e_i - sum_k L_ik row k, kept as integers over one common
+    denominator and reduced by their gcd."""
     n = len(L)
-    inv = fidentity(n)
-    for j in range(n):
-        for i in range(j + 1, n):
-            s = Fraction(0)
-            for k in range(j, i):
-                if L[i][k] and inv[k][j]:
-                    s += L[i][k] * inv[k][j]
-            inv[i][j] = -s
-    return inv
+    rows: list[tuple[list[int], int]] = []
+    out = []
+    for i in range(n):
+        lnums, lden = to_ints(L[i][:i])
+        den = lden * functools.reduce(
+            math.lcm, (rows[k][1] for k in range(i) if lnums[k]), 1)
+        acc = [0] * i + [den]
+        for k in range(i):
+            if lnums[k]:
+                f = lnums[k] * (den // (lden * rows[k][1]))
+                acc[:k + 1] = [x - f * y for x, y in zip(acc, rows[k][0])]
+        common = functools.reduce(math.gcd, acc, den)
+        acc = [x // common for x in acc]
+        den //= common
+        rows.append((acc, den))
+        out.append([Fraction(x, den) for x in acc]
+                   + [Fraction(0)] * (n - i - 1))
+    return out
 
 
 def to_float(a: FMatrix) -> np.ndarray:
@@ -127,9 +203,8 @@ class Orthonormalizer:
         """Float matrix of the operator in orthonormal bases on both sides."""
         if self.dim == 0 or source.dim == 0:
             return np.zeros((self.dim, source.dim))
-        lt = ftranspose(self.L)
-        core = fmatmul(fmatmul(lt, m), ftranspose(source.Linv))
-        out = to_float(core)
+        lt_m = fmatmul(ftranspose(self.L), m)
+        out = fmatmul_float(lt_m, ftranspose(source.Linv))
         out *= self.sqrt_d[:, None]
         out /= source.sqrt_d[None, :]
         return out

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from equivlab.deformed import assemble_deformed, complex_property_defect
@@ -13,6 +14,7 @@ from equivlab.geometry.cp1 import (CPSection, Cp1Exact, beta_moment,
                                    block_params, cp1_model, dbar, dbar_star,
                                    dual_field_wedge, embed, field_contract,
                                    l2_pair, weight_exponent)
+from equivlab.linalg import fmatmul, ftranspose
 
 
 def quad_gram_entry(a, b, c, d, big_p):
@@ -99,6 +101,24 @@ def test_deformed_square_exact_zero():
             assert ex.deformed_square_is_zero(T)
 
 
+def test_deformed_square_detects_perturbed_contraction():
+    # one changed entry of an iv chunk that dbar then sees breaks d_T^2 = 0
+    # for every T != 0; T = 0 is dbar^2 = 0 and stays true
+    ex = cp1_model(1, 6).exact
+    for chi, m in ex.iv_chunks[(1, 0)].items():
+        dbar00 = ex.dbar_chunks[(0, 0)].get(chi)
+        rows = [i for i in range(len(m))
+                if dbar00 and any(row[i] for row in dbar00)]
+        if rows and m[0]:
+            m[rows[0]][0] += 1
+            break
+    else:
+        pytest.fail("no iv chunk entry reaches dbar")
+    for T in (Fraction(1), Fraction(4), Fraction(7, 3), Fraction(-1, 5)):
+        assert not ex.deformed_square_is_zero(T)
+    assert ex.deformed_square_is_zero(Fraction(0))
+
+
 def test_assembled_complex_property_float():
     model = cp1_model(1, 8)
     for T in (0.0, 1.0, 4.0):
@@ -144,15 +164,72 @@ def test_dual_wedge_is_l2_adjoint_of_contraction():
 
 
 def test_adjoint_consistency_of_assembled_blocks():
+    # the assembled contraction chunk m (coefficients, (1,q) -> (0,q)) is
+    # the Gram-adjoint of the dual-field wedge: m^T G_tgt = <u_i, W y_j>
     for k in (0, 2):
         ex = cp1_model(k, 6).exact
-        assert ex.adjoint_consistency_defect() == 0.0
+        for q in (0, 1):
+            src, tgt = ex.blocks[(1, q)], ex.blocks[(0, q)]
+            for chi, m in ex.iv_chunks[(1, q)].items():
+                tgt_sl = tgt.chunk_slices.get(chi)
+                if tgt_sl is None or not m or not m[0]:
+                    continue
+                src_sl = src.chunk_slices[chi]
+                pairs = [[l2_pair(src.basis_section(k, i),
+                                  dual_field_wedge(tgt.basis_section(k, j)))
+                          for j in range(tgt_sl.start, tgt_sl.stop)]
+                         for i in range(src_sl.start, src_sl.stop)]
+                assert fmatmul(ftranspose(m), tgt.grams[chi]) == pairs
 
 
 def test_embed_preserves_pairings():
     s = CPSection.make(0, 0, 0, 4, {(1, 1): Fraction(2), (0, 0): Fraction(-1)})
     t = CPSection.make(0, 0, 0, 4, {(1, 1): Fraction(1)})
     assert l2_pair(embed(s, 6), t) == l2_pair(s, t)
+
+
+def ref_l2_pair(x, y):
+    """Per-term Fraction pairing: embed both sections at the common
+    denominator exponent and sum coefficient products times Beta moments."""
+    den = max(x.den, y.den)
+    x, y = embed(x, den), embed(y, den)
+    big_p = weight_exponent(x.p, x.q, den, x.k)
+    return sum((cx * cy * beta_moment(a + d, big_p)
+                for (a, b), cx in x.terms for (c, d), cy in y.terms
+                if a - b == c - d), Fraction(0))
+
+
+@st.composite
+def section_pairs(draw):
+    """Two sections of one block, each inside the truncation of its own
+    (possibly different) denominator exponent, mixed-sign coefficients."""
+    k = draw(st.integers(0, 3))
+    p, q = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    out = []
+    for _ in range(2):
+        den = draw(st.integers(2, 9))
+        _, amax, bmax = block_params(k, den - q, p, q)
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, amax), st.integers(0, bmax)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=9),
+            max_size=5))
+        out.append(CPSection.make(k, p, q, den, terms))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(section_pairs())
+def test_l2_pair_matches_fraction_oracle(pair):
+    x, y = pair
+    assert l2_pair(x, y) == ref_l2_pair(x, y)
+    assert l2_pair(y, x) == ref_l2_pair(y, x)
+
+
+def test_l2_pair_rejects_divergent_moment():
+    # z^9 against itself at den 4: u = 18 > P - 2 = 8
+    s = CPSection.make(0, 0, 0, 4, {(9, 0): Fraction(1)})
+    with pytest.raises(ModelError):
+        l2_pair(s, s)
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():

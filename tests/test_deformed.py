@@ -10,6 +10,8 @@ from equivlab.deformed import (CohomologyTable, ThresholdRule,
                                assemble_deformed, bochner_check,
                                cluster_kernel, dirac,
                                graded_euler, spectral_table, spectrum, t_sweep)
+from equivlab.cli import parse_config, run
+from equivlab.geometry import cp1 as cp1mod
 from equivlab.geometry import cp1_model, product_model, torus_model
 from equivlab.geometry.torus import laplace_eigenvalue
 
@@ -209,6 +211,22 @@ def test_bochner_cp1_exact_zero():
         assert out["exact"] and out["residual"] == 0.0
     # the zero-order term is genuinely present off the flat model
     assert bochner_check(model, 1)["zero_order_term"] > 0
+
+
+def test_bochner_cp1_detects_wrong_curvature(tmp_path, monkeypatch):
+    # a curvature term twice too large on the (1,1) block leaves a residual
+    # 2 T |Theta e| = 4 at T = 2, and the exact check must fail on it
+    contract = cp1mod.curvature_contract
+    monkeypatch.setattr(cp1mod, "curvature_contract",
+                        lambda s: cp1mod.section_scale(contract(s), 2))
+    assert bochner_check(cp1_model(1, 6), 2)["residual"] > 0
+    config = parse_config({
+        "schema_version": 1, "name": "bad-curvature",
+        "models": [{"kind": "cp1", "k": 1, "cutoff": 6,
+                    "field": {"kind": "linear"}}],
+        "T_grid": [2.0], "checks": ["bochner"], "outputs": ["json"]})
+    report = run(config, str(tmp_path / "out"))
+    assert report.verdicts == {"bochner:cp1(k=1,cut=6)": "fail"}
 
 
 def test_bochner_rejects_product():

@@ -1,11 +1,156 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
-                             fmatmul, ftranspose, hermitian_eigenvalues,
-                             invert_unit_lower, ldlt, to_float)
+                             fmatmul, fmatmul_float, ftranspose,
+                             hermitian_eigenvalues, invert_unit_lower, ldlt,
+                             to_float)
+
+
+# --- per-entry Fraction reference kernels ------------------------------------
+# The straightforward one-Fraction-per-multiply-add versions of the integer
+# kernels in linalg; every result must agree exactly.
+
+def ref_fmatmul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def ref_ldlt(g):
+    n = len(g)
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        d = g[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
+        if d <= 0:
+            raise GramError(j, d)
+        D[j] = d
+        for i in range(j + 1, n):
+            s = g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
+            L[i][j] = s / d
+    return L, D
+
+
+def ref_invert_unit_lower(L):
+    n = len(L)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            inv[i][j] = -sum((L[i][k] * inv[k][j] for k in range(j, i)),
+                             Fraction(0))
+    return inv
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-40, max_value=40,
+                                   max_denominator=12))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(rows, inner)), draw(matrices(inner, cols))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """m m^T plus a drawn diagonal shift: positive definite, singular or
+    indefinite."""
+    n = draw(st.integers(0, 6))
+    m = draw(matrices(n, n))
+    g = ref_fmatmul(m, ftranspose(m))
+    shift = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    for i in range(n):
+        g[i][i] += shift
+    return g
+
+
+@st.composite
+def unit_lower(draw):
+    n = draw(st.integers(0, 7))
+    return [[Fraction(1) if i == j else draw(rationals) if i > j
+             else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def outcome(fn, g):
+    try:
+        return fn(g)
+    except GramError as err:
+        return ("GramError", err.pivot_index, err.pivot_value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_fmatmul_matches_fraction_oracle(pair):
+    a, b = pair
+    want = ref_fmatmul(a, b)
+    assert fmatmul(a, b) == want
+    got = fmatmul_float(a, b)
+    assert got.shape == (len(a), len(b[0]) if b else 0)
+    assert np.array_equal(got.ravel(), to_float(want).ravel())
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_ldlt_matches_fraction_oracle(g):
+    got = outcome(ldlt, g)
+    assert got == outcome(ref_ldlt, g)
+    if got[0] != "GramError":
+        assert invert_unit_lower(got[0]) == ref_invert_unit_lower(got[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_lower())
+def test_invert_unit_lower_matches_fraction_oracle(L):
+    assert invert_unit_lower(L) == ref_invert_unit_lower(L)
+
+
+@st.composite
+def gram_and_operator(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(matrices(n, n))
+    g = ref_fmatmul(m, ftranspose(m))
+    for i in range(n):
+        g[i][i] += draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                     max_denominator=5))
+    return g, draw(matrices(n, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(gram_and_operator())
+def test_transform_op_is_rounded_exact_core(case):
+    # the float view is the exact core L^T M L^-T rounded entrywise, then
+    # scaled by D^(1/2) on each side
+    g, m = case
+    ortho = Orthonormalizer(g)
+    core = ref_fmatmul(ref_fmatmul(ftranspose(ortho.L), m),
+                       ftranspose(ortho.Linv))
+    want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
+    assert np.array_equal(ortho.transform_op(m, ortho), want)
+
+
+def test_errors_survive_pickling():
+    err = pickle.loads(pickle.dumps(EigensolverError("x", {"cell": 3})))
+    assert isinstance(err, EigensolverError)
+    assert err.diagnostics == {"cell": 3}
+    assert str(err) == str(EigensolverError("x", {"cell": 3}))
+    gram = pickle.loads(pickle.dumps(GramError(2, Fraction(-1, 3))))
+    assert (gram.pivot_index, gram.pivot_value) == (2, Fraction(-1, 3))
 
 
 def frac_matrix(rows):
