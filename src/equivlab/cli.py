@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .deformed import (CSV_FIELDS, DEFAULT_RULE, ThresholdRule,
+from .deformed import (CSV_FIELDS, DEFAULT_RULE, NotPSDError, ThresholdRule,
                        assemble_deformed, bochner_check,
                        complex_property_defect, spectral_table,
                        sweep_rows_for_csv, t_sweep)
@@ -208,13 +208,13 @@ def model_payload(spec_dict: dict, T_grid: list[float],
 
 
 def _payload_worker(args):
-    """One model's payload; a solver failure becomes an error payload, which
-    the checks turn into unresolved verdicts."""
+    """One model's payload; a solver failure or a non-PSD Dirac square
+    becomes an error payload, which the checks turn into verdicts."""
     try:
         return model_payload(*args)
-    except EigensolverError as exc:
+    except (EigensolverError, NotPSDError) as exc:
         return {"model": args[0], "label": ModelSpec.from_dict(args[0]).label(),
-                "error": str(exc)}
+                "error": str(exc), "non_psd": isinstance(exc, NotPSDError)}
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,12 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
         label = payload["label"]
         spec = ModelSpec.from_dict(payload["model"])
         if payload.get("error"):
+            # a solver failure leaves the answer open; a negative eigenvalue
+            # of a sum of Gram products means the operator is wrong
+            state = "fail" if payload["non_psd"] else "unresolved"
             for check in config.checks:
                 if check in _CHECKS:
-                    verdicts[f"{check}:{label}"] = "unresolved"
+                    verdicts[f"{check}:{label}"] = state
             continue
         if "complex_property" in config.checks:
             tol = max(max(payload["leakage"].values(), default=0.0), _FLOAT_ZERO)

@@ -158,11 +158,25 @@ def cluster_kernel(evals: np.ndarray, rule: ThresholdRule = DEFAULT_RULE
     return best_i, float(best_ratio), bool(resolved), threshold
 
 
+class NotPSDError(ValueError):
+    """The Dirac square, a sum of Gram products, has an eigenvalue below
+    the PSD guard: the assembled operator is wrong."""
+
+    def __init__(self, degree: int, eigenvalue: float):
+        self.degree = degree
+        self.eigenvalue = eigenvalue
+        super().__init__(
+            f"Dirac square not PSD at degree {degree}: {eigenvalue}")
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.eigenvalue)
+
+
 def spectrum(dsq: DiracSquare, r: int, how_many: int = 8,
              rule: ThresholdRule = DEFAULT_RULE) -> SpectrumResult:
     evals = dsq.merged_eigenvalues(r)
     if len(evals) and float(evals[0]) < -1.0e-10:
-        raise ValueError(f"Dirac square not PSD at degree {r}: {evals[0]}")
+        raise NotPSDError(r, float(evals[0]))
     count, gap, resolved, threshold = cluster_kernel(evals, rule)
     return SpectrumResult(
         degree=r, eigenvalues=[float(x) for x in evals[:how_many]],

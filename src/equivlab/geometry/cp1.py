@@ -22,7 +22,12 @@ truncated block exactly into the next (the assembly errors out otherwise),
 so the deformed complex closes at finite cutoff and its kernel counts are
 honest finite-complex cohomology dimensions.  The metric dual operators leak
 outside the truncation; the wedge-by-dual-field leakage is computed exactly
-and reported.
+and reported.  Within one charge chunk every pairing it needs is a single
+moment: the images of basis monomials are monomials again, so their Gram
+matrix is a Hankel matrix of moments, and their pairings with the target
+block are moments of the weight with (1+t)^2 absorbed, at P - 2.  The
+leakage therefore runs on integer moment numerators and the integer Gram
+factors of `linalg.Orthonormalizer`, with no per-section arithmetic.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -32,15 +37,16 @@ chunk, and the assembled model is a list of per-charge spectral cells.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
-from ..linalg import (FMatrix, Orthonormalizer, fmatmul, fmatmul_float,
-                      ftranspose, fzeros, is_zero_matrix, to_float, to_ints)
+from ..linalg import (FMatrix, Orthonormalizer, float_ratios, fmatmul,
+                      fzeros, is_zero_matrix, to_float)
 from .base import AssembledModel, FieldSpec, ModelError, ModelSpec, PQ, SpectralCell
 
 Terms = dict[tuple[int, int], Fraction]
@@ -220,42 +226,6 @@ def weight_exponent(p: int, q: int, den: int, k: int) -> int:
     return 2 * den - 2 * p - 2 * q + k + 2
 
 
-def l2_pair(x: CPSection, y: CPSection) -> Fraction:
-    """Exact L2 pairing of two real-coefficient sections of one block.
-
-    Embedding x and y at the common denominator exponent and pairing term
-    by term gives, for terms (a, b) of x and (c, d) of y of equal charge,
-    the Beta moments of u = a + d + t weighted by binom(dx + dy, t)
-    (Vandermonde), dx and dy the embedding shifts.  The sum runs over the
-    integer moment numerators u! (P-u-2)! and integer coefficients, with one
-    division by (P-1)! and the coefficient denominators at the end."""
-    if (x.k, x.p, x.q) != (y.k, y.p, y.q):
-        raise ModelError("pairing of sections from different blocks")
-    if not x.terms or not y.terms:
-        return Fraction(0)
-    den = max(x.den, y.den)
-    shift = 2 * den - x.den - y.den
-    big_p = weight_exponent(x.p, x.q, den, x.k)
-    xnums, xden = to_ints([co for _, co in x.terms])
-    ynums, yden = to_ints([co for _, co in y.terms])
-    by_charge: dict[int, list[tuple[int, int]]] = {}
-    for ((c, d), _), ny in zip(y.terms, ynums):
-        by_charge.setdefault(c - d, []).append((d, ny))
-    coeffs: dict[int, int] = {}         # a + d -> integer coefficient
-    for ((a, b), _), nx in zip(x.terms, xnums):
-        for d, ny in by_charge.get(a - b, ()):
-            coeffs[a + d] = coeffs.get(a + d, 0) + nx * ny
-    if not coeffs:
-        return Fraction(0)
-    top = max(coeffs) + shift
-    if top > big_p - 2:
-        raise ModelError(f"divergent moment: u={top}, P={big_p}")
-    fact = math.factorial
-    total = sum(co * math.comb(shift, t) * fact(u + t) * fact(big_p - u - t - 2)
-                for u, co in coeffs.items() for t in range(shift + 1))
-    return Fraction(total, xden * yden * fact(big_p - 1))
-
-
 # ---------------------------------------------------------------------------
 # Block structure
 # ---------------------------------------------------------------------------
@@ -281,11 +251,6 @@ class Block:
     @property
     def dim(self) -> int:
         return len(self.monomials)
-
-    def basis_section(self, k: int, i: int) -> CPSection:
-        a, b = self.monomials[i]
-        return CPSection.make(k, self.pq[0], self.pq[1], self.den,
-                              {(a, b): Fraction(1)})
 
     def gram_condition(self) -> float:
         worst = 1.0
@@ -435,59 +400,100 @@ class Cp1Exact:
             return None
         return m
 
-    def t0_kernel_counts(self) -> dict[PQ, int]:
-        """Harmonic-space dimensions of the undeformed complex per (p,q):
-        exact rank computation, used to cross-validate the closed-form
-        cohomology tables."""
-        out: dict[PQ, int] = {}
-        for p in (0, 1):
-            rank = 0
-            for m in self.dbar_chunks[(p, 0)].values():
-                rank += _frank(m)
-            out[(p, 0)] = self.blocks[(p, 0)].dim - rank
-            out[(p, 1)] = self.blocks[(p, 1)].dim - rank
-        return out
-
     def dual_wedge_leakage(self) -> dict[PQ, float]:
         """Operator-norm distance of the wedge-by-dual-field image from the
-        truncated target block, per source block; exact pairings, float only
+        truncated target block, per source block; exact moments, float only
         in the final eigenvalue extraction."""
         out: dict[PQ, float] = {}
         for q in (0, 1):
-            src = self.blocks[(0, q)]
-            tgt = self.blocks[(1, q)]
+            src, tgt = self.blocks[(0, q)], self.blocks[(1, q)]
             worst = 0.0
             for chi in src.charges:
-                sl = src.chunk_slices[chi]
-                monos = src.monomials[sl]
-                if not monos:
-                    continue
-                images = [dual_field_wedge(src.basis_section(self.k, sl.start + i))
-                          for i in range(len(monos))]
-                tgt_sl = tgt.chunk_slices.get(chi)
-                tgt_secs = ([tgt.basis_section(self.k, tgt_sl.start + j)
-                             for j in range(tgt_sl.stop - tgt_sl.start)]
-                            if tgt_sl is not None else [])
-                gram_y = [[l2_pair(a, b) for b in images] for a in images]
-                if tgt_secs:
-                    bmat = [[l2_pair(v, y) for y in images] for v in tgt_secs]
-                    xmat = tgt.orthos[chi].solve(bmat)
-                    corr = fmatmul(ftranspose(bmat), xmat)
-                    resid = [[gram_y[i][j] - corr[i][j]
-                              for j in range(len(images))]
-                             for i in range(len(images))]
-                else:
-                    resid = gram_y
                 ortho = src.orthos[chi]
-                w = fmatmul_float(fmatmul(ortho.Linv, resid),
-                                  ftranspose(ortho.Linv))
+                w = float_ratios(*_dual_wedge_core(self.k, src, tgt, chi))
                 w /= ortho.sqrt_d[:, None]
                 w /= ortho.sqrt_d[None, :]
-                if w.size:
-                    lam = float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
-                    worst = max(worst, math.sqrt(max(lam, 0.0)))
+                lam = float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+                worst = max(worst, math.sqrt(max(lam, 0.0)))
             out[(0, q)] = worst
         return out
+
+
+def _moment_numerators(us: range, big_p: int) -> dict[int, int]:
+    """u! (P-u-2)! for each u in us: the Beta moments m(u, P) times (P-1)!."""
+    if us and (us[0] < 0 or us[-1] > big_p - 2):
+        bad = us[0] if us[0] < 0 else us[-1]
+        raise ModelError(f"divergent moment: u={bad}, P={big_p}")
+    fact = math.factorial
+    return {u: fact(u) * fact(big_p - u - 2) for u in us}
+
+
+def _dual_wedge_core(k: int, src: Block, tgt: Block, chi: int
+                     ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Exact L_s^{-1} R L_s^{-T} for one charge chunk of the (0,q) block:
+    R is the Gram matrix of the chunk's images under the dual-field wedge
+    minus its part in the span of the (1,q) target chunk.  Entry (i, j) is
+    nums[i][j] / (rden[i] cden[j]).
+
+    Source monomial z^a zbar^b / (1+s)^den has the image z^a zbar^(b+1) /
+    (1+s)^(den+2), and the target block has the same den.  With P the
+    weight exponent of the images, the image Gram matrix is the Hankel
+    matrix m(a_i + b_j + 1, P), and a target monomial z^c zbar^d pairs with
+    image i in m(c + b_i + 1, P - 2): its extra (1+s)^2 is absorbed into
+    the weight.  With G_t = L_t D_t L_t^T and Y = L_t^{-1} B,
+    R = G_y - Y^T D_t^{-1} Y.
+    """
+    q = src.pq[1]
+    big_p = weight_exponent(1, q, src.den + 2, k)
+    sl = src.chunk_slices[chi]
+    bs = [b for _, b in src.monomials[sl]]
+    shift = chi + q + 1             # a_i = b_i + chi + q, so a_i + b_j + 1
+    hankel = _moment_numerators(range(2 * bs[0] + shift, 2 * bs[-1] + shift + 1),
+                                big_p)
+    n = len(bs)
+    rnums = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rnums[i][j] = rnums[j][i] = hankel[bs[i] + bs[j] + shift]
+    rden = math.factorial(big_p - 1)
+    tgt_sl = tgt.chunk_slices.get(chi)
+    if tgt_sl is not None:
+        cs = [c for c, _ in tgt.monomials[tgt_sl]]
+        pair = _moment_numerators(range(cs[0] + bs[0] + 1, cs[-1] + bs[-1] + 2),
+                                  big_p - 2)
+        bden = math.factorial(big_p - 3)
+        tortho = tgt.orthos[chi]
+        # ycols[i][v] is Y[v][i] over den_v bden, den_v the denominator of
+        # inverse row v; Y^T D_t^{-1} Y weighs row v by 1 / (den_v^2 D_v),
+        # and weights[v] / wden is that weight over one denominator
+        bcols = [[pair[c + b + 1] for c in cs] for b in bs]
+        ycols = [[sum(map(operator.mul, inv, bcol)) for inv, _ in tortho.inv_rows]
+                 for bcol in bcols]
+        wdens = [den * den * d.numerator
+                 for (_, den), d in zip(tortho.inv_rows, tortho.D)]
+        wden = reduce(math.lcm, wdens, 1)
+        weights = [wden // wd * d.denominator for wd, d in zip(wdens, tortho.D)]
+        sden = wden * bden * bden
+        common = math.lcm(rden, sden)
+        gscale, sscale = common // rden, common // sden
+        for i in range(n):
+            wy = list(map(operator.mul, weights, ycols[i]))
+            for j in range(i + 1):
+                x = (gscale * rnums[i][j]
+                     - sscale * sum(map(operator.mul, wy, ycols[j])))
+                rnums[i][j] = rnums[j][i] = x
+        rden = common
+    # L_s^{-1} R L_s^{-T}, symmetric: column j of R L_s^{-T}, then the
+    # lower triangle against the inverse rows
+    inv_rows = src.orthos[chi].inv_rows
+    rl = [[sum(map(operator.mul, row, inv)) for row in rnums]
+          for inv, _ in inv_rows]
+    nums = [[0] * n for _ in range(n)]
+    for i, (inv, _) in enumerate(inv_rows):
+        for j in range(i + 1):
+            nums[i][j] = nums[j][i] = sum(map(operator.mul, inv, rl[j]))
+    dens = [den for _, den in inv_rows]
+    return nums, [den * rden for den in dens], dens
 
 
 def _chunk_dim(block: Block, chi: int) -> int:
@@ -497,33 +503,6 @@ def _chunk_dim(block: Block, chi: int) -> int:
 
 def _add(a: FMatrix, b: FMatrix) -> FMatrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _frank(m: FMatrix) -> int:
-    """Exact rank by fraction-free-ish Gaussian elimination."""
-    if not m or not m[0]:
-        return 0
-    work = [row[:] for row in m]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(rank + 1, rows):
-            if work[r][col]:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ Matrices are lists of Fraction rows, but the arithmetic runs on Python
 integers: products scale each row and column to one common denominator and
 form integer dot products, the factorization is Bareiss fraction-free
 elimination (Math. Comp. 22, 1968) on the integer Gram numerators, and the
-triangular inverse keeps each row over one denominator.  A Fraction is built
-once per output entry, and the float view of a product divides the integer
-numerator by its denominator directly (as correctly rounded as
-float(Fraction)).
+triangular inverse keeps each row over one denominator.  `Orthonormalizer`
+holds only these integer factors (each column of L over its pivot, each row
+of L^{-1} over its gcd-reduced denominator) and forms its float views by
+integer dot products divided straight into floats, which is as correctly
+rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are Fraction
+views of the same kernels.
 """
 
 from __future__ import annotations
@@ -101,27 +103,23 @@ def fmatmul(a: FMatrix, b: FMatrix) -> FMatrix:
             for row, aden in zip(nums, adens)]
 
 
-def fmatmul_float(a: FMatrix, b: FMatrix) -> np.ndarray:
-    """to_float(fmatmul(a, b)) without building the Fractions: integer
-    true division is correctly rounded, as float(Fraction) is."""
-    if not a or not b or not b[0]:
-        return np.zeros((len(a), len(b[0]) if b else 0))
-    nums, adens, bdens = _int_product(a, b)
-    return np.array([[n / (aden * bden) for n, bden in zip(row, bdens)]
-                     for row, aden in zip(nums, adens)], dtype=float)
-
-
-def ftranspose(a: FMatrix) -> FMatrix:
-    return [list(row) for row in zip(*a)] if a else []
+def float_ratios(nums: list[list[int]], rden: list[int],
+                 cden: list[int]) -> np.ndarray:
+    """The float matrix nums[i][j] / (rden[i] cden[j]): integer true
+    division is correctly rounded, as float(Fraction) is."""
+    return np.array([[n / (rd * cd) for n, cd in zip(row, cden)]
+                     for row, rd in zip(nums, rden)],
+                    dtype=float).reshape(len(rden), len(cden))
 
 
 def is_zero_matrix(a: FMatrix) -> bool:
     return all(not x for row in a for x in row)
 
 
-def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
+def _bareiss(g: FMatrix) -> tuple[list[list[int]], list[int], list[Fraction]]:
     """G = L D L^T for symmetric positive definite rational G, reading the
-    lower triangle only.
+    lower triangle only, as (cols, pivots, D): column j of L from row j
+    down is cols[j] / pivots[j], so cols[j][0] = pivots[j].
 
     Bareiss fraction-free elimination on the integer matrix c G, c the
     common denominator: after step j each remaining entry is the minor of
@@ -134,33 +132,46 @@ def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
     c = _common_denominator(x for i, row in enumerate(g) for x in row[:i + 1])
     a = [[x.numerator * (c // x.denominator) for x in row[:i + 1]]
          for i, row in enumerate(g)]
-    L = fidentity(n)
-    D: list[Fraction] = [Fraction(0)] * n
+    cols: list[list[int]] = []
+    pivots: list[int] = []
+    D: list[Fraction] = []
     prev = 1
     for j in range(n):
         pivot = a[j][j]
         if pivot <= 0:
             raise GramError(j, Fraction(pivot, c * prev))
-        D[j] = Fraction(pivot, c * prev)
-        col = [0] * j + [a[i][j] for i in range(j, n)]
+        D.append(Fraction(pivot, c * prev))
+        col = [a[i][j] for i in range(j, n)]
         for i in range(j + 1, n):
-            L[i][j] = Fraction(col[i], pivot)
-            ai, aij = a[i], col[i]
+            ai, aij = a[i], col[i - j]
             ai[j + 1:] = [(pivot * x - aij * y) // prev
-                          for x, y in zip(ai[j + 1:], col[j + 1:i + 1])]
+                          for x, y in zip(ai[j + 1:], col[1:i - j + 1])]
+        cols.append(col)
+        pivots.append(pivot)
         prev = pivot
-    return L, D
+    return cols, pivots, D
 
 
-def invert_unit_lower(L: FMatrix) -> FMatrix:
-    """Inverse of a unit lower triangular rational matrix, row by row:
-    row i is e_i - sum_k L_ik row k, kept as integers over one common
-    denominator and reduced by their gcd."""
-    n = len(L)
+def _lower_rows(cols: list[list[int]], pivots: list[int]):
+    """The strict lower part of each row of L = cols / pivots, as integer
+    numerators over the least common denominator of its reduced entries."""
+    for i in range(len(cols)):
+        fracs = []
+        for k in range(i):
+            num, den = cols[k][i - k], pivots[k]
+            g = math.gcd(num, den)
+            fracs.append((num // g, den // g))
+        lden = functools.reduce(math.lcm, (d for _, d in fracs), 1)
+        yield [num * (lden // den) for num, den in fracs], lden
+
+
+def _inverse_rows(lower) -> list[tuple[list[int], int]]:
+    """Rows of L^{-1} for unit lower triangular L, given by the strict lower
+    part of each row of L as (integer numerators, denominator).  Row i of
+    the inverse, e_i - sum_k L_ik row k, is returned as its entries 0..i in
+    integer numerators over one denominator, reduced by their gcd."""
     rows: list[tuple[list[int], int]] = []
-    out = []
-    for i in range(n):
-        lnums, lden = to_ints(L[i][:i])
+    for i, (lnums, lden) in enumerate(lower):
         den = lden * functools.reduce(
             math.lcm, (rows[k][1] for k in range(i) if lnums[k]), 1)
         acc = [0] * i + [den]
@@ -169,12 +180,27 @@ def invert_unit_lower(L: FMatrix) -> FMatrix:
                 f = lnums[k] * (den // (lden * rows[k][1]))
                 acc[:k + 1] = [x - f * y for x, y in zip(acc, rows[k][0])]
         common = functools.reduce(math.gcd, acc, den)
-        acc = [x // common for x in acc]
-        den //= common
-        rows.append((acc, den))
-        out.append([Fraction(x, den) for x in acc]
-                   + [Fraction(0)] * (n - i - 1))
-    return out
+        rows.append(([x // common for x in acc], den // common))
+    return rows
+
+
+def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
+    """G = L D L^T as Fractions: a view of the Bareiss factors."""
+    cols, pivots, D = _bareiss(g)
+    L = fidentity(len(g))
+    for j, (col, pivot) in enumerate(zip(cols, pivots)):
+        for i in range(j + 1, len(g)):
+            L[i][j] = Fraction(col[i - j], pivot)
+    return L, D
+
+
+def invert_unit_lower(L: FMatrix) -> FMatrix:
+    """Inverse of a unit lower triangular rational matrix as Fractions: a
+    view of the integer rows of the inverse."""
+    n = len(L)
+    rows = _inverse_rows(to_ints(L[i][:i]) for i in range(n))
+    return [[Fraction(x, den) for x in nums] + [Fraction(0)] * (n - i - 1)
+            for i, (nums, den) in enumerate(rows)]
 
 
 def to_float(a: FMatrix) -> np.ndarray:
@@ -187,33 +213,35 @@ class Orthonormalizer:
     With G = L D L^T, orthonormal coordinates are y = D^{1/2} L^T x; an
     operator with coefficient matrix M (source -> target) becomes
     D_t^{1/2} (L_t^T M L_s^{-T}) D_s^{-1/2}, where the bracket is exact.
+
+    The factors are kept as integers: column j of L from row j down is
+    lcols[j] / pivots[j], and row i of L^{-1} is inv_rows[i] = (nums, den),
+    its entries 0..i as nums / den.
     """
 
     def __init__(self, gram: FMatrix):
         self.dim = len(gram)
-        if self.dim == 0:
-            self.L, self.D, self.Linv = [], [], []
-            self.sqrt_d = np.zeros(0)
-            return
-        self.L, self.D = ldlt(gram)
-        self.Linv = invert_unit_lower(self.L)
-        self.sqrt_d = np.sqrt(to_float([[d] for d in self.D])[:, 0])
+        self.lcols, self.pivots, self.D = _bareiss(gram)
+        self.inv_rows = _inverse_rows(_lower_rows(self.lcols, self.pivots))
+        self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
+                                       dtype=float))
 
     def transform_op(self, m: FMatrix, source: "Orthonormalizer") -> np.ndarray:
         """Float matrix of the operator in orthonormal bases on both sides."""
         if self.dim == 0 or source.dim == 0:
             return np.zeros((self.dim, source.dim))
-        lt_m = fmatmul(ftranspose(self.L), m)
-        out = fmatmul_float(lt_m, ftranspose(source.Linv))
+        mnums, mden = to_ints([x for row in m for x in row])
+        mcols = [mnums[j::source.dim] for j in range(source.dim)]
+        # row i of L_t^T M is column i of L_t against the rows i.. of M
+        lt_m = [[sum(map(operator.mul, col, mcol[i:])) for mcol in mcols]
+                for i, col in enumerate(self.lcols)]
+        core = [[sum(map(operator.mul, row, inv)) for inv, _ in source.inv_rows]
+                for row in lt_m]
+        out = float_ratios(core, [p * mden for p in self.pivots],
+                           [den for _, den in source.inv_rows])
         out *= self.sqrt_d[:, None]
         out /= source.sqrt_d[None, :]
         return out
-
-    def solve(self, b: FMatrix) -> FMatrix:
-        """Exact X with G X = B, as L^{-T} D^{-1} L^{-1} B."""
-        y = fmatmul(self.Linv, b)
-        y = [[x / d for x in row] for row, d in zip(y, self.D)]
-        return fmatmul(ftranspose(self.Linv), y)
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:

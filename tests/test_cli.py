@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from equivlab import deformed
@@ -215,3 +217,27 @@ def test_eigensolver_failure_is_unresolved(tmp_path, monkeypatch, jobs):
     assert len(report.verdicts) == 2 * 5
     assert set(report.verdicts.values()) == {"unresolved"}
     assert report.exit_code() == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_non_psd_spectrum_fails(tmp_path, monkeypatch, jobs):
+    def negative(h, context=None):
+        evals = np.zeros(h.shape[0])
+        evals[0] = -1.0e-6
+        return evals
+
+    monkeypatch.setattr(deformed, "hermitian_eigenvalues", negative)
+    config = parse_config(small_config())
+    report = run(config, str(tmp_path / "out"), jobs=jobs)
+    assert len(report.verdicts) == 2 * 5
+    assert set(report.verdicts.values()) == {"fail"}
+    assert report.exit_code() == 2
+    payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
+    assert all(p["non_psd"] and "not PSD" in p["error"]
+               for p in payloads["payloads"])
+
+
+def test_non_psd_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(deformed.NotPSDError(1, -1.0e-6)))
+    assert (err.degree, err.eigenvalue) == (1, -1.0e-6)
+    assert str(err) == str(deformed.NotPSDError(1, -1.0e-6))

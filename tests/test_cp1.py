@@ -10,11 +10,102 @@ from scipy import integrate
 
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import (CPSection, Cp1Exact, beta_moment,
+from equivlab.geometry.cp1 import (CPSection, Cp1Exact, _dual_wedge_core,
+                                   _moment_numerators, beta_moment,
                                    block_params, cp1_model, dbar, dbar_star,
                                    dual_field_wedge, embed, field_contract,
-                                   l2_pair, weight_exponent)
-from equivlab.linalg import fmatmul, ftranspose
+                                   weight_exponent)
+from equivlab.linalg import fmatmul, invert_unit_lower, ldlt, to_ints
+
+
+# --- exact reference constructions ------------------------------------------
+# Per-section pairings and exact ranks that the assembly no longer needs;
+# they are the independent side of the checks below.
+
+def transpose(m):
+    return [list(row) for row in zip(*m)]
+
+
+def basis_section(block, k, i):
+    """Section of block basis monomial i, coefficient 1."""
+    a, b = block.monomials[i]
+    return CPSection.make(k, block.pq[0], block.pq[1], block.den,
+                          {(a, b): Fraction(1)})
+
+
+def l2_pair(x: CPSection, y: CPSection) -> Fraction:
+    """Exact L2 pairing of two real-coefficient sections of one block.
+
+    Embedding x and y at the common denominator exponent and pairing term
+    by term gives, for terms (a, b) of x and (c, d) of y of equal charge,
+    the Beta moments of u = a + d + t weighted by binom(dx + dy, t)
+    (Vandermonde), dx and dy the embedding shifts.  The sum runs over the
+    integer moment numerators u! (P-u-2)! and integer coefficients, with one
+    division by (P-1)! and the coefficient denominators at the end."""
+    if (x.k, x.p, x.q) != (y.k, y.p, y.q):
+        raise ModelError("pairing of sections from different blocks")
+    if not x.terms or not y.terms:
+        return Fraction(0)
+    den = max(x.den, y.den)
+    shift = 2 * den - x.den - y.den
+    big_p = weight_exponent(x.p, x.q, den, x.k)
+    xnums, xden = to_ints([co for _, co in x.terms])
+    ynums, yden = to_ints([co for _, co in y.terms])
+    by_charge: dict[int, list[tuple[int, int]]] = {}
+    for ((c, d), _), ny in zip(y.terms, ynums):
+        by_charge.setdefault(c - d, []).append((d, ny))
+    coeffs: dict[int, int] = {}         # a + d -> integer coefficient
+    for ((a, b), _), nx in zip(x.terms, xnums):
+        for d, ny in by_charge.get(a - b, ()):
+            coeffs[a + d] = coeffs.get(a + d, 0) + nx * ny
+    if not coeffs:
+        return Fraction(0)
+    top = max(coeffs) + shift
+    if top > big_p - 2:
+        raise ModelError(f"divergent moment: u={top}, P={big_p}")
+    fact = math.factorial
+    total = sum(co * math.comb(shift, t) * fact(u + t) * fact(big_p - u - t - 2)
+                for u, co in coeffs.items() for t in range(shift + 1))
+    return Fraction(total, xden * yden * fact(big_p - 1))
+
+
+def exact_rank(m) -> int:
+    """Exact rank by Gaussian elimination over the rationals."""
+    if not m or not m[0]:
+        return 0
+    work = [row[:] for row in m]
+    rows, cols = len(work), len(work[0])
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if work[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for r in range(rank + 1, rows):
+            if work[r][col]:
+                f = work[r][col] / pv
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def t0_kernel_counts(exact: Cp1Exact) -> dict:
+    """Harmonic-space dimensions of the undeformed complex per (p,q), from
+    exact ranks of the dbar chunks: the cross-check of the closed-form
+    cohomology tables."""
+    out = {}
+    for p in (0, 1):
+        rank = sum(exact_rank(m) for m in exact.dbar_chunks[(p, 0)].values())
+        out[(p, 0)] = exact.blocks[(p, 0)].dim - rank
+        out[(p, 1)] = exact.blocks[(p, 1)].dim - rank
+    return out
 
 
 def quad_gram_entry(a, b, c, d, big_p):
@@ -75,7 +166,7 @@ def test_holomorphic_section_count_borel_weil():
     # admissible cutoff
     for cutoff in (4, 6, 8):
         ex = cp1_model(2, cutoff).exact
-        assert ex.t0_kernel_counts()[(0, 0)] == 3
+        assert t0_kernel_counts(ex)[(0, 0)] == 3
 
 
 def test_field_contraction_exact_and_degree():
@@ -134,8 +225,8 @@ def test_dbar_star_is_l2_adjoint():
     tgt = ex.blocks[(0, 1)]
     for i in (0, 3, 7):
         for j in (0, 4, 11):
-            u = src.basis_section(k, i % src.dim)
-            w = tgt.basis_section(k, j % tgt.dim)
+            u = basis_section(src, k, i % src.dim)
+            w = basis_section(tgt, k, j % tgt.dim)
             lhs = l2_pair(dbar(u), w)
             rhs = l2_pair(u, dbar_star(w))
             assert lhs == rhs
@@ -143,8 +234,8 @@ def test_dbar_star_is_l2_adjoint():
     tgt = ex.blocks[(1, 1)]
     for i in (0, 2, 5):
         for j in (1, 3, 8):
-            u = src.basis_section(k, i % src.dim)
-            w = tgt.basis_section(k, j % tgt.dim)
+            u = basis_section(src, k, i % src.dim)
+            w = basis_section(tgt, k, j % tgt.dim)
             assert l2_pair(dbar(u), w) == l2_pair(u, dbar_star(w))
 
 
@@ -156,8 +247,8 @@ def test_dual_wedge_is_l2_adjoint_of_contraction():
         tgt = ex.blocks[(0, q)]
         for i in (0, 3, 6):
             for j in (0, 5, 9):
-                u = src.basis_section(k, i % src.dim)
-                w = tgt.basis_section(k, j % tgt.dim)
+                u = basis_section(src, k, i % src.dim)
+                w = basis_section(tgt, k, j % tgt.dim)
                 lhs = l2_pair(field_contract(u), w)
                 rhs = l2_pair(u, dual_field_wedge(w))
                 assert lhs == rhs
@@ -175,11 +266,11 @@ def test_adjoint_consistency_of_assembled_blocks():
                 if tgt_sl is None or not m or not m[0]:
                     continue
                 src_sl = src.chunk_slices[chi]
-                pairs = [[l2_pair(src.basis_section(k, i),
-                                  dual_field_wedge(tgt.basis_section(k, j)))
+                pairs = [[l2_pair(basis_section(src, k, i),
+                                  dual_field_wedge(basis_section(tgt, k, j)))
                           for j in range(tgt_sl.start, tgt_sl.stop)]
                          for i in range(src_sl.start, src_sl.stop)]
-                assert fmatmul(ftranspose(m), tgt.grams[chi]) == pairs
+                assert fmatmul(transpose(m), tgt.grams[chi]) == pairs
 
 
 def test_embed_preserves_pairings():
@@ -230,6 +321,66 @@ def test_l2_pair_rejects_divergent_moment():
     s = CPSection.make(0, 0, 0, 4, {(9, 0): Fraction(1)})
     with pytest.raises(ModelError):
         l2_pair(s, s)
+
+
+def moment_outcome(fn):
+    try:
+        return fn()
+    except ModelError:
+        return "divergent"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 40), st.integers(0, 44))
+def test_moment_identity_absorbs_square_weight(u, big_p):
+    # int t^u (1+t)^2 (1+t)^-P dt = int t^u (1+t)^-(P-2) dt, and both sides
+    # diverge together; the leakage's integer moments are the same numbers
+    lhs = moment_outcome(lambda: beta_moment(u, big_p)
+                         + 2 * beta_moment(u + 1, big_p)
+                         + beta_moment(u + 2, big_p))
+    rhs = moment_outcome(lambda: beta_moment(u, big_p - 2))
+    assert lhs == rhs
+    nums = moment_outcome(lambda: _moment_numerators(range(u, u + 1), big_p))
+    want = moment_outcome(lambda: beta_moment(u, big_p))
+    if want == "divergent":
+        assert nums == "divergent"
+    else:
+        assert Fraction(nums[u], math.factorial(big_p - 1)) == want
+
+
+def per_section_dual_wedge_core(ex, q, chi):
+    """L_s^-1 R L_s^-T from pairings of the wedge images themselves: R is
+    gram_y - B^T G_t^-1 B, with G_t^-1 B solved as L^-T D^-1 L^-1 B."""
+    k, src, tgt = ex.k, ex.blocks[(0, q)], ex.blocks[(1, q)]
+    sl = src.chunk_slices[chi]
+    images = [dual_field_wedge(basis_section(src, k, i))
+              for i in range(sl.start, sl.stop)]
+    resid = [[l2_pair(a, b) for b in images] for a in images]
+    tgt_sl = tgt.chunk_slices.get(chi)
+    if tgt_sl is not None:
+        bmat = [[l2_pair(basis_section(tgt, k, v), y) for y in images]
+                for v in range(tgt_sl.start, tgt_sl.stop)]
+        L, D = ldlt(tgt.grams[chi])
+        linv = invert_unit_lower(L)
+        y = [[x / d for x in row] for row, d in zip(fmatmul(linv, bmat), D)]
+        corr = fmatmul(transpose(bmat), fmatmul(transpose(linv), y))
+        resid = [[g - c for g, c in zip(rg, rc)]
+                 for rg, rc in zip(resid, corr)]
+    linv = invert_unit_lower(ldlt(src.grams[chi])[0])
+    return fmatmul(fmatmul(linv, resid), transpose(linv))
+
+
+@pytest.mark.parametrize("k,cutoff", [(k, n) for k in range(4)
+                                      for n in sorted({k + 4, 8})])
+def test_dual_wedge_core_matches_section_pairings(k, cutoff):
+    ex = Cp1Exact(k, cutoff)
+    for q in (0, 1):
+        src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+        for chi in src.charges:
+            nums, rden, cden = _dual_wedge_core(k, src, tgt, chi)
+            got = [[Fraction(n, rd * cd) for n, cd in zip(row, cden)]
+                   for row, rd in zip(nums, rden)]
+            assert got == per_section_dual_wedge_core(ex, q, chi)
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
-                             fmatmul, fmatmul_float, ftranspose,
-                             hermitian_eigenvalues, invert_unit_lower, ldlt,
-                             to_float)
+                             float_ratios, fmatmul, hermitian_eigenvalues,
+                             invert_unit_lower, ldlt, to_float)
 
 
 # --- per-entry Fraction reference kernels ------------------------------------
 # The straightforward one-Fraction-per-multiply-add versions of the integer
 # kernels in linalg; every result must agree exactly.
+
+def transpose(m):
+    return [list(row) for row in zip(*m)]
+
 
 def ref_fmatmul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
@@ -73,7 +76,7 @@ def symmetric_matrices(draw):
     indefinite."""
     n = draw(st.integers(0, 6))
     m = draw(matrices(n, n))
-    g = ref_fmatmul(m, ftranspose(m))
+    g = ref_fmatmul(m, transpose(m))
     shift = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
     for i in range(n):
         g[i][i] += shift
@@ -100,9 +103,33 @@ def test_fmatmul_matches_fraction_oracle(pair):
     a, b = pair
     want = ref_fmatmul(a, b)
     assert fmatmul(a, b) == want
-    got = fmatmul_float(a, b)
-    assert got.shape == (len(a), len(b[0]) if b else 0)
-    assert np.array_equal(got.ravel(), to_float(want).ravel())
+
+
+@st.composite
+def integer_ratios(draw):
+    """Numerators and denominators up to 10^400, quotients up to 10^300."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    dens = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 400))
+    rden = draw(st.lists(dens, min_size=rows, max_size=rows))
+    cden = draw(st.lists(dens, min_size=cols, max_size=cols))
+    nums = [[draw(st.integers(-1, 1) | st.integers(
+                -min(rd * cd * 10 ** 300, 10 ** 400),
+                min(rd * cd * 10 ** 300, 10 ** 400))) for cd in cden]
+            for rd in rden]
+    return nums, rden, cden
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_ratios())
+def test_float_ratios_round_like_fractions(case):
+    # correctly rounded, as float(Fraction) is, also past the float range
+    # of numerator and denominator
+    nums, rden, cden = case
+    got = float_ratios(nums, rden, cden)
+    assert got.shape == (len(rden), len(cden))
+    want = [[float(Fraction(n, rd * cd)) for n, cd in zip(row, cden)]
+            for row, rd in zip(nums, rden)]
+    assert np.array_equal(got.ravel(), np.array(want, dtype=float).ravel())
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,7 +151,7 @@ def test_invert_unit_lower_matches_fraction_oracle(L):
 def gram_and_operator(draw):
     n = draw(st.integers(1, 6))
     m = draw(matrices(n, n))
-    g = ref_fmatmul(m, ftranspose(m))
+    g = ref_fmatmul(m, transpose(m))
     for i in range(n):
         g[i][i] += draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
                                      max_denominator=5))
@@ -138,8 +165,9 @@ def test_transform_op_is_rounded_exact_core(case):
     # scaled by D^(1/2) on each side
     g, m = case
     ortho = Orthonormalizer(g)
-    core = ref_fmatmul(ref_fmatmul(ftranspose(ortho.L), m),
-                       ftranspose(ortho.Linv))
+    L, _ = ldlt(g)
+    core = ref_fmatmul(ref_fmatmul(transpose(L), m),
+                       transpose(invert_unit_lower(L)))
     want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
     assert np.array_equal(ortho.transform_op(m, ortho), want)
 
@@ -170,7 +198,7 @@ def test_ldlt_reconstructs():
         L, D = ldlt(g)
         ldl = fmatmul(fmatmul(L, [[D[i] if i == j else Fraction(0)
                                    for j in range(n)] for i in range(n)]),
-                      ftranspose(L))
+                      transpose(L))
         assert ldl == g
 
 
@@ -211,11 +239,23 @@ def test_orthonormalizer_matches_float_congruence():
     assert abs(np.trace(got) - np.trace(mf)) < 1e-9
 
 
-def test_orthonormalizer_solve_is_exact():
-    rng = np.random.default_rng(3)
-    g = random_spd(rng, 6)
-    b = frac_matrix(rng.integers(-4, 5, size=(6, 3)).tolist())
-    assert fmatmul(g, Orthonormalizer(g).solve(b)) == b
+@settings(max_examples=50, deadline=None)
+@given(gram_and_operator())
+def test_orthonormalizer_integer_factors_rebuild_ldlt(case):
+    # the integer columns of L and rows of L^-1 are the Fractions of ldlt
+    # and invert_unit_lower, and G = L D L^T
+    g, _ = case
+    n = len(g)
+    ortho = Orthonormalizer(g)
+    L = [[Fraction(ortho.lcols[j][i - j], ortho.pivots[j]) if i >= j
+          else Fraction(0) for j in range(n)] for i in range(n)]
+    linv = [[Fraction(nums[j], den) if j <= i else Fraction(0)
+             for j in range(n)] for i, (nums, den) in enumerate(ortho.inv_rows)]
+    assert (L, ortho.D) == ldlt(g)
+    assert linv == invert_unit_lower(L) == ref_invert_unit_lower(L)
+    diag = [[ortho.D[i] if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+    assert ref_fmatmul(ref_fmatmul(L, diag), transpose(L)) == g
 
 
 def test_hermitian_eigenvalues_diagnostics():

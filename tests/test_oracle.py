@@ -11,6 +11,7 @@ from equivlab.oracle import (POINT_TABLE, OracleTable, cp1_table,
                              fixture_tables, generate_fixture_tables,
                              kunneth, model_hodge_table, localization_prediction,
                              torus_table, zero_set)
+from test_cp1 import t0_kernel_counts
 
 
 def product_spec(k=0, nl=6, nr=2):
@@ -25,7 +26,7 @@ def product_spec(k=0, nl=6, nr=2):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_cp1_tables_cross_validated_spectrally(k):
-    counts = cp1_model(k, 8).exact.t0_kernel_counts()
+    counts = t0_kernel_counts(cp1_model(k, 8).exact)
     table = cp1_table(k)
     for p in (0, 1):
         for q in (0, 1):
