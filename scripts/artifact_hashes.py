@@ -3,13 +3,17 @@
 
     python3 scripts/artifact_hashes.py CONFIG [CONFIG ...]
 
-Each config runs serially in a fresh temporary directory, which is removed
-afterwards.  One line `<sha256>  <config file name>/<artifact>` is printed
-per file, in sorted order, so two checkouts are compared for byte identity
-with
+A CONFIG is either a config file or a benchmark workload and seed written
+`WORKLOAD:SEED` (for example `product-fibers:2`), which is built by
+`perfbench/workloads.make_config`.  Each config runs serially in a fresh
+temporary directory, which is removed afterwards.  One line
+`<sha256>  <config name>/<artifact>` is printed per file, in sorted order,
+where the config name is the file's base name or the `WORKLOAD:SEED`
+argument, so two checkouts are compared for byte identity with
 
-    diff <(python3 A/scripts/artifact_hashes.py configs/*.json) \\
-         <(python3 B/scripts/artifact_hashes.py configs/*.json)
+    ARGS="configs/*.json cp1-ladder:1 product-fibers:1 flat-float:1"
+    diff <(python3 A/scripts/artifact_hashes.py $ARGS) \\
+         <(python3 B/scripts/artifact_hashes.py $ARGS)
 
 The script imports equivlab from the `src/` next to it, so each checkout
 hashes its own code.
@@ -21,14 +25,30 @@ import pathlib
 import sys
 import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from equivlab.cli import load_config, run
+from equivlab.cli import ExperimentConfig, load_config, parse_config, run
 
 
-def artifact_hashes(config_path: str) -> list[str]:
-    name = os.path.basename(config_path)
-    config = load_config(config_path)
+def resolve_config(arg: str) -> tuple[str, ExperimentConfig]:
+    """(name, config) for a config file path or a `WORKLOAD:SEED` argument."""
+    if os.path.exists(arg):
+        return os.path.basename(arg), load_config(arg)
+    workload, sep, seed = arg.rpartition(":")
+    if not sep or not seed.isdigit():
+        raise SystemExit(f"{arg}: neither a config file nor WORKLOAD:SEED")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import make_config
+    try:
+        raw = make_config(workload, int(seed))
+    except KeyError as exc:
+        raise SystemExit(f"{arg}: {exc.args[0]}") from None
+    return arg, parse_config(raw)
+
+
+def artifact_hashes(arg: str) -> list[str]:
+    name, config = resolve_config(arg)
     lines = []
     with tempfile.TemporaryDirectory() as outdir:
         run(config, outdir)
@@ -46,8 +66,8 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    for config_path in argv:
-        for line in artifact_hashes(config_path):
+    for arg in argv:
+        for line in artifact_hashes(arg):
             print(line)
     return 0
 

@@ -5,7 +5,14 @@ bases as
 
     D_T^2 |_r = 2 ( d_{r-1} d_{r-1}^* + d_r^* d_r ),
 
-block-diagonally over the model's cells.  Kernel dimensions are read off by
+block-diagonally over the model's cells.  The cells come in stacks of one
+layout (see `geometry.base`), and every step works on a whole stack at
+once: per stack and degree, d_T, the Dirac square, its eigensolve and the
+d_T^2 defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
+over the last two axes).  Each applies the same BLAS/LAPACK routine to the
+same member matrix as a per-cell call would, so the results are equal bit
+for bit; cells are never merged into larger matrices, which would change
+the eigenvalues' last bits.  Kernel dimensions are read off by
 a relative-gap clustering rule: eigenvalues are floored at a tiny multiple
 of the spectral scale, the largest log-gap among the lowest quarter of the
 spectrum is located (with the floor itself as a virtual level below the
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry.base import AssembledModel, degree_map
+from .geometry.base import AssembledModel, CellStack
 from .geometry import cp1 as cp1mod
 from .geometry.torus import laplace_eigenvalue, modes
 from .linalg import hermitian_eigenvalues, hermiticity_defect
@@ -45,7 +52,7 @@ DEFAULT_RULE = ThresholdRule()
 
 @dataclass
 class DeformedOperator:
-    """d_T blocks per (cell, degree).
+    """d_T blocks per (stack, degree), each of shape (members, rows, cols).
 
     Bases are orthonormal, so the adjoint of each block is its conjugate
     transpose.
@@ -56,42 +63,78 @@ class DeformedOperator:
     blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _degree_block(stack: CellStack, n: int, r: int, T: float) -> np.ndarray:
+    """Matrices of (dbar + T iv) from the degree-r block to the degree-(r+1)
+    block of every member of a stack, in the stack's orthonormal bases."""
+    src = stack.pqs_of_degree(r, n)
+    tgt = stack.pqs_of_degree(r + 1, n)
+    rows = sum(stack.dim(pq) for pq in tgt)
+    cols = sum(stack.dim(pq) for pq in src)
+    out = np.zeros((stack.size, rows, cols), dtype=complex)
+    row_off = {}
+    off = 0
+    for pq in tgt:
+        row_off[pq] = off
+        off += stack.dim(pq)
+    col = 0
+    for (p, q) in src:
+        w = stack.dim((p, q))
+        blk = stack.dbar.get((p, q))
+        if blk is not None and (p, q + 1) in row_off and blk.size:
+            top = row_off[(p, q + 1)]
+            out[:, top:top + blk.shape[1], col:col + w] += blk
+        blk = stack.iv.get((p, q))
+        if blk is not None and (p - 1, q) in row_off and blk.size and T != 0:
+            top = row_off[(p - 1, q)]
+            out[:, top:top + blk.shape[1], col:col + w] += T * blk
+        col += w
+    return out
+
+
 def assemble_deformed(model: AssembledModel, T: float) -> DeformedOperator:
-    """Form d_T = dbar + T iv per cell and degree and verify the complex
-    property ||d_{r+1} d_r|| at float precision (exact closure is separately
-    certified in rational arithmetic for the curved model)."""
+    """Form d_T = dbar + T iv per stack and degree."""
     op = DeformedOperator(model=model, T=float(T))
-    for ci, cell in enumerate(model.cells):
+    for si, stack in enumerate(model.cells):
         for r in range(-model.n, model.n + 1):
-            op.blocks[(ci, r)] = degree_map(cell, model.n, r, T)
+            op.blocks[(si, r)] = _degree_block(stack, model.n, r, T)
     return op
 
 
 def complex_property_defect(op: DeformedOperator) -> float:
-    """max over cells and degrees of ||d_{r+1} d_r||_2."""
+    """max over cells and degrees of ||d_{r+1} d_r||_2 (float precision;
+    exact closure is separately certified in rational arithmetic for the
+    curved model)."""
     worst = 0.0
     model = op.model
-    for ci in range(len(model.cells)):
+    for si in range(len(model.cells)):
         for r in range(-model.n, model.n):
-            a = op.blocks[(ci, r)]
-            b = op.blocks[(ci, r + 1)]
-            if a.size and b.size and b.shape[1] == a.shape[0]:
-                prod = b @ a
-                if prod.size:
-                    worst = max(worst, float(np.linalg.norm(prod, 2)))
+            a = op.blocks[(si, r)]
+            b = op.blocks[(si, r + 1)]
+            if a.size and b.size:
+                norms = np.linalg.norm(b @ a, 2, axis=(-2, -1))
+                worst = max(worst, float(norms.max()))
     return worst
 
 
 @dataclass
 class DiracSquare:
+    """Per (stack, degree), the Dirac squares of every member, shape
+    (members, dim, dim)."""
+
     model: AssembledModel
     T: float
     cells: dict[tuple[int, int], np.ndarray]
     hermiticity: float
 
     def merged_eigenvalues(self, r: int) -> np.ndarray:
-        parts = [hermitian_eigenvalues(h, {"cell": key[0], "r": r, "T": self.T})
-                 for key, h in self.cells.items() if key[1] == r and h.size]
+        """Eigenvalues of every member in degree r, sorted."""
+        parts = [hermitian_eigenvalues(h, {"stack": self.model.cells[si].name,
+                                           "r": r, "T": self.T}).ravel()
+                 for (si, rr), h in self.cells.items() if rr == r and h.size]
         if not parts:
             return np.zeros(0)
         return np.sort(np.concatenate(parts))
@@ -99,25 +142,25 @@ class DiracSquare:
 
 def dirac(op: DeformedOperator) -> DiracSquare:
     """Per-degree Hermitian matrices of the Dirac square in orthonormal
-    bases, block-diagonal over cells."""
+    bases, one batch per stack."""
     model = op.model
     cells: dict[tuple[int, int], np.ndarray] = {}
     worst = 0.0
-    for ci, cell in enumerate(model.cells):
+    for si, stack in enumerate(model.cells):
         for r in range(-model.n, model.n + 1):
-            dim = cell.degree_dim(r, model.n)
+            dim = stack.degree_dim(r, model.n)
             if dim == 0:
                 continue
-            h = np.zeros((dim, dim), dtype=complex)
-            below = op.blocks[(ci, r - 1)] if (ci, r - 1) in op.blocks else None
-            here = op.blocks[(ci, r)]
+            h = np.zeros((stack.size, dim, dim), dtype=complex)
+            below = op.blocks.get((si, r - 1))
+            here = op.blocks[(si, r)]
             if below is not None and below.size:
-                h += below @ below.conj().T
+                h += below @ _adjoint(below)
             if here.size:
-                h += here.conj().T @ here
+                h += _adjoint(here) @ here
             h *= 2.0
             worst = max(worst, hermiticity_defect(h))
-            cells[(ci, r)] = 0.5 * (h + h.conj().T)
+            cells[(si, r)] = 0.5 * (h + _adjoint(h))
     return DiracSquare(model=model, T=op.T, cells=cells, hermiticity=worst)
 
 
@@ -200,20 +243,27 @@ def graded_euler(table: CohomologyTable) -> int:
     return sum((-1 if r % 2 else 1) * d for r, d in table.dims.items())
 
 
-def spectral_table(model: AssembledModel, T: float,
-                   rule: ThresholdRule = DEFAULT_RULE,
-                   how_many: int = 8
-                   ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    op = assemble_deformed(model, T)
-    dsq = dirac(op)
+def dirac_table(dsq: DiracSquare, rule: ThresholdRule = DEFAULT_RULE,
+                how_many: int = 8
+                ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
+    """Kernel counts per degree read off one Dirac square."""
+    model = dsq.model
     results = {}
     dims = {}
     for r in range(-model.n, model.n + 1):
         res = spectrum(dsq, r, how_many=how_many, rule=rule)
         results[r] = res
         dims[r] = res.kernel_count
-    src = f"spectral(T={T:g}, cutoff={model.spec.cutoff or ''}, rule=relative-gap)"
+    src = (f"spectral(T={dsq.T:g}, cutoff={model.spec.cutoff or ''}, "
+           "rule=relative-gap)")
     return CohomologyTable(dims=dims, source=src), results
+
+
+def spectral_table(model: AssembledModel, T: float,
+                   rule: ThresholdRule = DEFAULT_RULE,
+                   how_many: int = 8
+                   ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
+    return dirac_table(dirac(assemble_deformed(model, T)), rule, how_many)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +289,16 @@ def bochner_check(model: AssembledModel, T) -> dict:
 def _bochner_torus(model: AssembledModel, T: float) -> dict:
     spec = model.spec
     shift = 2.0 * T * T * abs(spec.field.c) ** 2
-    jks = modes(spec.cutoff)
     # per mode, both sides are scalar (2|mu|^2 + 2T^2|c|^2) on every label;
     # the left side is assembled from the blocks to keep the comparison
-    # honest.  Cell ci is mode jks[ci].
+    # honest.  The model is one stack whose members are the modes.
+    target = np.array([laplace_eigenvalue(spec.tau, *jk)
+                       for jk in modes(spec.cutoff)]) + shift
     worst = 0.0
-    for (ci, r), h in dirac(assemble_deformed(model, T)).cells.items():
-        lam0 = laplace_eigenvalue(spec.tau, *jks[ci])
-        target = (lam0 + shift) * np.eye(h.shape[0])
-        worst = max(worst, float(np.linalg.norm(h - target, 2)))
+    for h in dirac(assemble_deformed(model, T)).cells.values():
+        scalar = target[:, None, None] * np.eye(h.shape[-1])
+        worst = max(worst, float(
+            np.linalg.norm(h - scalar, 2, axis=(-2, -1)).max()))
     return {"residual": worst, "zero_order_term": 0.0, "exact": False}
 
 
@@ -352,6 +403,7 @@ class SweepResult:
     rows: list[SweepRow]
     unresolved: list[tuple[float, int]]
     min_eig_over_T2: dict[float, float]   # only for empty-zero-set models
+    complex_defect: dict[float, float]    # ||d_{r+1} d_r||_2 per T
 
 
 def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
@@ -364,10 +416,14 @@ def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
     rows: list[SweepRow] = []
     unresolved: list[tuple[float, int]] = []
     growth: dict[float, float] = {}
+    defects: dict[float, float] = {}
     empty_zero_set = (model.spec.kind == "torus"
                       and model.spec.field.kind == "constant")
     for T in T_list:
-        table, results = spectral_table(model, T, rule=rule, how_many=how_many)
+        # one d_T per T serves both the complex property and the spectra
+        op = assemble_deformed(model, T)
+        defects[float(T)] = complex_property_defect(op)
+        table, results = dirac_table(dirac(op), rule, how_many)
         tables[float(T)] = table
         all_eigs = []
         for r, res in sorted(results.items()):
@@ -378,7 +434,8 @@ def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
         if empty_zero_set and all_eigs:
             growth[float(T)] = min(all_eigs) / float(T) ** 2
     return SweepResult(model=model, tables=tables, rows=rows,
-                       unresolved=unresolved, min_eig_over_T2=growth)
+                       unresolved=unresolved, min_eig_over_T2=growth,
+                       complex_defect=defects)
 
 
 CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",

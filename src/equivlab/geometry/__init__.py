@@ -1,10 +1,9 @@
 from .base import (  # noqa: F401
     AssembledModel,
+    CellStack,
     FieldSpec,
     ModelError,
     ModelSpec,
-    SpectralCell,
-    degree_map,
     export_blocks,
     load_blocks_metadata,
 )

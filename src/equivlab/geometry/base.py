@@ -1,11 +1,16 @@
 """Shared model descriptors and the assembled-model data contract.
 
-An assembled model is a list of independent spectral cells.  Each cell holds,
-per bidegree (p, q), an orthonormal section basis together with the float
-matrices of the Dolbeault operator (raising q) and of contraction by the
-model's vector field (lowering p).  Cells are exact invariant sectors of all
-operators involved (Fourier modes, rotation charges), so the spectrum of the
-full model is the union of the spectra of its cells.
+An assembled model is a list of cell stacks.  A cell is an exact invariant
+sector of all operators involved (a Fourier mode, a rotation charge, or a
+pair of them), so the spectrum of the full model is the union of the
+spectra of its cells.  Cells of one layout, with the same dimension per
+bidegree (p, q), form one stack: per (p, q) it holds an orthonormal section
+basis shared by its members, together with the float matrices of the
+Dolbeault operator (raising q) and of contraction by the model's vector
+field (lowering p), stacked along a leading member axis.  The torus stacks
+its Fourier modes, the product stacks the torus modes of one rotation charge
+of the projective line, and each charge of the projective line is a stack
+of one member.  Downstream float work makes one batched call per stack.
 """
 
 from __future__ import annotations
@@ -157,18 +162,27 @@ class ModelSpec:
 
 
 @dataclass
-class SpectralCell:
-    """One invariant sector: orthonormal bases and operator blocks per (p,q).
+class CellStack:
+    """Invariant sectors of one layout, stacked along a leading member axis.
 
-    dbar[pq] maps (p, q) -> (p, q+1); iv[pq] maps (p, q) -> (p-1, q).
-    Missing keys mean zero blocks or empty spaces.
+    Every member has the same dims per (p, q).  dbar[pq] maps (p, q) ->
+    (p, q+1) and iv[pq] maps (p, q) -> (p-1, q); each holds one block per
+    member, shape (members, rows, cols).  A member whose block is absent
+    holds zeros; a key missing for the whole stack means zero blocks or
+    empty spaces.  labels[pq] names the layout's basis vectors, which every
+    member shares; a member is named by names[i].
     """
 
     name: str
+    names: list[str]
     dims: dict[PQ, int]
     labels: dict[PQ, list[str]]
     dbar: dict[PQ, np.ndarray]
     iv: dict[PQ, np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return len(self.names)
 
     def dim(self, pq: PQ) -> int:
         return self.dims.get(pq, 0)
@@ -178,6 +192,7 @@ class SpectralCell:
                 if q - p == r and self.dim((p, q)) > 0]
 
     def degree_dim(self, r: int, n: int) -> int:
+        """Dimension of the degree-r block of one member."""
         return sum(self.dim(pq) for pq in self.pqs_of_degree(r, n))
 
 
@@ -185,7 +200,7 @@ class SpectralCell:
 class AssembledModel:
     spec: ModelSpec
     n: int
-    cells: list[SpectralCell]
+    cells: list[CellStack]
     leakage: dict[str, float] = field(default_factory=dict)
     gram_conditions: dict[str, float] = field(default_factory=dict)
     exact: object | None = None     # optional exact-arithmetic payload
@@ -194,53 +209,28 @@ class AssembledModel:
         return range(-self.n, self.n + 1)
 
     def degree_dim(self, r: int) -> int:
-        return sum(c.degree_dim(r, self.n) for c in self.cells)
-
-
-def degree_map(cell: SpectralCell, n: int, r: int, T: float) -> np.ndarray:
-    """Matrix of (dbar + T iv) from the degree-r block to the degree-(r+1)
-    block of a cell, in the cell's orthonormal bases."""
-    src = cell.pqs_of_degree(r, n)
-    tgt = cell.pqs_of_degree(r + 1, n)
-    rows = sum(cell.dim(pq) for pq in tgt)
-    cols = sum(cell.dim(pq) for pq in src)
-    out = np.zeros((rows, cols), dtype=complex)
-    row_off = {}
-    off = 0
-    for pq in tgt:
-        row_off[pq] = off
-        off += cell.dim(pq)
-    col = 0
-    for (p, q) in src:
-        w = cell.dim((p, q))
-        blk = cell.dbar.get((p, q))
-        if blk is not None and (p, q + 1) in row_off and blk.size:
-            out[row_off[(p, q + 1)]:row_off[(p, q + 1)] + blk.shape[0], col:col + w] += blk
-        blk = cell.iv.get((p, q))
-        if blk is not None and (p - 1, q) in row_off and blk.size and T != 0:
-            out[row_off[(p - 1, q)]:row_off[(p - 1, q)] + blk.shape[0], col:col + w] += T * blk
-        col += w
-    return out
+        return sum(c.size * c.degree_dim(r, self.n) for c in self.cells)
 
 
 def export_blocks(model: AssembledModel, path: str) -> None:
     """Write every operator block to a single npz container: dense complex
-    row-major arrays plus a JSON metadata entry describing bases."""
+    row-major arrays plus a JSON metadata entry describing bases.  Members
+    are numbered across stacks in model order."""
     arrays: dict[str, np.ndarray] = {}
     meta = {"schema_version": SCHEMA_VERSION, "model": model.spec.to_dict(),
             "cells": []}
-    for ci, cell in enumerate(model.cells):
-        cell_meta = {"name": cell.name, "blocks": {}}
-        for pq, dim in sorted(cell.dims.items()):
+    members = [(stack, i) for stack in model.cells for i in range(stack.size)]
+    for ci, (stack, i) in enumerate(members):
+        cell_meta = {"name": stack.names[i], "blocks": {}}
+        for pq, dim in sorted(stack.dims.items()):
             key = f"c{ci}_p{pq[0]}q{pq[1]}"
             cell_meta["blocks"][f"{pq[0]},{pq[1]}"] = {
-                "dim": dim, "labels": cell.labels[pq]}
-            blk = cell.dbar.get(pq)
-            if blk is not None and blk.size:
-                arrays[key + "_dbar"] = np.ascontiguousarray(blk.astype(complex))
-            blk = cell.iv.get(pq)
-            if blk is not None and blk.size:
-                arrays[key + "_iv"] = np.ascontiguousarray(blk.astype(complex))
+                "dim": dim, "labels": stack.labels[pq]}
+            for op, blocks in (("dbar", stack.dbar), ("iv", stack.iv)):
+                blk = blocks.get(pq)
+                if blk is not None and blk.size:
+                    arrays[f"{key}_{op}"] = np.ascontiguousarray(
+                        blk[i].astype(complex))
         meta["cells"].append(cell_meta)
     arrays["metadata_json"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)

@@ -31,7 +31,8 @@ factors of `linalg.Orthonormalizer`, with no per-section arithmetic.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
-chunk, and the assembled model is a list of per-charge spectral cells.
+chunk, and the assembled model is a list of per-charge cell stacks of one
+member each.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..linalg import (FMatrix, Orthonormalizer, float_ratios, fmatmul,
                       fzeros, is_zero_matrix, to_float)
-from .base import AssembledModel, FieldSpec, ModelError, ModelSpec, PQ, SpectralCell
+from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
 
 Terms = dict[tuple[int, int], Fraction]
 
@@ -523,18 +524,20 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
             blk = exact.blocks[pq]
             sl = blk.chunk_slices[chi]
             labels[pq] = blk.labels[sl]
+        # each charge is a stack of one member
         dbar_blocks = {}
         for pq in ((0, 0), (1, 0)):
             if pq in dims and (pq[0], 1) in dims:
                 dbar_blocks[pq] = exact.ortho_chunk(
-                    exact.dbar_chunks[pq], pq, (pq[0], 1), chi)
+                    exact.dbar_chunks[pq], pq, (pq[0], 1), chi)[None]
         iv_blocks = {}
         for pq in ((1, 0), (1, 1)):
             if pq in dims and (0, pq[1]) in dims:
                 iv_blocks[pq] = exact.ortho_chunk(
-                    exact.iv_chunks[pq], pq, (0, pq[1]), chi)
-        cells.append(SpectralCell(name=f"chi{chi}", dims=dims, labels=labels,
-                                  dbar=dbar_blocks, iv=iv_blocks))
+                    exact.iv_chunks[pq], pq, (0, pq[1]), chi)[None]
+        cells.append(CellStack(name=f"chi{chi}", names=[f"chi{chi}"],
+                               dims=dims, labels=labels,
+                               dbar=dbar_blocks, iv=iv_blocks))
     leakage = {f"dbar:p{p}q{q}": 0.0 for p, q in ((0, 0), (1, 0))}
     leakage.update({f"iv:p{p}q{q}": 0.0 for p, q in ((1, 0), (1, 1))})
     for pq, val in exact.dual_wedge_leakage().items():

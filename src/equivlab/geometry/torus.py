@@ -12,7 +12,8 @@ dzbar / sqrt(2 Im tau); in that frame the Dolbeault coefficient on the mode
 and the constant field c times the unit (1,0) frame vector contracts the
 holomorphic frame covector to the constant c.  All four operators preserve
 each mode, so truncation by max frequency is exactly invariant and the
-reported leakage is zero.
+reported leakage is zero.  The modes share one layout, so the model is a
+single stack with one member per mode.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .base import AssembledModel, FieldSpec, ModelSpec, SpectralCell
+from .base import AssembledModel, CellStack, FieldSpec, ModelSpec
 
 _PQS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -31,33 +32,35 @@ def dolbeault_coefficient(tau: complex, j: int, k: int) -> complex:
     return math.pi * (j * tau - k) * math.sqrt(2.0 / tau.imag)
 
 
-def mode_cell(tau: complex, j: int, k: int, c: complex) -> SpectralCell:
-    mu = dolbeault_coefficient(tau, j, k)
-    tag = f"jk({j},{k})"
-    one = np.ones((1, 1), dtype=complex)
-    return SpectralCell(
-        name=tag,
-        dims={pq: 1 for pq in _PQS},
-        labels={pq: [f"{tag}:p{pq[0]}q{pq[1]}"] for pq in _PQS},
-        dbar={(0, 0): mu * one, (1, 0): -mu * one},
-        iv={(1, 0): c * one, (1, 1): c * one} if c != 0 else {},
-    )
-
-
 def modes(cutoff: int) -> list[tuple[int, int]]:
-    """Fourier modes (j, k) with |j|, |k| <= cutoff, in cell order."""
+    """Fourier modes (j, k) with |j|, |k| <= cutoff, in member order."""
     return [(j, k) for j in range(-cutoff, cutoff + 1)
             for k in range(-cutoff, cutoff + 1)]
 
 
+def mode_coefficients(tau: complex, cutoff: int) -> np.ndarray:
+    """Dolbeault coefficients of the modes, one entry per mode."""
+    return np.array([dolbeault_coefficient(tau, j, k)
+                     for j, k in modes(cutoff)])
+
+
 def assemble_torus(spec: ModelSpec) -> AssembledModel:
+    """One stack whose members are the Fourier modes; every block is 1x1."""
     spec.validate()
-    cells = [mode_cell(spec.tau, j, k, spec.field.c)
-             for j, k in modes(spec.cutoff)]
+    mu = mode_coefficients(spec.tau, spec.cutoff)[:, None, None]
+    c = np.full_like(mu, spec.field.c)
+    stack = CellStack(
+        name="modes",
+        names=[f"jk({j},{k})" for j, k in modes(spec.cutoff)],
+        dims={pq: 1 for pq in _PQS},
+        labels={pq: [f"p{pq[0]}q{pq[1]}"] for pq in _PQS},
+        dbar={(0, 0): mu, (1, 0): -mu},
+        iv={(1, 0): c, (1, 1): c},
+    )
     leakage = {f"{op}:p{p}q{q}": 0.0
                for op in ("dbar", "iv", "dual_wedge") for p, q in _PQS}
     conds = {f"p{p}q{q}": 1.0 for p, q in _PQS}
-    return AssembledModel(spec=spec, n=1, cells=cells,
+    return AssembledModel(spec=spec, n=1, cells=[stack],
                           leakage=leakage, gram_conditions=conds)
 
 

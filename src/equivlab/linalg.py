@@ -245,24 +245,28 @@ class Orthonormalizer:
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:
-    """Eigenvalues of a Hermitian float matrix, with an explicit-symmetrize
-    guard and diagnostics surfaced on solver failure."""
+    """Eigenvalues of a Hermitian float matrix, or of each matrix of a stack
+    along the leading axis, with an explicit-symmetrize guard and
+    diagnostics surfaced on solver failure."""
     if h.size == 0:
-        return np.zeros(0)
-    hs = 0.5 * (h + h.conj().T)
+        return np.zeros(h.shape[:-1])
+    hs = 0.5 * (h + h.conj().swapaxes(-1, -2))
     try:
         return np.linalg.eigvalsh(hs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+    except np.linalg.LinAlgError as exc:
         diag = dict(context or {})
-        diag["shape"] = h.shape
+        diag["shape"] = h.shape[-2:]
+        if h.ndim > 2:
+            diag["members"] = h.shape[0]
         diag["norm"] = float(np.linalg.norm(h))
-        diag["herm_defect"] = float(np.linalg.norm(h - h.conj().T))
+        diag["herm_defect"] = hermiticity_defect(h)
         raise EigensolverError(str(exc), diag) from exc
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
-    """Frobenius norm of h - h^*: an upper bound on its spectral norm that
-    needs no singular value decomposition."""
+    """Frobenius norm of h - h^*, the largest over a stack: an upper bound
+    on the spectral norm that needs no singular value decomposition."""
     if h.size == 0:
         return 0.0
-    return float(np.linalg.norm(h - h.conj().T))
+    return float(np.linalg.norm(h - h.conj().swapaxes(-1, -2),
+                                axis=(-2, -1)).max())

@@ -220,6 +220,34 @@ def test_eigensolver_failure_is_unresolved(tmp_path, monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_batched_eigensolver_failure_is_unresolved(tmp_path, monkeypatch,
+                                                   jobs):
+    # LAPACK fails on the torus's stack of 25 modes; the projective line,
+    # whose stacks hold one member each, is unaffected
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if a.ndim == 3 and a.shape[0] == 25:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    config = parse_config(small_config())
+    report = run(config, str(tmp_path / "out"), jobs=jobs)
+    torus = {k: v for k, v in report.verdicts.items() if ":torus" in k}
+    cp1 = {k: v for k, v in report.verdicts.items() if ":cp1" in k}
+    assert len(torus) == 5 and set(torus.values()) == {"unresolved"}
+    assert len(cp1) == 4 and set(cp1.values()) == {"pass"}
+    assert report.exit_code() == 1
+    payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
+    (error,) = [p["error"] for p in payloads["payloads"] if "error" in p]
+    # the diagnostics name the stack, degree, T and member shape
+    for part in ("'stack': 'modes'", "'r': -1", "'T': 1.0",
+                 "'shape': (1, 1)", "'members': 25"):
+        assert part in error
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_non_psd_spectrum_fails(tmp_path, monkeypatch, jobs):
     def negative(h, context=None):
         evals = np.zeros(h.shape[0])

@@ -69,29 +69,43 @@ def test_cluster_kernel_with_floor_straddle():
 # --- assembled operator ----------------------------------------------------
 
 def test_deformed_blocks_at_T0_equal_plain():
-    model = torus_model(1j, 2, 1.0)
-    op0 = assemble_deformed(model, 0.0)
-    for (ci, r), blk in op0.blocks.items():
-        cell = model.cells[ci]
-        for pq, dmat in cell.dbar.items():
-            if pq[1] - pq[0] == r:
-                assert np.allclose(blk, dmat) or blk.shape != dmat.shape
+    # at T = 0 the only nonzero blocks of d_T are the Dolbeault blocks,
+    # placed from (p, q) to (p, q + 1) within the degree-r block of d_T
+    for model in (torus_model(1j, 2, 1.0), cp1_model(1, 6)):
+        op0 = assemble_deformed(model, 0.0)
+        for (si, r), blk in op0.blocks.items():
+            stack = model.cells[si]
+            want = np.zeros_like(blk)
+            tgt = stack.pqs_of_degree(r + 1, model.n)
+            col = 0
+            for pq in stack.pqs_of_degree(r, model.n):
+                dmat = stack.dbar.get(pq)
+                if dmat is not None and (pq[0], pq[1] + 1) in tgt:
+                    row = sum(stack.dim(t) for t in tgt[:tgt.index(
+                        (pq[0], pq[1] + 1))])
+                    want[:, row:row + dmat.shape[1],
+                         col:col + dmat.shape[2]] = dmat
+                col += stack.dim(pq)
+            assert np.array_equal(blk, want)
 
 
 def test_adjoint_pairing_identity():
     # <u, D_T^2 u> = 2 (|d_r u|^2 + |d_{r-1}^* u|^2) with d^* the conjugate
-    # transpose in the orthonormal bases
+    # transpose in the orthonormal bases, for every member of every stack
     rng = np.random.default_rng(5)
-    model = cp1_model(1, 6)
-    op = assemble_deformed(model, 2.0)
-    for (ci, r), h in dirac(op).cells.items():
-        u = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-        here = op.blocks[(ci, r)]
-        below = op.blocks.get((ci, r - 1), np.zeros((h.shape[0], 0)))
-        lhs = np.vdot(u, h @ u)
-        rhs = 2.0 * (np.linalg.norm(here @ u) ** 2
-                     + np.linalg.norm(below.conj().T @ u) ** 2)
-        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+    for model in (cp1_model(1, 6), product_model(1, 5, 0.3 + 1.1j, 1)):
+        op = assemble_deformed(model, 2.0)
+        for (si, r), hs in dirac(op).cells.items():
+            for i, h in enumerate(hs):
+                u = (rng.standard_normal(h.shape[0])
+                     + 1j * rng.standard_normal(h.shape[0]))
+                here = op.blocks[(si, r)][i]
+                below = (op.blocks[(si, r - 1)][i] if (si, r - 1) in op.blocks
+                         else np.zeros((h.shape[0], 0)))
+                lhs = np.vdot(u, h @ u)
+                rhs = 2.0 * (np.linalg.norm(here @ u) ** 2
+                             + np.linalg.norm(below.conj().T @ u) ** 2)
+                assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 def test_dirac_hermiticity_defect():

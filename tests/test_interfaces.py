@@ -32,7 +32,9 @@ def test_export_blocks_container(tmp_path):
     export_blocks(model, path)
     meta = load_blocks_metadata(path)
     assert meta["model"]["kind"] == "torus"
-    assert len(meta["cells"]) == len(model.cells)
+    # one entry per mode: the torus is one stack of (2 * 1 + 1)^2 members
+    assert len(meta["cells"]) == sum(stack.size for stack in model.cells) == 9
+    assert [cell["name"] for cell in meta["cells"]] == model.cells[0].names
     with np.load(path) as data:
         key = "c0_p0q0_dbar"
         assert key in data
