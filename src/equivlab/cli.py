@@ -188,7 +188,8 @@ def model_payload(spec_dict: dict, T_grid: list[float],
         "growth": {_fmt(T): v for T, v in sweep.min_eig_over_T2.items()},
         "leakage": model.leakage,
         "gram_conditions": model.gram_conditions,
-        "complex_defect": {_fmt(T): v for T, v in sweep.complex_defect.items()},
+        "complex_defect_ratio": {_fmt(T): v for T, v
+                                 in sweep.complex_defect_ratio.items()},
         "complex_exact_zero": None,
         "bochner": None,
     }
@@ -238,8 +239,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
                     verdicts[f"{check}:{label}"] = state
             continue
         if "complex_property" in config.checks:
-            tol = max(max(payload["leakage"].values(), default=0.0), _FLOAT_ZERO)
-            ok = all(v <= tol for v in payload["complex_defect"].values())
+            # each ratio is a defect over its own round-off bound
+            ok = all(v <= 1.0 for v in payload["complex_defect_ratio"].values())
             if payload["complex_exact_zero"] is not None:
                 ok = ok and payload["complex_exact_zero"]
             verdicts[f"complex_property:{label}"] = "pass" if ok else "fail"
@@ -287,14 +288,15 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
             model = OscillatorModel(m=m, T=T, cutoff=cutoff)
             gal = oscillator_galerkin(model)
             ana = oscillator_spectrum_analytic(model)
-            nonzero = [x for x in gal.eigenvalues
-                       if x > 1.0e-8 * max(gal.eigenvalues[-1], 1.0)]
+            evals = gal.eigenvalues
+            nonzero = evals[evals > 1.0e-8 * max(evals[-1], 1.0)]
+            lam = float(nonzero[0]) if nonzero.size else float("nan")
             entry = {
                 "m": m, "T": T, "cutoff": cutoff, "dim": gal.dim,
                 "kernel_count": gal.kernel_count(),
                 "overlap": kernel_overlap(gal),
-                "min_nonzero": nonzero[0] if nonzero else float("nan"),
-                "gap_over_T": (nonzero[0] / T) if nonzero else float("nan"),
+                "min_nonzero": lam,
+                "gap_over_T": lam / T,
                 "analytic_gap_over_T": ana.gap_over_T,
             }
             out["models"].append(entry)

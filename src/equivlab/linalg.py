@@ -246,13 +246,13 @@ class Orthonormalizer:
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian float matrix, or of each matrix of a stack
-    along the leading axis, with an explicit-symmetrize guard and
-    diagnostics surfaced on solver failure."""
+    along the leading axis, with diagnostics surfaced on solver failure.
+    The input must be exactly Hermitian, as `deformed.dirac` builds it:
+    eigvalsh reads only the lower triangle."""
     if h.size == 0:
         return np.zeros(h.shape[:-1])
-    hs = 0.5 * (h + h.conj().swapaxes(-1, -2))
     try:
-        return np.linalg.eigvalsh(hs)
+        return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         diag = dict(context or {})
         diag["shape"] = h.shape[-2:]

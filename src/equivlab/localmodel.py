@@ -20,7 +20,14 @@ The Galerkin route expands each real coordinate in Hermite functions of
 frequency T, so the kernel state is exactly representable and the kinetic
 and potential pieces are assembled separately from ladder matrix elements
 (their off-diagonals cancel only in exact arithmetic, which keeps the
-numerical route independent of the closed form).
+numerical route independent of the closed form).  The Galerkin matrix is
+the Kronecker sum  sum_i h1^(i) (x) 1 + 1 (x) T W  over the 2m real
+coordinates, so it is diagonalized by its factors: one eigensolve of the
+c x c one-dimensional matrix h1 and one of T W.  Every eigenvalue is a sum
+of 2m eigenvalues of h1 and one of T W, and the kernel vector is the
+Kronecker product of the factors' ground vectors.  Only this tensor algebra
+is exact; the factor spectra are numerical solves of the truncated Hermite
+and Clifford matrices.
 """
 
 from __future__ import annotations
@@ -32,15 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.sparse import csr_matrix, identity, kron
-from scipy.sparse.linalg import eigsh
 
 from .exterior import (AlgebraElement, clifford_c, clifford_hat_c,
                        enumerate_basis, frame_vector, metric_dual_wedge,
                        norm_sq, wedge)
 from .scalars import ExactScalar, I_UNIT
 
-_DENSE_LIMIT = 1600
 GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
 
 
@@ -162,10 +166,9 @@ def _ladder_blocks(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class GalerkinResult:
     model: OscillatorModel
-    eigenvalues: np.ndarray            # ascending; full or lowest slice
-    kernel_vector: np.ndarray | None   # eigenvector of the smallest eigenvalue
+    eigenvalues: np.ndarray            # the full spectrum, ascending
+    kernel_vector: np.ndarray          # eigenvector of the smallest eigenvalue
     dim: int
-    dense: bool
 
     def kernel_count(self) -> int:
         """Resolved near-zero cluster size, -1 if the clustering is ambiguous."""
@@ -174,48 +177,23 @@ class GalerkinResult:
         return count if resolved else -1
 
 
-def galerkin_matrix(model: OscillatorModel):
-    """Sparse Galerkin matrix: scalar oscillator (Kronecker sum over 2m real
-    coordinates) plus T times the constant fiber endomorphism."""
-    m, T, c = model.m, model.T, model.cutoff
-    p2, x2 = _ladder_blocks(c, T)
-    h1 = csr_matrix(p2 + (T * T) * x2)
-    n_coords = 2 * m
-    hsc = None
-    for i in range(n_coords):
-        term = None
-        for jj in range(n_coords):
-            blk = h1 if jj == i else identity(c, format="csr")
-            term = blk if term is None else kron(term, blk, format="csr")
-        hsc = term if hsc is None else hsc + term
-    fiber = csr_matrix(T * fiber_endomorphism(m))
-    total = kron(hsc, identity(fiber.shape[0], format="csr"), format="csr") \
-        + kron(identity(c ** n_coords, format="csr"), fiber, format="csr")
-    return total
-
-
-def oscillator_galerkin(model: OscillatorModel, how_many: int = 48,
-                        with_vector: bool = True) -> GalerkinResult:
+def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
+    """Full spectrum and kernel vector of the Galerkin matrix from the
+    eigensolves of its Kronecker factors.  Coordinates are ordered as in
+    h1 (x) ... (x) h1 (x) W: scalar coordinates first, the fiber last."""
     if model.cutoff < 4:
         raise ValueError("Galerkin route needs cutoff >= 4")
-    h = galerkin_matrix(model)
-    dim = h.shape[0]
-    if dim <= _DENSE_LIMIT:
-        dense = h.toarray()
-        dense = 0.5 * (dense + dense.T)
-        evals, evecs = np.linalg.eigh(dense)
-        kvec = evecs[:, 0] if with_vector else None
-        return GalerkinResult(model=model, eigenvalues=evals,
-                              kernel_vector=kvec, dim=dim, dense=True)
-    k = min(how_many, dim - 2)
-    v0 = np.ones(dim) / math.sqrt(dim)
-    # shift-invert below the spectrum: robust for the highly clustered
-    # oscillator levels, deterministic with a fixed start vector
-    evals, evecs = eigsh(h, k=k, sigma=-0.5 * model.T, which="LM", v0=v0)
-    order = np.argsort(evals)
-    return GalerkinResult(model=model, eigenvalues=evals[order],
-                          kernel_vector=evecs[:, order[0]] if with_vector else None,
-                          dim=dim, dense=False)
+    m, T = model.m, model.T
+    p2, x2 = _ladder_blocks(model.cutoff, T)
+    e1, v1 = np.linalg.eigh(p2 + (T * T) * x2)
+    evals, evecs = np.linalg.eigh(T * fiber_endomorphism(m))
+    kvec = evecs[:, 0]
+    for _ in range(2 * m):
+        evals = np.add.outer(e1, evals)
+        kvec = np.kron(v1[:, 0], kvec)
+    evals = np.sort(evals, axis=None)
+    return GalerkinResult(model=model, eigenvalues=evals, kernel_vector=kvec,
+                          dim=evals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +257,6 @@ def kernel_overlap(result: GalerkinResult) -> float:
     beta = beta_vector(result.model)
     v = result.kernel_vector
     return float(abs(np.vdot(v / np.linalg.norm(v), beta)))
-
-
-def beta_residual(model: OscillatorModel) -> float:
-    """||H beta|| for the Galerkin matrix H: zero up to round-off because
-    beta lies exactly in the span."""
-    h = galerkin_matrix(model)
-    beta = beta_vector(model)
-    return float(np.linalg.norm(h @ beta))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from equivlab import deformed
+from equivlab import cli, deformed
 from equivlab.cli import (ConfigError, load_config, main, parse_config, run)
 from equivlab.deformed import CSV_FIELDS
 from equivlab.linalg import EigensolverError
@@ -168,16 +168,24 @@ def test_output_root_override(tmp_path, monkeypatch):
 
 
 def test_oscillator_subcommand(tmp_path):
-    out = tmp_path / "osc"
-    code = main(["oscillator", "--m", "1", "--T", "1,10", "--cutoff", "8",
-                 "-o", str(out)])
-    assert code == 0
-    lines = (out / "oscillator_gap.tsv").read_text().splitlines()
-    assert lines[0].split("\t") == ["m", "T", "cutoff", "gap_over_T", "overlap"]
-    gaps = {line.split("\t")[3] for line in lines[1:]}
-    assert len(gaps) == 1     # gap over T constant across rows
-    alpha_lines = (out / "alpha_scaling.tsv").read_text().splitlines()
-    assert alpha_lines[0].split("\t") == ["m", "T", "eps", "alpha", "alpha_Tm"]
+    for name, m, cutoff in (("osc", "1", "8"), ("osc12", "1,2", "12,4")):
+        out = tmp_path / name
+        code = main(["oscillator", "--m", m, "--T", "1,10", "--cutoff", cutoff,
+                     "-o", str(out)])
+        assert code == 0
+        lines = (out / "oscillator_gap.tsv").read_text().splitlines()
+        assert lines[0].split("\t") == ["m", "T", "cutoff", "gap_over_T",
+                                         "overlap"]
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [row[0] for row in rows] == [x for x in m.split(",")
+                                            for _ in range(2)]
+        for row in rows:      # gap over T constant across rows
+            assert float(row[3]) == pytest.approx(2.0, rel=1e-12)
+        if name == "osc":
+            assert len({row[3] for row in rows}) == 1
+        alpha_lines = (out / "alpha_scaling.tsv").read_text().splitlines()
+        assert alpha_lines[0].split("\t") == ["m", "T", "eps", "alpha",
+                                               "alpha_Tm"]
 
 
 def test_parallel_run_matches_serial(tmp_path):
@@ -269,3 +277,38 @@ def test_non_psd_error_survives_pickling():
     err = pickle.loads(pickle.dumps(deformed.NotPSDError(1, -1.0e-6)))
     assert (err.degree, err.eigenvalue) == (1, -1.0e-6)
     assert str(err) == str(deformed.NotPSDError(1, -1.0e-6))
+
+
+def test_complex_property_fails_on_perturbed_product(tmp_path, monkeypatch):
+    # one dbar entry of one member scaled by 1 + 1e-6 leaves ||d_T^2|| at
+    # about 3e-5: far above round-off, yet far below the model's dual-wedge
+    # leakage (about 0.48), so only a round-off bound can catch it
+    raw = {"schema_version": 1, "name": "perturbed",
+           "models": [{"kind": "product",
+                       "field": {"kind": "product_lift", "factor": "left"},
+                       "left": {"kind": "cp1", "k": 1, "cutoff": 5,
+                                "field": {"kind": "linear"}},
+                       "right": {"kind": "torus", "tau": [0.0, 1.0],
+                                 "cutoff": 1,
+                                 "field": {"kind": "constant", "c": [1, 0]}}}],
+           "T_grid": [2.0], "checks": ["complex_property"],
+           "outputs": ["json"]}
+    config = parse_config(raw)
+    key = f"complex_property:{config.models[0].label()}"
+    assert run(config, str(tmp_path / "clean")).verdicts == {key: "pass"}
+
+    assemble = cli.assemble
+
+    def perturbed(spec):
+        model = assemble(spec)
+        stack = next(st for st in model.cells if st.iv)
+        stack.dbar[(0, 0)][0, 0, 0] *= 1.0 + 1.0e-6
+        return model
+
+    monkeypatch.setattr(cli, "assemble", perturbed)
+    report = run(config, str(tmp_path / "perturbed"))
+    assert report.verdicts == {key: "fail"}
+    payloads = json.loads((tmp_path / "perturbed" / "payloads.json")
+                          .read_text())
+    (ratio,) = payloads["payloads"][0]["complex_defect_ratio"].values()
+    assert ratio > 1.0

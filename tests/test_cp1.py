@@ -4,6 +4,7 @@ closure of the truncated complex, kernel counts, and leakage reporting."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
@@ -213,7 +214,12 @@ def test_deformed_square_detects_perturbed_contraction():
 def test_assembled_complex_property_float():
     model = cp1_model(1, 8)
     for T in (0.0, 1.0, 4.0):
-        assert complex_property_defect(assemble_deformed(model, T)) < 1e-12
+        op = assemble_deformed(model, T)
+        assert complex_property_defect(op) <= 1.0
+        for (si, r), a in op.blocks.items():
+            b = op.blocks.get((si, r + 1))
+            if b is not None and a.size and b.size:
+                assert np.linalg.norm(b @ a, 2, axis=(-2, -1)).max() < 1e-12
 
 
 def test_dbar_star_is_l2_adjoint():

@@ -109,9 +109,15 @@ def test_adjoint_pairing_identity():
 
 
 def test_dirac_hermiticity_defect():
-    for model in (torus_model(1j, 2, 1.0), cp1_model(0, 6)):
-        dsq = dirac(assemble_deformed(model, 2.0))
-        assert dsq.hermiticity <= 1e-11
+    # eigvalsh reads one triangle, so every Dirac stack must be exactly
+    # Hermitian
+    for model in (torus_model(1j, 2, 1.0), cp1_model(0, 6),
+                  product_model(1, 5, 0.3 + 1.1j, 1)):
+        for T in (0.0, 2.0, 1.0 / 3.0):
+            dsq = dirac(assemble_deformed(model, T))
+            assert dsq.cells
+            for h in dsq.cells.values():
+                assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
 
 def test_spectra_nonnegative():

@@ -1,5 +1,9 @@
 """Fiber oscillator model: closed form vs Galerkin, the kernel state, the
-spectral-gap fixture, bump/normalization quantities, isometry defects."""
+spectral-gap fixture, bump/normalization quantities, isometry defects.
+
+The assembled Galerkin matrix is the oracle for the factor route: the
+sparse Kronecker sum is built term by term and solved densely at small
+cutoffs, or applied to the kernel vector at m = 2."""
 
 import json
 import math
@@ -8,15 +12,41 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix, identity, kron
 
 from equivlab.exterior import enumerate_basis
 from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
-                                 alpha_T, beta_residual, beta_state,
+                                 _ladder_blocks, alpha_T, beta_state,
                                  beta_vector, convolve_spectra,
                                  fiber_endomorphism,
                                  isometry_defect, kernel_overlap,
                                  oscillator_galerkin,
                                  oscillator_spectrum_analytic, smooth_bump)
+
+
+def galerkin_matrix(model):
+    """Sparse Galerkin matrix: scalar oscillator (Kronecker sum over 2m real
+    coordinates) plus T times the constant fiber endomorphism."""
+    m, T, c = model.m, model.T, model.cutoff
+    p2, x2 = _ladder_blocks(c, T)
+    h1 = csr_matrix(p2 + (T * T) * x2)
+    n_coords = 2 * m
+    hsc = None
+    for i in range(n_coords):
+        term = None
+        for jj in range(n_coords):
+            blk = h1 if jj == i else identity(c, format="csr")
+            term = blk if term is None else kron(term, blk, format="csr")
+        hsc = term if hsc is None else hsc + term
+    fiber = csr_matrix(T * fiber_endomorphism(m))
+    return (kron(hsc, identity(fiber.shape[0], format="csr"), format="csr")
+            + kron(identity(c ** n_coords, format="csr"), fiber, format="csr"))
+
+
+def beta_residual(model):
+    """||H beta|| for the Galerkin matrix H: zero up to round-off because
+    beta lies exactly in the span."""
+    return float(np.linalg.norm(galerkin_matrix(model) @ beta_vector(model)))
 
 
 # --- fiber endomorphism ------------------------------------------------------
@@ -80,7 +110,6 @@ def test_gap_fixture_committed():
 def test_galerkin_matches_analytic_m1():
     model = OscillatorModel(m=1, T=1.0, cutoff=12)
     res = oscillator_galerkin(model)
-    assert res.dense
     assert abs(res.eigenvalues[0]) <= 1e-10
     assert res.eigenvalues[1] == pytest.approx(2.0, abs=1e-8)
     # multiplicity of the first excited level within the safe window
@@ -89,7 +118,7 @@ def test_galerkin_matches_analytic_m1():
 
 def test_galerkin_kernel_dimension_and_overlap():
     for m, cutoff in ((1, 12), (2, 4)):
-        for T in (1.0, 10.0):
+        for T in (1.0, 1.161, 10.0):
             res = oscillator_galerkin(OscillatorModel(m=m, T=T, cutoff=cutoff))
             assert res.kernel_count() == 1
             assert kernel_overlap(res) >= 1.0 - 1e-8
@@ -106,6 +135,37 @@ def test_galerkin_scaling_in_T():
 def test_beta_in_galerkin_kernel():
     for m, cutoff in ((1, 8), (2, 4)):
         assert beta_residual(OscillatorModel(m=m, T=1.0, cutoff=cutoff)) <= 1e-10
+
+
+@pytest.mark.parametrize("m,cutoff,T", [(1, 40, 2.7), (2, 4, 1.161)])
+def test_galerkin_multiplicities_match_analytic(m, cutoff, T):
+    # the truncation keeps every Hermite state of total degree < cutoff, so
+    # the first `cutoff` levels are complete
+    model = OscillatorModel(m=m, T=T, cutoff=cutoff)
+    res = oscillator_galerkin(model)
+    levels = oscillator_spectrum_analytic(model, max_level=cutoff - 1).levels
+    got = [int(np.sum(np.abs(res.eigenvalues - lam) <= 1e-9 * lam + 1e-9))
+           for lam, _ in levels]
+    assert got == [mult for _, mult in levels]
+    assert res.dim == len(res.eigenvalues) == cutoff ** (2 * m) * 4 ** m
+
+
+@pytest.mark.parametrize("cutoff", [8, 12])
+@pytest.mark.parametrize("T", [1.161, 2.0])
+def test_galerkin_spectrum_matches_assembled_matrix(cutoff, T):
+    model = OscillatorModel(m=1, T=T, cutoff=cutoff)
+    want = np.linalg.eigvalsh(galerkin_matrix(model).toarray())
+    got = oscillator_galerkin(model).eigenvalues
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("T", [1.0, 1.161, 10.0])
+def test_galerkin_kernel_vector_in_assembled_kernel(T):
+    model = OscillatorModel(m=2, T=T, cutoff=4)
+    res = oscillator_galerkin(model)
+    v = res.kernel_vector
+    assert np.linalg.norm(v) == pytest.approx(1.0)
+    assert np.linalg.norm(galerkin_matrix(model) @ v) <= 1e-10 * T
 
 
 def test_galerkin_requires_cutoff():

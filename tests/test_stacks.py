@@ -141,13 +141,19 @@ def sector_dirac(sector, n, r, T):
 
 
 def sector_defect(sectors, n, T):
+    """Worst ||d_{r+1} d_r||_F over (k + 8) eps ||d_{r+1}||_F ||d_r||_F."""
+    eps = np.finfo(float).eps
     worst = 0.0
     for sector in sectors:
         for r in range(-n, n):
             a = degree_map(sector, n, r, T)
             b = degree_map(sector, n, r + 1, T)
-            if a.size and b.size:
-                worst = max(worst, float(np.linalg.norm(b @ a, 2)))
+            defect = np.linalg.norm(b @ a, axis=(-2, -1))
+            if a.size and b.size and defect:
+                bound = ((a.shape[0] + 8) * eps
+                         * np.linalg.norm(b, axis=(-2, -1))
+                         * np.linalg.norm(a, axis=(-2, -1)))
+                worst = max(worst, float(defect / bound))
     return worst
 
 
