@@ -12,14 +12,21 @@ d_T^2 defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
 over the last two axes).  Each applies the same BLAS/LAPACK routine to the
 same member matrix as a per-cell call would, so the results are equal bit
 for bit; cells are never merged into larger matrices, which would change
-the eigenvalues' last bits.  Kernel dimensions are read off by
-a relative-gap clustering rule: eigenvalues are floored at a tiny multiple
-of the spectral scale, the largest log-gap among the lowest quarter of the
-spectrum is located (with the floor itself as a virtual level below the
-smallest eigenvalue, so an empty kernel is a possible outcome), and the
-count is marked resolved only if that gap ratio exceeds a configurable
-criterion.  This keeps the rule cutoff-independent: no absolute eigenvalue
-threshold is ever compared against.
+the eigenvalues' last bits.
+
+The product cp1 x torus has no blocks of its own (`geometry.product`): d_T,
+its defect, the Dirac square and the eigensolves are the cp1 factor's, and
+in product degree r the spectrum is every cp1 eigenvalue of degree r - b
+plus every torus level, once per torus label of degree b (`KunnethSquare`).
+
+Kernel dimensions are read off by a relative-gap clustering rule:
+eigenvalues are floored at a tiny multiple of the spectral scale, the
+largest log-gap among the lowest quarter of the spectrum is located (with
+the floor itself as a virtual level below the smallest eigenvalue, so an
+empty kernel is a possible outcome), and the count is marked resolved only
+if that gap ratio exceeds a configurable criterion.  This keeps the rule
+cutoff-independent: no absolute eigenvalue threshold is ever compared
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 from .geometry.base import AssembledModel, CellStack
 from .geometry import cp1 as cp1mod
+from .geometry.product import RIGHT_MULTIPLICITY, ProductModel
 from .geometry.torus import laplace_eigenvalue, modes
 from .linalg import hermitian_eigenvalues
 # not called here, but perfbench/tracing.py still wraps it under this name
@@ -174,6 +182,37 @@ def dirac(op: DeformedOperator) -> DiracSquare:
 
 
 @dataclass
+class KunnethSquare:
+    """The Dirac square of a product, by its eigenvalues per degree: in
+    degree r, for each right degree b, every sum of a left eigenvalue of
+    degree r - b and a torus level, RIGHT_MULTIPLICITY[b] times."""
+
+    model: ProductModel
+    T: float
+    left: dict[int, np.ndarray]     # the left factor's eigenvalues per degree
+
+    def merged_eigenvalues(self, r: int) -> np.ndarray:
+        """Eigenvalues of degree r, sorted."""
+        parts = [np.add.outer(self.left[r - b], self.model.levels).ravel()
+                 for b, mult in RIGHT_MULTIPLICITY.items()
+                 if r - b in self.left for _ in range(mult)]
+        return np.sort(np.concatenate(parts))
+
+
+def deformed_square(model: AssembledModel | ProductModel, T: float
+                    ) -> tuple[DeformedOperator, DiracSquare | KunnethSquare]:
+    """d_T and the Dirac square at T.  For a product, d_T is the left
+    factor's (d_T^2 = d_{T,L}^2 (x) 1) and the square is its Kunneth sum."""
+    if not isinstance(model, ProductModel):
+        op = assemble_deformed(model, T)
+        return op, dirac(op)
+    op = assemble_deformed(model.left, T)
+    left = dirac(op)
+    return op, KunnethSquare(model=model, T=op.T, left={
+        r: left.merged_eigenvalues(r) for r in model.left.degree_range()})
+
+
+@dataclass
 class SpectrumResult:
     degree: int
     eigenvalues: list[float]        # smallest `kept` eigenvalues, sorted
@@ -224,7 +263,7 @@ class NotPSDError(ValueError):
         return type(self), (self.degree, self.eigenvalue)
 
 
-def spectrum(dsq: DiracSquare, r: int, how_many: int = 8,
+def spectrum(dsq: DiracSquare | KunnethSquare, r: int, how_many: int = 8,
              rule: ThresholdRule = DEFAULT_RULE) -> SpectrumResult:
     evals = dsq.merged_eigenvalues(r)
     if len(evals) and float(evals[0]) < -1.0e-10:
@@ -252,8 +291,8 @@ def graded_euler(table: CohomologyTable) -> int:
     return sum((-1 if r % 2 else 1) * d for r, d in table.dims.items())
 
 
-def dirac_table(dsq: DiracSquare, rule: ThresholdRule = DEFAULT_RULE,
-                how_many: int = 8
+def dirac_table(dsq: DiracSquare | KunnethSquare,
+                rule: ThresholdRule = DEFAULT_RULE, how_many: int = 8
                 ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
     """Kernel counts per degree read off one Dirac square."""
     model = dsq.model
@@ -268,11 +307,11 @@ def dirac_table(dsq: DiracSquare, rule: ThresholdRule = DEFAULT_RULE,
     return CohomologyTable(dims=dims, source=src), results
 
 
-def spectral_table(model: AssembledModel, T: float,
+def spectral_table(model: AssembledModel | ProductModel, T: float,
                    rule: ThresholdRule = DEFAULT_RULE,
                    how_many: int = 8
                    ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    return dirac_table(dirac(assemble_deformed(model, T)), rule, how_many)
+    return dirac_table(deformed_square(model, T)[1], rule, how_many)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +446,7 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    model: AssembledModel
+    model: AssembledModel | ProductModel
     tables: dict[float, CohomologyTable]
     rows: list[SweepRow]
     unresolved: list[tuple[float, int]]
@@ -415,7 +454,8 @@ class SweepResult:
     complex_defect_ratio: dict[float, float]   # complex_property_defect per T
 
 
-def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
+def t_sweep(model: AssembledModel | ProductModel, T_list,
+            rule: ThresholdRule = DEFAULT_RULE,
             how_many: int = 8) -> SweepResult:
     if not T_list:
         raise ValueError("T grid must be nonempty")
@@ -430,9 +470,10 @@ def t_sweep(model: AssembledModel, T_list, rule: ThresholdRule = DEFAULT_RULE,
                       and model.spec.field.kind == "constant")
     for T in T_list:
         # one d_T per T serves both the complex property and the spectra
-        op = assemble_deformed(model, T)
+        op, dsq = deformed_square(model, T)
         defects[float(T)] = complex_property_defect(op)
-        table, results = dirac_table(dirac(op), rule, how_many)
+        table, results = dirac_table(dsq, rule, how_many)
+        del op, dsq     # free this T's blocks before the next T builds its own
         tables[float(T)] = table
         all_eigs = []
         for r, res in sorted(results.items()):

@@ -8,12 +8,13 @@ from .base import (  # noqa: F401
     load_blocks_metadata,
 )
 from .cp1 import cp1_model, assemble_cp1  # noqa: F401
-from .product import product_model, assemble_product  # noqa: F401
+from .product import ProductModel, product_model, assemble_product  # noqa: F401
 from .torus import torus_model, assemble_torus  # noqa: F401
 
 
-def assemble(spec: ModelSpec) -> AssembledModel:
-    """Assemble any supported model from its descriptor."""
+def assemble(spec: ModelSpec) -> AssembledModel | ProductModel:
+    """Assemble any supported model from its descriptor; a product is held
+    as its factors."""
     spec.validate()
     if spec.kind == "torus":
         return assemble_torus(spec)

@@ -8,9 +8,9 @@ bidegree (p, q), form one stack: per (p, q) it holds an orthonormal section
 basis shared by its members, together with the float matrices of the
 Dolbeault operator (raising q) and of contraction by the model's vector
 field (lowering p), stacked along a leading member axis.  The torus stacks
-its Fourier modes, the product stacks the torus modes of one rotation charge
-of the projective line, and each charge of the projective line is a stack
-of one member.  Downstream float work makes one batched call per stack.
+its Fourier modes, and each charge of the projective line is a stack of one
+member.  Downstream float work makes one batched call per stack.  The
+product is not assembled: it is held as its factors (`geometry.product`).
 """
 
 from __future__ import annotations
@@ -215,7 +215,10 @@ class AssembledModel:
 def export_blocks(model: AssembledModel, path: str) -> None:
     """Write every operator block to a single npz container: dense complex
     row-major arrays plus a JSON metadata entry describing bases.  Members
-    are numbered across stacks in model order."""
+    are numbered across stacks in model order.  A product has no blocks of
+    its own; export its left factor, `model.left`, instead."""
+    if model.spec.kind == "product":
+        raise ModelError("a product is held as its factors; export model.left")
     arrays: dict[str, np.ndarray] = {}
     meta = {"schema_version": SCHEMA_VERSION, "model": model.spec.to_dict(),
             "cells": []}

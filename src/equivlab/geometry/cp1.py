@@ -133,16 +133,6 @@ def _dzbar_deriv(terms: Terms, den: int) -> Terms:
     return out
 
 
-def _dz_deriv(terms: Terms, den: int) -> Terms:
-    out: Terms = {}
-    for (a, b), co in terms.items():
-        if a:
-            _acc(out, {(a - 1, b): co * a})
-        if a != den:
-            _acc(out, {(a, b + 1): co * (a - den)})
-    return out
-
-
 def dbar(s: CPSection) -> CPSection:
     """Dolbeault operator; zero on q = 1 blocks.  The sign on the (1,0)
     block comes from moving dzbar past dz into canonical order."""

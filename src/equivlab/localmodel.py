@@ -200,7 +200,7 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
 # The kernel state
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaState:
     m: int
     theta: AlgebraElement
@@ -220,7 +220,12 @@ class ThetaState:
 def beta_state(model: OscillatorModel) -> ThetaState:
     """exp(theta) by the terminating exterior exponential; theta is the
     degree-zero sum over the frame of dual-pair products."""
-    m = model.m
+    return _theta_state(model.m)
+
+
+@lru_cache(maxsize=None)
+def _theta_state(m: int) -> ThetaState:
+    """beta_state's exact computation, which depends on m only."""
     one = AlgebraElement.scalar_one(m)
     theta = None
     for a in range(1, m + 1):

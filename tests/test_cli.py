@@ -199,6 +199,28 @@ def test_parallel_run_matches_serial(tmp_path):
                 == (tmp_path / "parallel" / name).read_bytes()), name
 
 
+PRODUCT = {"kind": "product",
+           "field": {"kind": "product_lift", "factor": "left"},
+           "left": {"kind": "cp1", "k": 1, "cutoff": 5,
+                    "field": {"kind": "linear"}},
+           "right": {"kind": "torus", "tau": [0.3, 1.1], "cutoff": 1,
+                     "field": {"kind": "constant", "c": [1, 0]}}}
+
+
+def test_parallel_product_run_matches_serial(tmp_path):
+    raw = small_config()
+    raw["models"] = [raw["models"][1], PRODUCT]
+    raw["checks"] = ["localization", "euler", "complex_property"]
+    config = parse_config(raw)
+    assert run(config, str(tmp_path / "serial"), jobs=1).worst() == "pass"
+    run(config, str(tmp_path / "parallel"), jobs=2)
+    serial = (tmp_path / "serial" / "payloads.json").read_bytes()
+    assert serial == (tmp_path / "parallel" / "payloads.json").read_bytes()
+    product = json.loads(serial)["payloads"][1]
+    assert product["label"].startswith("product")
+    assert product["complex_exact_zero"] is True
+
+
 def test_results_csv_columns_parse(tmp_path):
     config = parse_config(small_config())
     run(config, str(tmp_path / "out"))
@@ -280,17 +302,10 @@ def test_non_psd_error_survives_pickling():
 
 
 def test_complex_property_fails_on_perturbed_product(tmp_path, monkeypatch):
-    # one dbar entry of one member scaled by 1 + 1e-6 leaves ||d_T^2|| at
-    # about 3e-5: far above round-off, yet far below the model's dual-wedge
-    # leakage (about 0.48), so only a round-off bound can catch it
-    raw = {"schema_version": 1, "name": "perturbed",
-           "models": [{"kind": "product",
-                       "field": {"kind": "product_lift", "factor": "left"},
-                       "left": {"kind": "cp1", "k": 1, "cutoff": 5,
-                                "field": {"kind": "linear"}},
-                       "right": {"kind": "torus", "tau": [0.0, 1.0],
-                                 "cutoff": 1,
-                                 "field": {"kind": "constant", "c": [1, 0]}}}],
+    # the product's d_T is its cp1 factor's (d_T^2 = d_{T,L}^2 (x) 1); one
+    # dbar entry of that factor scaled by 1 + 1e-6 breaks d_T^2 = 0 far above
+    # round-off, though the factor's exact certificate still holds
+    raw = {"schema_version": 1, "name": "perturbed", "models": [PRODUCT],
            "T_grid": [2.0], "checks": ["complex_property"],
            "outputs": ["json"]}
     config = parse_config(raw)
@@ -301,7 +316,7 @@ def test_complex_property_fails_on_perturbed_product(tmp_path, monkeypatch):
 
     def perturbed(spec):
         model = assemble(spec)
-        stack = next(st for st in model.cells if st.iv)
+        stack = next(st for st in model.left.cells if st.iv)
         stack.dbar[(0, 0)][0, 0, 0] *= 1.0 + 1.0e-6
         return model
 
@@ -312,3 +327,4 @@ def test_complex_property_fails_on_perturbed_product(tmp_path, monkeypatch):
                           .read_text())
     (ratio,) = payloads["payloads"][0]["complex_defect_ratio"].values()
     assert ratio > 1.0
+    assert payloads["payloads"][0]["complex_exact_zero"] is True

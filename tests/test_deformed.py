@@ -14,6 +14,7 @@ from equivlab.cli import parse_config, run
 from equivlab.geometry import cp1 as cp1mod
 from equivlab.geometry import cp1_model, product_model, torus_model
 from equivlab.geometry.torus import laplace_eigenvalue
+from product_oracle import tensored_product
 
 
 # --- clustering rule -------------------------------------------------------
@@ -93,7 +94,7 @@ def test_adjoint_pairing_identity():
     # <u, D_T^2 u> = 2 (|d_r u|^2 + |d_{r-1}^* u|^2) with d^* the conjugate
     # transpose in the orthonormal bases, for every member of every stack
     rng = np.random.default_rng(5)
-    for model in (cp1_model(1, 6), product_model(1, 5, 0.3 + 1.1j, 1)):
+    for model in (cp1_model(1, 6), tensored_product(1, 5, 0.3 + 1.1j, 1)):
         op = assemble_deformed(model, 2.0)
         for (si, r), hs in dirac(op).cells.items():
             for i, h in enumerate(hs):
@@ -112,7 +113,7 @@ def test_dirac_hermiticity_defect():
     # eigvalsh reads one triangle, so every Dirac stack must be exactly
     # Hermitian
     for model in (torus_model(1j, 2, 1.0), cp1_model(0, 6),
-                  product_model(1, 5, 0.3 + 1.1j, 1)):
+                  tensored_product(1, 5, 0.3 + 1.1j, 1)):
         for T in (0.0, 2.0, 1.0 / 3.0):
             dsq = dirac(assemble_deformed(model, T))
             assert dsq.cells

@@ -3,10 +3,12 @@ container export, spectrum truncation, and the reported leakage."""
 
 import numpy as np
 
+import pytest
+
 from equivlab.deformed import dirac, assemble_deformed, spectrum
-from equivlab.geometry import assemble, cp1_model, torus_model
-from equivlab.geometry.base import (FieldSpec, ModelSpec, export_blocks,
-                                    load_blocks_metadata)
+from equivlab.geometry import assemble, cp1_model, product_model, torus_model
+from equivlab.geometry.base import (FieldSpec, ModelError, ModelSpec,
+                                    export_blocks, load_blocks_metadata)
 
 
 def test_model_spec_json_roundtrip():
@@ -41,6 +43,16 @@ def test_export_blocks_container(tmp_path):
         assert data[key].dtype == np.complex128
         # row-major dense layout
         assert data[key].flags["C_CONTIGUOUS"]
+
+
+def test_export_blocks_refuses_product(tmp_path):
+    # a product is held as its factors; its left factor exports as cp1
+    model = product_model(0, 4, 1j, 1)
+    with pytest.raises(ModelError):
+        export_blocks(model, str(tmp_path / "product.npz"))
+    export_blocks(model.left, str(tmp_path / "left.npz"))
+    meta = load_blocks_metadata(str(tmp_path / "left.npz"))
+    assert meta["model"]["kind"] == "cp1"
 
 
 def test_spectrum_how_many():

@@ -16,7 +16,8 @@ from scipy.sparse import csr_matrix, identity, kron
 
 from equivlab.exterior import enumerate_basis
 from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
-                                 _ladder_blocks, alpha_T, beta_state,
+                                 _ladder_blocks, _theta_state, alpha_T,
+                                 beta_state,
                                  beta_vector, convolve_spectra,
                                  fiber_endomorphism,
                                  isometry_defect, kernel_overlap,
@@ -188,6 +189,16 @@ def test_exp_theta_norm(m, expect_terms):
     assert state.norm_sq_exact.to_complex() == pytest.approx(2.0 ** m)
     assert state.pointwise_norm == pytest.approx(math.sqrt(2.0 ** m))
     assert all(lab.r == 0 for lab in state.exp_theta.terms)
+
+
+def test_beta_state_cached_by_m():
+    # exp(theta) depends on m only: one exact computation per m, equal to a
+    # fresh one
+    state = beta_state(OscillatorModel(m=2, T=1.0, cutoff=4))
+    assert beta_state(OscillatorModel(m=2, T=7.5, cutoff=6)) is state
+    fresh = _theta_state.__wrapped__(2)
+    assert fresh.exp_theta == state.exp_theta
+    assert fresh.norm_sq_exact == state.norm_sq_exact
 
 
 def test_beta_vector_normalized():

@@ -1,14 +1,18 @@
 """Product model: Kunneth counting, the graded tensor sign, and the Kunneth
-splitting of the Dirac square against independently assembled factors."""
+route to the spectra against the tensored assembly of `product_oracle`."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from equivlab.deformed import (assemble_deformed, complex_property_defect,
-                               dirac, spectral_table)
+from equivlab.deformed import (assemble_deformed, cluster_kernel,
+                               complex_property_defect, deformed_square,
+                               dirac, spectral_table, t_sweep)
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.product import product_model
+from product_oracle import tensored_product
 
 
 def test_degree_range_and_kunneth_dims():
@@ -21,6 +25,9 @@ def test_degree_range_and_kunneth_dims():
     # Kunneth counting for r = 0
     expect_r0 = (left[(0, 0)] + left[(1, 1)]) * 2 + left[(1, 0)] + left[(0, 1)]
     assert model.degree_dim(0) == expect_r0 * modes
+    oracle = tensored_product(0, 4, 1j, 1)
+    assert all(model.degree_dim(r) == oracle.degree_dim(r)
+               for r in range(-2, 3))
 
 
 def test_unsupported_factor_combination():
@@ -35,7 +42,7 @@ def test_unsupported_factor_combination():
 
 
 def test_complex_property_on_product():
-    model = product_model(0, 4, 1j, 1)
+    model = tensored_product(0, 4, 1j, 1)
     for T in (0.0, 1.0, 4.0):
         op = assemble_deformed(model, T)
         assert complex_property_defect(op) <= 1.0
@@ -51,7 +58,7 @@ def test_kunneth_spectra_match_factor_sums():
     # r_L of (cp1 spectrum at T in r_L) + (undeformed torus spectrum in r - r_L)
     k, n_left, tau, n_right, T = 1, 5, 0.3 + 1.1j, 1, 2.0
     product = dirac(assemble_deformed(
-        product_model(k, n_left, tau, n_right), T))
+        tensored_product(k, n_left, tau, n_right), T))
     left = dirac(assemble_deformed(cp1_model(k, n_left), T))
     right = dirac(assemble_deformed(torus_model(tau, n_right, 1.0), 0.0))
     for r in range(-2, 3):
@@ -74,7 +81,7 @@ def test_localized_table_positive_dimensional_zero_set():
 def test_kernel_concentrates_on_zero_mode():
     # all kernel vectors live in the torus zero-mode cells: every other cell
     # has a positive lower bound
-    model = product_model(0, 5, 1j, 1)
+    model = tensored_product(0, 5, 1j, 1)
     dsq = dirac(assemble_deformed(model, 4.0))
     checked = 0
     for (si, r), hs in dsq.cells.items():
@@ -85,3 +92,42 @@ def test_kernel_concentrates_on_zero_mode():
                 assert evals[0] > 1e-6
                 checked += 1
     assert checked > 0
+
+
+KUNNETH_TAU = 0.3 + 1.1j      # a non-square modulus
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0 / 3.0, 2.0, 8.0])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_kunneth_route_matches_tensored_oracle(k, T):
+    # the package's spectra from the factors against eigensolves of the
+    # tensored product blocks: full spectra, counts, flags and gap ratios
+    cutoff = max(k + 2, 4)
+    model = product_model(k, cutoff, KUNNETH_TAU, 1)
+    oracle = tensored_product(k, cutoff, KUNNETH_TAU, 1)
+    _, kunneth = deformed_square(model, T)
+    op = assemble_deformed(oracle, T)
+    tensored = dirac(op)
+    assert complex_property_defect(op) <= 1.0
+    for r in range(-2, 3):
+        got = kunneth.merged_eigenvalues(r)
+        want = tensored.merged_eigenvalues(r)
+        assert got.shape == want.shape == (model.degree_dim(r),)
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
+        count, gap, resolved, _ = cluster_kernel(got)
+        want_count, want_gap, want_resolved, _ = cluster_kernel(want)
+        assert (count, resolved) == (want_count, want_resolved)
+        assert gap == pytest.approx(want_gap, rel=1e-9)
+
+
+def test_product_complex_property_is_the_left_factors():
+    # d_T^2 = d_{T,L}^2 (x) 1: the sweep's defect ratio is the cp1 factor's
+    # float ratio, and the exact certificate is the factor's
+    model = product_model(1, 5, KUNNETH_TAU, 1)
+    sweep = t_sweep(model, [2.0, 1.0 / 3.0])
+    for T, ratio in sweep.complex_defect_ratio.items():
+        assert ratio == complex_property_defect(
+            assemble_deformed(model.left, T))
+        assert model.exact.deformed_square_is_zero(
+            Fraction(T).limit_denominator())
+    assert model.exact is model.left.exact

@@ -2,19 +2,21 @@
 
 The oracle rebuilds every invariant sector on its own, as plain 2-D blocks:
 a torus mode, a charge of the projective line, and the tensor of one charge
-with one torus mode.  It then assembles d_T, the Dirac square, the merged
-eigenvalues and the complex-property defect one sector and one matrix at a
-time.  The stacked pipeline runs the same floating-point operations on each
-member, so every result must be equal, not merely close."""
+with one torus mode (the stacked product is `product_oracle`'s).  It then
+assembles d_T, the Dirac square, the merged eigenvalues and the
+complex-property defect one sector and one matrix at a time.  The stacked
+pipeline runs the same floating-point operations on each member, so every
+result must be equal, not merely close."""
 
 import numpy as np
 import pytest
 
 from equivlab.deformed import (assemble_deformed, bochner_check,
                                complex_property_defect, dirac)
-from equivlab.geometry import cp1_model, product_model, torus_model
+from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.torus import (dolbeault_coefficient,
                                      laplace_eigenvalue, modes)
+from product_oracle import tensored_product
 
 TAU = 0.3 + 1.1j
 _PQS1 = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -169,7 +171,7 @@ def cp1_case():
 
 
 def product_case():
-    model = product_model(1, 5, TAU, 1)
+    model = tensored_product(1, 5, TAU, 1)
     mus = [dolbeault_coefficient(TAU, j, k) for j, k in modes(1)]
     sectors = [product_sector(left, mu)
                for left in cp1_sectors(cp1_model(1, 5)) for mu in mus]
