@@ -146,6 +146,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                eps=float(osc_raw.get("eps", 1.0)),
                                alpha_T_probe=float(
                                    osc_raw.get("alpha_T_probe", 100.0)))
+        if not osc.alpha_T_probe > 0:
+            raise ConfigError("oscillator.alpha_T_probe",
+                              "must be a positive number")
     return ExperimentConfig(name=name, models=tuple(models),
                             T_grid=tuple(float(t) for t in t_grid),
                             checks=tuple(checks), rule=rule,

@@ -236,12 +236,11 @@ def cluster_kernel(evals: np.ndarray, rule: ThresholdRule = DEFAULT_RULE
     lam = np.maximum(np.asarray(evals, dtype=float), floor)
     if float(lam[-1]) <= floor:
         return n, float("inf"), True, floor
-    window = max(1, int(np.ceil(rule.window_fraction * n)))
-    best_i, best_ratio = 0, lam[0] / floor
-    for i in range(1, min(window, n - 1) + 1):
-        ratio = lam[i] / lam[i - 1]
-        if ratio > best_ratio:
-            best_i, best_ratio = i, ratio
+    window = min(max(1, int(np.ceil(rule.window_fraction * n))), n - 1)
+    ratios = np.concatenate(([lam[0] / floor],
+                             lam[1:window + 1] / lam[:window]))
+    best_i = int(np.argmax(ratios))     # the first of tied maxima
+    best_ratio = ratios[best_i]
     lo = floor if best_i == 0 else lam[best_i - 1]
     hi = lam[best_i] if best_i < n else lam[-1]
     threshold = float(np.sqrt(lo * hi))

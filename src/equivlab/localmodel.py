@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
 
 from .exterior import (AlgebraElement, clifford_c, clifford_hat_c,
                        enumerate_basis, frame_vector, metric_dual_wedge,
@@ -268,14 +268,10 @@ def kernel_overlap(result: GalerkinResult) -> float:
 # Cutoff profile, normalization integral, isometry defect
 # ---------------------------------------------------------------------------
 
-def smooth_bump(a: float) -> float:
-    """Even C^2 bump: 1 on |a| <= 1/2, 0 on |a| >= 1, quintic in between."""
-    x = abs(a)
-    if x <= 0.5:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    t = 2.0 * (x - 0.5)
+def smooth_bump(a: float | np.ndarray) -> float | np.ndarray:
+    """Even C^2 bump: 1 on |a| <= 1/2, 0 on |a| >= 1, quintic in between.
+    Elementwise on arrays."""
+    t = np.clip(2.0 * (np.abs(a) - 0.5), 0.0, 1.0)
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
@@ -283,32 +279,68 @@ def smooth_bump(a: float) -> float:
 class CutoffProfile:
     eps: float = 1.0
 
-    def gamma(self, a: float) -> float:
+    def gamma(self, a: float | np.ndarray) -> float | np.ndarray:
         return smooth_bump(a)
 
-    def gamma_radial(self, rho: float) -> float:
+    def gamma_radial(self, rho: float | np.ndarray) -> float | np.ndarray:
         return smooth_bump(rho / self.eps)
 
 
-def alpha_T(profile: CutoffProfile, m: int, T: float,
-            rel_tol: float = 1.0e-12) -> tuple[float, float]:
+# Gauss-Legendre rules on [-1, 1]: the ramp of alpha_T, and both pieces of
+# the fiber integral in isometry_defect.  Distinct rules keep the defect a
+# comparison of two integration routes.
+_RAMP_RULE = leggauss(40)
+_FIBER_RULE = leggauss(64)
+
+
+def _lower_gamma_regularized(m: int, x: float) -> float:
+    """P(m, x) = gamma_lower(m, x) / (m-1)! for integer m >= 1, x >= 0.
+    Below x = m + 1 the tail series e^{-x} sum_{k>=m} x^k/k! (terms fall
+    by x/(k+1) < 1); above it the complement 1 - e^{-x} sum_{k<m} x^k/k!,
+    which no longer cancels."""
+    if x < m + 1:
+        term = x ** m / math.factorial(m)
+        total, k = 0.0, m
+        while total + term != total:
+            total += term
+            k += 1
+            term *= x / k
+        return math.exp(-x) * total
+    term, head = 1.0, 0.0
+    for k in range(m):
+        head += term
+        term *= x / (k + 1)
+    return 1.0 - math.exp(-x) * head
+
+
+def _radial_rule(rule: tuple[np.ndarray, np.ndarray], profile: CutoffProfile,
+                 m: int, T: float, lo: float, hi: float) -> float:
+    """int_lo^hi gamma_eps(rho)^2 exp(-T rho^2) rho^{2m-1} by the given
+    Gauss-Legendre rule."""
+    nodes, weights = rule
+    rho = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    g = profile.gamma_radial(rho)
+    f = g * g * np.exp(-T * rho * rho) * rho ** (2 * m - 1)
+    return 0.5 * (hi - lo) * float(weights @ f)
+
+
+def alpha_T(profile: CutoffProfile, m: int, T: float) -> tuple[float, float]:
     """Normalization integral of the cut-off Gaussian over the fiber,
-    (2 pi)^{-m} int gamma_eps^2 exp(-T |Z|^2), by radial quadrature.
-    Returns (alpha, alpha * T^m); the second converges to 2^{-m}."""
+    (2 pi)^{-m} int gamma_eps^2 exp(-T |Z|^2).  In polar coordinates the
+    flat piece rho <= eps/2, where gamma = 1, is P(m, T eps^2/4) (2T)^{-m}
+    in closed form; the quintic ramp eps/2 <= rho <= eps has an entire
+    integrand and takes a fixed 40-node Gauss-Legendre rule (its share of
+    alpha falls like exp(-T eps^2/4)).  Expanding gamma^2 in powers of rho
+    instead and recursing on int rho^n exp(-T rho^2) loses every digit for
+    T eps^2 of order 1 or below.  Returns (alpha, alpha * T^m); the second
+    converges to 2^{-m}."""
+    if T <= 0:
+        raise ValueError("need T > 0")
     eps = profile.eps
-
-    def integrand(rho: float) -> float:
-        g = profile.gamma_radial(rho)
-        return (g * g) * math.exp(-T * rho * rho) * rho ** (2 * m - 1)
-
-    val, err = integrate.quad(integrand, 0.0, eps,
-                              points=[eps / 2.0, eps],
-                              epsabs=0.0, epsrel=rel_tol, limit=200)
-    if val > 0 and err / val > 1.0e-10:
-        raise RuntimeError(f"normalization quadrature did not converge: "
-                           f"rel err {err / val:g}")
+    flat = _lower_gamma_regularized(m, T * eps * eps / 4.0) / (2.0 * T) ** m
+    ramp = _radial_rule(_RAMP_RULE, profile, m, T, eps / 2.0, eps)
     # (2 pi)^{-m} * Vol(S^{2m-1}) = 2 / (2^m (m-1)!)
-    alpha = val * 2.0 / (2.0 ** m * math.factorial(m - 1))
+    alpha = flat + ramp * 2.0 / (2.0 ** m * math.factorial(m - 1))
     return alpha, alpha * T ** m
 
 
@@ -317,10 +349,11 @@ def isometry_defect(model: OscillatorModel, profile: CutoffProfile,
     """| <<I u1, I u2>> - <u1, u2> | for the localization embedding
     I u = (2^m alpha_T)^{-1/2} gamma_eps (pi^* u) exp(theta - T|Z|^2/2).
 
-    The normalization alpha is adaptive quadrature; the fiber integral of
-    |I u|^2 is composite Gauss-Legendre with the fiber-algebra norm of
-    exp(theta) taken from the exact exterior computation, so the defect
-    measures agreement of two independent integration routes."""
+    The normalization alpha is the closed-form flat piece plus a 40-node
+    ramp rule; the fiber integral of |I u|^2 is a 64-node Gauss-Legendre
+    rule on each piece with the fiber-algebra norm of exp(theta) taken from
+    the exact exterior computation, so the defect measures agreement of two
+    independent integration routes."""
     if u2 is None:
         u2 = u1
     m, T = model.m, model.T
@@ -328,13 +361,9 @@ def isometry_defect(model: OscillatorModel, profile: CutoffProfile,
     nsq = state.norm_sq_exact.to_complex().real    # |exp theta|^2 = 2^m
     alpha, _ = alpha_T(profile, m, T)
     eps = profile.eps
-    nodes, weights = np.polynomial.legendre.leggauss(64)
     val = 0.0
     for lo, hi in ((0.0, eps / 2.0), (eps / 2.0, eps)):
-        rho = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        g = np.array([profile.gamma_radial(r) for r in rho])
-        f = g * g * np.exp(-T * rho * rho) * rho ** (2 * m - 1)
-        val += 0.5 * (hi - lo) * float(weights @ f)
+        val += _radial_rule(_FIBER_RULE, profile, m, T, lo, hi)
     fiber_integral = val * 2.0 / (2.0 ** m * math.factorial(m - 1)) * nsq
     base = complex(np.vdot(u1, u2))
     lhs = fiber_integral / (2.0 ** m * alpha) * base

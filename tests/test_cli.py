@@ -48,6 +48,16 @@ def test_negative_t_names_entry():
     assert err.value.path == "T_grid[1]"
 
 
+@pytest.mark.parametrize("probe", [0.0, -5.0])
+def test_nonpositive_alpha_probe_rejected(probe):
+    raw = small_config()
+    raw["checks"] = ["alpha"]
+    raw["oscillator"] = {"alpha_T_probe": probe}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "oscillator.alpha_T_probe"
+
+
 def test_bad_model_names_index():
     raw = small_config()
     raw["models"][1]["cutoff"] = 2

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivlab.deformed import (CohomologyTable, ThresholdRule,
                                assemble_deformed, bochner_check,
@@ -65,6 +67,55 @@ def test_cluster_kernel_with_floor_straddle():
     evals = np.array([1e-16, 3e-10, 5.0, 6.0] + [9.0] * 12)
     count, _, resolved, _ = cluster_kernel(evals)
     assert count == 2 and resolved
+
+
+def loop_cluster_kernel(evals, rule=ThresholdRule()):
+    """The window scan as a Python loop: the reference for the vectorized
+    ratio and argmax of cluster_kernel."""
+    n = len(evals)
+    if n == 0:
+        return 0, float("inf"), True, 0.0
+    scale = max(float(evals[-1]), 1.0)
+    floor = rule.floor_rel * scale
+    lam = np.maximum(np.asarray(evals, dtype=float), floor)
+    if float(lam[-1]) <= floor:
+        return n, float("inf"), True, floor
+    window = max(1, int(np.ceil(rule.window_fraction * n)))
+    best_i, best_ratio = 0, lam[0] / floor
+    for i in range(1, min(window, n - 1) + 1):
+        ratio = lam[i] / lam[i - 1]
+        if ratio > best_ratio:
+            best_i, best_ratio = i, ratio
+    lo = floor if best_i == 0 else lam[best_i - 1]
+    hi = lam[best_i] if best_i < n else lam[-1]
+    threshold = float(np.sqrt(lo * hi))
+    resolved = best_ratio >= rule.resolve_ratio
+    return best_i, float(best_ratio), bool(resolved), threshold
+
+
+# values drawn from a few levels so that equal neighbours, tied ratios and
+# constant spectra are common
+_LEVELS = st.sampled_from([0.0, 1e-16, 3e-10, 1e-3, 0.5, 1.0, 2.0, 4.0,
+                           8.0, 1e3])
+
+
+@given(st.lists(_LEVELS, min_size=1, max_size=40),
+       st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_cluster_kernel_matches_loop(values, window_fraction):
+    evals = np.sort(np.array(values))
+    rule = ThresholdRule(window_fraction=window_fraction)
+    assert cluster_kernel(evals, rule) == loop_cluster_kernel(evals, rule)
+
+
+@pytest.mark.parametrize("evals", [
+    np.full(12, 3.0),                       # constant spectrum
+    np.ldexp(1e-12, np.arange(8)),          # every ratio exactly 2
+    np.array([1e-12] * 4 + [1.0] * 4),      # every ratio in the window 1
+    np.array([5.0]),
+])
+def test_cluster_kernel_ties_keep_first(evals):
+    assert cluster_kernel(evals) == loop_cluster_kernel(evals)
 
 
 # --- assembled operator ----------------------------------------------------

@@ -7,11 +7,16 @@ cutoffs, or applied to the kernel vector at m = 2."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
 from equivlab.exterior import enumerate_basis
@@ -252,6 +257,65 @@ def test_alpha_monotone_in_eps():
     vals = [alpha_T(CutoffProfile(eps=e), 1, 10.0)[0]
             for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
+
+
+def quad_alpha(eps, m, T):
+    """alpha_T by adaptive quadrature of the radial integrand, split at the
+    plateau edge eps/2 and at its tightest tolerance."""
+    def integrand(rho):
+        g = smooth_bump(rho / eps)
+        return g * g * math.exp(-T * rho * rho) * rho ** (2 * m - 1)
+
+    val = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1.2e-14,
+                             limit=500)[0]
+              for lo, hi in ((0.0, eps / 2.0), (eps / 2.0, eps)))
+    return val * 2.0 / (2.0 ** m * math.factorial(m - 1))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_alpha_matches_quadrature_oracle():
+    # T eps^2 / 4 runs from 6e-6 (the closed form's tail series, where the
+    # flat piece is tiny) through the series/complement switch at m + 1 to
+    # 1.6e5 (the ramp underflows)
+    for eps in (0.05, 0.2, 0.5, 1.0, 2.0, 8.0):
+        for m in (1, 2, 3):
+            for T in np.geomspace(0.01, 1.0e4, 19):
+                a, atm = alpha_T(CutoffProfile(eps=eps), m, float(T))
+                assert a == pytest.approx(quad_alpha(eps, m, float(T)),
+                                          rel=1e-12)
+                assert atm == a * float(T) ** m
+
+
+def test_alpha_rejects_nonpositive_T():
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            alpha_T(CutoffProfile(eps=1.0), 1, T)
+
+
+def test_oscillator_checks_run_without_scipy(tmp_path):
+    # the run path must not import scipy: block it and run both checks
+    config = {"schema_version": 1, "name": "no-scipy",
+              "models": [{"kind": "torus", "tau": [0.0, 1.0], "cutoff": 2,
+                          "field": {"kind": "constant", "c": [1.0, 0.0]}}],
+              "T_grid": [1.0], "checks": ["oscillator", "alpha"],
+              "oscillator": {"m": [1, 2], "cutoff": [12, 4],
+                             "T": [1.0, 10.0]}}
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from equivlab import cli\n"
+        "report = cli.run(cli.parse_config(json.loads(sys.argv[1])),"
+        " sys.argv[2])\n"
+        "assert not [k for k in sys.modules if k.startswith('scipy.')]\n"
+        "print(json.dumps(report.verdicts))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(proc.stdout)
+    assert verdicts == {"oscillator": "pass", "alpha": "pass"}
 
 
 def test_isometry_defect_zero_vector():
