@@ -15,10 +15,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +34,10 @@ from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
 from .geometry import assemble
 from .geometry.base import ModelError, ModelSpec
 from .linalg import EigensolverError
-from .localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
-                         alpha_T, isometry_defect, kernel_overlap,
-                         oscillator_galerkin, oscillator_spectrum_analytic)
+from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, CutoffProfile,
+                         OscillatorModel, alpha_T, isometry_defect,
+                         kernel_overlap, oscillator_galerkin,
+                         oscillator_spectrum_analytic)
 from .oracle import localization_prediction
 
 CONFIG_SCHEMA_VERSION = 1
@@ -135,24 +138,48 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"outputs[{i}]", f"unknown output {o!r}")
     osc = None
     if "oscillator" in raw or "oscillator" in checks or "alpha" in checks:
-        osc_raw = raw.get("oscillator", {})
-        m_grid = tuple(int(x) for x in osc_raw.get("m", [1, 2]))
-        to = tuple(float(x) for x in osc_raw.get("T", [1.0, 10.0]))
-        cuts = tuple(int(x) for x in osc_raw.get("cutoff", [12, 4]))
-        if len(cuts) != len(m_grid):
-            raise ConfigError("oscillator.cutoff",
-                              "needs one cutoff per fiber dimension")
-        osc = OscillatorConfig(m_grid=m_grid, T_grid=to, cutoffs=cuts,
-                               eps=float(osc_raw.get("eps", 1.0)),
-                               alpha_T_probe=float(
-                                   osc_raw.get("alpha_T_probe", 100.0)))
-        if not osc.alpha_T_probe > 0:
-            raise ConfigError("oscillator.alpha_T_probe",
-                              "must be a positive number")
+        osc = _parse_oscillator(raw.get("oscillator", {}))
     return ExperimentConfig(name=name, models=tuple(models),
                             T_grid=tuple(float(t) for t in t_grid),
                             checks=tuple(checks), rule=rule,
                             outputs=tuple(outputs), oscillator=osc)
+
+
+def _oscillator_number(path: str, x, kind: type, low: int):
+    """x converted by kind, which must be finite, above 0 and at least low;
+    otherwise a ConfigError naming path."""
+    try:
+        x = kind(x)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (x > 0 and low <= x < math.inf):
+        need = f"an integer >= {low}" if kind is int else "a positive number"
+        raise ConfigError(path, f"must be {need}")
+    return x
+
+
+def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
+    default = OscillatorConfig()
+    grids = []
+    for key, fallback, kind, low in (
+            ("m", default.m_grid, int, 1), ("T", default.T_grid, float, 0),
+            ("cutoff", default.cutoffs, int, GALERKIN_MIN_CUTOFF)):
+        values = osc_raw.get(key, fallback)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"oscillator.{key}", "must be a nonempty list")
+        grids.append(tuple(_oscillator_number(f"oscillator.{key}[{i}]", x,
+                                              kind, low)
+                           for i, x in enumerate(values)))
+    m_grid, t_grid, cuts = grids
+    if len(cuts) != len(m_grid):
+        raise ConfigError("oscillator.cutoff",
+                          "needs one cutoff per fiber dimension")
+    eps = _oscillator_number("oscillator.eps",
+                             osc_raw.get("eps", default.eps), float, 0)
+    probe = _oscillator_number("oscillator.alpha_T_probe", osc_raw.get(
+        "alpha_T_probe", default.alpha_T_probe), float, 0)
+    return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts,
+                            eps=eps, alpha_T_probe=probe)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -197,14 +224,13 @@ def model_payload(spec_dict: dict, T_grid: list[float],
         "bochner": None,
     }
     if model.exact is not None:
-        from fractions import Fraction
-        ok = all(model.exact.deformed_square_is_zero(Fraction(T).limit_denominator())
-                 for T in T_grid)
-        payload["complex_exact_zero"] = bool(ok)
+        # d_T^2 is T times a T-free certificate, so the largest T decides
+        # the whole grid: it is the one nonzero whenever any is
+        payload["complex_exact_zero"] = bool(model.exact.deformed_square_is_zero(
+            Fraction(max(T_grid)).limit_denominator()))
     if spec.kind in ("torus", "cp1"):
         t_prob = T_grid[0]
         if spec.kind == "cp1":
-            from fractions import Fraction
             t_prob = Fraction(t_prob).limit_denominator()
         payload["bochner"] = bochner_check(model, t_prob)
     return payload
@@ -292,11 +318,13 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
             gal = oscillator_galerkin(model)
             ana = oscillator_spectrum_analytic(model)
             evals = gal.eigenvalues
-            nonzero = evals[evals > 1.0e-8 * max(evals[-1], 1.0)]
-            lam = float(nonzero[0]) if nonzero.size else float("nan")
+            # the first eigenvalue above the kernel split; NaN when the
+            # split is unresolved (-1), which already fails the check
+            count = gal.kernel_count()
+            lam = float(evals[count]) if 0 <= count < evals.size else math.nan
             entry = {
                 "m": m, "T": T, "cutoff": cutoff, "dim": gal.dim,
-                "kernel_count": gal.kernel_count(),
+                "kernel_count": count,
                 "overlap": kernel_overlap(gal),
                 "min_nonzero": lam,
                 "gap_over_T": lam / T,
@@ -490,6 +518,20 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _run_command(load, error_prefix: str, args) -> int:
+    """Run the config that load returns and print the worst verdict; exit
+    status 2 with `error_prefix: <error>` on stderr when load rejects it."""
+    try:
+        config = load()
+    except ConfigError as exc:
+        print(f"{error_prefix}: {exc}", file=sys.stderr)
+        return 2
+    report = run(config, _resolve_outdir(args.outdir),
+                 jobs=getattr(args, "jobs", 1), verbose=args.verbose)
+    print(f"worst verdict: {report.worst()}")
+    return report.exit_code()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="equivlab",
@@ -540,15 +582,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        report = run(config, _resolve_outdir(args.outdir), jobs=args.jobs,
-                     verbose=args.verbose)
-        print(f"worst verdict: {report.worst()}")
-        return report.exit_code()
+        return _run_command(lambda: load_config(args.config),
+                            "invalid config", args)
 
     if args.command == "sweep":
         tau = _parse_floats(args.tau)
@@ -571,14 +606,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = {"schema_version": 1, "name": f"sweep-{args.model}",
                "models": [model], "T_grid": _parse_floats(args.T),
                "checks": ["localization", "euler", "complex_property"]}
-        try:
-            config = parse_config(raw)
-        except ConfigError as exc:
-            print(f"invalid sweep parameters: {exc}", file=sys.stderr)
-            return 2
-        report = run(config, _resolve_outdir(args.outdir), verbose=args.verbose)
-        print(f"worst verdict: {report.worst()}")
-        return report.exit_code()
+        return _run_command(lambda: parse_config(raw),
+                            "invalid sweep parameters", args)
 
     if args.command == "oscillator":
         m_grid = [int(x) for x in args.m.split(",") if x]
@@ -589,14 +618,8 @@ def main(argv: list[str] | None = None) -> int:
                "T_grid": [1.0], "checks": ["oscillator", "alpha"],
                "oscillator": {"m": m_grid, "T": _parse_floats(args.T),
                               "cutoff": cuts, "eps": args.eps}}
-        try:
-            config = parse_config(raw)
-        except ConfigError as exc:
-            print(f"invalid oscillator parameters: {exc}", file=sys.stderr)
-            return 2
-        report = run(config, _resolve_outdir(args.outdir), verbose=args.verbose)
-        print(f"worst verdict: {report.worst()}")
-        return report.exit_code()
+        return _run_command(lambda: parse_config(raw),
+                            "invalid oscillator parameters", args)
 
     if args.command == "report":
         path = os.path.join(args.rundir, "report.json")

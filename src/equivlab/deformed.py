@@ -381,9 +381,8 @@ def _apply_v(sections: dict) -> dict:
     return out
 
 
-def _largest_coefficient(sections) -> Fraction:
-    return max((abs(co) for sec in sections for _, co in sec.terms),
-               default=Fraction(0))
+def _largest_coefficient(sections) -> int | Fraction:
+    return max((abs(co) for sec in sections for _, co in sec.terms), default=0)
 
 
 def _bochner_cp1(model: AssembledModel, T) -> dict:
@@ -399,8 +398,7 @@ def _bochner_cp1(model: AssembledModel, T) -> dict:
     coefficient of the right side, exactly 0 when both identities hold."""
     T = Fraction(T)
     exact: cp1mod.Cp1Exact = model.exact
-    worst = Fraction(0)
-    curvature_norm = Fraction(0)
+    worst = curvature_norm = 0
     for pq, block in exact.blocks.items():
         for a, b in block.monomials:
             e = cp1mod.CPSection.make(exact.k, *pq, block.den, {(a, b): 1})

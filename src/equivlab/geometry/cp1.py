@@ -12,7 +12,9 @@ twist.  Every L2 pairing of such sections reduces to Beta-function moments,
 
     integral t^u (1+t)^{-P} dt = u! (P-u-2)! / (P-1)!,
 
-hence all Gram matrices and operator blocks are exact rationals.
+hence all Gram matrices and operator blocks are exact rationals, held as
+integers: operator chunks have integer entries, and a chunk Gram matrix is
+integer moment numerators u! (P-u-2)! over (P-1)!, divided by their gcd.
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
@@ -26,8 +28,8 @@ and reported.  Within one charge chunk every pairing it needs is a single
 moment: the images of basis monomials are monomials again, so their Gram
 matrix is a Hankel matrix of moments, and their pairings with the target
 block are moments of the weight with (1+t)^2 absorbed, at P - 2.  The
-leakage therefore runs on integer moment numerators and the integer Gram
-factors of `linalg.Orthonormalizer`, with no per-section arithmetic.
+leakage therefore runs on integer moment numerators and the exact steps of
+`linalg.Orthonormalizer`, with no per-section arithmetic.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -46,11 +48,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..linalg import (FMatrix, Orthonormalizer, float_ratios, fmatmul,
-                      fzeros, is_zero_matrix, to_float)
+from ..linalg import IMatrix, Orthonormalizer, float_ratios
+# unused here, but perfbench/tracing.py wraps it under this name
+from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
 
-Terms = dict[tuple[int, int], Fraction]
+Terms = dict[tuple[int, int], int | Fraction]
 
 _PQS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -63,7 +66,7 @@ class CPSection:
     p: int
     q: int
     den: int
-    terms: tuple  # sorted tuple of ((a, b), Fraction)
+    terms: tuple  # sorted tuple of ((a, b), int or Fraction)
 
     @classmethod
     def make(cls, k: int, p: int, q: int, den: int, terms: Terms) -> "CPSection":
@@ -77,12 +80,12 @@ class CPSection:
         return not self.terms
 
 
-def _shift(terms: Terms, da: int, db: int, factor: Fraction | int = 1) -> Terms:
+def _shift(terms: Terms, da: int, db: int) -> Terms:
     out: Terms = {}
     for (a, b), co in terms.items():
         if a + da < 0 or b + db < 0:
             raise ModelError("negative monomial degree in operator image")
-        out[(a + da, b + db)] = co * factor
+        out[(a + da, b + db)] = co
     return out
 
 
@@ -232,10 +235,9 @@ class Block:
     pq: PQ
     den: int
     monomials: list[tuple[int, int]]
-    index: dict[tuple[int, int], int]
     charges: list[int]                      # chunk charge keys, ascending
     chunk_slices: dict[int, slice]
-    grams: dict[int, FMatrix]
+    grams: dict[int, tuple[IMatrix, int]]   # integer numerators, denominator
     orthos: dict[int, Orthonormalizer]
     labels: list[str]
 
@@ -246,10 +248,10 @@ class Block:
     def gram_condition(self) -> float:
         worst = 1.0
         for chi in self.charges:
-            g = to_float(self.grams[chi])
-            if g.size:
-                ev = np.linalg.eigvalsh(g)
-                worst = max(worst, float(ev[-1] / ev[0]))
+            nums, den = self.grams[chi]
+            ev = np.linalg.eigvalsh(
+                float_ratios(nums, [den] * len(nums), [1] * len(nums)))
+            worst = max(worst, float(ev[-1] / ev[0]))
         return worst
 
 
@@ -257,7 +259,6 @@ def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
     den, amax, bmax = block_params(k, cutoff, p, q)
     monos = [(a, b) for a in range(amax + 1) for b in range(bmax + 1)]
     monos.sort(key=lambda ab: (ab[0] - ab[1] + p - q, ab[0]))
-    index = {ab: i for i, ab in enumerate(monos)}
     charges: list[int] = []
     chunk_slices: dict[int, slice] = {}
     start = 0
@@ -271,38 +272,44 @@ def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
     if charges:
         chunk_slices[charges[-1]] = slice(start, len(monos))
     big_p = weight_exponent(p, q, den, k)
-    grams: dict[int, FMatrix] = {}
-    orthos: dict[int, Orthonormalizer] = {}
-    for chi in charges:
-        sl = chunk_slices[chi]
-        chunk = monos[sl]
-        g = fzeros(len(chunk), len(chunk))
-        for i, (a, b) in enumerate(chunk):
-            for j, (c, d) in enumerate(chunk):
-                g[i][j] = beta_moment(a + d, big_p)
-        grams[chi] = g
-        orthos[chi] = Orthonormalizer(g)
+    grams = {chi: _chunk_gram(monos[chunk_slices[chi]], big_p)
+             for chi in charges}
+    orthos = {chi: Orthonormalizer(*gram) for chi, gram in grams.items()}
     labels = [f"z^{a}zbar^{b}/(1+s)^{den}:p{p}q{q}" for a, b in monos]
-    return Block((p, q), den, monos, index, charges, chunk_slices, grams,
-                 orthos, labels)
+    return Block((p, q), den, monos, charges, chunk_slices, grams, orthos,
+                 labels)
+
+
+def _chunk_gram(chunk: list[tuple[int, int]], big_p: int) -> tuple[IMatrix, int]:
+    """Gram matrix of one charge chunk, entry (i, j) the moment
+    m(a_i + b_j, P), as integer numerators over one denominator: the moment
+    numerators u! (P-u-2)! and (P-1)! divided by their gcd.  Along a chunk
+    a and b both rise by one, so the entries form a Hankel matrix, and the
+    entries of one antidiagonal share one integer."""
+    (a0, b0), (a1, b1) = chunk[0], chunk[-1]
+    moments = _moment_numerators(range(a0 + b0, a1 + b1 + 1), big_p)
+    top = math.factorial(big_p - 1)
+    g = reduce(math.gcd, moments.values(), top)
+    moments = {u: x // g for u, x in moments.items()}
+    return [[moments[a + d] for _, d in chunk] for a, _ in chunk], top // g
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block,
                      fn: Callable[[CPSection], CPSection],
-                     opname: str) -> dict[int, FMatrix]:
-    """Chunk-diagonal exact matrices of fn between two blocks; errors if an
-    image leaves the target truncation (this is the closure proof)."""
-    out: dict[int, FMatrix] = {}
+                     opname: str) -> dict[int, IMatrix]:
+    """Chunk-diagonal integer matrices of fn between two blocks; errors if
+    an image leaves the target truncation (this is the closure proof)."""
+    out: dict[int, IMatrix] = {}
     for chi in src.charges:
         sl = src.chunk_slices[chi]
         src_monos = src.monomials[sl]
         tgt_sl = tgt.chunk_slices.get(chi)
         tgt_monos = tgt.monomials[tgt_sl] if tgt_sl is not None else []
         tgt_pos = {ab: i for i, ab in enumerate(tgt_monos)}
-        mat = fzeros(len(tgt_monos), len(src_monos))
+        mat = [[0] * len(src_monos) for _ in tgt_monos]
         for col, (a, b) in enumerate(src_monos):
             img = fn(CPSection.make(k, src.pq[0], src.pq[1], src.den,
-                                    {(a, b): Fraction(1)}))
+                                    {(a, b): 1}))
             if img.is_zero():
                 continue
             if img.den != tgt.den:
@@ -313,8 +320,7 @@ def _exact_op_chunks(k: int, src: Block, tgt: Block,
                     raise ModelError(
                         f"{opname}: image monomial {ab} escapes the truncation")
                 mat[tgt_pos[ab]][col] = co
-        if tgt_monos or src_monos:
-            out[chi] = mat
+        out[chi] = mat
     return out
 
 
@@ -327,8 +333,8 @@ class Cp1Exact:
         self.cutoff = cutoff
         self.blocks: dict[PQ, Block] = {pq: _build_block(k, cutoff, *pq)
                                         for pq in _PQS}
-        self.dbar_chunks: dict[PQ, dict[int, FMatrix]] = {}
-        self.iv_chunks: dict[PQ, dict[int, FMatrix]] = {}
+        self.dbar_chunks: dict[PQ, dict[int, IMatrix]] = {}
+        self.iv_chunks: dict[PQ, dict[int, IMatrix]] = {}
         for (p, q) in ((0, 0), (1, 0)):
             self.dbar_chunks[(p, q)] = _exact_op_chunks(
                 k, self.blocks[(p, q)], self.blocks[(p, 1)], dbar, "dbar")
@@ -341,13 +347,8 @@ class Cp1Exact:
 
     def ortho_chunk(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
                     chi: int) -> np.ndarray:
-        src, tgt = self.blocks[src_pq], self.blocks[tgt_pq]
-        m = op_chunks.get(chi)
-        tdim = _chunk_dim(tgt, chi)
-        sdim = _chunk_dim(src, chi)
-        if m is None or not m or not m[0]:
-            return np.zeros((tdim, sdim))
-        return tgt.orthos[chi].transform_op(m, src.orthos[chi])
+        return self.blocks[tgt_pq].orthos[chi].transform_op(
+            op_chunks[chi], self.blocks[src_pq].orthos[chi])
 
     def charges(self) -> list[int]:
         out = set()
@@ -367,29 +368,17 @@ class Cp1Exact:
 
     @cached_property
     def _anticommutator_is_zero(self) -> bool:
-        for chi in self.charges():
-            if _chunk_dim(self.blocks[(1, 0)], chi) == 0:
-                continue
-            # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1)
-            iv_bot = self._chunk(self.iv_chunks[(1, 0)], chi)
-            dbar_top = self._chunk(self.dbar_chunks[(1, 0)], chi)
-            dbar_00 = self._chunk(self.dbar_chunks[(0, 0)], chi)
-            iv_11 = self._chunk(self.iv_chunks[(1, 1)], chi)
-            comp = None
-            if dbar_00 and iv_bot:
-                comp = fmatmul(dbar_00, iv_bot)
-            if iv_11 and dbar_top:
-                second = fmatmul(iv_11, dbar_top)
-                comp = second if comp is None else _add(comp, second)
-            if comp is not None and not is_zero_matrix(comp):
+        # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1), as the one
+        # integer product [dbar_00 | iv_11] [iv_10 ; dbar_10] per charge; a
+        # charge of the (1,0) block is a charge of every block
+        for chi in self.blocks[(1, 0)].charges:
+            left = [r0 + r1 for r0, r1 in zip(self.dbar_chunks[(0, 0)][chi],
+                                              self.iv_chunks[(1, 1)][chi])]
+            right = self.iv_chunks[(1, 0)][chi] + self.dbar_chunks[(1, 0)][chi]
+            if any(sum(map(operator.mul, row, col))
+                   for col in zip(*right) for row in left):
                 return False
         return True
-
-    def _chunk(self, chunks: dict[int, FMatrix], chi: int) -> FMatrix | None:
-        m = chunks.get(chi)
-        if m is None or not m or not m[0]:
-            return None
-        return m
 
     def dual_wedge_leakage(self) -> dict[PQ, float]:
         """Operator-norm distance of the wedge-by-dual-field image from the
@@ -441,11 +430,7 @@ def _dual_wedge_core(k: int, src: Block, tgt: Block, chi: int
     shift = chi + q + 1             # a_i = b_i + chi + q, so a_i + b_j + 1
     hankel = _moment_numerators(range(2 * bs[0] + shift, 2 * bs[-1] + shift + 1),
                                 big_p)
-    n = len(bs)
-    rnums = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            rnums[i][j] = rnums[j][i] = hankel[bs[i] + bs[j] + shift]
+    rnums = [[hankel[bi + bj + shift] for bj in bs] for bi in bs]
     rden = math.factorial(big_p - 1)
     tgt_sl = tgt.chunk_slices.get(chi)
     if tgt_sl is not None:
@@ -453,47 +438,21 @@ def _dual_wedge_core(k: int, src: Block, tgt: Block, chi: int
         pair = _moment_numerators(range(cs[0] + bs[0] + 1, cs[-1] + bs[-1] + 2),
                                   big_p - 2)
         bden = math.factorial(big_p - 3)
-        tortho = tgt.orthos[chi]
-        # ycols[i][v] is Y[v][i] over den_v bden, den_v the denominator of
-        # inverse row v; Y^T D_t^{-1} Y weighs row v by 1 / (den_v^2 D_v),
-        # and weights[v] / wden is that weight over one denominator
-        bcols = [[pair[c + b + 1] for c in cs] for b in bs]
-        ycols = [[sum(map(operator.mul, inv, bcol)) for inv, _ in tortho.inv_rows]
-                 for bcol in bcols]
-        wdens = [den * den * d.numerator
-                 for (_, den), d in zip(tortho.inv_rows, tortho.D)]
-        wden = reduce(math.lcm, wdens, 1)
-        weights = [wden // wd * d.denominator for wd, d in zip(wdens, tortho.D)]
-        sden = wden * bden * bden
+        # B over bden, so B^T G_t^{-1} B is over sden
+        snums, sden = tgt.orthos[chi].inverse_form(
+            [[pair[c + b + 1] for c in cs] for b in bs])
+        sden *= bden * bden
         common = math.lcm(rden, sden)
         gscale, sscale = common // rden, common // sden
-        for i in range(n):
-            wy = list(map(operator.mul, weights, ycols[i]))
-            for j in range(i + 1):
-                x = (gscale * rnums[i][j]
-                     - sscale * sum(map(operator.mul, wy, ycols[j])))
-                rnums[i][j] = rnums[j][i] = x
+        rnums = [[gscale * g - sscale * s for g, s in zip(grow, srow)]
+                 for grow, srow in zip(rnums, snums)]
         rden = common
-    # L_s^{-1} R L_s^{-T}, symmetric: column j of R L_s^{-T}, then the
-    # lower triangle against the inverse rows
-    inv_rows = src.orthos[chi].inv_rows
-    rl = [[sum(map(operator.mul, row, inv)) for row in rnums]
-          for inv, _ in inv_rows]
-    nums = [[0] * n for _ in range(n)]
-    for i, (inv, _) in enumerate(inv_rows):
-        for j in range(i + 1):
-            nums[i][j] = nums[j][i] = sum(map(operator.mul, inv, rl[j]))
-    dens = [den for _, den in inv_rows]
-    return nums, [den * rden for den in dens], dens
+    return src.orthos[chi].congruence(rnums, rden)
 
 
 def _chunk_dim(block: Block, chi: int) -> int:
     sl = block.chunk_slices.get(chi)
     return 0 if sl is None else sl.stop - sl.start
-
-
-def _add(a: FMatrix, b: FMatrix) -> FMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

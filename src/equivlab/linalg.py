@@ -7,16 +7,17 @@ diagonal D.  Floating point enters only in the final diagonal scaling by
 D^{1/2}, which is entrywise stable, so the orthonormal operator blocks fed
 to the dense eigensolver carry no factorization error.
 
-Matrices are lists of Fraction rows, but the arithmetic runs on Python
-integers: products scale each row and column to one common denominator and
-form integer dot products, the factorization is Bareiss fraction-free
-elimination (Math. Comp. 22, 1968) on the integer Gram numerators, and the
-triangular inverse keeps each row over one denominator.  `Orthonormalizer`
-holds only these integer factors (each column of L over its pivot, each row
-of L^{-1} over its gcd-reduced denominator) and forms its float views by
+The exact format is Python integers: a Gram matrix is an integer matrix over
+one denominator and an operator an integer matrix.  The factorization is
+Bareiss fraction-free elimination (Math. Comp. 22, 1968) on the integer
+Gram, and the triangular inverse keeps each row over one denominator.
+`Orthonormalizer` alone holds these integer factors (each column of L over
+its pivot, each row of L^{-1} over its gcd-reduced denominator) and runs the
+exact steps on them: the orthonormal view of an operator, the inverse form
+B^T G^{-1} B and the congruence L^{-1} R L^{-T}.  Its float views are
 integer dot products divided straight into floats, which is as correctly
-rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are Fraction
-views of the same kernels.
+rounded as float(Fraction).  `ldlt`, `invert_unit_lower` and `fmatmul` are
+Fraction views of the same kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 FMatrix = list[list[Fraction]]
+IMatrix = list[list[int]]
 
 
 class GramError(ValueError):
@@ -58,17 +60,6 @@ class EigensolverError(RuntimeError):
         return type(self), (self.message, self.diagnostics)
 
 
-def fzeros(rows: int, cols: int) -> FMatrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def fidentity(n: int) -> FMatrix:
-    out = fzeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
 def _common_denominator(xs) -> int:
     # pairwise, so no argument tuple is built per call (freed tuples of
     # small sizes stay on the interpreter's free lists)
@@ -82,25 +73,14 @@ def to_ints(row) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def _int_product(a: FMatrix, b: FMatrix
-                 ) -> tuple[list[list[int]], list[int], list[int]]:
-    """a b over the integers: entry (i, j) is nums[i][j] / (aden[i] bden[j]).
-    Each row of a and each column of b is scaled to integers over its own
-    common denominator, so an entry is one integer dot product."""
+def fmatmul(a: FMatrix, b: FMatrix) -> FMatrix:
+    """Exact product, one Fraction per output entry.  Each row of a and each
+    column of b is scaled to integers over its own common denominator, so
+    an entry is one integer dot product."""
     rows = [to_ints(row) for row in a]
     cols = [to_ints(col) for col in zip(*b)]
-    nums = [[sum(map(operator.mul, anums, bnums)) for bnums, _ in cols]
-            for anums, _ in rows]
-    return nums, [d for _, d in rows], [d for _, d in cols]
-
-
-def fmatmul(a: FMatrix, b: FMatrix) -> FMatrix:
-    """Exact product, one Fraction per output entry."""
-    if not a or not b or not b[0]:
-        return fzeros(len(a), len(b[0]) if b else 0)
-    nums, adens, bdens = _int_product(a, b)
-    return [[Fraction(n, aden * bden) for n, bden in zip(row, bdens)]
-            for row, aden in zip(nums, adens)]
+    return [[Fraction(sum(map(operator.mul, anums, bnums)), aden * bden)
+             for bnums, bden in cols] for anums, aden in rows]
 
 
 def float_ratios(nums: list[list[int]], rden: list[int],
@@ -112,26 +92,21 @@ def float_ratios(nums: list[list[int]], rden: list[int],
                     dtype=float).reshape(len(rden), len(cden))
 
 
-def is_zero_matrix(a: FMatrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def _bareiss(g: FMatrix) -> tuple[list[list[int]], list[int], list[Fraction]]:
-    """G = L D L^T for symmetric positive definite rational G, reading the
-    lower triangle only, as (cols, pivots, D): column j of L from row j
+def _bareiss(a: IMatrix, c: int
+             ) -> tuple[list[list[int]], list[int], list[Fraction]]:
+    """G = L D L^T for symmetric positive definite G = A / c, given the
+    lower triangle of the integer matrix A (a[i] holds entries 0..i of row
+    i; it is overwritten), as (cols, pivots, D): column j of L from row j
     down is cols[j] / pivots[j], so cols[j][0] = pivots[j].
 
-    Bareiss fraction-free elimination on the integer matrix c G, c the
-    common denominator: after step j each remaining entry is the minor of
-    c G on the leading j+1 rows and columns bordered by its own row and
-    column (Sylvester's identity), so the division by the previous pivot is
-    exact.  Pivot j is the leading (j+1)-minor; D_j is the ratio of
-    consecutive pivots over c and L_ij the entry below pivot j over it.
+    Bareiss fraction-free elimination on A: after step j each remaining
+    entry is the minor of A on the leading j+1 rows and columns bordered by
+    its own row and column (Sylvester's identity), so the division by the
+    previous pivot is exact.  Pivot j is the leading (j+1)-minor; D_j is the
+    ratio of consecutive pivots over c and L_ij the entry below pivot j over
+    it.
     """
-    n = len(g)
-    c = _common_denominator(x for i, row in enumerate(g) for x in row[:i + 1])
-    a = [[x.numerator * (c // x.denominator) for x in row[:i + 1]]
-         for i, row in enumerate(g)]
+    n = len(a)
     cols: list[list[int]] = []
     pivots: list[int] = []
     D: list[Fraction] = []
@@ -186,11 +161,13 @@ def _inverse_rows(lower) -> list[tuple[list[int], int]]:
 
 def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
     """G = L D L^T as Fractions: a view of the Bareiss factors."""
-    cols, pivots, D = _bareiss(g)
-    L = fidentity(len(g))
-    for j, (col, pivot) in enumerate(zip(cols, pivots)):
-        for i in range(j + 1, len(g)):
-            L[i][j] = Fraction(col[i - j], pivot)
+    lower = [row[:i + 1] for i, row in enumerate(g)]
+    c = _common_denominator(x for row in lower for x in row)
+    cols, pivots, D = _bareiss(
+        [[x.numerator * (c // x.denominator) for x in row] for row in lower], c)
+    n = len(g)
+    L = [[Fraction(cols[j][i - j], pivots[j]) if j < i else Fraction(int(i == j))
+          for j in range(n)] for i in range(n)]
     return L, D
 
 
@@ -219,29 +196,68 @@ class Orthonormalizer:
     its entries 0..i as nums / den.
     """
 
-    def __init__(self, gram: FMatrix):
+    def __init__(self, gram: IMatrix, den: int):
+        """Factor G = gram / den, an integer matrix over one denominator."""
         self.dim = len(gram)
-        self.lcols, self.pivots, self.D = _bareiss(gram)
+        self.lcols, self.pivots, self.D = _bareiss(
+            [row[:i + 1] for i, row in enumerate(gram)], den)
         self.inv_rows = _inverse_rows(_lower_rows(self.lcols, self.pivots))
         self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
                                        dtype=float))
 
-    def transform_op(self, m: FMatrix, source: "Orthonormalizer") -> np.ndarray:
-        """Float matrix of the operator in orthonormal bases on both sides."""
-        if self.dim == 0 or source.dim == 0:
-            return np.zeros((self.dim, source.dim))
-        mnums, mden = to_ints([x for row in m for x in row])
-        mcols = [mnums[j::source.dim] for j in range(source.dim)]
+    def _solve(self, vectors) -> IMatrix:
+        """L^{-1} v for each integer vector v; entry i of each result is
+        over the denominator of inverse row i."""
+        return [[sum(map(operator.mul, inv, v)) for inv, _ in self.inv_rows]
+                for v in vectors]
+
+    def transform_op(self, m: IMatrix, source: "Orthonormalizer") -> np.ndarray:
+        """Float matrix of the integer operator m in orthonormal bases on
+        both sides."""
+        mcols = list(zip(*m))
         # row i of L_t^T M is column i of L_t against the rows i.. of M
         lt_m = [[sum(map(operator.mul, col, mcol[i:])) for mcol in mcols]
                 for i, col in enumerate(self.lcols)]
-        core = [[sum(map(operator.mul, row, inv)) for inv, _ in source.inv_rows]
-                for row in lt_m]
-        out = float_ratios(core, [p * mden for p in self.pivots],
+        # row i of (L_t^T M) L_s^{-T} is L_s^{-1} applied to row i of L_t^T M
+        out = float_ratios(source._solve(lt_m), self.pivots,
                            [den for _, den in source.inv_rows])
         out *= self.sqrt_d[:, None]
         out /= source.sqrt_d[None, :]
         return out
+
+    def inverse_form(self, bcols: IMatrix) -> tuple[IMatrix, int]:
+        """B^T G^{-1} B = Y^T D^{-1} Y, Y = L^{-1} B, for the integer matrix B
+        given by its columns, as a symmetric integer matrix over one
+        denominator.  Row v of Y is over den_v, the denominator of inverse
+        row v, so it is weighed by 1 / (den_v^2 D_v) = weights[v] / wden."""
+        ycols = self._solve(bcols)
+        wdens = [den * den * d.numerator
+                 for (_, den), d in zip(self.inv_rows, self.D)]
+        wden = functools.reduce(math.lcm, wdens, 1)
+        weights = [wden // wd * d.denominator for wd, d in zip(wdens, self.D)]
+        wy = [list(map(operator.mul, weights, y)) for y in ycols]
+        return _symmetric_dots(wy, ycols), wden
+
+    def congruence(self, r: IMatrix, rden: int
+                   ) -> tuple[IMatrix, list[int], list[int]]:
+        """L^{-1} R L^{-T} for the symmetric R = r / rden, as (nums, rdens,
+        cdens) with entry (i, j) nums[i][j] / (rdens[i] cdens[j])."""
+        # R L^{-T} by rows, then each of its columns against the inverse rows
+        nums = _symmetric_dots([inv for inv, _ in self.inv_rows],
+                               list(zip(*self._solve(r))))
+        dens = [den for _, den in self.inv_rows]
+        return nums, [den * rden for den in dens], dens
+
+
+def _symmetric_dots(a: IMatrix, b: IMatrix) -> IMatrix:
+    """The matrix of dot products a[i] . b[j] when it is known to be
+    symmetric: only its lower triangle is computed."""
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i, ai in enumerate(a):
+        for j in range(i + 1):
+            out[i][j] = out[j][i] = sum(map(operator.mul, ai, b[j]))
+    return out
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:

@@ -46,6 +46,7 @@ from .exterior import (AlgebraElement, clifford_c, clifford_hat_c,
 from .scalars import ExactScalar, I_UNIT
 
 GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
+GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff oscillator_galerkin takes
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,8 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
     """Full spectrum and kernel vector of the Galerkin matrix from the
     eigensolves of its Kronecker factors.  Coordinates are ordered as in
     h1 (x) ... (x) h1 (x) W: scalar coordinates first, the fiber last."""
-    if model.cutoff < 4:
-        raise ValueError("Galerkin route needs cutoff >= 4")
+    if model.cutoff < GALERKIN_MIN_CUTOFF:
+        raise ValueError(f"Galerkin route needs cutoff >= {GALERKIN_MIN_CUTOFF}")
     m, T = model.m, model.T
     p2, x2 = _ladder_blocks(model.cutoff, T)
     e1, v1 = np.linalg.eigh(p2 + (T * T) * x2)

@@ -1,7 +1,9 @@
 """Config validation, run determinism, artifact schemas, exit codes."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import pickle
 
@@ -56,6 +58,32 @@ def test_nonpositive_alpha_probe_rejected(probe):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.path == "oscillator.alpha_T_probe"
+
+
+@pytest.mark.parametrize("osc,path", [
+    ({"T": [1.0, -1.0]}, "oscillator.T[1]"),
+    ({"m": [0], "cutoff": [12]}, "oscillator.m[0]"),
+    ({"m": [1], "cutoff": [3]}, "oscillator.cutoff[0]"),
+    ({"eps": 0.0}, "oscillator.eps"),
+    ({"m": [], "cutoff": []}, "oscillator.m"),
+    ({"T": []}, "oscillator.T"),
+], ids=["negative-T", "zero-m", "small-cutoff", "zero-eps", "empty-m",
+        "empty-T"])
+def test_bad_oscillator_block_names_field(osc, path):
+    # the run would raise on each of these, return a NaN alpha or pass an
+    # empty grid vacuously
+    raw = small_config()
+    raw["checks"] = ["oscillator", "alpha"]
+    raw["oscillator"] = osc
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == path
+
+
+def test_oscillator_defaults_are_the_config_defaults():
+    raw = small_config()
+    raw["checks"] = ["oscillator"]
+    assert parse_config(raw).oscillator == cli.OscillatorConfig()
 
 
 def test_bad_model_names_index():
@@ -175,6 +203,24 @@ def test_output_root_override(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(small_config()))
     assert main(["run", str(cfg), "-o", "nested/run"]) == 0
     assert (tmp_path / "nested/run/report.json").exists()
+
+
+def test_unresolved_oscillator_kernel_has_no_gap(monkeypatch):
+    # the gap is read above the kernel split; a geometric spectrum from
+    # 1e-10 has no resolved split, so there is no gap and the check fails
+    galerkin = cli.oscillator_galerkin
+
+    def unresolved(model):
+        gal = galerkin(model)
+        return dataclasses.replace(
+            gal, eigenvalues=np.geomspace(1e-10, 1.0, gal.dim))
+    monkeypatch.setattr(cli, "oscillator_galerkin", unresolved)
+    osc = cli.OscillatorConfig(m_grid=(1,), T_grid=(1.0,), cutoffs=(4,))
+    results = cli.oscillator_results(osc)
+    entry = results["models"][0]
+    assert entry["kernel_count"] == -1
+    assert math.isnan(entry["min_nonzero"])
+    assert cli.oscillator_verdicts(results)["oscillator"] == "fail"
 
 
 def test_oscillator_subcommand(tmp_path):

@@ -34,6 +34,12 @@ def basis_section(block, k, i):
                           {(a, b): Fraction(1)})
 
 
+def gram_fractions(block, chi):
+    """The Gram matrix of one charge chunk as Fractions."""
+    nums, den = block.grams[chi]
+    return [[Fraction(x, den) for x in row] for row in nums]
+
+
 def l2_pair(x: CPSection, y: CPSection) -> Fraction:
     """Exact L2 pairing of two real-coefficient sections of one block.
 
@@ -133,6 +139,26 @@ def test_gram_moments_match_quadrature(entry):
     else:
         exact = 0.0
     assert abs(numeric - exact) < 1e-8
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 8), (3, 11), (2, 14)])
+def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
+    # each chunk Gram is the Beta-moment matrix m(a_i + b_j, P) held as
+    # integers over one denominator, with no common factor left over; the
+    # operator chunks are integer matrices
+    ex = Cp1Exact(k, cutoff)
+    for (p, q), block in ex.blocks.items():
+        big_p = weight_exponent(p, q, block.den, k)
+        for chi in block.charges:
+            nums, den = block.grams[chi]
+            assert all(type(x) is int for row in nums for x in row)
+            assert math.gcd(den, *(x for row in nums for x in row)) == 1
+            chunk = block.monomials[block.chunk_slices[chi]]
+            assert gram_fractions(block, chi) == [
+                [beta_moment(a + d, big_p) for _, d in chunk] for a, _ in chunk]
+    for chunks in (*ex.dbar_chunks.values(), *ex.iv_chunks.values()):
+        assert all(type(x) is int for m in chunks.values()
+                   for row in m for x in row)
 
 
 def test_normalized_volume():
@@ -276,7 +302,7 @@ def test_adjoint_consistency_of_assembled_blocks():
                                   dual_field_wedge(basis_section(tgt, k, j)))
                           for j in range(tgt_sl.start, tgt_sl.stop)]
                          for i in range(src_sl.start, src_sl.stop)]
-                assert fmatmul(transpose(m), tgt.grams[chi]) == pairs
+                assert fmatmul(transpose(m), gram_fractions(tgt, chi)) == pairs
 
 
 def test_embed_preserves_pairings():
@@ -366,13 +392,13 @@ def per_section_dual_wedge_core(ex, q, chi):
     if tgt_sl is not None:
         bmat = [[l2_pair(basis_section(tgt, k, v), y) for y in images]
                 for v in range(tgt_sl.start, tgt_sl.stop)]
-        L, D = ldlt(tgt.grams[chi])
+        L, D = ldlt(gram_fractions(tgt, chi))
         linv = invert_unit_lower(L)
         y = [[x / d for x in row] for row, d in zip(fmatmul(linv, bmat), D)]
         corr = fmatmul(transpose(bmat), fmatmul(transpose(linv), y))
         resid = [[g - c for g, c in zip(rg, rc)]
                  for rg, rc in zip(resid, corr)]
-    linv = invert_unit_lower(ldlt(src.grams[chi])[0])
+    linv = invert_unit_lower(ldlt(gram_fractions(src, chi))[0])
     return fmatmul(fmatmul(linv, resid), transpose(linv))
 
 

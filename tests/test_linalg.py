@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction
 
@@ -90,6 +91,14 @@ def unit_lower(draw):
              else Fraction(0) for j in range(n)] for i in range(n)]
 
 
+def int_gram(g):
+    """A Fraction matrix as integer numerators over one denominator, the
+    form `Orthonormalizer` takes."""
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in g], den
+
+
 def outcome(fn, g):
     try:
         return fn(g)
@@ -164,12 +173,36 @@ def test_transform_op_is_rounded_exact_core(case):
     # the float view is the exact core L^T M L^-T rounded entrywise, then
     # scaled by D^(1/2) on each side
     g, m = case
-    ortho = Orthonormalizer(g)
+    ortho = Orthonormalizer(*int_gram(g))
     L, _ = ldlt(g)
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
     want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
     assert np.array_equal(ortho.transform_op(m, ortho), want)
+
+
+@st.composite
+def two_grams_and_operator(draw):
+    gt, _ = draw(gram_and_operator())
+    gs, _ = draw(gram_and_operator())
+    m = draw(st.lists(st.lists(st.integers(-50, 50), min_size=len(gs),
+                               max_size=len(gs)),
+                      min_size=len(gt), max_size=len(gt)))
+    return gt, gs, m
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_grams_and_operator())
+def test_transform_op_between_two_blocks(case):
+    # an integer operator between two Gram blocks, as the cp1 chunks are:
+    # L_t^T M L_s^-T rounded entrywise, each factor from its own side
+    gt, gs, m = case
+    tgt, src = Orthonormalizer(*int_gram(gt)), Orthonormalizer(*int_gram(gs))
+    Lt, Ls = ldlt(gt)[0], ldlt(gs)[0]
+    core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
+                       transpose(invert_unit_lower(Ls)))
+    want = to_float(core) * tgt.sqrt_d[:, None] / src.sqrt_d[None, :]
+    assert np.array_equal(tgt.transform_op(m, src), want)
 
 
 def test_errors_survive_pickling():
@@ -219,7 +252,7 @@ def test_invert_unit_lower():
 def test_orthonormalizer_identity_transform():
     rng = np.random.default_rng(1)
     g = random_spd(rng, 6)
-    ortho = Orthonormalizer(g)
+    ortho = Orthonormalizer(*int_gram(g))
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
     t = ortho.transform_op(eye, ortho)
@@ -231,7 +264,7 @@ def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
     g = random_spd(rng, 5)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
-    ortho = Orthonormalizer(g)
+    ortho = Orthonormalizer(*int_gram(g))
     got = ortho.transform_op(m, ortho)
     gf, mf = to_float(g), to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
@@ -246,7 +279,7 @@ def test_orthonormalizer_integer_factors_rebuild_ldlt(case):
     # and invert_unit_lower, and G = L D L^T
     g, _ = case
     n = len(g)
-    ortho = Orthonormalizer(g)
+    ortho = Orthonormalizer(*int_gram(g))
     L = [[Fraction(ortho.lcols[j][i - j], ortho.pivots[j]) if i >= j
           else Fraction(0) for j in range(n)] for i in range(n)]
     linv = [[Fraction(nums[j], den) if j <= i else Fraction(0)
