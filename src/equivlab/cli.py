@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .deformed import (CSV_FIELDS, DEFAULT_RULE, NotPSDError, ThresholdRule,
-                       bochner_check, spectral_table, sweep_rows_for_csv,
-                       t_sweep)
+from .deformed import (CSV_FIELDS, DEFAULT_RULE, KEPT_EIGENVALUES, NotPSDError,
+                       ThresholdRule, bochner_check, spectral_table,
+                       sweep_rows_for_csv, t_sweep)
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
@@ -217,7 +217,7 @@ def model_payload(spec_dict: dict, T_grid: list[float],
         "unresolved": sweep.unresolved,
         "growth": {_fmt(T): v for T, v in sweep.min_eig_over_T2.items()},
         "leakage": model.leakage,
-        "gram_conditions": model.gram_conditions,
+        "gram_pivot_ratio": model.gram_pivot_ratio,
         "complex_defect_ratio": {_fmt(T): v for T, v
                                  in sweep.complex_defect_ratio.items()},
         "complex_exact_zero": None,
@@ -227,12 +227,9 @@ def model_payload(spec_dict: dict, T_grid: list[float],
         # d_T^2 is T times a T-free certificate, so the largest T decides
         # the whole grid: it is the one nonzero whenever any is
         payload["complex_exact_zero"] = bool(model.exact.deformed_square_is_zero(
-            Fraction(max(T_grid)).limit_denominator()))
+            Fraction(max(T_grid))))
     if spec.kind in ("torus", "cp1"):
-        t_prob = T_grid[0]
-        if spec.kind == "cp1":
-            t_prob = Fraction(t_prob).limit_denominator()
-        payload["bochner"] = bochner_check(model, t_prob)
+        payload["bochner"] = bochner_check(model, T_grid[0])
     return payload
 
 
@@ -400,7 +397,7 @@ def emit_plotdata(outdir: str, payloads: list[dict],
     for payload in payloads:
         label = payload["label"]
         for rec in payload.get("rows", []):
-            for i in range(1, 9):
+            for i in range(1, KEPT_EIGENVALUES + 1):
                 val = rec.get(f"lam{i}", "")
                 if val != "":
                     eig_lines.append(

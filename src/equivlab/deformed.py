@@ -27,6 +27,11 @@ empty kernel is a possible outcome), and the count is marked resolved only
 if that gap ratio exceeds a configurable criterion.  This keeps the rule
 cutoff-independent: no absolute eigenvalue threshold is ever compared
 against.
+
+The curvature identity D_T^2 = D^2 + 2 T^2 |v|^2 + 2 T (zero order) is
+checked in floats on the torus and, on the curved model, as a T-free exact
+certificate (`Cp1Exact.bochner_brackets`) that `bochner_check` scales by
+the exact T.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry.base import AssembledModel, CellStack
-from .geometry import cp1 as cp1mod
 from .geometry.product import RIGHT_MULTIPLICITY, ProductModel
 from .geometry.torus import laplace_eigenvalue, modes
 from .linalg import hermitian_eigenvalues
@@ -45,6 +49,8 @@ from .linalg import hermitian_eigenvalues
 from .linalg import hermiticity_defect  # noqa: F401
 
 _EPS = float(np.finfo(float).eps)
+# eigenvalues kept per spectrum: one per lam column of CSV_FIELDS
+KEPT_EIGENVALUES = 8
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ def deformed_square(model: AssembledModel | ProductModel, T: float
 @dataclass
 class SpectrumResult:
     degree: int
-    eigenvalues: list[float]        # smallest `kept` eigenvalues, sorted
+    eigenvalues: list[float]        # smallest KEPT_EIGENVALUES, sorted
     dim: int
     kernel_count: int
     gap: float                      # ratio across the located cluster gap
@@ -262,14 +268,14 @@ class NotPSDError(ValueError):
         return type(self), (self.degree, self.eigenvalue)
 
 
-def spectrum(dsq: DiracSquare | KunnethSquare, r: int, how_many: int = 8,
+def spectrum(dsq: DiracSquare | KunnethSquare, r: int,
              rule: ThresholdRule = DEFAULT_RULE) -> SpectrumResult:
     evals = dsq.merged_eigenvalues(r)
     if len(evals) and float(evals[0]) < -1.0e-10:
         raise NotPSDError(r, float(evals[0]))
     count, gap, resolved, threshold = cluster_kernel(evals, rule)
     return SpectrumResult(
-        degree=r, eigenvalues=[float(x) for x in evals[:how_many]],
+        degree=r, eigenvalues=[float(x) for x in evals[:KEPT_EIGENVALUES]],
         dim=len(evals), kernel_count=count, gap=gap, threshold=threshold,
         resolved=resolved, T=dsq.T)
 
@@ -291,14 +297,14 @@ def graded_euler(table: CohomologyTable) -> int:
 
 
 def dirac_table(dsq: DiracSquare | KunnethSquare,
-                rule: ThresholdRule = DEFAULT_RULE, how_many: int = 8
+                rule: ThresholdRule = DEFAULT_RULE
                 ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
     """Kernel counts per degree read off one Dirac square."""
     model = dsq.model
     results = {}
     dims = {}
     for r in range(-model.n, model.n + 1):
-        res = spectrum(dsq, r, how_many=how_many, rule=rule)
+        res = spectrum(dsq, r, rule=rule)
         results[r] = res
         dims[r] = res.kernel_count
     src = (f"spectral(T={dsq.T:g}, cutoff={model.spec.cutoff or ''}, "
@@ -307,10 +313,9 @@ def dirac_table(dsq: DiracSquare | KunnethSquare,
 
 
 def spectral_table(model: AssembledModel | ProductModel, T: float,
-                   rule: ThresholdRule = DEFAULT_RULE,
-                   how_many: int = 8
+                   rule: ThresholdRule = DEFAULT_RULE
                    ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    return dirac_table(deformed_square(model, T)[1], rule, how_many)
+    return dirac_table(deformed_square(model, T)[1], rule)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,8 @@ def bochner_check(model: AssembledModel, T) -> dict:
 
     Torus: assembled in floats; the curvature term vanishes identically for
     a constant field, and the residual is pure round-off.  Projective line:
-    both sides are applied to every truncated basis section in exact
-    rational arithmetic, so the reported residual is exact.
+    the T-free certificate `Cp1Exact.bochner_brackets` scaled by the exact
+    T, so the reported residual is exact.
     """
     if model.spec.kind == "torus":
         return _bochner_torus(model, float(T))
@@ -349,42 +354,6 @@ def _bochner_torus(model: AssembledModel, T: float) -> dict:
     return {"residual": worst, "zero_order_term": 0.0, "exact": False}
 
 
-def _add_section(out: dict, pq, sec) -> None:
-    """Add sec into a (p,q)-keyed family that holds only nonzero sections."""
-    if pq in out:
-        sec = cp1mod.section_add(out[pq], sec)
-    if sec.is_zero():
-        out.pop(pq, None)
-    else:
-        out[pq] = sec
-
-
-def _apply_d0(sections: dict) -> dict:
-    """dbar + dbar^* on a (p,q)-keyed family of exact sections."""
-    out: dict = {}
-    for (p, q), sec in sections.items():
-        if q == 0:
-            _add_section(out, (p, 1), cp1mod.dbar(sec))
-        else:
-            _add_section(out, (p, 0), cp1mod.dbar_star(sec))
-    return out
-
-
-def _apply_v(sections: dict) -> dict:
-    """iv + wedge by the dual field: the part of d_T + d_T^* linear in T."""
-    out: dict = {}
-    for (p, q), sec in sections.items():
-        if p == 1:
-            _add_section(out, (0, q), cp1mod.field_contract(sec))
-        else:
-            _add_section(out, (1, q), cp1mod.dual_field_wedge(sec))
-    return out
-
-
-def _largest_coefficient(sections) -> int | Fraction:
-    return max((abs(co) for sec in sections for _, co in sec.terms), default=0)
-
-
 def _bochner_cp1(model: AssembledModel, T) -> dict:
     """With D = dbar + dbar^* and V = iv + (dual field) wedge, d_T + d_T^*
     = D + T V, so
@@ -392,41 +361,15 @@ def _bochner_cp1(model: AssembledModel, T) -> dict:
         2 (D + T V)^2 - 2 D^2 - 2 T^2 |v|^2 - 2 T Theta
             = 2 T (D V + V D - Theta) + 2 T^2 (V^2 - |v|^2).
 
-    Both brackets are T-free: the curvature identity D V + V D = Theta and
-    the Clifford identity V^2 = |v|^2 are applied to every truncated basis
-    section with integer coefficients.  The residual at T is the largest
-    coefficient of the right side, exactly 0 when both identities hold."""
+    The two brackets are T-free and land in different blocks (degree r +- 1
+    and degree r), so the residual at T is the larger of their largest
+    coefficients, scaled by 2 |T| and 2 T^2; T is a float, so Fraction(T)
+    is exact."""
     T = Fraction(T)
-    exact: cp1mod.Cp1Exact = model.exact
-    worst = curvature_norm = 0
-    for pq, block in exact.blocks.items():
-        for a, b in block.monomials:
-            e = cp1mod.CPSection.make(exact.k, *pq, block.den, {(a, b): 1})
-            d0e, ve = _apply_d0({pq: e}), _apply_v({pq: e})
-            curvature = _apply_d0(ve)
-            for spq, sec in _apply_v(d0e).items():
-                _add_section(curvature, spq, sec)
-            if pq == (0, 0):
-                theta = cp1mod.curvature_wedge(e)
-                curvature_norm = max(curvature_norm,
-                                     _largest_coefficient([theta]))
-                _add_section(curvature, (1, 1), cp1mod.section_scale(theta, -1))
-            if pq == (1, 1):
-                theta = cp1mod.curvature_contract(e)
-                _add_section(curvature, (0, 0), cp1mod.section_scale(theta, -1))
-            clifford = _apply_v(ve)
-            _add_section(clifford, pq, cp1mod.section_scale(
-                cp1mod.field_norm_mul(e), -1))
-            if not (curvature or clifford):
-                continue
-            residual: dict = {}
-            for part, factor in ((curvature, 2 * T), (clifford, 2 * T * T)):
-                for spq, sec in part.items():
-                    _add_section(residual, spq,
-                                 cp1mod.section_scale(sec, factor))
-            worst = max(worst, _largest_coefficient(residual.values()))
-    return {"residual": float(worst),
-            "zero_order_term": float(abs(2 * T) * curvature_norm),
+    curvature, clifford, theta = model.exact.bochner_brackets
+    return {"residual": float(max(2 * abs(T) * curvature,
+                                  2 * T * T * clifford)),
+            "zero_order_term": float(2 * abs(T) * theta),
             "exact": True}
 
 
@@ -452,8 +395,7 @@ class SweepResult:
 
 
 def t_sweep(model: AssembledModel | ProductModel, T_list,
-            rule: ThresholdRule = DEFAULT_RULE,
-            how_many: int = 8) -> SweepResult:
+            rule: ThresholdRule = DEFAULT_RULE) -> SweepResult:
     if not T_list:
         raise ValueError("T grid must be nonempty")
     if any(t <= 0 for t in T_list):
@@ -469,7 +411,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list,
         # one d_T per T serves both the complex property and the spectra
         op, dsq = deformed_square(model, T)
         defects[float(T)] = complex_property_defect(op)
-        table, results = dirac_table(dsq, rule, how_many)
+        table, results = dirac_table(dsq, rule)
         del op, dsq     # free this T's blocks before the next T builds its own
         tables[float(T)] = table
         all_eigs = []
@@ -487,7 +429,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list,
 
 CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",
               "kernel_count", "resolved", "gap_ratio", "threshold"] + [
-    f"lam{i}" for i in range(1, 9)]
+    f"lam{i}" for i in range(1, KEPT_EIGENVALUES + 1)]
 
 
 def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
@@ -506,7 +448,7 @@ def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
                "resolved": int(res.resolved),
                "gap_ratio": f"{res.gap:.17g}",
                "threshold": f"{res.threshold:.17g}"}
-        for i in range(8):
+        for i in range(KEPT_EIGENVALUES):
             val = res.eigenvalues[i] if i < len(res.eigenvalues) else ""
             rec[f"lam{i + 1}"] = f"{val:.17g}" if val != "" else ""
         out.append(rec)

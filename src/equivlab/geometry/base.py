@@ -202,7 +202,7 @@ class AssembledModel:
     n: int
     cells: list[CellStack]
     leakage: dict[str, float] = field(default_factory=dict)
-    gram_conditions: dict[str, float] = field(default_factory=dict)
+    gram_pivot_ratio: dict[str, float] = field(default_factory=dict)
     exact: object | None = None     # optional exact-arithmetic payload
 
     def degree_range(self) -> range:

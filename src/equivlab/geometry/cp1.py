@@ -16,6 +16,14 @@ hence all Gram matrices and operator blocks are exact rationals, held as
 integers: operator chunks have integer entries, and a chunk Gram matrix is
 integer moment numerators u! (P-u-2)! over (P-1)!, divided by their gcd.
 
+Every operator is an integer monomial rule (`dbar` and the six after it):
+it sends one monomial z^a zbar^b / (1+s)^den of a block to at most two
+monomials with integer coefficients over (1+s)^(den + shift), the shift
+fixed per operator and block.  The operator chunks read their columns
+straight from the rules, and so does the curvature-identity certificate
+`Cp1Exact.bochner_brackets`: its brackets do not depend on T, so it is
+computed once per model and the Bochner residual at any T is a scaling.
+
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
 precisely the span of the rotation-isotypic components shared by all blocks.
@@ -53,158 +61,105 @@ from ..linalg import IMatrix, Orthonormalizer, float_ratios
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
 
-Terms = dict[tuple[int, int], int | Fraction]
+Image = tuple[PQ, int, list[tuple[tuple[int, int], int]]]
+Rule = Callable[[int, int, int, int, int, int], "Image | None"]
 
 _PQS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-@dataclass(frozen=True)
-class CPSection:
-    """Exact chart representation of one section of the (p,q) block."""
+# ---------------------------------------------------------------------------
+# Operators as monomial rules
+# ---------------------------------------------------------------------------
+# A rule maps the monomial z^a zbar^b / (1+s)^den of the (p,q) block with
+# twist k to its image (target (p,q), target den, [((a', b'), int), ...]),
+# zero terms dropped, or to None where the operator vanishes by degree.
 
-    k: int
-    p: int
-    q: int
-    den: int
-    terms: tuple  # sorted tuple of ((a, b), int or Fraction)
-
-    @classmethod
-    def make(cls, k: int, p: int, q: int, den: int, terms: Terms) -> "CPSection":
-        pruned = tuple(sorted((ab, co) for ab, co in terms.items() if co))
-        return cls(k, p, q, den, pruned)
-
-    def term_dict(self) -> Terms:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+def _nonzero(*terms) -> list[tuple[tuple[int, int], int]]:
+    return [(ab, co) for ab, co in terms if co]
 
 
-def _shift(terms: Terms, da: int, db: int) -> Terms:
-    out: Terms = {}
-    for (a, b), co in terms.items():
-        if a + da < 0 or b + db < 0:
-            raise ModelError("negative monomial degree in operator image")
-        out[(a + da, b + db)] = co
-    return out
-
-
-def _acc(dst: Terms, src: Terms) -> None:
-    for ab, co in src.items():
-        new = dst.get(ab, 0) + co
-        if new:
-            dst[ab] = new
-        elif ab in dst:
-            del dst[ab]
-
-
-def section_add(x: CPSection, y: CPSection) -> CPSection:
-    if (x.k, x.p, x.q) != (y.k, y.p, y.q):
-        raise ModelError("cannot add sections of different blocks")
-    den = max(x.den, y.den)
-    out = embed(x, den).term_dict()
-    _acc(out, embed(y, den).term_dict())
-    return CPSection.make(x.k, x.p, x.q, den, out)
-
-
-def section_scale(x: CPSection, factor: int | Fraction) -> CPSection:
-    return CPSection.make(x.k, x.p, x.q, x.den,
-                          {ab: co * factor for ab, co in x.terms})
-
-
-def embed(s: CPSection, new_den: int) -> CPSection:
-    """Rewrite with a larger denominator exponent (same section)."""
-    delta = new_den - s.den
-    if delta < 0:
-        raise ModelError("cannot lower the denominator exponent by embedding")
-    if delta == 0:
-        return s
-    out: Terms = {}
-    for (a, b), co in s.terms:
-        for i in range(delta + 1):
-            _acc(out, {(a + i, b + i): co * math.comb(delta, i)})
-    return CPSection.make(s.k, s.p, s.q, new_den, out)
-
-
-def _dzbar_deriv(terms: Terms, den: int) -> Terms:
-    out: Terms = {}
-    for (a, b), co in terms.items():
-        if b:
-            _acc(out, {(a, b - 1): co * b})
-        if b != den:
-            _acc(out, {(a + 1, b): co * (b - den)})
-    return out
-
-
-def dbar(s: CPSection) -> CPSection:
+def dbar(k: int, p: int, q: int, den: int, a: int, b: int) -> Image | None:
     """Dolbeault operator; zero on q = 1 blocks.  The sign on the (1,0)
     block comes from moving dzbar past dz into canonical order."""
-    if s.q == 1:
-        return CPSection.make(s.k, s.p, 1, s.den, {})
-    sign = 1 if s.p == 0 else -1
-    out = {ab: co * sign for ab, co in _dzbar_deriv(dict(s.terms), s.den).items()}
-    return CPSection.make(s.k, s.p, 1, s.den + 1, out)
+    if q == 1:
+        return None
+    sign = 1 if p == 0 else -1
+    return (p, 1), den + 1, _nonzero(((a, b - 1), sign * b),
+                                     ((a + 1, b), sign * (b - den)))
 
 
-def field_contract(s: CPSection) -> CPSection:
+def dbar_star(k: int, p: int, q: int, den: int, a: int, b: int
+              ) -> Image | None:
+    """Formal adjoint of the Dolbeault operator; zero on q = 0 blocks."""
+    if q == 0:
+        return None
+    if p == 0:
+        down, up = -a, den + k - a
+    else:
+        down, up = a, a - den + 2 - k
+    return (p, 0), den - 1, _nonzero(((a - 1, b), down), ((a, b + 1), up))
+
+
+def field_contract(k: int, p: int, q: int, den: int, a: int, b: int
+                   ) -> Image | None:
     """Contraction by the linear field z d/dz; zero on p = 0 blocks."""
-    if s.p == 0:
-        return CPSection.make(s.k, 0, s.q, s.den, {})
-    return CPSection.make(s.k, 0, s.q, s.den, _shift(dict(s.terms), 1, 0))
+    return None if p == 0 else ((0, q), den, [((a + 1, b), 1)])
 
 
-def dual_field_wedge(s: CPSection) -> CPSection:
+def dual_field_wedge(k: int, p: int, q: int, den: int, a: int, b: int
+                     ) -> Image | None:
     """Wedge by the metric dual (1,0)-form of the conjugated field,
     zbar (1+|z|^2)^{-2} dz; zero on p = 1 blocks."""
-    if s.p == 1:
-        return CPSection.make(s.k, 1, s.q, s.den, {})
-    return CPSection.make(s.k, 1, s.q, s.den + 2, _shift(dict(s.terms), 0, 1))
+    return None if p == 1 else ((1, q), den + 2, [((a, b + 1), 1)])
 
 
-def dbar_star(s: CPSection) -> CPSection:
-    """Formal adjoint of the Dolbeault operator; zero on q = 0 blocks."""
-    if s.q == 0:
-        return CPSection.make(s.k, s.p, 0, s.den, {})
-    den = s.den
-    out: Terms = {}
-    if s.p == 0:
-        for (a, b), co in s.terms:
-            if a:
-                _acc(out, {(a - 1, b): -co * a})
-            _acc(out, {(a, b + 1): co * (den + s.k - a)})
-    else:
-        for (a, b), co in s.terms:
-            if a:
-                _acc(out, {(a - 1, b): co * a})
-            _acc(out, {(a, b + 1): co * (a - den + 2 - s.k)})
-    return CPSection.make(s.k, s.p, 0, den - 1, out)
-
-
-def field_norm_mul(s: CPSection) -> CPSection:
+def field_norm_mul(k: int, p: int, q: int, den: int, a: int, b: int
+                   ) -> Image | None:
     """Multiplication by |v|^2 = |z|^2 (1+|z|^2)^{-2}."""
-    return CPSection.make(s.k, s.p, s.q, s.den + 2, _shift(dict(s.terms), 1, 1))
+    return (p, q), den + 2, [((a + 1, b + 1), 1)]
 
 
-def curvature_wedge(s: CPSection) -> CPSection:
+def curvature_wedge(k: int, p: int, q: int, den: int, a: int, b: int
+                    ) -> Image | None:
     """Wedge by the (1,1)-form dbar(dual field): (s-1)(1+s)^{-3} dz wedge
     dzbar in canonical order; zero except on the (0,0) block."""
-    if (s.p, s.q) != (0, 0):
-        return CPSection.make(s.k, 1, 1, s.den, {})
-    out: Terms = {}
-    for (a, b), co in s.terms:
-        _acc(out, {(a + 1, b + 1): co, (a, b): -co})
-    return CPSection.make(s.k, 1, 1, s.den + 3, out)
+    if (p, q) != (0, 0):
+        return None
+    return (1, 1), den + 3, [((a + 1, b + 1), 1), ((a, b), -1)]
 
 
-def curvature_contract(s: CPSection) -> CPSection:
-    """Adjoint of curvature_wedge: multiplication by (|z|^4 - 1) from the
-    (1,1) block to the (0,0) block."""
-    if (s.p, s.q) != (1, 1):
-        return CPSection.make(s.k, 0, 0, s.den, {})
-    out: Terms = {}
-    for (a, b), co in s.terms:
-        _acc(out, {(a + 2, b + 2): co, (a, b): -co})
-    return CPSection.make(s.k, 0, 0, s.den, out)
+def curvature_contract(k: int, p: int, q: int, den: int, a: int, b: int
+                       ) -> Image | None:
+    """Adjoint of curvature_wedge, from the (1,1) block to the (0,0) block:
+    multiplication by |z|^4 - 1, written over (1+s)^(den-1) as
+    multiplication by s - 1."""
+    if (p, q) != (1, 1):
+        return None
+    return (0, 0), den - 1, [((a + 1, b + 1), 1), ((a, b), -1)]
+
+
+Family = dict[tuple[PQ, int], dict[tuple[int, int], int]]
+
+
+def _apply(k: int, rules: tuple[Rule, ...], family: Family,
+           out: Family | None = None, scale: int = 1) -> Family:
+    """Add scale times the sum of the rules, applied to family, into out.
+    A family maps (p,q) and den to integer coefficients of monomials."""
+    out = {} if out is None else out
+    for (pq, den), terms in family.items():
+        for (a, b), co in terms.items():
+            for rule in rules:
+                image = rule(k, *pq, den, a, b)
+                if image is not None:
+                    acc = out.setdefault(image[:2], {})
+                    for ab, x in image[2]:
+                        acc[ab] = acc.get(ab, 0) + scale * co * x
+    return out
+
+
+def _largest(family: Family) -> int:
+    return max((abs(co) for terms in family.values() for co in terms.values()),
+               default=0)
 
 
 @lru_cache(maxsize=None)
@@ -246,13 +201,11 @@ class Block:
         return len(self.monomials)
 
     def gram_condition(self) -> float:
-        worst = 1.0
-        for chi in self.charges:
-            nums, den = self.grams[chi]
-            ev = np.linalg.eigvalsh(
-                float_ratios(nums, [den] * len(nums), [1] * len(nums)))
-            worst = max(worst, float(ev[-1] / ev[0]))
-        return worst
+        """The exact pivot ratio max D / min D of G = L D L^T, worst over
+        the charge chunks.  Every pivot lies between the extreme eigenvalues
+        of its chunk's Gram, so this is a lower bound on the chunk's
+        condition number, computed with no round-off."""
+        return float(max(max(o.D) / min(o.D) for o in self.orthos.values()))
 
 
 def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
@@ -294,11 +247,10 @@ def _chunk_gram(chunk: list[tuple[int, int]], big_p: int) -> tuple[IMatrix, int]
     return [[moments[a + d] for _, d in chunk] for a, _ in chunk], top // g
 
 
-def _exact_op_chunks(k: int, src: Block, tgt: Block,
-                     fn: Callable[[CPSection], CPSection],
+def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule,
                      opname: str) -> dict[int, IMatrix]:
-    """Chunk-diagonal integer matrices of fn between two blocks; errors if
-    an image leaves the target truncation (this is the closure proof)."""
+    """Chunk-diagonal integer matrices of a rule between two blocks; errors
+    if an image leaves the target truncation (this is the closure proof)."""
     out: dict[int, IMatrix] = {}
     for chi in src.charges:
         sl = src.chunk_slices[chi]
@@ -308,14 +260,13 @@ def _exact_op_chunks(k: int, src: Block, tgt: Block,
         tgt_pos = {ab: i for i, ab in enumerate(tgt_monos)}
         mat = [[0] * len(src_monos) for _ in tgt_monos]
         for col, (a, b) in enumerate(src_monos):
-            img = fn(CPSection.make(k, src.pq[0], src.pq[1], src.den,
-                                    {(a, b): 1}))
-            if img.is_zero():
+            _, den, terms = rule(k, *src.pq, src.den, a, b)
+            if not terms:
                 continue
-            if img.den != tgt.den:
+            if den != tgt.den:
                 raise ModelError(
-                    f"{opname}: image denominator {img.den} != block {tgt.den}")
-            for ab, co in img.terms:
+                    f"{opname}: image denominator {den} != block {tgt.den}")
+            for ab, co in terms:
                 if ab not in tgt_pos:
                     raise ModelError(
                         f"{opname}: image monomial {ab} escapes the truncation")
@@ -379,6 +330,38 @@ class Cp1Exact:
                    for col in zip(*right) for row in left):
                 return False
         return True
+
+    @cached_property
+    def bochner_brackets(self) -> tuple[int, int, int]:
+        """(curvature, clifford, theta): the largest coefficient of
+        D V + V D - Theta, of V^2 - |v|^2 and of Theta over every truncated
+        basis section, with D = dbar + dbar^*, V = iv + (dual field) wedge
+        and Theta the curvature wedge plus its adjoint.
+
+        With these T-free brackets, 2 (D + T V)^2 - 2 D^2 - 2 T^2 |v|^2 -
+        2 T Theta = 2 T (D V + V D - Theta) + 2 T^2 (V^2 - |v|^2): the
+        curvature identity holds at every T exactly when the first two are
+        0.  Images are summed per (p,q) and den, so a term landing at the
+        wrong den cannot cancel and can only make the brackets nonzero."""
+        k = self.k
+        d_ops, v_ops = (dbar, dbar_star), (field_contract, dual_field_wedge)
+        theta_ops = (curvature_wedge, curvature_contract)
+        curvature = clifford = theta = 0
+        for pq, block in self.blocks.items():
+            for ab in block.monomials:
+                e = {(pq, block.den): {ab: 1}}
+                ve = _apply(k, v_ops, e)
+                # -Theta e, then D V e + V D e added onto it
+                bracket = _apply(k, theta_ops, e, scale=-1)
+                theta = max(theta, _largest(bracket))
+                _apply(k, d_ops, ve, bracket)
+                _apply(k, v_ops, _apply(k, d_ops, e), bracket)
+                curvature = max(curvature, _largest(bracket))
+                # -|v|^2 e, then V V e added onto it
+                bracket = _apply(k, (field_norm_mul,), e, scale=-1)
+                _apply(k, v_ops, ve, bracket)
+                clifford = max(clifford, _largest(bracket))
+        return curvature, clifford, theta
 
     def dual_wedge_leakage(self) -> dict[PQ, float]:
         """Operator-norm distance of the wedge-by-dual-field image from the
@@ -491,10 +474,10 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     leakage.update({f"iv:p{p}q{q}": 0.0 for p, q in ((1, 0), (1, 1))})
     for pq, val in exact.dual_wedge_leakage().items():
         leakage[f"dual_wedge:p{pq[0]}q{pq[1]}"] = val
-    conds = {f"p{p}q{q}": exact.blocks[(p, q)].gram_condition()
-             for p, q in _PQS}
+    ratios = {f"p{p}q{q}": exact.blocks[(p, q)].gram_condition()
+              for p, q in _PQS}
     return AssembledModel(spec=spec, n=1, cells=cells, leakage=leakage,
-                          gram_conditions=conds, exact=exact)
+                          gram_pivot_ratio=ratios, exact=exact)
 
 
 def cp1_model(k: int, cutoff: int) -> AssembledModel:

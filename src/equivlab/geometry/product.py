@@ -38,7 +38,7 @@ class ProductModel:
 
     cells = property(lambda self: self.left.cells)
     leakage = property(lambda self: self.left.leakage)
-    gram_conditions = property(lambda self: self.left.gram_conditions)
+    gram_pivot_ratio = property(lambda self: self.left.gram_pivot_ratio)
     exact = property(lambda self: self.left.exact)
 
     def degree_dim(self, r: int) -> int:

@@ -59,9 +59,9 @@ def assemble_torus(spec: ModelSpec) -> AssembledModel:
     )
     leakage = {f"{op}:p{p}q{q}": 0.0
                for op in ("dbar", "iv", "dual_wedge") for p, q in _PQS}
-    conds = {f"p{p}q{q}": 1.0 for p, q in _PQS}
+    ratios = {f"p{p}q{q}": 1.0 for p, q in _PQS}
     return AssembledModel(spec=spec, n=1, cells=[stack],
-                          leakage=leakage, gram_conditions=conds)
+                          leakage=leakage, gram_pivot_ratio=ratios)
 
 
 def torus_model(tau: complex, cutoff: int, c: complex) -> AssembledModel:

@@ -347,7 +347,7 @@ def alpha_T(profile: CutoffProfile, m: int, T: float) -> tuple[float, float]:
 
 def isometry_defect(model: OscillatorModel, profile: CutoffProfile,
                     u1: np.ndarray, u2: np.ndarray | None = None) -> float:
-    """| <<I u1, I u2>> - <u1, u2> | for the localization embedding
+    """| <<I u1, I u2>> - <u1, u2> | for the localization map
     I u = (2^m alpha_T)^{-1/2} gamma_eps (pi^* u) exp(theta - T|Z|^2/2).
 
     The normalization alpha is the closed-form flat piece plus a 40-node

@@ -88,4 +88,4 @@ def tensored_product(k: int, cp1_cutoff: int, tau: complex,
     cells = [_product_stack(stack, mu, tags) for stack in left.cells]
     return AssembledModel(spec=model.spec, n=2, cells=cells,
                           leakage=dict(left.leakage),
-                          gram_conditions=dict(left.gram_conditions))
+                          gram_pivot_ratio=dict(left.gram_pivot_ratio))

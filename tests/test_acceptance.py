@@ -136,11 +136,9 @@ def test_a3_curvature_identity():
     ok = torus_res["residual"] <= 1e-11
     ok = ok and torus_res["zero_order_term"] == 0.0
     model = cp1_model(0, 12)
-    leak = max(v for key, v in model.leakage.items()
-               if key.startswith("dual_wedge"))
     for T in (0, 1, 4):
         res = bochner_check(model, T)
-        ok = ok and res["exact"] and res["residual"] <= 10.0 * leak
+        ok = ok and res["exact"] and res["residual"] == 0
     elapsed = time.time() - start
     _report("A3 curvature-identity", ok and elapsed < 60.0,
             f"torus {torus_res['residual']:.2e}, curved exact 0, "

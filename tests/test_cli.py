@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from equivlab import cli, deformed
 from equivlab.cli import (ConfigError, load_config, main, parse_config, run)
 from equivlab.deformed import CSV_FIELDS
+from equivlab.geometry.cp1 import Cp1Exact
 from equivlab.linalg import EigensolverError
 
 
@@ -384,3 +386,15 @@ def test_complex_property_fails_on_perturbed_product(tmp_path, monkeypatch):
     (ratio,) = payloads["payloads"][0]["complex_defect_ratio"].values()
     assert ratio > 1.0
     assert payloads["payloads"][0]["complex_exact_zero"] is True
+
+
+def test_tiny_T_reads_both_exact_checks(monkeypatch):
+    # T = 1e-7 is taken exactly, not rounded to 0: a broken d_T^2
+    # certificate is read and reported, and the zero-order term is
+    # 2 |T| |Theta| with |Theta| = 1
+    monkeypatch.setattr(Cp1Exact, "_anticommutator_is_zero", False)
+    spec = {"kind": "cp1", "k": 0, "cutoff": 4, "field": {"kind": "linear"}}
+    payload = cli.model_payload(spec, [1e-7], deformed.DEFAULT_RULE.to_dict())
+    assert payload["complex_exact_zero"] is False
+    assert payload["bochner"]["zero_order_term"] == float(2 * Fraction(1e-7))
+    assert payload["bochner"]["residual"] == 0.0

@@ -3,6 +3,7 @@ closure of the truncated complex, kernel counts, and leakage reporting."""
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from scipy import integrate
 
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import (CPSection, Cp1Exact, _dual_wedge_core,
+from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_core,
                                    _moment_numerators, beta_moment,
-                                   block_params, cp1_model, dbar, dbar_star,
-                                   dual_field_wedge, embed, field_contract,
-                                   weight_exponent)
+                                   block_params, cp1_model, curvature_contract,
+                                   curvature_wedge, dbar, dbar_star,
+                                   dual_field_wedge, field_contract,
+                                   field_norm_mul, weight_exponent)
 from equivlab.linalg import fmatmul, invert_unit_lower, ldlt, to_ints
 
 
@@ -27,11 +29,56 @@ def transpose(m):
     return [list(row) for row in zip(*m)]
 
 
+class Section(NamedTuple):
+    """A section of the (p,q) block with twist k: the sum of coefficient
+    times z^a zbar^b / (1+|z|^2)^den over terms, a sorted tuple of
+    ((a, b), coefficient) with no zero coefficient."""
+
+    k: int
+    p: int
+    q: int
+    den: int
+    terms: tuple
+
+
+def section(k, p, q, den, terms: dict) -> Section:
+    return Section(k, p, q, den,
+                   tuple(sorted((ab, co) for ab, co in terms.items() if co)))
+
+
+def embed(s: Section, new_den: int) -> Section:
+    """The same section over a larger denominator exponent: multiply the
+    numerator by (1 + z zbar)^(new_den - den)."""
+    delta = new_den - s.den
+    assert delta >= 0
+    out: dict = {}
+    for (a, b), co in s.terms:
+        for i in range(delta + 1):
+            out[(a + i, b + i)] = (out.get((a + i, b + i), 0)
+                                   + co * math.comb(delta, i))
+    return section(s.k, s.p, s.q, new_den, out)
+
+
+def apply_rule(rule, s: Section) -> Section:
+    """The image of a section under a monomial rule of `geometry.cp1`, which
+    must not vanish by degree on its block."""
+    out: dict = {}
+    target = None
+    for (a, b), co in s.terms:
+        image = rule(s.k, s.p, s.q, s.den, a, b)
+        assert image is not None
+        target = image[:2]
+        for ab, x in image[2]:
+            out[ab] = out.get(ab, 0) + co * x
+    (p, q), den = target
+    return section(s.k, p, q, den, out)
+
+
 def basis_section(block, k, i):
     """Section of block basis monomial i, coefficient 1."""
     a, b = block.monomials[i]
-    return CPSection.make(k, block.pq[0], block.pq[1], block.den,
-                          {(a, b): Fraction(1)})
+    return section(k, block.pq[0], block.pq[1], block.den,
+                   {(a, b): Fraction(1)})
 
 
 def gram_fractions(block, chi):
@@ -40,7 +87,7 @@ def gram_fractions(block, chi):
     return [[Fraction(x, den) for x in row] for row in nums]
 
 
-def l2_pair(x: CPSection, y: CPSection) -> Fraction:
+def l2_pair(x: Section, y: Section) -> Fraction:
     """Exact L2 pairing of two real-coefficient sections of one block.
 
     Embedding x and y at the common denominator exponent and pairing term
@@ -199,16 +246,14 @@ def test_holomorphic_section_count_borel_weil():
 def test_field_contraction_exact_and_degree():
     # contraction by z d/dz raises the monomial degree by one and stays in
     # the truncation
-    s = CPSection.make(0, 1, 0, 6, {(2, 1): Fraction(1)})
-    out = field_contract(s)
-    assert out.terms == (((3, 1), Fraction(1)),)
-    assert (out.p, out.q, out.den) == (0, 0, 6)
+    assert field_contract(0, 1, 0, 6, 2, 1) == ((0, 0), 6, [((3, 1), 1)])
+    assert field_contract(0, 0, 1, 6, 2, 1) is None
 
 
 def test_field_vanishes_at_origin():
     # the image of any section under the contraction has no constant term
-    s = CPSection.make(0, 1, 0, 6, {(0, 0): Fraction(1), (1, 1): Fraction(2)})
-    out = field_contract(s)
+    s = section(0, 1, 0, 6, {(0, 0): Fraction(1), (1, 1): Fraction(2)})
+    out = apply_rule(field_contract, s)
     assert all(a >= 1 for (a, _), _ in out.terms)
 
 
@@ -259,8 +304,8 @@ def test_dbar_star_is_l2_adjoint():
         for j in (0, 4, 11):
             u = basis_section(src, k, i % src.dim)
             w = basis_section(tgt, k, j % tgt.dim)
-            lhs = l2_pair(dbar(u), w)
-            rhs = l2_pair(u, dbar_star(w))
+            lhs = l2_pair(apply_rule(dbar, u), w)
+            rhs = l2_pair(u, apply_rule(dbar_star, w))
             assert lhs == rhs
     src = ex.blocks[(1, 0)]
     tgt = ex.blocks[(1, 1)]
@@ -268,7 +313,8 @@ def test_dbar_star_is_l2_adjoint():
         for j in (1, 3, 8):
             u = basis_section(src, k, i % src.dim)
             w = basis_section(tgt, k, j % tgt.dim)
-            assert l2_pair(dbar(u), w) == l2_pair(u, dbar_star(w))
+            assert (l2_pair(apply_rule(dbar, u), w)
+                    == l2_pair(u, apply_rule(dbar_star, w)))
 
 
 def test_dual_wedge_is_l2_adjoint_of_contraction():
@@ -281,9 +327,29 @@ def test_dual_wedge_is_l2_adjoint_of_contraction():
             for j in (0, 5, 9):
                 u = basis_section(src, k, i % src.dim)
                 w = basis_section(tgt, k, j % tgt.dim)
-                lhs = l2_pair(field_contract(u), w)
-                rhs = l2_pair(u, dual_field_wedge(w))
+                lhs = l2_pair(apply_rule(field_contract, u), w)
+                rhs = l2_pair(u, apply_rule(dual_field_wedge, w))
                 assert lhs == rhs
+
+
+def test_curvature_and_field_norm_rules_are_l2_adjoint():
+    # the curvature contraction, written over (1+s)^(den-1), is the L2
+    # adjoint of the curvature wedge, and |v|^2 is self-adjoint
+    k, cutoff = 1, 5
+    ex = Cp1Exact(k, cutoff)
+    src, tgt = ex.blocks[(0, 0)], ex.blocks[(1, 1)]
+    for i in (0, 4, 9, 17):
+        for j in (0, 3, 8, 13):
+            u = basis_section(src, k, i % src.dim)
+            w = basis_section(tgt, k, j % tgt.dim)
+            assert (l2_pair(apply_rule(curvature_wedge, u), w)
+                    == l2_pair(u, apply_rule(curvature_contract, w)))
+    for block in ex.blocks.values():
+        for i, j in ((0, 0), (2, 7), (5, 11)):
+            u = basis_section(block, k, i % block.dim)
+            w = basis_section(block, k, j % block.dim)
+            assert (l2_pair(apply_rule(field_norm_mul, u), w)
+                    == l2_pair(u, apply_rule(field_norm_mul, w)))
 
 
 def test_adjoint_consistency_of_assembled_blocks():
@@ -299,15 +365,16 @@ def test_adjoint_consistency_of_assembled_blocks():
                     continue
                 src_sl = src.chunk_slices[chi]
                 pairs = [[l2_pair(basis_section(src, k, i),
-                                  dual_field_wedge(basis_section(tgt, k, j)))
+                                  apply_rule(dual_field_wedge,
+                                             basis_section(tgt, k, j)))
                           for j in range(tgt_sl.start, tgt_sl.stop)]
                          for i in range(src_sl.start, src_sl.stop)]
                 assert fmatmul(transpose(m), gram_fractions(tgt, chi)) == pairs
 
 
 def test_embed_preserves_pairings():
-    s = CPSection.make(0, 0, 0, 4, {(1, 1): Fraction(2), (0, 0): Fraction(-1)})
-    t = CPSection.make(0, 0, 0, 4, {(1, 1): Fraction(1)})
+    s = section(0, 0, 0, 4, {(1, 1): Fraction(2), (0, 0): Fraction(-1)})
+    t = section(0, 0, 0, 4, {(1, 1): Fraction(1)})
     assert l2_pair(embed(s, 6), t) == l2_pair(s, t)
 
 
@@ -336,7 +403,7 @@ def section_pairs(draw):
             st.tuples(st.integers(0, amax), st.integers(0, bmax)),
             st.fractions(min_value=-20, max_value=20, max_denominator=9),
             max_size=5))
-        out.append(CPSection.make(k, p, q, den, terms))
+        out.append(section(k, p, q, den, terms))
     return out
 
 
@@ -350,7 +417,7 @@ def test_l2_pair_matches_fraction_oracle(pair):
 
 def test_l2_pair_rejects_divergent_moment():
     # z^9 against itself at den 4: u = 18 > P - 2 = 8
-    s = CPSection.make(0, 0, 0, 4, {(9, 0): Fraction(1)})
+    s = section(0, 0, 0, 4, {(9, 0): Fraction(1)})
     with pytest.raises(ModelError):
         l2_pair(s, s)
 
@@ -385,7 +452,7 @@ def per_section_dual_wedge_core(ex, q, chi):
     gram_y - B^T G_t^-1 B, with G_t^-1 B solved as L^-T D^-1 L^-1 B."""
     k, src, tgt = ex.k, ex.blocks[(0, q)], ex.blocks[(1, q)]
     sl = src.chunk_slices[chi]
-    images = [dual_field_wedge(basis_section(src, k, i))
+    images = [apply_rule(dual_field_wedge, basis_section(src, k, i))
               for i in range(sl.start, sl.stop)]
     resid = [[l2_pair(a, b) for b in images] for a in images]
     tgt_sl = tgt.chunk_slices.get(chi)
@@ -445,5 +512,16 @@ def test_leakage_vs_cutoff():
 
 
 def test_gram_conditions_reported():
+    # the reported ratio is max D / min D of the exact LDL^T pivots, worst
+    # over the charge chunks, and it bounds each chunk's condition number
+    # from below (checked where the float eigenvalues are accurate)
     model = cp1_model(0, 8)
-    assert all(v >= 1.0 for v in model.gram_conditions.values())
+    for (p, q), block in model.exact.blocks.items():
+        worst = Fraction(1)
+        for chi in block.charges:
+            gram = gram_fractions(block, chi)
+            _, D = ldlt(gram)
+            worst = max(worst, max(D) / min(D))
+            ev = np.linalg.eigvalsh(np.array(gram, dtype=float))
+            assert max(D) / min(D) <= ev[-1] / ev[0] * (1 + 1e-6)
+        assert model.gram_pivot_ratio[f"p{p}q{q}"] == float(worst)

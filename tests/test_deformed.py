@@ -285,13 +285,23 @@ def test_bochner_cp1_exact_zero():
     assert bochner_check(model, 1)["zero_order_term"] > 0
 
 
+def doubled(rule):
+    """The monomial rule with every image coefficient doubled."""
+    def twice(*args):
+        image = rule(*args)
+        if image is None:
+            return None
+        pq, den, terms = image
+        return pq, den, [(ab, 2 * co) for ab, co in terms]
+    return twice
+
+
 def test_bochner_cp1_detects_wrong_curvature(tmp_path, monkeypatch):
     # a curvature term twice too large on the (1,1) block leaves a residual
     # 2 T |Theta e| = 4 at T = 2, and the exact check must fail on it
-    contract = cp1mod.curvature_contract
     monkeypatch.setattr(cp1mod, "curvature_contract",
-                        lambda s: cp1mod.section_scale(contract(s), 2))
-    assert bochner_check(cp1_model(1, 6), 2)["residual"] > 0
+                        doubled(cp1mod.curvature_contract))
+    assert bochner_check(cp1_model(1, 6), 2)["residual"] == 4
     config = parse_config({
         "schema_version": 1, "name": "bad-curvature",
         "models": [{"kind": "cp1", "k": 1, "cutoff": 6,
@@ -299,6 +309,28 @@ def test_bochner_cp1_detects_wrong_curvature(tmp_path, monkeypatch):
         "T_grid": [2.0], "checks": ["bochner"], "outputs": ["json"]})
     report = run(config, str(tmp_path / "out"))
     assert report.verdicts == {"bochner:cp1(k=1,cut=6)": "fail"}
+
+
+def test_bochner_cp1_detects_wrong_field_norm(monkeypatch):
+    # |v|^2 twice too large breaks the Clifford identity V^2 = |v|^2 and
+    # nothing else: the bracket is |v|^2 e, coefficient 1, so the residual
+    # at T = 3 is 2 T^2 = 18
+    monkeypatch.setattr(cp1mod, "field_norm_mul",
+                        doubled(cp1mod.field_norm_mul))
+    model = cp1_model(0, 4)
+    assert model.exact.bochner_brackets == (0, 1, 1)
+    assert bochner_check(model, 3)["residual"] == 18
+
+
+def test_bochner_cp1_scales_the_brackets_by_exact_T():
+    # the residual and zero-order term are 2 |T| and 2 T^2 times T-free
+    # integers, with T read exactly: 1e-7 is not rounded to 0
+    model = cp1_model(0, 4)
+    assert model.exact.bochner_brackets == (0, 0, 1)
+    for T in (1e-7, -0.3, 2.5):
+        out = bochner_check(model, T)
+        assert out == {"residual": 0.0, "exact": True,
+                       "zero_order_term": float(2 * abs(Fraction(T)))}
 
 
 def test_bochner_rejects_product():

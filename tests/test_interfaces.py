@@ -5,7 +5,8 @@ import numpy as np
 
 import pytest
 
-from equivlab.deformed import dirac, assemble_deformed, spectrum
+from equivlab.deformed import (CSV_FIELDS, dirac, assemble_deformed,
+                               spectrum)
 from equivlab.geometry import assemble, cp1_model, product_model, torus_model
 from equivlab.geometry.base import (FieldSpec, ModelError, ModelSpec,
                                     export_blocks, load_blocks_metadata)
@@ -55,12 +56,15 @@ def test_export_blocks_refuses_product(tmp_path):
     assert meta["model"]["kind"] == "cp1"
 
 
-def test_spectrum_how_many():
+def test_spectrum_keeps_eight_eigenvalues():
+    # one kept eigenvalue per lam column of results.csv
     model = torus_model(1j, 2, 1.0)
     dsq = dirac(assemble_deformed(model, 1.0))
-    res = spectrum(dsq, 0, how_many=3)
-    assert len(res.eigenvalues) == 3
-    assert res.dim == model.degree_dim(0)
+    res = spectrum(dsq, 0)
+    assert res.dim == model.degree_dim(0) > 8
+    assert res.eigenvalues == sorted(res.eigenvalues)
+    assert len(res.eigenvalues) == 8
+    assert CSV_FIELDS[-8:] == [f"lam{i}" for i in range(1, 9)]
 
 
 def test_leakage_report_shape():
@@ -69,6 +73,6 @@ def test_leakage_report_shape():
     model = cp1_model(0, 6)
     assert model.leakage["dbar:p0q0"] == 0.0
     assert model.leakage["dual_wedge:p0q0"] > 0
-    assert set(model.gram_conditions) == {"p0q0", "p1q0", "p0q1", "p1q1"}
+    assert set(model.gram_pivot_ratio) == {"p0q0", "p1q0", "p0q1", "p1q1"}
     torus = torus_model(1j, 2, 1.0)
     assert all(v == 0.0 for v in torus.leakage.values())
