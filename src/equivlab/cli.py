@@ -106,6 +106,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("models", "must be a nonempty list")
     models = []
     for i, md in enumerate(models_raw):
+        _check_model(f"models[{i}]", md)
         try:
             spec = ModelSpec.from_dict(md)
             spec.validate()
@@ -116,8 +117,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("T_grid", "must be a nonempty list")
     for i, t in enumerate(t_grid):
-        if not isinstance(t, (int, float)) or t <= 0:
-            raise ConfigError(f"T_grid[{i}]", "entries must be positive numbers")
+        _number(f"T_grid[{i}]", t, float, 0)
     rule_raw = raw.get("threshold_rule", {})
     try:
         rule = ThresholdRule(
@@ -145,17 +145,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             outputs=tuple(outputs), oscillator=osc)
 
 
-def _oscillator_number(path: str, x, kind: type, low: int):
-    """x converted by kind, which must be finite, above 0 and at least low;
-    otherwise a ConfigError naming path."""
-    try:
-        x = kind(x)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not (x > 0 and low <= x < math.inf):
-        need = f"an integer >= {low}" if kind is int else "a positive number"
+def _number(path: str, x, kind: type, low=None):
+    """x as kind if it is a finite number of that kind (an int for int, not
+    a bool; an int or a float for float) and, given low, at least low for an
+    int and above it for a float; otherwise a ConfigError naming path."""
+    if kind is int:
+        ok = type(x) is int and (low is None or x >= low)
+        need = "an integer" if low is None else f"an integer >= {low}"
+    else:
+        ok = (type(x) in (int, float) and -math.inf < x < math.inf
+              and (low is None or x > low))
+        need = "a finite number" if low is None else f"a number > {low}"
+    if not ok:
         raise ConfigError(path, f"must be {need}")
-    return x
+    return kind(x)
+
+
+def _check_model(path: str, md) -> None:
+    """Check the types of a raw model entry's numbers, down into its field
+    and factors, so that `ModelSpec.from_dict` neither truncates nor fails
+    on them; `ModelSpec.validate` checks their ranges."""
+    if not isinstance(md, dict):
+        raise ConfigError(path, "must be an object")
+    for key, value in md.items():
+        where = f"{path}.{key}"
+        if key in ("field", "left", "right"):
+            _check_model(where, value)
+        elif key in ("k", "cutoff"):
+            _number(where, value, int)
+        elif key in ("tau", "c"):
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ConfigError(where, "must be a pair [re, im]")
+            for i, x in enumerate(value):
+                _number(f"{where}[{i}]", x, float)
 
 
 def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
@@ -167,16 +189,14 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
         values = osc_raw.get(key, fallback)
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"oscillator.{key}", "must be a nonempty list")
-        grids.append(tuple(_oscillator_number(f"oscillator.{key}[{i}]", x,
-                                              kind, low)
+        grids.append(tuple(_number(f"oscillator.{key}[{i}]", x, kind, low)
                            for i, x in enumerate(values)))
     m_grid, t_grid, cuts = grids
     if len(cuts) != len(m_grid):
         raise ConfigError("oscillator.cutoff",
                           "needs one cutoff per fiber dimension")
-    eps = _oscillator_number("oscillator.eps",
-                             osc_raw.get("eps", default.eps), float, 0)
-    probe = _oscillator_number("oscillator.alpha_T_probe", osc_raw.get(
+    eps = _number("oscillator.eps", osc_raw.get("eps", default.eps), float, 0)
+    probe = _number("oscillator.alpha_T_probe", osc_raw.get(
         "alpha_T_probe", default.alpha_T_probe), float, 0)
     return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts,
                             eps=eps, alpha_T_probe=probe)
@@ -511,8 +531,19 @@ def _resolve_outdir(path: str) -> str:
     return path
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _parse_list(text: str) -> list:
+    """Comma-separated numbers, each an int where it reads as one; an entry
+    that is no number stays text, for the config checks to reject by name."""
+    out = []
+    for x in filter(None, text.split(",")):
+        for kind in (int, float):
+            try:
+                x = kind(x)
+                break
+            except ValueError:
+                pass
+        out.append(x)
+    return out
 
 
 def _run_command(load, error_prefix: str, args) -> int:
@@ -583,8 +614,8 @@ def main(argv: list[str] | None = None) -> int:
                             "invalid config", args)
 
     if args.command == "sweep":
-        tau = _parse_floats(args.tau)
-        cfield = _parse_floats(args.c)
+        tau = _parse_list(args.tau)
+        cfield = _parse_list(args.c)
         if args.model == "torus":
             model = {"kind": "torus", "tau": tau, "cutoff": args.cutoff,
                      "field": {"kind": "constant", "c": cfield}}
@@ -601,20 +632,20 @@ def main(argv: list[str] | None = None) -> int:
                                "cutoff": args.torus_cutoff,
                                "field": {"kind": "constant", "c": [1, 0]}}}
         raw = {"schema_version": 1, "name": f"sweep-{args.model}",
-               "models": [model], "T_grid": _parse_floats(args.T),
+               "models": [model], "T_grid": _parse_list(args.T),
                "checks": ["localization", "euler", "complex_property"]}
         return _run_command(lambda: parse_config(raw),
                             "invalid sweep parameters", args)
 
     if args.command == "oscillator":
-        m_grid = [int(x) for x in args.m.split(",") if x]
-        cuts = [int(x) for x in args.cutoff.split(",") if x]
         raw = {"schema_version": 1, "name": "oscillator",
                "models": [{"kind": "torus", "tau": [0, 1], "cutoff": 1,
                            "field": {"kind": "constant", "c": [1, 0]}}],
                "T_grid": [1.0], "checks": ["oscillator", "alpha"],
-               "oscillator": {"m": m_grid, "T": _parse_floats(args.T),
-                              "cutoff": cuts, "eps": args.eps}}
+               "oscillator": {"m": _parse_list(args.m),
+                              "T": _parse_list(args.T),
+                              "cutoff": _parse_list(args.cutoff),
+                              "eps": args.eps}}
         return _run_command(lambda: parse_config(raw),
                             "invalid oscillator parameters", args)
 

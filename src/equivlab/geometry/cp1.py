@@ -12,9 +12,13 @@ twist.  Every L2 pairing of such sections reduces to Beta-function moments,
 
     integral t^u (1+t)^{-P} dt = u! (P-u-2)! / (P-1)!,
 
-hence all Gram matrices and operator blocks are exact rationals, held as
-integers: operator chunks have integer entries, and a chunk Gram matrix is
-integer moment numerators u! (P-u-2)! over (P-1)!, divided by their gcd.
+hence all Gram matrices and operator blocks are exact rationals, and the
+operator chunks have integer entries.  Along a charge chunk a and b both
+rise by one, so the chunk's Gram is the Hankel matrix m(alpha + i + j, P)
+with alpha = a_0 + b_0 of its first monomial: the moment matrix of the
+weight t^alpha (1+t)^{-P}.  No Gram is built: `linalg.Orthonormalizer`
+writes its L D L^T factors in closed form from (alpha, P, n), the rows of
+L^{-1} being the finite Romanovski polynomials of that weight.
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends one monomial z^a zbar^b / (1+s)^den of a block to at most two
@@ -51,7 +55,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -192,7 +197,6 @@ class Block:
     monomials: list[tuple[int, int]]
     charges: list[int]                      # chunk charge keys, ascending
     chunk_slices: dict[int, slice]
-    grams: dict[int, tuple[IMatrix, int]]   # integer numerators, denominator
     orthos: dict[int, Orthonormalizer]
     labels: list[str]
 
@@ -212,39 +216,19 @@ def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
     den, amax, bmax = block_params(k, cutoff, p, q)
     monos = [(a, b) for a in range(amax + 1) for b in range(bmax + 1)]
     monos.sort(key=lambda ab: (ab[0] - ab[1] + p - q, ab[0]))
-    charges: list[int] = []
     chunk_slices: dict[int, slice] = {}
-    start = 0
-    for i, (a, b) in enumerate(monos):
-        chi = a - b + p - q
-        if not charges or chi != charges[-1]:
-            if charges:
-                chunk_slices[charges[-1]] = slice(start, i)
-            charges.append(chi)
-            start = i
-    if charges:
-        chunk_slices[charges[-1]] = slice(start, len(monos))
+    stop = 0
+    for chi, chunk in groupby(monos, key=lambda ab: ab[0] - ab[1] + p - q):
+        start, stop = stop, stop + len(list(chunk))
+        chunk_slices[chi] = slice(start, stop)
     big_p = weight_exponent(p, q, den, k)
-    grams = {chi: _chunk_gram(monos[chunk_slices[chi]], big_p)
-             for chi in charges}
-    orthos = {chi: Orthonormalizer(*gram) for chi, gram in grams.items()}
+    # alpha = a_0 + b_0 of the chunk's first monomial
+    orthos = {chi: Orthonormalizer(sum(monos[sl.start]), big_p,
+                                   sl.stop - sl.start)
+              for chi, sl in chunk_slices.items()}
     labels = [f"z^{a}zbar^{b}/(1+s)^{den}:p{p}q{q}" for a, b in monos]
-    return Block((p, q), den, monos, charges, chunk_slices, grams, orthos,
+    return Block((p, q), den, monos, list(chunk_slices), chunk_slices, orthos,
                  labels)
-
-
-def _chunk_gram(chunk: list[tuple[int, int]], big_p: int) -> tuple[IMatrix, int]:
-    """Gram matrix of one charge chunk, entry (i, j) the moment
-    m(a_i + b_j, P), as integer numerators over one denominator: the moment
-    numerators u! (P-u-2)! and (P-1)! divided by their gcd.  Along a chunk
-    a and b both rise by one, so the entries form a Hankel matrix, and the
-    entries of one antidiagonal share one integer."""
-    (a0, b0), (a1, b1) = chunk[0], chunk[-1]
-    moments = _moment_numerators(range(a0 + b0, a1 + b1 + 1), big_p)
-    top = math.factorial(big_p - 1)
-    g = reduce(math.gcd, moments.values(), top)
-    moments = {u: x // g for u, x in moments.items()}
-    return [[moments[a + d] for _, d in chunk] for a, _ in chunk], top // g
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule,

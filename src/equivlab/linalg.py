@@ -7,22 +7,24 @@ diagonal D.  Floating point enters only in the final diagonal scaling by
 D^{1/2}, which is entrywise stable, so the orthonormal operator blocks fed
 to the dense eigensolver carry no factorization error.
 
-The exact format is Python integers: a Gram matrix is an integer matrix over
-one denominator and an operator an integer matrix.  The factorization is
-Bareiss fraction-free elimination (Math. Comp. 22, 1968) on the integer
-Gram, and the triangular inverse keeps each row over one denominator.
-`Orthonormalizer` alone holds these integer factors (each column of L over
-its pivot, each row of L^{-1} over its gcd-reduced denominator) and runs the
-exact steps on them: the orthonormal view of an operator, the inverse form
-B^T G^{-1} B and the congruence L^{-1} R L^{-T}.  Its float views are
-integer dot products divided straight into floats, which is as correctly
-rounded as float(Fraction).  `ldlt`, `invert_unit_lower` and `fmatmul` are
-Fraction views of the same kernels.
+Every such Gram is the Hankel moment matrix m(alpha + i + j, P) of the
+weight t^alpha (1+t)^-P, so its factors are known in closed form and nothing
+is eliminated: the rows of L^{-1} are the monic finite Romanovski
+polynomials of the weight (Raposo, Weber, Alvarez-Castillo & Kirchbach,
+2007), the columns of L follow from Rodrigues' formula, and the pivots D_m
+are their squared norms.  `Orthonormalizer` alone holds these factors as
+integers (each column of L and row of L^{-1} over its least common
+denominator) and runs the exact steps on them: the orthonormal view of an
+operator, the inverse form B^T G^{-1} B and the congruence L^{-1} R L^{-T}.
+Its float views are integer dot products divided straight into floats, as
+correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
+plain Fraction elimination, the independent oracle of the tests.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -92,96 +94,50 @@ def float_ratios(nums: list[list[int]], rden: list[int],
                     dtype=float).reshape(len(rden), len(cden))
 
 
-def _bareiss(a: IMatrix, c: int
-             ) -> tuple[list[list[int]], list[int], list[Fraction]]:
-    """G = L D L^T for symmetric positive definite G = A / c, given the
-    lower triangle of the integer matrix A (a[i] holds entries 0..i of row
-    i; it is overwritten), as (cols, pivots, D): column j of L from row j
-    down is cols[j] / pivots[j], so cols[j][0] = pivots[j].
-
-    Bareiss fraction-free elimination on A: after step j each remaining
-    entry is the minor of A on the leading j+1 rows and columns bordered by
-    its own row and column (Sylvester's identity), so the division by the
-    previous pivot is exact.  Pivot j is the leading (j+1)-minor; D_j is the
-    ratio of consecutive pivots over c and L_ij the entry below pivot j over
-    it.
-    """
-    n = len(a)
-    cols: list[list[int]] = []
-    pivots: list[int] = []
-    D: list[Fraction] = []
-    prev = 1
-    for j in range(n):
-        pivot = a[j][j]
-        if pivot <= 0:
-            raise GramError(j, Fraction(pivot, c * prev))
-        D.append(Fraction(pivot, c * prev))
-        col = [a[i][j] for i in range(j, n)]
-        for i in range(j + 1, n):
-            ai, aij = a[i], col[i - j]
-            ai[j + 1:] = [(pivot * x - aij * y) // prev
-                          for x, y in zip(ai[j + 1:], col[1:i - j + 1])]
-        cols.append(col)
-        pivots.append(pivot)
-        prev = pivot
-    return cols, pivots, D
-
-
-def _lower_rows(cols: list[list[int]], pivots: list[int]):
-    """The strict lower part of each row of L = cols / pivots, as integer
-    numerators over the least common denominator of its reduced entries."""
-    for i in range(len(cols)):
-        fracs = []
-        for k in range(i):
-            num, den = cols[k][i - k], pivots[k]
-            g = math.gcd(num, den)
-            fracs.append((num // g, den // g))
-        lden = functools.reduce(math.lcm, (d for _, d in fracs), 1)
-        yield [num * (lden // den) for num, den in fracs], lden
-
-
-def _inverse_rows(lower) -> list[tuple[list[int], int]]:
-    """Rows of L^{-1} for unit lower triangular L, given by the strict lower
-    part of each row of L as (integer numerators, denominator).  Row i of
-    the inverse, e_i - sum_k L_ik row k, is returned as its entries 0..i in
-    integer numerators over one denominator, reduced by their gcd."""
-    rows: list[tuple[list[int], int]] = []
-    for i, (lnums, lden) in enumerate(lower):
-        den = lden * functools.reduce(
-            math.lcm, (rows[k][1] for k in range(i) if lnums[k]), 1)
-        acc = [0] * i + [den]
-        for k in range(i):
-            if lnums[k]:
-                f = lnums[k] * (den // (lden * rows[k][1]))
-                acc[:k + 1] = [x - f * y for x, y in zip(acc, rows[k][0])]
-        common = functools.reduce(math.gcd, acc, den)
-        rows.append(([x // common for x in acc], den // common))
-    return rows
-
-
 def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
-    """G = L D L^T as Fractions: a view of the Bareiss factors."""
-    lower = [row[:i + 1] for i, row in enumerate(g)]
-    c = _common_denominator(x for row in lower for x in row)
-    cols, pivots, D = _bareiss(
-        [[x.numerator * (c // x.denominator) for x in row] for row in lower], c)
+    """G = L D L^T for a symmetric rational G, read from its lower
+    triangle, by right-looking elimination in Fractions.  A test oracle for
+    `Orthonormalizer`, which uses neither this nor `invert_unit_lower`."""
     n = len(g)
-    L = [[Fraction(cols[j][i - j], pivots[j]) if j < i else Fraction(int(i == j))
-          for j in range(n)] for i in range(n)]
+    a = [list(row[:i + 1]) for i, row in enumerate(g)]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D: list[Fraction] = []
+    for j in range(n):
+        d = a[j][j]
+        if d <= 0:
+            raise GramError(j, d)
+        D.append(d)
+        for i in range(j + 1, n):
+            L[i][j] = a[i][j] / d
+            for k in range(j + 1, i + 1):
+                a[i][k] -= L[i][j] * a[k][j]
     return L, D
 
 
 def invert_unit_lower(L: FMatrix) -> FMatrix:
-    """Inverse of a unit lower triangular rational matrix as Fractions: a
-    view of the integer rows of the inverse."""
+    """Inverse of a unit lower triangular rational matrix, row i as
+    e_i minus L_ik times row k of the inverse, in Fractions."""
     n = len(L)
-    rows = _inverse_rows(to_ints(L[i][:i]) for i in range(n))
-    return [[Fraction(x, den) for x in nums] + [Fraction(0)] * (n - i - 1)
-            for i, (nums, den) in enumerate(rows)]
+    inv: FMatrix = []
+    for i in range(n):
+        row = [Fraction(int(i == j)) for j in range(n)]
+        for k in range(i):
+            for j in range(k + 1):
+                row[j] -= L[i][k] * inv[k][j]
+        inv.append(row)
+    return inv
 
 
-def to_float(a: FMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
+def _ratio_products(nums: list[int], dens: list[int]
+                    ) -> tuple[list[int], int]:
+    """The running products 1, r_0, r_0 r_1, ... of r_l = nums[l] / dens[l],
+    as integers over their least common denominator: product j is
+    nums[:j] times dens[j:] over all of dens."""
+    prefix = itertools.accumulate(nums, operator.mul, initial=1)
+    suffix = list(itertools.accumulate(dens[::-1], operator.mul, initial=1))
+    out = [x * y for x, y in zip(prefix, reversed(suffix))]
+    g = math.gcd(*out) if out[0] > 0 else -math.gcd(*out)
+    return [x // g for x in out], out[0] // g
 
 
 class Orthonormalizer:
@@ -192,16 +148,41 @@ class Orthonormalizer:
     D_t^{1/2} (L_t^T M L_s^{-T}) D_s^{-1/2}, where the bracket is exact.
 
     The factors are kept as integers: column j of L from row j down is
-    lcols[j] / pivots[j], and row i of L^{-1} is inv_rows[i] = (nums, den),
-    its entries 0..i as nums / den.
+    lcols[j] = (nums, den), and row i of L^{-1} is inv_rows[i] = (nums, den),
+    its entries 0..i, each as nums / den over the least common denominator.
     """
 
-    def __init__(self, gram: IMatrix, den: int):
-        """Factor G = gram / den, an integer matrix over one denominator."""
-        self.dim = len(gram)
-        self.lcols, self.pivots, self.D = _bareiss(
-            [row[:i + 1] for i, row in enumerate(gram)], den)
-        self.inv_rows = _inverse_rows(_lower_rows(self.lcols, self.pivots))
+    def __init__(self, alpha: int, big_p: int, n: int):
+        """Factor the n x n Hankel Gram G_ij = m(alpha + i + j, P), the
+        moments m(u, P) = u! (P-u-2)! / (P-1)! of the weight
+        t^alpha (1+t)^-P, from the closed forms of its factors."""
+        if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
+            raise ValueError(
+                f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
+        self.dim = n
+        # L_{j+1,m} / L_{j,m} (Rodrigues) and e_j / e_{j+1} for row m of
+        # L^{-1} (Romanovski) share the numerator (j+1)(alpha+j+1)
+        up = [(j + 1) * (alpha + j + 1) for j in range(n)]
+        # column m of L from L_mm = 1 down, over (j+1-m)(P-m-alpha-j-2)
+        self.lcols = [_ratio_products(up[m:n - 1], [
+            (j + 1 - m) * (big_p - m - alpha - j - 2)
+            for j in range(m, n - 1)]) for m in range(n)]
+        # row m of L^{-1}, the monic p_m, from e_m = 1 to e_0, over
+        # (m-j)(m+alpha-P+1+j)
+        self.inv_rows = []
+        for m in range(n):
+            nums, den = _ratio_products(up[:m][::-1], [
+                (m - j) * (m + alpha - big_p + 1 + j)
+                for j in reversed(range(m))])
+            self.inv_rows.append((nums[::-1], den))
+        # the pivot D_m = |p_m|^2, a ratio of factorials
+        fact = math.factorial
+        self.D = []
+        for m in range(n):
+            r = big_p - alpha - 2 * m
+            self.D.append(Fraction(
+                fact(m) * fact(alpha + m) * fact(r - 2) * fact(r - 1),
+                fact(big_p - m - 1) * fact(big_p - alpha - m - 1)))
         self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
                                        dtype=float))
 
@@ -217,9 +198,10 @@ class Orthonormalizer:
         mcols = list(zip(*m))
         # row i of L_t^T M is column i of L_t against the rows i.. of M
         lt_m = [[sum(map(operator.mul, col, mcol[i:])) for mcol in mcols]
-                for i, col in enumerate(self.lcols)]
+                for i, (col, _) in enumerate(self.lcols)]
         # row i of (L_t^T M) L_s^{-T} is L_s^{-1} applied to row i of L_t^T M
-        out = float_ratios(source._solve(lt_m), self.pivots,
+        out = float_ratios(source._solve(lt_m),
+                           [den for _, den in self.lcols],
                            [den for _, den in source.inv_rows])
         out *= self.sqrt_d[:, None]
         out /= source.sqrt_d[None, :]

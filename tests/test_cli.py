@@ -96,6 +96,59 @@ def test_bad_model_names_index():
     assert err.value.path == "models[1]"
 
 
+def _with(path, value):
+    """small_config with raw[path[0]][path[1]]... set to value."""
+    raw = small_config()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("source,path", [
+    (_with(["models", 1, "k"], 1.5), "models[1].k"),
+    (_with(["models", 1, "cutoff"], 8.9), "models[1].cutoff"),
+    (_with(["models", 1, "k"], True), "models[1].k"),
+    (_with(["models", 1, "k"], "2"), "models[1].k"),
+    (_with(["models", 0, "tau"], [1.0]), "models[0].tau"),
+    (_with(["models", 0, "field", "c"], [1.0]), "models[0].field.c"),
+    (_with(["models", 1], "cp1"), "models[1]"),
+    (_with(["models", 0, "field", "c"], [math.nan, 0.0]),
+     "models[0].field.c[0]"),
+    (_with(["models", 0, "tau"], [0.0, math.inf]), "models[0].tau[1]"),
+    (_with(["T_grid", 1], math.nan), "T_grid[1]"),
+    (_with(["T_grid", 0], math.inf), "T_grid[0]"),
+    (_with(["T_grid"], [True]), "T_grid[0]"),
+    (["sweep", "--model", "cp1", "--T", "2,x"], "T_grid[1]"),
+    (["sweep", "--model", "torus", "--tau", "1", "--T", "2"],
+     "models[0].tau"),
+    (["sweep", "--model", "product", "--tau", "1", "--T", "2"],
+     "models[0].right.tau"),
+    (["oscillator", "--m", "1,x"], "oscillator.m[1]"),
+], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
+        "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
+        "T-bool", "sweep-T", "sweep-tau", "sweep-product-tau",
+        "oscillator-m"])
+def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
+                                              capsys):
+    # each was truncated, run on, or a traceback; now a ConfigError that
+    # names the field, exit status 2 from the command line
+    if isinstance(source, dict):
+        with pytest.raises(ConfigError) as err:
+            parse_config(source)
+        assert err.value.path == path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(source))
+        argv = ["run", str(cfg)]
+    else:
+        argv = source
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid ") and f": {path}: must be " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_check_rejected():
     raw = small_config()
     raw["checks"] = ["localization", "nonsense"]

@@ -81,10 +81,12 @@ def basis_section(block, k, i):
                    {(a, b): Fraction(1)})
 
 
-def gram_fractions(block, chi):
-    """The Gram matrix of one charge chunk as Fractions."""
-    nums, den = block.grams[chi]
-    return [[Fraction(x, den) for x in row] for row in nums]
+def gram_fractions(block, k, chi):
+    """The Gram matrix of one charge chunk as Fractions, entry (i, j) the
+    Beta moment m(a_i + b_j, P) of the chunk's monomials."""
+    big_p = weight_exponent(*block.pq, block.den, k)
+    chunk = block.monomials[block.chunk_slices[chi]]
+    return [[beta_moment(a + d, big_p) for _, d in chunk] for a, _ in chunk]
 
 
 def l2_pair(x: Section, y: Section) -> Fraction:
@@ -190,22 +192,45 @@ def test_gram_moments_match_quadrature(entry):
 
 @pytest.mark.parametrize("k,cutoff", [(0, 8), (3, 11), (2, 14)])
 def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
-    # each chunk Gram is the Beta-moment matrix m(a_i + b_j, P) held as
-    # integers over one denominator, with no common factor left over; the
-    # operator chunks are integer matrices
+    # each chunk Gram is the Beta-moment Hankel matrix m(a_i + b_j, P), so
+    # its first row and last column, checked here against the L2 pairings
+    # of basis sections, fix it; its factors are integers over their least
+    # common denominators; the operator chunks are integer matrices
     ex = Cp1Exact(k, cutoff)
-    for (p, q), block in ex.blocks.items():
-        big_p = weight_exponent(p, q, block.den, k)
+    for block in ex.blocks.values():
         for chi in block.charges:
-            nums, den = block.grams[chi]
-            assert all(type(x) is int for row in nums for x in row)
-            assert math.gcd(den, *(x for row in nums for x in row)) == 1
-            chunk = block.monomials[block.chunk_slices[chi]]
-            assert gram_fractions(block, chi) == [
-                [beta_moment(a + d, big_p) for _, d in chunk] for a, _ in chunk]
+            gram, ortho = gram_fractions(block, k, chi), block.orthos[chi]
+            sl = block.chunk_slices[chi]
+            sections = [basis_section(block, k, i)
+                        for i in range(sl.start, sl.stop)]
+            assert gram[0] == [l2_pair(sections[0], s) for s in sections]
+            assert [row[-1] for row in gram] == [
+                l2_pair(s, sections[-1]) for s in sections]
+            for nums, den in (*ortho.lcols, *ortho.inv_rows):
+                assert all(type(x) is int for x in (den, *nums))
+                assert den > 0 and math.gcd(den, *nums) == 1
     for chunks in (*ex.dbar_chunks.values(), *ex.iv_chunks.values()):
         assert all(type(x) is int for m in chunks.values()
                    for row in m for x in row)
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 8), (3, 11), (2, 14), (1, 20)])
+def test_chunk_factors_match_elimination(k, cutoff):
+    # the closed-form L, L^-1 and D of every chunk are what Fraction
+    # elimination and substitution give on the chunk's Beta-moment Gram
+    ex = Cp1Exact(k, cutoff)
+    for block in ex.blocks.values():
+        for chi in block.charges:
+            ortho = block.orthos[chi]
+            L, D = ldlt(gram_fractions(block, k, chi))
+            n = ortho.dim
+            assert ortho.D == D
+            assert [[Fraction(x, den) for x in nums]
+                    for nums, den in ortho.lcols] == [
+                [L[r][c] for r in range(c, n)] for c in range(n)]
+            assert [[Fraction(x, den) for x in nums]
+                    for nums, den in ortho.inv_rows] == [
+                row[:r + 1] for r, row in enumerate(invert_unit_lower(L))]
 
 
 def test_normalized_volume():
@@ -369,7 +394,7 @@ def test_adjoint_consistency_of_assembled_blocks():
                                              basis_section(tgt, k, j)))
                           for j in range(tgt_sl.start, tgt_sl.stop)]
                          for i in range(src_sl.start, src_sl.stop)]
-                assert fmatmul(transpose(m), gram_fractions(tgt, chi)) == pairs
+                assert fmatmul(transpose(m), gram_fractions(tgt, k, chi)) == pairs
 
 
 def test_embed_preserves_pairings():
@@ -459,13 +484,13 @@ def per_section_dual_wedge_core(ex, q, chi):
     if tgt_sl is not None:
         bmat = [[l2_pair(basis_section(tgt, k, v), y) for y in images]
                 for v in range(tgt_sl.start, tgt_sl.stop)]
-        L, D = ldlt(gram_fractions(tgt, chi))
+        L, D = ldlt(gram_fractions(tgt, k, chi))
         linv = invert_unit_lower(L)
         y = [[x / d for x in row] for row, d in zip(fmatmul(linv, bmat), D)]
         corr = fmatmul(transpose(bmat), fmatmul(transpose(linv), y))
         resid = [[g - c for g, c in zip(rg, rc)]
                  for rg, rc in zip(resid, corr)]
-    linv = invert_unit_lower(ldlt(gram_fractions(src, chi))[0])
+    linv = invert_unit_lower(ldlt(gram_fractions(src, k, chi))[0])
     return fmatmul(fmatmul(linv, resid), transpose(linv))
 
 
@@ -519,7 +544,7 @@ def test_gram_conditions_reported():
     for (p, q), block in model.exact.blocks.items():
         worst = Fraction(1)
         for chi in block.charges:
-            gram = gram_fractions(block, chi)
+            gram = gram_fractions(block, 0, chi)
             _, D = ldlt(gram)
             worst = max(worst, max(D) / min(D))
             ev = np.linalg.eigvalsh(np.array(gram, dtype=float))

@@ -8,15 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
                              float_ratios, fmatmul, hermitian_eigenvalues,
-                             invert_unit_lower, ldlt, to_float)
+                             invert_unit_lower, ldlt)
 
 
 # --- per-entry Fraction reference kernels ------------------------------------
-# The straightforward one-Fraction-per-multiply-add versions of the integer
-# kernels in linalg; every result must agree exactly.
+# The straightforward one-Fraction-per-multiply-add versions of fmatmul and
+# of the Fraction oracles ldlt and invert_unit_lower, written another way
+# round (Crout columns, column-wise inverse); every result must agree
+# exactly.
 
 def transpose(m):
     return [list(row) for row in zip(*m)]
+
+
+def to_float(a):
+    return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
 def ref_fmatmul(a, b):
@@ -91,12 +97,20 @@ def unit_lower(draw):
              else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def int_gram(g):
-    """A Fraction matrix as integer numerators over one denominator, the
-    form `Orthonormalizer` takes."""
-    den = math.lcm(*(x.denominator for row in g for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in g], den
+def moment_gram(alpha, big_p, n):
+    """The Hankel Gram m(alpha + i + j, P) = u! (P-u-2)! / (P-1)! of the
+    weight t^alpha (1+t)^-P, the form `Orthonormalizer` factors."""
+    f = math.factorial
+    return [[Fraction(f(alpha + i + j) * f(big_p - alpha - i - j - 2),
+                      f(big_p - 1)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def moment_params(draw, min_n=0, max_n=8):
+    """(alpha, P, n) with every moment finite: alpha + 2(n-1) <= P - 2."""
+    n = draw(st.integers(min_n, max_n))
+    alpha = draw(st.integers(0, 12))
+    return alpha, alpha + 2 * max(n - 1, 0) + 2 + draw(st.integers(0, 12)), n
 
 
 def outcome(fn, g):
@@ -158,13 +172,8 @@ def test_invert_unit_lower_matches_fraction_oracle(L):
 
 @st.composite
 def gram_and_operator(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(matrices(n, n))
-    g = ref_fmatmul(m, transpose(m))
-    for i in range(n):
-        g[i][i] += draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
-                                     max_denominator=5))
-    return g, draw(matrices(n, n))
+    params = draw(moment_params(min_n=1, max_n=6))
+    return params, draw(matrices(params[2], params[2]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,9 +181,9 @@ def gram_and_operator(draw):
 def test_transform_op_is_rounded_exact_core(case):
     # the float view is the exact core L^T M L^-T rounded entrywise, then
     # scaled by D^(1/2) on each side
-    g, m = case
-    ortho = Orthonormalizer(*int_gram(g))
-    L, _ = ldlt(g)
+    params, m = case
+    ortho = Orthonormalizer(*params)
+    L, _ = ldlt(moment_gram(*params))
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
     want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
@@ -185,9 +194,9 @@ def test_transform_op_is_rounded_exact_core(case):
 def two_grams_and_operator(draw):
     gt, _ = draw(gram_and_operator())
     gs, _ = draw(gram_and_operator())
-    m = draw(st.lists(st.lists(st.integers(-50, 50), min_size=len(gs),
-                               max_size=len(gs)),
-                      min_size=len(gt), max_size=len(gt)))
+    m = draw(st.lists(st.lists(st.integers(-50, 50), min_size=gs[2],
+                               max_size=gs[2]),
+                      min_size=gt[2], max_size=gt[2]))
     return gt, gs, m
 
 
@@ -197,8 +206,8 @@ def test_transform_op_between_two_blocks(case):
     # an integer operator between two Gram blocks, as the cp1 chunks are:
     # L_t^T M L_s^-T rounded entrywise, each factor from its own side
     gt, gs, m = case
-    tgt, src = Orthonormalizer(*int_gram(gt)), Orthonormalizer(*int_gram(gs))
-    Lt, Ls = ldlt(gt)[0], ldlt(gs)[0]
+    tgt, src = Orthonormalizer(*gt), Orthonormalizer(*gs)
+    Lt, Ls = ldlt(moment_gram(*gt))[0], ldlt(moment_gram(*gs))[0]
     core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
                        transpose(invert_unit_lower(Ls)))
     want = to_float(core) * tgt.sqrt_d[:, None] / src.sqrt_d[None, :]
@@ -250,9 +259,7 @@ def test_invert_unit_lower():
 
 
 def test_orthonormalizer_identity_transform():
-    rng = np.random.default_rng(1)
-    g = random_spd(rng, 6)
-    ortho = Orthonormalizer(*int_gram(g))
+    ortho = Orthonormalizer(1, 16, 6)
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
     t = ortho.transform_op(eye, ortho)
@@ -262,25 +269,26 @@ def test_orthonormalizer_identity_transform():
 
 def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
-    g = random_spd(rng, 5)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
-    ortho = Orthonormalizer(*int_gram(g))
+    ortho = Orthonormalizer(2, 14, 5)
     got = ortho.transform_op(m, ortho)
-    gf, mf = to_float(g), to_float(m)
+    mf = to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
     # G-self-adjoint; here just check the similarity invariant: trace
     assert abs(np.trace(got) - np.trace(mf)) < 1e-9
 
 
 @settings(max_examples=50, deadline=None)
-@given(gram_and_operator())
-def test_orthonormalizer_integer_factors_rebuild_ldlt(case):
-    # the integer columns of L and rows of L^-1 are the Fractions of ldlt
-    # and invert_unit_lower, and G = L D L^T
-    g, _ = case
-    n = len(g)
-    ortho = Orthonormalizer(*int_gram(g))
-    L = [[Fraction(ortho.lcols[j][i - j], ortho.pivots[j]) if i >= j
+@given(moment_params())
+def test_orthonormalizer_integer_factors_rebuild_ldlt(params):
+    # the integer columns of L and rows of L^-1, each over its least common
+    # denominator, are the Fractions of ldlt and invert_unit_lower, and
+    # G = L D L^T
+    g, n = moment_gram(*params), params[2]
+    ortho = Orthonormalizer(*params)
+    for nums, den in (*ortho.lcols, *ortho.inv_rows):
+        assert den > 0 and math.gcd(den, *nums) == 1
+    L = [[Fraction(ortho.lcols[j][0][i - j], ortho.lcols[j][1]) if i >= j
           else Fraction(0) for j in range(n)] for i in range(n)]
     linv = [[Fraction(nums[j], den) if j <= i else Fraction(0)
              for j in range(n)] for i, (nums, den) in enumerate(ortho.inv_rows)]
@@ -289,6 +297,45 @@ def test_orthonormalizer_integer_factors_rebuild_ldlt(case):
     diag = [[ortho.D[i] if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
     assert ref_fmatmul(ref_fmatmul(L, diag), transpose(L)) == g
+
+
+def rising(x, j):
+    return math.prod(range(x, x + j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(moment_params(max_n=10))
+def test_factors_are_romanovski_closed_forms(params):
+    # row m of L^-1 is the monic 2F1(-m, m + alpha - P + 1; alpha + 1; -t),
+    # with t^j coefficient binom(m, j) (beta)_j / (alpha+1)_j; D_m is its
+    # squared norm, (-1)^m m! (alpha+m)! (P-2m-alpha-2)! over
+    # (P-m-1)! (beta)_m; and L = G L^-T D^-1 column by column
+    alpha, big_p, n = params
+    g, f = moment_gram(alpha, big_p, n), math.factorial
+    ortho = Orthonormalizer(alpha, big_p, n)
+    for m in range(n):
+        beta = m + alpha - big_p + 1
+        coeffs = [Fraction(math.comb(m, j) * rising(beta, j),
+                           rising(alpha + 1, j)) for j in range(m + 1)]
+        row = [c / coeffs[m] for c in coeffs]
+        nums, den = ortho.inv_rows[m]
+        assert [Fraction(x, den) for x in nums] == row
+        norm = sum(x * y * g[i][j] for i, x in enumerate(row)
+                   for j, y in enumerate(row))
+        assert ortho.D[m] == norm == Fraction(
+            (-1) ** m * f(m) * f(alpha + m) * f(big_p - 2 * m - alpha - 2),
+            f(big_p - m - 1) * rising(beta, m))
+        cnums, cden = ortho.lcols[m]
+        assert [Fraction(x, cden) for x in cnums] == [
+            sum(g[i][j] * x for j, x in enumerate(row)) / norm
+            for i in range(m, n)]
+
+
+def test_orthonormalizer_rejects_divergent_moments():
+    # the last moment u = alpha + 2(n-1) must stay <= P - 2
+    Orthonormalizer(3, 11, 4)
+    with pytest.raises(ValueError):
+        Orthonormalizer(3, 10, 4)
 
 
 def test_hermitian_eigenvalues_diagnostics():
