@@ -118,27 +118,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("T_grid", "must be a nonempty list")
     for i, t in enumerate(t_grid):
         _number(f"T_grid[{i}]", t, float, 0)
-    rule_raw = raw.get("threshold_rule", {})
-    try:
-        rule = ThresholdRule(
-            window_fraction=float(rule_raw.get("window_fraction", 0.25)),
-            resolve_ratio=float(rule_raw.get("resolve_ratio", 1.0e3)),
-            floor_rel=float(rule_raw.get("floor_rel", 1.0e-12)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("threshold_rule", str(exc)) from exc
-    if not 0 < rule.window_fraction <= 1:
-        raise ConfigError("threshold_rule.window_fraction", "must be in (0, 1]")
-    checks = raw.get("checks", list(_CHECKS))
-    for i, c in enumerate(checks):
-        if c not in _CHECKS and c not in ("oscillator", "alpha"):
-            raise ConfigError(f"checks[{i}]", f"unknown check {c!r}")
-    outputs = raw.get("outputs", ["csv", "json", "plotdata"])
-    for i, o in enumerate(outputs):
-        if o not in ("csv", "json", "plotdata"):
-            raise ConfigError(f"outputs[{i}]", f"unknown output {o!r}")
+    rule_raw = _object("threshold_rule", raw.get("threshold_rule", {}))
+    rule = ThresholdRule(**{
+        key: _number(f"threshold_rule.{key}",
+                     rule_raw.get(key, getattr(DEFAULT_RULE, key)), float, low)
+        for key, low in (("window_fraction", 0), ("resolve_ratio", 0),
+                         ("floor_rel", None))})
+    if rule.window_fraction > 1:
+        raise ConfigError("threshold_rule.window_fraction", "must be <= 1")
+    if rule.floor_rel < 0:
+        raise ConfigError("threshold_rule.floor_rel", "must be a number >= 0")
+    checks = _names("checks", raw.get("checks", list(_CHECKS)),
+                    (*_CHECKS, "oscillator", "alpha"))
+    outputs = _names("outputs", raw.get("outputs", ["csv", "json", "plotdata"]),
+                     ("csv", "json", "plotdata"))
     osc = None
     if "oscillator" in raw or "oscillator" in checks or "alpha" in checks:
-        osc = _parse_oscillator(raw.get("oscillator", {}))
+        osc = _parse_oscillator(_object("oscillator", raw.get("oscillator", {})))
     return ExperimentConfig(name=name, models=tuple(models),
                             T_grid=tuple(float(t) for t in t_grid),
                             checks=tuple(checks), rule=rule,
@@ -161,13 +157,28 @@ def _number(path: str, x, kind: type, low=None):
     return kind(x)
 
 
+def _object(path: str, x) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigError(path, "must be an object")
+    return x
+
+
+def _names(path: str, xs, known: tuple[str, ...]) -> list:
+    """xs if it is a list of names from known; otherwise a ConfigError
+    naming path, or the first unknown entry."""
+    if not isinstance(xs, list):
+        raise ConfigError(path, "must be a list")
+    for i, x in enumerate(xs):
+        if x not in known:
+            raise ConfigError(f"{path}[{i}]", f"unknown {path[:-1]} {x!r}")
+    return xs
+
+
 def _check_model(path: str, md) -> None:
     """Check the types of a raw model entry's numbers, down into its field
     and factors, so that `ModelSpec.from_dict` neither truncates nor fails
     on them; `ModelSpec.validate` checks their ranges."""
-    if not isinstance(md, dict):
-        raise ConfigError(path, "must be an object")
-    for key, value in md.items():
+    for key, value in _object(path, md).items():
         where = f"{path}.{key}"
         if key in ("field", "left", "right"):
             _check_model(where, value)
@@ -651,8 +662,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "report":
         path = os.path.join(args.rundir, "report.json")
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            print(f"no report: {path}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"run {data['config_hash'][:12]} "
               f"(package {data['package_version']})")
         for key, v in sorted(data["verdicts"].items()):

@@ -36,12 +36,14 @@ truncated block exactly into the next (the assembly errors out otherwise),
 so the deformed complex closes at finite cutoff and its kernel counts are
 honest finite-complex cohomology dimensions.  The metric dual operators leak
 outside the truncation; the wedge-by-dual-field leakage is computed exactly
-and reported.  Within one charge chunk every pairing it needs is a single
-moment: the images of basis monomials are monomials again, so their Gram
-matrix is a Hankel matrix of moments, and their pairings with the target
-block are moments of the weight with (1+t)^2 absorbed, at P - 2.  The
-leakage therefore runs on integer moment numerators and the exact steps of
-`linalg.Orthonormalizer`, with no per-section arithmetic.
+and reported.  Within one charge chunk it is a rank-2 problem: in t = |z|^2
+the images of the basis monomials are powers of t in P_{<n_t+2}, and the
+target chunk is (1+t)^2 P_{<n_t}, so what leaves the target lies in the
+2-d complement C of the target there, spanned by two orthogonal
+polynomials of the weight with (1+t)^2 absorbed.  The squared leakage is
+the larger root of the 2 x 2 pencil det(K - lambda H) = 0 of the pairings
+with C: its trace and determinant are exact rationals from integer moments,
+and floats enter only in that root.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -61,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..linalg import IMatrix, Orthonormalizer, float_ratios
+from ..linalg import IMatrix, Orthonormalizer
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -349,20 +351,17 @@ class Cp1Exact:
 
     def dual_wedge_leakage(self) -> dict[PQ, float]:
         """Operator-norm distance of the wedge-by-dual-field image from the
-        truncated target block, per source block; exact moments, float only
-        in the final eigenvalue extraction."""
+        truncated target block, per source block: the worst over its charge
+        chunks of the square root of the larger root of the chunk's 2 x 2
+        pencil, lambda = (tr + sqrt(tr^2 - 4 det)) / 2 from the exact trace
+        and determinant, so floats enter only in the two square roots."""
         out: dict[PQ, float] = {}
         for q in (0, 1):
             src, tgt = self.blocks[(0, q)], self.blocks[(1, q)]
-            worst = 0.0
-            for chi in src.charges:
-                ortho = src.orthos[chi]
-                w = float_ratios(*_dual_wedge_core(self.k, src, tgt, chi))
-                w /= ortho.sqrt_d[:, None]
-                w /= ortho.sqrt_d[None, :]
-                lam = float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
-                worst = max(worst, math.sqrt(max(lam, 0.0)))
-            out[(0, q)] = worst
+            pencils = (_dual_wedge_pencil(self.k, src, tgt, chi)
+                       for chi in src.charges)
+            out[(0, q)] = max(math.sqrt((float(tr) + math.sqrt(
+                float(tr * tr - 4 * det))) / 2) for tr, det in pencils)
         return out
 
 
@@ -375,46 +374,50 @@ def _moment_numerators(us: range, big_p: int) -> dict[int, int]:
     return {u: fact(u) * fact(big_p - u - 2) for u in us}
 
 
-def _dual_wedge_core(k: int, src: Block, tgt: Block, chi: int
-                     ) -> tuple[list[list[int]], list[int], list[int]]:
-    """Exact L_s^{-1} R L_s^{-T} for one charge chunk of the (0,q) block:
-    R is the Gram matrix of the chunk's images under the dual-field wedge
-    minus its part in the span of the (1,q) target chunk.  Entry (i, j) is
-    nums[i][j] / (rden[i] cden[j]).
+def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
+                       ) -> tuple[Fraction, Fraction]:
+    """Exact trace and determinant of H^{-1} K for one charge chunk of the
+    (0,q) block; its larger eigenvalue is the chunk's squared leakage.
 
-    Source monomial z^a zbar^b / (1+s)^den has the image z^a zbar^(b+1) /
-    (1+s)^(den+2), and the target block has the same den.  With P the
-    weight exponent of the images, the image Gram matrix is the Hankel
-    matrix m(a_i + b_j + 1, P), and a target monomial z^c zbar^d pairs with
-    image i in m(c + b_i + 1, P - 2): its extra (1+s)^2 is absorbed into
-    the weight.  With G_t = L_t D_t L_t^T and Y = L_t^{-1} B,
-    R = G_y - Y^T D_t^{-1} Y.
+    The image z^a zbar^(b+1) / (1+s)^(den+2) of a source monomial is z^e t^j
+    (zbar^-e t^j when e < 0), t = |z|^2, with e = a - b - 1 fixed on the
+    chunk and j = b + 1 - delta, delta = max(0, -e): pairings are moments
+    of w = t^alpha (1+t)^-P, alpha = |e|.  Over (1+s)^(den+2) the target
+    chunk is (1+t)^2 P_{<n_t}, so its complement C in P_{<n_t+2} is the f
+    orthogonal to P_{<n_t} under (1+t)^2 w: with n = n_t and p'_m the monic
+    orthogonal polynomials of that weight, C is spanned by p'_n and
+    t p'_n - (D'_n / D'_{n-1}) p'_{n-1} (by 1 and t when n = 0).  H is the
+    Gram of this basis c under w, and K = X G_s^{-1} X^T with
+    X_im = <c_i, image m>.
     """
     q = src.pq[1]
     big_p = weight_exponent(1, q, src.den + 2, k)
+    e = chi + q - 1
+    delta, alpha = max(0, -e), abs(e)
+    n_t = _chunk_dim(tgt, chi)
+    ortho = Orthonormalizer(alpha, big_p - 2, n_t + 1)
+    top, tden = ortho.inv_rows[n_t]
+    c2 = [0, *top]
+    if n_t:
+        # t p'_n - (D'_n / D'_{n-1}) p'_{n-1}, scaled to integers
+        prev, pden = ortho.inv_rows[n_t - 1]
+        r = ortho.D[n_t] / ortho.D[n_t - 1]
+        c2 = [pden * r.denominator * x - tden * r.numerator * y
+              for x, y in zip(c2, [*prev, 0, 0])]
+    hankel = _moment_numerators(range(alpha, alpha + 2 * n_t + 3), big_p)
+    # g[i][s] = <c_i, t^s> under w, times (P-1)!
+    g = [[sum(x * hankel[alpha + j + s] for j, x in enumerate(c))
+          for s in range(n_t + 2)] for c in (top, c2)]
+    (h00, h01), (_, h11) = [[sum(map(operator.mul, gi, c)) for c in (top, c2)]
+                            for gi in g]
     sl = src.chunk_slices[chi]
-    bs = [b for _, b in src.monomials[sl]]
-    shift = chi + q + 1             # a_i = b_i + chi + q, so a_i + b_j + 1
-    hankel = _moment_numerators(range(2 * bs[0] + shift, 2 * bs[-1] + shift + 1),
-                                big_p)
-    rnums = [[hankel[bi + bj + shift] for bj in bs] for bi in bs]
-    rden = math.factorial(big_p - 1)
-    tgt_sl = tgt.chunk_slices.get(chi)
-    if tgt_sl is not None:
-        cs = [c for c, _ in tgt.monomials[tgt_sl]]
-        pair = _moment_numerators(range(cs[0] + bs[0] + 1, cs[-1] + bs[-1] + 2),
-                                  big_p - 2)
-        bden = math.factorial(big_p - 3)
-        # B over bden, so B^T G_t^{-1} B is over sden
-        snums, sden = tgt.orthos[chi].inverse_form(
-            [[pair[c + b + 1] for c in cs] for b in bs])
-        sden *= bden * bden
-        common = math.lcm(rden, sden)
-        gscale, sscale = common // rden, common // sden
-        rnums = [[gscale * g - sscale * s for g, s in zip(grow, srow)]
-                 for grow, srow in zip(rnums, snums)]
-        rden = common
-    return src.orthos[chi].congruence(rnums, rden)
+    ((k00, k01), (_, k11)), kden = src.orthos[chi].inverse_form(
+        [[gi[b + 1 - delta] for _, b in src.monomials[sl]] for gi in g])
+    # H and X are over (P-1)!, so H^{-1} K is over it once
+    det_h = h00 * h11 - h01 * h01
+    kf = kden * math.factorial(big_p - 1)
+    return (Fraction(h11 * k00 - 2 * h01 * k01 + h00 * k11, det_h * kf),
+            Fraction(k00 * k11 - k01 * k01, det_h * kf * kf))
 
 
 def _chunk_dim(block: Block, chi: int) -> int:

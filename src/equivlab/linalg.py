@@ -15,7 +15,10 @@ polynomials of the weight (Raposo, Weber, Alvarez-Castillo & Kirchbach,
 are their squared norms.  `Orthonormalizer` alone holds these factors as
 integers (each column of L and row of L^{-1} over its least common
 denominator) and runs the exact steps on them: the orthonormal view of an
-operator, the inverse form B^T G^{-1} B and the congruence L^{-1} R L^{-T}.
+operator, and the inverse form B^T G^{-1} B.  The dual-wedge leakage of
+`geometry.cp1` needs no more: its residual has rank 2, so it takes the
+inverse form of two columns only, and reads its basis of the 2-d complement
+off the last two rows of L^{-1} for the weight with (1+t)^2 absorbed.
 Its float views are integer dot products divided straight into floats, as
 correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
 plain Fraction elimination, the independent oracle of the tests.
@@ -218,28 +221,7 @@ class Orthonormalizer:
         wden = functools.reduce(math.lcm, wdens, 1)
         weights = [wden // wd * d.denominator for wd, d in zip(wdens, self.D)]
         wy = [list(map(operator.mul, weights, y)) for y in ycols]
-        return _symmetric_dots(wy, ycols), wden
-
-    def congruence(self, r: IMatrix, rden: int
-                   ) -> tuple[IMatrix, list[int], list[int]]:
-        """L^{-1} R L^{-T} for the symmetric R = r / rden, as (nums, rdens,
-        cdens) with entry (i, j) nums[i][j] / (rdens[i] cdens[j])."""
-        # R L^{-T} by rows, then each of its columns against the inverse rows
-        nums = _symmetric_dots([inv for inv, _ in self.inv_rows],
-                               list(zip(*self._solve(r))))
-        dens = [den for _, den in self.inv_rows]
-        return nums, [den * rden for den in dens], dens
-
-
-def _symmetric_dots(a: IMatrix, b: IMatrix) -> IMatrix:
-    """The matrix of dot products a[i] . b[j] when it is known to be
-    symmetric: only its lower triangle is computed."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i, ai in enumerate(a):
-        for j in range(i + 1):
-            out[i][j] = out[j][i] = sum(map(operator.mul, ai, b[j]))
-    return out
+        return [[sum(map(operator.mul, w, y)) for y in ycols] for w in wy], wden
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:

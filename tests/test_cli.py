@@ -126,10 +126,24 @@ def _with(path, value):
     (["sweep", "--model", "product", "--tau", "1", "--T", "2"],
      "models[0].right.tau"),
     (["oscillator", "--m", "1,x"], "oscillator.m[1]"),
+    (_with(["threshold_rule"], 5), "threshold_rule"),
+    (_with(["threshold_rule"], {"resolve_ratio": math.nan}),
+     "threshold_rule.resolve_ratio"),
+    (_with(["threshold_rule"], {"resolve_ratio": 0.0}),
+     "threshold_rule.resolve_ratio"),
+    (_with(["threshold_rule"], {"floor_rel": -1.0}),
+     "threshold_rule.floor_rel"),
+    (_with(["threshold_rule"], {"floor_rel": "1e-12"}),
+     "threshold_rule.floor_rel"),
+    (_with(["checks"], 5), "checks"),
+    (_with(["outputs"], 7), "outputs"),
+    (_with(["oscillator"], 3), "oscillator"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "sweep-T", "sweep-tau", "sweep-product-tau",
-        "oscillator-m"])
+        "oscillator-m", "rule-not-object", "ratio-nan", "ratio-zero",
+        "floor-negative", "floor-string", "checks-not-list",
+        "outputs-not-list", "oscillator-not-object"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
     # each was truncated, run on, or a traceback; now a ConfigError that
@@ -147,6 +161,17 @@ def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("invalid ") and f": {path}: must be " in err
     assert not (tmp_path / "out").exists()
+
+
+def test_threshold_rule_bounds():
+    # a zero floor is allowed; a window fraction above one is not
+    raw = small_config()
+    raw["threshold_rule"] = {"floor_rel": 0}
+    assert parse_config(raw).rule.floor_rel == 0.0
+    raw["threshold_rule"] = {"window_fraction": 1.5}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "threshold_rule.window_fraction"
 
 
 def test_unknown_check_rejected():
@@ -250,6 +275,13 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert "worst verdict: pass" in text
+
+
+def test_report_without_report_json_exits_2(tmp_path, capsys):
+    # one line on stderr naming the missing file, not a traceback
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "report.json") in err and err.count("\n") == 1
 
 
 def test_output_root_override(tmp_path, monkeypatch):

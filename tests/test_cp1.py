@@ -2,6 +2,7 @@
 closure of the truncated complex, kernel counts, and leakage reporting."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -12,7 +13,7 @@ from scipy import integrate
 
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_core,
+from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
                                    _moment_numerators, beta_moment,
                                    block_params, cp1_model, curvature_contract,
                                    curvature_wedge, dbar, dbar_star,
@@ -494,17 +495,44 @@ def per_section_dual_wedge_core(ex, q, chi):
     return fmatmul(fmatmul(linv, resid), transpose(linv))
 
 
-@pytest.mark.parametrize("k,cutoff", [(k, n) for k in range(4)
-                                      for n in sorted({k + 4, 8})])
+CHUNK_CASES = [(k, n) for k in range(4) for n in sorted({k + 4, 8})]
+
+
+@pytest.mark.parametrize("k,cutoff", CHUNK_CASES)
 def test_dual_wedge_core_matches_section_pairings(k, cutoff):
+    # the Fraction core L^-1 R L^-T has rank <= 2, and scaled by D^-1 (so
+    # similar to G_s^-1 R) its trace and second elementary symmetric function
+    # are the exact trace and determinant of the 2 x 2 pencil
     ex = Cp1Exact(k, cutoff)
     for q in (0, 1):
         src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
         for chi in src.charges:
-            nums, rden, cden = _dual_wedge_core(k, src, tgt, chi)
-            got = [[Fraction(n, rd * cd) for n, cd in zip(row, cden)]
-                   for row, rd in zip(nums, rden)]
-            assert got == per_section_dual_wedge_core(ex, q, chi)
+            core = per_section_dual_wedge_core(ex, q, chi)
+            assert exact_rank(core) <= 2
+            _, D = ldlt(gram_fractions(src, k, chi))
+            m = [[x / d for x in row] for row, d in zip(core, D)]
+            trace = sum(m[i][i] for i in range(len(m)))
+            e2 = (trace * trace
+                  - sum(x * y for row, col in zip(m, zip(*m))
+                        for x, y in zip(row, col))) / 2
+            assert _dual_wedge_pencil(k, src, tgt, chi) == (trace, e2)
+
+
+@pytest.mark.parametrize("k,cutoff", CHUNK_CASES + [(0, 24)])
+def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
+    ex = Cp1Exact(k, cutoff)
+    got = ex.dual_wedge_leakage()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for q in (0, 1):
+            src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+            ref = Decimal(0)
+            for chi in src.charges:
+                tr, det = (Decimal(x.numerator) / x.denominator for x in
+                           _dual_wedge_pencil(k, src, tgt, chi))
+                ref = max(ref, ((tr + (tr * tr - 4 * det).sqrt()) / 2).sqrt())
+            assert abs(Decimal(got[(0, q)]) - ref) <= 2 * Decimal(
+                math.ulp(got[(0, q)]))
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():
