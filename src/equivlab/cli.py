@@ -43,6 +43,8 @@ from .oracle import localization_prediction
 CONFIG_SCHEMA_VERSION = 1
 _CHECKS = ("complex_property", "bochner", "localization", "vanishing", "euler")
 _FLOAT_ZERO = 1.0e-11
+# each verdict's exit status; the worst verdict is the one with the largest
+SEVERITY = {"pass": 0, "unresolved": 1, "fail": 2}
 
 
 class ConfigError(ValueError):
@@ -310,17 +312,21 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
                 ok = res["residual"] <= _FLOAT_ZERO
             verdicts[f"bochner:{label}"] = "pass" if ok else "fail"
         if "localization" in config.checks:
-            predicted = localization_prediction(spec)
+            # a resolved count off the prediction fails at any T, even after
+            # an unresolved cell at an earlier T
+            predicted = localization_prediction(spec).dims
+            unresolved = {tuple(u) for u in payload["unresolved"]}
             state = "pass"
             for tkey, dims in payload["tables"].items():
                 got = {int(r): d for r, d in dims.items()}
-                if any((float(tkey), r) in [tuple(u) for u in payload["unresolved"]]
-                       for r in got):
-                    state = "unresolved"
-                    break
-                if got != predicted.dims:
+                open_r = {r for r in got if (float(tkey), r) in unresolved}
+                if got.keys() != predicted.keys() or any(
+                        d != predicted[r] for r, d in got.items()
+                        if r not in open_r):
                     state = "fail"
                     break
+                if open_r:
+                    state = "unresolved"
             verdicts[f"localization:{label}"] = state
         if "vanishing" in config.checks and spec.kind == "torus":
             expect = 2.0 * abs(spec.field.c) ** 2
@@ -466,15 +472,11 @@ class Report:
     version: str = __version__
 
     def worst(self) -> str:
-        order = {"pass": 0, "unresolved": 1, "fail": 2}
-        worst = "pass"
-        for v in self.verdicts.values():
-            if order[v] > order[worst]:
-                worst = v
-        return worst
+        return max(self.verdicts.values(), key=SEVERITY.__getitem__,
+                   default="pass")
 
     def exit_code(self) -> int:
-        return {"pass": 0, "unresolved": 1, "fail": 2}[self.worst()]
+        return SEVERITY[self.worst()]
 
     def to_dict(self, relative_to: str | None = None) -> dict:
         artifacts = self.artifacts
@@ -665,15 +667,26 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(path) as fh:
                 data = json.load(fh)
+            lines = [f"run {data['config_hash'][:12]} "
+                     f"(package {data['package_version']})"]
+            lines += [f"  {v.upper():10s} {key}"
+                      for key, v in sorted(data["verdicts"].items())]
+            worst = data["worst"]
+            if worst not in SEVERITY:
+                raise ValueError(f"unknown worst verdict {worst!r}")
+            lines.append(f"worst verdict: {worst}")
         except OSError as exc:
             print(f"no report: {path}: {exc.strerror}", file=sys.stderr)
             return 2
-        print(f"run {data['config_hash'][:12]} "
-              f"(package {data['package_version']})")
-        for key, v in sorted(data["verdicts"].items()):
-            print(f"  {v.upper():10s} {key}")
-        print(f"worst verdict: {data['worst']}")
-        return {"pass": 0, "unresolved": 1, "fail": 2}[data["worst"]]
+        except KeyError as exc:
+            print(f"bad report: {path}: missing key {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, TypeError, AttributeError) as exc:
+            # invalid JSON, or a value of the wrong type or range
+            print(f"bad report: {path}: {exc}", file=sys.stderr)
+            return 2
+        print("\n".join(lines))
+        return SEVERITY[worst]
 
     return 2
 

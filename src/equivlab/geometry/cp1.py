@@ -13,12 +13,13 @@ twist.  Every L2 pairing of such sections reduces to Beta-function moments,
     integral t^u (1+t)^{-P} dt = u! (P-u-2)! / (P-1)!,
 
 hence all Gram matrices and operator blocks are exact rationals, and the
-operator chunks have integer entries.  Along a charge chunk a and b both
-rise by one, so the chunk's Gram is the Hankel matrix m(alpha + i + j, P)
-with alpha = a_0 + b_0 of its first monomial: the moment matrix of the
-weight t^alpha (1+t)^{-P}.  No Gram is built: `linalg.Orthonormalizer`
-writes its L D L^T factors in closed form from (alpha, P, n), the rows of
-L^{-1} being the finite Romanovski polynomials of that weight.
+operator chunks have integer entries.  A charge chunk is fixed by e = a - b:
+its monomials are (a0 + i, b0 + i), i < n, with a0 = max(e, 0), b0 = a0 - e
+and n = min(amax - a0, bmax - b0) + 1, so its Gram is the Hankel matrix
+m(alpha + i + j, P), alpha = a0 + b0 = |e|, of the weight t^alpha (1+t)^{-P}.
+No Gram is built: `linalg.Orthonormalizer` writes its L D L^T factors in
+closed form from (alpha, P, n), the rows of L^{-1} being the finite
+Romanovski polynomials of that weight.
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends one monomial z^a zbar^b / (1+s)^den of a block to at most two
@@ -40,10 +41,10 @@ and reported.  Within one charge chunk it is a rank-2 problem: in t = |z|^2
 the images of the basis monomials are powers of t in P_{<n_t+2}, and the
 target chunk is (1+t)^2 P_{<n_t}, so what leaves the target lies in the
 2-d complement C of the target there, spanned by two orthogonal
-polynomials of the weight with (1+t)^2 absorbed.  The squared leakage is
-the larger root of the 2 x 2 pencil det(K - lambda H) = 0 of the pairings
-with C: its trace and determinant are exact rationals from integer moments,
-and floats enter only in that root.
+polynomials of the weight with (1+t)^2 absorbed, read as two Romanovski
+rows.  The squared leakage is the larger root of the 2 x 2 pencil
+det(K - lambda H) = 0 of the pairings with C: its trace and determinant are
+exact rationals from integer moments, and floats enter only in that root.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -58,12 +59,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import Callable
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..linalg import IMatrix, Orthonormalizer
+from ..linalg import (IMatrix, Orthonormalizer, romanovski_pivot,
+                      romanovski_row)
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -192,71 +194,72 @@ def block_params(k: int, cutoff: int, p: int, q: int) -> tuple[int, int, int]:
     return den, den + k - 2 * p, den - 2 * q
 
 
+class Chunk(NamedTuple):
+    """One charge chunk of a block: the monomials (a0 + i, b0 + i) for
+    i < n, and the closed-form factors of their Gram."""
+
+    a0: int
+    b0: int
+    n: int
+    ortho: Orthonormalizer
+
+    def monomials(self) -> list[tuple[int, int]]:
+        return [(self.a0 + i, self.b0 + i) for i in range(self.n)]
+
+
 @dataclass
 class Block:
     pq: PQ
     den: int
-    monomials: list[tuple[int, int]]
-    charges: list[int]                      # chunk charge keys, ascending
-    chunk_slices: dict[int, slice]
-    orthos: dict[int, Orthonormalizer]
-    labels: list[str]
+    chunks: dict[int, Chunk]                # by charge, ascending
 
     @property
     def dim(self) -> int:
-        return len(self.monomials)
+        return sum(c.n for c in self.chunks.values())
 
     def gram_condition(self) -> float:
         """The exact pivot ratio max D / min D of G = L D L^T, worst over
         the charge chunks.  Every pivot lies between the extreme eigenvalues
         of its chunk's Gram, so this is a lower bound on the chunk's
         condition number, computed with no round-off."""
-        return float(max(max(o.D) / min(o.D) for o in self.orthos.values()))
+        return float(max(max(c.ortho.D) / min(c.ortho.D)
+                         for c in self.chunks.values()))
 
 
 def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
     den, amax, bmax = block_params(k, cutoff, p, q)
-    monos = [(a, b) for a in range(amax + 1) for b in range(bmax + 1)]
-    monos.sort(key=lambda ab: (ab[0] - ab[1] + p - q, ab[0]))
-    chunk_slices: dict[int, slice] = {}
-    stop = 0
-    for chi, chunk in groupby(monos, key=lambda ab: ab[0] - ab[1] + p - q):
-        start, stop = stop, stop + len(list(chunk))
-        chunk_slices[chi] = slice(start, stop)
     big_p = weight_exponent(p, q, den, k)
-    # alpha = a_0 + b_0 of the chunk's first monomial
-    orthos = {chi: Orthonormalizer(sum(monos[sl.start]), big_p,
-                                   sl.stop - sl.start)
-              for chi, sl in chunk_slices.items()}
-    labels = [f"z^{a}zbar^{b}/(1+s)^{den}:p{p}q{q}" for a, b in monos]
-    return Block((p, q), den, monos, list(chunk_slices), chunk_slices, orthos,
-                 labels)
+    chunks = {}
+    for e in range(-bmax, amax + 1):
+        a0, b0 = max(e, 0), max(-e, 0)
+        n = min(amax - a0, bmax - b0) + 1
+        chunks[e + p - q] = Chunk(a0, b0, n, Orthonormalizer(abs(e), big_p, n))
+    return Block((p, q), den, chunks)
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule,
                      opname: str) -> dict[int, IMatrix]:
     """Chunk-diagonal integer matrices of a rule between two blocks; errors
-    if an image leaves the target truncation (this is the closure proof)."""
+    if an image leaves the target truncation (this is the closure proof).
+    An image (a', b') lies in the target chunk at row a' - a0 exactly when
+    that row is below n and b' - b0 equals it."""
     out: dict[int, IMatrix] = {}
-    for chi in src.charges:
-        sl = src.chunk_slices[chi]
-        src_monos = src.monomials[sl]
-        tgt_sl = tgt.chunk_slices.get(chi)
-        tgt_monos = tgt.monomials[tgt_sl] if tgt_sl is not None else []
-        tgt_pos = {ab: i for i, ab in enumerate(tgt_monos)}
-        mat = [[0] * len(src_monos) for _ in tgt_monos]
-        for col, (a, b) in enumerate(src_monos):
+    for chi, chunk in src.chunks.items():
+        a0, b0, n, _ = tgt.chunks.get(chi, (0, 0, 0, None))
+        mat = [[0] * chunk.n for _ in range(n)]
+        for col, (a, b) in enumerate(chunk.monomials()):
             _, den, terms = rule(k, *src.pq, src.den, a, b)
             if not terms:
                 continue
             if den != tgt.den:
                 raise ModelError(
                     f"{opname}: image denominator {den} != block {tgt.den}")
-            for ab, co in terms:
-                if ab not in tgt_pos:
-                    raise ModelError(
-                        f"{opname}: image monomial {ab} escapes the truncation")
-                mat[tgt_pos[ab]][col] = co
+            for (a1, b1), co in terms:
+                row = a1 - a0
+                if not 0 <= row < n or b1 - b0 != row:
+                    raise ModelError(f"{opname}: image monomial {(a1, b1)} "
+                                     "escapes the truncation")
+                mat[row][col] = co
         out[chi] = mat
     return out
 
@@ -284,14 +287,8 @@ class Cp1Exact:
 
     def ortho_chunk(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
                     chi: int) -> np.ndarray:
-        return self.blocks[tgt_pq].orthos[chi].transform_op(
-            op_chunks[chi], self.blocks[src_pq].orthos[chi])
-
-    def charges(self) -> list[int]:
-        out = set()
-        for block in self.blocks.values():
-            out.update(block.charges)
-        return sorted(out)
+        return self.blocks[tgt_pq].chunks[chi].ortho.transform_op(
+            op_chunks[chi], self.blocks[src_pq].chunks[chi].ortho)
 
     # -- exact identity checks ---------------------------------------------
 
@@ -308,7 +305,7 @@ class Cp1Exact:
         # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1), as the one
         # integer product [dbar_00 | iv_11] [iv_10 ; dbar_10] per charge; a
         # charge of the (1,0) block is a charge of every block
-        for chi in self.blocks[(1, 0)].charges:
+        for chi in self.blocks[(1, 0)].chunks:
             left = [r0 + r1 for r0, r1 in zip(self.dbar_chunks[(0, 0)][chi],
                                               self.iv_chunks[(1, 1)][chi])]
             right = self.iv_chunks[(1, 0)][chi] + self.dbar_chunks[(1, 0)][chi]
@@ -334,7 +331,8 @@ class Cp1Exact:
         theta_ops = (curvature_wedge, curvature_contract)
         curvature = clifford = theta = 0
         for pq, block in self.blocks.items():
-            for ab in block.monomials:
+            for ab in chain.from_iterable(
+                    c.monomials() for c in block.chunks.values()):
                 e = {(pq, block.den): {ab: 1}}
                 ve = _apply(k, v_ops, e)
                 # -Theta e, then D V e + V D e added onto it
@@ -359,7 +357,7 @@ class Cp1Exact:
         for q in (0, 1):
             src, tgt = self.blocks[(0, q)], self.blocks[(1, q)]
             pencils = (_dual_wedge_pencil(self.k, src, tgt, chi)
-                       for chi in src.charges)
+                       for chi in src.chunks)
             out[(0, q)] = max(math.sqrt((float(tr) + math.sqrt(
                 float(tr * tr - 4 * det))) / 2) for tr, det in pencils)
         return out
@@ -384,24 +382,25 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
     chunk and j = b + 1 - delta, delta = max(0, -e): pairings are moments
     of w = t^alpha (1+t)^-P, alpha = |e|.  Over (1+s)^(den+2) the target
     chunk is (1+t)^2 P_{<n_t}, so its complement C in P_{<n_t+2} is the f
-    orthogonal to P_{<n_t} under (1+t)^2 w: with n = n_t and p'_m the monic
-    orthogonal polynomials of that weight, C is spanned by p'_n and
-    t p'_n - (D'_n / D'_{n-1}) p'_{n-1} (by 1 and t when n = 0).  H is the
-    Gram of this basis c under w, and K = X G_s^{-1} X^T with
-    X_im = <c_i, image m>.
+    orthogonal to P_{<n_t} under (1+t)^2 w = t^alpha (1+t)^-(P-2), the
+    source block's own weight exponent: with n = n_t and p'_m, D'_m the
+    monic orthogonal polynomials of that weight and their squared norms,
+    C is spanned by p'_n and t p'_n - (D'_n / D'_{n-1}) p'_{n-1} (by 1 and
+    t when n = 0).  H is the Gram of this basis c under w, and
+    K = X G_s^{-1} X^T with X_im = <c_i, image m>.
     """
     q = src.pq[1]
     big_p = weight_exponent(1, q, src.den + 2, k)
     e = chi + q - 1
     delta, alpha = max(0, -e), abs(e)
-    n_t = _chunk_dim(tgt, chi)
-    ortho = Orthonormalizer(alpha, big_p - 2, n_t + 1)
-    top, tden = ortho.inv_rows[n_t]
+    n_t = tgt.chunks[chi].n if chi in tgt.chunks else 0
+    top, tden = romanovski_row(alpha, big_p - 2, n_t)
     c2 = [0, *top]
     if n_t:
         # t p'_n - (D'_n / D'_{n-1}) p'_{n-1}, scaled to integers
-        prev, pden = ortho.inv_rows[n_t - 1]
-        r = ortho.D[n_t] / ortho.D[n_t - 1]
+        prev, pden = romanovski_row(alpha, big_p - 2, n_t - 1)
+        r = (romanovski_pivot(alpha, big_p - 2, n_t)
+             / romanovski_pivot(alpha, big_p - 2, n_t - 1))
         c2 = [pden * r.denominator * x - tden * r.numerator * y
               for x, y in zip(c2, [*prev, 0, 0])]
     hankel = _moment_numerators(range(alpha, alpha + 2 * n_t + 3), big_p)
@@ -410,19 +409,14 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
           for s in range(n_t + 2)] for c in (top, c2)]
     (h00, h01), (_, h11) = [[sum(map(operator.mul, gi, c)) for c in (top, c2)]
                             for gi in g]
-    sl = src.chunk_slices[chi]
-    ((k00, k01), (_, k11)), kden = src.orthos[chi].inverse_form(
-        [[gi[b + 1 - delta] for _, b in src.monomials[sl]] for gi in g])
+    chunk = src.chunks[chi]
+    ((k00, k01), (_, k11)), kden = chunk.ortho.inverse_form(
+        [[gi[b + 1 - delta] for _, b in chunk.monomials()] for gi in g])
     # H and X are over (P-1)!, so H^{-1} K is over it once
     det_h = h00 * h11 - h01 * h01
     kf = kden * math.factorial(big_p - 1)
     return (Fraction(h11 * k00 - 2 * h01 * k01 + h00 * k11, det_h * kf),
             Fraction(k00 * k11 - k01 * k01, det_h * kf * kf))
-
-
-def _chunk_dim(block: Block, chi: int) -> int:
-    sl = block.chunk_slices.get(chi)
-    return 0 if sl is None else sl.stop - sl.start
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +427,13 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     spec.validate()
     exact = Cp1Exact(spec.k, spec.cutoff)
     cells = []
-    for chi in exact.charges():
-        dims = {pq: _chunk_dim(exact.blocks[pq], chi) for pq in _PQS}
-        dims = {pq: d for pq, d in dims.items() if d > 0}
-        if not dims:
-            continue
-        labels = {}
-        for pq in dims:
-            blk = exact.blocks[pq]
-            sl = blk.chunk_slices[chi]
-            labels[pq] = blk.labels[sl]
+    for chi in sorted({chi for b in exact.blocks.values() for chi in b.chunks}):
+        chunks = {pq: blk.chunks[chi] for pq, blk in exact.blocks.items()
+                  if chi in blk.chunks}
+        dims = {pq: c.n for pq, c in chunks.items()}
+        labels = {pq: [f"z^{a}zbar^{b}/(1+s)^{exact.blocks[pq].den}"
+                       f":p{pq[0]}q{pq[1]}" for a, b in c.monomials()]
+                  for pq, c in chunks.items()}
         # each charge is a stack of one member
         dbar_blocks = {}
         for pq in ((0, 0), (1, 0)):

@@ -12,13 +12,14 @@ weight t^alpha (1+t)^-P, so its factors are known in closed form and nothing
 is eliminated: the rows of L^{-1} are the monic finite Romanovski
 polynomials of the weight (Raposo, Weber, Alvarez-Castillo & Kirchbach,
 2007), the columns of L follow from Rodrigues' formula, and the pivots D_m
-are their squared norms.  `Orthonormalizer` alone holds these factors as
-integers (each column of L and row of L^{-1} over its least common
-denominator) and runs the exact steps on them: the orthonormal view of an
-operator, and the inverse form B^T G^{-1} B.  The dual-wedge leakage of
-`geometry.cp1` needs no more: its residual has rank 2, so it takes the
-inverse form of two columns only, and reads its basis of the 2-d complement
-off the last two rows of L^{-1} for the weight with (1+t)^2 absorbed.
+are their squared norms: `romanovski_row` and `romanovski_pivot`, one m at
+a time.  `Orthonormalizer` holds these factors as integers (each column of
+L and row of L^{-1} over its least common denominator) and runs the exact
+steps on them: the orthonormal view of an operator, and the inverse form
+B^T G^{-1} B.  The dual-wedge leakage of `geometry.cp1` needs no more: its
+residual has rank 2, so it takes the inverse form of two columns only, and
+its basis of the 2-d complement is two rows and two pivots of the weight
+with (1+t)^2 absorbed.
 Its float views are integer dot products divided straight into floats, as
 correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
 plain Fraction elimination, the independent oracle of the tests.
@@ -143,6 +144,25 @@ def _ratio_products(nums: list[int], dens: list[int]
     return [x // g for x in out], out[0] // g
 
 
+def romanovski_row(alpha: int, big_p: int, m: int) -> tuple[list[int], int]:
+    """Row m of L^{-1}, the monic Romanovski p_m of t^alpha (1+t)^-P, over
+    its least common denominator: from e_m = 1 down, e_j / e_{j+1} is
+    (j+1)(alpha+j+1) over (m-j)(m+alpha-P+1+j)."""
+    nums, den = _ratio_products(
+        [(j + 1) * (alpha + j + 1) for j in reversed(range(m))],
+        [(m - j) * (m + alpha - big_p + 1 + j) for j in reversed(range(m))])
+    return nums[::-1], den
+
+
+def romanovski_pivot(alpha: int, big_p: int, m: int) -> Fraction:
+    """The pivot D_m = |p_m|^2 under the weight t^alpha (1+t)^-P, a ratio
+    of factorials."""
+    fact = math.factorial
+    r = big_p - alpha - 2 * m
+    return Fraction(fact(m) * fact(alpha + m) * fact(r - 2) * fact(r - 1),
+                    fact(big_p - m - 1) * fact(big_p - alpha - m - 1))
+
+
 class Orthonormalizer:
     """Exact change of basis to an orthonormal frame for one Gram block.
 
@@ -163,29 +183,14 @@ class Orthonormalizer:
             raise ValueError(
                 f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
         self.dim = n
-        # L_{j+1,m} / L_{j,m} (Rodrigues) and e_j / e_{j+1} for row m of
-        # L^{-1} (Romanovski) share the numerator (j+1)(alpha+j+1)
-        up = [(j + 1) * (alpha + j + 1) for j in range(n)]
-        # column m of L from L_mm = 1 down, over (j+1-m)(P-m-alpha-j-2)
-        self.lcols = [_ratio_products(up[m:n - 1], [
-            (j + 1 - m) * (big_p - m - alpha - j - 2)
-            for j in range(m, n - 1)]) for m in range(n)]
-        # row m of L^{-1}, the monic p_m, from e_m = 1 to e_0, over
-        # (m-j)(m+alpha-P+1+j)
-        self.inv_rows = []
-        for m in range(n):
-            nums, den = _ratio_products(up[:m][::-1], [
-                (m - j) * (m + alpha - big_p + 1 + j)
-                for j in reversed(range(m))])
-            self.inv_rows.append((nums[::-1], den))
-        # the pivot D_m = |p_m|^2, a ratio of factorials
-        fact = math.factorial
-        self.D = []
-        for m in range(n):
-            r = big_p - alpha - 2 * m
-            self.D.append(Fraction(
-                fact(m) * fact(alpha + m) * fact(r - 2) * fact(r - 1),
-                fact(big_p - m - 1) * fact(big_p - alpha - m - 1)))
+        # column m of L from L_mm = 1 down by the ratios L_{j+1,m} / L_{j,m}
+        # (Rodrigues) (j+1)(alpha+j+1) over (j+1-m)(P-m-alpha-j-2)
+        self.lcols = [_ratio_products(
+            [(j + 1) * (alpha + j + 1) for j in range(m, n - 1)],
+            [(j + 1 - m) * (big_p - m - alpha - j - 2)
+             for j in range(m, n - 1)]) for m in range(n)]
+        self.inv_rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
+        self.D = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
         self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
                                        dtype=float))
 

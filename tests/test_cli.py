@@ -284,6 +284,46 @@ def test_report_without_report_json_exits_2(tmp_path, capsys):
     assert str(tmp_path / "report.json") in err and err.count("\n") == 1
 
 
+GOOD_REPORT = {"config_hash": "0" * 64, "package_version": "0",
+               "verdicts": {"euler:x": "pass"}, "worst": "pass"}
+
+
+@pytest.mark.parametrize("text,why", [
+    ("{bad", "Expecting property name"),
+    ("{}", "missing key 'config_hash'"),
+    (json.dumps(dict(GOOD_REPORT, worst="maybe")),
+     "unknown worst verdict 'maybe'"),
+], ids=["invalid-json", "missing-key", "unknown-worst"])
+def test_bad_report_json_exits_2(tmp_path, capsys, text, why):
+    # invalid JSON, a missing key or an unknown worst verdict: one line on
+    # stderr and nothing on stdout, not a traceback
+    (tmp_path / "report.json").write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert str(tmp_path / "report.json") in err and why in err
+
+
+@pytest.mark.parametrize("tables,unresolved,want", [
+    # a resolved miss at a later T is not masked by an open cell before it
+    ({"2.0": (0, 2, 0), "4.0": (0, 3, 0)}, [(2.0, 1)], "fail"),
+    ({"2.0": (0, 2, 0), "4.0": (0, 2, 1)}, [(4.0, 0)], "fail"),
+    # a miss in an open cell leaves the verdict open
+    ({"2.0": (0, 3, 0), "4.0": (0, 2, 0)}, [(2.0, 0)], "unresolved"),
+    ({"2.0": (0, 2, 0), "4.0": (0, 2, 0)}, [(4.0, 1)], "unresolved"),
+    ({"2.0": (0, 2, 0), "4.0": (0, 2, 0)}, [], "pass"),
+])
+def test_localization_verdict_reads_every_t(tables, unresolved, want):
+    config = parse_config(dict(small_config(), checks=["localization"]))
+    spec = config.models[1]
+    payload = {"label": spec.label(), "model": spec.to_dict(),
+               "tables": {t: dict(zip((-1, 0, 1), dims))
+                          for t, dims in tables.items()},
+               "unresolved": [list(u) for u in unresolved]}
+    assert cli.run_checks(config, [payload]) == {
+        f"localization:{spec.label()}": want}
+
+
 def test_output_root_override(tmp_path, monkeypatch):
     monkeypatch.setenv("EQUIVLAB_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "cfg.json"

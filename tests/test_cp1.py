@@ -4,6 +4,7 @@ closure of the truncated complex, kernel counts, and leakage reporting."""
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import equivlab.geometry.cp1 as cp1mod
+from equivlab import linalg
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
 from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
@@ -19,7 +22,8 @@ from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
                                    curvature_wedge, dbar, dbar_star,
                                    dual_field_wedge, field_contract,
                                    field_norm_mul, weight_exponent)
-from equivlab.linalg import fmatmul, invert_unit_lower, ldlt, to_ints
+from equivlab.linalg import (Orthonormalizer, fmatmul, invert_unit_lower,
+                             ldlt, to_ints)
 
 
 # --- exact reference constructions ------------------------------------------
@@ -75,18 +79,25 @@ def apply_rule(rule, s: Section) -> Section:
     return section(s.k, p, q, den, out)
 
 
+def monomials(block):
+    """The block's basis monomials, chunk by chunk in ascending charge."""
+    return [ab for chunk in block.chunks.values() for ab in chunk.monomials()]
+
+
 def basis_section(block, k, i):
     """Section of block basis monomial i, coefficient 1."""
-    a, b = block.monomials[i]
-    return section(k, block.pq[0], block.pq[1], block.den,
-                   {(a, b): Fraction(1)})
+    return monomial_section(block, k, monomials(block)[i])
+
+
+def monomial_section(block, k, ab):
+    return section(k, block.pq[0], block.pq[1], block.den, {ab: Fraction(1)})
 
 
 def gram_fractions(block, k, chi):
     """The Gram matrix of one charge chunk as Fractions, entry (i, j) the
     Beta moment m(a_i + b_j, P) of the chunk's monomials."""
     big_p = weight_exponent(*block.pq, block.den, k)
-    chunk = block.monomials[block.chunk_slices[chi]]
+    chunk = block.chunks[chi].monomials()
     return [[beta_moment(a + d, big_p) for _, d in chunk] for a, _ in chunk]
 
 
@@ -199,11 +210,10 @@ def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
     # common denominators; the operator chunks are integer matrices
     ex = Cp1Exact(k, cutoff)
     for block in ex.blocks.values():
-        for chi in block.charges:
-            gram, ortho = gram_fractions(block, k, chi), block.orthos[chi]
-            sl = block.chunk_slices[chi]
-            sections = [basis_section(block, k, i)
-                        for i in range(sl.start, sl.stop)]
+        for chi, chunk in block.chunks.items():
+            gram, ortho = gram_fractions(block, k, chi), chunk.ortho
+            sections = [monomial_section(block, k, ab)
+                        for ab in chunk.monomials()]
             assert gram[0] == [l2_pair(sections[0], s) for s in sections]
             assert [row[-1] for row in gram] == [
                 l2_pair(s, sections[-1]) for s in sections]
@@ -221,8 +231,8 @@ def test_chunk_factors_match_elimination(k, cutoff):
     # elimination and substitution give on the chunk's Beta-moment Gram
     ex = Cp1Exact(k, cutoff)
     for block in ex.blocks.values():
-        for chi in block.charges:
-            ortho = block.orthos[chi]
+        for chi, chunk in block.chunks.items():
+            ortho = chunk.ortho
             L, D = ldlt(gram_fractions(block, k, chi))
             n = ortho.dim
             assert ortho.D == D
@@ -232,6 +242,38 @@ def test_chunk_factors_match_elimination(k, cutoff):
             assert [[Fraction(x, den) for x in nums]
                     for nums, den in ortho.inv_rows] == [
                 row[:r + 1] for r, row in enumerate(invert_unit_lower(L))]
+
+
+def sorted_chunks(k, cutoff, p, q):
+    """The charge chunks as the assembly once cut them: every monomial of
+    the block sorted by (charge, a), then grouped by charge."""
+    _, amax, bmax = block_params(k, cutoff, p, q)
+
+    def charge(ab):
+        return ab[0] - ab[1] + p - q
+
+    monos = sorted(((a, b) for a in range(amax + 1) for b in range(bmax + 1)),
+                   key=lambda ab: (charge(ab), ab[0]))
+    return {chi: list(chunk) for chi, chunk in groupby(monos, key=charge)}
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 4), (3, 7), (0, 8), (3, 11),
+                                      (2, 14), (1, 20)])
+def test_closed_form_chunks_match_sorted_monomials(k, cutoff):
+    # (a0, b0, n) gives the same charges in the same order, the same
+    # monomials in the same order, and the factors of the same (alpha, P, n)
+    # as sorting and slicing the block's monomials
+    ex = Cp1Exact(k, cutoff)
+    for (p, q), block in ex.blocks.items():
+        want = sorted_chunks(k, cutoff, p, q)
+        assert list(block.chunks) == list(want)
+        big_p = weight_exponent(p, q, block.den, k)
+        for chi, monos in want.items():
+            chunk = block.chunks[chi]
+            assert chunk.monomials() == monos
+            ref = Orthonormalizer(sum(monos[0]), big_p, len(monos))
+            assert (chunk.ortho.lcols, chunk.ortho.inv_rows, chunk.ortho.D) == (
+                ref.lcols, ref.inv_rows, ref.D)
 
 
 def test_normalized_volume():
@@ -274,6 +316,25 @@ def test_field_contraction_exact_and_degree():
     # the truncation
     assert field_contract(0, 1, 0, 6, 2, 1) == ((0, 0), 6, [((3, 1), 1)])
     assert field_contract(0, 0, 1, 6, 2, 1) is None
+
+
+@pytest.mark.parametrize("da,db,dden,msg", [
+    # against the true image (a + 1, b): each moves one of b' - b0 and the
+    # row a' - a0, or both by one
+    (1, 1, 0, "escapes"),               # off the target chunk's diagonal
+    (2, 1, 0, "escapes"),               # past the target chunk's top
+    (0, -1, 0, "escapes"),              # below the target chunk's bottom
+    (1, 0, 1, "image denominator"),
+])
+def test_escaping_image_is_a_model_error(monkeypatch, da, db, dden, msg):
+    # the closure proof: an image outside the target truncation is an error,
+    # never an entry written at a wrapped or clipped index
+    def moved(k, p, q, den, a, b):
+        return None if p == 0 else ((0, q), den + dden, [((a + da, b + db), 1)])
+
+    monkeypatch.setattr(cp1mod, "field_contract", moved)
+    with pytest.raises(ModelError, match=msg):
+        Cp1Exact(1, 6)
 
 
 def test_field_vanishes_at_origin():
@@ -386,15 +447,13 @@ def test_adjoint_consistency_of_assembled_blocks():
         for q in (0, 1):
             src, tgt = ex.blocks[(1, q)], ex.blocks[(0, q)]
             for chi, m in ex.iv_chunks[(1, q)].items():
-                tgt_sl = tgt.chunk_slices.get(chi)
-                if tgt_sl is None or not m or not m[0]:
+                if chi not in tgt.chunks or not m or not m[0]:
                     continue
-                src_sl = src.chunk_slices[chi]
-                pairs = [[l2_pair(basis_section(src, k, i),
+                pairs = [[l2_pair(monomial_section(src, k, u),
                                   apply_rule(dual_field_wedge,
-                                             basis_section(tgt, k, j)))
-                          for j in range(tgt_sl.start, tgt_sl.stop)]
-                         for i in range(src_sl.start, src_sl.stop)]
+                                             monomial_section(tgt, k, w)))
+                          for w in tgt.chunks[chi].monomials()]
+                         for u in src.chunks[chi].monomials()]
                 assert fmatmul(transpose(m), gram_fractions(tgt, k, chi)) == pairs
 
 
@@ -477,14 +536,12 @@ def per_section_dual_wedge_core(ex, q, chi):
     """L_s^-1 R L_s^-T from pairings of the wedge images themselves: R is
     gram_y - B^T G_t^-1 B, with G_t^-1 B solved as L^-T D^-1 L^-1 B."""
     k, src, tgt = ex.k, ex.blocks[(0, q)], ex.blocks[(1, q)]
-    sl = src.chunk_slices[chi]
-    images = [apply_rule(dual_field_wedge, basis_section(src, k, i))
-              for i in range(sl.start, sl.stop)]
+    images = [apply_rule(dual_field_wedge, monomial_section(src, k, ab))
+              for ab in src.chunks[chi].monomials()]
     resid = [[l2_pair(a, b) for b in images] for a in images]
-    tgt_sl = tgt.chunk_slices.get(chi)
-    if tgt_sl is not None:
-        bmat = [[l2_pair(basis_section(tgt, k, v), y) for y in images]
-                for v in range(tgt_sl.start, tgt_sl.stop)]
+    if chi in tgt.chunks:
+        bmat = [[l2_pair(monomial_section(tgt, k, v), y) for y in images]
+                for v in tgt.chunks[chi].monomials()]
         L, D = ldlt(gram_fractions(tgt, k, chi))
         linv = invert_unit_lower(L)
         y = [[x / d for x in row] for row, d in zip(fmatmul(linv, bmat), D)]
@@ -506,7 +563,7 @@ def test_dual_wedge_core_matches_section_pairings(k, cutoff):
     ex = Cp1Exact(k, cutoff)
     for q in (0, 1):
         src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
-        for chi in src.charges:
+        for chi in src.chunks:
             core = per_section_dual_wedge_core(ex, q, chi)
             assert exact_rank(core) <= 2
             _, D = ldlt(gram_fractions(src, k, chi))
@@ -527,12 +584,28 @@ def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
         for q in (0, 1):
             src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
             ref = Decimal(0)
-            for chi in src.charges:
+            for chi in src.chunks:
                 tr, det = (Decimal(x.numerator) / x.denominator for x in
                            _dual_wedge_pencil(k, src, tgt, chi))
                 ref = max(ref, ((tr + (tr * tr - 4 * det).sqrt()) / 2).sqrt())
             assert abs(Decimal(got[(0, q)]) - ref) <= 2 * Decimal(
                 math.ulp(got[(0, q)]))
+
+
+def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
+    # the pencil reads two Romanovski rows and two pivots of the source
+    # block's weight exponent, not a whole factorization per chunk
+    ex = Cp1Exact(1, 8)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return Orthonormalizer(*args)
+
+    monkeypatch.setattr(cp1mod, "Orthonormalizer", counting)
+    monkeypatch.setattr(linalg, "Orthonormalizer", counting)
+    assert ex.dual_wedge_leakage()
+    assert calls == []
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():
@@ -571,7 +644,7 @@ def test_gram_conditions_reported():
     model = cp1_model(0, 8)
     for (p, q), block in model.exact.blocks.items():
         worst = Fraction(1)
-        for chi in block.charges:
+        for chi in block.chunks:
             gram = gram_fractions(block, 0, chi)
             _, D = ldlt(gram)
             worst = max(worst, max(D) / min(D))

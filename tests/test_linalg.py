@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
                              float_ratios, fmatmul, hermitian_eigenvalues,
-                             invert_unit_lower, ldlt)
+                             invert_unit_lower, ldlt, romanovski_pivot,
+                             romanovski_row)
 
 
 # --- per-entry Fraction reference kernels ------------------------------------
@@ -283,16 +284,20 @@ def test_orthonormalizer_matches_float_congruence():
 def test_orthonormalizer_integer_factors_rebuild_ldlt(params):
     # the integer columns of L and rows of L^-1, each over its least common
     # denominator, are the Fractions of ldlt and invert_unit_lower, and
-    # G = L D L^T
-    g, n = moment_gram(*params), params[2]
+    # G = L D L^T; the rows and pivots are those `romanovski_row` and
+    # `romanovski_pivot` give one m at a time
+    (alpha, big_p, n), g = params, moment_gram(*params)
     ortho = Orthonormalizer(*params)
-    for nums, den in (*ortho.lcols, *ortho.inv_rows):
+    rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
+    pivots = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
+    assert (ortho.inv_rows, ortho.D) == (rows, pivots)
+    for nums, den in (*ortho.lcols, *rows):
         assert den > 0 and math.gcd(den, *nums) == 1
     L = [[Fraction(ortho.lcols[j][0][i - j], ortho.lcols[j][1]) if i >= j
           else Fraction(0) for j in range(n)] for i in range(n)]
     linv = [[Fraction(nums[j], den) if j <= i else Fraction(0)
-             for j in range(n)] for i, (nums, den) in enumerate(ortho.inv_rows)]
-    assert (L, ortho.D) == ldlt(g)
+             for j in range(n)] for i, (nums, den) in enumerate(rows)]
+    assert (L, pivots) == ldlt(g)
     assert linv == invert_unit_lower(L) == ref_invert_unit_lower(L)
     diag = [[ortho.D[i] if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
