@@ -118,8 +118,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     t_grid = raw.get("T_grid", [])
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("T_grid", "must be a nonempty list")
+    seen = set()
     for i, t in enumerate(t_grid):
-        _number(f"T_grid[{i}]", t, float, 0)
+        t = _number(f"T_grid[{i}]", t, float, 0)
+        if t in seen:
+            raise ConfigError(f"T_grid[{i}]",
+                              f"must be distinct; {t:g} repeats")
+        seen.add(t)
     rule_raw = _object("threshold_rule", raw.get("threshold_rule", {}))
     rule = ThresholdRule(**{
         key: _number(f"threshold_rule.{key}",

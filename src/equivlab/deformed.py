@@ -164,6 +164,11 @@ class DiracSquare:
             return np.zeros(0)
         return np.sort(np.concatenate(parts))
 
+    def member_dim(self, r: int) -> int:
+        """The largest member dimension in degree r."""
+        return max((h.shape[-1] for (_, rr), h in self.cells.items()
+                    if rr == r), default=0)
+
 
 def dirac(op: DeformedOperator) -> DiracSquare:
     """Per-degree Hermitian matrices of the Dirac square in orthonormal
@@ -203,6 +208,13 @@ class KunnethSquare:
                  for b, mult in RIGHT_MULTIPLICITY.items()
                  if r - b in self.left for _ in range(mult)]
         return np.sort(np.concatenate(parts))
+
+    def member_dim(self, r: int) -> int:
+        """The largest member dimension of the left factor over the
+        degrees r - b that enter degree r."""
+        left = self.model.left
+        return max(stack.degree_dim(r - b, left.n) for stack in left.cells
+                   for b in RIGHT_MULTIPLICITY)
 
 
 def deformed_square(model: AssembledModel | ProductModel, T: float
@@ -256,7 +268,9 @@ def cluster_kernel(evals: np.ndarray, rule: ThresholdRule = DEFAULT_RULE
 
 class NotPSDError(ValueError):
     """The Dirac square, a sum of Gram products, has an eigenvalue below
-    the PSD guard: the assembled operator is wrong."""
+    the PSD guard -(n + 8) eps max(lambda_max, 1), n the largest member
+    dimension in its degree (a round-off bound of the form
+    `complex_property_defect` uses): the assembled operator is wrong."""
 
     def __init__(self, degree: int, eigenvalue: float):
         self.degree = degree
@@ -271,7 +285,8 @@ class NotPSDError(ValueError):
 def spectrum(dsq: DiracSquare | KunnethSquare, r: int,
              rule: ThresholdRule = DEFAULT_RULE) -> SpectrumResult:
     evals = dsq.merged_eigenvalues(r)
-    if len(evals) and float(evals[0]) < -1.0e-10:
+    if len(evals) and float(evals[0]) < -((dsq.member_dim(r) + 8) * _EPS
+                                          * max(float(evals[-1]), 1.0)):
         raise NotPSDError(r, float(evals[0]))
     count, gap, resolved, threshold = cluster_kernel(evals, rule)
     return SpectrumResult(
@@ -283,7 +298,6 @@ def spectrum(dsq: DiracSquare | KunnethSquare, r: int,
 @dataclass
 class CohomologyTable:
     dims: dict[int, int]
-    source: str
 
     def __eq__(self, other):
         if not isinstance(other, CohomologyTable):
@@ -307,9 +321,7 @@ def dirac_table(dsq: DiracSquare | KunnethSquare,
         res = spectrum(dsq, r, rule=rule)
         results[r] = res
         dims[r] = res.kernel_count
-    src = (f"spectral(T={dsq.T:g}, cutoff={model.spec.cutoff or ''}, "
-           "rule=relative-gap)")
-    return CohomologyTable(dims=dims, source=src), results
+    return CohomologyTable(dims=dims), results
 
 
 def spectral_table(model: AssembledModel | ProductModel, T: float,
@@ -378,17 +390,10 @@ def _bochner_cp1(model: AssembledModel, T) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SweepRow:
-    T: float
-    degree: int
-    result: SpectrumResult
-
-
-@dataclass
 class SweepResult:
     model: AssembledModel | ProductModel
     tables: dict[float, CohomologyTable]
-    rows: list[SweepRow]
+    rows: list[SpectrumResult]      # per T, then per degree
     unresolved: list[tuple[float, int]]
     min_eig_over_T2: dict[float, float]   # only for empty-zero-set models
     complex_defect_ratio: dict[float, float]   # complex_property_defect per T
@@ -401,7 +406,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list,
     if any(t <= 0 for t in T_list):
         raise ValueError("T grid must be positive")
     tables: dict[float, CohomologyTable] = {}
-    rows: list[SweepRow] = []
+    rows: list[SpectrumResult] = []
     unresolved: list[tuple[float, int]] = []
     growth: dict[float, float] = {}
     defects: dict[float, float] = {}
@@ -416,7 +421,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list,
         tables[float(T)] = table
         all_eigs = []
         for r, res in sorted(results.items()):
-            rows.append(SweepRow(T=float(T), degree=r, result=res))
+            rows.append(res)
             if not res.resolved:
                 unresolved.append((float(T), r))
             all_eigs.extend(res.eigenvalues[:1])
@@ -440,10 +445,9 @@ def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
     cutoff = (spec.cutoff if spec.kind != "product"
               else f"{spec.left.cutoff}x{spec.right.cutoff}")
     out = []
-    for row in sweep.rows:
-        res = row.result
+    for res in sweep.rows:
         rec = {"model": spec.label(), "kind": spec.kind, "param": param,
-               "cutoff": cutoff, "T": f"{row.T:.17g}", "r": row.degree,
+               "cutoff": cutoff, "T": f"{res.T:.17g}", "r": res.degree,
                "dim": res.dim, "kernel_count": res.kernel_count,
                "resolved": int(res.resolved),
                "gap_ratio": f"{res.gap:.17g}",

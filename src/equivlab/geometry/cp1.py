@@ -22,12 +22,11 @@ closed form from (alpha, P, n), the rows of L^{-1} being the finite
 Romanovski polynomials of that weight.
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
-it sends one monomial z^a zbar^b / (1+s)^den of a block to at most two
-monomials with integer coefficients over (1+s)^(den + shift), the shift
-fixed per operator and block.  The operator chunks read their columns
-straight from the rules, and so does the curvature-identity certificate
-`Cp1Exact.bochner_brackets`: its brackets do not depend on T, so it is
-computed once per model and the Bochner residual at any T is a scaling.
+it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
+over (1+s)^(den + shift), both fixed per operator and block, with integer
+coefficients affine in (a, b).  So a rule is evaluated on exponent arrays:
+per chunk for the operator chunks, per block for the T-free certificate
+`Cp1Exact.bochner_brackets`, which the Bochner residual at any T scales.
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
@@ -58,8 +57,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,8 +68,9 @@ from ..linalg import (IMatrix, Orthonormalizer, romanovski_pivot,
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
 
-Image = tuple[PQ, int, list[tuple[tuple[int, int], int]]]
-Rule = Callable[[int, int, int, int, int, int], "Image | None"]
+Exps = int | np.ndarray         # exponents or coefficients, one per monomial
+Image = tuple[PQ, int, list[tuple[tuple[int, int], Exps]]]
+Rule = Callable[[int, int, int, int, Exps, Exps], "Image | None"]
 
 _PQS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -80,24 +79,20 @@ _PQS = ((0, 0), (1, 0), (0, 1), (1, 1))
 # Operators as monomial rules
 # ---------------------------------------------------------------------------
 # A rule maps the monomial z^a zbar^b / (1+s)^den of the (p,q) block with
-# twist k to its image (target (p,q), target den, [((a', b'), int), ...]),
-# zero terms dropped, or to None where the operator vanishes by degree.
+# twist k to (target (p,q), target den, [((da, db), coeff), ...]), the sum of
+# coeff z^(a+da) zbar^(b+db), or to None where it vanishes by degree.  On
+# exponent arrays the coefficients are arrays; zero coefficients are kept.
 
-def _nonzero(*terms) -> list[tuple[tuple[int, int], int]]:
-    return [(ab, co) for ab, co in terms if co]
-
-
-def dbar(k: int, p: int, q: int, den: int, a: int, b: int) -> Image | None:
+def dbar(k: int, p: int, q: int, den: int, a: Exps, b: Exps) -> Image | None:
     """Dolbeault operator; zero on q = 1 blocks.  The sign on the (1,0)
     block comes from moving dzbar past dz into canonical order."""
     if q == 1:
         return None
     sign = 1 if p == 0 else -1
-    return (p, 1), den + 1, _nonzero(((a, b - 1), sign * b),
-                                     ((a + 1, b), sign * (b - den)))
+    return (p, 1), den + 1, [((0, -1), sign * b), ((1, 0), sign * (b - den))]
 
 
-def dbar_star(k: int, p: int, q: int, den: int, a: int, b: int
+def dbar_star(k: int, p: int, q: int, den: int, a: Exps, b: Exps
               ) -> Image | None:
     """Formal adjoint of the Dolbeault operator; zero on q = 0 blocks."""
     if q == 0:
@@ -106,69 +101,68 @@ def dbar_star(k: int, p: int, q: int, den: int, a: int, b: int
         down, up = -a, den + k - a
     else:
         down, up = a, a - den + 2 - k
-    return (p, 0), den - 1, _nonzero(((a - 1, b), down), ((a, b + 1), up))
+    return (p, 0), den - 1, [((-1, 0), down), ((0, 1), up)]
 
 
-def field_contract(k: int, p: int, q: int, den: int, a: int, b: int
+def field_contract(k: int, p: int, q: int, den: int, a: Exps, b: Exps
                    ) -> Image | None:
     """Contraction by the linear field z d/dz; zero on p = 0 blocks."""
-    return None if p == 0 else ((0, q), den, [((a + 1, b), 1)])
+    return None if p == 0 else ((0, q), den, [((1, 0), 1)])
 
 
-def dual_field_wedge(k: int, p: int, q: int, den: int, a: int, b: int
+def dual_field_wedge(k: int, p: int, q: int, den: int, a: Exps, b: Exps
                      ) -> Image | None:
     """Wedge by the metric dual (1,0)-form of the conjugated field,
     zbar (1+|z|^2)^{-2} dz; zero on p = 1 blocks."""
-    return None if p == 1 else ((1, q), den + 2, [((a, b + 1), 1)])
+    return None if p == 1 else ((1, q), den + 2, [((0, 1), 1)])
 
 
-def field_norm_mul(k: int, p: int, q: int, den: int, a: int, b: int
+def field_norm_mul(k: int, p: int, q: int, den: int, a: Exps, b: Exps
                    ) -> Image | None:
     """Multiplication by |v|^2 = |z|^2 (1+|z|^2)^{-2}."""
-    return (p, q), den + 2, [((a + 1, b + 1), 1)]
+    return (p, q), den + 2, [((1, 1), 1)]
 
 
-def curvature_wedge(k: int, p: int, q: int, den: int, a: int, b: int
+def curvature_wedge(k: int, p: int, q: int, den: int, a: Exps, b: Exps
                     ) -> Image | None:
     """Wedge by the (1,1)-form dbar(dual field): (s-1)(1+s)^{-3} dz wedge
     dzbar in canonical order; zero except on the (0,0) block."""
     if (p, q) != (0, 0):
         return None
-    return (1, 1), den + 3, [((a + 1, b + 1), 1), ((a, b), -1)]
+    return (1, 1), den + 3, [((1, 1), 1), ((0, 0), -1)]
 
 
-def curvature_contract(k: int, p: int, q: int, den: int, a: int, b: int
+def curvature_contract(k: int, p: int, q: int, den: int, a: Exps, b: Exps
                        ) -> Image | None:
     """Adjoint of curvature_wedge, from the (1,1) block to the (0,0) block:
     multiplication by |z|^4 - 1, written over (1+s)^(den-1) as
     multiplication by s - 1."""
     if (p, q) != (1, 1):
         return None
-    return (0, 0), den - 1, [((a + 1, b + 1), 1), ((a, b), -1)]
+    return (0, 0), den - 1, [((1, 1), 1), ((0, 0), -1)]
 
 
-Family = dict[tuple[PQ, int], dict[tuple[int, int], int]]
+Family = dict[tuple[PQ, int, int, int], np.ndarray]
 
 
-def _apply(k: int, rules: tuple[Rule, ...], family: Family,
+def _apply(k: int, a: Exps, b: Exps, rules: tuple[Rule, ...], family: Family,
            out: Family | None = None, scale: int = 1) -> Family:
     """Add scale times the sum of the rules, applied to family, into out.
-    A family maps (p,q) and den to integer coefficients of monomials."""
+    A family maps (p,q), den and an offset (da, db) from the monomials
+    (a, b) to the coefficients of (a + da, b + db), one per monomial."""
     out = {} if out is None else out
-    for (pq, den), terms in family.items():
-        for (a, b), co in terms.items():
-            for rule in rules:
-                image = rule(k, *pq, den, a, b)
-                if image is not None:
-                    acc = out.setdefault(image[:2], {})
-                    for ab, x in image[2]:
-                        acc[ab] = acc.get(ab, 0) + scale * co * x
+    for (pq, den, da, db), co in family.items():
+        ta, tb = a + da, b + db
+        for rule in rules:
+            image = rule(k, *pq, den, ta, tb)
+            for (ea, eb), x in image[2] if image else ():
+                key = (*image[:2], da + ea, db + eb)
+                out[key] = out.get(key, 0) + scale * co * x
     return out
 
 
 def _largest(family: Family) -> int:
-    return max((abs(co) for terms in family.values() for co in terms.values()),
-               default=0)
+    return max((np.abs(co).max() for co in family.values()), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +200,10 @@ class Chunk(NamedTuple):
     def monomials(self) -> list[tuple[int, int]]:
         return [(self.a0 + i, self.b0 + i) for i in range(self.n)]
 
+    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        i = np.arange(self.n, dtype=object)     # Python ints
+        return self.a0 + i, self.b0 + i
+
 
 @dataclass
 class Block:
@@ -237,29 +235,31 @@ def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
     return Block((p, q), den, chunks)
 
 
-def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule,
-                     opname: str) -> dict[int, IMatrix]:
+def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
+                     ) -> dict[int, IMatrix]:
     """Chunk-diagonal integer matrices of a rule between two blocks; errors
     if an image leaves the target truncation (this is the closure proof).
-    An image (a', b') lies in the target chunk at row a' - a0 exactly when
-    that row is below n and b' - b0 equals it."""
+    Term (da, db) of source monomial col lies in the target chunk at row
+    col + shift exactly when that row is in [0, n) and b' - b0 equals it."""
     out: dict[int, IMatrix] = {}
     for chi, chunk in src.chunks.items():
         a0, b0, n, _ = tgt.chunks.get(chi, (0, 0, 0, None))
         mat = [[0] * chunk.n for _ in range(n)]
-        for col, (a, b) in enumerate(chunk.monomials()):
-            _, den, terms = rule(k, *src.pq, src.den, a, b)
-            if not terms:
-                continue
-            if den != tgt.den:
-                raise ModelError(
-                    f"{opname}: image denominator {den} != block {tgt.den}")
-            for (a1, b1), co in terms:
-                row = a1 - a0
-                if not 0 <= row < n or b1 - b0 != row:
-                    raise ModelError(f"{opname}: image monomial {(a1, b1)} "
-                                     "escapes the truncation")
-                mat[row][col] = co
+        _, den, terms = rule(k, *src.pq, src.den, *chunk.exponents())
+        if den != tgt.den:
+            raise ModelError(
+                f"{rule.__name__}: image denominator {den} != block {tgt.den}")
+        for (da, db), co in terms:
+            shift = chunk.a0 + da - a0
+            on_diagonal = chunk.b0 + db - b0 == shift
+            for col, x in enumerate(np.full(chunk.n, co, dtype=object)):
+                if not x:
+                    continue
+                if not on_diagonal or not 0 <= col + shift < n:
+                    image = (chunk.a0 + col + da, chunk.b0 + col + db)
+                    raise ModelError(f"{rule.__name__}: image monomial "
+                                     f"{image} escapes the truncation")
+                mat[col + shift][col] = x
         out[chi] = mat
     return out
 
@@ -277,11 +277,10 @@ class Cp1Exact:
         self.iv_chunks: dict[PQ, dict[int, IMatrix]] = {}
         for (p, q) in ((0, 0), (1, 0)):
             self.dbar_chunks[(p, q)] = _exact_op_chunks(
-                k, self.blocks[(p, q)], self.blocks[(p, 1)], dbar, "dbar")
+                k, self.blocks[(p, q)], self.blocks[(p, 1)], dbar)
         for (p, q) in ((1, 0), (1, 1)):
             self.iv_chunks[(p, q)] = _exact_op_chunks(
-                k, self.blocks[(p, q)], self.blocks[(0, q)], field_contract,
-                "field_contract")
+                k, self.blocks[(p, q)], self.blocks[(0, q)], field_contract)
 
     # -- orthonormal float views -------------------------------------------
 
@@ -326,25 +325,25 @@ class Cp1Exact:
         curvature identity holds at every T exactly when the first two are
         0.  Images are summed per (p,q) and den, so a term landing at the
         wrong den cannot cancel and can only make the brackets nonzero."""
-        k = self.k
         d_ops, v_ops = (dbar, dbar_star), (field_contract, dual_field_wedge)
         theta_ops = (curvature_wedge, curvature_contract)
         curvature = clifford = theta = 0
         for pq, block in self.blocks.items():
-            for ab in chain.from_iterable(
-                    c.monomials() for c in block.chunks.values()):
-                e = {(pq, block.den): {ab: 1}}
-                ve = _apply(k, v_ops, e)
-                # -Theta e, then D V e + V D e added onto it
-                bracket = _apply(k, theta_ops, e, scale=-1)
-                theta = max(theta, _largest(bracket))
-                _apply(k, d_ops, ve, bracket)
-                _apply(k, v_ops, _apply(k, d_ops, e), bracket)
-                curvature = max(curvature, _largest(bracket))
-                # -|v|^2 e, then V V e added onto it
-                bracket = _apply(k, (field_norm_mul,), e, scale=-1)
-                _apply(k, v_ops, ve, bracket)
-                clifford = max(clifford, _largest(bracket))
+            a, b = map(np.concatenate, zip(*(
+                c.exponents() for c in block.chunks.values())))
+            apply = partial(_apply, self.k, a, b)
+            e = {(pq, block.den, 0, 0): np.ones(len(a), dtype=object)}
+            ve = apply(v_ops, e)
+            # -Theta e, then D V e + V D e added onto it
+            bracket = apply(theta_ops, e, scale=-1)
+            theta = max(theta, _largest(bracket))
+            apply(d_ops, ve, bracket)
+            apply(v_ops, apply(d_ops, e), bracket)
+            curvature = max(curvature, _largest(bracket))
+            # -|v|^2 e, then V V e added onto it
+            bracket = apply((field_norm_mul,), e, scale=-1)
+            apply(v_ops, ve, bracket)
+            clifford = max(clifford, _largest(bracket))
         return curvature, clifford, theta
 
     def dual_wedge_leakage(self) -> dict[PQ, float]:

@@ -182,17 +182,23 @@ class Orthonormalizer:
         if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
             raise ValueError(
                 f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
-        self.dim = n
-        # column m of L from L_mm = 1 down by the ratios L_{j+1,m} / L_{j,m}
-        # (Rodrigues) (j+1)(alpha+j+1) over (j+1-m)(P-m-alpha-j-2)
-        self.lcols = [_ratio_products(
-            [(j + 1) * (alpha + j + 1) for j in range(m, n - 1)],
-            [(j + 1 - m) * (big_p - m - alpha - j - 2)
-             for j in range(m, n - 1)]) for m in range(n)]
+        self.alpha, self.big_p, self.dim = alpha, big_p, n
         self.inv_rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
         self.D = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
         self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
                                        dtype=float))
+
+    @functools.cached_property
+    def lcols(self) -> list[tuple[list[int], int]]:
+        """The columns of L, built on first use: only a target of
+        `transform_op` reads them."""
+        alpha, big_p, n = self.alpha, self.big_p, self.dim
+        # column m of L from L_mm = 1 down by the ratios L_{j+1,m} / L_{j,m}
+        # (Rodrigues) (j+1)(alpha+j+1) over (j+1-m)(P-m-alpha-j-2)
+        return [_ratio_products(
+            [(j + 1) * (alpha + j + 1) for j in range(m, n - 1)],
+            [(j + 1 - m) * (big_p - m - alpha - j - 2)
+             for j in range(m, n - 1)]) for m in range(n)]
 
     def _solve(self, vectors) -> IMatrix:
         """L^{-1} v for each integer vector v; entry i of each result is

@@ -39,7 +39,7 @@ class OracleTable:
         dims: dict[int, int] = {r: 0 for r in range(-self.n, self.n + 1)}
         for (p, q), v in self.h:
             dims[q - p] += v
-        return CohomologyTable(dims=dims, source="oracle")
+        return CohomologyTable(dims=dims)
 
 
 POINT_TABLE = OracleTable.make(0, {(0, 0): 1})
@@ -99,7 +99,7 @@ class ZeroSetDescriptor:
         for _, rank, table in self.components:
             for r, v in table.per_degree().dims.items():
                 dims[r] += rank * v
-        return CohomologyTable(dims=dims, source="oracle")
+        return CohomologyTable(dims=dims)
 
 
 def zero_set(spec: ModelSpec) -> ZeroSetDescriptor:

@@ -120,6 +120,7 @@ def _with(path, value):
     (_with(["T_grid", 1], math.nan), "T_grid[1]"),
     (_with(["T_grid", 0], math.inf), "T_grid[0]"),
     (_with(["T_grid"], [True]), "T_grid[0]"),
+    (_with(["T_grid"], [2, 2.0, 4]), "T_grid[1]"),
     (["sweep", "--model", "cp1", "--T", "2,x"], "T_grid[1]"),
     (["sweep", "--model", "torus", "--tau", "1", "--T", "2"],
      "models[0].tau"),
@@ -140,7 +141,7 @@ def _with(path, value):
     (_with(["oscillator"], 3), "oscillator"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
-        "T-bool", "sweep-T", "sweep-tau", "sweep-product-tau",
+        "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
         "oscillator-m", "rule-not-object", "ratio-nan", "ratio-zero",
         "floor-negative", "floor-string", "checks-not-list",
         "outputs-not-list", "oscillator-not-object"])
@@ -476,6 +477,17 @@ def test_non_psd_spectrum_fails(tmp_path, monkeypatch, jobs):
     payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
     assert all(p["non_psd"] and "not PSD" in p["error"]
                for p in payloads["payloads"])
+
+
+def test_large_T_sweep_passes(tmp_path):
+    # at T = 4096 the lowest eigenvalue of this correct model is about
+    # -9.3e-10 against lambda_max = 8.3e6: round-off, which the not-PSD
+    # guard, scaled by the member dimension and lambda_max, lets through
+    out = tmp_path / "out"
+    assert main(["sweep", "--model", "cp1", "--k", "0", "--cutoff", "12",
+                 "--T", "4096", "-o", str(out)]) == 0
+    payloads = json.loads((out / "payloads.json").read_text())
+    assert not any("error" in p for p in payloads["payloads"])
 
 
 def test_non_psd_error_survives_pickling():

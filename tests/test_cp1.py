@@ -24,6 +24,7 @@ from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
                                    field_norm_mul, weight_exponent)
 from equivlab.linalg import (Orthonormalizer, fmatmul, invert_unit_lower,
                              ldlt, to_ints)
+from test_deformed import doubled
 
 
 # --- exact reference constructions ------------------------------------------
@@ -73,8 +74,8 @@ def apply_rule(rule, s: Section) -> Section:
         image = rule(s.k, s.p, s.q, s.den, a, b)
         assert image is not None
         target = image[:2]
-        for ab, x in image[2]:
-            out[ab] = out.get(ab, 0) + co * x
+        for (da, db), x in image[2]:
+            out[(a + da, b + db)] = out.get((a + da, b + db), 0) + co * x
     (p, q), den = target
     return section(s.k, p, q, den, out)
 
@@ -314,7 +315,9 @@ def test_holomorphic_section_count_borel_weil():
 def test_field_contraction_exact_and_degree():
     # contraction by z d/dz raises the monomial degree by one and stays in
     # the truncation
-    assert field_contract(0, 1, 0, 6, 2, 1) == ((0, 0), 6, [((3, 1), 1)])
+    assert field_contract(0, 1, 0, 6, 2, 1) == ((0, 0), 6, [((1, 0), 1)])
+    assert (apply_rule(field_contract, section(0, 1, 0, 6, {(2, 1): 1}))
+            == section(0, 0, 0, 6, {(3, 1): 1}))
     assert field_contract(0, 0, 1, 6, 2, 1) is None
 
 
@@ -330,7 +333,7 @@ def test_escaping_image_is_a_model_error(monkeypatch, da, db, dden, msg):
     # the closure proof: an image outside the target truncation is an error,
     # never an entry written at a wrapped or clipped index
     def moved(k, p, q, den, a, b):
-        return None if p == 0 else ((0, q), den + dden, [((a + da, b + db), 1)])
+        return None if p == 0 else ((0, q), den + dden, [((da, db), 1)])
 
     monkeypatch.setattr(cp1mod, "field_contract", moved)
     with pytest.raises(ModelError, match=msg):
@@ -455,6 +458,100 @@ def test_adjoint_consistency_of_assembled_blocks():
                           for w in tgt.chunks[chi].monomials()]
                          for u in src.chunks[chi].monomials()]
                 assert fmatmul(transpose(m), gram_fractions(tgt, k, chi)) == pairs
+
+
+# --- the curvature-identity certificate -------------------------------------
+
+RULES = (dbar, dbar_star, field_contract, dual_field_wedge, field_norm_mul,
+         curvature_wedge, curvature_contract)
+
+
+def scalar_brackets(ex: Cp1Exact) -> tuple[int, int, int]:
+    """Per-monomial reference for `Cp1Exact.bochner_brackets`: each basis
+    monomial e on its own, the images summed per (p,q), den and absolute
+    monomial, one scalar rule call per monomial and rule."""
+    def apply(rules, family, out=None, scale=1):
+        out = {} if out is None else out
+        for (pq, den), terms in family.items():
+            for (a, b), co in terms.items():
+                for rule in rules:
+                    image = rule(ex.k, *pq, den, a, b)
+                    if image is not None:
+                        acc = out.setdefault(image[:2], {})
+                        for (da, db), x in image[2]:
+                            ab = (a + da, b + db)
+                            acc[ab] = acc.get(ab, 0) + scale * co * x
+        return out
+
+    def largest(family):
+        return max((abs(co) for terms in family.values()
+                    for co in terms.values()), default=0)
+
+    # read at call time, so a monkeypatched rule is seen
+    d_ops = (cp1mod.dbar, cp1mod.dbar_star)
+    v_ops = (cp1mod.field_contract, cp1mod.dual_field_wedge)
+    theta_ops = (cp1mod.curvature_wedge, cp1mod.curvature_contract)
+    curvature = clifford = theta = 0
+    for pq, block in ex.blocks.items():
+        for ab in monomials(block):
+            e = {(pq, block.den): {ab: 1}}
+            ve = apply(v_ops, e)
+            bracket = apply(theta_ops, e, scale=-1)
+            theta = max(theta, largest(bracket))
+            apply(d_ops, ve, bracket)
+            apply(v_ops, apply(d_ops, e), bracket)
+            curvature = max(curvature, largest(bracket))
+            bracket = apply((cp1mod.field_norm_mul,), e, scale=-1)
+            apply(v_ops, ve, bracket)
+            clifford = max(clifford, largest(bracket))
+    return curvature, clifford, theta
+
+
+@pytest.mark.parametrize("fault", [None, "curvature_contract",
+                                   "field_norm_mul"])
+@pytest.mark.parametrize("k,cutoff", [(0, 4), (1, 6), (3, 7), (2, 12)])
+def test_bochner_brackets_match_per_monomial_oracle(monkeypatch, k, cutoff,
+                                                    fault):
+    # the per-block evaluation gives the per-monomial integers, also when a
+    # rule is wrong and the brackets are not the correct (0, 0, 1)
+    if fault:
+        monkeypatch.setattr(cp1mod, fault, doubled(getattr(cp1mod, fault)))
+    ex = Cp1Exact(k, cutoff)
+    assert ex.bochner_brackets == scalar_brackets(ex)
+    assert (ex.bochner_brackets == (0, 0, 1)) == (fault is None)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_rule_on_exponent_arrays_matches_scalar_calls(rule):
+    # one call on a block's exponent arrays gives, at entry i, the scalar
+    # call on monomial i: same target, den and offsets, Python int
+    # coefficients
+    k = 2
+    for pq, block in Cp1Exact(k, 7).blocks.items():
+        a, b = map(np.concatenate, zip(*(c.exponents()
+                                         for c in block.chunks.values())))
+        image = rule(k, *pq, block.den, a, b)
+        scalars = [rule(k, *pq, block.den, *ab) for ab in monomials(block)]
+        assert [(int(x), int(y)) for x, y in zip(a, b)] == monomials(block)
+        if image is None:
+            assert scalars == [None] * len(scalars)
+            continue
+        tpq, den, terms = image
+        for i, scalar in enumerate(scalars):
+            got = [(off, np.full(len(a), co, dtype=object)[i])
+                   for off, co in terms]
+            assert scalar == (tpq, den, got)
+            assert all(type(co) is int for _, co in got)
+
+
+def test_source_only_block_builds_no_l_columns():
+    # the (1,0) block is only ever a source, of dbar and of the contraction,
+    # and only a target reads the columns of L
+    ex = cp1_model(0, 8).exact
+    assert not any("lcols" in c.ortho.__dict__
+                   for c in ex.blocks[(1, 0)].chunks.values())
+    assert any("lcols" in c.ortho.__dict__
+               for c in ex.blocks[(0, 1)].chunks.values())
 
 
 def test_embed_preserves_pairings():

@@ -252,12 +252,9 @@ def test_sweep_validates_grid():
 
 
 def test_graded_euler():
-    assert graded_euler(CohomologyTable(dims={-1: 0, 0: 2, 1: 0},
-                                        source="oracle")) == 2
-    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 3, 1: 0},
-                                        source="oracle")) == 2
-    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 2, 1: 1},
-                                        source="oracle")) == 0
+    assert graded_euler(CohomologyTable(dims={-1: 0, 0: 2, 1: 0})) == 2
+    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 3, 1: 0})) == 2
+    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 2, 1: 1})) == 0
 
 
 def test_euler_invariance_all_models():
