@@ -118,13 +118,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     t_grid = raw.get("T_grid", [])
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("T_grid", "must be a nonempty list")
-    seen = set()
-    for i, t in enumerate(t_grid):
-        t = _number(f"T_grid[{i}]", t, float, 0)
-        if t in seen:
-            raise ConfigError(f"T_grid[{i}]",
-                              f"must be distinct; {t:g} repeats")
-        seen.add(t)
+    t_grid = _distinct("T_grid", [_number(f"T_grid[{i}]", t, float, 0)
+                                  for i, t in enumerate(t_grid)])
     rule_raw = _object("threshold_rule", raw.get("threshold_rule", {}))
     rule = ThresholdRule(**{
         key: _number(f"threshold_rule.{key}",
@@ -143,7 +138,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "oscillator" in raw or "oscillator" in checks or "alpha" in checks:
         osc = _parse_oscillator(_object("oscillator", raw.get("oscillator", {})))
     return ExperimentConfig(name=name, models=tuple(models),
-                            T_grid=tuple(float(t) for t in t_grid),
+                            T_grid=tuple(t_grid),
                             checks=tuple(checks), rule=rule,
                             outputs=tuple(outputs), oscillator=osc)
 
@@ -162,6 +157,16 @@ def _number(path: str, x, kind: type, low=None):
     if not ok:
         raise ConfigError(path, f"must be {need}")
     return kind(x)
+
+
+def _distinct(path: str, xs):
+    """xs if no entry repeats an earlier one; otherwise a ConfigError naming
+    the first repeat."""
+    for i, x in enumerate(xs):
+        if x in xs[:i]:
+            raise ConfigError(f"{path}[{i}]",
+                              f"must be distinct; {x:g} repeats")
+    return xs
 
 
 def _object(path: str, x) -> dict:
@@ -210,6 +215,8 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
         grids.append(tuple(_number(f"oscillator.{key}[{i}]", x, kind, low)
                            for i, x in enumerate(values)))
     m_grid, t_grid, cuts = grids
+    _distinct("oscillator.m", m_grid)
+    _distinct("oscillator.T", t_grid)
     if len(cuts) != len(m_grid):
         raise ConfigError("oscillator.cutoff",
                           "needs one cutoff per fiber dimension")

@@ -4,8 +4,6 @@ from .base import (  # noqa: F401
     FieldSpec,
     ModelError,
     ModelSpec,
-    export_blocks,
-    load_blocks_metadata,
 )
 from .cp1 import cp1_model, assemble_cp1  # noqa: F401
 from .product import ProductModel, product_model, assemble_product  # noqa: F401

@@ -169,14 +169,12 @@ class CellStack:
     (p, q+1) and iv[pq] maps (p, q) -> (p-1, q); each holds one block per
     member, shape (members, rows, cols).  A member whose block is absent
     holds zeros; a key missing for the whole stack means zero blocks or
-    empty spaces.  labels[pq] names the layout's basis vectors, which every
-    member shares; a member is named by names[i].
+    empty spaces.  A member is named by names[i].
     """
 
     name: str
     names: list[str]
     dims: dict[PQ, int]
-    labels: dict[PQ, list[str]]
     dbar: dict[PQ, np.ndarray]
     iv: dict[PQ, np.ndarray]
 
@@ -210,36 +208,3 @@ class AssembledModel:
 
     def degree_dim(self, r: int) -> int:
         return sum(c.size * c.degree_dim(r, self.n) for c in self.cells)
-
-
-def export_blocks(model: AssembledModel, path: str) -> None:
-    """Write every operator block to a single npz container: dense complex
-    row-major arrays plus a JSON metadata entry describing bases.  Members
-    are numbered across stacks in model order.  A product has no blocks of
-    its own; export its left factor, `model.left`, instead."""
-    if model.spec.kind == "product":
-        raise ModelError("a product is held as its factors; export model.left")
-    arrays: dict[str, np.ndarray] = {}
-    meta = {"schema_version": SCHEMA_VERSION, "model": model.spec.to_dict(),
-            "cells": []}
-    members = [(stack, i) for stack in model.cells for i in range(stack.size)]
-    for ci, (stack, i) in enumerate(members):
-        cell_meta = {"name": stack.names[i], "blocks": {}}
-        for pq, dim in sorted(stack.dims.items()):
-            key = f"c{ci}_p{pq[0]}q{pq[1]}"
-            cell_meta["blocks"][f"{pq[0]},{pq[1]}"] = {
-                "dim": dim, "labels": stack.labels[pq]}
-            for op, blocks in (("dbar", stack.dbar), ("iv", stack.iv)):
-                blk = blocks.get(pq)
-                if blk is not None and blk.size:
-                    arrays[f"{key}_{op}"] = np.ascontiguousarray(
-                        blk[i].astype(complex))
-        meta["cells"].append(cell_meta)
-    arrays["metadata_json"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-
-def load_blocks_metadata(path: str) -> dict:
-    with np.load(path) as data:
-        return json.loads(bytes(data["metadata_json"]).decode())

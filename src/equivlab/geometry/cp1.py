@@ -27,6 +27,9 @@ over (1+s)^(den + shift), both fixed per operator and block, with integer
 coefficients affine in (a, b).  So a rule is evaluated on exponent arrays:
 per chunk for the operator chunks, per block for the T-free certificate
 `Cp1Exact.bochner_brackets`, which the Bochner residual at any T scales.
+An operator chunk is stored as the rule's coefficient arrays, one
+diagonal per offset (at most two for dbar, one for the contraction), with
+no chunk matrix built; the d_T^2 certificate composes these diagonals.
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -62,7 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..linalg import (IMatrix, Orthonormalizer, romanovski_pivot,
+from ..linalg import (Diagonals, Orthonormalizer, romanovski_pivot,
                       romanovski_row)
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
@@ -236,31 +240,43 @@ def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
-                     ) -> dict[int, IMatrix]:
-    """Chunk-diagonal integer matrices of a rule between two blocks; errors
-    if an image leaves the target truncation (this is the closure proof).
-    Term (da, db) of source monomial col lies in the target chunk at row
+                     ) -> dict[int, Diagonals]:
+    """Chunk-diagonal integer operator of a rule between two blocks, each
+    chunk as its diagonals, one per term of the rule; errors if an image
+    leaves the target truncation (this is the closure proof).  Term
+    (da, db) of source monomial col lies in the target chunk at row
     col + shift exactly when that row is in [0, n) and b' - b0 equals it."""
-    out: dict[int, IMatrix] = {}
+    out: dict[int, Diagonals] = {}
     for chi, chunk in src.chunks.items():
         a0, b0, n, _ = tgt.chunks.get(chi, (0, 0, 0, None))
-        mat = [[0] * chunk.n for _ in range(n)]
         _, den, terms = rule(k, *src.pq, src.den, *chunk.exponents())
         if den != tgt.den:
             raise ModelError(
                 f"{rule.__name__}: image denominator {den} != block {tgt.den}")
+        out[chi] = []
         for (da, db), co in terms:
             shift = chunk.a0 + da - a0
             on_diagonal = chunk.b0 + db - b0 == shift
-            for col, x in enumerate(np.full(chunk.n, co, dtype=object)):
-                if not x:
-                    continue
-                if not on_diagonal or not 0 <= col + shift < n:
+            coeffs = np.full(chunk.n, co, dtype=object)
+            for col, x in enumerate(coeffs):
+                if x and (not on_diagonal or not 0 <= col + shift < n):
                     image = (chunk.a0 + col + da, chunk.b0 + col + db)
                     raise ModelError(f"{rule.__name__}: image monomial "
                                      f"{image} escapes the truncation")
-                mat[col + shift][col] = x
-        out[chi] = mat
+            out[chi].append((shift, coeffs))
+    return out
+
+
+def _compose(left: Diagonals, right: Diagonals, out: Counter) -> Counter:
+    """Add the entries {(row, col): value} of the chunk product left right
+    into out.  Entry j of a right diagonal (s, c) lands on row j + s of the
+    middle chunk, which a left diagonal (s', c') sends to row j + s + s'
+    with c'[j + s]."""
+    for s, c in right:
+        for j, x in enumerate(c):
+            if x:               # so row j + s is in the middle chunk
+                for s2, c2 in left:
+                    out[j + s + s2, j] += c2[j + s] * x
     return out
 
 
@@ -273,8 +289,8 @@ class Cp1Exact:
         self.cutoff = cutoff
         self.blocks: dict[PQ, Block] = {pq: _build_block(k, cutoff, *pq)
                                         for pq in _PQS}
-        self.dbar_chunks: dict[PQ, dict[int, IMatrix]] = {}
-        self.iv_chunks: dict[PQ, dict[int, IMatrix]] = {}
+        self.dbar_chunks: dict[PQ, dict[int, Diagonals]] = {}
+        self.iv_chunks: dict[PQ, dict[int, Diagonals]] = {}
         for (p, q) in ((0, 0), (1, 0)):
             self.dbar_chunks[(p, q)] = _exact_op_chunks(
                 k, self.blocks[(p, q)], self.blocks[(p, 1)], dbar)
@@ -301,15 +317,16 @@ class Cp1Exact:
 
     @cached_property
     def _anticommutator_is_zero(self) -> bool:
-        # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1), as the one
-        # integer product [dbar_00 | iv_11] [iv_10 ; dbar_10] per charge; a
-        # charge of the (1,0) block is a charge of every block
+        # (1,0) -> (0,0) -> (0,1) plus (1,0) -> (1,1) -> (0,1), composed
+        # diagonal by diagonal per charge; a charge of the (1,0) block is a
+        # charge of every block
+        paths = ((self.dbar_chunks[(0, 0)], self.iv_chunks[(1, 0)]),
+                 (self.iv_chunks[(1, 1)], self.dbar_chunks[(1, 0)]))
         for chi in self.blocks[(1, 0)].chunks:
-            left = [r0 + r1 for r0, r1 in zip(self.dbar_chunks[(0, 0)][chi],
-                                              self.iv_chunks[(1, 1)][chi])]
-            right = self.iv_chunks[(1, 0)][chi] + self.dbar_chunks[(1, 0)][chi]
-            if any(sum(map(operator.mul, row, col))
-                   for col in zip(*right) for row in left):
+            entries = Counter()
+            for left, right in paths:
+                _compose(left[chi], right[chi], entries)
+            if any(entries.values()):
                 return False
         return True
 
@@ -427,12 +444,8 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     exact = Cp1Exact(spec.k, spec.cutoff)
     cells = []
     for chi in sorted({chi for b in exact.blocks.values() for chi in b.chunks}):
-        chunks = {pq: blk.chunks[chi] for pq, blk in exact.blocks.items()
-                  if chi in blk.chunks}
-        dims = {pq: c.n for pq, c in chunks.items()}
-        labels = {pq: [f"z^{a}zbar^{b}/(1+s)^{exact.blocks[pq].den}"
-                       f":p{pq[0]}q{pq[1]}" for a, b in c.monomials()]
-                  for pq, c in chunks.items()}
+        dims = {pq: blk.chunks[chi].n for pq, blk in exact.blocks.items()
+                if chi in blk.chunks}
         # each charge is a stack of one member
         dbar_blocks = {}
         for pq in ((0, 0), (1, 0)):
@@ -445,8 +458,7 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
                 iv_blocks[pq] = exact.ortho_chunk(
                     exact.iv_chunks[pq], pq, (0, pq[1]), chi)[None]
         cells.append(CellStack(name=f"chi{chi}", names=[f"chi{chi}"],
-                               dims=dims, labels=labels,
-                               dbar=dbar_blocks, iv=iv_blocks))
+                               dims=dims, dbar=dbar_blocks, iv=iv_blocks))
     leakage = {f"dbar:p{p}q{q}": 0.0 for p, q in ((0, 0), (1, 0))}
     leakage.update({f"iv:p{p}q{q}": 0.0 for p, q in ((1, 0), (1, 1))})
     for pq, val in exact.dual_wedge_leakage().items():

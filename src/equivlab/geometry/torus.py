@@ -53,7 +53,6 @@ def assemble_torus(spec: ModelSpec) -> AssembledModel:
         name="modes",
         names=[f"jk({j},{k})" for j, k in modes(spec.cutoff)],
         dims={pq: 1 for pq in _PQS},
-        labels={pq: [f"p{pq[0]}q{pq[1]}"] for pq in _PQS},
         dbar={(0, 0): mu, (1, 0): -mu},
         iv={(1, 0): c, (1, 1): c},
     )

@@ -16,7 +16,9 @@ are their squared norms: `romanovski_row` and `romanovski_pivot`, one m at
 a time.  `Orthonormalizer` holds these factors as integers (each column of
 L and row of L^{-1} over its least common denominator) and runs the exact
 steps on them: the orthonormal view of an operator, and the inverse form
-B^T G^{-1} B.  The dual-wedge leakage of `geometry.cp1` needs no more: its
+B^T G^{-1} B.  An operator is given by its few nonzero diagonals
+(`Diagonals`), so L_t^T M costs O(n^2) and only L_s^{-1} is applied in
+full.  The dual-wedge leakage of `geometry.cp1` needs no more: its
 residual has rank 2, so it takes the inverse form of two columns only, and
 its basis of the 2-d complement is two rows and two pivots of the weight
 with (1+t)^2 absorbed.
@@ -31,12 +33,16 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
 FMatrix = list[list[Fraction]]
 IMatrix = list[list[int]]
+# an operator by its nonzero diagonals: (shift, coeffs) holds coeffs[j] in
+# column j at row j + shift; a coefficient whose row is outside is 0
+Diagonals = list[tuple[int, Sequence[int]]]
 
 
 class GramError(ValueError):
@@ -206,13 +212,21 @@ class Orthonormalizer:
         return [[sum(map(operator.mul, inv, v)) for inv, _ in self.inv_rows]
                 for v in vectors]
 
-    def transform_op(self, m: IMatrix, source: "Orthonormalizer") -> np.ndarray:
-        """Float matrix of the integer operator m in orthonormal bases on
-        both sides."""
-        mcols = list(zip(*m))
-        # row i of L_t^T M is column i of L_t against the rows i.. of M
-        lt_m = [[sum(map(operator.mul, col, mcol[i:])) for mcol in mcols]
-                for i, (col, _) in enumerate(self.lcols)]
+    def transform_op(self, diagonals: Diagonals, source: "Orthonormalizer"
+                     ) -> np.ndarray:
+        """Float matrix of the integer operator given by its diagonals, in
+        orthonormal bases on both sides."""
+        # row i of L_t^T M is column i of L_t, which holds rows i.., against
+        # each column j of M; a diagonal meets it at row j + shift, which is
+        # col[j + shift - i] for the columns j0 <= j < j1
+        n_s, lt_m = source.dim, []
+        for i, (col, _) in enumerate(self.lcols):
+            row = [0] * n_s
+            for s, c in diagonals:
+                j0, j1 = max(i - s, 0), min(n_s, i - s + len(col))
+                row[j0:j1] = map(operator.add, row[j0:j1],
+                                 map(operator.mul, col[j0 + s - i:], c[j0:j1]))
+            lt_m.append(row)
         # row i of (L_t^T M) L_s^{-T} is L_s^{-1} applied to row i of L_t^T M
         out = float_ratios(source._solve(lt_m),
                            [den for _, den in self.lcols],

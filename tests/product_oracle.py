@@ -27,7 +27,6 @@ def _product_stack(left: CellStack, mu: np.ndarray,
     Within a member each entry of a block receives at most one term, so
     each is added once into zeros, as a per-mode assembly would."""
     dims: dict[PQ, int] = {}
-    labels: dict[PQ, list[str]] = {}
     offsets: dict[tuple[PQ, PQ], int] = {}     # (left pq, right pq) -> row
     for lpq in _PQS1:
         d = left.dim(lpq)
@@ -37,8 +36,6 @@ def _product_stack(left: CellStack, mu: np.ndarray,
             pq = (lpq[0] + rpq[0], lpq[1] + rpq[1])
             offsets[(lpq, rpq)] = dims.get(pq, 0)
             dims[pq] = dims.get(pq, 0) + d
-            labels.setdefault(pq, []).extend(
-                f"{lab}*p{rpq[0]}q{rpq[1]}" for lab in left.labels[lpq])
 
     members = len(mu)
     dbar: dict[PQ, np.ndarray] = {}
@@ -74,7 +71,7 @@ def _product_stack(left: CellStack, mu: np.ndarray,
             block(iv, pq, tgt)[:, t_off:t_off + blk.shape[1], cols] += blk
     return CellStack(name=f"{left.name}/modes",
                      names=[f"{left.name}/{tag}" for tag in mode_tags],
-                     dims=dims, labels=labels, dbar=dbar, iv=iv)
+                     dims=dims, dbar=dbar, iv=iv)
 
 
 def tensored_product(k: int, cp1_cutoff: int, tau: complex,

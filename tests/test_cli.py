@@ -127,6 +127,13 @@ def _with(path, value):
     (["sweep", "--model", "product", "--tau", "1", "--T", "2"],
      "models[0].right.tau"),
     (["oscillator", "--m", "1,x"], "oscillator.m[1]"),
+    (["oscillator", "--m", "1,1", "--T", "1,10", "--cutoff", "12,12"],
+     "oscillator.m[1]"),
+    (["oscillator", "--m", "1", "--T", "1,1.0", "--cutoff", "12"],
+     "oscillator.T[1]"),
+    (_with(["oscillator"], {"m": [2, 1, 2], "cutoff": [4, 12, 4]}),
+     "oscillator.m[2]"),
+    (_with(["oscillator"], {"T": [10, 1, 10.0]}), "oscillator.T[2]"),
     (_with(["threshold_rule"], 5), "threshold_rule"),
     (_with(["threshold_rule"], {"resolve_ratio": math.nan}),
      "threshold_rule.resolve_ratio"),
@@ -142,7 +149,9 @@ def _with(path, value):
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
-        "oscillator-m", "rule-not-object", "ratio-nan", "ratio-zero",
+        "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",
+        "config-m-repeated", "config-T-repeated", "rule-not-object",
+        "ratio-nan", "ratio-zero",
         "floor-negative", "floor-string", "checks-not-list",
         "outputs-not-list", "oscillator-not-object"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,

@@ -2,6 +2,7 @@
 closure of the truncated complex, kernel counts, and leakage reporting."""
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby
@@ -16,7 +17,7 @@ import equivlab.geometry.cp1 as cp1mod
 from equivlab import linalg
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
+from equivlab.geometry.cp1 import (Cp1Exact, _compose, _dual_wedge_pencil,
                                    _moment_numerators, beta_moment,
                                    block_params, cp1_model, curvature_contract,
                                    curvature_wedge, dbar, dbar_star,
@@ -25,6 +26,7 @@ from equivlab.geometry.cp1 import (Cp1Exact, _dual_wedge_pencil,
 from equivlab.linalg import (Orthonormalizer, fmatmul, invert_unit_lower,
                              ldlt, to_ints)
 from test_deformed import doubled
+from test_linalg import dense
 
 
 # --- exact reference constructions ------------------------------------------
@@ -171,7 +173,10 @@ def t0_kernel_counts(exact: Cp1Exact) -> dict:
     cohomology tables."""
     out = {}
     for p in (0, 1):
-        rank = sum(exact_rank(m) for m in exact.dbar_chunks[(p, 0)].values())
+        tgt = exact.blocks[(p, 1)]
+        rank = sum(exact_rank(dense(m, tgt.chunks[chi].n if chi in tgt.chunks
+                                    else 0))
+                   for chi, m in exact.dbar_chunks[(p, 0)].items())
         out[(p, 0)] = exact.blocks[(p, 0)].dim - rank
         out[(p, 1)] = exact.blocks[(p, 1)].dim - rank
     return out
@@ -208,7 +213,7 @@ def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
     # each chunk Gram is the Beta-moment Hankel matrix m(a_i + b_j, P), so
     # its first row and last column, checked here against the L2 pairings
     # of basis sections, fix it; its factors are integers over their least
-    # common denominators; the operator chunks are integer matrices
+    # common denominators; the operator chunks have integer diagonals
     ex = Cp1Exact(k, cutoff)
     for block in ex.blocks.values():
         for chi, chunk in block.chunks.items():
@@ -223,7 +228,7 @@ def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
                 assert den > 0 and math.gcd(den, *nums) == 1
     for chunks in (*ex.dbar_chunks.values(), *ex.iv_chunks.values()):
         assert all(type(x) is int for m in chunks.values()
-                   for row in m for x in row)
+                   for _, row in m for x in row)
 
 
 @pytest.mark.parametrize("k,cutoff", [(0, 8), (3, 11), (2, 14), (1, 20)])
@@ -355,21 +360,81 @@ def test_deformed_square_exact_zero():
 
 
 def test_deformed_square_detects_perturbed_contraction():
-    # one changed entry of an iv chunk that dbar then sees breaks d_T^2 = 0
-    # for every T != 0; T = 0 is dbar^2 = 0 and stays true
+    # one changed coefficient of an iv chunk diagonal that dbar then sees
+    # breaks d_T^2 = 0 for every T != 0; T = 0 is dbar^2 = 0 and stays true
     ex = cp1_model(1, 6).exact
-    for chi, m in ex.iv_chunks[(1, 0)].items():
-        dbar00 = ex.dbar_chunks[(0, 0)].get(chi)
-        rows = [i for i in range(len(m))
-                if dbar00 and any(row[i] for row in dbar00)]
-        if rows and m[0]:
-            m[rows[0]][0] += 1
+    for chi, ((s, c),) in ex.iv_chunks[(1, 0)].items():
+        seen = [j for j in range(len(c))
+                if any(0 <= j + s < len(c2) and c2[j + s]
+                       for _, c2 in ex.dbar_chunks[(0, 0)][chi])]
+        if seen:
+            c[seen[0]] += 1
             break
     else:
-        pytest.fail("no iv chunk entry reaches dbar")
+        pytest.fail("no iv chunk coefficient reaches dbar")
     for T in (Fraction(1), Fraction(4), Fraction(7, 3), Fraction(-1, 5)):
         assert not ex.deformed_square_is_zero(T)
     assert ex.deformed_square_is_zero(Fraction(0))
+
+
+def rule_chunk(k, src, tgt, rule, chi):
+    """A chunk's matrix from one scalar rule call per source monomial, each
+    image placed by looking its monomial up among the target chunk's."""
+    rows = ({ab: i for i, ab in enumerate(tgt.chunks[chi].monomials())}
+            if chi in tgt.chunks else {})
+    m = [[0] * src.chunks[chi].n for _ in rows]
+    for j, (a, b) in enumerate(src.chunks[chi].monomials()):
+        for (da, db), x in rule(k, *src.pq, src.den, a, b)[2]:
+            if x:
+                m[rows[(a + da, b + db)]][j] += x
+    return m
+
+
+def int_product(a, b):
+    """The dense integer product of two matrices given by their rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 6), (1, 6), (2, 8), (3, 11),
+                                      (1, 20)])
+def test_chunk_diagonals_and_banded_composition(k, cutoff):
+    # each dbar chunk is at most 2 diagonals and each iv chunk 1, with the
+    # matrix that placing scalar rule images by monomial gives; composed
+    # diagonal by diagonal, each path of the d_T^2 certificate is the dense
+    # integer product of those matrices on every charge, and the two paths
+    # cancel
+    ex = Cp1Exact(k, cutoff)
+    blocks = ex.blocks
+    ops = [(chunks, pq, (pq[0], 1), dbar, 2)
+           for pq, chunks in ex.dbar_chunks.items()]
+    ops += [(chunks, pq, (0, pq[1]), field_contract, 1)
+            for pq, chunks in ex.iv_chunks.items()]
+    for chunks, pq, tpq, rule, width in ops:
+        src, tgt = blocks[pq], blocks[tpq]
+        for chi, diags in chunks.items():
+            assert len(diags) <= width
+            n_t = tgt.chunks[chi].n if chi in tgt.chunks else 0
+            assert dense(diags, n_t) == rule_chunk(k, src, tgt, rule, chi)
+    paths = (((0, 0), ex.dbar_chunks[(0, 0)], ex.iv_chunks[(1, 0)]),
+             ((1, 1), ex.iv_chunks[(1, 1)], ex.dbar_chunks[(1, 0)]))
+    nonzero = False
+    for chi in blocks[(1, 0)].chunks:
+        n_t = blocks[(0, 1)].chunks[chi].n
+        banded, dense_sum = Counter(), Counter()
+        for mid, left, right in paths:
+            prod = int_product(dense(left[chi], n_t),
+                               dense(right[chi], blocks[mid].chunks[chi].n))
+            want = {(i, j): x for i, row in enumerate(prod)
+                    for j, x in enumerate(row) if x}
+            got = _compose(left[chi], right[chi], Counter())
+            assert {key: x for key, x in got.items() if x} == want
+            nonzero = nonzero or bool(want)
+            banded.update(got)
+            dense_sum.update(want)
+        assert not any(banded.values()) and not any(dense_sum.values())
+    assert nonzero
+    assert ex._anticommutator_is_zero
 
 
 def test_assembled_complex_property_float():
@@ -449,8 +514,11 @@ def test_adjoint_consistency_of_assembled_blocks():
         ex = cp1_model(k, 6).exact
         for q in (0, 1):
             src, tgt = ex.blocks[(1, q)], ex.blocks[(0, q)]
-            for chi, m in ex.iv_chunks[(1, q)].items():
-                if chi not in tgt.chunks or not m or not m[0]:
+            for chi, diags in ex.iv_chunks[(1, q)].items():
+                if chi not in tgt.chunks:
+                    continue
+                m = dense(diags, tgt.chunks[chi].n)
+                if not m or not m[0]:
                     continue
                 pairs = [[l2_pair(monomial_section(src, k, u),
                                   apply_rule(dual_field_wedge,

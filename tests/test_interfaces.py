@@ -1,15 +1,10 @@
-"""External interface surfaces: descriptor serialization, the matrix
-container export, spectrum truncation, and the reported leakage."""
-
-import numpy as np
-
-import pytest
+"""External interface surfaces: descriptor serialization, spectrum
+truncation, and the reported leakage."""
 
 from equivlab.deformed import (CSV_FIELDS, dirac, assemble_deformed,
                                spectrum)
-from equivlab.geometry import assemble, cp1_model, product_model, torus_model
-from equivlab.geometry.base import (FieldSpec, ModelError, ModelSpec,
-                                    export_blocks, load_blocks_metadata)
+from equivlab.geometry import assemble, cp1_model, torus_model
+from equivlab.geometry.base import FieldSpec, ModelSpec
 
 
 def test_model_spec_json_roundtrip():
@@ -27,33 +22,6 @@ def test_model_spec_json_roundtrip():
         back = ModelSpec.from_json(spec.to_json())
         assert back == spec
         assert assemble(back).n == spec.n
-
-
-def test_export_blocks_container(tmp_path):
-    model = torus_model(1j, 1, 1.0)
-    path = str(tmp_path / "blocks.npz")
-    export_blocks(model, path)
-    meta = load_blocks_metadata(path)
-    assert meta["model"]["kind"] == "torus"
-    # one entry per mode: the torus is one stack of (2 * 1 + 1)^2 members
-    assert len(meta["cells"]) == sum(stack.size for stack in model.cells) == 9
-    assert [cell["name"] for cell in meta["cells"]] == model.cells[0].names
-    with np.load(path) as data:
-        key = "c0_p0q0_dbar"
-        assert key in data
-        assert data[key].dtype == np.complex128
-        # row-major dense layout
-        assert data[key].flags["C_CONTIGUOUS"]
-
-
-def test_export_blocks_refuses_product(tmp_path):
-    # a product is held as its factors; its left factor exports as cp1
-    model = product_model(0, 4, 1j, 1)
-    with pytest.raises(ModelError):
-        export_blocks(model, str(tmp_path / "product.npz"))
-    export_blocks(model.left, str(tmp_path / "left.npz"))
-    meta = load_blocks_metadata(str(tmp_path / "left.npz"))
-    assert meta["model"]["kind"] == "cp1"
 
 
 def test_spectrum_keeps_eight_eigenvalues():

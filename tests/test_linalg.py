@@ -26,6 +26,27 @@ def to_float(a):
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
+def diagonals(m):
+    """Every diagonal of the matrix m as `Orthonormalizer.transform_op`
+    reads an operator: (shift, coeffs), coeffs[j] at row j + shift of
+    column j, and 0 where that row is outside m."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    return [(s, [m[j + s][j] if 0 <= j + s < rows else 0
+                 for j in range(cols)]) for s in range(1 - cols, rows)]
+
+
+def dense(diags, rows):
+    """The matrix with the given number of rows of an operator held as its
+    diagonals; a nonzero coefficient must fall on one of those rows."""
+    out = [[0] * len(diags[0][1]) for _ in range(rows)]
+    for s, c in diags:
+        for j, x in enumerate(c):
+            if x:
+                assert 0 <= j + s < rows
+                out[j + s][j] += x
+    return out
+
+
 def ref_fmatmul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[Fraction(0)] * cols for _ in range(rows)]
@@ -188,7 +209,7 @@ def test_transform_op_is_rounded_exact_core(case):
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
     want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
-    assert np.array_equal(ortho.transform_op(m, ortho), want)
+    assert np.array_equal(ortho.transform_op(diagonals(m), ortho), want)
 
 
 @st.composite
@@ -212,7 +233,8 @@ def test_transform_op_between_two_blocks(case):
     core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
                        transpose(invert_unit_lower(Ls)))
     want = to_float(core) * tgt.sqrt_d[:, None] / src.sqrt_d[None, :]
-    assert np.array_equal(tgt.transform_op(m, src), want)
+    assert dense(diagonals(m), len(m)) == m
+    assert np.array_equal(tgt.transform_op(diagonals(m), src), want)
 
 
 def test_errors_survive_pickling():
@@ -263,7 +285,7 @@ def test_orthonormalizer_identity_transform():
     ortho = Orthonormalizer(1, 16, 6)
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
-    t = ortho.transform_op(eye, ortho)
+    t = ortho.transform_op(diagonals(eye), ortho)
     # t = D^{1/2} L^T L^{-T} D^{-1/2} = I
     assert np.allclose(t, np.eye(6), atol=1e-12)
 
@@ -272,7 +294,7 @@ def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
     ortho = Orthonormalizer(2, 14, 5)
-    got = ortho.transform_op(m, ortho)
+    got = ortho.transform_op(diagonals(m), ortho)
     mf = to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
     # G-self-adjoint; here just check the similarity invariant: trace
