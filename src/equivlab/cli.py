@@ -228,11 +228,14 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}"
+                          ) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
     return parse_config(raw)
 
 
@@ -573,13 +576,22 @@ def _parse_list(text: str) -> list:
 
 def _run_command(load, error_prefix: str, args) -> int:
     """Run the config that load returns and print the worst verdict; exit
-    status 2 with `error_prefix: <error>` on stderr when load rejects it."""
+    status 2 with `error_prefix: <error>` on stderr when load rejects it,
+    or with `cannot write output: <dir>: <error>` when the output directory
+    cannot be made, before any model is assembled."""
     try:
         config = load()
     except ConfigError as exc:
         print(f"{error_prefix}: {exc}", file=sys.stderr)
         return 2
-    report = run(config, _resolve_outdir(args.outdir),
+    outdir = _resolve_outdir(args.outdir)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {outdir}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    report = run(config, outdir,
                  jobs=getattr(args, "jobs", 1), verbose=args.verbose)
     print(f"worst verdict: {report.worst()}")
     return report.exit_code()

@@ -12,7 +12,9 @@ d_T^2 defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
 over the last two axes).  Each applies the same BLAS/LAPACK routine to the
 same member matrix as a per-cell call would, so the results are equal bit
 for bit; cells are never merged into larger matrices, which would change
-the eigenvalues' last bits.
+the eigenvalues' last bits.  The placement of the dbar and iv blocks in
+each d_T block depends only on the model, so it is made once; each T then
+forms A + T B.
 
 The product cp1 x torus has no blocks of its own (`geometry.product`): d_T,
 its defect, the Dirac square and the eigensolves are the cp1 factor's, and
@@ -85,14 +87,20 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _degree_block(stack: CellStack, n: int, r: int, T: float) -> np.ndarray:
-    """Matrices of (dbar + T iv) from the degree-r block to the degree-(r+1)
-    block of every member of a stack, in the stack's orthonormal bases."""
+def _placed(stack: CellStack, n: int, r: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B): the dbar blocks and the iv blocks of every member of a stack
+    placed in the map from the degree-r block to the degree-(r+1) block, in
+    the stack's orthonormal bases, so that d_T there is A + T B.  They keep
+    the blocks' own type: real on the projective line, complex on the
+    torus."""
     src = stack.pqs_of_degree(r, n)
     tgt = stack.pqs_of_degree(r + 1, n)
     rows = sum(stack.dim(pq) for pq in tgt)
     cols = sum(stack.dim(pq) for pq in src)
-    out = np.zeros((stack.size, rows, cols), dtype=complex)
+    a = np.zeros((stack.size, rows, cols), dtype=np.result_type(
+        float, *stack.dbar.values(), *stack.iv.values()))
+    b = np.zeros_like(a)
     row_off = {}
     off = 0
     for pq in tgt:
@@ -104,21 +112,31 @@ def _degree_block(stack: CellStack, n: int, r: int, T: float) -> np.ndarray:
         blk = stack.dbar.get((p, q))
         if blk is not None and (p, q + 1) in row_off and blk.size:
             top = row_off[(p, q + 1)]
-            out[:, top:top + blk.shape[1], col:col + w] += blk
+            a[:, top:top + blk.shape[1], col:col + w] += blk
         blk = stack.iv.get((p, q))
-        if blk is not None and (p - 1, q) in row_off and blk.size and T != 0:
+        if blk is not None and (p - 1, q) in row_off and blk.size:
             top = row_off[(p - 1, q)]
-            out[:, top:top + blk.shape[1], col:col + w] += T * blk
+            b[:, top:top + blk.shape[1], col:col + w] += blk
         col += w
-    return out
+    return a, b
 
 
 def assemble_deformed(model: AssembledModel, T: float) -> DeformedOperator:
-    """Form d_T = dbar + T iv per stack and degree."""
+    """Form d_T = dbar + T iv per stack and degree, as the complex
+    T B + A, from the placement of dbar (A) and iv (B) that the model
+    keeps after its first d_T.  dbar raises q and iv lowers p, so A and B
+    have disjoint supports: every entry is an entry of A or T times an
+    entry of B, plus a zero, as when both are added into zeros."""
     op = DeformedOperator(model=model, T=float(T))
+    placed = model.placed_dt
     for si, stack in enumerate(model.cells):
         for r in range(-model.n, model.n + 1):
-            op.blocks[(si, r)] = _degree_block(stack, model.n, r, T)
+            if (si, r) not in placed:
+                placed[si, r] = _placed(stack, model.n, r)
+            a, b = placed[si, r]
+            d = np.multiply(b, op.T, out=np.empty(b.shape, dtype=complex))
+            d += a
+            op.blocks[(si, r)] = d
     return op
 
 
@@ -201,6 +219,7 @@ class KunnethSquare:
     model: ProductModel
     T: float
     left: dict[int, np.ndarray]     # the left factor's eigenvalues per degree
+    dims: dict[int, int]            # member_dim per degree
 
     def merged_eigenvalues(self, r: int) -> np.ndarray:
         """Eigenvalues of degree r, sorted."""
@@ -212,9 +231,7 @@ class KunnethSquare:
     def member_dim(self, r: int) -> int:
         """The largest member dimension of the left factor over the
         degrees r - b that enter degree r."""
-        left = self.model.left
-        return max(stack.degree_dim(r - b, left.n) for stack in left.cells
-                   for b in RIGHT_MULTIPLICITY)
+        return self.dims[r]
 
 
 def deformed_square(model: AssembledModel | ProductModel, T: float
@@ -226,8 +243,12 @@ def deformed_square(model: AssembledModel | ProductModel, T: float
         return op, dirac(op)
     op = assemble_deformed(model.left, T)
     left = dirac(op)
-    return op, KunnethSquare(model=model, T=op.T, left={
-        r: left.merged_eigenvalues(r) for r in model.left.degree_range()})
+    return op, KunnethSquare(
+        model=model, T=op.T,
+        left={r: left.merged_eigenvalues(r)
+              for r in model.left.degree_range()},
+        dims={r: max(left.member_dim(r - b) for b in RIGHT_MULTIPLICITY)
+              for r in range(-model.n, model.n + 1)})
 
 
 @dataclass

@@ -8,9 +8,11 @@ bidegree (p, q), form one stack: per (p, q) it holds an orthonormal section
 basis shared by its members, together with the float matrices of the
 Dolbeault operator (raising q) and of contraction by the model's vector
 field (lowering p), stacked along a leading member axis.  The torus stacks
-its Fourier modes, and each charge of the projective line is a stack of one
-member.  Downstream float work makes one batched call per stack.  The
-product is not assembled: it is held as its factors (`geometry.product`).
+its Fourier modes, and the projective line stacks the rotation charges of
+one layout (chi and k - chi share one).  Downstream float work makes one
+batched call per stack, and d_T's placement of these blocks is made once
+per model (`AssembledModel.placed_dt`).  The product is not assembled: it
+is held as its factors (`geometry.product`).
 """
 
 from __future__ import annotations
@@ -202,6 +204,9 @@ class AssembledModel:
     leakage: dict[str, float] = field(default_factory=dict)
     gram_pivot_ratio: dict[str, float] = field(default_factory=dict)
     exact: object | None = None     # optional exact-arithmetic payload
+    # (A, B) per (stack, degree) with d_T = A + T B there, placed by
+    # `deformed.assemble_deformed` on the model's first d_T
+    placed_dt: dict = field(default_factory=dict, repr=False, compare=False)
 
     def degree_range(self) -> range:
         return range(-self.n, self.n + 1)

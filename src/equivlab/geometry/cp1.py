@@ -19,7 +19,12 @@ and n = min(amax - a0, bmax - b0) + 1, so its Gram is the Hankel matrix
 m(alpha + i + j, P), alpha = a0 + b0 = |e|, of the weight t^alpha (1+t)^{-P}.
 No Gram is built: `linalg.Orthonormalizer` writes its L D L^T factors in
 closed form from (alpha, P, n), the rows of L^{-1} being the finite
-Romanovski polynomials of that weight.
+Romanovski polynomials of that weight.  Those factors depend on n only
+through a prefix, so `Cp1Exact` keeps one `linalg.RomanovskiTable` per
+weight (`Weights`), which every chunk and leakage pencil of that weight
+reads: the (0,0) and (0,1) blocks share P, as do (1,0) and (1,1), each
+alpha recurs across charges, and the pencils read rows of the (0,q)
+weight.  Each row and pivot is computed once per model.
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
@@ -44,14 +49,16 @@ the images of the basis monomials are powers of t in P_{<n_t+2}, and the
 target chunk is (1+t)^2 P_{<n_t}, so what leaves the target lies in the
 2-d complement C of the target there, spanned by two orthogonal
 polynomials of the weight with (1+t)^2 absorbed, read as two Romanovski
-rows.  The squared leakage is the larger root of the 2 x 2 pencil
+rows of the weight's table.  The squared leakage is the larger root of
+the 2 x 2 pencil
 det(K - lambda H) = 0 of the pairings with C: its trace and determinant are
 exact rationals from integer moments, and floats enter only in that root.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
-chunk, and the assembled model is a list of per-charge cell stacks of one
-member each.
+chunk.  The assembled model is a list of cell stacks, one per layout: the
+charges with the same chunk dimension in every block (chi and k - chi have
+the same one) are the members, named chi<chi>, of one stack.
 """
 
 from __future__ import annotations
@@ -66,8 +73,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..linalg import (Diagonals, Orthonormalizer, romanovski_pivot,
-                      romanovski_row)
+from ..linalg import Diagonals, Orthonormalizer, RomanovskiTable
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -209,11 +215,20 @@ class Chunk(NamedTuple):
         return self.a0 + i, self.b0 + i
 
 
+class Weights(dict):
+    """The `RomanovskiTable` of each weight (alpha, P), made on first use."""
+
+    def __missing__(self, weight: tuple[int, int]) -> RomanovskiTable:
+        table = self[weight] = RomanovskiTable(*weight)
+        return table
+
+
 @dataclass
 class Block:
     pq: PQ
     den: int
     chunks: dict[int, Chunk]                # by charge, ascending
+    weights: Weights                        # shared by the model's blocks
 
     @property
     def dim(self) -> int:
@@ -223,20 +238,23 @@ class Block:
         """The exact pivot ratio max D / min D of G = L D L^T, worst over
         the charge chunks.  Every pivot lies between the extreme eigenvalues
         of its chunk's Gram, so this is a lower bound on the chunk's
-        condition number, computed with no round-off."""
-        return float(max(max(c.ortho.D) / min(c.ortho.D)
-                         for c in self.chunks.values()))
+        condition number, computed with no round-off: each chunk's ratio is
+        rounded once, and rounding keeps their order."""
+        return max(c.ortho.table.pivot_ratio(c.n)
+                   for c in self.chunks.values())
 
 
-def _build_block(k: int, cutoff: int, p: int, q: int) -> Block:
+def _build_block(k: int, cutoff: int, p: int, q: int, weights: Weights
+                 ) -> Block:
     den, amax, bmax = block_params(k, cutoff, p, q)
     big_p = weight_exponent(p, q, den, k)
     chunks = {}
     for e in range(-bmax, amax + 1):
         a0, b0 = max(e, 0), max(-e, 0)
         n = min(amax - a0, bmax - b0) + 1
-        chunks[e + p - q] = Chunk(a0, b0, n, Orthonormalizer(abs(e), big_p, n))
-    return Block((p, q), den, chunks)
+        chunks[e + p - q] = Chunk(a0, b0, n, Orthonormalizer(
+            abs(e), big_p, n, weights[abs(e), big_p]))
+    return Block((p, q), den, chunks, weights)
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
@@ -257,7 +275,7 @@ def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
         for (da, db), co in terms:
             shift = chunk.a0 + da - a0
             on_diagonal = chunk.b0 + db - b0 == shift
-            coeffs = np.full(chunk.n, co, dtype=object)
+            coeffs = np.full(chunk.n, co, dtype=object).tolist()
             for col, x in enumerate(coeffs):
                 if x and (not on_diagonal or not 0 <= col + shift < n):
                     image = (chunk.a0 + col + da, chunk.b0 + col + db)
@@ -287,8 +305,10 @@ class Cp1Exact:
     def __init__(self, k: int, cutoff: int):
         self.k = k
         self.cutoff = cutoff
-        self.blocks: dict[PQ, Block] = {pq: _build_block(k, cutoff, *pq)
-                                        for pq in _PQS}
+        # one factor table per weight, for every chunk and pencil of it
+        self.weights = Weights()
+        self.blocks: dict[PQ, Block] = {
+            pq: _build_block(k, cutoff, *pq, self.weights) for pq in _PQS}
         self.dbar_chunks: dict[PQ, dict[int, Diagonals]] = {}
         self.iv_chunks: dict[PQ, dict[int, Diagonals]] = {}
         for (p, q) in ((0, 0), (1, 0)):
@@ -304,6 +324,12 @@ class Cp1Exact:
                     chi: int) -> np.ndarray:
         return self.blocks[tgt_pq].chunks[chi].ortho.transform_op(
             op_chunks[chi], self.blocks[src_pq].chunks[chi].ortho)
+
+    def ortho_stack(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
+                    chis: list[int]) -> np.ndarray:
+        """The float chunks of the charges chis, along a member axis."""
+        return np.stack([self.ortho_chunk(op_chunks, src_pq, tgt_pq, chi)
+                         for chi in chis])
 
     # -- exact identity checks ---------------------------------------------
 
@@ -410,19 +436,21 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
     e = chi + q - 1
     delta, alpha = max(0, -e), abs(e)
     n_t = tgt.chunks[chi].n if chi in tgt.chunks else 0
-    top, tden = romanovski_row(alpha, big_p - 2, n_t)
+    table = src.weights[alpha, big_p - 2]
+    table.grow(n_t + 1)
+    top, tden = table.rows[n_t]
     c2 = [0, *top]
     if n_t:
         # t p'_n - (D'_n / D'_{n-1}) p'_{n-1}, scaled to integers
-        prev, pden = romanovski_row(alpha, big_p - 2, n_t - 1)
-        r = (romanovski_pivot(alpha, big_p - 2, n_t)
-             / romanovski_pivot(alpha, big_p - 2, n_t - 1))
+        prev, pden = table.rows[n_t - 1]
+        r = table.pivots[n_t] / table.pivots[n_t - 1]
         c2 = [pden * r.denominator * x - tden * r.numerator * y
               for x, y in zip(c2, [*prev, 0, 0])]
-    hankel = _moment_numerators(range(alpha, alpha + 2 * n_t + 3), big_p)
+    hankel = list(_moment_numerators(range(alpha, alpha + 2 * n_t + 3),
+                                     big_p).values())
     # g[i][s] = <c_i, t^s> under w, times (P-1)!
-    g = [[sum(x * hankel[alpha + j + s] for j, x in enumerate(c))
-          for s in range(n_t + 2)] for c in (top, c2)]
+    g = [[sum(map(operator.mul, c, hankel[s:])) for s in range(n_t + 2)]
+         for c in (top, c2)]
     (h00, h01), (_, h11) = [[sum(map(operator.mul, gi, c)) for c in (top, c2)]
                             for gi in g]
     chunk = src.chunks[chi]
@@ -442,23 +470,26 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
 def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     spec.validate()
     exact = Cp1Exact(spec.k, spec.cutoff)
-    cells = []
+    # the charges of one layout (chi and k - chi among them) form a stack
+    layouts: dict[tuple, list[int]] = {}
     for chi in sorted({chi for b in exact.blocks.values() for chi in b.chunks}):
-        dims = {pq: blk.chunks[chi].n for pq, blk in exact.blocks.items()
-                if chi in blk.chunks}
-        # each charge is a stack of one member
-        dbar_blocks = {}
-        for pq in ((0, 0), (1, 0)):
-            if pq in dims and (pq[0], 1) in dims:
-                dbar_blocks[pq] = exact.ortho_chunk(
-                    exact.dbar_chunks[pq], pq, (pq[0], 1), chi)[None]
-        iv_blocks = {}
-        for pq in ((1, 0), (1, 1)):
-            if pq in dims and (0, pq[1]) in dims:
-                iv_blocks[pq] = exact.ortho_chunk(
-                    exact.iv_chunks[pq], pq, (0, pq[1]), chi)[None]
-        cells.append(CellStack(name=f"chi{chi}", names=[f"chi{chi}"],
-                               dims=dims, dbar=dbar_blocks, iv=iv_blocks))
+        layouts.setdefault(tuple((pq, blk.chunks[chi].n)
+                                 for pq, blk in exact.blocks.items()
+                                 if chi in blk.chunks), []).append(chi)
+    cells = []
+    for layout, chis in layouts.items():
+        dims = dict(layout)
+        dbar_blocks = {pq: exact.ortho_stack(exact.dbar_chunks[pq], pq,
+                                             (pq[0], 1), chis)
+                       for pq in ((0, 0), (1, 0))
+                       if pq in dims and (pq[0], 1) in dims}
+        iv_blocks = {pq: exact.ortho_stack(exact.iv_chunks[pq], pq,
+                                           (0, pq[1]), chis)
+                     for pq in ((1, 0), (1, 1))
+                     if pq in dims and (0, pq[1]) in dims}
+        names = [f"chi{chi}" for chi in chis]
+        cells.append(CellStack(name="+".join(names), names=names, dims=dims,
+                               dbar=dbar_blocks, iv=iv_blocks))
     leakage = {f"dbar:p{p}q{q}": 0.0 for p, q in ((0, 0), (1, 0))}
     leakage.update({f"iv:p{p}q{q}": 0.0 for p, q in ((1, 0), (1, 1))})
     for pq, val in exact.dual_wedge_leakage().items():

@@ -13,15 +13,19 @@ is eliminated: the rows of L^{-1} are the monic finite Romanovski
 polynomials of the weight (Raposo, Weber, Alvarez-Castillo & Kirchbach,
 2007), the columns of L follow from Rodrigues' formula, and the pivots D_m
 are their squared norms: `romanovski_row` and `romanovski_pivot`, one m at
-a time.  `Orthonormalizer` holds these factors as integers (each column of
-L and row of L^{-1} over its least common denominator) and runs the exact
+a time.  Row m and pivot m depend only on (alpha, P, m), and a column of L
+cut at n rows is a prefix of the same column cut lower, so one
+`RomanovskiTable` per weight computes each once and grows on demand; the
+Grams of every size of that weight read it.  `Orthonormalizer` holds one
+Gram's factors as integers (each column of L and row of L^{-1} over its
+least common denominator), read from its weight's table, and runs the exact
 steps on them: the orthonormal view of an operator, and the inverse form
 B^T G^{-1} B.  An operator is given by its few nonzero diagonals
 (`Diagonals`), so L_t^T M costs O(n^2) and only L_s^{-1} is applied in
 full.  The dual-wedge leakage of `geometry.cp1` needs no more: its
 residual has rank 2, so it takes the inverse form of two columns only, and
-its basis of the 2-d complement is two rows and two pivots of the weight
-with (1+t)^2 absorbed.
+its basis of the 2-d complement is two rows and two pivots from the table
+of the weight with (1+t)^2 absorbed.
 Its float views are integer dot products divided straight into floats, as
 correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
 plain Fraction elimination, the independent oracle of the tests.
@@ -169,6 +173,72 @@ def romanovski_pivot(alpha: int, big_p: int, m: int) -> Fraction:
                     fact(big_p - m - 1) * fact(big_p - alpha - m - 1))
 
 
+class RomanovskiTable:
+    """The closed-form factors shared by every Hankel Gram of one weight
+    t^alpha (1+t)^-P, grown on demand.  Row m of L^{-1} and pivot D_m
+    depend only on (alpha, P, m), so the n x n Gram of the weight reads the
+    first n of each; and a column of L cut at n rows is a prefix of the
+    same column cut lower, over a common denominator that the prefix's gcd
+    reduces."""
+
+    def __init__(self, alpha: int, big_p: int):
+        self.alpha, self.big_p = alpha, big_p
+        self.rows: list[tuple[list[int], int]] = []     # of L^{-1}
+        self.pivots: list[Fraction] = []
+        # (max, min) of pivots 0..m, per m
+        self._extremes: list[tuple[Fraction, Fraction]] = []
+        self._float_pivots: list[float] = []
+        self._sqrt_pivots = np.zeros(0)
+        # columns of L, all cut at len(self._cols) rows
+        self._cols: list[tuple[list[int], int]] = []
+
+    def grow(self, n: int) -> None:
+        """Make rows and pivots 0..n-1 available."""
+        alpha, big_p = self.alpha, self.big_p
+        for m in range(len(self.rows), n):
+            self.rows.append(romanovski_row(alpha, big_p, m))
+            d = romanovski_pivot(alpha, big_p, m)
+            hi, lo = self._extremes[-1] if m else (d, d)
+            self.pivots.append(d)
+            self._extremes.append((max(hi, d), min(lo, d)))
+            self._float_pivots.append(float(d))
+
+    def pivot_ratio(self, n: int) -> float:
+        """max D_m / min D_m over m < n, exact and then rounded."""
+        self.grow(n)
+        hi, lo = self._extremes[n - 1]
+        return float(hi / lo)
+
+    def sqrt_pivots(self, n: int) -> np.ndarray:
+        """D_m^{1/2} for m < n, each the rounded square root of the rounded
+        pivot."""
+        if len(self._sqrt_pivots) < n:
+            self.grow(n)
+            self._sqrt_pivots = np.sqrt(np.array(self._float_pivots))
+        return self._sqrt_pivots[:n]
+
+    def lcols(self, n: int) -> list[tuple[list[int], int]]:
+        """Columns 0..n-1 of L cut at n rows, each over its least common
+        denominator: its first entry, L_mm = 1."""
+        if len(self._cols) < n:
+            alpha, big_p = self.alpha, self.big_p
+            size = max(n, len(self.rows))
+            # column m of L from L_mm = 1 down by the ratios L_{j+1,m} /
+            # L_{j,m} (Rodrigues) (j+1)(alpha+j+1) over (j+1-m)(P-m-alpha-j-2)
+            self._cols = [_ratio_products(
+                [(j + 1) * (alpha + j + 1) for j in range(m, size - 1)],
+                [(j + 1 - m) * (big_p - m - alpha - j - 2)
+                 for j in range(m, size - 1)]) for m in range(size)]
+        if len(self._cols) == n:
+            return self._cols
+        out = []
+        for m, (col, _) in enumerate(self._cols[:n]):
+            head = col[:n - m]
+            g = math.gcd(*head)
+            out.append(([x // g for x in head], head[0] // g))
+        return out
+
+
 class Orthonormalizer:
     """Exact change of basis to an orthonormal frame for one Gram block.
 
@@ -179,32 +249,32 @@ class Orthonormalizer:
     The factors are kept as integers: column j of L from row j down is
     lcols[j] = (nums, den), and row i of L^{-1} is inv_rows[i] = (nums, den),
     its entries 0..i, each as nums / den over the least common denominator.
+    They are read from the weight's `RomanovskiTable`, which every block of
+    the same weight may share.
     """
 
-    def __init__(self, alpha: int, big_p: int, n: int):
+    def __init__(self, alpha: int, big_p: int, n: int,
+                 table: RomanovskiTable | None = None):
         """Factor the n x n Hankel Gram G_ij = m(alpha + i + j, P), the
         moments m(u, P) = u! (P-u-2)! / (P-1)! of the weight
-        t^alpha (1+t)^-P, from the closed forms of its factors."""
+        t^alpha (1+t)^-P, from the closed forms of its factors; table, if
+        given, is the weight's own."""
         if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
             raise ValueError(
                 f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
         self.alpha, self.big_p, self.dim = alpha, big_p, n
-        self.inv_rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
-        self.D = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
-        self.sqrt_d = np.sqrt(np.array([float(d) for d in self.D],
-                                       dtype=float))
+        if table is None:
+            table = RomanovskiTable(alpha, big_p)
+        self.table = table
+        self.sqrt_d = table.sqrt_pivots(n)
+        self.inv_rows = table.rows[:n]
+        self.D = table.pivots[:n]
 
     @functools.cached_property
     def lcols(self) -> list[tuple[list[int], int]]:
-        """The columns of L, built on first use: only a target of
-        `transform_op` reads them."""
-        alpha, big_p, n = self.alpha, self.big_p, self.dim
-        # column m of L from L_mm = 1 down by the ratios L_{j+1,m} / L_{j,m}
-        # (Rodrigues) (j+1)(alpha+j+1) over (j+1-m)(P-m-alpha-j-2)
-        return [_ratio_products(
-            [(j + 1) * (alpha + j + 1) for j in range(m, n - 1)],
-            [(j + 1 - m) * (big_p - m - alpha - j - 2)
-             for j in range(m, n - 1)]) for m in range(n)]
+        """The columns of L, read on first use: only a target of
+        `transform_op` needs them."""
+        return self.table.lcols(self.dim)
 
     def _solve(self, vectors) -> IMatrix:
         """L^{-1} v for each integer vector v; entry i of each result is

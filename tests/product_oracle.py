@@ -1,11 +1,11 @@
 """The tensored product assembly: the test oracle of the Kunneth route.
 
 `tensored_product` builds cp1 x torus as blocks, one stack per rotation
-charge of the cp1 factor whose members are the torus modes.  Bases are
-graded tensor products of the factor bases (left labels first).  The
-Dolbeault operator is dbar_L (x) 1 + sign (x) dbar_R with the sign
-(-1)^{p_L + q_L} of the left form degree, and the lifted field contracts the
-left factor only.  Both factors are orthonormal, so every product Gram is
+charge of the cp1 factor (a member of one of its stacks, walked by name)
+whose members are the torus modes.  Bases are graded tensor products of
+the factor bases (left labels first).  The Dolbeault operator is
+dbar_L (x) 1 + sign (x) dbar_R with the sign (-1)^{p_L + q_L} of the left
+form degree, and the lifted field contracts the left factor only.  Both factors are orthonormal, so every product Gram is
 the identity, and the generic `deformed` functions (d_T, the Dirac square,
 eigensolves, the d_T^2 defect) run on the result unchanged.  The package
 itself computes product spectra from the factors instead."""
@@ -19,10 +19,11 @@ from equivlab.geometry.torus import mode_coefficients, modes
 _PQS1 = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _product_stack(left: CellStack, mu: np.ndarray,
+def _product_stack(left: CellStack, name: str, mu: np.ndarray,
                    mode_tags: list[str]) -> CellStack:
-    """Tensor one left sector (a stack of one member) with the four right
-    labels of every mode; mu holds the modes' Dolbeault coefficients.
+    """Tensor the left sector `name`, a member of the stack left, with the
+    four right labels of every mode; mu holds the modes' Dolbeault
+    coefficients.
 
     Within a member each entry of a block receives at most one term, so
     each is added once into zeros, as a per-mode assembly would."""
@@ -38,6 +39,10 @@ def _product_stack(left: CellStack, mu: np.ndarray,
             dims[pq] = dims.get(pq, 0) + d
 
     members = len(mu)
+    # the member's blocks, with a member axis of length 1 to broadcast
+    i = left.names.index(name)
+    left_dbar = {pq: blk[i:i + 1] for pq, blk in left.dbar.items()}
+    left_iv = {pq: blk[i:i + 1] for pq, blk in left.iv.items()}
     dbar: dict[PQ, np.ndarray] = {}
     iv: dict[PQ, np.ndarray] = {}
 
@@ -50,7 +55,7 @@ def _product_stack(left: CellStack, mu: np.ndarray,
         pq = (lpq[0] + rpq[0], lpq[1] + rpq[1])
         d = left.dims[lpq]
         cols = slice(off, off + d)
-        blk = left.dbar.get(lpq)
+        blk = left_dbar.get(lpq)
         t_off = offsets.get(((lpq[0], lpq[1] + 1), rpq))
         if blk is not None and blk.size and t_off is not None:
             tgt = (pq[0], pq[1] + 1)
@@ -64,25 +69,27 @@ def _product_stack(left: CellStack, mu: np.ndarray,
             diag = np.arange(d)
             tgt = (pq[0], pq[1] + 1)
             block(dbar, pq, tgt)[:, t_off + diag, off + diag] += coeff[:, None]
-        blk = left.iv.get(lpq)
+        blk = left_iv.get(lpq)
         t_off = offsets.get(((lpq[0] - 1, lpq[1]), rpq))
         if blk is not None and blk.size and t_off is not None:
             tgt = (pq[0] - 1, pq[1])
             block(iv, pq, tgt)[:, t_off:t_off + blk.shape[1], cols] += blk
-    return CellStack(name=f"{left.name}/modes",
-                     names=[f"{left.name}/{tag}" for tag in mode_tags],
+    return CellStack(name=f"{name}/modes",
+                     names=[f"{name}/{tag}" for tag in mode_tags],
                      dims=dims, dbar=dbar, iv=iv)
 
 
 def tensored_product(k: int, cp1_cutoff: int, tau: complex,
                      torus_cutoff: int) -> AssembledModel:
     """The product of `product_model` with the same arguments, assembled as
-    one tensored stack per rotation charge of the cp1 factor."""
+    one tensored stack per rotation charge of the cp1 factor, in the order
+    of the cp1 factor's members."""
     model = product_model(k, cp1_cutoff, tau, torus_cutoff)
     left = model.left
     mu = mode_coefficients(tau, torus_cutoff)
     tags = [f"jk{jk}" for jk in modes(torus_cutoff)]
-    cells = [_product_stack(stack, mu, tags) for stack in left.cells]
+    cells = [_product_stack(stack, name, mu, tags)
+             for stack in left.cells for name in stack.names]
     return AssembledModel(spec=model.spec, n=2, cells=cells,
                           leakage=dict(left.leakage),
                           gram_pivot_ratio=dict(left.gram_pivot_ratio))

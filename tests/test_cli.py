@@ -294,6 +294,47 @@ def test_report_without_report_json_exits_2(tmp_path, capsys):
     assert str(tmp_path / "report.json") in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name,why", [
+    ("missing.json", "cannot read {path}: "),
+    (".", "cannot read {path}: "),
+    ("latin1.json", "not valid JSON: 'utf-8' codec can't decode"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, name, why):
+    # a missing file, a directory or bytes that are not UTF-8: one line on
+    # stderr naming the problem, as invalid JSON gives, not a traceback
+    path = tmp_path / name
+    if name == "latin1.json":
+        path.write_bytes(b'{"name": "caf\xe9"}')
+    out = tmp_path / "out"
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "invalid config: <file>: " + why.format(path=path))
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.exists()
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # one line on stderr and exit 2 before any model is assembled, not a
+    # FileExistsError traceback; the file is left as it was
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    blocker = tmp_path / "out"
+    blocker.write_text("keep")
+    assembled = []
+    monkeypatch.setattr(cli, "assemble", assembled.append)
+    for outdir in (blocker, blocker / "sub"):
+        assert main(["run", str(cfg), "-o", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write output: {outdir}: ")
+        assert err.count("\n") == 1
+    assert assembled == [] and blocker.read_text() == "keep"
+
+
 GOOD_REPORT = {"config_hash": "0" * 64, "package_version": "0",
                "verdicts": {"euler:x": "pass"}, "worst": "pass"}
 

@@ -297,7 +297,7 @@ def test_block_bounds():
 
 def test_block_dimensions():
     model = cp1_model(0, 8)
-    dims = {pq: sum(c.dims.get(pq, 0) for c in model.cells)
+    dims = {pq: sum(c.size * c.dims.get(pq, 0) for c in model.cells)
             for pq in ((0, 0), (1, 0), (0, 1), (1, 1))}
     assert dims == {(0, 0): 81, (1, 0): 63, (0, 1): 80, (1, 1): 64}
 
@@ -610,6 +610,73 @@ def test_rule_on_exponent_arrays_matches_scalar_calls(rule):
                    for off, co in terms]
             assert scalar == (tpq, den, got)
             assert all(type(co) is int for _, co in got)
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 4), (1, 6), (3, 7), (2, 14),
+                                      (1, 20)])
+def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
+    # every float block of the assembled model, found by its member's name,
+    # is bit for bit (sign bits included) the block of the per-chunk path:
+    # a fresh Orthonormalizer with a table of its own on each side of each
+    # chunk.  Each charge is one member, the members of a stack share its
+    # layout, and no two stacks share one
+    model = cp1_model(k, cutoff)
+    ex = model.exact
+    where = {name: (stack, i) for stack in model.cells
+             for i, name in enumerate(stack.names)}
+    charges = sorted({chi for b in ex.blocks.values() for chi in b.chunks})
+    assert sorted(where) == sorted(f"chi{chi}" for chi in charges)
+    layouts = [stack.dims for stack in model.cells]
+    assert all(a != b for i, a in enumerate(layouts) for b in layouts[:i])
+    assert len(layouts) < len(charges)
+
+    def fresh(pq, chi):
+        block = ex.blocks[pq]
+        chunk = block.chunks[chi]
+        return Orthonormalizer(abs(chunk.a0 - chunk.b0),
+                               weight_exponent(*pq, block.den, k), chunk.n)
+
+    paths = [(ex.dbar_chunks, "dbar", lambda p, q: (p, 1)),
+             (ex.iv_chunks, "iv", lambda p, q: (0, q))]
+    for op_chunks, kind, target in paths:
+        for src, chunks in op_chunks.items():
+            tgt = target(*src)
+            for chi, diagonals in chunks.items():
+                stack, i = where[f"chi{chi}"]
+                assert stack.dims == {pq: b.chunks[chi].n
+                                      for pq, b in ex.blocks.items()
+                                      if chi in b.chunks}
+                if chi not in ex.blocks[tgt].chunks:
+                    assert src not in getattr(stack, kind)
+                    continue
+                got = getattr(stack, kind)[src][i]
+                want = fresh(tgt, chi).transform_op(diagonals,
+                                                    fresh(src, chi))
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 4), (3, 7), (2, 14), (1, 20)])
+def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
+    # one factor table per weight: assembling a model (its Orthonormalizers,
+    # float blocks, Gram conditions and leakage pencils) computes each row
+    # and each pivot of each weight once
+    def counted(name):
+        fn, calls = getattr(linalg, name), Counter()
+
+        def counting(*args):
+            calls[args] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+        return calls
+
+    rows, pivots = counted("romanovski_row"), counted("romanovski_pivot")
+    cp1_model(k, cutoff)
+    assert rows and set(rows.values()) == set(pivots.values()) == {1}
+    assert rows.keys() == pivots.keys()
+    if (k, cutoff) == (2, 14):
+        assert len(rows) <= 299
 
 
 def test_source_only_block_builds_no_l_columns():

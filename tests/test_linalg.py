@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
+                             RomanovskiTable,
                              float_ratios, fmatmul, hermitian_eigenvalues,
                              invert_unit_lower, ldlt, romanovski_pivot,
                              romanovski_row)
@@ -356,6 +357,24 @@ def test_factors_are_romanovski_closed_forms(params):
         assert [Fraction(x, cden) for x in cnums] == [
             sum(g[i][j] * x for j, x in enumerate(row)) / norm
             for i in range(m, n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(moment_params(min_n=1, max_n=10), st.data())
+def test_shared_table_reads_each_size_as_its_own(params, data):
+    # a weight's table grown to n, in any order of sizes, gives every
+    # smaller Gram the factors of a table of its own: rows, pivots, the
+    # square roots, the reduced columns of L and max D / min D
+    alpha, big_p, n = params
+    sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    table = RomanovskiTable(alpha, big_p)
+    for m in sizes + [n] + sizes:
+        shared = Orthonormalizer(alpha, big_p, m, table)
+        own = Orthonormalizer(alpha, big_p, m)
+        assert (shared.inv_rows, shared.D) == (own.inv_rows, own.D)
+        assert np.array_equal(shared.sqrt_d, own.sqrt_d)
+        assert shared.lcols == own.lcols
+        assert table.pivot_ratio(m) == float(max(own.D) / min(own.D))
 
 
 def test_orthonormalizer_rejects_divergent_moments():

@@ -114,6 +114,10 @@ def test_kunneth_route_matches_tensored_oracle(k, T):
         want = tensored.merged_eigenvalues(r)
         assert got.shape == want.shape == (model.degree_dim(r),)
         assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
+        # the PSD guard's dimension, against a walk of the left stacks
+        assert kunneth.member_dim(r) == max(
+            stack.degree_dim(r - b, 1) for stack in model.left.cells
+            for b in (-1, 0, 1))
         count, gap, resolved, _ = cluster_kernel(got)
         want_count, want_gap, want_resolved, _ = cluster_kernel(want)
         assert (count, resolved) == (want_count, want_resolved)

@@ -51,10 +51,12 @@ def torus_sectors(tau, cutoff, c):
 
 
 def cp1_sectors(model):
+    """One sector per charge: every member of every stack, in member
+    order."""
     return [Sector(dict(stack.dims),
-                   {pq: b[0] for pq, b in stack.dbar.items()},
-                   {pq: b[0] for pq, b in stack.iv.items()})
-            for stack in model.cells]
+                   {pq: b[i] for pq, b in stack.dbar.items()},
+                   {pq: b[i] for pq, b in stack.iv.items()})
+            for stack in model.cells for i in range(stack.size)]
 
 
 def product_sector(left, mu):
@@ -231,6 +233,31 @@ def test_stacked_pipeline_equals_per_sector(case, T):
         assert np.array_equal(dsq.merged_eigenvalues(r),
                               np.sort(np.concatenate(parts)))
     assert complex_property_defect(op) == sector_defect(sectors, n, T)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dt_placement_is_built_once_per_model(case):
+    # one model at every T, in turn and again: d_T is read from one
+    # placement of dbar and iv per stack and degree, made by the first d_T,
+    # and equals the per-sector zero-fill-then-add bit for bit, sign bits
+    # included
+    model, sectors = CASES[case]()
+    n = model.n
+    placed = None
+    for T in T_VALUES + T_VALUES:
+        op = assemble_deformed(model, T)
+        placed = placed or dict(model.placed_dt)
+        assert model.placed_dt.keys() == placed.keys() == op.blocks.keys()
+        assert all(model.placed_dt[key][j] is ab[j]
+                   for key, ab in placed.items() for j in (0, 1))
+        for (si, i), sector in zip(members(model), sectors):
+            for r in range(-n, n + 1):
+                got = op.blocks[(si, r)][i]
+                want = degree_map(sector, n, r, T)
+                assert np.array_equal(got, want)
+                assert got.dtype == want.dtype
+                assert np.array_equal(np.signbit(got.view(float)),
+                                      np.signbit(want.view(float)))
 
 
 @pytest.mark.parametrize("T", T_VALUES)
