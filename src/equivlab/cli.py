@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .deformed import (CSV_FIELDS, DEFAULT_RULE, KEPT_EIGENVALUES, NotPSDError,
-                       ThresholdRule, bochner_check, spectral_table,
-                       sweep_rows_for_csv, t_sweep)
+from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, CohomologyTable,
+                       NotPSDError, bochner_check, graded_euler,
+                       spectral_table, sweep_rows_for_csv, t_sweep)
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
@@ -43,6 +43,18 @@ from .oracle import localization_prediction
 CONFIG_SCHEMA_VERSION = 1
 _CHECKS = ("complex_property", "bochner", "localization", "vanishing", "euler")
 _FLOAT_ZERO = 1.0e-11
+# the alpha check's cutoff radius and T, the point its 0.002 bound was set at
+CUTOFF_EPS = 1.0
+ALPHA_T_PROBE = 100.0
+# the keys each object of a config may hold
+_ROOT_KEYS = ("schema_version", "name", "models", "T_grid", "checks",
+              "outputs", "oscillator")
+_OSCILLATOR_KEYS = ("m", "T", "cutoff")
+_MODEL_KEYS = {"torus": ("schema_version", "kind", "tau", "cutoff", "field"),
+               "cp1": ("schema_version", "kind", "k", "cutoff", "field"),
+               "product": ("schema_version", "kind", "field", "left", "right")}
+_FIELD_KEYS = {"constant": ("kind", "c"), "linear": ("kind",),
+               "product_lift": ("kind", "factor")}
 # each verdict's exit status; the worst verdict is the one with the largest
 SEVERITY = {"pass": 0, "unresolved": 1, "fail": 2}
 
@@ -60,8 +72,6 @@ class OscillatorConfig:
     m_grid: tuple[int, ...] = (1, 2)
     T_grid: tuple[float, ...] = (1.0, 10.0)
     cutoffs: tuple[int, ...] = (12, 4)
-    eps: float = 1.0
-    alpha_T_probe: float = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,6 @@ class ExperimentConfig:
     models: tuple[ModelSpec, ...]
     T_grid: tuple[float, ...]
     checks: tuple[str, ...]
-    rule: ThresholdRule = DEFAULT_RULE
     outputs: tuple[str, ...] = ("csv", "json", "plotdata")
     oscillator: OscillatorConfig | None = None
 
@@ -78,14 +87,11 @@ class ExperimentConfig:
         out = {"schema_version": CONFIG_SCHEMA_VERSION, "name": self.name,
                "models": [m.to_dict() for m in self.models],
                "T_grid": list(self.T_grid),
-               "threshold_rule": self.rule.to_dict(),
-               "checks": sorted(self.checks),
-               "outputs": sorted(self.outputs)}
+               "checks": list(self.checks), "outputs": list(self.outputs)}
         if self.oscillator is not None:
             osc = self.oscillator
             out["oscillator"] = {"m": list(osc.m_grid), "T": list(osc.T_grid),
-                                 "cutoff": list(osc.cutoffs), "eps": osc.eps,
-                                 "alpha_T_probe": osc.alpha_T_probe}
+                                 "cutoff": list(osc.cutoffs)}
         return out
 
     def config_hash(self) -> str:
@@ -100,6 +106,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError("schema_version",
                           f"expected {CONFIG_SCHEMA_VERSION}, got {version!r}")
+    _known_keys("", raw, _ROOT_KEYS)
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "must be a nonempty string")
@@ -120,16 +127,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("T_grid", "must be a nonempty list")
     t_grid = _distinct("T_grid", [_number(f"T_grid[{i}]", t, float, 0)
                                   for i, t in enumerate(t_grid)])
-    rule_raw = _object("threshold_rule", raw.get("threshold_rule", {}))
-    rule = ThresholdRule(**{
-        key: _number(f"threshold_rule.{key}",
-                     rule_raw.get(key, getattr(DEFAULT_RULE, key)), float, low)
-        for key, low in (("window_fraction", 0), ("resolve_ratio", 0),
-                         ("floor_rel", None))})
-    if rule.window_fraction > 1:
-        raise ConfigError("threshold_rule.window_fraction", "must be <= 1")
-    if rule.floor_rel < 0:
-        raise ConfigError("threshold_rule.floor_rel", "must be a number >= 0")
     checks = _names("checks", raw.get("checks", list(_CHECKS)),
                     (*_CHECKS, "oscillator", "alpha"))
     outputs = _names("outputs", raw.get("outputs", ["csv", "json", "plotdata"]),
@@ -139,8 +136,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         osc = _parse_oscillator(_object("oscillator", raw.get("oscillator", {})))
     return ExperimentConfig(name=name, models=tuple(models),
                             T_grid=tuple(t_grid),
-                            checks=tuple(checks), rule=rule,
-                            outputs=tuple(outputs), oscillator=osc)
+                            checks=tuple(sorted(checks)),
+                            outputs=tuple(sorted(outputs)), oscillator=osc)
 
 
 def _number(path: str, x, kind: type, low=None):
@@ -175,6 +172,15 @@ def _object(path: str, x) -> dict:
     return x
 
 
+def _known_keys(prefix: str, obj: dict, keys: tuple[str, ...]) -> None:
+    """A ConfigError naming prefix + the first key of obj outside keys: a
+    key the schema does not define is refused, never ignored."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}", "unknown key; expected one "
+                              f"of {', '.join(keys)}")
+
+
 def _names(path: str, xs, known: tuple[str, ...]) -> list:
     """xs if it is a list of names from known; otherwise a ConfigError
     naming path, or the first unknown entry."""
@@ -186,13 +192,20 @@ def _names(path: str, xs, known: tuple[str, ...]) -> list:
     return xs
 
 
-def _check_model(path: str, md) -> None:
-    """Check the types of a raw model entry's numbers, down into its field
-    and factors, so that `ModelSpec.from_dict` neither truncates nor fails
-    on them; `ModelSpec.validate` checks their ranges."""
-    for key, value in _object(path, md).items():
+def _check_model(path: str, md, kinds: dict = _MODEL_KEYS) -> None:
+    """Check a raw model entry's keys against those of its kind and the
+    types of its numbers, down into its field and factors, so that
+    `ModelSpec.from_dict` neither ignores, truncates nor fails on them;
+    `ModelSpec.validate` checks their ranges and rejects an unknown kind."""
+    md = _object(path, md)
+    kind = md.get("kind")
+    if isinstance(kind, str) and kind in kinds:
+        _known_keys(f"{path}.", md, kinds[kind])
+    for key, value in md.items():
         where = f"{path}.{key}"
-        if key in ("field", "left", "right"):
+        if key == "field":
+            _check_model(where, value, _FIELD_KEYS)
+        elif key in ("left", "right"):
             _check_model(where, value)
         elif key in ("k", "cutoff"):
             _number(where, value, int)
@@ -204,6 +217,7 @@ def _check_model(path: str, md) -> None:
 
 
 def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
+    _known_keys("oscillator.", osc_raw, _OSCILLATOR_KEYS)
     default = OscillatorConfig()
     grids = []
     for key, fallback, kind, low in (
@@ -220,11 +234,7 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
     if len(cuts) != len(m_grid):
         raise ConfigError("oscillator.cutoff",
                           "needs one cutoff per fiber dimension")
-    eps = _number("oscillator.eps", osc_raw.get("eps", default.eps), float, 0)
-    probe = _number("oscillator.alpha_T_probe", osc_raw.get(
-        "alpha_T_probe", default.alpha_T_probe), float, 0)
-    return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts,
-                            eps=eps, alpha_T_probe=probe)
+    return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -247,14 +257,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def model_payload(spec_dict: dict, T_grid: list[float],
-                  rule_dict: dict) -> dict:
+def model_payload(spec_dict: dict, T_grid: list[float]) -> dict:
     """Everything the checks and reports need for one model, as plain data."""
     spec = ModelSpec.from_dict(spec_dict)
-    rule = ThresholdRule(**rule_dict)
     model = assemble(spec)
-    sweep = t_sweep(model, list(T_grid), rule=rule)
-    table0, _ = spectral_table(model, 0.0, rule=rule)
+    sweep = t_sweep(model, list(T_grid))
+    table0, _ = spectral_table(model, 0.0)
     payload = {
         "model": spec.to_dict(),
         "label": spec.label(),
@@ -294,10 +302,6 @@ def _payload_worker(args):
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
-
-def _euler_of(dims: dict) -> int:
-    return sum((-1 if int(r) % 2 else 1) * d for r, d in dims.items())
-
 
 def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]:
     verdicts: dict[str, str] = {}
@@ -352,8 +356,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
             ok = ok and not payload["unresolved"]
             verdicts[f"vanishing:{label}"] = "pass" if ok else "fail"
         if "euler" in config.checks:
-            e0 = _euler_of(payload["table0"])
-            ok = all(_euler_of(dims) == e0
+            e0 = graded_euler(CohomologyTable(payload["table0"]))
+            ok = all(graded_euler(CohomologyTable(dims)) == e0
                      for dims in payload["tables"].values())
             verdicts[f"euler:{label}"] = "pass" if ok else "fail"
     return verdicts
@@ -380,13 +384,13 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
                 "analytic_gap_over_T": ana.gap_over_T,
             }
             out["models"].append(entry)
-    profile = CutoffProfile(eps=osc.eps)
+    profile = CutoffProfile(eps=CUTOFF_EPS)
     for m in osc.m_grid:
-        a, atm = alpha_T(profile, m, osc.alpha_T_probe)
+        a, atm = alpha_T(profile, m, ALPHA_T_PROBE)
         u = np.array([1.0 + 0.5j, -0.25j, 0.75])
         defect = isometry_defect(
             OscillatorModel(m=m, T=50.0, cutoff=4), profile, u)
-        out["alpha"].append({"m": m, "T": osc.alpha_T_probe, "eps": osc.eps,
+        out["alpha"].append({"m": m, "T": ALPHA_T_PROBE, "eps": CUTOFF_EPS,
                              "alpha": a, "alpha_Tm": atm,
                              "isometry_defect": defect})
     return out
@@ -508,9 +512,7 @@ class Report:
 def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
         verbose: bool = False) -> Report:
     os.makedirs(outdir, exist_ok=True)
-    rule_dict = config.rule.to_dict()
-    tasks = [(m.to_dict(), list(config.T_grid), rule_dict)
-             for m in config.models]
+    tasks = [(m.to_dict(), list(config.T_grid)) for m in config.models]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(_payload_worker, tasks))
@@ -628,7 +630,6 @@ def main(argv: list[str] | None = None) -> int:
     p_osc.add_argument("--m", default="1,2")
     p_osc.add_argument("--T", default="1,10")
     p_osc.add_argument("--cutoff", default="12,4")
-    p_osc.add_argument("--eps", type=float, default=1.0)
     p_osc.add_argument("-o", "--outdir", default="runs/oscillator")
     p_osc.add_argument("-v", "--verbose", action="store_true")
 
@@ -681,8 +682,7 @@ def main(argv: list[str] | None = None) -> int:
                "T_grid": [1.0], "checks": ["oscillator", "alpha"],
                "oscillator": {"m": _parse_list(args.m),
                               "T": _parse_list(args.T),
-                              "cutoff": _parse_list(args.cutoff),
-                              "eps": args.eps}}
+                              "cutoff": _parse_list(args.cutoff)}}
         return _run_command(lambda: parse_config(raw),
                             "invalid oscillator parameters", args)
 

@@ -22,13 +22,14 @@ in product degree r the spectrum is every cp1 eigenvalue of degree r - b
 plus every torus level, once per torus label of degree b (`KunnethSquare`).
 
 Kernel dimensions are read off by a relative-gap clustering rule:
-eigenvalues are floored at a tiny multiple of the spectral scale, the
-largest log-gap among the lowest quarter of the spectrum is located (with
-the floor itself as a virtual level below the smallest eigenvalue, so an
-empty kernel is a possible outcome), and the count is marked resolved only
-if that gap ratio exceeds a configurable criterion.  This keeps the rule
-cutoff-independent: no absolute eigenvalue threshold is ever compared
-against.
+eigenvalues are floored at FLOOR_REL times the spectral scale, the largest
+log-gap among the lowest WINDOW_FRACTION (a quarter) of the spectrum is
+located (with the floor itself as a virtual level below the smallest
+eigenvalue, so an empty kernel is a possible outcome), and the count is
+marked resolved only if that gap ratio reaches RESOLVE_RATIO.  This keeps
+the rule cutoff-independent: no absolute eigenvalue threshold is ever
+compared against.  The three values are fixed, not configurable, so no
+config can loosen a count.
 
 The curvature identity D_T^2 = D^2 + 2 T^2 |v|^2 + 2 T (zero order) is
 checked in floats on the torus and, on the curved model, as a T-free exact
@@ -53,21 +54,10 @@ from .linalg import hermiticity_defect  # noqa: F401
 _EPS = float(np.finfo(float).eps)
 # eigenvalues kept per spectrum: one per lam column of CSV_FIELDS
 KEPT_EIGENVALUES = 8
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    window_fraction: float = 0.25
-    resolve_ratio: float = 1.0e3
-    floor_rel: float = 1.0e-12
-
-    def to_dict(self) -> dict:
-        return {"window_fraction": self.window_fraction,
-                "resolve_ratio": self.resolve_ratio,
-                "floor_rel": self.floor_rel}
-
-
-DEFAULT_RULE = ThresholdRule()
+# the kernel-count rule of the module docstring
+FLOOR_REL = 1.0e-12
+WINDOW_FRACTION = 0.25
+RESOLVE_RATIO = 1.0e3
 
 
 @dataclass
@@ -263,27 +253,25 @@ class SpectrumResult:
     T: float
 
 
-def cluster_kernel(evals: np.ndarray, rule: ThresholdRule = DEFAULT_RULE
-                   ) -> tuple[int, float, bool, float]:
+def cluster_kernel(evals: np.ndarray) -> tuple[int, float, bool, float]:
     """(kernel_count, gap_ratio, resolved, threshold) by the relative-gap
     rule described in the module docstring."""
     n = len(evals)
     if n == 0:
         return 0, float("inf"), True, 0.0
     scale = max(float(evals[-1]), 1.0)
-    floor = rule.floor_rel * scale
+    floor = FLOOR_REL * scale
     lam = np.maximum(np.asarray(evals, dtype=float), floor)
     if float(lam[-1]) <= floor:
         return n, float("inf"), True, floor
-    window = min(max(1, int(np.ceil(rule.window_fraction * n))), n - 1)
+    window = min(max(1, int(np.ceil(WINDOW_FRACTION * n))), n - 1)
     ratios = np.concatenate(([lam[0] / floor],
                              lam[1:window + 1] / lam[:window]))
     best_i = int(np.argmax(ratios))     # the first of tied maxima
     best_ratio = ratios[best_i]
     lo = floor if best_i == 0 else lam[best_i - 1]
-    hi = lam[best_i] if best_i < n else lam[-1]
-    threshold = float(np.sqrt(lo * hi))
-    resolved = best_ratio >= rule.resolve_ratio
+    threshold = float(np.sqrt(lo * lam[best_i]))
+    resolved = best_ratio >= RESOLVE_RATIO
     return best_i, float(best_ratio), bool(resolved), threshold
 
 
@@ -303,13 +291,12 @@ class NotPSDError(ValueError):
         return type(self), (self.degree, self.eigenvalue)
 
 
-def spectrum(dsq: DiracSquare | KunnethSquare, r: int,
-             rule: ThresholdRule = DEFAULT_RULE) -> SpectrumResult:
+def spectrum(dsq: DiracSquare | KunnethSquare, r: int) -> SpectrumResult:
     evals = dsq.merged_eigenvalues(r)
     if len(evals) and float(evals[0]) < -((dsq.member_dim(r) + 8) * _EPS
                                           * max(float(evals[-1]), 1.0)):
         raise NotPSDError(r, float(evals[0]))
-    count, gap, resolved, threshold = cluster_kernel(evals, rule)
+    count, gap, resolved, threshold = cluster_kernel(evals)
     return SpectrumResult(
         degree=r, eigenvalues=[float(x) for x in evals[:KEPT_EIGENVALUES]],
         dim=len(evals), kernel_count=count, gap=gap, threshold=threshold,
@@ -331,24 +318,22 @@ def graded_euler(table: CohomologyTable) -> int:
     return sum((-1 if r % 2 else 1) * d for r, d in table.dims.items())
 
 
-def dirac_table(dsq: DiracSquare | KunnethSquare,
-                rule: ThresholdRule = DEFAULT_RULE
+def dirac_table(dsq: DiracSquare | KunnethSquare
                 ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
     """Kernel counts per degree read off one Dirac square."""
     model = dsq.model
     results = {}
     dims = {}
     for r in range(-model.n, model.n + 1):
-        res = spectrum(dsq, r, rule=rule)
+        res = spectrum(dsq, r)
         results[r] = res
         dims[r] = res.kernel_count
     return CohomologyTable(dims=dims), results
 
 
-def spectral_table(model: AssembledModel | ProductModel, T: float,
-                   rule: ThresholdRule = DEFAULT_RULE
+def spectral_table(model: AssembledModel | ProductModel, T: float
                    ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    return dirac_table(deformed_square(model, T)[1], rule)
+    return dirac_table(deformed_square(model, T)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +405,7 @@ class SweepResult:
     complex_defect_ratio: dict[float, float]   # complex_property_defect per T
 
 
-def t_sweep(model: AssembledModel | ProductModel, T_list,
-            rule: ThresholdRule = DEFAULT_RULE) -> SweepResult:
+def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
     if not T_list:
         raise ValueError("T grid must be nonempty")
     if any(t <= 0 for t in T_list):
@@ -437,7 +421,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list,
         # one d_T per T serves both the complex property and the spectra
         op, dsq = deformed_square(model, T)
         defects[float(T)] = complex_property_defect(op)
-        table, results = dirac_table(dsq, rule)
+        table, results = dirac_table(dsq)
         del op, dsq     # free this T's blocks before the next T builds its own
         tables[float(T)] = table
         all_eigs = []

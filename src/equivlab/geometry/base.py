@@ -17,7 +17,6 @@ is held as its factors (`geometry.product`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,10 +105,7 @@ class ModelSpec:
             if self.left.kind != "cp1" or self.right.kind != "torus":
                 raise ModelError("supported product: cp1 (linear field) x torus")
             self.left.validate()
-            if self.right.tau.imag <= 0:
-                raise ModelError(f"degenerate modulus tau={self.right.tau}")
-            if self.right.cutoff < 1:
-                raise ModelError("torus cutoff must be >= 1")
+            self.right.validate()
             self.field.validate()
             if self.field.kind != "product_lift":
                 raise ModelError("product models use a lifted field")
@@ -154,13 +150,6 @@ class ModelSpec:
             return cls(kind="product", field=fld,
                        left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
         raise ModelError(f"unsupported model kind: {kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

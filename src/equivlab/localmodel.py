@@ -280,9 +280,6 @@ def smooth_bump(a: float | np.ndarray) -> float | np.ndarray:
 class CutoffProfile:
     eps: float = 1.0
 
-    def gamma(self, a: float | np.ndarray) -> float | np.ndarray:
-        return smooth_bump(a)
-
     def gamma_radial(self, rho: float | np.ndarray) -> float | np.ndarray:
         return smooth_bump(rho / self.eps)
 

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -52,8 +54,10 @@ def test_negative_t_names_entry():
     assert err.value.path == "T_grid[1]"
 
 
-@pytest.mark.parametrize("probe", [0.0, -5.0])
+@pytest.mark.parametrize("probe", [0.0, -5.0, 100.0])
 def test_nonpositive_alpha_probe_rejected(probe):
+    # the probe is the constant ALPHA_T_PROBE: a config value, nonpositive
+    # or the constant itself, is refused by name
     raw = small_config()
     raw["checks"] = ["alpha"]
     raw["oscillator"] = {"alpha_T_probe": probe}
@@ -96,6 +100,32 @@ def test_bad_model_names_index():
     assert err.value.path == "models[1]"
 
 
+@pytest.mark.parametrize("right_field,why", [
+    ({"kind": "bogus"}, "unsupported field kind"),
+    ({"kind": "linear"}, "torus supports only the constant field"),
+    ({"kind": "constant", "c": [0, 0]}, "constant field requires c != 0"),
+], ids=["bogus", "linear", "zero-c"])
+def test_product_right_factor_validated_as_torus(right_field, why, tmp_path,
+                                                 capsys):
+    # the right factor is validated as the torus it is, not by a hand copy
+    # of some of its checks; nothing is written
+    raw = small_config()
+    raw["models"] = [{"kind": "product",
+                      "field": {"kind": "product_lift", "factor": "left"},
+                      "left": {"kind": "cp1", "k": 0, "cutoff": 4,
+                               "field": {"kind": "linear"}},
+                      "right": {"kind": "torus", "tau": [0, 1], "cutoff": 2,
+                                "field": right_field}}]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "models[0]" and why in str(err.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert why in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _with(path, value):
     """small_config with raw[path[0]][path[1]]... set to value."""
     raw = small_config()
@@ -134,15 +164,6 @@ def _with(path, value):
     (_with(["oscillator"], {"m": [2, 1, 2], "cutoff": [4, 12, 4]}),
      "oscillator.m[2]"),
     (_with(["oscillator"], {"T": [10, 1, 10.0]}), "oscillator.T[2]"),
-    (_with(["threshold_rule"], 5), "threshold_rule"),
-    (_with(["threshold_rule"], {"resolve_ratio": math.nan}),
-     "threshold_rule.resolve_ratio"),
-    (_with(["threshold_rule"], {"resolve_ratio": 0.0}),
-     "threshold_rule.resolve_ratio"),
-    (_with(["threshold_rule"], {"floor_rel": -1.0}),
-     "threshold_rule.floor_rel"),
-    (_with(["threshold_rule"], {"floor_rel": "1e-12"}),
-     "threshold_rule.floor_rel"),
     (_with(["checks"], 5), "checks"),
     (_with(["outputs"], 7), "outputs"),
     (_with(["oscillator"], 3), "oscillator"),
@@ -150,9 +171,7 @@ def _with(path, value):
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
         "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",
-        "config-m-repeated", "config-T-repeated", "rule-not-object",
-        "ratio-nan", "ratio-zero",
-        "floor-negative", "floor-string", "checks-not-list",
+        "config-m-repeated", "config-T-repeated", "checks-not-list",
         "outputs-not-list", "oscillator-not-object"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
@@ -173,15 +192,84 @@ def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_threshold_rule_bounds():
-    # a zero floor is allowed; a window fraction above one is not
-    raw = small_config()
-    raw["threshold_rule"] = {"floor_rel": 0}
-    assert parse_config(raw).rule.floor_rel == 0.0
-    raw["threshold_rule"] = {"window_fraction": 1.5}
+def _osc_with(key, value):
+    raw = _with(["oscillator"], {key: value})
+    raw["checks"] = ["oscillator", "alpha"]
+    return raw
+
+
+def _product_with(factor, key, value):
+    """small_config whose second model is a product, one of whose factors
+    has key set to value."""
+    product = {"kind": "product",
+               "field": {"kind": "product_lift", "factor": "left"},
+               "left": {"kind": "cp1", "k": 0, "cutoff": 4,
+                        "field": {"kind": "linear"}},
+               "right": {"kind": "torus", "tau": [0, 1], "cutoff": 2}}
+    product[factor][key] = value
+    return _with(["models", 1], product)
+
+
+@pytest.mark.parametrize("source,path", [
+    (_with(["threshold_rule"], {"resolve_ratio": 1.0001}), "threshold_rule"),
+    (_with(["threshold_rule"], {}), "threshold_rule"),
+    (_osc_with("eps", 1.0), "oscillator.eps"),
+    (_osc_with("alpha_T_probe", 100.0), "oscillator.alpha_T_probe"),
+    (_with(["Name"], "smoke"), "Name"),
+    (_with(["models", 1, "K"], 3), "models[1].K"),
+    (_with(["models", 0, "field", "scale"], 2.0), "models[0].field.scale"),
+    (_with(["models", 1, "field", "c"], [1.0, 0.0]), "models[1].field.c"),
+    (_product_with("left", "cut", 8), "models[1].left.cut"),
+    (_product_with("right", "k", 1), "models[1].right.k"),
+], ids=["threshold-rule", "threshold-rule-empty", "oscillator-eps",
+        "oscillator-alpha-probe", "root-unknown", "model-K-typo",
+        "field-unknown", "linear-field-c", "product-left-unknown",
+        "product-right-unknown"])
+def test_unknown_key_exits_2_naming_it(source, path, tmp_path, capsys):
+    # a key the schema does not define, a retired knob among them, is
+    # refused by name rather than ignored; nothing is written
     with pytest.raises(ConfigError) as err:
-        parse_config(raw)
-    assert err.value.path == "threshold_rule.window_fraction"
+        parse_config(source)
+    assert err.value.path == path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(source))
+    for command in (["validate", str(cfg)],
+                    ["run", str(cfg), "-o", str(tmp_path / "out")]):
+        assert main(command) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"invalid config: {path}: unknown key; ")
+        assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_eps_flag_is_gone(tmp_path, capsys):
+    # the cutoff radius is the constant CUTOFF_EPS, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["oscillator", "--eps", "2", "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_in_use_parses_back_from_canonical():
+    # every committed config, the benchmark's probe and each workload's
+    # config for seeds 0-19 parse, and their canonical form parses back to
+    # the same config and hash: canonical() writes only schema keys
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [load_config(str(path))
+               for path in sorted((root / "configs").glob("*.json"))]
+    configs.append(parse_config(workloads.PROBE))
+    configs += [parse_config(workloads.make_config(w, seed))
+                for w in workloads.WORKLOADS for seed in range(20)]
+    assert len(configs) > 60
+    for config in configs:
+        back = parse_config(config.canonical())
+        assert back == config
+        assert back.config_hash() == config.config_hash()
 
 
 def test_unknown_check_rejected():
@@ -581,7 +669,7 @@ def test_tiny_T_reads_both_exact_checks(monkeypatch):
     # 2 |T| |Theta| with |Theta| = 1
     monkeypatch.setattr(Cp1Exact, "_anticommutator_is_zero", False)
     spec = {"kind": "cp1", "k": 0, "cutoff": 4, "field": {"kind": "linear"}}
-    payload = cli.model_payload(spec, [1e-7], deformed.DEFAULT_RULE.to_dict())
+    payload = cli.model_payload(spec, [1e-7])
     assert payload["complex_exact_zero"] is False
     assert payload["bochner"]["zero_order_term"] == float(2 * Fraction(1e-7))
     assert payload["bochner"]["residual"] == 0.0

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivlab.deformed import (CohomologyTable, ThresholdRule,
-                               assemble_deformed, bochner_check,
+from equivlab.deformed import (FLOOR_REL, RESOLVE_RATIO, WINDOW_FRACTION,
+                               CohomologyTable, assemble_deformed, bochner_check,
                                cluster_kernel, dirac,
                                graded_euler, spectral_table, spectrum, t_sweep)
 from equivlab.cli import parse_config, run
@@ -42,8 +42,7 @@ def test_cluster_all_zero():
 
 def test_cluster_far_from_zero_resolves_empty_kernel():
     evals = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-    count, gap, resolved, _ = cluster_kernel(
-        evals, ThresholdRule(resolve_ratio=1e3))
+    count, gap, resolved, _ = cluster_kernel(evals)
     assert count == 0 and resolved
 
 
@@ -51,8 +50,7 @@ def test_cluster_ambiguous_not_resolved():
     # a spectrum climbing smoothly out of the numerical-zero floor has no
     # dominant relative gap: the count must be flagged, not silently chosen
     evals = np.array([1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0])
-    count, gap, resolved, _ = cluster_kernel(
-        evals, ThresholdRule(resolve_ratio=1e3))
+    count, gap, resolved, _ = cluster_kernel(evals)
     assert not resolved
 
 
@@ -69,18 +67,18 @@ def test_cluster_kernel_with_floor_straddle():
     assert count == 2 and resolved
 
 
-def loop_cluster_kernel(evals, rule=ThresholdRule()):
+def loop_cluster_kernel(evals):
     """The window scan as a Python loop: the reference for the vectorized
     ratio and argmax of cluster_kernel."""
     n = len(evals)
     if n == 0:
         return 0, float("inf"), True, 0.0
     scale = max(float(evals[-1]), 1.0)
-    floor = rule.floor_rel * scale
+    floor = FLOOR_REL * scale
     lam = np.maximum(np.asarray(evals, dtype=float), floor)
     if float(lam[-1]) <= floor:
         return n, float("inf"), True, floor
-    window = max(1, int(np.ceil(rule.window_fraction * n)))
+    window = max(1, int(np.ceil(WINDOW_FRACTION * n)))
     best_i, best_ratio = 0, lam[0] / floor
     for i in range(1, min(window, n - 1) + 1):
         ratio = lam[i] / lam[i - 1]
@@ -89,7 +87,7 @@ def loop_cluster_kernel(evals, rule=ThresholdRule()):
     lo = floor if best_i == 0 else lam[best_i - 1]
     hi = lam[best_i] if best_i < n else lam[-1]
     threshold = float(np.sqrt(lo * hi))
-    resolved = best_ratio >= rule.resolve_ratio
+    resolved = best_ratio >= RESOLVE_RATIO
     return best_i, float(best_ratio), bool(resolved), threshold
 
 
@@ -99,13 +97,11 @@ _LEVELS = st.sampled_from([0.0, 1e-16, 3e-10, 1e-3, 0.5, 1.0, 2.0, 4.0,
                            8.0, 1e3])
 
 
-@given(st.lists(_LEVELS, min_size=1, max_size=40),
-       st.sampled_from([0.05, 0.25, 0.5, 1.0]))
+@given(st.lists(_LEVELS, min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_cluster_kernel_matches_loop(values, window_fraction):
+def test_cluster_kernel_matches_loop(values):
     evals = np.sort(np.array(values))
-    rule = ThresholdRule(window_fraction=window_fraction)
-    assert cluster_kernel(evals, rule) == loop_cluster_kernel(evals, rule)
+    assert cluster_kernel(evals) == loop_cluster_kernel(evals)
 
 
 @pytest.mark.parametrize("evals", [

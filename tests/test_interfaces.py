@@ -1,6 +1,8 @@
 """External interface surfaces: descriptor serialization, spectrum
 truncation, and the reported leakage."""
 
+import json
+
 from equivlab.deformed import (CSV_FIELDS, dirac, assemble_deformed,
                                spectrum)
 from equivlab.geometry import assemble, cp1_model, torus_model
@@ -18,8 +20,9 @@ def test_model_spec_json_roundtrip():
                   right=ModelSpec(kind="torus", tau=1j, cutoff=2,
                                   field=FieldSpec("constant", c=1.0))),
     ]
+    # the path payloads take: to_dict, JSON text, from_dict
     for spec in specs:
-        back = ModelSpec.from_json(spec.to_json())
+        back = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert back == spec
         assert assemble(back).n == spec.n
 
