@@ -32,7 +32,7 @@ from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, CohomologyTable,
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
 from .geometry import assemble
-from .geometry.base import ModelError, ModelSpec
+from .geometry.base import SCHEMA_VERSION, FieldSpec, ModelError, ModelSpec
 from .linalg import EigensolverError
 from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, CutoffProfile,
                          OscillatorModel, alpha_T, isometry_defect,
@@ -46,13 +46,14 @@ _FLOAT_ZERO = 1.0e-11
 # the alpha check's cutoff radius and T, the point its 0.002 bound was set at
 CUTOFF_EPS = 1.0
 ALPHA_T_PROBE = 100.0
-# the keys each object of a config may hold
+# the keys each object of a config may hold, in the order they are read; a
+# model entry and its field must hold each key of their kind (see `_spec`)
 _ROOT_KEYS = ("schema_version", "name", "models", "T_grid", "checks",
               "outputs", "oscillator")
 _OSCILLATOR_KEYS = ("m", "T", "cutoff")
 _MODEL_KEYS = {"torus": ("schema_version", "kind", "tau", "cutoff", "field"),
                "cp1": ("schema_version", "kind", "k", "cutoff", "field"),
-               "product": ("schema_version", "kind", "field", "left", "right")}
+               "product": ("schema_version", "kind", "left", "right", "field")}
 _FIELD_KEYS = {"constant": ("kind", "c"), "linear": ("kind",),
                "product_lift": ("kind", "factor")}
 # each verdict's exit status; the worst verdict is the one with the largest
@@ -115,13 +116,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("models", "must be a nonempty list")
     models = []
     for i, md in enumerate(models_raw):
-        _check_model(f"models[{i}]", md)
         try:
-            spec = ModelSpec.from_dict(md)
-            spec.validate()
-        except (ModelError, KeyError, TypeError) as exc:
+            models.append(_spec(f"models[{i}]", md))
+        except ModelError as exc:
             raise ConfigError(f"models[{i}]", str(exc)) from exc
-        models.append(spec)
     t_grid = raw.get("T_grid", [])
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("T_grid", "must be a nonempty list")
@@ -158,11 +156,11 @@ def _number(path: str, x, kind: type, low=None):
 
 def _distinct(path: str, xs):
     """xs if no entry repeats an earlier one; otherwise a ConfigError naming
-    the first repeat."""
+    the first repeat and the entry it repeats."""
     for i, x in enumerate(xs):
         if x in xs[:i]:
-            raise ConfigError(f"{path}[{i}]",
-                              f"must be distinct; {x:g} repeats")
+            raise ConfigError(f"{path}[{i}]", "must be distinct; repeats "
+                              f"{path}[{xs.index(x)}]")
     return xs
 
 
@@ -182,38 +180,56 @@ def _known_keys(prefix: str, obj: dict, keys: tuple[str, ...]) -> None:
 
 
 def _names(path: str, xs, known: tuple[str, ...]) -> list:
-    """xs if it is a list of names from known; otherwise a ConfigError
-    naming path, or the first unknown entry."""
+    """xs if it is a list of distinct names from known; otherwise a
+    ConfigError naming path, or the first unknown or repeated entry."""
     if not isinstance(xs, list):
         raise ConfigError(path, "must be a list")
     for i, x in enumerate(xs):
         if x not in known:
             raise ConfigError(f"{path}[{i}]", f"unknown {path[:-1]} {x!r}")
-    return xs
+    return _distinct(path, xs)
 
 
-def _check_model(path: str, md, kinds: dict = _MODEL_KEYS) -> None:
-    """Check a raw model entry's keys against those of its kind and the
-    types of its numbers, down into its field and factors, so that
-    `ModelSpec.from_dict` neither ignores, truncates nor fails on them;
-    `ModelSpec.validate` checks their ranges and rejects an unknown kind."""
-    md = _object(path, md)
-    kind = md.get("kind")
-    if isinstance(kind, str) and kind in kinds:
-        _known_keys(f"{path}.", md, kinds[kind])
-    for key, value in md.items():
-        where = f"{path}.{key}"
-        if key == "field":
-            _check_model(where, value, _FIELD_KEYS)
+def _complex(path: str, x) -> complex:
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
+        raise ConfigError(path, "must be a pair [re, im]")
+    return complex(*(_number(f"{path}[{i}]", v, float)
+                     for i, v in enumerate(x)))
+
+
+def _spec(path: str, x, what: str = "model"):
+    """The ModelSpec that the raw model entry x describes, its field and
+    factors included; with what="field", the FieldSpec of a raw field.
+    Every key of x's kind is required and no other is allowed; a model
+    entry's schema_version, the one key it may leave out, must be
+    SCHEMA_VERSION.  A key or number that does not fit is a ConfigError
+    naming it; an unknown kind or a value out of range is a ModelError."""
+    x = _object(path, x)
+    kinds = _MODEL_KEYS if what == "model" else _FIELD_KEYS
+    kind = x.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ModelError(f"unsupported {what} kind: {kind!r}")
+    _known_keys(f"{path}.", x, kinds[kind])
+    parts = {}
+    for key in kinds[kind]:
+        where, value = f"{path}.{key}", x.get(key)
+        if key == "schema_version":
+            if key in x and value != SCHEMA_VERSION:
+                raise ConfigError(where, f"must be {SCHEMA_VERSION}")
+        elif key not in x:
+            raise ConfigError(where, f"missing key; every key of a {kind} "
+                              f"{what} is required")
+        elif key == "field":
+            parts[key] = _spec(where, value, "field")
         elif key in ("left", "right"):
-            _check_model(where, value)
-        elif key in ("k", "cutoff"):
-            _number(where, value, int)
+            parts[key] = _spec(where, value)
         elif key in ("tau", "c"):
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(where, "must be a pair [re, im]")
-            for i, x in enumerate(value):
-                _number(f"{where}[{i}]", x, float)
+            parts[key] = _complex(where, value)
+        elif key in ("k", "cutoff"):
+            parts[key] = _number(where, value, int)
+        else:                                   # kind, factor
+            parts[key] = value
+    return (ModelSpec if what == "model" else FieldSpec)(**parts)
 
 
 def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
@@ -257,9 +273,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def model_payload(spec_dict: dict, T_grid: list[float]) -> dict:
+def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
     """Everything the checks and reports need for one model, as plain data."""
-    spec = ModelSpec.from_dict(spec_dict)
     model = assemble(spec)
     sweep = t_sweep(model, list(T_grid))
     table0, _ = spectral_table(model, 0.0)
@@ -295,7 +310,8 @@ def _payload_worker(args):
     try:
         return model_payload(*args)
     except (EigensolverError, NotPSDError) as exc:
-        return {"model": args[0], "label": ModelSpec.from_dict(args[0]).label(),
+        spec = args[0]
+        return {"model": spec.to_dict(), "label": spec.label(),
                 "error": str(exc), "non_psd": isinstance(exc, NotPSDError)}
 
 
@@ -305,9 +321,8 @@ def _payload_worker(args):
 
 def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]:
     verdicts: dict[str, str] = {}
-    for payload in payloads:
+    for spec, payload in zip(config.models, payloads, strict=True):
         label = payload["label"]
-        spec = ModelSpec.from_dict(payload["model"])
         if payload.get("error"):
             # a solver failure leaves the answer open; a negative eigenvalue
             # of a sum of Gram products means the operator is wrong
@@ -512,7 +527,7 @@ class Report:
 def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
         verbose: bool = False) -> Report:
     os.makedirs(outdir, exist_ok=True)
-    tasks = [(m.to_dict(), list(config.T_grid)) for m in config.models]
+    tasks = [(m, list(config.T_grid)) for m in config.models]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(_payload_worker, tasks))
@@ -627,9 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("-v", "--verbose", action="store_true")
 
     p_osc = sub.add_parser("oscillator", help="fiber model spectra and gaps")
-    p_osc.add_argument("--m", default="1,2")
-    p_osc.add_argument("--T", default="1,10")
-    p_osc.add_argument("--cutoff", default="12,4")
+    p_osc.add_argument("--m")
+    p_osc.add_argument("--T")
+    p_osc.add_argument("--cutoff")
     p_osc.add_argument("-o", "--outdir", default="runs/oscillator")
     p_osc.add_argument("-v", "--verbose", action="store_true")
 
@@ -676,13 +691,14 @@ def main(argv: list[str] | None = None) -> int:
                             "invalid sweep parameters", args)
 
     if args.command == "oscillator":
+        # a grid left out takes the config default
+        grids = {key: _parse_list(text) for key, text in vars(args).items()
+                 if key in _OSCILLATOR_KEYS and text is not None}
         raw = {"schema_version": 1, "name": "oscillator",
                "models": [{"kind": "torus", "tau": [0, 1], "cutoff": 1,
                            "field": {"kind": "constant", "c": [1, 0]}}],
                "T_grid": [1.0], "checks": ["oscillator", "alpha"],
-               "oscillator": {"m": _parse_list(args.m),
-                              "T": _parse_list(args.T),
-                              "cutoff": _parse_list(args.cutoff)}}
+               "oscillator": grids}
         return _run_command(lambda: parse_config(raw),
                             "invalid oscillator parameters", args)
 

@@ -21,7 +21,10 @@ Conventions fixed here and validated exactly by the committed golden tables:
   sqrt(-2) = i sqrt(2).
 
 Two coefficient backends share all of the code: exact scalars in
-Q(i)[sqrt2] for identity validation, and complex floats for spectral work.
+Q(i)[sqrt2], which every run path computes with, and complex floats, which
+only the tests' float mirror of the identities builds.  Spectral work
+reads exact results as floats (`AlgebraElement.to_float`,
+`ExactScalar.to_complex`), as `localmodel` does.
 """
 
 from __future__ import annotations

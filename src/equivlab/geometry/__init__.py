@@ -13,7 +13,6 @@ from .torus import torus_model, assemble_torus  # noqa: F401
 def assemble(spec: ModelSpec) -> AssembledModel | ProductModel:
     """Assemble any supported model from its descriptor; a product is held
     as its factors."""
-    spec.validate()
     if spec.kind == "torus":
         return assemble_torus(spec)
     if spec.kind == "cp1":

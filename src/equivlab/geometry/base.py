@@ -1,5 +1,9 @@
 """Shared model descriptors and the assembled-model data contract.
 
+A `ModelSpec` names a model and a `FieldSpec` its vector field.  Both are
+valid by construction: a value out of range raises `ModelError` when the
+spec is built, so assembly and the oracle take any spec as given.
+
 An assembled model is a list of cell stacks.  A cell is an exact invariant
 sector of all operators involved (a Fourier mode, a rotation charge, or a
 pair of them), so the spectrum of the full model is the union of the
@@ -45,7 +49,7 @@ class FieldSpec:
     c: complex = 1.0 + 0.0j
     factor: str = "left"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("constant", "linear", "product_lift"):
             raise ModelError(f"unsupported field kind: {self.kind!r}")
         if self.kind == "constant" and self.c == 0:
@@ -61,16 +65,12 @@ class FieldSpec:
             out["factor"] = self.factor
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldSpec":
-        kind = d.get("kind")
-        c = d.get("c", [1.0, 0.0])
-        return cls(kind=kind, c=complex(c[0], c[1]), factor=d.get("factor", "left"))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Descriptor of one spectral model; serializable, hashable, validated."""
+    """Descriptor of one spectral model; serializable, hashable, and valid
+    by construction: a value out of range raises ModelError here, so every
+    spec that exists describes a model that can be assembled."""
 
     kind: str                      # "torus" | "cp1" | "product"
     cutoff: int = 0
@@ -80,14 +80,13 @@ class ModelSpec:
     left: "ModelSpec | None" = None
     right: "ModelSpec | None" = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind == "torus":
             if self.tau.imag <= 0:
                 raise ModelError(f"degenerate modulus tau={self.tau}")
             if self.cutoff < 1:
                 raise ModelError("torus cutoff must be >= 1")
-            self.field.validate()
-            if self.field.kind not in ("constant",):
+            if self.field.kind != "constant":
                 raise ModelError("torus supports only the constant field")
         elif self.kind == "cp1":
             if self.cutoff < max(self.k + 2, 4):
@@ -96,7 +95,6 @@ class ModelSpec:
                     f"holomorphic sections; need >= {max(self.k + 2, 4)}")
             if self.k < 0:
                 raise ModelError("negative twists are not assembled")
-            self.field.validate()
             if self.field.kind != "linear":
                 raise ModelError("the projective-line model requires the linear field")
         elif self.kind == "product":
@@ -104,9 +102,6 @@ class ModelSpec:
                 raise ModelError("product requires left and right factors")
             if self.left.kind != "cp1" or self.right.kind != "torus":
                 raise ModelError("supported product: cp1 (linear field) x torus")
-            self.left.validate()
-            self.right.validate()
-            self.field.validate()
             if self.field.kind != "product_lift":
                 raise ModelError("product models use a lifted field")
         else:
@@ -134,22 +129,6 @@ class ModelSpec:
             out.update(left=self.left.to_dict(), right=self.right.to_dict(),
                        field=self.field.to_dict())
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        kind = d.get("kind")
-        fld = FieldSpec.from_dict(d["field"]) if "field" in d else FieldSpec("constant")
-        if kind == "torus":
-            tau = d.get("tau", [0.0, 1.0])
-            return cls(kind="torus", tau=complex(tau[0], tau[1]),
-                       cutoff=int(d.get("cutoff", 0)), field=fld)
-        if kind == "cp1":
-            return cls(kind="cp1", k=int(d.get("k", 0)),
-                       cutoff=int(d.get("cutoff", 0)), field=fld)
-        if kind == "product":
-            return cls(kind="product", field=fld,
-                       left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
-        raise ModelError(f"unsupported model kind: {kind!r}")
 
 
 @dataclass

@@ -468,7 +468,6 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
 # ---------------------------------------------------------------------------
 
 def assemble_cp1(spec: ModelSpec) -> AssembledModel:
-    spec.validate()
     exact = Cp1Exact(spec.k, spec.cutoff)
     # the charges of one layout (chi and k - chi among them) form a stack
     layouts: dict[tuple, list[int]] = {}

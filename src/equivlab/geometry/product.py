@@ -49,7 +49,6 @@ class ProductModel:
 
 def assemble_product(spec: ModelSpec) -> ProductModel:
     """The assembled left factor and the torus levels."""
-    spec.validate()
     mu = mode_coefficients(spec.right.tau, spec.right.cutoff)
     return ProductModel(spec=spec, left=assemble_cp1(spec.left),
                         levels=2.0 * np.abs(mu) ** 2)

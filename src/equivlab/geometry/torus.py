@@ -46,7 +46,6 @@ def mode_coefficients(tau: complex, cutoff: int) -> np.ndarray:
 
 def assemble_torus(spec: ModelSpec) -> AssembledModel:
     """One stack whose members are the Fourier modes; every block is 1x1."""
-    spec.validate()
     mu = mode_coefficients(spec.tau, spec.cutoff)[:, None, None]
     c = np.full_like(mu, spec.field.c)
     stack = CellStack(

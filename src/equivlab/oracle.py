@@ -120,7 +120,6 @@ def localization_prediction(spec: ModelSpec) -> CohomologyTable:
     """Per-degree dimensions of the deformed cohomology for T != 0: the
     zero-set cohomology, summed over components (all-zero when the field
     never vanishes)."""
-    spec.validate()
     return zero_set(spec).total_per_degree(spec.n)
 
 

@@ -16,6 +16,7 @@ import pytest
 from equivlab import cli, deformed
 from equivlab.cli import (ConfigError, load_config, main, parse_config, run)
 from equivlab.deformed import CSV_FIELDS
+from equivlab.geometry.base import FieldSpec, ModelError, ModelSpec
 from equivlab.geometry.cp1 import Cp1Exact
 from equivlab.linalg import EigensolverError
 
@@ -242,6 +243,100 @@ def test_unknown_key_exits_2_naming_it(source, path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _without(raw, path):
+    """raw with the key at path removed."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return raw
+
+
+def _product():
+    return _with(["models"], [{
+        "kind": "product", "field": {"kind": "product_lift", "factor": "left"},
+        "left": {"kind": "cp1", "k": 0, "cutoff": 4,
+                 "field": {"kind": "linear"}},
+        "right": {"kind": "torus", "tau": [0, 1], "cutoff": 2,
+                  "field": {"kind": "constant", "c": [1, 0]}}}])
+
+
+@pytest.mark.parametrize("source,path", [
+    (_without(small_config(), ["models", 1, "k"]), "models[1].k"),
+    (_without(small_config(), ["models", 1, "cutoff"]), "models[1].cutoff"),
+    (_without(small_config(), ["models", 0, "tau"]), "models[0].tau"),
+    (_without(small_config(), ["models", 0, "field"]), "models[0].field"),
+    (_without(small_config(), ["models", 0, "field", "c"]),
+     "models[0].field.c"),
+    (_without(_product(), ["models", 0, "left"]), "models[0].left"),
+    (_without(_product(), ["models", 0, "right"]), "models[0].right"),
+    (_without(_product(), ["models", 0, "field", "factor"]),
+     "models[0].field.factor"),
+    (_without(_product(), ["models", 0, "right", "field", "c"]),
+     "models[0].right.field.c"),
+    (_with(["models", 0, "schema_version"], 99), "models[0].schema_version"),
+    (_with(["checks"], ["euler", "euler"]), "checks[1]"),
+    (_with(["outputs"], ["csv", "csv"]), "outputs[1]"),
+], ids=["cp1-k", "cp1-cutoff", "torus-tau", "torus-field", "torus-field-c",
+        "product-left", "product-right", "product-field-factor",
+        "product-right-field-c", "model-schema-version", "checks-repeated",
+        "outputs-repeated"])
+def test_missing_or_repeated_entry_exits_2_naming_it(source, path, tmp_path,
+                                                     capsys):
+    # every key of a model entry and its field is required, a model entry's
+    # schema_version must be 1, and checks and outputs are distinct: none
+    # runs on a default or is rewritten; nothing is written
+    with pytest.raises(ConfigError) as err:
+        parse_config(source)
+    assert err.value.path == path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(source))
+    for command in (["validate", str(cfg)],
+                    ["run", str(cfg), "-o", str(tmp_path / "out")]):
+        assert main(command) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"invalid config: {path}: ")
+        assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "cp2", "cutoff": 4},
+    {"kind": "cp2", "cutoff": 4, "field": {"kind": "linear"}},
+], ids=["no-field", "field"])
+def test_unknown_model_kind_is_named(entry, tmp_path, capsys):
+    raw = _with(["models"], [entry])
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert str(err.value) == "models[0]: unsupported model kind: 'cp2'"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid config: models[0]: unsupported model kind: 'cp2'\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModelSpec(kind="cp1", k=0, cutoff=3, field=FieldSpec("linear")),
+    lambda: ModelSpec(kind="cp1", k=-1, cutoff=8, field=FieldSpec("linear")),
+    lambda: ModelSpec(kind="torus", tau=2.0 + 0j, cutoff=2,
+                      field=FieldSpec("constant", c=1.0)),
+    lambda: FieldSpec("constant", c=0),
+    lambda: ModelSpec(
+        kind="product", field=FieldSpec("product_lift", factor="left"),
+        left=ModelSpec(kind="torus", tau=1j, cutoff=2,
+                       field=FieldSpec("constant", c=1.0)),
+        right=ModelSpec(kind="torus", tau=1j, cutoff=2,
+                        field=FieldSpec("constant", c=1.0))),
+], ids=["cp1-cutoff-3", "cp1-negative-k", "torus-real-tau", "field-c-0",
+        "product-torus-left"])
+def test_out_of_range_spec_cannot_be_built(build):
+    # a spec is valid by construction, so assembly and the oracle take any
+    # spec as given
+    with pytest.raises(ModelError):
+        build()
+
+
 def test_eps_flag_is_gone(tmp_path, capsys):
     # the cutoff radius is the constant CUTOFF_EPS, not an option
     with pytest.raises(SystemExit) as exc:
@@ -453,8 +548,10 @@ def test_bad_report_json_exits_2(tmp_path, capsys, text, why):
     ({"2.0": (0, 2, 0), "4.0": (0, 2, 0)}, [], "pass"),
 ])
 def test_localization_verdict_reads_every_t(tables, unresolved, want):
-    config = parse_config(dict(small_config(), checks=["localization"]))
-    spec = config.models[1]
+    raw = small_config()
+    config = parse_config(dict(raw, models=raw["models"][1:],
+                               checks=["localization"]))
+    (spec,) = config.models
     payload = {"label": spec.label(), "model": spec.to_dict(),
                "tables": {t: dict(zip((-1, 0, 1), dims))
                           for t, dims in tables.items()},
@@ -668,7 +765,7 @@ def test_tiny_T_reads_both_exact_checks(monkeypatch):
     # certificate is read and reported, and the zero-order term is
     # 2 |T| |Theta| with |Theta| = 1
     monkeypatch.setattr(Cp1Exact, "_anticommutator_is_zero", False)
-    spec = {"kind": "cp1", "k": 0, "cutoff": 4, "field": {"kind": "linear"}}
+    spec = ModelSpec(kind="cp1", k=0, cutoff=4, field=FieldSpec("linear"))
     payload = cli.model_payload(spec, [1e-7])
     assert payload["complex_exact_zero"] is False
     assert payload["bochner"]["zero_order_term"] == float(2 * Fraction(1e-7))

@@ -3,6 +3,7 @@ truncation, and the reported leakage."""
 
 import json
 
+from equivlab.cli import parse_config
 from equivlab.deformed import (CSV_FIELDS, dirac, assemble_deformed,
                                spectrum)
 from equivlab.geometry import assemble, cp1_model, torus_model
@@ -20,9 +21,11 @@ def test_model_spec_json_roundtrip():
                   right=ModelSpec(kind="torus", tau=1j, cutoff=2,
                                   field=FieldSpec("constant", c=1.0))),
     ]
-    # the path payloads take: to_dict, JSON text, from_dict
+    # a payload's model, as JSON text, read back as a config's model entry
     for spec in specs:
-        back = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        raw = {"schema_version": 1, "name": "roundtrip", "T_grid": [1.0],
+               "models": [json.loads(json.dumps(spec.to_dict()))]}
+        (back,) = parse_config(raw).models
         assert back == spec
         assert assemble(back).n == spec.n
 

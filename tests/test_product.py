@@ -31,14 +31,12 @@ def test_degree_range_and_kunneth_dims():
 
 
 def test_unsupported_factor_combination():
-    bad = ModelSpec(
-        kind="product", field=FieldSpec("product_lift", factor="left"),
-        left=ModelSpec(kind="torus", tau=1j, cutoff=2,
-                       field=FieldSpec("constant", c=1.0)),
-        right=ModelSpec(kind="torus", tau=1j, cutoff=2,
-                        field=FieldSpec("constant", c=1.0)))
+    torus = ModelSpec(kind="torus", tau=1j, cutoff=2,
+                      field=FieldSpec("constant", c=1.0))
     with pytest.raises(ModelError):
-        bad.validate()
+        ModelSpec(kind="product",
+                  field=FieldSpec("product_lift", factor="left"),
+                  left=torus, right=torus)
 
 
 def test_complex_property_on_product():

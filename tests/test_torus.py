@@ -70,7 +70,7 @@ def test_degenerate_modulus_rejected():
         torus_model(1.0 + 0j, 3, 1.0)
     with pytest.raises(ModelError):
         ModelSpec(kind="torus", tau=1j, cutoff=3,
-                  field=FieldSpec("constant", c=0)).validate()
+                  field=FieldSpec("constant", c=0))
 
 
 def test_undeformed_spectrum_is_fourier_ladder():
