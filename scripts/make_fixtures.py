@@ -23,7 +23,7 @@ def main() -> None:
     tables = golden_tables()
     tables["schema"] = ("matrices are rows of entries [a, b, c, d] meaning "
                         "(a + b i) + (c + d i) sqrt(2), fractions as strings; "
-                        "basis rows are [anti, holo, fiber]")
+                        "basis rows are [anti, holo]")
     (FIXTURES / "clifford_tables_n1.json").write_text(
         json.dumps(tables, indent=1, sort_keys=True) + "\n")
     gap = {"schema_version": 1, "A": GAP_CONSTANT,

@@ -7,8 +7,6 @@ __version__ = "0.1.0"
 from .exterior import (  # noqa: F401
     AlgebraElement,
     BasisLabel,
-    BiDegree,
-    GradedBasis,
     TangentVector,
     clifford_c,
     clifford_hat_c,

@@ -104,7 +104,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     version = raw.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError("schema_version",
                           f"expected {CONFIG_SCHEMA_VERSION}, got {version!r}")
     _known_keys("", raw, _ROOT_KEYS)
@@ -201,8 +201,8 @@ def _spec(path: str, x, what: str = "model"):
     """The ModelSpec that the raw model entry x describes, its field and
     factors included; with what="field", the FieldSpec of a raw field.
     Every key of x's kind is required and no other is allowed; a model
-    entry's schema_version, the one key it may leave out, must be
-    SCHEMA_VERSION.  A key or number that does not fit is a ConfigError
+    entry's schema_version, the one key it may leave out, must be the
+    integer SCHEMA_VERSION.  A key or number that does not fit is a ConfigError
     naming it; an unknown kind or a value out of range is a ModelError."""
     x = _object(path, x)
     kinds = _MODEL_KEYS if what == "model" else _FIELD_KEYS
@@ -214,7 +214,8 @@ def _spec(path: str, x, what: str = "model"):
     for key in kinds[kind]:
         where, value = f"{path}.{key}", x.get(key)
         if key == "schema_version":
-            if key in x and value != SCHEMA_VERSION:
+            if key in x and (type(value) is not int
+                             or value != SCHEMA_VERSION):
                 raise ConfigError(where, f"must be {SCHEMA_VERSION}")
         elif key not in x:
             raise ConfigError(where, f"missing key; every key of a {kind} "

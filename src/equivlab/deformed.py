@@ -415,8 +415,7 @@ def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
     unresolved: list[tuple[float, int]] = []
     growth: dict[float, float] = {}
     defects: dict[float, float] = {}
-    empty_zero_set = (model.spec.kind == "torus"
-                      and model.spec.field.kind == "constant")
+    empty_zero_set = model.spec.kind == "torus"   # its field is constant
     for T in T_list:
         # one d_T per T serves both the complex property and the spectra
         op, dsq = deformed_square(model, T)
@@ -444,11 +443,13 @@ CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",
 
 def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
     spec = sweep.model.spec
-    param = {"torus": f"tau={spec.tau:g};c={spec.field.c:g}",
-             "cp1": f"k={spec.k}",
-             "product": f"k={spec.left.k if spec.left else ''}"}[spec.kind]
-    cutoff = (spec.cutoff if spec.kind != "product"
-              else f"{spec.left.cutoff}x{spec.right.cutoff}")
+    if spec.kind == "torus":
+        param, cutoff = f"tau={spec.tau:g};c={spec.field.c:g}", spec.cutoff
+    elif spec.kind == "cp1":
+        param, cutoff = f"k={spec.k}", spec.cutoff
+    else:
+        param = f"k={spec.left.k}"
+        cutoff = f"{spec.left.cutoff}x{spec.right.cutoff}"
     out = []
     for res in sweep.rows:
         rec = {"model": spec.label(), "kind": spec.kind, "param": param,

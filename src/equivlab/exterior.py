@@ -2,10 +2,10 @@
 
 The pointwise fiber at a point of an n-dimensional complex manifold is
 modelled as the exterior algebra on 2n unit generators, n of antiholomorphic
-type ("dzbar^j", raising q) and n of holomorphic type ("dz^j", raising p),
-tensored with a rank-`rank` coefficient fiber.  The integer grading used
-throughout the laboratory is r = q - p, under which both the Dolbeault
-operator and contraction by a (1,0) vector field have degree +1.
+type ("dzbar^j", raising q) and n of holomorphic type ("dz^j", raising p).
+The integer grading used throughout the laboratory is r = q - p, under
+which both the Dolbeault operator and contraction by a (1,0) vector field
+have degree +1.
 
 Conventions fixed here and validated exactly by the committed golden tables:
 
@@ -20,11 +20,9 @@ Conventions fixed here and validated exactly by the committed golden tables:
   holomorphic factor, hat_c(u) = -sqrt(-2) u^ wedge for conjugated u, with
   sqrt(-2) = i sqrt(2).
 
-Two coefficient backends share all of the code: exact scalars in
-Q(i)[sqrt2], which every run path computes with, and complex floats, which
-only the tests' float mirror of the identities builds.  Spectral work
-reads exact results as floats (`AlgebraElement.to_float`,
-`ExactScalar.to_complex`), as `localmodel` does.
+Coefficients are exact scalars in Q(i)[sqrt2], so every identity holds
+with no rounding.  Spectral work reads exact results as floats through
+`ExactScalar.to_complex`, as `localmodel` does.
 """
 
 from __future__ import annotations
@@ -33,16 +31,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .scalars import ExactScalar, SQRT2, SQRT_M2
+from .scalars import ONE, SQRT2, SQRT_M2, ZERO, ExactScalar
 
 
 class BasisLabel(NamedTuple):
     """One exterior basis element: the ordered product dz^holo wedge
-    dzbar^anti, times the fiber basis vector e_fiber."""
+    dzbar^anti."""
 
     anti: tuple[int, ...]
     holo: tuple[int, ...]
-    fiber: int
 
     @property
     def p(self) -> int:
@@ -61,89 +58,51 @@ class BasisLabel(NamedTuple):
         return tuple(j - 1 for j in self.holo) + tuple(n + i - 1 for i in self.anti)
 
 
-@dataclass(frozen=True)
-class BiDegree:
-    p: int
-    q: int
-
-    @property
-    def r(self) -> int:
-        return self.q - self.p
-
-
-def _check_label(label: BasisLabel, n: int, rank: int) -> None:
+def _check_label(label: BasisLabel, n: int) -> None:
     for part in (label.anti, label.holo):
         if list(part) != sorted(set(part)):
             raise ValueError(f"label indices must be strictly increasing: {label}")
         if part and (part[0] < 1 or part[-1] > n):
             raise ValueError(f"label index out of range 1..{n}: {label}")
-    if not 0 <= label.fiber < rank:
-        raise ValueError(f"fiber index out of range: {label}")
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    """All 4^n * rank labels, lexicographic on (anti, holo, fiber)."""
-
-    n: int
-    rank: int
-    labels: tuple[BasisLabel, ...]
-
-    def by_degree(self) -> dict[int, list[BasisLabel]]:
-        out: dict[int, list[BasisLabel]] = {r: [] for r in range(-self.n, self.n + 1)}
-        for lab in self.labels:
-            out[lab.r].append(lab)
-        return out
-
-    def index(self, label: BasisLabel) -> int:
-        return self.labels.index(label)
-
-
-def enumerate_basis(n: int, rank: int = 1) -> GradedBasis:
-    if n < 1 or rank < 1:
-        raise ValueError("need n >= 1 and rank >= 1")
+def enumerate_basis(n: int) -> tuple[BasisLabel, ...]:
+    """All 4^n labels, lexicographic on (anti, holo)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     subsets = []
     for size in range(n + 1):
         subsets.extend(itertools.combinations(range(1, n + 1), size))
-    labels = [BasisLabel(anti, holo, f)
-              for anti in subsets for holo in subsets for f in range(rank)]
-    labels.sort(key=lambda L: (L.anti, L.holo, L.fiber))
-    return GradedBasis(n, rank, tuple(labels))
+    return tuple(sorted(BasisLabel(anti, holo)
+                        for anti in subsets for holo in subsets))
 
 
 class AlgebraElement:
-    """Finite linear combination of labels; coefficients are either
-    ExactScalar (exact backend) or complex (float backend), never mixed."""
+    """Finite linear combination of labels with ExactScalar coefficients."""
 
-    __slots__ = ("n", "rank", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, rank: int, terms: dict[BasisLabel, object] | None = None):
+    def __init__(self, n: int, terms: dict[BasisLabel, ExactScalar] | None = None):
         self.n = n
-        self.rank = rank
-        self.terms: dict[BasisLabel, object] = {}
+        self.terms: dict[BasisLabel, ExactScalar] = {}
         if terms:
             for lab, coeff in terms.items():
                 if coeff:
-                    _check_label(lab, n, rank)
+                    _check_label(lab, n)
                     self.terms[lab] = coeff
 
     @classmethod
-    def from_label(cls, n: int, rank: int, label: BasisLabel, coeff=None,
-                   exact: bool = True) -> "AlgebraElement":
-        if coeff is None:
-            coeff = ExactScalar(1) if exact else complex(1.0)
-        return cls(n, rank, {label: coeff})
+    def from_label(cls, n: int, label: BasisLabel,
+                   coeff: ExactScalar = ONE) -> "AlgebraElement":
+        return cls(n, {label: coeff})
 
     @classmethod
-    def scalar_one(cls, n: int, rank: int = 1, fiber: int = 0,
-                   exact: bool = True) -> "AlgebraElement":
-        return cls.from_label(n, rank, BasisLabel((), (), fiber), exact=exact)
+    def scalar_one(cls, n: int) -> "AlgebraElement":
+        return cls.from_label(n, BasisLabel((), ()))
 
     def _compatible(self, other: "AlgebraElement") -> None:
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} != {other.n}")
-        if self.rank != other.rank:
-            raise ValueError(f"fiber rank mismatch: {self.rank} != {other.rank}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._compatible(other)
@@ -155,14 +114,13 @@ class AlgebraElement:
                 out[lab] = new
             elif lab in out:
                 del out[lab]
-        return AlgebraElement(self.n, self.rank, out)
+        return AlgebraElement(self.n, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
 
     def scale(self, coeff) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.rank,
-                              {lab: coeff * c for lab, c in self.terms.items()})
+        return AlgebraElement(self.n, {lab: coeff * c for lab, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -170,19 +128,13 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.n, self.rank, self.terms) == (other.n, other.rank, other.terms)
+        return (self.n, self.terms) == (other.n, other.terms)
 
     def __repr__(self):
         if not self.terms:
             return "AlgebraElement(0)"
         bits = [f"{coeff!r}*{lab}" for lab, coeff in sorted(self.terms.items())]
         return "AlgebraElement(" + " + ".join(bits) + ")"
-
-    def to_float(self) -> "AlgebraElement":
-        out = {}
-        for lab, c in self.terms.items():
-            out[lab] = c.to_complex() if isinstance(c, ExactScalar) else complex(c)
-        return AlgebraElement(self.n, self.rank, out)
 
 
 @dataclass(frozen=True)
@@ -212,28 +164,25 @@ def _merge_sign(pos_a: Sequence[int], pos_b: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _label_from_positions(n: int, positions: Iterable[int], fiber: int) -> BasisLabel:
+def _label_from_positions(n: int, positions: Iterable[int]) -> BasisLabel:
     holo = tuple(sorted(p + 1 for p in positions if p < n))
     anti = tuple(sorted(p - n + 1 for p in positions if p >= n))
-    return BasisLabel(anti, holo, fiber)
+    return BasisLabel(anti, holo)
 
 
 def wedge(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Exterior product.  At most one factor may carry a nonzero fiber index;
-    the fiber acts as a coefficient line."""
+    """Exterior product."""
     a._compatible(b)
     n = a.n
-    out = AlgebraElement(n, a.rank)
-    acc: dict[BasisLabel, object] = {}
+    out = AlgebraElement(n)
+    acc: dict[BasisLabel, ExactScalar] = {}
     for la, ca in a.terms.items():
         pa = la.positions(n)
         for lb, cb in b.terms.items():
-            if la.fiber and lb.fiber:
-                raise ValueError("wedge of two fiber-carrying elements is undefined")
             sign = _merge_sign(pa, lb.positions(n))
             if sign == 0:
                 continue
-            lab = _label_from_positions(n, pa + lb.positions(n), la.fiber + lb.fiber)
+            lab = _label_from_positions(n, pa + lb.positions(n))
             coeff = ca * cb if sign > 0 else -(ca * cb)
             prev = acc.get(lab)
             coeff = coeff if prev is None else prev + coeff
@@ -252,7 +201,7 @@ def contract(u: TangentVector, a: AlgebraElement) -> AlgebraElement:
     if u.n != a.n:
         raise ValueError(f"ambient dimension mismatch: {u.n} != {a.n}")
     n = a.n
-    acc: dict[BasisLabel, object] = {}
+    acc: dict[BasisLabel, ExactScalar] = {}
     for lab, coeff in a.terms.items():
         positions = lab.positions(n)
         for idx, pos in enumerate(positions):
@@ -265,7 +214,7 @@ def contract(u: TangentVector, a: AlgebraElement) -> AlgebraElement:
             if not comp:
                 continue
             rest = positions[:idx] + positions[idx + 1:]
-            new_lab = _label_from_positions(n, rest, lab.fiber)
+            new_lab = _label_from_positions(n, rest)
             term = coeff * comp if idx % 2 == 0 else -(coeff * comp)
             prev = acc.get(new_lab)
             term = term if prev is None else prev + term
@@ -273,7 +222,7 @@ def contract(u: TangentVector, a: AlgebraElement) -> AlgebraElement:
                 acc[new_lab] = term
             elif new_lab in acc:
                 del acc[new_lab]
-    out = AlgebraElement(n, a.rank)
+    out = AlgebraElement(n)
     out.terms = acc
     return out
 
@@ -285,13 +234,13 @@ def metric_dual_wedge(u: TangentVector, a: AlgebraElement) -> AlgebraElement:
     if u.n != a.n:
         raise ValueError(f"ambient dimension mismatch: {u.n} != {a.n}")
     n = a.n
-    dual_terms: dict[BasisLabel, object] = {}
+    dual_terms: dict[BasisLabel, ExactScalar] = {}
     for j, comp in enumerate(u.components, start=1):
         if not comp:
             continue
-        lab = BasisLabel((), (j,), 0) if u.conjugated else BasisLabel((j,), (), 0)
+        lab = BasisLabel((), (j,)) if u.conjugated else BasisLabel((j,), ())
         dual_terms[lab] = comp
-    dual = AlgebraElement(n, a.rank)
+    dual = AlgebraElement(n)
     dual.terms = dual_terms
     return wedge(dual, a)
 
@@ -299,10 +248,9 @@ def metric_dual_wedge(u: TangentVector, a: AlgebraElement) -> AlgebraElement:
 class LinearOp:
     """A linear map on AlgebraElement, with matrix extraction on label lists."""
 
-    def __init__(self, n: int, rank: int, fn: Callable[[AlgebraElement], AlgebraElement],
+    def __init__(self, n: int, fn: Callable[[AlgebraElement], AlgebraElement],
                  name: str = ""):
         self.n = n
-        self.rank = rank
         self.fn = fn
         self.name = name
 
@@ -310,32 +258,31 @@ class LinearOp:
         return self.fn(a)
 
     def compose(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(self.n, self.rank, lambda a: self.fn(other.fn(a)),
+        return LinearOp(self.n, lambda a: self.fn(other.fn(a)),
                         f"{self.name}*{other.name}")
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(self.n, self.rank, lambda a: self.fn(a) + other.fn(a),
+        return LinearOp(self.n, lambda a: self.fn(a) + other.fn(a),
                         f"{self.name}+{other.name}")
 
     def scaled(self, coeff) -> "LinearOp":
-        return LinearOp(self.n, self.rank, lambda a: self.fn(a).scale(coeff),
+        return LinearOp(self.n, lambda a: self.fn(a).scale(coeff),
                         f"{coeff}*{self.name}")
 
     def anticommutator(self, other: "LinearOp") -> "LinearOp":
         def fn(a):
             return self.fn(other.fn(a)) + other.fn(self.fn(a))
-        return LinearOp(self.n, self.rank, fn, f"{{{self.name},{other.name}}}")
+        return LinearOp(self.n, fn, f"{{{self.name},{other.name}}}")
 
-    def matrix(self, src: Sequence[BasisLabel], tgt: Sequence[BasisLabel],
-               exact: bool = True) -> list[list]:
+    def matrix(self, src: Sequence[BasisLabel],
+               tgt: Sequence[BasisLabel]) -> list[list[ExactScalar]]:
         """Rows indexed by tgt, columns by src.  Raises if an image leaves
         the span of tgt."""
-        zero = ExactScalar(0) if exact else complex(0.0)
         index = {lab: i for i, lab in enumerate(tgt)}
         cols = []
         for lab in src:
-            img = self.fn(AlgebraElement.from_label(self.n, self.rank, lab, exact=exact))
-            col = [zero] * len(tgt)
+            img = self.fn(AlgebraElement.from_label(self.n, lab))
+            col = [ZERO] * len(tgt)
             for out_lab, coeff in img.terms.items():
                 if out_lab not in index:
                     raise ValueError(f"{self.name}: image label {out_lab} outside block")
@@ -344,65 +291,47 @@ class LinearOp:
         return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
 
 
-def contraction_op(u: TangentVector, n: int, rank: int = 1) -> LinearOp:
-    return LinearOp(n, rank, lambda a: contract(u, a), "i(u)")
+def contraction_op(u: TangentVector, n: int) -> LinearOp:
+    return LinearOp(n, lambda a: contract(u, a), "i(u)")
 
 
-def dual_wedge_op(u: TangentVector, n: int, rank: int = 1) -> LinearOp:
-    return LinearOp(n, rank, lambda a: metric_dual_wedge(u, a), "u*^")
+def dual_wedge_op(u: TangentVector, n: int) -> LinearOp:
+    return LinearOp(n, lambda a: metric_dual_wedge(u, a), "u*^")
 
 
-def clifford_c(u: TangentVector, n: int | None = None, rank: int = 1,
-               exact: bool = True) -> LinearOp:
+def clifford_c(u: TangentVector, n: int | None = None) -> LinearOp:
     """c(u) = sqrt(2) u^* wedge on the antiholomorphic factor for (1,0) u,
     c(u) = -sqrt(2) i(u) for (0,1) u."""
     n = u.n if n is None else n
-    s2 = SQRT2 if exact else complex(2.0 ** 0.5)
     if u.conjugated:
-        base = contraction_op(u, n, rank)
-        return base.scaled(-s2)
-    base = dual_wedge_op(u, n, rank)
-    return base.scaled(s2)
+        return contraction_op(u, n).scaled(-SQRT2)
+    return dual_wedge_op(u, n).scaled(SQRT2)
 
 
-def clifford_hat_c(u: TangentVector, n: int | None = None, rank: int = 1,
-                   exact: bool = True) -> LinearOp:
+def clifford_hat_c(u: TangentVector, n: int | None = None) -> LinearOp:
     """hat_c(u) = -sqrt(-2) i(u) on the holomorphic factor for (1,0) u,
     hat_c(u) = -sqrt(-2) u^* wedge for (0,1) u, with sqrt(-2) = i sqrt(2)."""
     n = u.n if n is None else n
-    sm2 = SQRT_M2 if exact else complex(0.0, 2.0 ** 0.5)
     if u.conjugated:
-        base = dual_wedge_op(u, n, rank)
+        base = dual_wedge_op(u, n)
     else:
-        base = contraction_op(u, n, rank)
-    return base.scaled(-sm2)
+        base = contraction_op(u, n)
+    return base.scaled(-SQRT_M2)
 
 
-def frame_vector(n: int, j: int, conjugated: bool = False,
-                 exact: bool = True) -> TangentVector:
-    one = ExactScalar(1) if exact else complex(1.0)
-    zero = ExactScalar(0) if exact else complex(0.0)
-    return TangentVector(tuple(one if i == j else zero for i in range(1, n + 1)),
+def frame_vector(n: int, j: int, conjugated: bool = False) -> TangentVector:
+    return TangentVector(tuple(ONE if i == j else ZERO for i in range(1, n + 1)),
                          conjugated)
 
 
-def hermitian_inner(a: AlgebraElement, b: AlgebraElement):
+def hermitian_inner(a: AlgebraElement, b: AlgebraElement) -> ExactScalar:
     """Unit-frame Hermitian pairing, conjugate linear in the first slot."""
     a._compatible(b)
-    total = None
-    for lab, ca in a.terms.items():
-        cb = b.terms.get(lab)
-        if cb is None:
-            continue
-        term = ca.conjugate() * cb if isinstance(ca, ExactScalar) else ca.conjugate() * cb
-        total = term if total is None else total + term
-    if total is None:
-        first = next(iter(a.terms.values()), next(iter(b.terms.values()), None))
-        return ExactScalar(0) if isinstance(first, ExactScalar) or first is None else 0j
-    return total
+    return sum((ca.conjugate() * b.terms[lab] for lab, ca in a.terms.items()
+                if lab in b.terms), ZERO)
 
 
-def norm_sq(a: AlgebraElement):
+def norm_sq(a: AlgebraElement) -> ExactScalar:
     return hermitian_inner(a, a)
 
 
@@ -410,17 +339,14 @@ def norm_sq(a: AlgebraElement):
 # Golden tables: the committed record of every sign convention above.
 # ---------------------------------------------------------------------------
 
-_N1_OPS = ("c_w", "c_wbar", "hatc_w", "hatc_wbar")
-
-
-def _n1_operators(exact: bool = True) -> dict[str, LinearOp]:
-    w = frame_vector(1, 1, conjugated=False, exact=exact)
-    wbar = frame_vector(1, 1, conjugated=True, exact=exact)
+def _n1_operators() -> dict[str, LinearOp]:
+    w = frame_vector(1, 1, conjugated=False)
+    wbar = frame_vector(1, 1, conjugated=True)
     return {
-        "c_w": clifford_c(w, exact=exact),
-        "c_wbar": clifford_c(wbar, exact=exact),
-        "hatc_w": clifford_hat_c(w, exact=exact),
-        "hatc_wbar": clifford_hat_c(wbar, exact=exact),
+        "c_w": clifford_c(w),
+        "c_wbar": clifford_c(wbar),
+        "hatc_w": clifford_hat_c(w),
+        "hatc_wbar": clifford_hat_c(wbar),
     }
 
 
@@ -428,20 +354,19 @@ def golden_tables() -> dict:
     """Exact matrices of the four n=1 Clifford generators on the lex-ordered
     4-element basis, plus all pairwise anticommutators.  Committed as a
     fixture; regenerated and compared in the test suite."""
-    basis = enumerate_basis(1, 1)
-    ops = _n1_operators(exact=True)
-    labels = list(basis.labels)
+    labels = enumerate_basis(1)
+    ops = _n1_operators()
     table = {
-        "basis": [[list(l.anti), list(l.holo), l.fiber] for l in labels],
+        "basis": [[list(l.anti), list(l.holo)] for l in labels],
         "operators": {},
         "anticommutators": {},
     }
     for name, op in ops.items():
-        mat = op.matrix(labels, labels, exact=True)
+        mat = op.matrix(labels, labels)
         table["operators"][name] = [[c.serialize() for c in row] for row in mat]
-    for na, nb in itertools.combinations_with_replacement(_N1_OPS, 2):
+    for na, nb in itertools.combinations_with_replacement(ops, 2):
         anti = ops[na].anticommutator(ops[nb])
-        mat = anti.matrix(labels, labels, exact=True)
+        mat = anti.matrix(labels, labels)
         table["anticommutators"][f"{na},{nb}"] = [[c.serialize() for c in row]
                                                   for row in mat]
     return table

@@ -14,7 +14,9 @@ eigenvalues 2j, j in [-m, m], with binomial multiplicities, so the full
 spectrum is 2T (K + m + j).  The kernel is one-dimensional, spanned by
 exp(theta - T |Z|^2 / 2) with theta the degree-zero pairing form of the
 frame, and the first nonzero eigenvalue is 2T: the spectral-gap constant
-A = 2 is frozen as a fixture.
+A = 2 is frozen as a fixture.  W and exp(theta) are computed exactly in
+`exterior` (coefficients in Q(i)[sqrt2]) and read as complex floats entry by
+entry through `ExactScalar.to_complex`.
 
 The Galerkin route expands each real coordinate in Hermite functions of
 frequency T, so the kernel state is exactly representable and the kinetic
@@ -72,8 +74,7 @@ class OscillatorModel:
 def fiber_endomorphism_exact(m: int) -> tuple:
     """Exact matrix (tuple of tuples of ExactScalar) of the zero-order fiber
     term at T = 1:  -i * sum_a ( c(wbar_a) hatc(w_a) + c(w_a) hatc(wbar_a) )."""
-    basis = enumerate_basis(m, 1)
-    labels = list(basis.labels)
+    labels = enumerate_basis(m)
     total = None
     for a in range(1, m + 1):
         w = frame_vector(m, a, conjugated=False)
@@ -82,7 +83,7 @@ def fiber_endomorphism_exact(m: int) -> tuple:
                 + clifford_c(w, m).compose(clifford_hat_c(wbar, m)))
         total = term if total is None else total + term
     scaled = total.scaled(-I_UNIT)
-    return tuple(tuple(row) for row in scaled.matrix(labels, labels, exact=True))
+    return tuple(tuple(row) for row in scaled.matrix(labels, labels))
 
 
 def fiber_endomorphism(m: int) -> np.ndarray:
@@ -204,18 +205,15 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
 @dataclass(frozen=True)
 class ThetaState:
     m: int
-    theta: AlgebraElement
     exp_theta: AlgebraElement
     norm_sq_exact: ExactScalar         # equals 2^m
     pointwise_norm: float              # 2^{m/2}
 
     def fiber_coefficients(self) -> np.ndarray:
-        basis = enumerate_basis(self.m, 1)
-        vec = np.zeros(len(basis.labels), dtype=complex)
-        flt = self.exp_theta.to_float()
-        for i, lab in enumerate(basis.labels):
-            vec[i] = flt.terms.get(lab, 0.0)
-        return vec
+        """exp(theta) as complex coefficients in `enumerate_basis` order."""
+        terms = self.exp_theta.terms
+        return np.array([terms[lab].to_complex() if lab in terms else 0j
+                         for lab in enumerate_basis(self.m)])
 
 
 def beta_state(model: OscillatorModel) -> ThetaState:
@@ -243,7 +241,7 @@ def _theta_state(m: int) -> ThetaState:
         fact *= j
         total = total + power.scale(ExactScalar(Fraction(1, fact)))
     nsq = norm_sq(total)
-    return ThetaState(m=m, theta=theta, exp_theta=total, norm_sq_exact=nsq,
+    return ThetaState(m=m, exp_theta=total, norm_sq_exact=nsq,
                       pointwise_norm=math.sqrt(2.0 ** m))
 
 

@@ -4,7 +4,7 @@ Each test implements one criterion at its stated tolerance and prints one
 PASS/FAIL line (run with `pytest -s tests/test_acceptance.py -v` to see the
 lines stream).  Criteria:
 
-  A1  exact algebra identity suite (n <= 2), float mirror to 1e-12
+  A1  exact algebra identity suite (n <= 2), float view to 1e-12
   A2  deformed complex property d_T^2 = 0 on all models, T in {0, 1, 4}:
       ||d_{r+1} d_r||_F <= (k + 8) eps ||d_{r+1}||_F ||d_r||_F, exact on cp1
   A3  curvature identity residual: torus to 1e-11, curved model exact
@@ -16,6 +16,7 @@ lines stream).  Criteria:
   A9  graded Euler characteristic invariant under deformation
 """
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -44,15 +45,14 @@ def _report(tag: str, ok: bool, detail: str = "") -> None:
 
 
 def _unit(n, lab):
-    return AlgebraElement.from_label(n, 1, lab)
+    return AlgebraElement.from_label(n, lab)
 
 
 def test_a1_algebra_identities():
     start = time.time()
     ok = True
     for n in (1, 2):
-        basis = enumerate_basis(n, 1)
-        labels = list(basis.labels)
+        labels = enumerate_basis(n)
         vectors = [frame_vector(n, j) for j in range(1, n + 1)]
         vectors.append(TangentVector(
             tuple(ExactScalar(Fraction(1, 2), 1) for _ in range(n)), False))
@@ -95,16 +95,24 @@ def test_a1_algebra_identities():
             for j in range(4):
                 want = minus_two if (i == j and conj_pair) else zero
                 ok = ok and mat[i][j] == want
-    # float mirror agreement
-    labels = list(enumerate_basis(2, 1).labels)
-    ue = TangentVector((ExactScalar(Fraction(2, 3)), ExactScalar(0, -1)), False)
-    uf = TangentVector((complex(2 / 3), -1j), False)
-    for make in (clifford_c, clifford_hat_c):
-        me = make(ue, 2, exact=True).matrix(labels, labels, exact=True)
-        mf = make(uf, 2, exact=False).matrix(labels, labels, exact=False)
-        worst = max(abs(me[i][j].to_complex() - mf[i][j])
-                    for i in range(16) for j in range(16))
-        ok = ok and worst <= 1e-12
+    # the float view run paths read keeps the same relations at n = 2:
+    # {c(w_i), c(wbar_j)} = {hatc(w_i), hatc(wbar_j)} = -2 delta_ij, all
+    # other anticommutators zero
+    labels = enumerate_basis(2)
+    gens = {}
+    for j in (1, 2):
+        for conj in (False, True):
+            u = frame_vector(2, j, conjugated=conj)
+            for name, make in (("c", clifford_c), ("hatc", clifford_hat_c)):
+                gens[name, j, conj] = np.array(
+                    [[c.to_complex() for c in row]
+                     for row in make(u).matrix(labels, labels)])
+    eye = np.eye(len(labels))
+    for (ka, a), (kb, b) in itertools.combinations_with_replacement(
+            gens.items(), 2):
+        pair = ka[:2] == kb[:2] and ka[2] != kb[2]
+        want = -2.0 * eye if pair else 0.0 * eye
+        ok = ok and np.abs(a @ b + b @ a - want).max() <= 1e-12
     elapsed = time.time() - start
     _report("A1 algebra-identities", ok and elapsed < 5.0,
             f"runtime {elapsed:.2f}s")

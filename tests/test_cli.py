@@ -275,17 +275,24 @@ def _product():
     (_without(_product(), ["models", 0, "right", "field", "c"]),
      "models[0].right.field.c"),
     (_with(["models", 0, "schema_version"], 99), "models[0].schema_version"),
+    (_with(["schema_version"], True), "schema_version"),
+    (_with(["schema_version"], 1.0), "schema_version"),
+    (_with(["models", 0, "schema_version"], 1.0), "models[0].schema_version"),
+    (_with(["models", 0, "schema_version"], True), "models[0].schema_version"),
     (_with(["checks"], ["euler", "euler"]), "checks[1]"),
     (_with(["outputs"], ["csv", "csv"]), "outputs[1]"),
 ], ids=["cp1-k", "cp1-cutoff", "torus-tau", "torus-field", "torus-field-c",
         "product-left", "product-right", "product-field-factor",
-        "product-right-field-c", "model-schema-version", "checks-repeated",
-        "outputs-repeated"])
+        "product-right-field-c", "model-schema-version",
+        "root-schema-version-true", "root-schema-version-float",
+        "model-schema-version-float", "model-schema-version-true",
+        "checks-repeated", "outputs-repeated"])
 def test_missing_or_repeated_entry_exits_2_naming_it(source, path, tmp_path,
                                                      capsys):
-    # every key of a model entry and its field is required, a model entry's
-    # schema_version must be 1, and checks and outputs are distinct: none
-    # runs on a default or is rewritten; nothing is written
+    # every key of a model entry and its field is required, the root's and
+    # a model entry's schema_version must be the integer 1 (not true or
+    # 1.0), and checks and outputs are distinct: none runs on a default or
+    # is rewritten; nothing is written
     with pytest.raises(ConfigError) as err:
         parse_config(source)
     assert err.value.path == path

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
-from equivlab.exterior import enumerate_basis
+from equivlab.exterior import BasisLabel, enumerate_basis
 from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
                                  _ladder_blocks, _theta_state, alpha_T,
                                  beta_state,
@@ -60,10 +60,10 @@ def beta_residual(model):
 def test_fiber_endomorphism_m1_entries():
     w = fiber_endomorphism(1)
     # acts only between the scalar label and the degree-zero two-form label
-    basis = enumerate_basis(1, 1)
-    idx = {lab: i for i, lab in enumerate(basis.labels)}
-    lab0 = [l for l in basis.labels if l.p == l.q == 0][0]
-    lab2 = [l for l in basis.labels if l.p == l.q == 1][0]
+    labels = enumerate_basis(1)
+    idx = {lab: i for i, lab in enumerate(labels)}
+    lab0 = [l for l in labels if l.p == l.q == 0][0]
+    lab2 = [l for l in labels if l.p == l.q == 1][0]
     expect = np.zeros((4, 4))
     expect[idx[lab2], idx[lab0]] = 2.0
     expect[idx[lab0], idx[lab2]] = 2.0
@@ -204,6 +204,22 @@ def test_beta_state_cached_by_m():
     fresh = _theta_state.__wrapped__(2)
     assert fresh.exp_theta == state.exp_theta
     assert fresh.norm_sq_exact == state.norm_sq_exact
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fiber_coefficients_read_exp_theta_in_basis_order(m):
+    # the complex view is exp(theta)'s exact terms, entry by entry in
+    # enumerate_basis order, and zero on every label exp(theta) lacks
+    state = _theta_state(m)
+    terms = state.exp_theta.terms
+    vec = state.fiber_coefficients()
+    labels = enumerate_basis(m)
+    assert vec.dtype == complex and vec.shape == (len(labels),) == (4 ** m,)
+    for lab, value in zip(labels, vec):
+        want = terms[lab].to_complex() if lab in terms else 0j
+        assert value == want
+    assert np.count_nonzero(vec) == len(terms) == 2 ** m
+    assert vec[labels.index(BasisLabel((), ()))] == 1.0
 
 
 def test_beta_vector_normalized():
