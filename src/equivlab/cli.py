@@ -21,13 +21,14 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 
 import numpy as np
 
 from . import __version__
-from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, CohomologyTable,
-                       NotPSDError, bochner_check, graded_euler,
-                       spectral_table, sweep_rows_for_csv, t_sweep)
+from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, NotPSDError,
+                       bochner_check, deformed_spectra, graded_euler, spectrum,
+                       sweep_rows_for_csv, t_sweep)
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
@@ -127,11 +128,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                   for i, t in enumerate(t_grid)])
     checks = _names("checks", raw.get("checks", list(_CHECKS)),
                     (*_CHECKS, "oscillator", "alpha"))
+    if "checks" in raw:
+        _runnable(checks, models)
     outputs = _names("outputs", raw.get("outputs", ["csv", "json", "plotdata"]),
                      ("csv", "json", "plotdata"))
     osc = None
     if "oscillator" in raw or "oscillator" in checks or "alpha" in checks:
         osc = _parse_oscillator(_object("oscillator", raw.get("oscillator", {})))
+        if "oscillator" not in checks and "alpha" not in checks:
+            raise ConfigError("oscillator", "must be left out unless checks "
+                              "lists oscillator or alpha, which read it")
     return ExperimentConfig(name=name, models=tuple(models),
                             T_grid=tuple(t_grid),
                             checks=tuple(sorted(checks)),
@@ -188,6 +194,25 @@ def _names(path: str, xs, known: tuple[str, ...]) -> list:
         if x not in known:
             raise ConfigError(f"{path}[{i}]", f"unknown {path[:-1]} {x!r}")
     return _distinct(path, xs)
+
+
+def _kinds_checked(check: str) -> tuple[str, ...]:
+    """The model kinds that `run_checks` gives a `check` verdict."""
+    return {"vanishing": ("torus",),
+            "bochner": ("torus", "cp1")}.get(check, tuple(_MODEL_KEYS))
+
+
+def _runnable(checks: list, models: list[ModelSpec]) -> None:
+    """A ConfigError naming checks if empty, or its first check that no
+    model of the config runs."""
+    if not checks:
+        raise ConfigError("checks", "must be a nonempty list")
+    for i, check in enumerate(checks):
+        kinds = _kinds_checked(check)
+        if not any(spec.kind in kinds for spec in models):
+            raise ConfigError(f"checks[{i}]", "must be a check that a model "
+                              f"of the config runs; {check} runs on "
+                              f"{' and '.join(kinds)} models only")
 
 
 def _complex(path: str, x) -> complex:
@@ -278,16 +303,19 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
     """Everything the checks and reports need for one model, as plain data."""
     model = assemble(spec)
     sweep = t_sweep(model, list(T_grid))
-    table0, _ = spectral_table(model, 0.0)
+    table0 = {res.degree: res.kernel_count
+              for res in starmap(spectrum, deformed_spectra(model, 0.0)[1])}
     payload = {
         "model": spec.to_dict(),
         "label": spec.label(),
-        "rows": sweep_rows_for_csv(sweep),
-        "tables": {_fmt(T): dict(sorted(t.dims.items()))
+        "rows": sweep_rows_for_csv(spec, sweep),
+        "tables": {_fmt(T): dict(sorted(t.items()))
                    for T, t in sweep.tables.items()},
-        "table0": dict(sorted(table0.dims.items())),
+        "table0": dict(sorted(table0.items())),
         "unresolved": sweep.unresolved,
-        "growth": {_fmt(T): v for T, v in sweep.min_eig_over_T2.items()},
+        # the growth law is read only where the field has no zeros
+        "growth": ({_fmt(T): v for T, v in sweep.min_eig_over_T2.items()}
+                   if spec.kind == "torus" else {}),
         "leakage": model.leakage,
         "gram_pivot_ratio": model.gram_pivot_ratio,
         "complex_defect_ratio": {_fmt(T): v for T, v
@@ -300,7 +328,7 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
         # the whole grid: it is the one nonzero whenever any is
         payload["complex_exact_zero"] = bool(model.exact.deformed_square_is_zero(
             Fraction(max(T_grid))))
-    if spec.kind in ("torus", "cp1"):
+    if spec.kind in _kinds_checked("bochner"):
         payload["bochner"] = bochner_check(model, T_grid[0])
     return payload
 
@@ -349,7 +377,7 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
         if "localization" in config.checks:
             # a resolved count off the prediction fails at any T, even after
             # an unresolved cell at an earlier T
-            predicted = localization_prediction(spec).dims
+            predicted = localization_prediction(spec)
             unresolved = {tuple(u) for u in payload["unresolved"]}
             state = "pass"
             for tkey, dims in payload["tables"].items():
@@ -363,7 +391,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
                 if open_r:
                     state = "unresolved"
             verdicts[f"localization:{label}"] = state
-        if "vanishing" in config.checks and spec.kind == "torus":
+        if ("vanishing" in config.checks
+                and spec.kind in _kinds_checked("vanishing")):
             expect = 2.0 * abs(spec.field.c) ** 2
             ok = all(all(d == 0 for d in dims.values())
                      for dims in payload["tables"].values())
@@ -372,8 +401,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
             ok = ok and not payload["unresolved"]
             verdicts[f"vanishing:{label}"] = "pass" if ok else "fail"
         if "euler" in config.checks:
-            e0 = graded_euler(CohomologyTable(payload["table0"]))
-            ok = all(graded_euler(CohomologyTable(dims)) == e0
+            e0 = graded_euler(payload["table0"])
+            ok = all(graded_euler(dims) == e0
                      for dims in payload["tables"].values())
             verdicts[f"euler:{label}"] = "pass" if ok else "fail"
     return verdicts
@@ -536,8 +565,7 @@ def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
         payloads = list(map(_payload_worker, tasks))
     verdicts = run_checks(config, payloads)
     osc_results = None
-    if config.oscillator is not None and (
-            "oscillator" in config.checks or "alpha" in config.checks):
+    if config.oscillator is not None:
         osc_results = oscillator_results(config.oscillator)
         for key, v in oscillator_verdicts(osc_results).items():
             if key in config.checks:
@@ -664,6 +692,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
+        if args.jobs < 1:
+            print(f"invalid option: --jobs: must be an integer >= 1, got "
+                  f"{args.jobs}", file=sys.stderr)
+            return 2
         return _run_command(lambda: load_config(args.config),
                             "invalid config", args)
 

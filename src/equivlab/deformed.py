@@ -19,7 +19,12 @@ forms A + T B.
 The product cp1 x torus has no blocks of its own (`geometry.product`): d_T,
 its defect, the Dirac square and the eigensolves are the cp1 factor's, and
 in product degree r the spectrum is every cp1 eigenvalue of degree r - b
-plus every torus level, once per torus label of degree b (`KunnethSquare`).
+plus every torus level, once per torus label of degree b.
+
+`deformed_spectra` is the one path from a model and T to spectra, and
+`spectrum` reads one degree's `SpectrumResult` off it.  A sweep is its
+rows; its cohomology tables (plain degree -> count dicts), unresolved
+cells and growth are read off them.
 
 Kernel dimensions are read off by a relative-gap clustering rule:
 eigenvalues are floored at FLOOR_REL times the spectral scale, the largest
@@ -39,12 +44,14 @@ the exact T.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import starmap
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry.base import AssembledModel, CellStack
+from .geometry.base import AssembledModel, CellStack, ModelSpec
 from .geometry.product import RIGHT_MULTIPLICITY, ProductModel
 from .geometry.torus import laplace_eigenvalue, modes
 from .linalg import hermitian_eigenvalues
@@ -154,33 +161,10 @@ def complex_property_defect(op: DeformedOperator) -> float:
     return worst
 
 
-@dataclass
-class DiracSquare:
-    """Per (stack, degree), the Dirac squares of every member, shape
-    (members, dim, dim)."""
-
-    model: AssembledModel
-    T: float
-    cells: dict[tuple[int, int], np.ndarray]
-
-    def merged_eigenvalues(self, r: int) -> np.ndarray:
-        """Eigenvalues of every member in degree r, sorted."""
-        parts = [hermitian_eigenvalues(h, {"stack": self.model.cells[si].name,
-                                           "r": r, "T": self.T}).ravel()
-                 for (si, rr), h in self.cells.items() if rr == r and h.size]
-        if not parts:
-            return np.zeros(0)
-        return np.sort(np.concatenate(parts))
-
-    def member_dim(self, r: int) -> int:
-        """The largest member dimension in degree r."""
-        return max((h.shape[-1] for (_, rr), h in self.cells.items()
-                    if rr == r), default=0)
-
-
-def dirac(op: DeformedOperator) -> DiracSquare:
-    """Per-degree Hermitian matrices of the Dirac square in orthonormal
-    bases, one batch per stack; each is exactly Hermitian, 0.5 (h + h^*)."""
+def dirac(op: DeformedOperator) -> dict[tuple[int, int], np.ndarray]:
+    """Per (stack, degree), the Dirac squares of every member in
+    orthonormal bases, shape (members, dim, dim); each is exactly
+    Hermitian, 0.5 (h + h^*)."""
     model = op.model
     cells: dict[tuple[int, int], np.ndarray] = {}
     for si, stack in enumerate(model.cells):
@@ -197,48 +181,56 @@ def dirac(op: DeformedOperator) -> DiracSquare:
                 h += _adjoint(here) @ here
             h *= 2.0
             cells[(si, r)] = 0.5 * (h + _adjoint(h))
-    return DiracSquare(model=model, T=op.T, cells=cells)
+    return cells
 
 
-@dataclass
-class KunnethSquare:
-    """The Dirac square of a product, by its eigenvalues per degree: in
-    degree r, for each right degree b, every sum of a left eigenvalue of
-    degree r - b and a torus level, RIGHT_MULTIPLICITY[b] times."""
-
-    model: ProductModel
-    T: float
-    left: dict[int, np.ndarray]     # the left factor's eigenvalues per degree
-    dims: dict[int, int]            # member_dim per degree
-
-    def merged_eigenvalues(self, r: int) -> np.ndarray:
-        """Eigenvalues of degree r, sorted."""
-        parts = [np.add.outer(self.left[r - b], self.model.levels).ravel()
-                 for b, mult in RIGHT_MULTIPLICITY.items()
-                 if r - b in self.left for _ in range(mult)]
-        return np.sort(np.concatenate(parts))
-
-    def member_dim(self, r: int) -> int:
-        """The largest member dimension of the left factor over the
-        degrees r - b that enter degree r."""
-        return self.dims[r]
+# one degree of D_T^2 as the arguments of `spectrum`: (r, T, eigenvalues, n)
+Degree = tuple[int, float, np.ndarray, int]
 
 
-def deformed_square(model: AssembledModel | ProductModel, T: float
-                    ) -> tuple[DeformedOperator, DiracSquare | KunnethSquare]:
-    """d_T and the Dirac square at T.  For a product, d_T is the left
-    factor's (d_T^2 = d_{T,L}^2 (x) 1) and the square is its Kunneth sum."""
+def deformed_spectra(model: AssembledModel | ProductModel, T: float
+                     ) -> tuple[DeformedOperator, Iterator[Degree]]:
+    """d_T at T, and per degree r of D_T^2 its sorted eigenvalues with n,
+    the largest member dimension entering them (the n of the PSD guard),
+    each formed only when the iterator reaches it; `starmap(spectrum, ...)`
+    lets go of a degree's eigenvalues before the next are formed.
+
+    For a product, d_T is the left factor's (d_T^2 = d_{T,L}^2 (x) 1), whose
+    eigenvalues are solved up front; degree r holds, for each right degree
+    b, every sum of a left eigenvalue of degree r - b and a torus level,
+    RIGHT_MULTIPLICITY[b] times, and n is the largest over those degrees."""
     if not isinstance(model, ProductModel):
         op = assemble_deformed(model, T)
-        return op, dirac(op)
+        return op, _degrees(model, dirac(op), op.T)
     op = assemble_deformed(model.left, T)
-    left = dirac(op)
-    return op, KunnethSquare(
-        model=model, T=op.T,
-        left={r: left.merged_eigenvalues(r)
-              for r in model.left.degree_range()},
-        dims={r: max(left.member_dim(r - b) for b in RIGHT_MULTIPLICITY)
-              for r in range(-model.n, model.n + 1)})
+    left = {r: (evals, n)
+            for r, _, evals, n in _degrees(model.left, dirac(op), op.T)}
+    return op, _kunneth_degrees(model, left, op.T)
+
+
+def _degrees(model: AssembledModel, cells: dict[tuple[int, int], np.ndarray],
+             T: float) -> Iterator[Degree]:
+    for r in range(-model.n, model.n + 1):
+        stacks = [(si, h) for (si, rr), h in cells.items() if rr == r]
+        n = max((h.shape[-1] for _, h in stacks), default=0)
+        yield r, T, _merged([hermitian_eigenvalues(
+            h, {"stack": model.cells[si].name, "r": r, "T": T}).ravel()
+            for si, h in stacks if h.size]), n
+
+
+def _kunneth_degrees(model: ProductModel,
+                     left: dict[int, tuple[np.ndarray, int]], T: float
+                     ) -> Iterator[Degree]:
+    for r in range(-model.n, model.n + 1):
+        terms = [left[r - b] for b, mult in RIGHT_MULTIPLICITY.items()
+                 if r - b in left for _ in range(mult)]
+        yield r, T, _merged([np.add.outer(evals, model.levels).ravel()
+                             for evals, _ in terms]), max(n for _, n in terms)
+
+
+def _merged(parts: list[np.ndarray]) -> np.ndarray:
+    # a function, so that no generator frame holds the parts past a yield
+    return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
 
 @dataclass
@@ -291,49 +283,22 @@ class NotPSDError(ValueError):
         return type(self), (self.degree, self.eigenvalue)
 
 
-def spectrum(dsq: DiracSquare | KunnethSquare, r: int) -> SpectrumResult:
-    evals = dsq.merged_eigenvalues(r)
-    if len(evals) and float(evals[0]) < -((dsq.member_dim(r) + 8) * _EPS
+def spectrum(r: int, T: float, evals: np.ndarray, n: int) -> SpectrumResult:
+    """The SpectrumResult of degree r at T from its sorted eigenvalues, n
+    the largest member dimension that enters them (see `NotPSDError`)."""
+    if len(evals) and float(evals[0]) < -((n + 8) * _EPS
                                           * max(float(evals[-1]), 1.0)):
         raise NotPSDError(r, float(evals[0]))
     count, gap, resolved, threshold = cluster_kernel(evals)
     return SpectrumResult(
         degree=r, eigenvalues=[float(x) for x in evals[:KEPT_EIGENVALUES]],
         dim=len(evals), kernel_count=count, gap=gap, threshold=threshold,
-        resolved=resolved, T=dsq.T)
+        resolved=resolved, T=T)
 
 
-@dataclass
-class CohomologyTable:
-    dims: dict[int, int]
-
-    def __eq__(self, other):
-        if not isinstance(other, CohomologyTable):
-            return NotImplemented
-        keys = set(self.dims) | set(other.dims)
-        return all(self.dims.get(r, 0) == other.dims.get(r, 0) for r in keys)
-
-
-def graded_euler(table: CohomologyTable) -> int:
-    return sum((-1 if r % 2 else 1) * d for r, d in table.dims.items())
-
-
-def dirac_table(dsq: DiracSquare | KunnethSquare
-                ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    """Kernel counts per degree read off one Dirac square."""
-    model = dsq.model
-    results = {}
-    dims = {}
-    for r in range(-model.n, model.n + 1):
-        res = spectrum(dsq, r)
-        results[r] = res
-        dims[r] = res.kernel_count
-    return CohomologyTable(dims=dims), results
-
-
-def spectral_table(model: AssembledModel | ProductModel, T: float
-                   ) -> tuple[CohomologyTable, dict[int, SpectrumResult]]:
-    return dirac_table(deformed_square(model, T)[1])
+def graded_euler(table: dict[int, int]) -> int:
+    """sum_r (-1)^r h^r of a cohomology table, degree r -> dimension."""
+    return sum((-1 if r % 2 else 1) * d for r, d in table.items())
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +330,7 @@ def _bochner_torus(model: AssembledModel, T: float) -> dict:
     target = np.array([laplace_eigenvalue(spec.tau, *jk)
                        for jk in modes(spec.cutoff)]) + shift
     worst = 0.0
-    for h in dirac(assemble_deformed(model, T)).cells.values():
+    for h in dirac(assemble_deformed(model, T)).values():
         scalar = target[:, None, None] * np.eye(h.shape[-1])
         worst = max(worst, float(
             np.linalg.norm(h - scalar, 2, axis=(-2, -1)).max()))
@@ -397,12 +362,27 @@ def _bochner_cp1(model: AssembledModel, T) -> dict:
 
 @dataclass
 class SweepResult:
-    model: AssembledModel | ProductModel
-    tables: dict[float, CohomologyTable]
     rows: list[SpectrumResult]      # per T, then per degree
-    unresolved: list[tuple[float, int]]
-    min_eig_over_T2: dict[float, float]   # only for empty-zero-set models
     complex_defect_ratio: dict[float, float]   # complex_property_defect per T
+
+    @property
+    def tables(self) -> dict[float, dict[int, int]]:
+        tables: dict[float, dict[int, int]] = {}
+        for res in self.rows:
+            tables.setdefault(res.T, {})[res.degree] = res.kernel_count
+        return tables
+
+    @property
+    def unresolved(self) -> list[tuple[float, int]]:
+        return [(res.T, res.degree) for res in self.rows if not res.resolved]
+
+    @property
+    def min_eig_over_T2(self) -> dict[float, float]:
+        """Per T, the smallest eigenvalue of any degree over T^2."""
+        low: dict[float, list[float]] = {}
+        for res in self.rows:
+            low.setdefault(res.T, []).extend(res.eigenvalues[:1])
+        return {T: min(v) / T ** 2 for T, v in low.items() if v}
 
 
 def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
@@ -410,30 +390,15 @@ def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
         raise ValueError("T grid must be nonempty")
     if any(t <= 0 for t in T_list):
         raise ValueError("T grid must be positive")
-    tables: dict[float, CohomologyTable] = {}
     rows: list[SpectrumResult] = []
-    unresolved: list[tuple[float, int]] = []
-    growth: dict[float, float] = {}
     defects: dict[float, float] = {}
-    empty_zero_set = model.spec.kind == "torus"   # its field is constant
     for T in T_list:
         # one d_T per T serves both the complex property and the spectra
-        op, dsq = deformed_square(model, T)
-        defects[float(T)] = complex_property_defect(op)
-        table, results = dirac_table(dsq)
-        del op, dsq     # free this T's blocks before the next T builds its own
-        tables[float(T)] = table
-        all_eigs = []
-        for r, res in sorted(results.items()):
-            rows.append(res)
-            if not res.resolved:
-                unresolved.append((float(T), r))
-            all_eigs.extend(res.eigenvalues[:1])
-        if empty_zero_set and all_eigs:
-            growth[float(T)] = min(all_eigs) / float(T) ** 2
-    return SweepResult(model=model, tables=tables, rows=rows,
-                       unresolved=unresolved, min_eig_over_T2=growth,
-                       complex_defect_ratio=defects)
+        op, degrees = deformed_spectra(model, T)
+        defects[op.T] = complex_property_defect(op)
+        rows += starmap(spectrum, degrees)
+        del op, degrees     # free this T's blocks before the next T's
+    return SweepResult(rows=rows, complex_defect_ratio=defects)
 
 
 CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",
@@ -441,8 +406,7 @@ CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",
     f"lam{i}" for i in range(1, KEPT_EIGENVALUES + 1)]
 
 
-def sweep_rows_for_csv(sweep: SweepResult) -> list[dict]:
-    spec = sweep.model.spec
+def sweep_rows_for_csv(spec: ModelSpec, sweep: SweepResult) -> list[dict]:
     if spec.kind == "torus":
         param, cutoff = f"tau={spec.tau:g};c={spec.field.c:g}", spec.cutoff
     elif spec.kind == "cp1":

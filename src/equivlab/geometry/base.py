@@ -167,7 +167,6 @@ class CellStack:
 @dataclass
 class AssembledModel:
     spec: ModelSpec
-    n: int
     cells: list[CellStack]
     leakage: dict[str, float] = field(default_factory=dict)
     gram_pivot_ratio: dict[str, float] = field(default_factory=dict)
@@ -176,8 +175,9 @@ class AssembledModel:
     # `deformed.assemble_deformed` on the model's first d_T
     placed_dt: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def degree_range(self) -> range:
-        return range(-self.n, self.n + 1)
+    @property
+    def n(self) -> int:
+        return self.spec.n
 
     def degree_dim(self, r: int) -> int:
         return sum(c.size * c.degree_dim(r, self.n) for c in self.cells)

@@ -495,7 +495,7 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
         leakage[f"dual_wedge:p{pq[0]}q{pq[1]}"] = val
     ratios = {f"p{p}q{q}": exact.blocks[(p, q)].gram_condition()
               for p, q in _PQS}
-    return AssembledModel(spec=spec, n=1, cells=cells, leakage=leakage,
+    return AssembledModel(spec=spec, cells=cells, leakage=leakage,
                           gram_pivot_ratio=ratios, exact=exact)
 
 

@@ -58,7 +58,7 @@ def assemble_torus(spec: ModelSpec) -> AssembledModel:
     leakage = {f"{op}:p{p}q{q}": 0.0
                for op in ("dbar", "iv", "dual_wedge") for p, q in _PQS}
     ratios = {f"p{p}q{q}": 1.0 for p, q in _PQS}
-    return AssembledModel(spec=spec, n=1, cells=[stack],
+    return AssembledModel(spec=spec, cells=[stack],
                           leakage=leakage, gram_pivot_ratio=ratios)
 
 

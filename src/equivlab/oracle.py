@@ -1,7 +1,7 @@
 """Analytic ground truth: Hodge tables of the desk models, their zero-set
 tables, Kunneth combination, and the localization prediction that the
 deformed kernel dimensions per degree equal the cohomology of the field's
-zero set.
+zero set.  A per-degree table is a plain dict, degree r -> dimension.
 
 Closed-form entries are never trusted alone: the committed fixture is
 cross-validated in the test suite against exact degree-(p,q) kernel counts
@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .deformed import CohomologyTable
 from .geometry.base import ModelError, ModelSpec
 
 
@@ -35,11 +34,11 @@ class OracleTable:
     def entry(self, p: int, q: int) -> int:
         return dict(self.h).get((p, q), 0)
 
-    def per_degree(self) -> CohomologyTable:
-        dims: dict[int, int] = {r: 0 for r in range(-self.n, self.n + 1)}
+    def per_degree(self) -> dict[int, int]:
+        dims = {r: 0 for r in range(-self.n, self.n + 1)}
         for (p, q), v in self.h:
             dims[q - p] += v
-        return CohomologyTable(dims=dims)
+        return dims
 
 
 POINT_TABLE = OracleTable.make(0, {(0, 0): 1})
@@ -94,12 +93,12 @@ class ZeroSetDescriptor:
 
     components: tuple  # tuple of (dim, rank, OracleTable)
 
-    def total_per_degree(self, ambient_n: int) -> CohomologyTable:
+    def total_per_degree(self, ambient_n: int) -> dict[int, int]:
         dims = {r: 0 for r in range(-ambient_n, ambient_n + 1)}
         for _, rank, table in self.components:
-            for r, v in table.per_degree().dims.items():
+            for r, v in table.per_degree().items():
                 dims[r] += rank * v
-        return CohomologyTable(dims=dims)
+        return dims
 
 
 def zero_set(spec: ModelSpec) -> ZeroSetDescriptor:
@@ -116,7 +115,7 @@ def zero_set(spec: ModelSpec) -> ZeroSetDescriptor:
     raise ModelError(f"no zero set descriptor for model kind {spec.kind!r}")
 
 
-def localization_prediction(spec: ModelSpec) -> CohomologyTable:
+def localization_prediction(spec: ModelSpec) -> dict[int, int]:
     """Per-degree dimensions of the deformed cohomology for T != 0: the
     zero-set cohomology, summed over components (all-zero when the field
     never vanishes)."""

@@ -1,0 +1,23 @@
+"""Per-degree reads of `deformed.deformed_spectra` at one T, as a sweep
+makes them, for tests that look at a single T (T = 0 included, which a
+sweep refuses)."""
+
+from itertools import starmap
+
+from equivlab.deformed import deformed_spectra, spectrum
+
+
+def degree_eigenvalues(model, T):
+    """The sorted eigenvalues of D_T^2 per degree r."""
+    return {r: evals for r, _, evals, _ in deformed_spectra(model, T)[1]}
+
+
+def degree_results(model, T):
+    """The `SpectrumResult` per degree r."""
+    return {res.degree: res
+            for res in starmap(spectrum, deformed_spectra(model, T)[1])}
+
+
+def kernel_table(model, T):
+    """The kernel count per degree r."""
+    return {r: res.kernel_count for r, res in degree_results(model, T).items()}

@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from equivlab.deformed import (assemble_deformed, bochner_check,
-                               complex_property_defect, graded_euler,
-                               spectral_table, t_sweep)
+                               complex_property_defect, graded_euler, t_sweep)
 from equivlab.exterior import (AlgebraElement, TangentVector, clifford_c,
                                clifford_hat_c, contract, enumerate_basis,
                                frame_vector, golden_tables, hermitian_inner,
@@ -36,6 +35,7 @@ from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
 from equivlab.oracle import localization_prediction
 from equivlab.scalars import ExactScalar
 from product_oracle import tensored_product
+from spectra import kernel_table
 
 
 def _report(tag: str, ok: bool, detail: str = "") -> None:
@@ -159,7 +159,7 @@ def test_a4_vanishing_empty_zero_set():
     sweep = t_sweep(model, [1.0, 2.0, 4.0])
     ok = not sweep.unresolved
     for table in sweep.tables.values():
-        ok = ok and all(v == 0 for v in table.dims.values())
+        ok = ok and all(v == 0 for v in table.values())
     for T, ratio in sweep.min_eig_over_T2.items():
         ok = ok and abs(ratio / 2.0 - 1.0) <= 0.01
     elapsed = time.time() - start
@@ -216,13 +216,12 @@ def test_a7_point_zero_set():
     for k in (0, 1, 2, 3):
         model = cp1_model(k, 12)
         predicted = localization_prediction(model.spec)
-        for T in (2.0, 4.0, 8.0):
-            table, results = spectral_table(model, T)
-            ok = ok and all(res.resolved for res in results.values())
-            ok = ok and table.dims == predicted.dims == {-1: 0, 0: 2, 1: 0}
-            if T == 8.0:
-                worst_gap_at_8 = min(worst_gap_at_8,
-                                     min(res.gap for res in results.values()))
+        sweep = t_sweep(model, [2.0, 4.0, 8.0])
+        ok = ok and all(res.resolved for res in sweep.rows)
+        for table in sweep.tables.values():
+            ok = ok and table == predicted == {-1: 0, 0: 2, 1: 0}
+        worst_gap_at_8 = min(worst_gap_at_8, min(
+            res.gap for res in sweep.rows if res.T == 8.0))
     ok = ok and worst_gap_at_8 >= 1e3
     elapsed = time.time() - start
     _report("A7 point-zero-set", ok and elapsed < 300.0,
@@ -238,11 +237,11 @@ def test_a8_positive_dimensional_zero_set():
     per_cell_max = max(cell.degree_dim(r, 1)
                        for cell in model.left.cells for r in range(-1, 2))
     ok = per_cell_max <= 4000
-    for T in (4.0, 8.0):
-        table, results = spectral_table(model, T)
-        ok = ok and all(res.resolved for res in results.values())
-        ok = ok and table.dims == predicted.dims
-        ok = ok and table.dims == {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
+    sweep = t_sweep(model, [4.0, 8.0])
+    ok = ok and all(res.resolved for res in sweep.rows)
+    for table in sweep.tables.values():
+        ok = ok and table == predicted
+        ok = ok and table == {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
     elapsed = time.time() - start
     _report("A8 positive-dimensional-zero-set", ok and elapsed < 900.0,
             f"largest solved block {per_cell_max}, runtime {elapsed:.1f}s")
@@ -254,10 +253,8 @@ def test_a9_euler_invariance():
     cases = [torus_model(1j, 4, 1.0), cp1_model(0, 10), cp1_model(2, 10),
              cp1_model(3, 10), product_model(0, 6, 1j, 2)]
     for model in cases:
-        t0, _ = spectral_table(model, 0.0)
-        e0 = graded_euler(t0)
+        e0 = graded_euler(kernel_table(model, 0.0))
         for T in (2.0, 4.0):
-            tt, _ = spectral_table(model, T)
-            ok = ok and graded_euler(tt) == e0
+            ok = ok and graded_euler(kernel_table(model, T)) == e0
     elapsed = time.time() - start
     _report("A9 euler-invariance", ok, f"runtime {elapsed:.1f}s")

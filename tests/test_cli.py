@@ -37,6 +37,14 @@ def small_config(tmp_name="smoke"):
     }
 
 
+PRODUCT = {"kind": "product",
+           "field": {"kind": "product_lift", "factor": "left"},
+           "left": {"kind": "cp1", "k": 1, "cutoff": 5,
+                    "field": {"kind": "linear"}},
+           "right": {"kind": "torus", "tau": [0.3, 1.1], "cutoff": 1,
+                     "field": {"kind": "constant", "c": [1, 0]}}}
+
+
 # --- validation --------------------------------------------------------------
 
 def test_empty_t_grid_names_field():
@@ -191,6 +199,74 @@ def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("invalid ") and f": {path}: must be " in err
     assert not (tmp_path / "out").exists()
+
+
+def _models_checks(models, checks, **extra):
+    """small_config holding only the given models of it (0 torus, 1 cp1, or
+    "product"), listing checks unless checks is None."""
+    raw = dict(small_config(), **extra)
+    raw["models"] = [PRODUCT if m == "product" else raw["models"][m]
+                     for m in models]
+    if checks is None:
+        del raw["checks"]
+    else:
+        raw["checks"] = checks
+    return raw
+
+
+@pytest.mark.parametrize("source,path", [
+    (_models_checks([1], ["vanishing"]), "checks[0]"),
+    (_models_checks([1], ["euler", "vanishing"]), "checks[1]"),
+    (_models_checks(["product"], ["bochner"]), "checks[0]"),
+    (_models_checks(["product", 1], ["localization", "vanishing"]),
+     "checks[1]"),
+    (_models_checks([0, 1], []), "checks"),
+    (_models_checks([0, 1], ["euler"], oscillator={"m": [1], "cutoff": [4]}),
+     "oscillator"),
+    (_models_checks([0, 1], None, oscillator={}), "oscillator"),
+], ids=["vanishing-cp1-only", "vanishing-second", "bochner-product-only",
+        "vanishing-no-torus", "checks-empty", "oscillator-unread",
+        "oscillator-unread-default-checks"])
+def test_check_that_cannot_run_exits_2_naming_it(source, path, tmp_path,
+                                                 capsys):
+    # a listed check that no model of the config runs, an empty check list,
+    # and an oscillator block that no listed check reads each passed with
+    # no verdict for them (or echoed an unused block into the hash);
+    # nothing is written
+    with pytest.raises(ConfigError) as err:
+        parse_config(source)
+    assert err.value.path == path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(source))
+    for command in (["validate", str(cfg)],
+                    ["run", str(cfg), "-o", str(tmp_path / "out")]):
+        assert main(command) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"invalid config: {path}: must be ")
+        assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_checks_left_out_keep_the_default_list():
+    # the default list is exempt: a cp1-only config without checks still
+    # runs every check that applies to it, and its hash is unchanged
+    config = parse_config(_models_checks([1], None))
+    assert config.checks == tuple(sorted(cli._CHECKS))
+    assert config.config_hash() == (
+        "6821eb89f13b8bbe40d591297f96928461c3b69f0357c77bf80f88c8b10d9e63")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_one_exits_2_naming_it(jobs, tmp_path, capsys):
+    # a worker count below 1 ran serially and exited 0; nothing is written
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / (
+        "torus_vanishing.json")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--jobs", jobs, "-o", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("invalid option: --jobs: must be ")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def _osc_with(key, value):
@@ -623,14 +699,6 @@ def test_parallel_run_matches_serial(tmp_path):
     for name in names:
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "parallel" / name).read_bytes()), name
-
-
-PRODUCT = {"kind": "product",
-           "field": {"kind": "product_lift", "factor": "left"},
-           "left": {"kind": "cp1", "k": 1, "cutoff": 5,
-                    "field": {"kind": "linear"}},
-           "right": {"kind": "torus", "tau": [0.3, 1.1], "cutoff": 1,
-                     "field": {"kind": "constant", "c": [1, 0]}}}
 
 
 def test_parallel_product_run_matches_serial(tmp_path):

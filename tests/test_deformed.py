@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivlab.deformed import (FLOOR_REL, RESOLVE_RATIO, WINDOW_FRACTION,
-                               CohomologyTable, assemble_deformed, bochner_check,
-                               cluster_kernel, dirac,
-                               graded_euler, spectral_table, spectrum, t_sweep)
+                               assemble_deformed, bochner_check,
+                               cluster_kernel, dirac, graded_euler, t_sweep)
 from equivlab.cli import parse_config, run
 from equivlab.geometry import cp1 as cp1mod
 from equivlab.geometry import cp1_model, product_model, torus_model
 from equivlab.geometry.torus import laplace_eigenvalue
 from product_oracle import tensored_product
+from spectra import degree_eigenvalues, degree_results, kernel_table
 
 
 # --- clustering rule -------------------------------------------------------
@@ -143,7 +143,7 @@ def test_adjoint_pairing_identity():
     rng = np.random.default_rng(5)
     for model in (cp1_model(1, 6), tensored_product(1, 5, 0.3 + 1.1j, 1)):
         op = assemble_deformed(model, 2.0)
-        for (si, r), hs in dirac(op).cells.items():
+        for (si, r), hs in dirac(op).items():
             for i, h in enumerate(hs):
                 u = (rng.standard_normal(h.shape[0])
                      + 1j * rng.standard_normal(h.shape[0]))
@@ -162,17 +162,17 @@ def test_dirac_hermiticity_defect():
     for model in (torus_model(1j, 2, 1.0), cp1_model(0, 6),
                   tensored_product(1, 5, 0.3 + 1.1j, 1)):
         for T in (0.0, 2.0, 1.0 / 3.0):
-            dsq = dirac(assemble_deformed(model, T))
-            assert dsq.cells
-            for h in dsq.cells.values():
+            cells = dirac(assemble_deformed(model, T))
+            assert cells
+            for h in cells.values():
                 assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
 
 def test_spectra_nonnegative():
     model = cp1_model(2, 8)
-    dsq = dirac(assemble_deformed(model, 4.0))
+    results = degree_results(model, 4.0)
     for r in (-1, 0, 1):
-        res = spectrum(dsq, r)
+        res = results[r]
         assert res.eigenvalues[0] >= -1e-10
         assert res.dim == model.degree_dim(r)
 
@@ -180,12 +180,11 @@ def test_spectra_nonnegative():
 def test_torus_deformed_spectrum_matches_fourier_oracle():
     tau, cutoff, T, c = 1j, 2, 2.0, 1.0
     model = torus_model(tau, cutoff, c)
-    dsq = dirac(assemble_deformed(model, T))
     oracle = sorted(
         laplace_eigenvalue(tau, j, k) + 2 * T * T * abs(c) ** 2
         for j in range(-cutoff, cutoff + 1)
         for k in range(-cutoff, cutoff + 1))
-    got = dsq.merged_eigenvalues(-1)
+    got = degree_eigenvalues(model, T)[-1]
     assert np.allclose(got, oracle, atol=1e-9)
 
 
@@ -193,15 +192,16 @@ def test_cp1_t0_degree_table_matches_hodge():
     for k, expect in ((0, {-1: 0, 0: 2, 1: 0}),
                       (2, {-1: 1, 0: 3, 1: 0}),
                       (3, {-1: 2, 0: 4, 1: 0})):
-        table, results = spectral_table(cp1_model(k, 8), 0.0)
-        assert table.dims == expect
+        results = degree_results(cp1_model(k, 8), 0.0)
+        assert {r: res.kernel_count for r, res in results.items()} == expect
         assert all(res.resolved for res in results.values())
 
 
 def test_cp1_localized_kernel_counts():
     model = cp1_model(0, 8)
-    table, results = spectral_table(model, 4.0)
-    assert table.dims == {-1: 0, 0: 2, 1: 0}
+    results = degree_results(model, 4.0)
+    assert {r: res.kernel_count for r, res in results.items()} == {
+        -1: 0, 0: 2, 1: 0}
     assert results[0].gap > 1e3
 
 
@@ -216,9 +216,9 @@ def test_deformation_invariance_over_T():
 def test_deformed_table_differs_from_hodge_for_twist_two():
     # at twist 2 the undeformed table (1, 3, 0) collapses to (0, 2, 0)
     model = cp1_model(2, 8)
-    t0, _ = spectral_table(model, 0.0)
-    t4, _ = spectral_table(model, 4.0)
-    assert t0.dims != t4.dims
+    t0 = kernel_table(model, 0.0)
+    t4 = kernel_table(model, 4.0)
+    assert t0 != t4
     assert graded_euler(t0) == graded_euler(t4) == 2
 
 
@@ -226,16 +226,16 @@ def test_twist_zero_tables_coincide():
     # for the trivial twist both tables equal (0, 2, 0): the undeformed and
     # localized dimensions agree by coincidence of the Hodge numbers
     model = cp1_model(0, 8)
-    t0, _ = spectral_table(model, 0.0)
-    t4, _ = spectral_table(model, 4.0)
-    assert t0.dims == t4.dims == {-1: 0, 0: 2, 1: 0}
+    t0 = kernel_table(model, 0.0)
+    t4 = kernel_table(model, 4.0)
+    assert t0 == t4 == {-1: 0, 0: 2, 1: 0}
 
 
 def test_torus_sweep_vanishing_and_growth():
     model = torus_model(1j, 3, 1.0)
     sweep = t_sweep(model, [1.0, 2.0, 4.0])
     for table in sweep.tables.values():
-        assert all(v == 0 for v in table.dims.values())
+        assert all(v == 0 for v in table.values())
     assert sweep.min_eig_over_T2 == {1.0: 2.0, 2.0: 2.0, 4.0: 2.0}
 
 
@@ -248,16 +248,16 @@ def test_sweep_validates_grid():
 
 
 def test_graded_euler():
-    assert graded_euler(CohomologyTable(dims={-1: 0, 0: 2, 1: 0})) == 2
-    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 3, 1: 0})) == 2
-    assert graded_euler(CohomologyTable(dims={-1: 1, 0: 2, 1: 1})) == 0
+    assert graded_euler({-1: 0, 0: 2, 1: 0}) == 2
+    assert graded_euler({-1: 1, 0: 3, 1: 0}) == 2
+    assert graded_euler({-1: 1, 0: 2, 1: 1}) == 0
 
 
 def test_euler_invariance_all_models():
     for model in (torus_model(1j, 2, 1.0), cp1_model(1, 6),
                   product_model(0, 4, 1j, 1)):
-        t0, _ = spectral_table(model, 0.0)
-        t2, _ = spectral_table(model, 2.0)
+        t0 = kernel_table(model, 0.0)
+        t2 = kernel_table(model, 2.0)
         assert graded_euler(t0) == graded_euler(t2)
 
 

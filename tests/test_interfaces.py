@@ -4,10 +4,10 @@ truncation, and the reported leakage."""
 import json
 
 from equivlab.cli import parse_config
-from equivlab.deformed import (CSV_FIELDS, dirac, assemble_deformed,
-                               spectrum)
+from equivlab.deformed import CSV_FIELDS
 from equivlab.geometry import assemble, cp1_model, torus_model
 from equivlab.geometry.base import FieldSpec, ModelSpec
+from spectra import degree_results
 
 
 def test_model_spec_json_roundtrip():
@@ -33,8 +33,7 @@ def test_model_spec_json_roundtrip():
 def test_spectrum_keeps_eight_eigenvalues():
     # one kept eigenvalue per lam column of results.csv
     model = torus_model(1j, 2, 1.0)
-    dsq = dirac(assemble_deformed(model, 1.0))
-    res = spectrum(dsq, 0)
+    res = degree_results(model, 1.0)[0]
     assert res.dim == model.degree_dim(0) > 8
     assert res.eigenvalues == sorted(res.eigenvalues)
     assert len(res.eigenvalues) == 8

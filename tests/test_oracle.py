@@ -4,13 +4,14 @@ complexes (the committed fixture is regenerated and compared)."""
 
 import pytest
 
-from equivlab.deformed import graded_euler, spectral_table
+from equivlab.deformed import graded_euler, t_sweep
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.base import ModelSpec, FieldSpec
 from equivlab.oracle import (POINT_TABLE, OracleTable, cp1_table,
                              fixture_tables, generate_fixture_tables,
                              kunneth, model_hodge_table, localization_prediction,
                              torus_table, zero_set)
+from spectra import kernel_table
 from test_cp1 import t0_kernel_counts
 
 
@@ -35,8 +36,7 @@ def test_cp1_tables_cross_validated_spectrally(k):
 
 def test_torus_table_cross_validated_spectrally():
     model = torus_model(1j, 2, 1.0)
-    table0, _ = spectral_table(model, 0.0)
-    assert table0.dims == torus_table().per_degree().dims
+    assert kernel_table(model, 0.0) == torus_table().per_degree()
 
 
 def test_fixture_matches_regenerated():
@@ -58,12 +58,12 @@ def test_kunneth_torus_square():
     assert sq.entry(1, 1) == 4
     assert sq.n == 2
     # per-degree profile is the convolution of (1, 2, 1) with itself
-    assert sq.per_degree().dims == {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1}
+    assert sq.per_degree() == {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1}
 
 
 def test_kunneth_cp1_times_torus():
     prod = kunneth(cp1_table(0), torus_table())
-    assert prod.per_degree().dims == {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
+    assert prod.per_degree() == {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
 
 
 def test_model_hodge_table_product():
@@ -77,17 +77,17 @@ def test_model_hodge_table_product():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_prediction_independent_of_twist(k):
     spec = ModelSpec(kind="cp1", k=k, cutoff=8, field=FieldSpec("linear"))
-    assert localization_prediction(spec).dims == {-1: 0, 0: 2, 1: 0}
+    assert localization_prediction(spec) == {-1: 0, 0: 2, 1: 0}
 
 
 def test_prediction_empty_zero_set():
     spec = ModelSpec(kind="torus", tau=1j, cutoff=3,
                      field=FieldSpec("constant", c=2.0))
-    assert all(v == 0 for v in localization_prediction(spec).dims.values())
+    assert all(v == 0 for v in localization_prediction(spec).values())
 
 
 def test_prediction_positive_dimensional():
-    assert localization_prediction(product_spec()).dims == {
+    assert localization_prediction(product_spec()) == {
         -2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
 
 
@@ -102,7 +102,7 @@ def test_zero_set_descriptors():
 def test_prediction_matches_spectral_counts_end_to_end():
     for k in (0, 1):
         model = cp1_model(k, 8)
-        table, _ = spectral_table(model, 4.0)
+        (table,) = t_sweep(model, [4.0]).tables.values()
         assert table == localization_prediction(model.spec)
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from equivlab.deformed import (assemble_deformed, cluster_kernel,
-                               complex_property_defect, deformed_square,
-                               dirac, spectral_table, t_sweep)
+                               complex_property_defect, deformed_spectra,
+                               dirac, t_sweep)
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.product import product_model
 from product_oracle import tensored_product
+from spectra import degree_eigenvalues
 
 
 def test_degree_range_and_kunneth_dims():
@@ -55,34 +56,32 @@ def test_kunneth_spectra_match_factor_sums():
     # L (x) 1 + 1 (x) R, so in degree r the product spectrum is the union over
     # r_L of (cp1 spectrum at T in r_L) + (undeformed torus spectrum in r - r_L)
     k, n_left, tau, n_right, T = 1, 5, 0.3 + 1.1j, 1, 2.0
-    product = dirac(assemble_deformed(
-        tensored_product(k, n_left, tau, n_right), T))
-    left = dirac(assemble_deformed(cp1_model(k, n_left), T))
-    right = dirac(assemble_deformed(torus_model(tau, n_right, 1.0), 0.0))
+    product = degree_eigenvalues(
+        tensored_product(k, n_left, tau, n_right), T)
+    left = degree_eigenvalues(cp1_model(k, n_left), T)
+    right = degree_eigenvalues(torus_model(tau, n_right, 1.0), 0.0)
     for r in range(-2, 3):
-        sums = [np.add.outer(left.merged_eigenvalues(r_left),
-                             right.merged_eigenvalues(r - r_left)).ravel()
+        sums = [np.add.outer(left[r_left], right[r - r_left]).ravel()
                 for r_left in (-1, 0, 1) if abs(r - r_left) <= 1]
         want = np.sort(np.concatenate(sums))
-        got = product.merged_eigenvalues(r)
+        got = product[r]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
 
 
 def test_localized_table_positive_dimensional_zero_set():
     model = product_model(0, 6, 1j, 2)
-    table, results = spectral_table(model, 4.0)
-    assert table.dims == {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}
-    assert all(res.resolved for res in results.values())
+    sweep = t_sweep(model, [4.0])
+    assert sweep.tables == {4.0: {-2: 0, -1: 2, 0: 4, 1: 2, 2: 0}}
+    assert all(res.resolved for res in sweep.rows)
 
 
 def test_kernel_concentrates_on_zero_mode():
     # all kernel vectors live in the torus zero-mode cells: every other cell
     # has a positive lower bound
     model = tensored_product(0, 5, 1j, 1)
-    dsq = dirac(assemble_deformed(model, 4.0))
     checked = 0
-    for (si, r), hs in dsq.cells.items():
+    for (si, r), hs in dirac(assemble_deformed(model, 4.0)).items():
         for name, evals in zip(model.cells[si].names, np.linalg.eigvalsh(hs)):
             if "jk(0, 0)" in name:
                 continue
@@ -103,23 +102,24 @@ def test_kunneth_route_matches_tensored_oracle(k, T):
     cutoff = max(k + 2, 4)
     model = product_model(k, cutoff, KUNNETH_TAU, 1)
     oracle = tensored_product(k, cutoff, KUNNETH_TAU, 1)
-    _, kunneth = deformed_square(model, T)
-    op = assemble_deformed(oracle, T)
-    tensored = dirac(op)
-    assert complex_property_defect(op) <= 1.0
-    for r in range(-2, 3):
-        got = kunneth.merged_eigenvalues(r)
-        want = tensored.merged_eigenvalues(r)
+    _, kunneth = deformed_spectra(model, T)
+    assert complex_property_defect(assemble_deformed(oracle, T)) <= 1.0
+    tensored = degree_eigenvalues(oracle, T)
+    degrees = []
+    for r, _, got, n in kunneth:
+        degrees.append(r)
+        want = tensored[r]
         assert got.shape == want.shape == (model.degree_dim(r),)
         assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
         # the PSD guard's dimension, against a walk of the left stacks
-        assert kunneth.member_dim(r) == max(
+        assert n == max(
             stack.degree_dim(r - b, 1) for stack in model.left.cells
             for b in (-1, 0, 1))
         count, gap, resolved, _ = cluster_kernel(got)
         want_count, want_gap, want_resolved, _ = cluster_kernel(want)
         assert (count, resolved) == (want_count, want_resolved)
         assert gap == pytest.approx(want_gap, rel=1e-9)
+    assert degrees == list(range(-2, 3))
 
 
 def test_product_complex_property_is_the_left_factors():
