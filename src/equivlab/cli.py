@@ -354,10 +354,11 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
         label = payload["label"]
         if payload.get("error"):
             # a solver failure leaves the answer open; a negative eigenvalue
-            # of a sum of Gram products means the operator is wrong
+            # of a sum of Gram products means the operator is wrong.  The
+            # model gets a verdict for each check its kind runs.
             state = "fail" if payload["non_psd"] else "unresolved"
             for check in config.checks:
-                if check in _CHECKS:
+                if check in _CHECKS and spec.kind in _kinds_checked(check):
                     verdicts[f"{check}:{label}"] = state
             continue
         if "complex_property" in config.checks:
@@ -599,6 +600,8 @@ def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
 # ---------------------------------------------------------------------------
 
 def _resolve_outdir(path: str) -> str:
+    """A run directory, written by a run or read by `report`, under
+    EQUIVLAB_OUTPUT_ROOT when it is relative and that is set."""
     root = os.environ.get("EQUIVLAB_OUTPUT_ROOT")
     if root and not os.path.isabs(path):
         return os.path.join(root, path)
@@ -736,7 +739,7 @@ def main(argv: list[str] | None = None) -> int:
                             "invalid oscillator parameters", args)
 
     if args.command == "report":
-        path = os.path.join(args.rundir, "report.json")
+        path = os.path.join(_resolve_outdir(args.rundir), "report.json")
         try:
             with open(path) as fh:
                 data = json.load(fh)

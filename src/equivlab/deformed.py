@@ -16,15 +16,19 @@ the eigenvalues' last bits.  The placement of the dbar and iv blocks in
 each d_T block depends only on the model, so it is made once; each T then
 forms A + T B.
 
+d_T is plain data, a {(stack, r): block} dict (`Blocks`).  The Dirac
+square and the d_T^2 defect read members and dimensions off the blocks'
+shapes, so they take the blocks alone.
+
 The product cp1 x torus has no blocks of its own (`geometry.product`): d_T,
 its defect, the Dirac square and the eigensolves are the cp1 factor's, and
 in product degree r the spectrum is every cp1 eigenvalue of degree r - b
 plus every torus level, once per torus label of degree b.
 
-`deformed_spectra` is the one path from a model and T to spectra, and
-`spectrum` reads one degree's `SpectrumResult` off it.  A sweep is its
-rows; its cohomology tables (plain degree -> count dicts), unresolved
-cells and growth are read off them.
+`deformed_spectra` is the one path from a model and T to d_T and the
+spectra, and `spectrum` reads one degree's `SpectrumResult` off it.  A
+sweep is its rows; its cohomology tables (plain degree -> count dicts),
+unresolved cells and growth are read off them.
 
 Kernel dimensions are read off by a relative-gap clustering rule:
 eigenvalues are floored at FLOOR_REL times the spectral scale, the largest
@@ -45,7 +49,7 @@ the exact T.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 from fractions import Fraction
 
@@ -67,17 +71,10 @@ WINDOW_FRACTION = 0.25
 RESOLVE_RATIO = 1.0e3
 
 
-@dataclass
-class DeformedOperator:
-    """d_T blocks per (stack, degree), each of shape (members, rows, cols).
-
-    Bases are orthonormal, so the adjoint of each block is its conjugate
-    transpose.
-    """
-
-    model: AssembledModel
-    T: float
-    blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+# per (stack, degree r), the stack's member matrices in its orthonormal
+# bases, so a block's adjoint is its conjugate transpose; d_T's degree-r
+# block has shape (members, dim_{r+1}, dim_r)
+Blocks = dict[tuple[int, int], np.ndarray]
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -118,26 +115,27 @@ def _placed(stack: CellStack, n: int, r: int
     return a, b
 
 
-def assemble_deformed(model: AssembledModel, T: float) -> DeformedOperator:
-    """Form d_T = dbar + T iv per stack and degree, as the complex
-    T B + A, from the placement of dbar (A) and iv (B) that the model
-    keeps after its first d_T.  dbar raises q and iv lowers p, so A and B
-    have disjoint supports: every entry is an entry of A or T times an
-    entry of B, plus a zero, as when both are added into zeros."""
-    op = DeformedOperator(model=model, T=float(T))
+def assemble_deformed(model: AssembledModel, T: float) -> Blocks:
+    """d_T = dbar + T iv per stack and degree, as the complex T B + A, from
+    the placement of dbar (A) and iv (B) that the model keeps after its
+    first d_T.  dbar raises q and iv lowers p, so A and B have disjoint
+    supports: every entry is an entry of A or T times an entry of B, plus a
+    zero, as when both are added into zeros."""
+    T = float(T)
+    blocks: Blocks = {}
     placed = model.placed_dt
     for si, stack in enumerate(model.cells):
         for r in range(-model.n, model.n + 1):
             if (si, r) not in placed:
                 placed[si, r] = _placed(stack, model.n, r)
             a, b = placed[si, r]
-            d = np.multiply(b, op.T, out=np.empty(b.shape, dtype=complex))
+            d = np.multiply(b, T, out=np.empty(b.shape, dtype=complex))
             d += a
-            op.blocks[(si, r)] = d
-    return op
+            blocks[si, r] = d
+    return blocks
 
 
-def complex_property_defect(op: DeformedOperator) -> float:
+def complex_property_defect(blocks: Blocks) -> float:
     """Worst ratio, over stacks, members and degrees, of ||d_{r+1} d_r||_F
     to its round-off bound (k + 8) eps ||d_{r+1}||_F ||d_r||_F, where k is
     the inner dimension: gamma_k covers the product, and the rest a few
@@ -145,42 +143,36 @@ def complex_property_defect(op: DeformedOperator) -> float:
     0, and above 1 where d_T^2 = 0 fails beyond round-off.  (Exact closure
     is separately certified in rational arithmetic for the curved model.)"""
     worst = 0.0
-    model = op.model
-    for si in range(len(model.cells)):
-        for r in range(-model.n, model.n):
-            a = op.blocks[(si, r)]
-            b = op.blocks[(si, r + 1)]
-            if a.size and b.size:
-                defect = np.linalg.norm(b @ a, axis=(-2, -1))
-                bound = ((a.shape[-2] + 8) * _EPS
-                         * np.linalg.norm(b, axis=(-2, -1))
-                         * np.linalg.norm(a, axis=(-2, -1)))
-                ratio = np.divide(defect, bound, out=np.zeros_like(defect),
-                                  where=defect > 0)
-                worst = max(worst, float(ratio.max()))
+    for (si, r), a in blocks.items():
+        b = blocks.get((si, r + 1))
+        if b is not None and a.size and b.size:
+            defect = np.linalg.norm(b @ a, axis=(-2, -1))
+            bound = ((a.shape[-2] + 8) * _EPS
+                     * np.linalg.norm(b, axis=(-2, -1))
+                     * np.linalg.norm(a, axis=(-2, -1)))
+            ratio = np.divide(defect, bound, out=np.zeros_like(defect),
+                              where=defect > 0)
+            worst = max(worst, float(ratio.max()))
     return worst
 
 
-def dirac(op: DeformedOperator) -> dict[tuple[int, int], np.ndarray]:
+def dirac(blocks: Blocks) -> Blocks:
     """Per (stack, degree), the Dirac squares of every member in
-    orthonormal bases, shape (members, dim, dim); each is exactly
-    Hermitian, 0.5 (h + h^*)."""
-    model = op.model
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for si, stack in enumerate(model.cells):
-        for r in range(-model.n, model.n + 1):
-            dim = stack.degree_dim(r, model.n)
-            if dim == 0:
-                continue
-            h = np.zeros((stack.size, dim, dim), dtype=complex)
-            below = op.blocks.get((si, r - 1))
-            here = op.blocks[(si, r)]
-            if below is not None and below.size:
-                h += below @ _adjoint(below)
-            if here.size:
-                h += _adjoint(here) @ here
-            h *= 2.0
-            cells[(si, r)] = 0.5 * (h + _adjoint(h))
+    orthonormal bases, shape (members, dim_r, dim_r); each is exactly
+    Hermitian, 0.5 (h + h^*).  A degree with no basis has none."""
+    cells: Blocks = {}
+    for (si, r), here in blocks.items():
+        members, _, dim = here.shape
+        if dim == 0:
+            continue
+        h = np.zeros((members, dim, dim), dtype=complex)
+        below = blocks.get((si, r - 1))
+        if below is not None and below.size:
+            h += below @ _adjoint(below)
+        if here.size:
+            h += _adjoint(here) @ here
+        h *= 2.0
+        cells[si, r] = 0.5 * (h + _adjoint(h))
     return cells
 
 
@@ -189,27 +181,29 @@ Degree = tuple[int, float, np.ndarray, int]
 
 
 def deformed_spectra(model: AssembledModel | ProductModel, T: float
-                     ) -> tuple[DeformedOperator, Iterator[Degree]]:
-    """d_T at T, and per degree r of D_T^2 its sorted eigenvalues with n,
-    the largest member dimension entering them (the n of the PSD guard),
-    each formed only when the iterator reaches it; `starmap(spectrum, ...)`
-    lets go of a degree's eigenvalues before the next are formed.
+                     ) -> tuple[Blocks, Iterator[Degree]]:
+    """d_T's blocks at T, and per degree r of D_T^2 its sorted eigenvalues
+    with n, the largest member dimension entering them (the n of the PSD
+    guard), each formed only when the iterator reaches it;
+    `starmap(spectrum, ...)` lets go of a degree's eigenvalues before the
+    next are formed.
 
     For a product, d_T is the left factor's (d_T^2 = d_{T,L}^2 (x) 1), whose
     eigenvalues are solved up front; degree r holds, for each right degree
     b, every sum of a left eigenvalue of degree r - b and a torus level,
     RIGHT_MULTIPLICITY[b] times, and n is the largest over those degrees."""
+    T = float(T)
     if not isinstance(model, ProductModel):
-        op = assemble_deformed(model, T)
-        return op, _degrees(model, dirac(op), op.T)
-    op = assemble_deformed(model.left, T)
+        blocks = assemble_deformed(model, T)
+        return blocks, _degrees(model, dirac(blocks), T)
+    blocks = assemble_deformed(model.left, T)
     left = {r: (evals, n)
-            for r, _, evals, n in _degrees(model.left, dirac(op), op.T)}
-    return op, _kunneth_degrees(model, left, op.T)
+            for r, _, evals, n in _degrees(model.left, dirac(blocks), T)}
+    return blocks, _kunneth_degrees(model, left, T)
 
 
-def _degrees(model: AssembledModel, cells: dict[tuple[int, int], np.ndarray],
-             T: float) -> Iterator[Degree]:
+def _degrees(model: AssembledModel, cells: Blocks, T: float
+             ) -> Iterator[Degree]:
     for r in range(-model.n, model.n + 1):
         stacks = [(si, h) for (si, rr), h in cells.items() if rr == r]
         n = max((h.shape[-1] for _, h in stacks), default=0)
@@ -394,10 +388,10 @@ def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
     defects: dict[float, float] = {}
     for T in T_list:
         # one d_T per T serves both the complex property and the spectra
-        op, degrees = deformed_spectra(model, T)
-        defects[op.T] = complex_property_defect(op)
+        blocks, degrees = deformed_spectra(model, T)
+        defects[float(T)] = complex_property_defect(blocks)
         rows += starmap(spectrum, degrees)
-        del op, degrees     # free this T's blocks before the next T's
+        del blocks, degrees     # free this T's blocks before the next T's
     return SweepResult(rows=rows, complex_defect_ratio=defects)
 
 

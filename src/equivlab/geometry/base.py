@@ -159,10 +159,6 @@ class CellStack:
         return [(p, q) for p in range(n + 1) for q in range(n + 1)
                 if q - p == r and self.dim((p, q)) > 0]
 
-    def degree_dim(self, r: int, n: int) -> int:
-        """Dimension of the degree-r block of one member."""
-        return sum(self.dim(pq) for pq in self.pqs_of_degree(r, n))
-
 
 @dataclass
 class AssembledModel:
@@ -178,6 +174,3 @@ class AssembledModel:
     @property
     def n(self) -> int:
         return self.spec.n
-
-    def degree_dim(self, r: int) -> int:
-        return sum(c.size * c.degree_dim(r, self.n) for c in self.cells)

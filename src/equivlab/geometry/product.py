@@ -42,11 +42,6 @@ class ProductModel:
     gram_pivot_ratio = property(lambda self: self.left.gram_pivot_ratio)
     exact = property(lambda self: self.left.exact)
 
-    def degree_dim(self, r: int) -> int:
-        return len(self.levels) * sum(
-            mult * self.left.degree_dim(r - b)
-            for b, mult in RIGHT_MULTIPLICITY.items())
-
 
 def assemble_product(spec: ModelSpec) -> ProductModel:
     """The assembled left factor and the torus levels."""

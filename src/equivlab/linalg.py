@@ -250,21 +250,19 @@ class Orthonormalizer:
     lcols[j] = (nums, den), and row i of L^{-1} is inv_rows[i] = (nums, den),
     its entries 0..i, each as nums / den over the least common denominator.
     They are read from the weight's `RomanovskiTable`, which every block of
-    the same weight may share.
+    the same weight shares.
     """
 
     def __init__(self, alpha: int, big_p: int, n: int,
-                 table: RomanovskiTable | None = None):
+                 table: RomanovskiTable):
         """Factor the n x n Hankel Gram G_ij = m(alpha + i + j, P), the
         moments m(u, P) = u! (P-u-2)! / (P-1)! of the weight
-        t^alpha (1+t)^-P, from the closed forms of its factors; table, if
-        given, is the weight's own."""
+        t^alpha (1+t)^-P, from the closed forms of its factors, read from
+        table, the weight's own."""
         if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
             raise ValueError(
                 f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
         self.alpha, self.big_p, self.dim = alpha, big_p, n
-        if table is None:
-            table = RomanovskiTable(alpha, big_p)
         self.table = table
         self.sqrt_d = table.sqrt_pivots(n)
         self.inv_rows = table.rows[:n]

@@ -1,7 +1,9 @@
 """Analytic ground truth: Hodge tables of the desk models, their zero-set
 tables, Kunneth combination, and the localization prediction that the
 deformed kernel dimensions per degree equal the cohomology of the field's
-zero set.  A per-degree table is a plain dict, degree r -> dimension.
+zero set.  A Hodge table is a plain dict, (p, q) -> h^{p,q}, of its
+nonzero entries, and a per-degree table one of degree r -> dimension;
+`per_degree` reads the second off the first.
 
 Closed-form entries are never trusted alone: the committed fixture is
 cross-validated in the test suite against exact degree-(p,q) kernel counts
@@ -17,64 +19,48 @@ from importlib import resources
 from .geometry.base import ModelError, ModelSpec
 
 
-@dataclass(frozen=True)
-class OracleTable:
-    """Hodge numbers h^{p,q} of one model, as a (p,q) -> dim map."""
+# h^{p,q} of one model: its nonzero entries, (p, q) -> dim
+HodgeTable = dict[tuple[int, int], int]
 
-    n: int
-    h: tuple  # tuple of ((p, q), dim)
-
-    @classmethod
-    def make(cls, n: int, entries: dict) -> "OracleTable":
-        for (p, q), v in entries.items():
-            if not (0 <= p <= n and 0 <= q <= n) and v:
-                raise ValueError(f"entry outside bidegree square: {(p, q)}")
-        return cls(n, tuple(sorted((pq, v) for pq, v in entries.items() if v)))
-
-    def entry(self, p: int, q: int) -> int:
-        return dict(self.h).get((p, q), 0)
-
-    def per_degree(self) -> dict[int, int]:
-        dims = {r: 0 for r in range(-self.n, self.n + 1)}
-        for (p, q), v in self.h:
-            dims[q - p] += v
-        return dims
+POINT_TABLE: HodgeTable = {(0, 0): 1}
 
 
-POINT_TABLE = OracleTable.make(0, {(0, 0): 1})
+def per_degree(table: HodgeTable, n: int) -> dict[int, int]:
+    """The table's dimension per degree r = q - p, for r in [-n, n]; an
+    entry outside that range raises KeyError."""
+    dims = dict.fromkeys(range(-n, n + 1), 0)
+    for (p, q), v in table.items():
+        dims[q - p] += v
+    return dims
 
 
-def kunneth(left: OracleTable, right: OracleTable) -> OracleTable:
+def kunneth(left: HodgeTable, right: HodgeTable) -> HodgeTable:
     """h^{p,q} of a product as the bidegree convolution of the factors."""
-    n = left.n + right.n
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), u in left.h:
-        for (c, d), v in right.h:
+    out: HodgeTable = {}
+    for (a, b), u in left.items():
+        for (c, d), v in right.items():
             key = (a + c, b + d)
             out[key] = out.get(key, 0) + u * v
-    return OracleTable.make(n, out)
+    return out
 
 
-def torus_table() -> OracleTable:
+def torus_table() -> HodgeTable:
     """Trivially twisted flat torus: every corner of the square is one."""
-    return OracleTable.make(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    return {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
-def cp1_table(k: int) -> OracleTable:
+def cp1_table(k: int) -> HodgeTable:
     """Twist-k line bundle on the projective line: holomorphic sections are
     polynomials of degree <= k, the (1, q) row is the twist shifted by the
     canonical bundle, and duality fills the rest."""
     if k < 0:
         raise ModelError("negative twists are not modelled")
-    h00 = k + 1
-    h01 = 0
-    h10 = max(k - 1, 0)
-    h11 = max(1 - k, 0)
-    return OracleTable.make(1, {(0, 0): h00, (0, 1): h01,
-                                (1, 0): h10, (1, 1): h11})
+    # h^{0,1} = 0 for every k >= 0
+    entries = {(0, 0): k + 1, (1, 0): k - 1, (1, 1): 1 - k}
+    return {pq: v for pq, v in entries.items() if v > 0}
 
 
-def model_hodge_table(spec: ModelSpec) -> OracleTable:
+def model_hodge_table(spec: ModelSpec) -> HodgeTable:
     """Closed-form undeformed cohomology table of a supported model."""
     if spec.kind == "torus":
         return torus_table()
@@ -91,12 +77,12 @@ class ZeroSetDescriptor:
     """Connected components of the field's zero set: complex dimension,
     restricted fiber rank, and the component's own cohomology table."""
 
-    components: tuple  # tuple of (dim, rank, OracleTable)
+    components: tuple  # tuple of (dim, rank, HodgeTable)
 
     def total_per_degree(self, ambient_n: int) -> dict[int, int]:
         dims = {r: 0 for r in range(-ambient_n, ambient_n + 1)}
-        for _, rank, table in self.components:
-            for r, v in table.per_degree().items():
+        for dim, rank, table in self.components:
+            for r, v in per_degree(table, dim).items():
                 dims[r] += rank * v
         return dims
 
@@ -138,10 +124,10 @@ def generate_fixture_tables() -> dict:
            "provenance": ("closed-form counts cross-validated against exact "
                           "degree-(p,q) kernel dimensions of the undeformed "
                           "truncated complex at cutoff 8; see tests"),
-           "torus": {f"{p},{q}": torus_table().entry(p, q)
+           "torus": {f"{p},{q}": torus_table().get((p, q), 0)
                      for p in (0, 1) for q in (0, 1)},
            "cp1": {}}
     for k in range(4):
-        out["cp1"][str(k)] = {f"{p},{q}": cp1_table(k).entry(p, q)
+        out["cp1"][str(k)] = {f"{p},{q}": cp1_table(k).get((p, q), 0)
                               for p in (0, 1) for q in (0, 1)}
     return out

@@ -1,6 +1,7 @@
 """Per-degree reads of `deformed.deformed_spectra` at one T, as a sweep
 makes them, for tests that look at a single T (T = 0 included, which a
-sweep refuses)."""
+sweep refuses), and the degree dimensions of assembled stacks, counted
+from their bidegree dims."""
 
 from itertools import starmap
 
@@ -21,3 +22,13 @@ def degree_results(model, T):
 def kernel_table(model, T):
     """The kernel count per degree r."""
     return {r: res.kernel_count for r, res in degree_results(model, T).items()}
+
+
+def member_dim(stack, r):
+    """The degree-r dimension of one member of a stack, from its dims."""
+    return sum(d for (p, q), d in stack.dims.items() if q - p == r)
+
+
+def degree_dim(model, r):
+    """The degree-r dimension of an assembled model, from its stacks."""
+    return sum(stack.size * member_dim(stack, r) for stack in model.cells)

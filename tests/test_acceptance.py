@@ -35,7 +35,7 @@ from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
 from equivlab.oracle import localization_prediction
 from equivlab.scalars import ExactScalar
 from product_oracle import tensored_product
-from spectra import kernel_table
+from spectra import kernel_table, member_dim
 
 
 def _report(tag: str, ok: bool, detail: str = "") -> None:
@@ -234,7 +234,7 @@ def test_a8_positive_dimensional_zero_set():
     model = product_model(0, 8, 1j, 4)
     predicted = localization_prediction(model.spec)
     # the eigensolves run on the cp1 factor's blocks only
-    per_cell_max = max(cell.degree_dim(r, 1)
+    per_cell_max = max(member_dim(cell, r)
                        for cell in model.left.cells for r in range(-1, 2))
     ok = per_cell_max <= 4000
     sweep = t_sweep(model, [4.0, 8.0])

@@ -643,12 +643,16 @@ def test_localization_verdict_reads_every_t(tables, unresolved, want):
         f"localization:{spec.label()}": want}
 
 
-def test_output_root_override(tmp_path, monkeypatch):
+def test_output_root_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EQUIVLAB_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(small_config()))
     assert main(["run", str(cfg), "-o", "nested/run"]) == 0
     assert (tmp_path / "nested/run/report.json").exists()
+    # report reads the relative run directory under the same root
+    capsys.readouterr()
+    assert main(["report", "nested/run"]) == 0
+    assert capsys.readouterr().out.endswith("worst verdict: pass\n")
 
 
 def test_unresolved_oscillator_kernel_has_no_gap(monkeypatch):
@@ -729,18 +733,46 @@ def test_results_csv_columns_parse(tmp_path):
     assert all(row["model"] == labels[row["kind"]] for row in rows)
 
 
+# the checks a model of each kind runs, failed or not: torus 5, cp1 4,
+# product 3
+KIND_CHECKS = {"torus": ("localization", "euler", "complex_property",
+                         "vanishing", "bochner"),
+               "cp1": ("localization", "euler", "complex_property", "bochner"),
+               "product": ("localization", "euler", "complex_property")}
+
+
+def failed_config(models):
+    """small_config over the named models (torus, cp1, product), and the
+    exact verdict keys its models get when every one of them fails."""
+    entries = dict(zip(("torus", "cp1"), small_config()["models"]),
+                   product=PRODUCT)
+    raw = small_config()
+    raw["models"] = [entries[kind] for kind in models]
+    config = parse_config(raw)
+    keys = {f"{check}:{spec.label()}" for spec in config.models
+            for check in KIND_CHECKS[spec.kind]}
+    return config, keys
+
+
+# the failed models of one run, and their number of verdict keys
+FAILED_MODELS = [(("torus", "cp1"), 9), (("torus", "product"), 8)]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_eigensolver_failure_is_unresolved(tmp_path, monkeypatch, jobs):
     def failing(h, context=None):
         raise EigensolverError("no convergence", dict(context or {}))
 
     monkeypatch.setattr(deformed, "hermitian_eigenvalues", failing)
-    config = parse_config(small_config())
-    report = run(config, str(tmp_path / "out"), jobs=jobs)
-    # every configured check of both models
-    assert len(report.verdicts) == 2 * 5
-    assert set(report.verdicts.values()) == {"unresolved"}
-    assert report.exit_code() == 1
+    for i, (models, n_keys) in enumerate(FAILED_MODELS):
+        config, keys = failed_config(models)
+        report = run(config, str(tmp_path / f"out{i}"), jobs=jobs)
+        # every configured check that each model's kind runs, as in a
+        # passing run of the same kinds
+        assert len(keys) == n_keys
+        assert report.verdicts.keys() == keys
+        assert set(report.verdicts.values()) == {"unresolved"}
+        assert report.exit_code() == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -779,14 +811,17 @@ def test_non_psd_spectrum_fails(tmp_path, monkeypatch, jobs):
         return evals
 
     monkeypatch.setattr(deformed, "hermitian_eigenvalues", negative)
-    config = parse_config(small_config())
-    report = run(config, str(tmp_path / "out"), jobs=jobs)
-    assert len(report.verdicts) == 2 * 5
-    assert set(report.verdicts.values()) == {"fail"}
-    assert report.exit_code() == 2
-    payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
-    assert all(p["non_psd"] and "not PSD" in p["error"]
-               for p in payloads["payloads"])
+    for i, (models, n_keys) in enumerate(FAILED_MODELS):
+        config, keys = failed_config(models)
+        report = run(config, str(tmp_path / f"out{i}"), jobs=jobs)
+        assert len(keys) == n_keys
+        assert report.verdicts.keys() == keys
+        assert set(report.verdicts.values()) == {"fail"}
+        assert report.exit_code() == 2
+        payloads = json.loads(
+            (tmp_path / f"out{i}" / "payloads.json").read_text())
+        assert all(p["non_psd"] and "not PSD" in p["error"]
+                   for p in payloads["payloads"])
 
 
 def test_large_T_sweep_passes(tmp_path):

@@ -23,8 +23,8 @@ from equivlab.geometry.cp1 import (Cp1Exact, _compose, _dual_wedge_pencil,
                                    curvature_wedge, dbar, dbar_star,
                                    dual_field_wedge, field_contract,
                                    field_norm_mul, weight_exponent)
-from equivlab.linalg import (Orthonormalizer, fmatmul, invert_unit_lower,
-                             ldlt, to_ints)
+from equivlab.linalg import (Orthonormalizer, RomanovskiTable, fmatmul,
+                             invert_unit_lower, ldlt, to_ints)
 from test_deformed import doubled
 from test_linalg import dense
 
@@ -277,7 +277,9 @@ def test_closed_form_chunks_match_sorted_monomials(k, cutoff):
         for chi, monos in want.items():
             chunk = block.chunks[chi]
             assert chunk.monomials() == monos
-            ref = Orthonormalizer(sum(monos[0]), big_p, len(monos))
+            alpha = sum(monos[0])
+            ref = Orthonormalizer(alpha, big_p, len(monos),
+                                  RomanovskiTable(alpha, big_p))
             assert (chunk.ortho.lcols, chunk.ortho.inv_rows, chunk.ortho.D) == (
                 ref.lcols, ref.inv_rows, ref.D)
 
@@ -440,10 +442,10 @@ def test_chunk_diagonals_and_banded_composition(k, cutoff):
 def test_assembled_complex_property_float():
     model = cp1_model(1, 8)
     for T in (0.0, 1.0, 4.0):
-        op = assemble_deformed(model, T)
-        assert complex_property_defect(op) <= 1.0
-        for (si, r), a in op.blocks.items():
-            b = op.blocks.get((si, r + 1))
+        blocks = assemble_deformed(model, T)
+        assert complex_property_defect(blocks) <= 1.0
+        for (si, r), a in blocks.items():
+            b = blocks.get((si, r + 1))
             if b is not None and a.size and b.size:
                 assert np.linalg.norm(b @ a, 2, axis=(-2, -1)).max() < 1e-12
 
@@ -633,8 +635,10 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
     def fresh(pq, chi):
         block = ex.blocks[pq]
         chunk = block.chunks[chi]
-        return Orthonormalizer(abs(chunk.a0 - chunk.b0),
-                               weight_exponent(*pq, block.den, k), chunk.n)
+        alpha = abs(chunk.a0 - chunk.b0)
+        big_p = weight_exponent(*pq, block.den, k)
+        return Orthonormalizer(alpha, big_p, chunk.n,
+                               RomanovskiTable(alpha, big_p))
 
     paths = [(ex.dbar_chunks, "dbar", lambda p, q: (p, 1)),
              (ex.iv_chunks, "iv", lambda p, q: (0, q))]

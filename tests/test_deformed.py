@@ -16,7 +16,8 @@ from equivlab.geometry import cp1 as cp1mod
 from equivlab.geometry import cp1_model, product_model, torus_model
 from equivlab.geometry.torus import laplace_eigenvalue
 from product_oracle import tensored_product
-from spectra import degree_eigenvalues, degree_results, kernel_table
+from spectra import (degree_dim, degree_eigenvalues, degree_results,
+                     kernel_table)
 
 
 # --- clustering rule -------------------------------------------------------
@@ -120,8 +121,7 @@ def test_deformed_blocks_at_T0_equal_plain():
     # at T = 0 the only nonzero blocks of d_T are the Dolbeault blocks,
     # placed from (p, q) to (p, q + 1) within the degree-r block of d_T
     for model in (torus_model(1j, 2, 1.0), cp1_model(1, 6)):
-        op0 = assemble_deformed(model, 0.0)
-        for (si, r), blk in op0.blocks.items():
+        for (si, r), blk in assemble_deformed(model, 0.0).items():
             stack = model.cells[si]
             want = np.zeros_like(blk)
             tgt = stack.pqs_of_degree(r + 1, model.n)
@@ -142,13 +142,13 @@ def test_adjoint_pairing_identity():
     # transpose in the orthonormal bases, for every member of every stack
     rng = np.random.default_rng(5)
     for model in (cp1_model(1, 6), tensored_product(1, 5, 0.3 + 1.1j, 1)):
-        op = assemble_deformed(model, 2.0)
-        for (si, r), hs in dirac(op).items():
+        blocks = assemble_deformed(model, 2.0)
+        for (si, r), hs in dirac(blocks).items():
             for i, h in enumerate(hs):
                 u = (rng.standard_normal(h.shape[0])
                      + 1j * rng.standard_normal(h.shape[0]))
-                here = op.blocks[(si, r)][i]
-                below = (op.blocks[(si, r - 1)][i] if (si, r - 1) in op.blocks
+                here = blocks[(si, r)][i]
+                below = (blocks[(si, r - 1)][i] if (si, r - 1) in blocks
                          else np.zeros((h.shape[0], 0)))
                 lhs = np.vdot(u, h @ u)
                 rhs = 2.0 * (np.linalg.norm(here @ u) ** 2
@@ -174,7 +174,7 @@ def test_spectra_nonnegative():
     for r in (-1, 0, 1):
         res = results[r]
         assert res.eigenvalues[0] >= -1e-10
-        assert res.dim == model.degree_dim(r)
+        assert res.dim == degree_dim(model, r)
 
 
 def test_torus_deformed_spectrum_matches_fourier_oracle():

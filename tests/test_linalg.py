@@ -205,7 +205,7 @@ def test_transform_op_is_rounded_exact_core(case):
     # the float view is the exact core L^T M L^-T rounded entrywise, then
     # scaled by D^(1/2) on each side
     params, m = case
-    ortho = Orthonormalizer(*params)
+    ortho = Orthonormalizer(*params, RomanovskiTable(*params[:2]))
     L, _ = ldlt(moment_gram(*params))
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
@@ -229,7 +229,8 @@ def test_transform_op_between_two_blocks(case):
     # an integer operator between two Gram blocks, as the cp1 chunks are:
     # L_t^T M L_s^-T rounded entrywise, each factor from its own side
     gt, gs, m = case
-    tgt, src = Orthonormalizer(*gt), Orthonormalizer(*gs)
+    tgt = Orthonormalizer(*gt, RomanovskiTable(*gt[:2]))
+    src = Orthonormalizer(*gs, RomanovskiTable(*gs[:2]))
     Lt, Ls = ldlt(moment_gram(*gt))[0], ldlt(moment_gram(*gs))[0]
     core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
                        transpose(invert_unit_lower(Ls)))
@@ -283,7 +284,7 @@ def test_invert_unit_lower():
 
 
 def test_orthonormalizer_identity_transform():
-    ortho = Orthonormalizer(1, 16, 6)
+    ortho = Orthonormalizer(1, 16, 6, RomanovskiTable(1, 16))
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
     t = ortho.transform_op(diagonals(eye), ortho)
@@ -294,7 +295,7 @@ def test_orthonormalizer_identity_transform():
 def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
-    ortho = Orthonormalizer(2, 14, 5)
+    ortho = Orthonormalizer(2, 14, 5, RomanovskiTable(2, 14))
     got = ortho.transform_op(diagonals(m), ortho)
     mf = to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
@@ -310,7 +311,7 @@ def test_orthonormalizer_integer_factors_rebuild_ldlt(params):
     # G = L D L^T; the rows and pivots are those `romanovski_row` and
     # `romanovski_pivot` give one m at a time
     (alpha, big_p, n), g = params, moment_gram(*params)
-    ortho = Orthonormalizer(*params)
+    ortho = Orthonormalizer(alpha, big_p, n, RomanovskiTable(alpha, big_p))
     rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
     pivots = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
     assert (ortho.inv_rows, ortho.D) == (rows, pivots)
@@ -340,7 +341,7 @@ def test_factors_are_romanovski_closed_forms(params):
     # (P-m-1)! (beta)_m; and L = G L^-T D^-1 column by column
     alpha, big_p, n = params
     g, f = moment_gram(alpha, big_p, n), math.factorial
-    ortho = Orthonormalizer(alpha, big_p, n)
+    ortho = Orthonormalizer(alpha, big_p, n, RomanovskiTable(alpha, big_p))
     for m in range(n):
         beta = m + alpha - big_p + 1
         coeffs = [Fraction(math.comb(m, j) * rising(beta, j),
@@ -370,7 +371,7 @@ def test_shared_table_reads_each_size_as_its_own(params, data):
     table = RomanovskiTable(alpha, big_p)
     for m in sizes + [n] + sizes:
         shared = Orthonormalizer(alpha, big_p, m, table)
-        own = Orthonormalizer(alpha, big_p, m)
+        own = Orthonormalizer(alpha, big_p, m, RomanovskiTable(alpha, big_p))
         assert (shared.inv_rows, shared.D) == (own.inv_rows, own.D)
         assert np.array_equal(shared.sqrt_d, own.sqrt_d)
         assert shared.lcols == own.lcols
@@ -379,9 +380,9 @@ def test_shared_table_reads_each_size_as_its_own(params, data):
 
 def test_orthonormalizer_rejects_divergent_moments():
     # the last moment u = alpha + 2(n-1) must stay <= P - 2
-    Orthonormalizer(3, 11, 4)
+    Orthonormalizer(3, 11, 4, RomanovskiTable(3, 11))
     with pytest.raises(ValueError):
-        Orthonormalizer(3, 10, 4)
+        Orthonormalizer(3, 10, 4, RomanovskiTable(3, 10))
 
 
 def test_hermitian_eigenvalues_diagnostics():

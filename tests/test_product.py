@@ -13,7 +13,7 @@ from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.product import product_model
 from product_oracle import tensored_product
-from spectra import degree_eigenvalues
+from spectra import degree_dim, degree_eigenvalues, degree_results, member_dim
 
 
 def test_degree_range_and_kunneth_dims():
@@ -21,14 +21,14 @@ def test_degree_range_and_kunneth_dims():
     assert model.n == 2
     modes = (2 * 1 + 1) ** 2
     left = {(0, 0): 25, (1, 0): 15, (0, 1): 24, (1, 1): 16}
+    dims = {r: res.dim for r, res in degree_results(model, 0.0).items()}
     # r = -2 block dim = (left r=-1 dim) x (right r=-1 dim per mode) x modes
-    assert model.degree_dim(-2) == left[(1, 0)] * modes
+    assert dims[-2] == left[(1, 0)] * modes
     # Kunneth counting for r = 0
     expect_r0 = (left[(0, 0)] + left[(1, 1)]) * 2 + left[(1, 0)] + left[(0, 1)]
-    assert model.degree_dim(0) == expect_r0 * modes
+    assert dims[0] == expect_r0 * modes
     oracle = tensored_product(0, 4, 1j, 1)
-    assert all(model.degree_dim(r) == oracle.degree_dim(r)
-               for r in range(-2, 3))
+    assert dims == {r: degree_dim(oracle, r) for r in range(-2, 3)}
 
 
 def test_unsupported_factor_combination():
@@ -43,10 +43,10 @@ def test_unsupported_factor_combination():
 def test_complex_property_on_product():
     model = tensored_product(0, 4, 1j, 1)
     for T in (0.0, 1.0, 4.0):
-        op = assemble_deformed(model, T)
-        assert complex_property_defect(op) <= 1.0
-        for (si, r), a in op.blocks.items():
-            b = op.blocks.get((si, r + 1))
+        blocks = assemble_deformed(model, T)
+        assert complex_property_defect(blocks) <= 1.0
+        for (si, r), a in blocks.items():
+            b = blocks.get((si, r + 1))
             if b is not None and a.size and b.size:
                 assert np.linalg.norm(b @ a, 2, axis=(-2, -1)).max() < 1e-12
 
@@ -109,12 +109,11 @@ def test_kunneth_route_matches_tensored_oracle(k, T):
     for r, _, got, n in kunneth:
         degrees.append(r)
         want = tensored[r]
-        assert got.shape == want.shape == (model.degree_dim(r),)
+        assert got.shape == want.shape == (degree_dim(oracle, r),)
         assert np.max(np.abs(got - want)) <= 1e-12 * float(want[-1])
         # the PSD guard's dimension, against a walk of the left stacks
-        assert n == max(
-            stack.degree_dim(r - b, 1) for stack in model.left.cells
-            for b in (-1, 0, 1))
+        assert n == max(member_dim(stack, r - b) for stack in model.left.cells
+                        for b in (-1, 0, 1))
         count, gap, resolved, _ = cluster_kernel(got)
         want_count, want_gap, want_resolved, _ = cluster_kernel(want)
         assert (count, resolved) == (want_count, want_resolved)

@@ -218,11 +218,11 @@ def test_stacked_geometry_matches_sectors(case):
 def test_stacked_pipeline_equals_per_sector(case, T):
     model, sectors = CASES[case]()
     n = model.n
-    op = assemble_deformed(model, T)
-    cells = dirac(op)
+    blocks = assemble_deformed(model, T)
+    cells = dirac(blocks)
     for (si, i), sector in zip(members(model), sectors):
         for r in range(-n, n + 1):
-            assert np.array_equal(op.blocks[(si, r)][i],
+            assert np.array_equal(blocks[(si, r)][i],
                                   degree_map(sector, n, r, T))
             if sector.degree_dim(r, n):
                 assert np.array_equal(cells[(si, r)][i],
@@ -234,7 +234,7 @@ def test_stacked_pipeline_equals_per_sector(case, T):
                  if h.size]
         assert np.array_equal(spectra[r],
                               np.sort(np.concatenate(parts)))
-    assert complex_property_defect(op) == sector_defect(sectors, n, T)
+    assert complex_property_defect(blocks) == sector_defect(sectors, n, T)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -247,14 +247,14 @@ def test_dt_placement_is_built_once_per_model(case):
     n = model.n
     placed = None
     for T in T_VALUES + T_VALUES:
-        op = assemble_deformed(model, T)
+        blocks = assemble_deformed(model, T)
         placed = placed or dict(model.placed_dt)
-        assert model.placed_dt.keys() == placed.keys() == op.blocks.keys()
+        assert model.placed_dt.keys() == placed.keys() == blocks.keys()
         assert all(model.placed_dt[key][j] is ab[j]
                    for key, ab in placed.items() for j in (0, 1))
         for (si, i), sector in zip(members(model), sectors):
             for r in range(-n, n + 1):
-                got = op.blocks[(si, r)][i]
+                got = blocks[(si, r)][i]
                 want = degree_map(sector, n, r, T)
                 assert np.array_equal(got, want)
                 assert got.dtype == want.dtype

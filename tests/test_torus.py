@@ -62,8 +62,8 @@ def test_contraction_kills_antiholomorphic_labels():
 def test_truncation_exactly_invariant():
     model = torus_model(1j, 3, 1.0)
     assert all(v == 0.0 for v in model.leakage.values())
-    op = assemble_deformed(model, 4.0)
-    assert complex_property_defect(op) == 0.0
+    blocks = assemble_deformed(model, 4.0)
+    assert complex_property_defect(blocks) == 0.0
 
 
 def test_degenerate_modulus_rejected():
