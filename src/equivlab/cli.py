@@ -28,22 +28,20 @@ import numpy as np
 from . import __version__
 from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, NotPSDError,
                        bochner_check, deformed_spectra, graded_euler, spectrum,
-                       sweep_rows_for_csv, t_sweep)
+                       sweep_rows_for_csv, t_sweep, torus_bochner_bound)
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
 from .geometry import assemble
 from .geometry.base import SCHEMA_VERSION, FieldSpec, ModelError, ModelSpec
 from .linalg import EigensolverError
-from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, CutoffProfile,
-                         OscillatorModel, alpha_T, isometry_defect,
-                         kernel_overlap, oscillator_galerkin,
-                         oscillator_spectrum_analytic)
+from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, OscillatorModel,
+                         alpha_T, isometry_defect, kernel_overlap,
+                         oscillator_galerkin, oscillator_spectrum_analytic)
 from .oracle import localization_prediction
 
 CONFIG_SCHEMA_VERSION = 1
 _CHECKS = ("complex_property", "bochner", "localization", "vanishing", "euler")
-_FLOAT_ZERO = 1.0e-11
 # the alpha check's cutoff radius and T, the point its 0.002 bound was set at
 CUTOFF_EPS = 1.0
 ALPHA_T_PROBE = 100.0
@@ -373,7 +371,8 @@ def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]
                 # rational arithmetic: the identity holds or it does not
                 ok = res["residual"] == 0.0
             else:
-                ok = res["residual"] <= _FLOAT_ZERO
+                ok = res["residual"] <= torus_bochner_bound(
+                    spec, config.T_grid[0])
             verdicts[f"bochner:{label}"] = "pass" if ok else "fail"
         if "localization" in config.checks:
             # a resolved count off the prediction fails at any T, even after
@@ -415,7 +414,8 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
         for T in osc.T_grid:
             model = OscillatorModel(m=m, T=T, cutoff=cutoff)
             gal = oscillator_galerkin(model)
-            ana = oscillator_spectrum_analytic(model)
+            # the closed form's second level is its first nonzero one
+            gap, _ = oscillator_spectrum_analytic(model)[1]
             evals = gal.eigenvalues
             # the first eigenvalue above the kernel split; NaN when the
             # split is unresolved (-1), which already fails the check
@@ -427,15 +427,14 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
                 "overlap": kernel_overlap(gal),
                 "min_nonzero": lam,
                 "gap_over_T": lam / T,
-                "analytic_gap_over_T": ana.gap_over_T,
+                "analytic_gap_over_T": gap / T,
             }
             out["models"].append(entry)
-    profile = CutoffProfile(eps=CUTOFF_EPS)
     for m in osc.m_grid:
-        a, atm = alpha_T(profile, m, ALPHA_T_PROBE)
+        a, atm = alpha_T(CUTOFF_EPS, m, ALPHA_T_PROBE)
         u = np.array([1.0 + 0.5j, -0.25j, 0.75])
         defect = isometry_defect(
-            OscillatorModel(m=m, T=50.0, cutoff=4), profile, u)
+            OscillatorModel(m=m, T=50.0, cutoff=4), CUTOFF_EPS, u)
         out["alpha"].append({"m": m, "T": ALPHA_T_PROBE, "eps": CUTOFF_EPS,
                              "alpha": a, "alpha_Tm": atm,
                              "isometry_defect": defect})
@@ -468,10 +467,16 @@ def oscillator_verdicts(results: dict) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temporary file next to path and rename it over path,
+    with the mode 0o666 & ~umask of a plainly created file: mkstemp's own
+    0o600 would survive the rename."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)     # the one way to read it; restored at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     finally:

@@ -17,14 +17,16 @@ operator chunks have integer entries.  A charge chunk is fixed by e = a - b:
 its monomials are (a0 + i, b0 + i), i < n, with a0 = max(e, 0), b0 = a0 - e
 and n = min(amax - a0, bmax - b0) + 1, so its Gram is the Hankel matrix
 m(alpha + i + j, P), alpha = a0 + b0 = |e|, of the weight t^alpha (1+t)^{-P}.
-No Gram is built: `linalg.Orthonormalizer` writes its L D L^T factors in
-closed form from (alpha, P, n), the rows of L^{-1} being the finite
-Romanovski polynomials of that weight.  Those factors depend on n only
-through a prefix, so `Cp1Exact` keeps one `linalg.RomanovskiTable` per
-weight (`Weights`), which every chunk and leakage pencil of that weight
-reads: the (0,0) and (0,1) blocks share P, as do (1,0) and (1,1), each
-alpha recurs across charges, and the pencils read rows of the (0,q)
-weight.  Each row and pivot is computed once per model.
+No Gram is built: its L D L^T factors are written in closed form from
+(alpha, P, n), the rows of L^{-1} being the finite Romanovski polynomials
+of that weight.  Those factors depend on n only through a prefix, so
+`Cp1Exact` keeps one `linalg.RomanovskiTable` per weight (`Weights`), and
+a chunk is (a0, b0, n) with its weight's table, which every chunk and
+leakage pencil of that weight reads: the (0,0) and (0,1) blocks share P,
+as do (1,0) and (1,1), each alpha recurs across charges, and the pencils
+read rows of the (0,q) weight.  Each row and pivot is computed once per
+model, and `linalg.transform_op` and `linalg.inverse_form` take a chunk's
+Gram as its (table, n).
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
@@ -73,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..linalg import Diagonals, Orthonormalizer, RomanovskiTable
+from ..linalg import Diagonals, RomanovskiTable, inverse_form, transform_op
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -200,12 +202,12 @@ def block_params(k: int, cutoff: int, p: int, q: int) -> tuple[int, int, int]:
 
 class Chunk(NamedTuple):
     """One charge chunk of a block: the monomials (a0 + i, b0 + i) for
-    i < n, and the closed-form factors of their Gram."""
+    i < n, and the factor table of their Gram's weight, grown to n."""
 
     a0: int
     b0: int
     n: int
-    ortho: Orthonormalizer
+    table: RomanovskiTable
 
     def monomials(self) -> list[tuple[int, int]]:
         return [(self.a0 + i, self.b0 + i) for i in range(self.n)]
@@ -240,7 +242,7 @@ class Block:
         of its chunk's Gram, so this is a lower bound on the chunk's
         condition number, computed with no round-off: each chunk's ratio is
         rounded once, and rounding keeps their order."""
-        return max(c.ortho.table.pivot_ratio(c.n)
+        return max(c.table.pivot_ratio(c.n)
                    for c in self.chunks.values())
 
 
@@ -252,8 +254,9 @@ def _build_block(k: int, cutoff: int, p: int, q: int, weights: Weights
     for e in range(-bmax, amax + 1):
         a0, b0 = max(e, 0), max(-e, 0)
         n = min(amax - a0, bmax - b0) + 1
-        chunks[e + p - q] = Chunk(a0, b0, n, Orthonormalizer(
-            abs(e), big_p, n, weights[abs(e), big_p]))
+        table = weights[abs(e), big_p]
+        table.grow(n)
+        chunks[e + p - q] = Chunk(a0, b0, n, table)
     return Block((p, q), den, chunks, weights)
 
 
@@ -322,8 +325,9 @@ class Cp1Exact:
 
     def ortho_chunk(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
                     chi: int) -> np.ndarray:
-        return self.blocks[tgt_pq].chunks[chi].ortho.transform_op(
-            op_chunks[chi], self.blocks[src_pq].chunks[chi].ortho)
+        tgt = self.blocks[tgt_pq].chunks[chi]
+        src = self.blocks[src_pq].chunks[chi]
+        return transform_op(op_chunks[chi], tgt.table, tgt.n, src.table, src.n)
 
     def ortho_stack(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
                     chis: list[int]) -> np.ndarray:
@@ -454,7 +458,8 @@ def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
     (h00, h01), (_, h11) = [[sum(map(operator.mul, gi, c)) for c in (top, c2)]
                             for gi in g]
     chunk = src.chunks[chi]
-    ((k00, k01), (_, k11)), kden = chunk.ortho.inverse_form(
+    ((k00, k01), (_, k11)), kden = inverse_form(
+        chunk.table, chunk.n,
         [[gi[b + 1 - delta] for _, b in chunk.monomials()] for gi in g])
     # H and X are over (P-1)!, so H^{-1} K is over it once
     det_h = h00 * h11 - h01 * h01

@@ -16,11 +16,12 @@ are their squared norms: `romanovski_row` and `romanovski_pivot`, one m at
 a time.  Row m and pivot m depend only on (alpha, P, m), and a column of L
 cut at n rows is a prefix of the same column cut lower, so one
 `RomanovskiTable` per weight computes each once and grows on demand; the
-Grams of every size of that weight read it.  `Orthonormalizer` holds one
-Gram's factors as integers (each column of L and row of L^{-1} over its
-least common denominator), read from its weight's table, and runs the exact
-steps on them: the orthonormal view of an operator, and the inverse form
-B^T G^{-1} B.  An operator is given by its few nonzero diagonals
+Grams of every size of that weight read it.  It holds the factors as
+integers (each column of L and row of L^{-1} over its least common
+denominator), and a Gram is its table and its size n: `transform_op` and
+`inverse_form` run the exact steps on such (table, n) pairs, the
+orthonormal view of an operator and the inverse form B^T G^{-1} B.  An
+operator is given by its few nonzero diagonals
 (`Diagonals`), so L_t^T M costs O(n^2) and only L_s^{-1} is applied in
 full.  The dual-wedge leakage of `geometry.cp1` needs no more: its
 residual has rank 2, so it takes the inverse form of two columns only, and
@@ -111,7 +112,7 @@ def float_ratios(nums: list[list[int]], rden: list[int],
 def ldlt(g: FMatrix) -> tuple[FMatrix, list[Fraction]]:
     """G = L D L^T for a symmetric rational G, read from its lower
     triangle, by right-looking elimination in Fractions.  A test oracle for
-    `Orthonormalizer`, which uses neither this nor `invert_unit_lower`."""
+    `RomanovskiTable`, which uses neither this nor `invert_unit_lower`."""
     n = len(g)
     a = [list(row[:i + 1]) for i, row in enumerate(g)]
     L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -189,12 +190,19 @@ class RomanovskiTable:
         self._extremes: list[tuple[Fraction, Fraction]] = []
         self._float_pivots: list[float] = []
         self._sqrt_pivots = np.zeros(0)
-        # columns of L, all cut at len(self._cols) rows
+        # columns of L, all cut at len(self._cols) rows, and per n < that
+        # the first n of them cut at n rows
         self._cols: list[tuple[list[int], int]] = []
+        self._cut_cols: dict[int, list[tuple[list[int], int]]] = {}
 
     def grow(self, n: int) -> None:
-        """Make rows and pivots 0..n-1 available."""
+        """Make rows and pivots 0..n-1 available: those of the n x n Gram
+        G_ij = m(alpha + i + j, P), whose moments m(u, P) = u! (P-u-2)! /
+        (P-1)! must all be finite."""
         alpha, big_p = self.alpha, self.big_p
+        if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
+            raise ValueError(
+                f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
         for m in range(len(self.rows), n):
             self.rows.append(romanovski_row(alpha, big_p, m))
             d = romanovski_pivot(alpha, big_p, m)
@@ -231,90 +239,67 @@ class RomanovskiTable:
                  for j in range(m, size - 1)]) for m in range(size)]
         if len(self._cols) == n:
             return self._cols
-        out = []
-        for m, (col, _) in enumerate(self._cols[:n]):
-            head = col[:n - m]
-            g = math.gcd(*head)
-            out.append(([x // g for x in head], head[0] // g))
-        return out
+        if n not in self._cut_cols:
+            out = self._cut_cols[n] = []
+            for m, (col, _) in enumerate(self._cols[:n]):
+                head = col[:n - m]
+                g = math.gcd(*head)
+                out.append(([x // g for x in head], head[0] // g))
+        return self._cut_cols[n]
 
 
-class Orthonormalizer:
-    """Exact change of basis to an orthonormal frame for one Gram block.
+def _solve(inv_rows: list[tuple[list[int], int]], vectors) -> IMatrix:
+    """L^{-1} v for each integer vector v, L^{-1} given by its integer rows;
+    entry i of each result is over the denominator of inverse row i."""
+    return [[sum(map(operator.mul, inv, v)) for inv, _ in inv_rows]
+            for v in vectors]
+
+
+def transform_op(diagonals: Diagonals, target: RomanovskiTable, n_t: int,
+                 source: RomanovskiTable, n_s: int) -> np.ndarray:
+    """Float matrix of the integer operator given by its diagonals, from the
+    n_s x n_s Gram of source's weight to the n_t x n_t Gram of target's, in
+    orthonormal bases on both sides.
 
     With G = L D L^T, orthonormal coordinates are y = D^{1/2} L^T x; an
-    operator with coefficient matrix M (source -> target) becomes
-    D_t^{1/2} (L_t^T M L_s^{-T}) D_s^{-1/2}, where the bracket is exact.
+    operator with coefficient matrix M becomes D_t^{1/2} (L_t^T M L_s^{-T})
+    D_s^{-1/2}, where the bracket is exact."""
+    # row i of L_t^T M is column i of L_t, which holds rows i.., against
+    # each column j of M; a diagonal meets it at row j + shift, which is
+    # col[j + shift - i] for the columns j0 <= j < j1
+    lcols, lt_m = target.lcols(n_t), []
+    for i, (col, _) in enumerate(lcols):
+        row = [0] * n_s
+        for s, c in diagonals:
+            j0, j1 = max(i - s, 0), min(n_s, i - s + len(col))
+            row[j0:j1] = map(operator.add, row[j0:j1],
+                             map(operator.mul, col[j0 + s - i:], c[j0:j1]))
+        lt_m.append(row)
+    # row i of (L_t^T M) L_s^{-T} is L_s^{-1} applied to row i of L_t^T M
+    source.grow(n_s)
+    inv_rows = source.rows[:n_s]
+    out = float_ratios(_solve(inv_rows, lt_m), [den for _, den in lcols],
+                       [den for _, den in inv_rows])
+    out *= target.sqrt_pivots(n_t)[:, None]
+    out /= source.sqrt_pivots(n_s)[None, :]
+    return out
 
-    The factors are kept as integers: column j of L from row j down is
-    lcols[j] = (nums, den), and row i of L^{-1} is inv_rows[i] = (nums, den),
-    its entries 0..i, each as nums / den over the least common denominator.
-    They are read from the weight's `RomanovskiTable`, which every block of
-    the same weight shares.
-    """
 
-    def __init__(self, alpha: int, big_p: int, n: int,
-                 table: RomanovskiTable):
-        """Factor the n x n Hankel Gram G_ij = m(alpha + i + j, P), the
-        moments m(u, P) = u! (P-u-2)! / (P-1)! of the weight
-        t^alpha (1+t)^-P, from the closed forms of its factors, read from
-        table, the weight's own."""
-        if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
-            raise ValueError(
-                f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
-        self.alpha, self.big_p, self.dim = alpha, big_p, n
-        self.table = table
-        self.sqrt_d = table.sqrt_pivots(n)
-        self.inv_rows = table.rows[:n]
-        self.D = table.pivots[:n]
-
-    @functools.cached_property
-    def lcols(self) -> list[tuple[list[int], int]]:
-        """The columns of L, read on first use: only a target of
-        `transform_op` needs them."""
-        return self.table.lcols(self.dim)
-
-    def _solve(self, vectors) -> IMatrix:
-        """L^{-1} v for each integer vector v; entry i of each result is
-        over the denominator of inverse row i."""
-        return [[sum(map(operator.mul, inv, v)) for inv, _ in self.inv_rows]
-                for v in vectors]
-
-    def transform_op(self, diagonals: Diagonals, source: "Orthonormalizer"
-                     ) -> np.ndarray:
-        """Float matrix of the integer operator given by its diagonals, in
-        orthonormal bases on both sides."""
-        # row i of L_t^T M is column i of L_t, which holds rows i.., against
-        # each column j of M; a diagonal meets it at row j + shift, which is
-        # col[j + shift - i] for the columns j0 <= j < j1
-        n_s, lt_m = source.dim, []
-        for i, (col, _) in enumerate(self.lcols):
-            row = [0] * n_s
-            for s, c in diagonals:
-                j0, j1 = max(i - s, 0), min(n_s, i - s + len(col))
-                row[j0:j1] = map(operator.add, row[j0:j1],
-                                 map(operator.mul, col[j0 + s - i:], c[j0:j1]))
-            lt_m.append(row)
-        # row i of (L_t^T M) L_s^{-T} is L_s^{-1} applied to row i of L_t^T M
-        out = float_ratios(source._solve(lt_m),
-                           [den for _, den in self.lcols],
-                           [den for _, den in source.inv_rows])
-        out *= self.sqrt_d[:, None]
-        out /= source.sqrt_d[None, :]
-        return out
-
-    def inverse_form(self, bcols: IMatrix) -> tuple[IMatrix, int]:
-        """B^T G^{-1} B = Y^T D^{-1} Y, Y = L^{-1} B, for the integer matrix B
-        given by its columns, as a symmetric integer matrix over one
-        denominator.  Row v of Y is over den_v, the denominator of inverse
-        row v, so it is weighed by 1 / (den_v^2 D_v) = weights[v] / wden."""
-        ycols = self._solve(bcols)
-        wdens = [den * den * d.numerator
-                 for (_, den), d in zip(self.inv_rows, self.D)]
-        wden = functools.reduce(math.lcm, wdens, 1)
-        weights = [wden // wd * d.denominator for wd, d in zip(wdens, self.D)]
-        wy = [list(map(operator.mul, weights, y)) for y in ycols]
-        return [[sum(map(operator.mul, w, y)) for y in ycols] for w in wy], wden
+def inverse_form(table: RomanovskiTable, n: int, bcols: IMatrix
+                 ) -> tuple[IMatrix, int]:
+    """B^T G^{-1} B = Y^T D^{-1} Y, Y = L^{-1} B, for the n x n Gram G of
+    table's weight and the integer matrix B given by its columns, as a
+    symmetric integer matrix over one denominator.  Row v of Y is over
+    den_v, the denominator of inverse row v, so it is weighed by
+    1 / (den_v^2 D_v) = weights[v] / wden."""
+    table.grow(n)
+    inv_rows, pivots = table.rows[:n], table.pivots[:n]
+    ycols = _solve(inv_rows, bcols)
+    wdens = [den * den * d.numerator for (_, den), d in zip(inv_rows, pivots)]
+    wden = functools.reduce(math.lcm, wdens, 1)
+    weights = [wden // wd * d.denominator for wd, d in zip(wdens, pivots)]
+    wy = [list(map(operator.mul, weights, y)) for y in ycols]
+    return [[sum(map(operator.mul, w, y)) for y in ycols] for w in wy], wden
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:

@@ -14,9 +14,15 @@ eigenvalues 2j, j in [-m, m], with binomial multiplicities, so the full
 spectrum is 2T (K + m + j).  The kernel is one-dimensional, spanned by
 exp(theta - T |Z|^2 / 2) with theta the degree-zero pairing form of the
 frame, and the first nonzero eigenvalue is 2T: the spectral-gap constant
-A = 2 is frozen as a fixture.  W and exp(theta) are computed exactly in
-`exterior` (coefficients in Q(i)[sqrt2]) and read as complex floats entry by
-entry through `ExactScalar.to_complex`.
+A = 2 is frozen as a fixture.  The closed form is its sorted (eigenvalue,
+multiplicity) levels and nothing more.  W and exp(theta) are computed
+exactly in `exterior` (coefficients in Q(i)[sqrt2]), once per m
+(`fiber_endomorphism_exact`, `theta_exponential`), and read as complex
+floats entry by entry through `ExactScalar.to_complex`.
+
+The localization isometries cut the Gaussian off with
+gamma_eps(rho) = smooth_bump(rho / eps), so the cutoff radius eps is all
+that `alpha_T` and `isometry_defect` take of it.
 
 The Galerkin route expands each real coordinate in Hermite functions of
 frequency T, so the kernel state is exactly representable and the kinetic
@@ -98,23 +104,13 @@ def fiber_endomorphism(m: int) -> np.ndarray:
 # Closed-form spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AnalyticSpectrum:
-    model: OscillatorModel
-    levels: list[tuple[float, int]]       # (eigenvalue, multiplicity), sorted
-    kernel_multiplicity: int
-    min_nonzero: float
-
-    @property
-    def gap_over_T(self) -> float:
-        return self.min_nonzero / self.model.T
-
-
-def oscillator_spectrum_analytic(model: OscillatorModel,
-                                 max_level: int = 12) -> AnalyticSpectrum:
+def oscillator_spectrum_analytic(model: OscillatorModel, max_level: int = 12
+                                 ) -> list[tuple[float, int]]:
     """Spectrum 2T (K + m + j): the scalar oscillator ladder shifted by the
     integer eigenvalues 2j of the fiber endomorphism, with multiplicities
-    C(K + 2m - 1, 2m - 1) * C(2m, m + j).  Levels up to 2T*max_level."""
+    C(K + 2m - 1, 2m - 1) * C(2m, m + j).  The sorted (eigenvalue,
+    multiplicity) levels up to 2T*max_level: the kernel is the first, of
+    multiplicity 1, and the second is the gap 2T."""
     m, T = model.m, model.T
     mult: dict[int, int] = {}
     for level in range(max_level + 1):
@@ -126,11 +122,9 @@ def oscillator_spectrum_analytic(model: OscillatorModel,
             total += math.comb(K + 2 * m - 1, 2 * m - 1) * math.comb(2 * m, m + j)
         if total:
             mult[level] = total
-    levels = [(2.0 * T * lv, mu) for lv, mu in sorted(mult.items())]
     if mult.get(0, 0) != 1:
         raise AssertionError("closed form lost the one-dimensional kernel")
-    return AnalyticSpectrum(model=model, levels=levels, kernel_multiplicity=1,
-                            min_nonzero=2.0 * T)
+    return [(2.0 * T * lv, mu) for lv, mu in sorted(mult.items())]
 
 
 def convolve_spectra(a: list[tuple[float, int]], b: list[tuple[float, int]],
@@ -202,29 +196,10 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
 # The kernel state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaState:
-    m: int
-    exp_theta: AlgebraElement
-    norm_sq_exact: ExactScalar         # equals 2^m
-    pointwise_norm: float              # 2^{m/2}
-
-    def fiber_coefficients(self) -> np.ndarray:
-        """exp(theta) as complex coefficients in `enumerate_basis` order."""
-        terms = self.exp_theta.terms
-        return np.array([terms[lab].to_complex() if lab in terms else 0j
-                         for lab in enumerate_basis(self.m)])
-
-
-def beta_state(model: OscillatorModel) -> ThetaState:
-    """exp(theta) by the terminating exterior exponential; theta is the
-    degree-zero sum over the frame of dual-pair products."""
-    return _theta_state(model.m)
-
-
 @lru_cache(maxsize=None)
-def _theta_state(m: int) -> ThetaState:
-    """beta_state's exact computation, which depends on m only."""
+def theta_exponential(m: int) -> AlgebraElement:
+    """The exact exp(theta) by the terminating exterior exponential; theta
+    is the degree-zero sum over the frame of dual-pair products."""
     one = AlgebraElement.scalar_one(m)
     theta = None
     for a in range(1, m + 1):
@@ -240,16 +215,17 @@ def _theta_state(m: int) -> ThetaState:
         power = wedge(power, theta)
         fact *= j
         total = total + power.scale(ExactScalar(Fraction(1, fact)))
-    nsq = norm_sq(total)
-    return ThetaState(m=m, exp_theta=total, norm_sq_exact=nsq,
-                      pointwise_norm=math.sqrt(2.0 ** m))
+    return total
 
 
 def beta_vector(model: OscillatorModel) -> np.ndarray:
     """Coefficients of exp(theta - T |Z|^2 / 2) in the Galerkin basis: the
-    scalar ground state tensor the fiber exponential, unit normalized."""
-    state = beta_state(model)
-    fiber = state.fiber_coefficients()
+    scalar ground state tensor the fiber exponential, unit normalized.  The
+    fiber factor is exp(theta)'s exact terms as complex floats, in
+    `enumerate_basis` order."""
+    terms = theta_exponential(model.m).terms
+    fiber = np.array([terms[lab].to_complex() if lab in terms else 0j
+                      for lab in enumerate_basis(model.m)])
     dim_sc = model.cutoff ** (2 * model.m)
     vec = np.zeros(dim_sc * len(fiber), dtype=complex)
     vec[:len(fiber)] = fiber                      # scalar multi-index 0...0
@@ -272,14 +248,6 @@ def smooth_bump(a: float | np.ndarray) -> float | np.ndarray:
     Elementwise on arrays."""
     t = np.clip(2.0 * (np.abs(a) - 0.5), 0.0, 1.0)
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    eps: float = 1.0
-
-    def gamma_radial(self, rho: float | np.ndarray) -> float | np.ndarray:
-        return smooth_bump(rho / self.eps)
 
 
 # Gauss-Legendre rules on [-1, 1]: the ramp of alpha_T, and both pieces of
@@ -309,18 +277,19 @@ def _lower_gamma_regularized(m: int, x: float) -> float:
     return 1.0 - math.exp(-x) * head
 
 
-def _radial_rule(rule: tuple[np.ndarray, np.ndarray], profile: CutoffProfile,
+def _radial_rule(rule: tuple[np.ndarray, np.ndarray], eps: float,
                  m: int, T: float, lo: float, hi: float) -> float:
-    """int_lo^hi gamma_eps(rho)^2 exp(-T rho^2) rho^{2m-1} by the given
-    Gauss-Legendre rule."""
+    """int_lo^hi gamma_eps(rho)^2 exp(-T rho^2) rho^{2m-1}, with the cutoff
+    gamma_eps(rho) = smooth_bump(rho / eps), by the given Gauss-Legendre
+    rule."""
     nodes, weights = rule
     rho = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    g = profile.gamma_radial(rho)
+    g = smooth_bump(rho / eps)
     f = g * g * np.exp(-T * rho * rho) * rho ** (2 * m - 1)
     return 0.5 * (hi - lo) * float(weights @ f)
 
 
-def alpha_T(profile: CutoffProfile, m: int, T: float) -> tuple[float, float]:
+def alpha_T(eps: float, m: int, T: float) -> tuple[float, float]:
     """Normalization integral of the cut-off Gaussian over the fiber,
     (2 pi)^{-m} int gamma_eps^2 exp(-T |Z|^2).  In polar coordinates the
     flat piece rho <= eps/2, where gamma = 1, is P(m, T eps^2/4) (2T)^{-m}
@@ -332,15 +301,14 @@ def alpha_T(profile: CutoffProfile, m: int, T: float) -> tuple[float, float]:
     converges to 2^{-m}."""
     if T <= 0:
         raise ValueError("need T > 0")
-    eps = profile.eps
     flat = _lower_gamma_regularized(m, T * eps * eps / 4.0) / (2.0 * T) ** m
-    ramp = _radial_rule(_RAMP_RULE, profile, m, T, eps / 2.0, eps)
+    ramp = _radial_rule(_RAMP_RULE, eps, m, T, eps / 2.0, eps)
     # (2 pi)^{-m} * Vol(S^{2m-1}) = 2 / (2^m (m-1)!)
     alpha = flat + ramp * 2.0 / (2.0 ** m * math.factorial(m - 1))
     return alpha, alpha * T ** m
 
 
-def isometry_defect(model: OscillatorModel, profile: CutoffProfile,
+def isometry_defect(model: OscillatorModel, eps: float,
                     u1: np.ndarray, u2: np.ndarray | None = None) -> float:
     """| <<I u1, I u2>> - <u1, u2> | for the localization map
     I u = (2^m alpha_T)^{-1/2} gamma_eps (pi^* u) exp(theta - T|Z|^2/2).
@@ -353,13 +321,12 @@ def isometry_defect(model: OscillatorModel, profile: CutoffProfile,
     if u2 is None:
         u2 = u1
     m, T = model.m, model.T
-    state = beta_state(model)
-    nsq = state.norm_sq_exact.to_complex().real    # |exp theta|^2 = 2^m
-    alpha, _ = alpha_T(profile, m, T)
-    eps = profile.eps
+    # |exp theta|^2 = 2^m
+    nsq = norm_sq(theta_exponential(m)).to_complex().real
+    alpha, _ = alpha_T(eps, m, T)
     val = 0.0
     for lo, hi in ((0.0, eps / 2.0), (eps / 2.0, eps)):
-        val += _radial_rule(_FIBER_RULE, profile, m, T, lo, hi)
+        val += _radial_rule(_FIBER_RULE, eps, m, T, lo, hi)
     fiber_integral = val * 2.0 / (2.0 ** m * math.factorial(m - 1)) * nsq
     base = complex(np.vdot(u1, u2))
     lhs = fiber_integral / (2.0 ** m * alpha) * base

@@ -29,10 +29,6 @@ class ExactScalar:
         self.c = _F(c)
         self.d = _F(d)
 
-    @classmethod
-    def gaussian(cls, re: Rational, im: Rational = 0) -> "ExactScalar":
-        return cls(re, im, 0, 0)
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -98,21 +94,11 @@ class ExactScalar:
         return complex(float(self.a) + float(self.c) * r2,
                        float(self.b) + float(self.d) * r2)
 
-    def rational_part(self) -> tuple[Fraction, Fraction]:
-        """The (re, im) of the sqrt2-free part; errors if a sqrt2 part remains."""
-        if self.c or self.d:
-            raise ValueError("scalar has a residual sqrt(2) component")
-        return self.a, self.b
-
     def __repr__(self):
         return f"ExactScalar({self.a}, {self.b}, {self.c}, {self.d})"
 
     def serialize(self) -> list[str]:
         return [str(self.a), str(self.b), str(self.c), str(self.d)]
-
-    @classmethod
-    def deserialize(cls, parts) -> "ExactScalar":
-        return cls(*(Fraction(s) for s in parts))
 
 
 def _coerce(x) -> "ExactScalar":

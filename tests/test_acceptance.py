@@ -29,8 +29,8 @@ from equivlab.exterior import (AlgebraElement, TangentVector, clifford_c,
                                frame_vector, golden_tables, hermitian_inner,
                                metric_dual_wedge, wedge)
 from equivlab.geometry import cp1_model, product_model, torus_model
-from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
-                                 alpha_T, isometry_defect, kernel_overlap,
+from equivlab.localmodel import (GAP_CONSTANT, OscillatorModel, alpha_T,
+                                 isometry_defect, kernel_overlap,
                                  oscillator_galerkin)
 from equivlab.oracle import localization_prediction
 from equivlab.scalars import ExactScalar
@@ -192,18 +192,18 @@ def test_a5_fiber_model():
 
 def test_a6_normalizations():
     start = time.time()
-    profile = CutoffProfile(eps=1.0)
+    eps = 1.0
     ok = True
     for m in (1, 2):
-        _, atm = alpha_T(profile, m, 100.0)
+        _, atm = alpha_T(eps, m, 100.0)
         ok = ok and abs(atm * 2.0 ** m - 1.0) <= 0.002
         u = np.array([1.0 + 0.5j, -0.25j, 0.4])
         defect = isometry_defect(OscillatorModel(m=m, T=50.0, cutoff=4),
-                                 profile, u)
+                                 eps, u)
         ok = ok and defect <= 1e-9
         u2 = np.array([0.1j, 0.7, -0.3])
         ok = ok and isometry_defect(OscillatorModel(m=m, T=50.0, cutoff=4),
-                                    profile, u, u2) <= 1e-9
+                                    eps, u, u2) <= 1e-9
     elapsed = time.time() - start
     _report("A6 normalizations", ok and elapsed < 30.0,
             f"runtime {elapsed:.1f}s")

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import pickle
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +498,54 @@ def test_rerun_byte_identical(tmp_path):
                  "gap_ratio.tsv", "torus_growth.tsv", "report.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_take_the_umask_mode(umask, mode, tmp_path):
+    # an artifact has the mode of a plainly created file, and the run
+    # directory holds nothing but its artifacts
+    old = os.umask(umask)
+    try:
+        report = run(parse_config(small_config()), str(tmp_path / "out"))
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(
+        os.path.basename(a) for a in report.artifacts)
+    for path in report.artifacts:
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+
+
+def torus_bochner_config(T):
+    return {"schema_version": 1, "name": "torus-bochner",
+            "models": [{"kind": "torus", "tau": [0.3, 1.1], "cutoff": 4,
+                        "field": {"kind": "constant", "c": [0.8, 0.6]}}],
+            "T_grid": [T], "checks": ["bochner"]}
+
+
+@pytest.mark.parametrize("T", [1.0e3, 1.0e5])
+def test_correct_torus_passes_bochner_at_large_T(T, tmp_path):
+    # the torus residual is round-off on Dirac-square entries as large as
+    # 2 T^2 |c|^2, so its bound grows with them
+    report = run(parse_config(torus_bochner_config(T)), str(tmp_path))
+    assert list(report.verdicts.values()) == ["pass"]
+    assert next(iter(report.verdicts)).startswith("bochner:")
+
+
+@pytest.mark.parametrize("T", [1.0, 1.0e3])
+def test_perturbed_torus_fails_bochner(T, tmp_path, monkeypatch):
+    # one Dolbeault coefficient off by a relative 1e-6 breaks the identity
+    # far beyond round-off, at small T and at large
+    assemble = cli.assemble
+
+    def perturbed(spec):
+        model = assemble(spec)
+        model.cells[0].dbar[(0, 0)][-1] *= 1 + 1e-6
+        return model
+
+    monkeypatch.setattr(cli, "assemble", perturbed)
+    report = run(parse_config(torus_bochner_config(T)), str(tmp_path))
+    assert list(report.verdicts.values()) == ["fail"]
 
 
 def test_gap_trajectory_row_per_T_and_r(tmp_path):

@@ -23,10 +23,10 @@ from equivlab.geometry.cp1 import (Cp1Exact, _compose, _dual_wedge_pencil,
                                    curvature_wedge, dbar, dbar_star,
                                    dual_field_wedge, field_contract,
                                    field_norm_mul, weight_exponent)
-from equivlab.linalg import (Orthonormalizer, RomanovskiTable, fmatmul,
-                             invert_unit_lower, ldlt, to_ints)
+from equivlab.linalg import (RomanovskiTable, fmatmul, invert_unit_lower, ldlt,
+                             to_ints, transform_op)
 from test_deformed import doubled
-from test_linalg import dense
+from test_linalg import dense, factors
 
 
 # --- exact reference constructions ------------------------------------------
@@ -217,13 +217,14 @@ def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
     ex = Cp1Exact(k, cutoff)
     for block in ex.blocks.values():
         for chi, chunk in block.chunks.items():
-            gram, ortho = gram_fractions(block, k, chi), chunk.ortho
+            gram = gram_fractions(block, k, chi)
+            lcols, inv_rows, _ = factors(chunk.table, chunk.n)
             sections = [monomial_section(block, k, ab)
                         for ab in chunk.monomials()]
             assert gram[0] == [l2_pair(sections[0], s) for s in sections]
             assert [row[-1] for row in gram] == [
                 l2_pair(s, sections[-1]) for s in sections]
-            for nums, den in (*ortho.lcols, *ortho.inv_rows):
+            for nums, den in (*lcols, *inv_rows):
                 assert all(type(x) is int for x in (den, *nums))
                 assert den > 0 and math.gcd(den, *nums) == 1
     for chunks in (*ex.dbar_chunks.values(), *ex.iv_chunks.values()):
@@ -238,15 +239,15 @@ def test_chunk_factors_match_elimination(k, cutoff):
     ex = Cp1Exact(k, cutoff)
     for block in ex.blocks.values():
         for chi, chunk in block.chunks.items():
-            ortho = chunk.ortho
+            lcols, inv_rows, pivots = factors(chunk.table, chunk.n)
             L, D = ldlt(gram_fractions(block, k, chi))
-            n = ortho.dim
-            assert ortho.D == D
+            n = chunk.n
+            assert pivots == D
             assert [[Fraction(x, den) for x in nums]
-                    for nums, den in ortho.lcols] == [
+                    for nums, den in lcols] == [
                 [L[r][c] for r in range(c, n)] for c in range(n)]
             assert [[Fraction(x, den) for x in nums]
-                    for nums, den in ortho.inv_rows] == [
+                    for nums, den in inv_rows] == [
                 row[:r + 1] for r, row in enumerate(invert_unit_lower(L))]
 
 
@@ -278,10 +279,8 @@ def test_closed_form_chunks_match_sorted_monomials(k, cutoff):
             chunk = block.chunks[chi]
             assert chunk.monomials() == monos
             alpha = sum(monos[0])
-            ref = Orthonormalizer(alpha, big_p, len(monos),
-                                  RomanovskiTable(alpha, big_p))
-            assert (chunk.ortho.lcols, chunk.ortho.inv_rows, chunk.ortho.D) == (
-                ref.lcols, ref.inv_rows, ref.D)
+            assert factors(chunk.table, chunk.n) == factors(
+                RomanovskiTable(alpha, big_p), len(monos))
 
 
 def test_normalized_volume():
@@ -619,8 +618,7 @@ def test_rule_on_exponent_arrays_matches_scalar_calls(rule):
 def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
     # every float block of the assembled model, found by its member's name,
     # is bit for bit (sign bits included) the block of the per-chunk path:
-    # a fresh Orthonormalizer with a table of its own on each side of each
-    # chunk.  Each charge is one member, the members of a stack share its
+    # a fresh table of its own on each side of each chunk.  Each charge is one member, the members of a stack share its
     # layout, and no two stacks share one
     model = cp1_model(k, cutoff)
     ex = model.exact
@@ -637,8 +635,7 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
         chunk = block.chunks[chi]
         alpha = abs(chunk.a0 - chunk.b0)
         big_p = weight_exponent(*pq, block.den, k)
-        return Orthonormalizer(alpha, big_p, chunk.n,
-                               RomanovskiTable(alpha, big_p))
+        return RomanovskiTable(alpha, big_p), chunk.n
 
     paths = [(ex.dbar_chunks, "dbar", lambda p, q: (p, 1)),
              (ex.iv_chunks, "iv", lambda p, q: (0, q))]
@@ -654,16 +651,16 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
                     assert src not in getattr(stack, kind)
                     continue
                 got = getattr(stack, kind)[src][i]
-                want = fresh(tgt, chi).transform_op(diagonals,
-                                                    fresh(src, chi))
+                want = transform_op(diagonals, *fresh(tgt, chi),
+                                    *fresh(src, chi))
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("k,cutoff", [(0, 4), (3, 7), (2, 14), (1, 20)])
 def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
-    # one factor table per weight: assembling a model (its Orthonormalizers,
-    # float blocks, Gram conditions and leakage pencils) computes each row
+    # one factor table per weight: assembling a model (its chunks, float
+    # blocks, Gram conditions and leakage pencils) computes each row
     # and each pivot of each weight once
     def counted(name):
         fn, calls = getattr(linalg, name), Counter()
@@ -683,14 +680,27 @@ def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
         assert len(rows) <= 299
 
 
-def test_source_only_block_builds_no_l_columns():
+def test_source_only_block_builds_no_l_columns(monkeypatch):
     # the (1,0) block is only ever a source, of dbar and of the contraction,
-    # and only a target reads the columns of L
+    # and only a target reads the columns of L: no table cuts them at a size
+    # that only the (1,0) block uses
+    cuts, lcols = set(), RomanovskiTable.lcols
+
+    def recording(table, n):
+        cuts.add((table, n))
+        return lcols(table, n)
+
+    monkeypatch.setattr(RomanovskiTable, "lcols", recording)
     ex = cp1_model(0, 8).exact
-    assert not any("lcols" in c.ortho.__dict__
-                   for c in ex.blocks[(1, 0)].chunks.values())
-    assert any("lcols" in c.ortho.__dict__
-               for c in ex.blocks[(0, 1)].chunks.values())
+
+    def sizes(pq):
+        return {(c.table, c.n) for c in ex.blocks[pq].chunks.values()}
+
+    source_only = sizes((1, 0)).difference(
+        *(sizes(pq) for pq in ex.blocks if pq != (1, 0)))
+    assert source_only
+    assert not cuts & source_only
+    assert cuts & sizes((0, 1))
 
 
 def test_embed_preserves_pairings():
@@ -830,16 +840,16 @@ def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
 
 def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
     # the pencil reads two Romanovski rows and two pivots of the source
-    # block's weight exponent, not a whole factorization per chunk
+    # block's weight exponent, not a whole factorization per chunk: it cuts
+    # no columns of L
     ex = Cp1Exact(1, 8)
-    calls = []
+    calls, lcols = [], RomanovskiTable.lcols
 
-    def counting(*args):
-        calls.append(args)
-        return Orthonormalizer(*args)
+    def counting(table, n):
+        calls.append((table, n))
+        return lcols(table, n)
 
-    monkeypatch.setattr(cp1mod, "Orthonormalizer", counting)
-    monkeypatch.setattr(linalg, "Orthonormalizer", counting)
+    monkeypatch.setattr(RomanovskiTable, "lcols", counting)
     assert ex.dual_wedge_leakage()
     assert calls == []
 

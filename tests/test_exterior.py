@@ -106,13 +106,13 @@ coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
 
 def vectors(n, conjugated):
-    return st.tuples(*([st.builds(ExactScalar.gaussian, coeffs, coeffs)] * n)
+    return st.tuples(*([st.builds(ExactScalar, coeffs, coeffs)] * n)
                      ).map(lambda cs: TangentVector(cs, conjugated))
 
 
 def elements(n):
     lab = st.sampled_from(enumerate_basis(n))
-    pair = st.tuples(lab, st.builds(ExactScalar.gaussian, coeffs, coeffs))
+    pair = st.tuples(lab, st.builds(ExactScalar, coeffs, coeffs))
     return st.lists(pair, min_size=0, max_size=4).map(
         lambda ps: _sum_terms(n, ps))
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivlab.linalg import (EigensolverError, GramError, Orthonormalizer,
-                             RomanovskiTable,
+from equivlab.linalg import (EigensolverError, GramError, RomanovskiTable,
                              float_ratios, fmatmul, hermitian_eigenvalues,
                              invert_unit_lower, ldlt, romanovski_pivot,
-                             romanovski_row)
+                             romanovski_row, transform_op)
 
 
 # --- per-entry Fraction reference kernels ------------------------------------
@@ -28,8 +27,7 @@ def to_float(a):
 
 
 def diagonals(m):
-    """Every diagonal of the matrix m as `Orthonormalizer.transform_op`
-    reads an operator: (shift, coeffs), coeffs[j] at row j + shift of
+    """Every diagonal of the matrix m as `transform_op` reads an operator: (shift, coeffs), coeffs[j] at row j + shift of
     column j, and 0 where that row is outside m."""
     rows, cols = len(m), len(m[0]) if m else 0
     return [(s, [m[j + s][j] if 0 <= j + s < rows else 0
@@ -122,10 +120,18 @@ def unit_lower(draw):
 
 def moment_gram(alpha, big_p, n):
     """The Hankel Gram m(alpha + i + j, P) = u! (P-u-2)! / (P-1)! of the
-    weight t^alpha (1+t)^-P, the form `Orthonormalizer` factors."""
+    weight t^alpha (1+t)^-P, the form `RomanovskiTable` factors."""
     f = math.factorial
     return [[Fraction(f(alpha + i + j) * f(big_p - alpha - i - j - 2),
                       f(big_p - 1)) for j in range(n)] for i in range(n)]
+
+
+def factors(table, n):
+    """(columns of L, rows of L^-1, pivots D) of the n x n Gram of table's
+    weight, each column and row as integers over its least common
+    denominator."""
+    table.grow(n)
+    return table.lcols(n), table.rows[:n], table.pivots[:n]
 
 
 @st.composite
@@ -205,12 +211,14 @@ def test_transform_op_is_rounded_exact_core(case):
     # the float view is the exact core L^T M L^-T rounded entrywise, then
     # scaled by D^(1/2) on each side
     params, m = case
-    ortho = Orthonormalizer(*params, RomanovskiTable(*params[:2]))
+    table, n = RomanovskiTable(*params[:2]), params[2]
     L, _ = ldlt(moment_gram(*params))
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
-    want = to_float(core) * ortho.sqrt_d[:, None] / ortho.sqrt_d[None, :]
-    assert np.array_equal(ortho.transform_op(diagonals(m), ortho), want)
+    sqrt_d = table.sqrt_pivots(n)
+    want = to_float(core) * sqrt_d[:, None] / sqrt_d[None, :]
+    assert np.array_equal(transform_op(diagonals(m), table, n, table, n),
+                          want)
 
 
 @st.composite
@@ -229,14 +237,15 @@ def test_transform_op_between_two_blocks(case):
     # an integer operator between two Gram blocks, as the cp1 chunks are:
     # L_t^T M L_s^-T rounded entrywise, each factor from its own side
     gt, gs, m = case
-    tgt = Orthonormalizer(*gt, RomanovskiTable(*gt[:2]))
-    src = Orthonormalizer(*gs, RomanovskiTable(*gs[:2]))
+    tgt, src = RomanovskiTable(*gt[:2]), RomanovskiTable(*gs[:2])
     Lt, Ls = ldlt(moment_gram(*gt))[0], ldlt(moment_gram(*gs))[0]
     core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
                        transpose(invert_unit_lower(Ls)))
-    want = to_float(core) * tgt.sqrt_d[:, None] / src.sqrt_d[None, :]
+    want = (to_float(core) * tgt.sqrt_pivots(gt[2])[:, None]
+            / src.sqrt_pivots(gs[2])[None, :])
     assert dense(diagonals(m), len(m)) == m
-    assert np.array_equal(tgt.transform_op(diagonals(m), src), want)
+    assert np.array_equal(
+        transform_op(diagonals(m), tgt, gt[2], src, gs[2]), want)
 
 
 def test_errors_survive_pickling():
@@ -284,10 +293,10 @@ def test_invert_unit_lower():
 
 
 def test_orthonormalizer_identity_transform():
-    ortho = Orthonormalizer(1, 16, 6, RomanovskiTable(1, 16))
+    table = RomanovskiTable(1, 16)
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
-    t = ortho.transform_op(diagonals(eye), ortho)
+    t = transform_op(diagonals(eye), table, 6, table, 6)
     # t = D^{1/2} L^T L^{-T} D^{-1/2} = I
     assert np.allclose(t, np.eye(6), atol=1e-12)
 
@@ -295,8 +304,8 @@ def test_orthonormalizer_identity_transform():
 def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
-    ortho = Orthonormalizer(2, 14, 5, RomanovskiTable(2, 14))
-    got = ortho.transform_op(diagonals(m), ortho)
+    table = RomanovskiTable(2, 14)
+    got = transform_op(diagonals(m), table, 5, table, 5)
     mf = to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
     # G-self-adjoint; here just check the similarity invariant: trace
@@ -311,19 +320,19 @@ def test_orthonormalizer_integer_factors_rebuild_ldlt(params):
     # G = L D L^T; the rows and pivots are those `romanovski_row` and
     # `romanovski_pivot` give one m at a time
     (alpha, big_p, n), g = params, moment_gram(*params)
-    ortho = Orthonormalizer(alpha, big_p, n, RomanovskiTable(alpha, big_p))
+    lcols, inv_rows, D = factors(RomanovskiTable(alpha, big_p), n)
     rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
     pivots = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
-    assert (ortho.inv_rows, ortho.D) == (rows, pivots)
-    for nums, den in (*ortho.lcols, *rows):
+    assert (inv_rows, D) == (rows, pivots)
+    for nums, den in (*lcols, *rows):
         assert den > 0 and math.gcd(den, *nums) == 1
-    L = [[Fraction(ortho.lcols[j][0][i - j], ortho.lcols[j][1]) if i >= j
+    L = [[Fraction(lcols[j][0][i - j], lcols[j][1]) if i >= j
           else Fraction(0) for j in range(n)] for i in range(n)]
     linv = [[Fraction(nums[j], den) if j <= i else Fraction(0)
              for j in range(n)] for i, (nums, den) in enumerate(rows)]
     assert (L, pivots) == ldlt(g)
     assert linv == invert_unit_lower(L) == ref_invert_unit_lower(L)
-    diag = [[ortho.D[i] if i == j else Fraction(0) for j in range(n)]
+    diag = [[D[i] if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
     assert ref_fmatmul(ref_fmatmul(L, diag), transpose(L)) == g
 
@@ -341,20 +350,20 @@ def test_factors_are_romanovski_closed_forms(params):
     # (P-m-1)! (beta)_m; and L = G L^-T D^-1 column by column
     alpha, big_p, n = params
     g, f = moment_gram(alpha, big_p, n), math.factorial
-    ortho = Orthonormalizer(alpha, big_p, n, RomanovskiTable(alpha, big_p))
+    lcols, inv_rows, D = factors(RomanovskiTable(alpha, big_p), n)
     for m in range(n):
         beta = m + alpha - big_p + 1
         coeffs = [Fraction(math.comb(m, j) * rising(beta, j),
                            rising(alpha + 1, j)) for j in range(m + 1)]
         row = [c / coeffs[m] for c in coeffs]
-        nums, den = ortho.inv_rows[m]
+        nums, den = inv_rows[m]
         assert [Fraction(x, den) for x in nums] == row
         norm = sum(x * y * g[i][j] for i, x in enumerate(row)
                    for j, y in enumerate(row))
-        assert ortho.D[m] == norm == Fraction(
+        assert D[m] == norm == Fraction(
             (-1) ** m * f(m) * f(alpha + m) * f(big_p - 2 * m - alpha - 2),
             f(big_p - m - 1) * rising(beta, m))
-        cnums, cden = ortho.lcols[m]
+        cnums, cden = lcols[m]
         assert [Fraction(x, cden) for x in cnums] == [
             sum(g[i][j] * x for j, x in enumerate(row)) / norm
             for i in range(m, n)]
@@ -370,19 +379,20 @@ def test_shared_table_reads_each_size_as_its_own(params, data):
     sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
     table = RomanovskiTable(alpha, big_p)
     for m in sizes + [n] + sizes:
-        shared = Orthonormalizer(alpha, big_p, m, table)
-        own = Orthonormalizer(alpha, big_p, m, RomanovskiTable(alpha, big_p))
-        assert (shared.inv_rows, shared.D) == (own.inv_rows, own.D)
-        assert np.array_equal(shared.sqrt_d, own.sqrt_d)
-        assert shared.lcols == own.lcols
-        assert table.pivot_ratio(m) == float(max(own.D) / min(own.D))
+        own_table = RomanovskiTable(alpha, big_p)
+        shared_cols, shared_rows, shared_d = factors(table, m)
+        own_cols, own_rows, own_d = factors(own_table, m)
+        assert (shared_rows, shared_d) == (own_rows, own_d)
+        assert np.array_equal(table.sqrt_pivots(m), own_table.sqrt_pivots(m))
+        assert shared_cols == own_cols
+        assert table.pivot_ratio(m) == float(max(own_d) / min(own_d))
 
 
 def test_orthonormalizer_rejects_divergent_moments():
     # the last moment u = alpha + 2(n-1) must stay <= P - 2
-    Orthonormalizer(3, 11, 4, RomanovskiTable(3, 11))
+    RomanovskiTable(3, 11).grow(4)
     with pytest.raises(ValueError):
-        Orthonormalizer(3, 10, 4, RomanovskiTable(3, 10))
+        RomanovskiTable(3, 10).grow(4)
 
 
 def test_hermitian_eigenvalues_diagnostics():

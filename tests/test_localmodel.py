@@ -20,14 +20,13 @@ from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
 from equivlab.exterior import BasisLabel, enumerate_basis
-from equivlab.localmodel import (GAP_CONSTANT, CutoffProfile, OscillatorModel,
-                                 _ladder_blocks, _theta_state, alpha_T,
-                                 beta_state,
-                                 beta_vector, convolve_spectra,
-                                 fiber_endomorphism,
-                                 isometry_defect, kernel_overlap,
-                                 oscillator_galerkin,
-                                 oscillator_spectrum_analytic, smooth_bump)
+from equivlab.exterior import norm_sq
+from equivlab.localmodel import (GAP_CONSTANT, OscillatorModel, _ladder_blocks,
+                                 alpha_T, beta_vector, convolve_spectra,
+                                 fiber_endomorphism, isometry_defect,
+                                 kernel_overlap, oscillator_galerkin,
+                                 oscillator_spectrum_analytic, smooth_bump,
+                                 theta_exponential)
 
 
 def galerkin_matrix(model):
@@ -84,23 +83,23 @@ def test_fiber_endomorphism_symmetric_with_integer_spectrum(m):
 
 def test_analytic_kernel_and_gap():
     for T in (1.0, 10.0, 100.0):
-        spec = oscillator_spectrum_analytic(OscillatorModel(m=1, T=T))
-        assert spec.kernel_multiplicity == 1
-        assert spec.levels[0] == (0.0, 1)
-        assert spec.gap_over_T == GAP_CONSTANT
+        levels = oscillator_spectrum_analytic(OscillatorModel(m=1, T=T))
+        assert levels[0][1] == 1
+        assert levels[0] == (0.0, 1)
+        assert levels[1][0] / T == GAP_CONSTANT
 
 
 def test_analytic_m1_multiplicities():
-    spec = oscillator_spectrum_analytic(OscillatorModel(m=1, T=1.0))
-    assert spec.levels[:4] == [(0.0, 1), (2.0, 4), (4.0, 8), (6.0, 12)]
+    levels = oscillator_spectrum_analytic(OscillatorModel(m=1, T=1.0))
+    assert levels[:4] == [(0.0, 1), (2.0, 4), (4.0, 8), (6.0, 12)]
 
 
 def test_m2_spectrum_is_convolution_of_m1():
     T = 5.0
     one = oscillator_spectrum_analytic(OscillatorModel(m=1, T=T),
-                                       max_level=10).levels
+                                       max_level=10)
     two = oscillator_spectrum_analytic(OscillatorModel(m=2, T=T),
-                                       max_level=8).levels
+                                       max_level=8)
     conv = convolve_spectra(one, one, cap=2 * T * 8)
     assert conv == [(float(v), m) for v, m in two]
 
@@ -149,7 +148,7 @@ def test_galerkin_multiplicities_match_analytic(m, cutoff, T):
     # the first `cutoff` levels are complete
     model = OscillatorModel(m=m, T=T, cutoff=cutoff)
     res = oscillator_galerkin(model)
-    levels = oscillator_spectrum_analytic(model, max_level=cutoff - 1).levels
+    levels = oscillator_spectrum_analytic(model, max_level=cutoff - 1)
     got = [int(np.sum(np.abs(res.eigenvalues - lam) <= 1e-9 * lam + 1e-9))
            for lam, _ in levels]
     assert got == [mult for _, mult in levels]
@@ -182,44 +181,48 @@ def test_galerkin_requires_cutoff():
 # --- the kernel state --------------------------------------------------------
 
 def test_exp_theta_m1_two_terms():
-    state = beta_state(OscillatorModel(m=1, T=1.0, cutoff=4))
-    assert len(state.exp_theta.terms) == 2
-    assert state.norm_sq_exact.to_complex() == pytest.approx(2.0)
+    exp_theta = theta_exponential(1)
+    assert len(exp_theta.terms) == 2
+    assert norm_sq(exp_theta).to_complex() == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("m,expect_terms", [(1, 2), (2, 4), (3, 8)])
 def test_exp_theta_norm(m, expect_terms):
-    state = beta_state(OscillatorModel(m=m, T=1.0, cutoff=4))
-    assert len(state.exp_theta.terms) == expect_terms
-    assert state.norm_sq_exact.to_complex() == pytest.approx(2.0 ** m)
-    assert state.pointwise_norm == pytest.approx(math.sqrt(2.0 ** m))
-    assert all(lab.r == 0 for lab in state.exp_theta.terms)
+    exp_theta = theta_exponential(m)
+    assert len(exp_theta.terms) == expect_terms
+    assert norm_sq(exp_theta).to_complex() == pytest.approx(2.0 ** m)
+    assert math.sqrt(norm_sq(exp_theta).to_complex().real) == pytest.approx(
+        math.sqrt(2.0 ** m))
+    assert all(lab.r == 0 for lab in exp_theta.terms)
 
 
 def test_beta_state_cached_by_m():
     # exp(theta) depends on m only: one exact computation per m, equal to a
     # fresh one
-    state = beta_state(OscillatorModel(m=2, T=1.0, cutoff=4))
-    assert beta_state(OscillatorModel(m=2, T=7.5, cutoff=6)) is state
-    fresh = _theta_state.__wrapped__(2)
-    assert fresh.exp_theta == state.exp_theta
-    assert fresh.norm_sq_exact == state.norm_sq_exact
+    exp_theta = theta_exponential(2)
+    assert theta_exponential(2) is exp_theta
+    fresh = theta_exponential.__wrapped__(2)
+    assert fresh == exp_theta
+    assert norm_sq(fresh) == norm_sq(exp_theta)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_fiber_coefficients_read_exp_theta_in_basis_order(m):
-    # the complex view is exp(theta)'s exact terms, entry by entry in
-    # enumerate_basis order, and zero on every label exp(theta) lacks
-    state = _theta_state(m)
-    terms = state.exp_theta.terms
-    vec = state.fiber_coefficients()
+    # beta_vector's fiber factor, at scalar multi-index 0...0, is
+    # exp(theta)'s exact terms as complex floats, entry by entry in
+    # enumerate_basis order, and zero on every label exp(theta) lacks,
+    # unit normalized; every other entry of beta is zero
+    terms = theta_exponential(m).terms
     labels = enumerate_basis(m)
+    want = np.array([terms[lab].to_complex() if lab in terms else 0j
+                     for lab in labels])
+    beta = beta_vector(OscillatorModel(m=m, T=1.0, cutoff=4))
+    vec = beta[:len(labels)]
     assert vec.dtype == complex and vec.shape == (len(labels),) == (4 ** m,)
-    for lab, value in zip(labels, vec):
-        want = terms[lab].to_complex() if lab in terms else 0j
-        assert value == want
+    assert np.array_equal(vec, want / np.linalg.norm(want))
+    assert not beta[len(labels):].any()
     assert np.count_nonzero(vec) == len(terms) == 2 ** m
-    assert vec[labels.index(BasisLabel((), ()))] == 1.0
+    assert want[labels.index(BasisLabel((), ()))] == 1.0
 
 
 def test_beta_vector_normalized():
@@ -254,23 +257,21 @@ def test_bump_range_and_evenness(a):
 
 
 def test_alpha_scaling_limit():
-    profile = CutoffProfile(eps=1.0)
     for m in (1, 2):
-        _, atm = alpha_T(profile, m, 100.0)
+        _, atm = alpha_T(1.0, m, 100.0)
         assert abs(atm * 2.0 ** m - 1.0) <= 0.002
 
 
 def test_alpha_gaussian_oracle_wide_bump():
     # with eps far beyond the Gaussian width the bump is irrelevant and the
     # value equals the closed-form Gaussian integral (2T)^{-m}
-    profile = CutoffProfile(eps=8.0)
     for m, T in ((1, 4.0), (2, 3.0)):
-        a, _ = alpha_T(profile, m, T)
+        a, _ = alpha_T(8.0, m, T)
         assert a == pytest.approx((2.0 * T) ** -m, rel=1e-9)
 
 
 def test_alpha_monotone_in_eps():
-    vals = [alpha_T(CutoffProfile(eps=e), 1, 10.0)[0]
+    vals = [alpha_T(e, 1, 10.0)[0]
             for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
@@ -296,7 +297,7 @@ def test_alpha_matches_quadrature_oracle():
     for eps in (0.05, 0.2, 0.5, 1.0, 2.0, 8.0):
         for m in (1, 2, 3):
             for T in np.geomspace(0.01, 1.0e4, 19):
-                a, atm = alpha_T(CutoffProfile(eps=eps), m, float(T))
+                a, atm = alpha_T(eps, m, float(T))
                 assert a == pytest.approx(quad_alpha(eps, m, float(T)),
                                           rel=1e-12)
                 assert atm == a * float(T) ** m
@@ -305,7 +306,7 @@ def test_alpha_matches_quadrature_oracle():
 def test_alpha_rejects_nonpositive_T():
     for T in (0.0, -1.0):
         with pytest.raises(ValueError):
-            alpha_T(CutoffProfile(eps=1.0), 1, T)
+            alpha_T(1.0, 1, T)
 
 
 def test_oscillator_checks_run_without_scipy(tmp_path):
@@ -336,22 +337,21 @@ def test_oscillator_checks_run_without_scipy(tmp_path):
 
 def test_isometry_defect_zero_vector():
     model = OscillatorModel(m=1, T=50.0, cutoff=4)
-    assert isometry_defect(model, CutoffProfile(1.0), np.zeros(3)) == 0.0
+    assert isometry_defect(model, 1.0, np.zeros(3)) == 0.0
 
 
 def test_isometry_defect_small():
     model = OscillatorModel(m=1, T=50.0, cutoff=4)
-    profile = CutoffProfile(eps=1.0)
     u = np.array([1.0 + 0.5j, -0.25j])
-    assert isometry_defect(model, profile, u) <= 1e-9
+    assert isometry_defect(model, 1.0, u) <= 1e-9
     u2 = np.array([0.3, 1.0 - 0.2j])
-    assert isometry_defect(model, profile, u, u2) <= 1e-9
+    assert isometry_defect(model, 1.0, u, u2) <= 1e-9
 
 
 def test_isometry_defect_m2():
     model = OscillatorModel(m=2, T=50.0, cutoff=4)
     u = np.array([0.5, -1.0j])
-    assert isometry_defect(model, CutoffProfile(1.0), u) <= 1e-9
+    assert isometry_defect(model, 1.0, u) <= 1e-9
 
 
 def test_model_validation():
