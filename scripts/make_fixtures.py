@@ -9,13 +9,15 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))   # the exact exterior algebra
 
-from equivlab.exterior import golden_tables
 from equivlab.localmodel import GAP_CONSTANT
 from equivlab.oracle import generate_fixture_tables
+from exterior import golden_tables
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src/equivlab/fixtures"
+FIXTURES = ROOT / "src/equivlab/fixtures"
 
 
 def main() -> None:

@@ -3,14 +3,3 @@ complexes on exactly truncatable models, with eigenvalue-based verification
 that the deformed cohomology localizes onto the zero set of the field."""
 
 __version__ = "0.1.0"
-
-from .exterior import (  # noqa: F401
-    AlgebraElement,
-    BasisLabel,
-    TangentVector,
-    clifford_c,
-    clifford_hat_c,
-    contract,
-    enumerate_basis,
-    wedge,
-)

@@ -37,7 +37,7 @@ from .geometry.base import SCHEMA_VERSION, FieldSpec, ModelError, ModelSpec
 from .linalg import EigensolverError
 from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, OscillatorModel,
                          alpha_T, isometry_defect, kernel_overlap,
-                         oscillator_galerkin, oscillator_spectrum_analytic)
+                         oscillator_galerkin)
 from .oracle import localization_prediction
 
 CONFIG_SCHEMA_VERSION = 1
@@ -412,10 +412,7 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
     out = {"models": [], "alpha": []}
     for m, cutoff in zip(osc.m_grid, osc.cutoffs):
         for T in osc.T_grid:
-            model = OscillatorModel(m=m, T=T, cutoff=cutoff)
-            gal = oscillator_galerkin(model)
-            # the closed form's second level is its first nonzero one
-            gap, _ = oscillator_spectrum_analytic(model)[1]
+            gal = oscillator_galerkin(OscillatorModel(m=m, T=T, cutoff=cutoff))
             evals = gal.eigenvalues
             # the first eigenvalue above the kernel split; NaN when the
             # split is unresolved (-1), which already fails the check
@@ -427,14 +424,12 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
                 "overlap": kernel_overlap(gal),
                 "min_nonzero": lam,
                 "gap_over_T": lam / T,
-                "analytic_gap_over_T": gap / T,
             }
             out["models"].append(entry)
     for m in osc.m_grid:
         a, atm = alpha_T(CUTOFF_EPS, m, ALPHA_T_PROBE)
         u = np.array([1.0 + 0.5j, -0.25j, 0.75])
-        defect = isometry_defect(
-            OscillatorModel(m=m, T=50.0, cutoff=4), CUTOFF_EPS, u)
+        defect = isometry_defect(CUTOFF_EPS, m, 50.0, u)
         out["alpha"].append({"m": m, "T": ALPHA_T_PROBE, "eps": CUTOFF_EPS,
                              "alpha": a, "alpha_Tm": atm,
                              "isometry_defect": defect})

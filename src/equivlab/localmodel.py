@@ -1,6 +1,6 @@
-"""Fiberwise model operator on C^m: closed-form spectrum, Hermite-Galerkin
-cross-check, the degree-zero kernel state, and the cutoff/normalization
-quantities used by the localization isometries.
+"""Fiberwise model operator on C^m: Hermite-Galerkin spectrum, the
+degree-zero kernel state, and the cutoff/normalization quantities used by
+the localization isometries.
 
 The model operator on sections of the 2^{2m}-dimensional fiber algebra over
 C^m is
@@ -14,11 +14,23 @@ eigenvalues 2j, j in [-m, m], with binomial multiplicities, so the full
 spectrum is 2T (K + m + j).  The kernel is one-dimensional, spanned by
 exp(theta - T |Z|^2 / 2) with theta the degree-zero pairing form of the
 frame, and the first nonzero eigenvalue is 2T: the spectral-gap constant
-A = 2 is frozen as a fixture.  The closed form is its sorted (eigenvalue,
-multiplicity) levels and nothing more.  W and exp(theta) are computed
-exactly in `exterior` (coefficients in Q(i)[sqrt2]), once per m
-(`fiber_endomorphism_exact`, `theta_exponential`), and read as complex
-floats entry by entry through `ExactScalar.to_complex`.
+A = 2 is frozen as a fixture.
+
+The fiber algebra on C^m is the graded tensor product of m copies of the
+m = 1 algebra, basis (1, dz, dzbar, dz dzbar), and W and exp(theta) are
+even, so both are tensor powers of their m = 1 cases:
+
+    W_m = P (sum_a 1 (x) ... (x) W_1 (x) ... (x) 1) P^T,
+    exp(theta_m) = P (exp(theta_1) (x) ... (x) exp(theta_1)),
+
+with W_1 = -i (c(wbar) hatc(w) + c(w) hatc(wbar)) and exp(theta_1) =
+1 - dz dzbar read off the committed m = 1 Clifford tables.  P is the signed
+permutation from the per-coordinate product basis to the label order
+(lexicographic on the (anti, holo) index tuples of dz^holo dzbar^anti);
+its sign is the Koszul sign of sorting the generators, listed coordinate
+by coordinate with dz before dzbar, into all dz's and then all dzbar's.
+The entries are integers, so the products are exact and equal the exact
+exterior-algebra construction that the tests keep as the oracle.
 
 The localization isometries cut the Gaussian off with
 gamma_eps(rho) = smooth_bump(rho / eps), so the cutoff radius eps is all
@@ -40,21 +52,16 @@ and Clifford matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exterior import (AlgebraElement, clifford_c, clifford_hat_c,
-                       enumerate_basis, frame_vector, metric_dual_wedge,
-                       norm_sq, wedge)
-from .scalars import ExactScalar, I_UNIT
-
 GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
-GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff oscillator_galerkin takes
+GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff of an OscillatorModel
 
 
 @dataclass(frozen=True)
@@ -68,77 +75,51 @@ class OscillatorModel:
             raise ValueError("need fiber dimension m >= 1")
         if self.T <= 0:
             raise ValueError("need T > 0")
-        if self.cutoff < 2:
-            raise ValueError("need cutoff >= 2")
+        if self.cutoff < GALERKIN_MIN_CUTOFF:
+            raise ValueError(f"need cutoff >= {GALERKIN_MIN_CUTOFF}")
 
 
 # ---------------------------------------------------------------------------
-# Fiber endomorphism via the exact Clifford actions
+# The fiber as a tensor power of the m = 1 fiber
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def fiber_endomorphism_exact(m: int) -> tuple:
-    """Exact matrix (tuple of tuples of ExactScalar) of the zero-order fiber
-    term at T = 1:  -i * sum_a ( c(wbar_a) hatc(w_a) + c(w_a) hatc(wbar_a) )."""
-    labels = enumerate_basis(m)
-    total = None
-    for a in range(1, m + 1):
-        w = frame_vector(m, a, conjugated=False)
-        wbar = frame_vector(m, a, conjugated=True)
-        term = (clifford_c(wbar, m).compose(clifford_hat_c(w, m))
-                + clifford_c(w, m).compose(clifford_hat_c(wbar, m)))
-        total = term if total is None else total + term
-    scaled = total.scaled(-I_UNIT)
-    return tuple(tuple(row) for row in scaled.matrix(labels, labels))
+# W_1 and exp(theta_1) on the m = 1 basis (1, dz, dzbar, dz dzbar).  Their
+# tensor powers are taken in integers and read as floats once, so they
+# are exact and no zero entry carries a sign.
+_W1 = np.array([[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
+_EXP_THETA1 = np.array([1, 0, 0, -1])
+
+
+def _label_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation P as (order, sign): fiber label i is sign[i]
+    times product state order[i].  A product state holds one m = 1 index
+    per coordinate (bit 1: dz^a, bit 2: dzbar^a), coordinate 1 outermost
+    as in np.kron; the sign counts each dz^b moved left past a dzbar^a,
+    a < b."""
+    states = list(itertools.product(range(4), repeat=m))
+
+    def label(s):
+        return (tuple(a for a, x in enumerate(s) if x & 2),
+                tuple(a for a, x in enumerate(s) if x & 1))
+
+    def sign(s):
+        moves = sum(1 for b, x in enumerate(s) if x & 1
+                    for y in s[:b] if y & 2)
+        return -1 if moves % 2 else 1
+
+    order = sorted(range(len(states)), key=lambda i: label(states[i]))
+    return np.array(order), np.array([sign(states[i]) for i in order])
 
 
 def fiber_endomorphism(m: int) -> np.ndarray:
-    mat = fiber_endomorphism_exact(m)
-    out = np.array([[c.to_complex() for c in row] for row in mat])
-    if np.abs(out.imag).max() > 0:
-        raise AssertionError("fiber endomorphism should be real")
-    return out.real
-
-
-# ---------------------------------------------------------------------------
-# Closed-form spectrum
-# ---------------------------------------------------------------------------
-
-def oscillator_spectrum_analytic(model: OscillatorModel, max_level: int = 12
-                                 ) -> list[tuple[float, int]]:
-    """Spectrum 2T (K + m + j): the scalar oscillator ladder shifted by the
-    integer eigenvalues 2j of the fiber endomorphism, with multiplicities
-    C(K + 2m - 1, 2m - 1) * C(2m, m + j).  The sorted (eigenvalue,
-    multiplicity) levels up to 2T*max_level: the kernel is the first, of
-    multiplicity 1, and the second is the gap 2T."""
-    m, T = model.m, model.T
-    mult: dict[int, int] = {}
-    for level in range(max_level + 1):
-        total = 0
-        for j in range(-m, m + 1):
-            K = level - m - j
-            if K < 0:
-                continue
-            total += math.comb(K + 2 * m - 1, 2 * m - 1) * math.comb(2 * m, m + j)
-        if total:
-            mult[level] = total
-    if mult.get(0, 0) != 1:
-        raise AssertionError("closed form lost the one-dimensional kernel")
-    return [(2.0 * T * lv, mu) for lv, mu in sorted(mult.items())]
-
-
-def convolve_spectra(a: list[tuple[float, int]], b: list[tuple[float, int]],
-                     cap: float) -> list[tuple[float, int]]:
-    """Multiset sum of two spectra, truncated at `cap`; the m-fold
-    convolution of the m=1 spectrum is the independent oracle for the
-    tensor structure."""
-    acc: dict[float, int] = {}
-    for x, mx in a:
-        for y, my in b:
-            s = round(x + y, 9)
-            if s <= cap + 1e-9:
-                acc[s] = acc.get(s, 0) + mx * my
-    return sorted(acc.items())
+    """The zero-order fiber term at T = 1,
+    -i sum_a ( c(wbar_a) hatc(w_a) + c(w_a) hatc(wbar_a) ):  W_1 on each
+    coordinate in turn, summed and taken to label order by P."""
+    order, sign = _label_order(m)
+    eye = np.eye(4, dtype=int)
+    total = sum(reduce(np.kron, [_W1 if b == a else eye for b in range(m)])
+                for a in range(m))
+    return (np.outer(sign, sign) * total[np.ix_(order, order)]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +158,6 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
     """Full spectrum and kernel vector of the Galerkin matrix from the
     eigensolves of its Kronecker factors.  Coordinates are ordered as in
     h1 (x) ... (x) h1 (x) W: scalar coordinates first, the fiber last."""
-    if model.cutoff < GALERKIN_MIN_CUTOFF:
-        raise ValueError(f"Galerkin route needs cutoff >= {GALERKIN_MIN_CUTOFF}")
     m, T = model.m, model.T
     p2, x2 = _ladder_blocks(model.cutoff, T)
     e1, v1 = np.linalg.eigh(p2 + (T * T) * x2)
@@ -196,39 +175,16 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
 # The kernel state
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def theta_exponential(m: int) -> AlgebraElement:
-    """The exact exp(theta) by the terminating exterior exponential; theta
-    is the degree-zero sum over the frame of dual-pair products."""
-    one = AlgebraElement.scalar_one(m)
-    theta = None
-    for a in range(1, m + 1):
-        w = frame_vector(m, a, conjugated=False)
-        wbar = frame_vector(m, a, conjugated=True)
-        term = metric_dual_wedge(w, metric_dual_wedge(wbar, one))
-        theta = term if theta is None else theta + term
-    assert all(lab.r == 0 for lab in theta.terms)
-    power = one
-    total = one
-    fact = 1
-    for j in range(1, m + 1):
-        power = wedge(power, theta)
-        fact *= j
-        total = total + power.scale(ExactScalar(Fraction(1, fact)))
-    return total
-
-
 def beta_vector(model: OscillatorModel) -> np.ndarray:
     """Coefficients of exp(theta - T |Z|^2 / 2) in the Galerkin basis: the
     scalar ground state tensor the fiber exponential, unit normalized.  The
-    fiber factor is exp(theta)'s exact terms as complex floats, in
-    `enumerate_basis` order."""
-    terms = theta_exponential(model.m).terms
-    fiber = np.array([terms[lab].to_complex() if lab in terms else 0j
-                      for lab in enumerate_basis(model.m)])
+    fiber factor is P (exp(theta_1) (x) ... (x) exp(theta_1)), in label
+    order."""
+    order, sign = _label_order(model.m)
+    fiber = sign * reduce(np.kron, [_EXP_THETA1] * model.m)[order]
     dim_sc = model.cutoff ** (2 * model.m)
-    vec = np.zeros(dim_sc * len(fiber), dtype=complex)
-    vec[:len(fiber)] = fiber                      # scalar multi-index 0...0
+    vec = np.zeros(dim_sc * fiber.size, dtype=complex)
+    vec[:fiber.size] = fiber                      # scalar multi-index 0...0
     return vec / np.linalg.norm(vec)
 
 
@@ -308,21 +264,19 @@ def alpha_T(eps: float, m: int, T: float) -> tuple[float, float]:
     return alpha, alpha * T ** m
 
 
-def isometry_defect(model: OscillatorModel, eps: float,
+def isometry_defect(eps: float, m: int, T: float,
                     u1: np.ndarray, u2: np.ndarray | None = None) -> float:
     """| <<I u1, I u2>> - <u1, u2> | for the localization map
     I u = (2^m alpha_T)^{-1/2} gamma_eps (pi^* u) exp(theta - T|Z|^2/2).
 
     The normalization alpha is the closed-form flat piece plus a 40-node
     ramp rule; the fiber integral of |I u|^2 is a 64-node Gauss-Legendre
-    rule on each piece with the fiber-algebra norm of exp(theta) taken from
-    the exact exterior computation, so the defect measures agreement of two
-    independent integration routes."""
+    rule on each piece times the fiber-algebra norm |exp theta|^2 = 2^m
+    (the m-th power of |1 - dz dzbar|^2 = 2), so the defect measures
+    agreement of two independent integration routes."""
     if u2 is None:
         u2 = u1
-    m, T = model.m, model.T
-    # |exp theta|^2 = 2^m
-    nsq = norm_sq(theta_exponential(m)).to_complex().real
+    nsq = 2.0 ** m   # |exp theta|^2
     alpha, _ = alpha_T(eps, m, T)
     val = 0.0
     for lo, hi in ((0.0, eps / 2.0), (eps / 2.0, eps)):

@@ -21,8 +21,11 @@ Conventions fixed here and validated exactly by the committed golden tables:
   sqrt(-2) = i sqrt(2).
 
 Coefficients are exact scalars in Q(i)[sqrt2], so every identity holds
-with no rounding.  Spectral work reads exact results as floats through
-`ExactScalar.to_complex`, as `localmodel` does.
+with no rounding.  This module is the test suite's reference: it generates
+the committed m = 1 Clifford tables (`golden_tables`, written by
+scripts/make_fixtures.py), and the float fiber that `equivlab.localmodel`
+builds from those tables by Kronecker products is pinned entry for entry
+to the exact construction here, read through `ExactScalar.to_complex`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .scalars import ONE, SQRT2, SQRT_M2, ZERO, ExactScalar
+from scalars import ONE, SQRT2, SQRT_M2, ZERO, ExactScalar
 
 
 class BasisLabel(NamedTuple):

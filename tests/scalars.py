@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic for the graded-algebra backend.
+"""Exact coefficient arithmetic for the exact exterior algebra in `exterior`.
 
 Coefficients live in Q(i)[sqrt2]: numbers (a + b*i) + (c + d*i)*sqrt(2) with
 rational a, b, c, d.  This field is closed under the products that appear in

@@ -722,6 +722,15 @@ def test_unresolved_oscillator_kernel_has_no_gap(monkeypatch):
     assert cli.oscillator_verdicts(results)["oscillator"] == "fail"
 
 
+def test_oscillator_payload_entry_keys():
+    # a model entry holds what the oscillator verdict and the gap table
+    # read, and nothing else
+    osc = cli.OscillatorConfig(m_grid=(1,), T_grid=(1.0,), cutoffs=(4,))
+    entry, = cli.oscillator_results(osc)["models"]
+    assert set(entry) == {"m", "T", "cutoff", "dim", "kernel_count",
+                          "overlap", "min_nonzero", "gap_over_T"}
+
+
 def test_oscillator_subcommand(tmp_path):
     for name, m, cutoff in (("osc", "1", "8"), ("osc12", "1,2", "12,4")):
         out = tmp_path / name

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivlab.exterior import (AlgebraElement, BasisLabel, TangentVector,
-                               clifford_c, clifford_hat_c, contract,
-                               enumerate_basis,
-                               frame_vector, golden_tables, hermitian_inner,
-                               metric_dual_wedge, wedge)
-from equivlab.scalars import ExactScalar
+from exterior import (AlgebraElement, BasisLabel, TangentVector, clifford_c,
+                      clifford_hat_c, contract, enumerate_basis, frame_vector,
+                      golden_tables, hermitian_inner, metric_dual_wedge, wedge)
+from scalars import ExactScalar
 
 
 def label(anti=(), holo=()):
@@ -170,7 +168,7 @@ def test_hat_c_on_scalar_vanishes():
 
 
 def test_hat_c_contracts_holomorphic_generator():
-    from equivlab.scalars import SQRT_M2
+    from scalars import SQRT_M2
     out = clifford_hat_c(frame_vector(1, 1))(unit(1, label(holo=(1,))))
     assert out.terms == {label(): -SQRT_M2}
 
@@ -203,7 +201,7 @@ def test_real_frame_clifford_relations():
         w = frame_vector(2, j)
         wbar = frame_vector(2, j, conjugated=True)
         # e = (w + wbar)/sqrt2 and e' = i(w - wbar)/sqrt2: build via scaled sums
-        from equivlab.scalars import SQRT2, I_UNIT
+        from scalars import SQRT2, I_UNIT
         inv_s2 = SQRT2 * half
         ce = (clifford_c(w, 2) + clifford_c(wbar, 2)).scaled(inv_s2)
         cee = (clifford_c(w, 2).scaled(I_UNIT)
@@ -248,8 +246,8 @@ def test_mixed_c_hatc_anticommutators_vanish():
 # --- float view ------------------------------------------------------------
 
 def test_float_view_keeps_golden_relations():
-    # run paths read the exact matrices as complex floats; that view must
-    # keep {c(w_i), c(wbar_j)} = {hatc(w_i), hatc(wbar_j)} = -2 delta_ij
+    # the oracle pins read the exact matrices as complex floats; that view
+    # must keep {c(w_i), c(wbar_j)} = {hatc(w_i), hatc(wbar_j)} = -2 delta_ij
     # and every other anticommutator zero, to round-off
     labels = enumerate_basis(2)
     gens = {}

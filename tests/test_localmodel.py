@@ -3,7 +3,10 @@ spectral-gap fixture, bump/normalization quantities, isometry defects.
 
 The assembled Galerkin matrix is the oracle for the factor route: the
 sparse Kronecker sum is built term by term and solved densely at small
-cutoffs, or applied to the kernel vector at m = 2."""
+cutoffs, or applied to the kernel vector at m = 2.  The closed-form
+spectrum is the oracle for its multiplicities, and the exact exterior
+algebra (`exterior`) is the oracle for the fiber that `localmodel` builds
+as a tensor power of its m = 1 case."""
 
 import json
 import math
@@ -11,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -19,14 +23,122 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
-from equivlab.exterior import BasisLabel, enumerate_basis
-from equivlab.exterior import norm_sq
-from equivlab.localmodel import (GAP_CONSTANT, OscillatorModel, _ladder_blocks,
-                                 alpha_T, beta_vector, convolve_spectra,
+from equivlab.localmodel import (GAP_CONSTANT, OscillatorModel, _EXP_THETA1,
+                                 _W1, _ladder_blocks, alpha_T, beta_vector,
                                  fiber_endomorphism, isometry_defect,
                                  kernel_overlap, oscillator_galerkin,
-                                 oscillator_spectrum_analytic, smooth_bump,
-                                 theta_exponential)
+                                 smooth_bump)
+from exterior import (AlgebraElement, BasisLabel, clifford_c, clifford_hat_c,
+                      enumerate_basis, frame_vector, metric_dual_wedge,
+                      norm_sq, wedge)
+from scalars import ExactScalar, I_UNIT
+
+
+# --- oracles -----------------------------------------------------------------
+
+def fiber_endomorphism_exact(m: int) -> np.ndarray:
+    """The zero-order fiber term at T = 1 in the exact exterior algebra,
+    -i * sum_a ( c(wbar_a) hatc(w_a) + c(w_a) hatc(wbar_a) ), read entry by
+    entry as floats in enumerate_basis order."""
+    labels = enumerate_basis(m)
+    total = None
+    for a in range(1, m + 1):
+        w = frame_vector(m, a, conjugated=False)
+        wbar = frame_vector(m, a, conjugated=True)
+        term = (clifford_c(wbar, m).compose(clifford_hat_c(w, m))
+                + clifford_c(w, m).compose(clifford_hat_c(wbar, m)))
+        total = term if total is None else total + term
+    out = np.array([[c.to_complex() for c in row]
+                    for row in total.scaled(-I_UNIT).matrix(labels, labels)])
+    assert not out.imag.any()
+    return out.real
+
+
+def theta_exponential(m: int) -> AlgebraElement:
+    """The exact exp(theta) by the terminating exterior exponential; theta
+    is the degree-zero sum over the frame of dual-pair products."""
+    one = AlgebraElement.scalar_one(m)
+    theta = None
+    for a in range(1, m + 1):
+        w = frame_vector(m, a, conjugated=False)
+        wbar = frame_vector(m, a, conjugated=True)
+        term = metric_dual_wedge(w, metric_dual_wedge(wbar, one))
+        theta = term if theta is None else theta + term
+    assert all(lab.r == 0 for lab in theta.terms)
+    power = one
+    total = one
+    fact = 1
+    for j in range(1, m + 1):
+        power = wedge(power, theta)
+        fact *= j
+        total = total + power.scale(ExactScalar(Fraction(1, fact)))
+    return total
+
+
+def fixture_m1_fiber() -> tuple[np.ndarray, np.ndarray]:
+    """(W_1, exp(theta_1)) from the committed m = 1 Clifford tables, exactly:
+    W_1 = -i (c(wbar) hatc(w) + c(w) hatc(wbar)) and, since
+    theta_1 = dzbar dz = (i/2) c(w) hatc(wbar) on 1,
+    exp(theta_1) = (1 + (i/2) c(w) hatc(wbar)) 1."""
+    tables = json.loads(resources.files("equivlab.fixtures")
+                        .joinpath("clifford_tables_n1.json").read_text())
+    ops = {name: [[ExactScalar(*map(Fraction, entry)) for entry in row]
+                  for row in mat]
+           for name, mat in tables["operators"].items()}
+
+    def mul(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(4)), ExactScalar())
+                 for j in range(4)] for i in range(4)]
+
+    def to_float(entries):
+        out = np.array([[c.to_complex() for c in row] for row in entries])
+        assert not out.imag.any()
+        return out.real
+
+    cw_hwbar = mul(ops["c_w"], ops["hatc_wbar"])
+    w1 = [[-I_UNIT * (x + y) for x, y in zip(r1, r2)]
+          for r1, r2 in zip(mul(ops["c_wbar"], ops["hatc_w"]), cw_hwbar)]
+    half_i = ExactScalar(0, Fraction(1, 2))
+    exp_theta1 = [ExactScalar(int(i == 0)) + half_i * row[0]
+                  for i, row in enumerate(cw_hwbar)]
+    return to_float(w1), to_float([exp_theta1])[0]
+
+
+def oscillator_spectrum_analytic(model: OscillatorModel, max_level: int = 12
+                                 ) -> list[tuple[float, int]]:
+    """Spectrum 2T (K + m + j): the scalar oscillator ladder shifted by the
+    integer eigenvalues 2j of the fiber endomorphism, with multiplicities
+    C(K + 2m - 1, 2m - 1) * C(2m, m + j).  The sorted (eigenvalue,
+    multiplicity) levels up to 2T*max_level: the kernel is the first, of
+    multiplicity 1, and the second is the gap 2T."""
+    m, T = model.m, model.T
+    mult: dict[int, int] = {}
+    for level in range(max_level + 1):
+        total = 0
+        for j in range(-m, m + 1):
+            K = level - m - j
+            if K < 0:
+                continue
+            total += math.comb(K + 2 * m - 1, 2 * m - 1) * math.comb(2 * m, m + j)
+        if total:
+            mult[level] = total
+    if mult.get(0, 0) != 1:
+        raise AssertionError("closed form lost the one-dimensional kernel")
+    return [(2.0 * T * lv, mu) for lv, mu in sorted(mult.items())]
+
+
+def convolve_spectra(a: list[tuple[float, int]], b: list[tuple[float, int]],
+                     cap: float) -> list[tuple[float, int]]:
+    """Multiset sum of two spectra, truncated at `cap`; the m-fold
+    convolution of the m=1 spectrum is the independent oracle for the
+    tensor structure."""
+    acc: dict[float, int] = {}
+    for x, mx in a:
+        for y, my in b:
+            s = round(x + y, 9)
+            if s <= cap + 1e-9:
+                acc[s] = acc.get(s, 0) + mx * my
+    return sorted(acc.items())
 
 
 def galerkin_matrix(model):
@@ -57,7 +169,12 @@ def beta_residual(model):
 # --- fiber endomorphism ------------------------------------------------------
 
 def test_fiber_endomorphism_m1_entries():
+    # the literal W_1, the committed fixture and the exact oracle agree
     w = fiber_endomorphism(1)
+    w1, _ = fixture_m1_fiber()
+    assert np.array_equal(_W1, w1)
+    assert np.array_equal(w, w1)
+    assert np.array_equal(w, fiber_endomorphism_exact(1))
     # acts only between the scalar label and the degree-zero two-form label
     labels = enumerate_basis(1)
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -69,9 +186,13 @@ def test_fiber_endomorphism_m1_entries():
     assert np.allclose(w, expect)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_fiber_endomorphism_symmetric_with_integer_spectrum(m):
+    # the tensor power through P is the exact construction entry for entry,
+    # with no negative zeros
     w = fiber_endomorphism(m)
+    assert np.array_equal(w, fiber_endomorphism_exact(m))
+    assert w.dtype == float and not np.signbit(w[w == 0]).any()
     assert np.allclose(w, w.T)
     evals = np.linalg.eigvalsh(w)
     assert np.allclose(evals, np.round(evals), atol=1e-12)
@@ -181,7 +302,14 @@ def test_galerkin_requires_cutoff():
 # --- the kernel state --------------------------------------------------------
 
 def test_exp_theta_m1_two_terms():
+    # the literal exp(theta_1), the committed fixture and the exact oracle
+    # agree
     exp_theta = theta_exponential(1)
+    _, exp_theta1 = fixture_m1_fiber()
+    assert np.array_equal(_EXP_THETA1, exp_theta1)
+    assert np.array_equal(exp_theta1, [exp_theta.terms[lab].to_complex().real
+                                       if lab in exp_theta.terms else 0.0
+                                       for lab in enumerate_basis(1)])
     assert len(exp_theta.terms) == 2
     assert norm_sq(exp_theta).to_complex() == pytest.approx(2.0)
 
@@ -197,19 +325,17 @@ def test_exp_theta_norm(m, expect_terms):
 
 
 def test_beta_state_cached_by_m():
-    # exp(theta) depends on m only: one exact computation per m, equal to a
-    # fresh one
-    exp_theta = theta_exponential(2)
-    assert theta_exponential(2) is exp_theta
-    fresh = theta_exponential.__wrapped__(2)
-    assert fresh == exp_theta
-    assert norm_sq(fresh) == norm_sq(exp_theta)
+    # exp(theta) depends on m only: beta's fiber entries agree across T and
+    # cutoff
+    a = beta_vector(OscillatorModel(m=2, T=1.0, cutoff=4))
+    b = beta_vector(OscillatorModel(m=2, T=7.5, cutoff=5))
+    assert np.array_equal(a[:16], b[:16])
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_fiber_coefficients_read_exp_theta_in_basis_order(m):
-    # beta_vector's fiber factor, at scalar multi-index 0...0, is
-    # exp(theta)'s exact terms as complex floats, entry by entry in
+    # beta_vector's fiber factor, at scalar multi-index 0...0, is the
+    # exact exp(theta)'s terms as complex floats, entry by entry in
     # enumerate_basis order, and zero on every label exp(theta) lacks,
     # unit normalized; every other entry of beta is zero
     terms = theta_exponential(m).terms
@@ -336,22 +462,19 @@ def test_oscillator_checks_run_without_scipy(tmp_path):
 
 
 def test_isometry_defect_zero_vector():
-    model = OscillatorModel(m=1, T=50.0, cutoff=4)
-    assert isometry_defect(model, 1.0, np.zeros(3)) == 0.0
+    assert isometry_defect(1.0, 1, 50.0, np.zeros(3)) == 0.0
 
 
 def test_isometry_defect_small():
-    model = OscillatorModel(m=1, T=50.0, cutoff=4)
     u = np.array([1.0 + 0.5j, -0.25j])
-    assert isometry_defect(model, 1.0, u) <= 1e-9
+    assert isometry_defect(1.0, 1, 50.0, u) <= 1e-9
     u2 = np.array([0.3, 1.0 - 0.2j])
-    assert isometry_defect(model, 1.0, u, u2) <= 1e-9
+    assert isometry_defect(1.0, 1, 50.0, u, u2) <= 1e-9
 
 
 def test_isometry_defect_m2():
-    model = OscillatorModel(m=2, T=50.0, cutoff=4)
     u = np.array([0.5, -1.0j])
-    assert isometry_defect(model, 1.0, u) <= 1e-9
+    assert isometry_defect(1.0, 2, 50.0, u) <= 1e-9
 
 
 def test_model_validation():

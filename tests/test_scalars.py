@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from equivlab.scalars import ExactScalar, I_UNIT, ONE, SQRT2, SQRT_M2
+from scalars import ExactScalar, I_UNIT, ONE, SQRT2, SQRT_M2
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(ExactScalar, fracs, fracs, fracs, fracs)
