@@ -21,23 +21,22 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import starmap
 
 import numpy as np
 
 from . import __version__
 from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, NotPSDError,
-                       bochner_check, deformed_spectra, graded_euler, spectrum,
-                       sweep_rows_for_csv, t_sweep, torus_bochner_bound)
+                       bochner_check, graded_euler, sweep_rows_for_csv,
+                       t_sweep, torus_bochner_bound)
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
 from .geometry import assemble
 from .geometry.base import SCHEMA_VERSION, FieldSpec, ModelError, ModelSpec
 from .linalg import EigensolverError
-from .localmodel import (GALERKIN_MIN_CUTOFF, GAP_CONSTANT, OscillatorModel,
-                         alpha_T, isometry_defect, kernel_overlap,
-                         oscillator_galerkin)
+from .localmodel import (GALERKIN_MAX_DIM, GALERKIN_MIN_CUTOFF, GAP_CONSTANT,
+                         OscillatorModel, alpha_T, isometry_defect,
+                         kernel_overlap, oscillator_galerkin)
 from .oracle import localization_prediction
 
 CONFIG_SCHEMA_VERSION = 1
@@ -274,6 +273,14 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
     if len(cuts) != len(m_grid):
         raise ConfigError("oscillator.cutoff",
                           "needs one cutoff per fiber dimension")
+    for i, (m, cutoff) in enumerate(zip(m_grid, cuts)):
+        # the grids passed the bounds above, so only the model's size fails
+        try:
+            OscillatorModel(m=m, T=t_grid[0], cutoff=cutoff)
+        except ValueError as exc:
+            raise ConfigError(
+                f"oscillator.cutoff[{i}]", "must be small enough that "
+                f"cutoff^(2m) 4^m <= {GALERKIN_MAX_DIM} at m = {m}") from exc
     return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts)
 
 
@@ -301,15 +308,13 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
     """Everything the checks and reports need for one model, as plain data."""
     model = assemble(spec)
     sweep = t_sweep(model, list(T_grid))
-    table0 = {res.degree: res.kernel_count
-              for res in starmap(spectrum, deformed_spectra(model, 0.0)[1])}
     payload = {
         "model": spec.to_dict(),
         "label": spec.label(),
         "rows": sweep_rows_for_csv(spec, sweep),
         "tables": {_fmt(T): dict(sorted(t.items()))
                    for T, t in sweep.tables.items()},
-        "table0": dict(sorted(table0.items())),
+        "table0": dict(sorted(sweep.table0.items())),
         "unresolved": sweep.unresolved,
         # the growth law is read only where the field has no zeros
         "growth": ({_fmt(T): v for T, v in sweep.min_eig_over_T2.items()}

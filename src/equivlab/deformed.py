@@ -6,29 +6,27 @@ bases as
     D_T^2 |_r = 2 ( d_{r-1} d_{r-1}^* + d_r^* d_r ),
 
 block-diagonally over the model's cells.  The cells come in stacks of one
-layout (see `geometry.base`), and every step works on a whole stack at
-once: per stack and degree, d_T, the Dirac square, its eigensolve and the
-d_T^2 defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
+layout (see `geometry.base`), and a T grid is a leading axis: per stack and
+degree, d_T at every T, the Dirac squares, their eigensolve and the d_T^2
+defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
 over the last two axes).  Each applies the same BLAS/LAPACK routine to the
-same member matrix as a per-cell call would, so the results are equal bit
-for bit; cells are never merged into larger matrices, which would change
-the eigenvalues' last bits.  The placement of the dbar and iv blocks in
-each d_T block depends only on the model, so it is made once; each T then
-forms A + T B.
+same member matrix as a per-cell, per-T call would, so the results are
+equal bit for bit; cells are never merged into larger matrices, which
+would change the eigenvalues' last bits.
 
-d_T is plain data, a {(stack, r): block} dict (`Blocks`).  The Dirac
-square and the d_T^2 defect read members and dimensions off the blocks'
-shapes, so they take the blocks alone.
+d_T is plain data, a {(stack, r): block} dict (`Blocks`), and the Dirac
+square and the d_T^2 defect read T values, members and dimensions off the
+blocks' shapes.  The product cp1 x torus has no blocks of its own
+(`geometry.product`): d_T, its defect, the Dirac square and the
+eigensolves are the cp1 factor's, and in product degree r the spectrum is
+every cp1 eigenvalue of degree r - b plus every torus level, once per
+torus label of degree b.
 
-The product cp1 x torus has no blocks of its own (`geometry.product`): d_T,
-its defect, the Dirac square and the eigensolves are the cp1 factor's, and
-in product degree r the spectrum is every cp1 eigenvalue of degree r - b
-plus every torus level, once per torus label of degree b.
-
-`deformed_spectra` is the one path from a model and T to d_T and the
-spectra, and `spectrum` reads one degree's `SpectrumResult` off it.  A
-sweep is its rows; its cohomology tables (plain degree -> count dicts),
-unresolved cells and growth are read off them.
+`spectral_pass` is the one path from a model and a T grid to the defects
+and spectra, one stack at a time, and `spectrum` reads one degree's
+`SpectrumResult` off it.  A sweep is one pass over its grid with T = 0
+after it: its rows and the undeformed table, with cohomology tables
+(degree -> count dicts), unresolved cells and growth read off the rows.
 
 Kernel dimensions are read off by a relative-gap clustering rule:
 eigenvalues are floored at FLOOR_REL times the spectral scale, the largest
@@ -74,7 +72,7 @@ RESOLVE_RATIO = 1.0e3
 
 # per (stack, degree r), the stack's member matrices in its orthonormal
 # bases, so a block's adjoint is its conjugate transpose; d_T's degree-r
-# block has shape (members, dim_{r+1}, dim_r)
+# block has shape (members, dim_{r+1}, dim_r), after a T axis on a grid
 Blocks = dict[tuple[int, int], np.ndarray]
 
 
@@ -82,13 +80,13 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _placed(stack: CellStack, n: int, r: int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B): the dbar blocks and the iv blocks of every member of a stack
-    placed in the map from the degree-r block to the degree-(r+1) block, in
-    the stack's orthonormal bases, so that d_T there is A + T B.  They keep
-    the blocks' own type: real on the projective line, complex on the
-    torus."""
+def _placed(stack: CellStack, n: int, r: int, grid: np.ndarray
+            ) -> np.ndarray:
+    """d_T = A + T B of every member of a stack at every T of the grid, from
+    the degree-r block to the degree-(r+1) block: shape (len(grid),
+    members, rows, cols).  A (dbar) and B (iv) are placed once, in the
+    blocks' own type; their supports are disjoint, so every entry is one of
+    A or T times one of B, plus a zero, as when both are added into zeros."""
     src = stack.pqs_of_degree(r, n)
     tgt = stack.pqs_of_degree(r + 1, n)
     rows = sum(stack.dim(pq) for pq in tgt)
@@ -113,37 +111,30 @@ def _placed(stack: CellStack, n: int, r: int
             top = row_off[(p - 1, q)]
             b[:, top:top + blk.shape[1], col:col + w] += blk
         col += w
-    return a, b
+    d = np.multiply(b, grid[:, None, None, None],
+                    out=np.empty(grid.shape + b.shape, dtype=complex))
+    d += a
+    return d
 
 
 def assemble_deformed(model: AssembledModel, T: float) -> Blocks:
-    """d_T = dbar + T iv per stack and degree, as the complex T B + A, from
-    the placement of dbar (A) and iv (B) that the model keeps after its
-    first d_T.  dbar raises q and iv lowers p, so A and B have disjoint
-    supports: every entry is an entry of A or T times an entry of B, plus a
-    zero, as when both are added into zeros."""
-    T = float(T)
-    blocks: Blocks = {}
-    placed = model.placed_dt
-    for si, stack in enumerate(model.cells):
-        for r in range(-model.n, model.n + 1):
-            if (si, r) not in placed:
-                placed[si, r] = _placed(stack, model.n, r)
-            a, b = placed[si, r]
-            d = np.multiply(b, T, out=np.empty(b.shape, dtype=complex))
-            d += a
-            blocks[si, r] = d
-    return blocks
+    """d_T at one T per stack and degree, shape (members, rows, cols): the
+    one-T assembly that `bochner_check` reads."""
+    grid = np.array([float(T)])
+    return {(si, r): _placed(stack, model.n, r, grid)[0]
+            for si, stack in enumerate(model.cells)
+            for r in range(-model.n, model.n + 1)}
 
 
-def complex_property_defect(blocks: Blocks) -> float:
+def complex_property_defect(blocks: Blocks) -> np.ndarray:
     """Worst ratio, over stacks, members and degrees, of ||d_{r+1} d_r||_F
     to its round-off bound (k + 8) eps ||d_{r+1}||_F ||d_r||_F, where k is
     the inner dimension: gamma_k covers the product, and the rest a few
     roundings per block entry.  The ratio is 0 where the product is exactly
-    0, and above 1 where d_T^2 = 0 fails beyond round-off.  (Exact closure
-    is separately certified in rational arithmetic for the curved model.)"""
-    worst = 0.0
+    0, and above 1 where d_T^2 = 0 fails beyond round-off; one per T of a
+    grid axis (0-d at one T).  (Exact closure is separately certified in
+    rational arithmetic for the curved model.)"""
+    worst = np.zeros(next(iter(blocks.values())).shape[:-3])
     for (si, r), a in blocks.items():
         b = blocks.get((si, r + 1))
         if b is not None and a.size and b.size:
@@ -153,20 +144,20 @@ def complex_property_defect(blocks: Blocks) -> float:
                      * np.linalg.norm(a, axis=(-2, -1)))
             ratio = np.divide(defect, bound, out=np.zeros_like(defect),
                               where=defect > 0)
-            worst = max(worst, float(ratio.max()))
+            worst = np.maximum(worst, ratio.max(axis=-1))
     return worst
 
 
 def dirac(blocks: Blocks) -> Blocks:
-    """Per (stack, degree), the Dirac squares of every member in
-    orthonormal bases, shape (members, dim_r, dim_r); each is exactly
+    """Per (stack, degree), the Dirac squares of every member (and T) in
+    orthonormal bases, shape (..., dim_r, dim_r); each is exactly
     Hermitian, 0.5 (h + h^*).  A degree with no basis has none."""
     cells: Blocks = {}
     for (si, r), here in blocks.items():
-        members, _, dim = here.shape
+        dim = here.shape[-1]
         if dim == 0:
             continue
-        h = np.zeros((members, dim, dim), dtype=complex)
+        h = np.zeros(here.shape[:-2] + (dim, dim), dtype=complex)
         below = blocks.get((si, r - 1))
         if below is not None and below.size:
             h += below @ _adjoint(below)
@@ -181,41 +172,49 @@ def dirac(blocks: Blocks) -> Blocks:
 Degree = tuple[int, float, np.ndarray, int]
 
 
-def deformed_spectra(model: AssembledModel | ProductModel, T: float
-                     ) -> tuple[Blocks, Iterator[Degree]]:
-    """d_T's blocks at T, and per degree r of D_T^2 its sorted eigenvalues
-    with n, the largest member dimension entering them (the n of the PSD
-    guard), each formed only when the iterator reaches it;
-    `starmap(spectrum, ...)` lets go of a degree's eigenvalues before the
-    next are formed.
+def spectral_pass(model: AssembledModel | ProductModel, T_list
+                  ) -> tuple[np.ndarray, list[Iterator[Degree]]]:
+    """The d_T^2 defect ratio at each T of T_list, and per T an iterator
+    over the degrees r of D_T^2: its sorted eigenvalues with n, the largest
+    member dimension entering them (the n of the PSD guard), each formed
+    when the iterator reaches it.  A stack's work over the grid is done
+    before the next stack's, so peak memory is one stack over the grid.
 
-    For a product, d_T is the left factor's (d_T^2 = d_{T,L}^2 (x) 1), whose
-    eigenvalues are solved up front; degree r holds, for each right degree
-    b, every sum of a left eigenvalue of degree r - b and a torus level,
-    RIGHT_MULTIPLICITY[b] times, and n is the largest over those degrees."""
-    T = float(T)
-    if not isinstance(model, ProductModel):
-        blocks = assemble_deformed(model, T)
-        return blocks, _degrees(model, dirac(blocks), T)
-    blocks = assemble_deformed(model.left, T)
-    left = {r: (evals, n)
-            for r, _, evals, n in _degrees(model.left, dirac(blocks), T)}
-    return blocks, _kunneth_degrees(model, left, T)
+    For a product, degree r holds, for each right degree b, every sum of a
+    left eigenvalue of degree r - b and a torus level, RIGHT_MULTIPLICITY[b]
+    times, and n is the largest over those degrees."""
+    Ts = [float(T) for T in T_list]
+    grid = np.array(Ts)
+    base = model.left if isinstance(model, ProductModel) else model
+    defect = np.zeros(len(Ts))
+    evals = []
+    for si, stack in enumerate(base.cells):
+        blocks = {(si, r): _placed(stack, base.n, r, grid)
+                  for r in range(-base.n, base.n + 1)}
+        defect = np.maximum(defect, complex_property_defect(blocks))
+        # per degree, shape (len(grid), members, dim)
+        evals.append({r: hermitian_eigenvalues(
+            h, {"stack": stack.name, "r": r, "T": Ts})
+            for (_, r), h in dirac(blocks).items() if h.size})
+        del blocks      # before the next stack's are formed
+    degrees = [_degrees(base, evals, t, T) for t, T in enumerate(Ts)]
+    if base is not model:
+        degrees = [_kunneth_degrees(model, left, T)
+                   for left, T in zip(degrees, Ts)]
+    return defect, degrees
 
 
-def _degrees(model: AssembledModel, cells: Blocks, T: float
-             ) -> Iterator[Degree]:
+def _degrees(model: AssembledModel, evals: list[dict[int, np.ndarray]],
+             t: int, T: float) -> Iterator[Degree]:
     for r in range(-model.n, model.n + 1):
-        stacks = [(si, h) for (si, rr), h in cells.items() if rr == r]
-        n = max((h.shape[-1] for _, h in stacks), default=0)
-        yield r, T, _merged([hermitian_eigenvalues(
-            h, {"stack": model.cells[si].name, "r": r, "T": T}).ravel()
-            for si, h in stacks if h.size]), n
+        stacks = [ev[r] for ev in evals if r in ev]
+        n = max((e.shape[-1] for e in stacks), default=0)
+        yield r, T, _merged([e[t].ravel() for e in stacks]), n
 
 
-def _kunneth_degrees(model: ProductModel,
-                     left: dict[int, tuple[np.ndarray, int]], T: float
-                     ) -> Iterator[Degree]:
+def _kunneth_degrees(model: ProductModel, left_degrees: Iterator[Degree],
+                     T: float) -> Iterator[Degree]:
+    left = {r: (evals, n) for r, _, evals, n in left_degrees}
     for r in range(-model.n, model.n + 1):
         terms = [left[r - b] for b, mult in RIGHT_MULTIPLICITY.items()
                  if r - b in left for _ in range(mult)]
@@ -374,6 +373,7 @@ def _bochner_cp1(model: AssembledModel, T) -> dict:
 class SweepResult:
     rows: list[SpectrumResult]      # per T, then per degree
     complex_defect_ratio: dict[float, float]   # complex_property_defect per T
+    table0: dict[int, int]          # the kernel count per degree at T = 0
 
     @property
     def tables(self) -> dict[float, dict[int, int]]:
@@ -396,19 +396,19 @@ class SweepResult:
 
 
 def t_sweep(model: AssembledModel | ProductModel, T_list) -> SweepResult:
+    # T = 0 goes last, so rows and errors come in grid order
     if not T_list:
         raise ValueError("T grid must be nonempty")
     if any(t <= 0 for t in T_list):
         raise ValueError("T grid must be positive")
-    rows: list[SpectrumResult] = []
-    defects: dict[float, float] = {}
-    for T in T_list:
-        # one d_T per T serves both the complex property and the spectra
-        blocks, degrees = deformed_spectra(model, T)
-        defects[float(T)] = complex_property_defect(blocks)
-        rows += starmap(spectrum, degrees)
-        del blocks, degrees     # free this T's blocks before the next T's
-    return SweepResult(rows=rows, complex_defect_ratio=defects)
+    Ts = [float(T) for T in T_list]
+    defect, degrees = spectral_pass(model, Ts + [0.0])
+    rows = [res for per_T in degrees[:-1] for res in starmap(spectrum, per_T)]
+    table0 = {res.degree: res.kernel_count
+              for res in starmap(spectrum, degrees[-1])}
+    return SweepResult(rows=rows,
+                       complex_defect_ratio=dict(zip(Ts, defect.tolist())),
+                       table0=table0)
 
 
 CSV_FIELDS = ["model", "kind", "param", "cutoff", "T", "r", "dim",

@@ -14,9 +14,10 @@ Dolbeault operator (raising q) and of contraction by the model's vector
 field (lowering p), stacked along a leading member axis.  The torus stacks
 its Fourier modes, and the projective line stacks the rotation charges of
 one layout (chi and k - chi share one).  Downstream float work makes one
-batched call per stack, and d_T's placement of these blocks is made once
-per model (`AssembledModel.placed_dt`).  The product is not assembled: it
-is held as its factors (`geometry.product`).
+batched call per stack over the whole T grid, and d_T's placement of these
+blocks is made once per stack and degree in that pass
+(`deformed.spectral_pass`).  The product is not assembled: it is held as
+its factors (`geometry.product`).
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ class AssembledModel:
     leakage: dict[str, float] = field(default_factory=dict)
     gram_pivot_ratio: dict[str, float] = field(default_factory=dict)
     exact: object | None = None     # optional exact-arithmetic payload
-    # (A, B) per (stack, degree) with d_T = A + T B there, placed by
-    # `deformed.assemble_deformed` on the model's first d_T
-    placed_dt: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -7,9 +7,9 @@ and dbar_R^2 = 0, so d_T^2 = d_{T,L}^2 (x) 1 and the Dirac square is
 D_{T,L}^2 (x) 1 + 1 (x) D_R^2.  On the torus mode (j, k), D_R^2 is
 2 |mu_jk|^2 on each label: dz in right degree -1, 1 and dz dzbar in degree
 0, dzbar in degree +1.  A product is thus the assembled projective-line
-model and one level per torus mode; its spectra are Kunneth sums, formed
-one degree at a time by `deformed.deformed_spectra`, and no product-sized
-block is ever formed.
+model and one level per torus mode; its spectra are Kunneth sums of the
+left factor's eigenvalues from the same `deformed.spectral_pass`, formed
+one (T, degree) at a time, and no product-sized block is ever formed.
 """
 
 from __future__ import annotations

@@ -304,7 +304,7 @@ def inverse_form(table: RomanovskiTable, n: int, bcols: IMatrix
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian float matrix, or of each matrix of a stack
-    along the leading axis, with diagnostics surfaced on solver failure.
+    along the leading axes, with diagnostics surfaced on solver failure.
     The input must be exactly Hermitian, as `deformed.dirac` builds it:
     eigvalsh reads only the lower triangle."""
     if h.size == 0:
@@ -315,7 +315,7 @@ def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndar
         diag = dict(context or {})
         diag["shape"] = h.shape[-2:]
         if h.ndim > 2:
-            diag["members"] = h.shape[0]
+            diag["members"] = h.shape[-3]
         diag["norm"] = float(np.linalg.norm(h))
         diag["herm_defect"] = hermiticity_defect(h)
         raise EigensolverError(str(exc), diag) from exc

@@ -45,9 +45,13 @@ the Kronecker sum  sum_i h1^(i) (x) 1 + 1 (x) T W  over the 2m real
 coordinates, so it is diagonalized by its factors: one eigensolve of the
 c x c one-dimensional matrix h1 and one of T W.  Every eigenvalue is a sum
 of 2m eigenvalues of h1 and one of T W, and the kernel vector is the
-Kronecker product of the factors' ground vectors.  Only this tensor algebra
-is exact; the factor spectra are numerical solves of the truncated Hermite
-and Clifford matrices.
+Kronecker product of the factors' ground vectors.  The result keeps those
+two vectors, and the kernel state's coefficients are a Kronecker product
+too, so `kernel_overlap` is a product of factor overlaps and no vector of
+the Galerkin dimension is formed.  Only this tensor algebra is exact; the
+factor spectra are numerical solves of the truncated Hermite and Clifford
+matrices.  Every eigenvalue is kept, so an `OscillatorModel` refuses a
+Galerkin dimension cutoff^(2m) 4^m above GALERKIN_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ from numpy.polynomial.legendre import leggauss
 
 GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
 GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff of an OscillatorModel
+# largest Galerkin dimension cutoff^(2m) 4^m of an OscillatorModel: 2^24
+# eigenvalues are 128 MiB; m = 3 at cutoff 8 and m = 4 at cutoff 4 reach it
+GALERKIN_MAX_DIM = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,14 @@ class OscillatorModel:
             raise ValueError("need T > 0")
         if self.cutoff < GALERKIN_MIN_CUTOFF:
             raise ValueError(f"need cutoff >= {GALERKIN_MIN_CUTOFF}")
+        # each coordinate multiplies the dimension by 4 cutoff^2 > 2, so an
+        # m past the bound's bit length is refused before the power is formed
+        if (self.m > GALERKIN_MAX_DIM.bit_length()
+                or self.cutoff ** (2 * self.m) * 4 ** self.m
+                > GALERKIN_MAX_DIM):
+            raise ValueError(
+                f"Galerkin dimension cutoff^(2m) 4^m at m = {self.m}, "
+                f"cutoff = {self.cutoff} is above {GALERKIN_MAX_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +159,9 @@ def _ladder_blocks(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
 class GalerkinResult:
     model: OscillatorModel
     eigenvalues: np.ndarray            # the full spectrum, ascending
-    kernel_vector: np.ndarray          # eigenvector of the smallest eigenvalue
+    # the kernel vector is scalar_ground^(x 2m) (x) fiber_ground
+    scalar_ground: np.ndarray          # ground vector of h1
+    fiber_ground: np.ndarray           # ground vector of T W
     dim: int
 
     def kernel_count(self) -> int:
@@ -155,19 +172,19 @@ class GalerkinResult:
 
 
 def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
-    """Full spectrum and kernel vector of the Galerkin matrix from the
-    eigensolves of its Kronecker factors.  Coordinates are ordered as in
-    h1 (x) ... (x) h1 (x) W: scalar coordinates first, the fiber last."""
+    """Full spectrum and the kernel vector's Kronecker factors, from the
+    eigensolves of the Galerkin matrix's factors.  Coordinates are ordered
+    as in h1 (x) ... (x) h1 (x) W: scalar coordinates first, the fiber
+    last."""
     m, T = model.m, model.T
     p2, x2 = _ladder_blocks(model.cutoff, T)
     e1, v1 = np.linalg.eigh(p2 + (T * T) * x2)
     evals, evecs = np.linalg.eigh(T * fiber_endomorphism(m))
-    kvec = evecs[:, 0]
     for _ in range(2 * m):
         evals = np.add.outer(e1, evals)
-        kvec = np.kron(v1[:, 0], kvec)
     evals = np.sort(evals, axis=None)
-    return GalerkinResult(model=model, eigenvalues=evals, kernel_vector=kvec,
+    return GalerkinResult(model=model, eigenvalues=evals,
+                          scalar_ground=v1[:, 0], fiber_ground=evecs[:, 0],
                           dim=evals.size)
 
 
@@ -175,24 +192,24 @@ def oscillator_galerkin(model: OscillatorModel) -> GalerkinResult:
 # The kernel state
 # ---------------------------------------------------------------------------
 
-def beta_vector(model: OscillatorModel) -> np.ndarray:
-    """Coefficients of exp(theta - T |Z|^2 / 2) in the Galerkin basis: the
-    scalar ground state tensor the fiber exponential, unit normalized.  The
-    fiber factor is P (exp(theta_1) (x) ... (x) exp(theta_1)), in label
-    order."""
-    order, sign = _label_order(model.m)
-    fiber = sign * reduce(np.kron, [_EXP_THETA1] * model.m)[order]
-    dim_sc = model.cutoff ** (2 * model.m)
-    vec = np.zeros(dim_sc * fiber.size, dtype=complex)
-    vec[:fiber.size] = fiber                      # scalar multi-index 0...0
-    return vec / np.linalg.norm(vec)
+def exp_theta(m: int) -> np.ndarray:
+    """exp(theta) on the fiber basis in label order, P (exp(theta_1) (x)
+    ... (x) exp(theta_1)), in integers."""
+    order, sign = _label_order(m)
+    return sign * reduce(np.kron, [_EXP_THETA1] * m)[order]
 
 
 def kernel_overlap(result: GalerkinResult) -> float:
-    """|<galerkin kernel vector, beta>| with both unit normalized."""
-    beta = beta_vector(result.model)
-    v = result.kernel_vector
-    return float(abs(np.vdot(v / np.linalg.norm(v), beta)))
+    """|<galerkin kernel vector, beta>| with both unit normalized, beta the
+    coefficients of exp(theta - T |Z|^2 / 2): e_0^(x 2m) (x) exp(theta),
+    the scalar ground state tensor the fiber exponential.  The kernel
+    vector is s^(x 2m) (x) f, so the overlap factors into
+    (|s_0| / ||s||)^(2m) |<f, exp(theta)>| / (||f|| ||exp(theta)||)."""
+    s, f = result.scalar_ground, result.fiber_ground
+    fiber = exp_theta(result.model.m)
+    return float((abs(s[0]) / np.linalg.norm(s)) ** (2 * result.model.m)
+                 * abs(np.vdot(f, fiber))
+                 / (np.linalg.norm(f) * np.linalg.norm(fiber)))
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,9 @@ def test_nonpositive_alpha_probe_rejected(probe):
     ({"eps": 0.0}, "oscillator.eps"),
     ({"m": [], "cutoff": []}, "oscillator.m"),
     ({"T": []}, "oscillator.T"),
+    ({"m": [1, 5], "cutoff": [12, 4]}, "oscillator.cutoff[1]"),
 ], ids=["negative-T", "zero-m", "small-cutoff", "zero-eps", "empty-m",
-        "empty-T"])
+        "empty-T", "galerkin-too-large"])
 def test_bad_oscillator_block_names_field(osc, path):
     # the run would raise on each of these, return a NaN alpha or pass an
     # empty grid vacuously
@@ -94,6 +95,20 @@ def test_bad_oscillator_block_names_field(osc, path):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert err.value.path == path
+
+
+def test_galerkin_bound_admits_the_largest_fibers():
+    # cutoff^(2m) 4^m = 2^24 at m = 3, cutoff 8 and at m = 4, cutoff 4: both
+    # parse (neither is run here); one cutoff more at m = 3 is refused
+    raw = small_config()
+    raw["checks"] = ["oscillator"]
+    raw["oscillator"] = {"m": [3, 4], "cutoff": [8, 4]}
+    assert parse_config(raw).oscillator.cutoffs == (8, 4)
+    raw["oscillator"] = {"m": [3, 4], "cutoff": [9, 4]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "oscillator.cutoff[0]"
+    assert "16777216" in str(err.value)
 
 
 def test_oscillator_defaults_are_the_config_defaults():
@@ -174,6 +189,8 @@ def _with(path, value):
     (_with(["oscillator"], {"m": [2, 1, 2], "cutoff": [4, 12, 4]}),
      "oscillator.m[2]"),
     (_with(["oscillator"], {"T": [10, 1, 10.0]}), "oscillator.T[2]"),
+    (["oscillator", "--m", "5", "--T", "1", "--cutoff", "4"],
+     "oscillator.cutoff[0]"),
     (_with(["checks"], 5), "checks"),
     (_with(["outputs"], 7), "outputs"),
     (_with(["oscillator"], 3), "oscillator"),
@@ -181,8 +198,8 @@ def _with(path, value):
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
         "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",
-        "config-m-repeated", "config-T-repeated", "checks-not-list",
-        "outputs-not-list", "oscillator-not-object"])
+        "config-m-repeated", "config-T-repeated", "oscillator-too-large",
+        "checks-not-list", "outputs-not-list", "oscillator-not-object"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
     # each was truncated, run on, or a traceback; now a ConfigError that
@@ -836,12 +853,13 @@ def test_eigensolver_failure_is_unresolved(tmp_path, monkeypatch, jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_batched_eigensolver_failure_is_unresolved(tmp_path, monkeypatch,
                                                    jobs):
-    # LAPACK fails on the torus's stack of 25 modes; the projective line,
-    # whose stacks hold one member each, is unaffected
+    # LAPACK fails on the torus's stack of 25 modes, solved at every T of
+    # the grid and T = 0 at once; the projective line, whose stacks hold
+    # one member each, is unaffected
     eigvalsh = np.linalg.eigvalsh
 
     def failing(a, *args, **kwargs):
-        if a.ndim == 3 and a.shape[0] == 25:
+        if a.ndim == 4 and a.shape[1] == 25:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvalsh(a, *args, **kwargs)
 
@@ -855,8 +873,8 @@ def test_batched_eigensolver_failure_is_unresolved(tmp_path, monkeypatch,
     assert report.exit_code() == 1
     payloads = json.loads((tmp_path / "out" / "payloads.json").read_text())
     (error,) = [p["error"] for p in payloads["payloads"] if "error" in p]
-    # the diagnostics name the stack, degree, T and member shape
-    for part in ("'stack': 'modes'", "'r': -1", "'T': 1.0",
+    # the diagnostics name the stack, degree, T grid and member shape
+    for part in ("'stack': 'modes'", "'r': -1", "'T': [1.0, 4.0, 0.0]",
                  "'shape': (1, 1)", "'members': 25"):
         assert part in error
 
@@ -880,6 +898,27 @@ def test_non_psd_spectrum_fails(tmp_path, monkeypatch, jobs):
             (tmp_path / f"out{i}" / "payloads.json").read_text())
         assert all(p["non_psd"] and "not PSD" in p["error"]
                    for p in payloads["payloads"])
+
+
+def test_one_eigensolve_per_stack_and_degree(monkeypatch):
+    # one spectral pass per model: cp1(k=0, cut=12) of the committed config
+    # over its grid of three T and T = 0 makes one eigensolve per stack and
+    # degree (38), where a pass per T made 152
+    root = pathlib.Path(__file__).resolve().parents[1]
+    config = load_config(str(root / "configs" / "localization_cp1.json"))
+    (spec,) = [s for s in config.models if s.label() == "cp1(k=0,cut=12)"]
+    calls = []
+    solve = deformed.hermitian_eigenvalues
+
+    def counting(h, context=None):
+        calls.append(context)
+        return solve(h, context)
+
+    monkeypatch.setattr(deformed, "hermitian_eigenvalues", counting)
+    payload = cli.model_payload(spec, list(config.T_grid))
+    assert len(calls) == 38
+    assert all(c["T"] == [2.0, 4.0, 8.0, 0.0] for c in calls)
+    assert payload["table0"] == {-1: 0, 0: 2, 1: 0}
 
 
 def test_large_T_sweep_passes(tmp_path):

@@ -854,6 +854,77 @@ def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
     assert calls == []
 
 
+# --- identities for closed-form float blocks ---------------------------------
+
+def monic_subleading(table, j):
+    """The t^(j-1) coefficient x_j = j (alpha + j) / (2j + alpha - P) of the
+    monic Romanovski row j of a table's weight; x_0 = 0."""
+    if not j:
+        return Fraction(0)
+    return Fraction(j * (table.alpha + j), 2 * j + table.alpha - table.big_p)
+
+
+def closed_form_dbar_block(diagonals, tgt, src):
+    """A dbar chunk block from its two diagonals (s, c_s), (s - 1, c_{s-1})
+    and the two tables alone: column j holds c_s[j] at row j + s and
+    c_s[j-1] x_j + c_{s-1}[j] - c_s[j] y_{j+s} at row j + s - 1, y the
+    target's monic subleading coefficients, the last term dropped where row
+    j + s does not exist.  Each entry is rounded once and scaled by the
+    square-root pivots in `transform_op`'s order."""
+    (s1, c1), (s, c) = sorted(diagonals)
+    assert s1 == s - 1
+    out = np.zeros((tgt.n, src.n))
+    for j in range(src.n):
+        top = j + s
+        low = (c[j - 1] * monic_subleading(src.table, j) if j else 0) + c1[j]
+        if 0 <= top < tgt.n:
+            out[top, j] = float(Fraction(c[j]))
+            low -= c[j] * monic_subleading(tgt.table, top)
+        else:
+            assert c[j] == 0        # closure
+        if 0 <= top - 1 < tgt.n:
+            out[top - 1, j] = float(Fraction(low))
+        else:
+            assert low == 0
+    out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
+    out /= src.table.sqrt_pivots(src.n)[None, :]
+    return out
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_dbar_chunk_blocks_are_closed_form_bidiagonal(k):
+    # every dbar chunk block of transform_op, bit for bit (sign bits
+    # included), from the diagonals and the Romanovski coefficients alone
+    for cutoff in sorted({max(k + 2, 4), 7, 12, 23, 40}):
+        ex = Cp1Exact(k, cutoff)
+        for (p, q), chunks in ex.dbar_chunks.items():
+            for chi, diagonals in chunks.items():
+                if chi not in ex.blocks[(p, 1)].chunks:
+                    continue
+                tgt = ex.blocks[(p, 1)].chunks[chi]
+                src = ex.blocks[(p, q)].chunks[chi]
+                want = transform_op(diagonals, tgt.table, tgt.n,
+                                    src.table, src.n)
+                got = closed_form_dbar_block(diagonals, tgt, src)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_dual_wedge_pencil_symmetric_under_charge_reflection(k):
+    # the charges of each (0, q) block are closed under chi -> k - chi, and
+    # the exact pencils of chi and k - chi are equal
+    for cutoff in (2, 3, 4, 5, 8, 13, 28):
+        ex = Cp1Exact(k, cutoff)
+        for q in (0, 1):
+            src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+            for chi in src.chunks:
+                assert k - chi in src.chunks
+                if chi < k - chi:
+                    assert (_dual_wedge_pencil(k, src, tgt, chi)
+                            == _dual_wedge_pencil(k, src, tgt, k - chi))
+
+
 def test_operator_leakage_zero_and_dual_wedge_reported():
     model = cp1_model(0, 8)
     for key, val in model.leakage.items():

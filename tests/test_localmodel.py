@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
-from equivlab.localmodel import (GAP_CONSTANT, OscillatorModel, _EXP_THETA1,
-                                 _W1, _ladder_blocks, alpha_T, beta_vector,
+from equivlab.localmodel import (GALERKIN_MAX_DIM, GAP_CONSTANT,
+                                 OscillatorModel, _EXP_THETA1, _W1,
+                                 _ladder_blocks, alpha_T, exp_theta,
                                  fiber_endomorphism, isometry_defect,
                                  kernel_overlap, oscillator_galerkin,
                                  smooth_bump)
@@ -160,6 +161,31 @@ def galerkin_matrix(model):
             + kron(identity(c ** n_coords, format="csr"), fiber, format="csr"))
 
 
+def beta_vector(model):
+    """Coefficients of exp(theta - T |Z|^2 / 2) in the Galerkin basis: the
+    scalar ground state tensor the fiber exponential, unit normalized, as a
+    dense vector of the Galerkin dimension."""
+    fiber = exp_theta(model.m)
+    vec = np.zeros(model.cutoff ** (2 * model.m) * fiber.size, dtype=complex)
+    vec[:fiber.size] = fiber                      # scalar multi-index 0...0
+    return vec / np.linalg.norm(vec)
+
+
+def kernel_vector(res):
+    """The dense Galerkin kernel vector from the result's ground vectors,
+    scalar_ground^(x 2m) (x) fiber_ground."""
+    kvec = res.fiber_ground
+    for _ in range(2 * res.model.m):
+        kvec = np.kron(res.scalar_ground, kvec)
+    return kvec
+
+
+def dense_overlap(res):
+    """|<kernel vector, beta>| of the dense vectors, both unit normalized."""
+    v = kernel_vector(res)
+    return float(abs(np.vdot(v / np.linalg.norm(v), beta_vector(res.model))))
+
+
 def beta_residual(model):
     """||H beta|| for the Galerkin matrix H: zero up to round-off because
     beta lies exactly in the span."""
@@ -289,7 +315,7 @@ def test_galerkin_spectrum_matches_assembled_matrix(cutoff, T):
 def test_galerkin_kernel_vector_in_assembled_kernel(T):
     model = OscillatorModel(m=2, T=T, cutoff=4)
     res = oscillator_galerkin(model)
-    v = res.kernel_vector
+    v = kernel_vector(res)
     assert np.linalg.norm(v) == pytest.approx(1.0)
     assert np.linalg.norm(galerkin_matrix(model) @ v) <= 1e-10 * T
 
@@ -297,6 +323,28 @@ def test_galerkin_kernel_vector_in_assembled_kernel(T):
 def test_galerkin_requires_cutoff():
     with pytest.raises(ValueError):
         oscillator_galerkin(OscillatorModel(m=1, T=1.0, cutoff=3))
+
+
+def test_galerkin_dimension_is_bounded():
+    # the largest admitted models reach the bound exactly; they are built,
+    # never solved
+    assert OscillatorModel(m=3, T=1.0, cutoff=8)
+    assert OscillatorModel(m=4, T=1.0, cutoff=4)
+    assert 8 ** 6 * 4 ** 3 == 4 ** 8 * 4 ** 4 == GALERKIN_MAX_DIM
+    for m, cutoff in ((5, 4), (3, 9), (1, 2049), (10 ** 12, 4)):
+        with pytest.raises(ValueError, match="Galerkin dimension"):
+            OscillatorModel(m=m, T=1.0, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("m,cutoff", [(1, 12), (2, 4), (3, 4)])
+@pytest.mark.parametrize("T", [1.0, 1.161, 10.0])
+def test_factored_overlap_matches_dense_oracle(m, cutoff, T):
+    # the overlap from the Kronecker factors against the dense kernel
+    # vector and dense beta; the result holds only the factors
+    res = oscillator_galerkin(OscillatorModel(m=m, T=T, cutoff=cutoff))
+    assert res.scalar_ground.shape == (cutoff,)
+    assert res.fiber_ground.shape == (4 ** m,)
+    assert abs(kernel_overlap(res) - dense_overlap(res)) <= 1e-14
 
 
 # --- the kernel state --------------------------------------------------------

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from equivlab.deformed import (assemble_deformed, cluster_kernel,
-                               complex_property_defect, deformed_spectra,
-                               dirac, t_sweep)
+                               complex_property_defect, dirac, t_sweep)
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.product import product_model
 from product_oracle import tensored_product
-from spectra import degree_dim, degree_eigenvalues, degree_results, member_dim
+from spectra import (degree_dim, degree_eigenvalues, degree_results,
+                     degrees_at, member_dim)
 
 
 def test_degree_range_and_kunneth_dims():
@@ -102,7 +102,7 @@ def test_kunneth_route_matches_tensored_oracle(k, T):
     cutoff = max(k + 2, 4)
     model = product_model(k, cutoff, KUNNETH_TAU, 1)
     oracle = tensored_product(k, cutoff, KUNNETH_TAU, 1)
-    _, kunneth = deformed_spectra(model, T)
+    kunneth = degrees_at(model, T)
     assert complex_property_defect(assemble_deformed(oracle, T)) <= 1.0
     tensored = degree_eigenvalues(oracle, T)
     degrees = []

@@ -11,9 +11,11 @@ result must be equal, not merely close."""
 import numpy as np
 import pytest
 
+from equivlab import deformed
 from equivlab.deformed import (assemble_deformed, bochner_check,
                                complex_property_defect, dirac)
-from equivlab.geometry import cp1_model, torus_model
+from equivlab.geometry import cp1_model, product_model, torus_model
+from equivlab.geometry.product import RIGHT_MULTIPLICITY
 from equivlab.geometry.torus import (dolbeault_coefficient,
                                      laplace_eigenvalue, modes)
 from product_oracle import tensored_product
@@ -168,8 +170,8 @@ def torus_case():
     return torus_model(TAU, 2, 1.0), torus_sectors(TAU, 2, 1.0)
 
 
-def cp1_case():
-    model = cp1_model(1, 6)
+def cp1_case(k=1, cutoff=6):
+    model = cp1_model(k, cutoff)
     return model, cp1_sectors(model)
 
 
@@ -179,6 +181,12 @@ def product_case():
     sectors = [product_sector(left, mu)
                for left in cp1_sectors(cp1_model(1, 5)) for mu in mus]
     return model, sectors
+
+
+def kunneth_case(k, cutoff):
+    """The product held as its factors, and its cp1 factor's sectors."""
+    model = product_model(k, cutoff, TAU, 1)
+    return model, cp1_sectors(model.left)
 
 
 CASES = {"torus": torus_case, "cp1": cp1_case, "product": product_case}
@@ -238,28 +246,97 @@ def test_stacked_pipeline_equals_per_sector(case, T):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_dt_placement_is_built_once_per_model(case):
-    # one model at every T, in turn and again: d_T is read from one
-    # placement of dbar and iv per stack and degree, made by the first d_T,
-    # and equals the per-sector zero-fill-then-add bit for bit, sign bits
-    # included
+def test_dt_placement_is_built_once_per_model(case, monkeypatch):
+    # one pass over every T, each twice: dbar and iv are placed once per
+    # stack and degree for the whole grid, and d_T equals the per-sector
+    # zero-fill-then-add bit for bit, sign bits included
     model, sectors = CASES[case]()
     n = model.n
-    placed = None
-    for T in T_VALUES + T_VALUES:
-        blocks = assemble_deformed(model, T)
-        placed = placed or dict(model.placed_dt)
-        assert model.placed_dt.keys() == placed.keys() == blocks.keys()
-        assert all(model.placed_dt[key][j] is ab[j]
-                   for key, ab in placed.items() for j in (0, 1))
-        for (si, i), sector in zip(members(model), sectors):
-            for r in range(-n, n + 1):
-                got = blocks[(si, r)][i]
+    placed = {}
+    place = deformed._placed
+
+    def recording(stack, n, r, grid):
+        key = (stack.name, r)
+        assert key not in placed
+        placed[key] = place(stack, n, r, grid)
+        return placed[key]
+
+    monkeypatch.setattr(deformed, "_placed", recording)
+    grid = T_VALUES + T_VALUES
+    deformed.spectral_pass(model, grid)
+    assert placed.keys() == {(stack.name, r) for stack in model.cells
+                             for r in range(-n, n + 1)}
+    for (si, i), sector in zip(members(model), sectors):
+        for r in range(-n, n + 1):
+            for t, T in enumerate(grid):
+                got = placed[model.cells[si].name, r][t, i]
                 want = degree_map(sector, n, r, T)
                 assert np.array_equal(got, want)
                 assert got.dtype == want.dtype
                 assert np.array_equal(np.signbit(got.view(float)),
                                       np.signbit(want.view(float)))
+
+
+# the pass's spectra against the per-sector oracle, on a one-value grid and
+# an eight-value grid (T = 0 included, as a sweep appends it)
+PASS_CASES = {"torus": torus_case,
+              "cp1-k0": lambda: cp1_case(0, 6),
+              "cp1-k2": lambda: cp1_case(2, 8),
+              "product": lambda: kunneth_case(1, 5)}
+PASS_GRIDS = {"one": (2.0,),
+              "eight": (0.5, 1.0 / 3.0, 1.0, 2.0, 4.0, 8.0, 32.0, 0.0)}
+
+
+def sector_spectra(sectors, n, T):
+    """Per degree r, the sorted eigenvalues of every sector's Dirac square
+    and the largest sector dimension among them."""
+    out = {}
+    for r in range(-n, n + 1):
+        hs = [h for h in (sector_dirac(s, n, r, T) for s in sectors)
+              if h.size]
+        evals = [np.linalg.eigvalsh(0.5 * (h + h.conj().T)) for h in hs]
+        out[r] = (np.sort(np.concatenate(evals)) if evals else np.zeros(0),
+                  max((h.shape[0] for h in hs), default=0))
+    return out
+
+
+def kunneth_spectra(left, levels, T):
+    """Per product degree r, the left sectors' eigenvalues plus every torus
+    level, RIGHT_MULTIPLICITY[b] times per right degree b, sorted."""
+    spectra = sector_spectra(left, 1, T)
+    out = {}
+    for r in range(-2, 3):
+        terms = [spectra[r - b] for b, mult in RIGHT_MULTIPLICITY.items()
+                 if r - b in spectra for _ in range(mult)]
+        out[r] = (np.sort(np.concatenate(
+            [np.add.outer(evals, levels).ravel() for evals, _ in terms])),
+            max(dim for _, dim in terms))
+    return out
+
+
+@pytest.mark.parametrize("grid", sorted(PASS_GRIDS))
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_pass_over_grid_equals_per_sector(case, grid):
+    # one pass over the grid gives, at each T, what a one-T assembly of
+    # each sector gives: the merged eigenvalues bit for bit, sign bits
+    # included, the PSD guard's dimension and the defect ratio
+    model, sectors = PASS_CASES[case]()
+    grid = PASS_GRIDS[grid]
+    defect, per_T = deformed.spectral_pass(model, grid)
+    assert len(per_T) == len(grid) == defect.shape[0]
+    for t, (T, degrees) in enumerate(zip(grid, per_T)):
+        if case == "product":
+            want = kunneth_spectra(sectors, model.levels, T)
+            assert defect[t] == sector_defect(sectors, 1, T)
+        else:
+            want = sector_spectra(sectors, model.n, T)
+            assert defect[t] == sector_defect(sectors, model.n, T)
+        got = {r: (evals, n) for r, _, evals, n in degrees}
+        assert got.keys() == want.keys()
+        for r, (evals, n) in got.items():
+            assert np.array_equal(evals, want[r][0])
+            assert np.array_equal(np.signbit(evals), np.signbit(want[r][0]))
+            assert n == want[r][1]
 
 
 @pytest.mark.parametrize("T", T_VALUES)
