@@ -9,8 +9,6 @@ worst verdict: 0 all pass, 1 some check unresolved, 2 some check failed.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -286,7 +284,7 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:   # JSON's encoding
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}"
@@ -565,6 +563,8 @@ def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
     os.makedirs(outdir, exist_ok=True)
     tasks = [(m, list(config.T_grid)) for m in config.models]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it loads logging, which a serial run does not use
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(_payload_worker, tasks))
     else:
@@ -652,6 +652,8 @@ def _run_command(load, error_prefix: str, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse   # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="equivlab",
         description="spectral laboratory for field-deformed Dolbeault complexes")
@@ -696,7 +698,11 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
-        print(f"config ok: {config.name} ({config.config_hash()[:12]})")
+        # a name stdout cannot encode (under an ASCII locale, say) is
+        # printed with backslash escapes
+        text = f"config ok: {config.name} ({config.config_hash()[:12]})"
+        encoding = sys.stdout.encoding or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding))
         return 0
 
     if args.command == "run":

@@ -57,12 +57,13 @@ Galerkin dimension cutoff^(2m) 4^m above GALERKIN_MAX_DIM.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import reduce
+from importlib import resources
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
 GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff of an OscillatorModel
@@ -223,11 +224,23 @@ def smooth_bump(a: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
+def _gauss_legendre(*sizes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The committed n-node Gauss-Legendre rules on [-1, 1], as (nodes,
+    weights), for each n in sizes.  scripts/make_fixtures.py writes them
+    from numpy.polynomial.legendre.leggauss(n), and JSON floats round-trip
+    exactly, so each is leggauss(n) bit for bit."""
+    rules = json.loads(resources.files("equivlab.fixtures").joinpath(
+        "gauss_legendre.json").read_text())["rules"]
+    return [(np.array(rules[str(n)]["nodes"]),
+             np.array(rules[str(n)]["weights"])) for n in sizes]
+
+
 # Gauss-Legendre rules on [-1, 1]: the ramp of alpha_T, and both pieces of
 # the fiber integral in isometry_defect.  Distinct rules keep the defect a
-# comparison of two integration routes.
-_RAMP_RULE = leggauss(40)
-_FIBER_RULE = leggauss(64)
+# comparison of two integration routes.  They are read from the committed
+# fixture when the module is imported, so a run computes no rule and never
+# imports numpy.polynomial.
+_RAMP_RULE, _FIBER_RULE = _gauss_legendre(40, 64)
 
 
 def _lower_gamma_regularized(m: int, x: float) -> float:
@@ -267,11 +280,11 @@ def alpha_T(eps: float, m: int, T: float) -> tuple[float, float]:
     (2 pi)^{-m} int gamma_eps^2 exp(-T |Z|^2).  In polar coordinates the
     flat piece rho <= eps/2, where gamma = 1, is P(m, T eps^2/4) (2T)^{-m}
     in closed form; the quintic ramp eps/2 <= rho <= eps has an entire
-    integrand and takes a fixed 40-node Gauss-Legendre rule (its share of
-    alpha falls like exp(-T eps^2/4)).  Expanding gamma^2 in powers of rho
-    instead and recursing on int rho^n exp(-T rho^2) loses every digit for
-    T eps^2 of order 1 or below.  Returns (alpha, alpha * T^m); the second
-    converges to 2^{-m}."""
+    integrand and takes the committed 40-node Gauss-Legendre rule (its
+    share of alpha falls like exp(-T eps^2/4)).  Expanding gamma^2 in
+    powers of rho instead and recursing on int rho^n exp(-T rho^2) loses
+    every digit for T eps^2 of order 1 or below.  Returns (alpha,
+    alpha * T^m); the second converges to 2^{-m}."""
     if T <= 0:
         raise ValueError("need T > 0")
     flat = _lower_gamma_regularized(m, T * eps * eps / 4.0) / (2.0 * T) ** m
@@ -286,11 +299,11 @@ def isometry_defect(eps: float, m: int, T: float,
     """| <<I u1, I u2>> - <u1, u2> | for the localization map
     I u = (2^m alpha_T)^{-1/2} gamma_eps (pi^* u) exp(theta - T|Z|^2/2).
 
-    The normalization alpha is the closed-form flat piece plus a 40-node
-    ramp rule; the fiber integral of |I u|^2 is a 64-node Gauss-Legendre
-    rule on each piece times the fiber-algebra norm |exp theta|^2 = 2^m
-    (the m-th power of |1 - dz dzbar|^2 = 2), so the defect measures
-    agreement of two independent integration routes."""
+    The normalization alpha is the closed-form flat piece plus the 40-node
+    ramp rule; the fiber integral of |I u|^2 is the committed 64-node
+    Gauss-Legendre rule on each piece times the fiber-algebra norm
+    |exp theta|^2 = 2^m (the m-th power of |1 - dz dzbar|^2 = 2), so the
+    defect measures agreement of two independent integration routes."""
     if u2 is None:
         u2 = u1
     nsq = 2.0 ** m   # |exp theta|^2

@@ -9,6 +9,8 @@ import os
 import pathlib
 import pickle
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,16 @@ def small_config(tmp_name="smoke"):
                    "bochner"],
         "outputs": ["csv", "json", "plotdata"],
     }
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, env=None):
+    """Run the interpreter on args with equivlab importable from SRC."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 PRODUCT = {"kind": "product",
@@ -650,6 +662,29 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, name, why):
     assert not out.exists()
 
 
+def test_non_ascii_config_under_an_ascii_locale(tmp_path):
+    # a config is UTF-8 whatever the locale: under the C locale, validate
+    # escapes the name stdout cannot encode and run hashes the same config
+    raw = small_config("\u00e9quivlab-\u00fc")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    c_locale = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                    LC_ALL="C", LANG="C")
+    proc = run_python(["-m", "equivlab.cli", "validate", str(cfg)], c_locale)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("config ok: \\xe9quivlab-\\xfc (")
+    hashes = []
+    for name, env in (("c", c_locale), ("utf8", dict(os.environ,
+                                                      PYTHONUTF8="1"))):
+        out = tmp_path / name
+        proc = run_python(["-m", "equivlab.cli", "run", str(cfg), "-o",
+                           str(out)], env)
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        hashes.append(json.loads((out / "report.json").read_text())
+                      ["config_hash"])
+    assert hashes == [parse_config(raw).config_hash()] * 2
+
+
 def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
     # one line on stderr and exit 2 before any model is assembled, not a
     # FileExistsError traceback; the file is left as it was
@@ -792,6 +827,28 @@ def test_parallel_product_run_matches_serial(tmp_path):
     product = json.loads(serial)["payloads"][1]
     assert product["label"].startswith("product")
     assert product["complex_exact_zero"] is True
+
+
+def test_serial_run_loads_no_cli_only_module(tmp_path):
+    # argparse serves main(), concurrent.futures (and the logging it
+    # loads) serves --jobs > 1, and numpy.polynomial builds the committed
+    # Gauss-Legendre rules: a serial run of every model kind and both
+    # oscillator checks imports none of them
+    raw = small_config()
+    raw["models"].append(PRODUCT)
+    raw["checks"] += ["oscillator", "alpha"]
+    raw["oscillator"] = {"m": [1, 2], "cutoff": [8, 4], "T": [1.0]}
+    script = (
+        "import json, sys\n"
+        "from equivlab import cli\n"
+        "report = cli.run(cli.parse_config(json.loads(sys.argv[1])),"
+        " sys.argv[2], jobs=1)\n"
+        "print(json.dumps([report.worst()] + [name for name in"
+        " ('argparse', 'concurrent.futures', 'logging', 'numpy.polynomial')"
+        " if name in sys.modules]))\n")
+    proc = run_python(["-c", script, json.dumps(raw), str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["pass"]
 
 
 def test_results_csv_columns_parse(tmp_path):

@@ -20,9 +20,11 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.sparse import csr_matrix, identity, kron
 
+from equivlab import cli, localmodel
 from equivlab.localmodel import (GALERKIN_MAX_DIM, GAP_CONSTANT,
                                  OscillatorModel, _EXP_THETA1, _W1,
                                  _ladder_blocks, alpha_T, exp_theta,
@@ -475,6 +477,29 @@ def test_alpha_matches_quadrature_oracle():
                 assert a == pytest.approx(quad_alpha(eps, m, float(T)),
                                           rel=1e-12)
                 assert atm == a * float(T) ** m
+
+
+def test_committed_rules_are_leggauss():
+    # the fixture holds numpy's rules bit for bit, sign bits included
+    for (nodes, weights), n in ((localmodel._RAMP_RULE, 40),
+                                (localmodel._FIBER_RULE, 64)):
+        for got, want in zip((nodes, weights), leggauss(n)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_alpha_probe_equals_leggauss_rules(monkeypatch):
+    # alpha_T and isometry_defect at the alpha check's probe points, as a
+    # run reports them, are the values that leggauss's own rules give
+    osc = cli.OscillatorConfig(m_grid=(1, 2, 3), T_grid=(1.0,),
+                               cutoffs=(4, 4, 4))
+    committed = cli.oscillator_results(osc)["alpha"]
+    monkeypatch.setattr(localmodel, "_RAMP_RULE", leggauss(40))
+    monkeypatch.setattr(localmodel, "_FIBER_RULE", leggauss(64))
+    assert [(e["eps"], e["T"]) for e in committed] == [
+        (cli.CUTOFF_EPS, cli.ALPHA_T_PROBE)] * 3
+    assert committed == cli.oscillator_results(osc)["alpha"]
 
 
 def test_alpha_rejects_nonpositive_T():
