@@ -52,6 +52,11 @@ _MODEL_KEYS = {"torus": ("schema_version", "kind", "tau", "cutoff", "field"),
                "product": ("schema_version", "kind", "left", "right", "field")}
 _FIELD_KEYS = {"constant": ("kind", "c"), "linear": ("kind",),
                "product_lift": ("kind", "factor")}
+# the `sweep` flags that only some models read: the value each takes when
+# left out, and the models that read it; any other model refuses it
+_SWEEP_FLAGS = {"k": (0, ("cp1", "product")),
+                "tau": ("0,1", ("torus", "product")),
+                "c": ("1,0", ("torus",)), "torus_cutoff": (4, ("product",))}
 # each verdict's exit status; the worst verdict is the one with the largest
 SEVERITY = {"pass": 0, "unresolved": 1, "fail": 2}
 
@@ -282,10 +287,20 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
     return OscillatorConfig(m_grid=m_grid, T_grid=t_grid, cutoffs=cuts)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a key that repeats, which `json.load`
+    would give its last value, is a ConfigError naming it."""
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigError(key, "repeated key; an object names a key once")
+    return dict(pairs)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:   # JSON's encoding
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}"
                           ) from exc
@@ -317,18 +332,24 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
         # the growth law is read only where the field has no zeros
         "growth": ({_fmt(T): v for T, v in sweep.min_eig_over_T2.items()}
                    if spec.kind == "torus" else {}),
-        "leakage": model.leakage,
-        "gram_pivot_ratio": model.gram_pivot_ratio,
+        "leakage": {},
+        "gram_pivot_ratio": {},
         "complex_defect_ratio": {_fmt(T): v for T, v
                                  in sweep.complex_defect_ratio.items()},
         "complex_exact_zero": None,
         "bochner": None,
     }
-    if model.exact is not None:
+    exact = model.exact
+    if exact is not None:
         # d_T^2 is T times a T-free certificate, so the largest T decides
         # the whole grid: it is the one nonzero whenever any is
-        payload["complex_exact_zero"] = bool(model.exact.deformed_square_is_zero(
+        payload["complex_exact_zero"] = bool(exact.deformed_square_is_zero(
             Fraction(max(T_grid))))
+        # dbar and i(v) close on the truncation; only this wedge can leak
+        payload["leakage"] = {f"dual_wedge:p{p}q{q}": v for (p, q), v
+                              in exact.dual_wedge_leakage().items()}
+        payload["gram_pivot_ratio"] = {f"p{p}q{q}": b.gram_condition()
+                                       for (p, q), b in exact.blocks.items()}
     if spec.kind in _kinds_checked("bochner"):
         payload["bochner"] = bochner_check(model, T_grid[0])
     return payload
@@ -628,6 +649,32 @@ def _parse_list(text: str) -> list:
     return out
 
 
+def _sweep_config(args) -> ExperimentConfig:
+    """The config that `equivlab sweep` runs.  A flag of _SWEEP_FLAGS left
+    out takes its default, and one its model does not read is a
+    ConfigError naming it."""
+    flags = {}
+    for key, (default, models) in _SWEEP_FLAGS.items():
+        value = getattr(args, key)
+        if value is not None and args.model not in models:
+            raise ConfigError(f"--{key.replace('_', '-')}", "must be left out;"
+                              f" a {args.model} sweep does not read it")
+        flags[key] = default if value is None else value
+    cp1 = {"kind": "cp1", "k": flags["k"], "cutoff": args.cutoff,
+           "field": {"kind": "linear"}}
+    torus = {"kind": "torus", "tau": _parse_list(flags["tau"]),
+             "cutoff": args.cutoff,
+             "field": {"kind": "constant", "c": _parse_list(flags["c"])}}
+    product = {"kind": "product", "left": cp1,
+               "right": dict(torus, cutoff=flags["torus_cutoff"]),
+               "field": {"kind": "product_lift", "factor": "left"}}
+    model = {"torus": torus, "cp1": cp1, "product": product}[args.model]
+    return parse_config({
+        "schema_version": 1, "name": f"sweep-{args.model}", "models": [model],
+        "T_grid": _parse_list(args.T),
+        "checks": ["localization", "euler", "complex_property"]})
+
+
 def _run_command(load, error_prefix: str, args) -> int:
     """Run the config that load returns and print the worst verdict; exit
     status 2 with `error_prefix: <error>` on stderr when load rejects it,
@@ -673,10 +720,10 @@ def main(argv: list[str] | None = None) -> int:
                          required=True)
     p_sweep.add_argument("--T", required=True, help="comma separated, positive")
     p_sweep.add_argument("--cutoff", type=int, default=12)
-    p_sweep.add_argument("--k", type=int, default=0)
-    p_sweep.add_argument("--tau", default="0,1", help="torus modulus re,im")
-    p_sweep.add_argument("--c", default="1,0", help="constant field re,im")
-    p_sweep.add_argument("--torus-cutoff", type=int, default=4)
+    for key, (default, models) in _SWEEP_FLAGS.items():
+        p_sweep.add_argument(f"--{key.replace('_', '-')}", type=type(default),
+                             help=f"read by {' and '.join(models)}; "
+                             f"default {default}")
     p_sweep.add_argument("-o", "--outdir", default="runs/sweep")
     p_sweep.add_argument("-v", "--verbose", action="store_true")
 
@@ -714,27 +761,7 @@ def main(argv: list[str] | None = None) -> int:
                             "invalid config", args)
 
     if args.command == "sweep":
-        tau = _parse_list(args.tau)
-        cfield = _parse_list(args.c)
-        if args.model == "torus":
-            model = {"kind": "torus", "tau": tau, "cutoff": args.cutoff,
-                     "field": {"kind": "constant", "c": cfield}}
-        elif args.model == "cp1":
-            model = {"kind": "cp1", "k": args.k, "cutoff": args.cutoff,
-                     "field": {"kind": "linear"}}
-        else:
-            model = {"kind": "product",
-                     "field": {"kind": "product_lift", "factor": "left"},
-                     "left": {"kind": "cp1", "k": args.k,
-                              "cutoff": args.cutoff,
-                              "field": {"kind": "linear"}},
-                     "right": {"kind": "torus", "tau": tau,
-                               "cutoff": args.torus_cutoff,
-                               "field": {"kind": "constant", "c": [1, 0]}}}
-        raw = {"schema_version": 1, "name": f"sweep-{args.model}",
-               "models": [model], "T_grid": _parse_list(args.T),
-               "checks": ["localization", "euler", "complex_property"]}
-        return _run_command(lambda: parse_config(raw),
+        return _run_command(lambda: _sweep_config(args),
                             "invalid sweep parameters", args)
 
     if args.command == "oscillator":

@@ -4,7 +4,7 @@ A `ModelSpec` names a model and a `FieldSpec` its vector field.  Both are
 valid by construction: a value out of range raises `ModelError` when the
 spec is built, so assembly and the oracle take any spec as given.
 
-An assembled model is a list of cell stacks.  A cell is an exact invariant
+An assembled model holds a list of cell stacks.  A cell is an exact invariant
 sector of all operators involved (a Fourier mode, a rotation charge, or a
 pair of them), so the spectrum of the full model is the union of the
 spectra of its cells.  Cells of one layout, with the same dimension per
@@ -17,7 +17,8 @@ one layout (chi and k - chi share one).  Downstream float work makes one
 batched call per stack over the whole T grid, and d_T's placement of these
 blocks is made once per stack and degree in that pass
 (`deformed.spectral_pass`).  The product is not assembled: it is held as
-its factors (`geometry.product`).
+its factors (`geometry.product`).  Beside its stacks, a model holds its
+spec and, for cp1, the exact layer.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ class CellStack:
 
 @dataclass
 class AssembledModel:
+    """The spectral pass's input: spec, stacks and cp1's exact layer."""
+
     spec: ModelSpec
     cells: list[CellStack]
-    leakage: dict[str, float] = field(default_factory=dict)
-    gram_pivot_ratio: dict[str, float] = field(default_factory=dict)
-    exact: object | None = None     # optional exact-arithmetic payload
+    exact: object | None = None     # optional exact-arithmetic layer
 
     @property
     def n(self) -> int:

@@ -329,12 +329,6 @@ class Cp1Exact:
         src = self.blocks[src_pq].chunks[chi]
         return transform_op(op_chunks[chi], tgt.table, tgt.n, src.table, src.n)
 
-    def ortho_stack(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
-                    chis: list[int]) -> np.ndarray:
-        """The float chunks of the charges chis, along a member axis."""
-        return np.stack([self.ortho_chunk(op_chunks, src_pq, tgt_pq, chi)
-                         for chi in chis])
-
     # -- exact identity checks ---------------------------------------------
 
     def deformed_square_is_zero(self, T: Fraction) -> bool:
@@ -483,25 +477,19 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     cells = []
     for layout, chis in layouts.items():
         dims = dict(layout)
-        dbar_blocks = {pq: exact.ortho_stack(exact.dbar_chunks[pq], pq,
-                                             (pq[0], 1), chis)
-                       for pq in ((0, 0), (1, 0))
-                       if pq in dims and (pq[0], 1) in dims}
-        iv_blocks = {pq: exact.ortho_stack(exact.iv_chunks[pq], pq,
-                                           (0, pq[1]), chis)
-                     for pq in ((1, 0), (1, 1))
-                     if pq in dims and (0, pq[1]) in dims}
+        # each block is its charges' float chunks along a member axis
+        dbar_blocks = {
+            pq: np.stack([exact.ortho_chunk(exact.dbar_chunks[pq], pq,
+                                            (pq[0], 1), chi) for chi in chis])
+            for pq in ((0, 0), (1, 0)) if pq in dims and (pq[0], 1) in dims}
+        iv_blocks = {
+            pq: np.stack([exact.ortho_chunk(exact.iv_chunks[pq], pq,
+                                            (0, pq[1]), chi) for chi in chis])
+            for pq in ((1, 0), (1, 1)) if pq in dims and (0, pq[1]) in dims}
         names = [f"chi{chi}" for chi in chis]
         cells.append(CellStack(name="+".join(names), names=names, dims=dims,
                                dbar=dbar_blocks, iv=iv_blocks))
-    leakage = {f"dbar:p{p}q{q}": 0.0 for p, q in ((0, 0), (1, 0))}
-    leakage.update({f"iv:p{p}q{q}": 0.0 for p, q in ((1, 0), (1, 1))})
-    for pq, val in exact.dual_wedge_leakage().items():
-        leakage[f"dual_wedge:p{pq[0]}q{pq[1]}"] = val
-    ratios = {f"p{p}q{q}": exact.blocks[(p, q)].gram_condition()
-              for p, q in _PQS}
-    return AssembledModel(spec=spec, cells=cells, leakage=leakage,
-                          gram_pivot_ratio=ratios, exact=exact)
+    return AssembledModel(spec=spec, cells=cells, exact=exact)
 
 
 def cp1_model(k: int, cutoff: int) -> AssembledModel:

@@ -30,7 +30,8 @@ RIGHT_MULTIPLICITY = {-1: 1, 0: 2, 1: 1}
 class ProductModel:
     """cp1 x torus as its factors.  The left factor's stacks are the only
     cells whose d_T is assembled; d_T^2 = d_{T,L}^2 (x) 1, so the left
-    factor's exact certificate and leakage are the product's."""
+    factor's exact layer, with its certificate and diagnostics, is the
+    product's."""
 
     spec: ModelSpec
     left: AssembledModel
@@ -38,8 +39,6 @@ class ProductModel:
 
     n = property(lambda self: self.spec.n)
     cells = property(lambda self: self.left.cells)
-    leakage = property(lambda self: self.left.leakage)
-    gram_pivot_ratio = property(lambda self: self.left.gram_pivot_ratio)
     exact = property(lambda self: self.left.exact)
 
 

@@ -11,8 +11,8 @@ dzbar / sqrt(2 Im tau); in that frame the Dolbeault coefficient on the mode
 
 and the constant field c times the unit (1,0) frame vector contracts the
 holomorphic frame covector to the constant c.  All four operators preserve
-each mode, so truncation by max frequency is exactly invariant and the
-reported leakage is zero.  The modes share one layout, so the model is a
+each mode, so truncation by max frequency is exactly invariant, and the
+model has no exact layer.  The modes share one layout, so the model is a
 single stack with one member per mode.
 """
 
@@ -55,11 +55,7 @@ def assemble_torus(spec: ModelSpec) -> AssembledModel:
         dbar={(0, 0): mu, (1, 0): -mu},
         iv={(1, 0): c, (1, 1): c},
     )
-    leakage = {f"{op}:p{p}q{q}": 0.0
-               for op in ("dbar", "iv", "dual_wedge") for p, q in _PQS}
-    ratios = {f"p{p}q{q}": 1.0 for p, q in _PQS}
-    return AssembledModel(spec=spec, cells=[stack],
-                          leakage=leakage, gram_pivot_ratio=ratios)
+    return AssembledModel(spec=spec, cells=[stack])
 
 
 def torus_model(tau: complex, cutoff: int, c: complex) -> AssembledModel:

@@ -90,6 +90,4 @@ def tensored_product(k: int, cp1_cutoff: int, tau: complex,
     tags = [f"jk{jk}" for jk in modes(torus_cutoff)]
     cells = [_product_stack(stack, name, mu, tags)
              for stack in left.cells for name in stack.names]
-    return AssembledModel(spec=model.spec, cells=cells,
-                          leakage=dict(left.leakage),
-                          gram_pivot_ratio=dict(left.gram_pivot_ratio))
+    return AssembledModel(spec=model.spec, cells=cells)

@@ -193,6 +193,14 @@ def _with(path, value):
      "models[0].tau"),
     (["sweep", "--model", "product", "--tau", "1", "--T", "2"],
      "models[0].right.tau"),
+    (["sweep", "--model", "cp1", "--tau", "0,0", "--T", "2"], "--tau"),
+    (["sweep", "--model", "cp1", "--c", "0,0", "--T", "2"], "--c"),
+    (["sweep", "--model", "cp1", "--torus-cutoff", "4", "--T", "2"],
+     "--torus-cutoff"),
+    (["sweep", "--model", "torus", "--k", "7", "--T", "2"], "--k"),
+    (["sweep", "--model", "torus", "--torus-cutoff", "99", "--T", "2"],
+     "--torus-cutoff"),
+    (["sweep", "--model", "product", "--c", "1,0", "--T", "2"], "--c"),
     (["oscillator", "--m", "1,x"], "oscillator.m[1]"),
     (["oscillator", "--m", "1,1", "--T", "1,10", "--cutoff", "12,12"],
      "oscillator.m[1]"),
@@ -209,6 +217,8 @@ def _with(path, value):
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
+        "sweep-cp1-tau", "sweep-cp1-c", "sweep-cp1-torus-cutoff",
+        "sweep-torus-k", "sweep-torus-torus-cutoff", "sweep-product-c",
         "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",
         "config-m-repeated", "config-T-repeated", "oscillator-too-large",
         "checks-not-list", "outputs-not-list", "oscillator-not-object"])
@@ -345,6 +355,29 @@ def test_unknown_key_exits_2_naming_it(source, path, tmp_path, capsys):
         assert main(command) == 2
         stderr = capsys.readouterr().err
         assert stderr.startswith(f"invalid config: {path}: unknown key; ")
+        assert stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ('"T_grid": [1.0, 4.0]', '"T_grid": [1.0], "T_grid": [4.0]', "T_grid"),
+    ('"k": 0,', '"k": 0, "k": 3,', "k"),
+], ids=["root", "model-entry"])
+def test_repeated_key_exits_2_naming_it(old, new, key, tmp_path, capsys):
+    # a JSON object with a key twice would keep the last copy; the file is
+    # refused by that key instead, and nothing is written
+    text = json.dumps(small_config())
+    assert text.count(old) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(cfg))
+    assert err.value.path == key
+    for command in (["validate", str(cfg)],
+                    ["run", str(cfg), "-o", str(tmp_path / "out")]):
+        assert main(command) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"invalid config: {key}: repeated key")
         assert stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

@@ -926,30 +926,23 @@ def test_dual_wedge_pencil_symmetric_under_charge_reflection(k):
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():
-    model = cp1_model(0, 8)
-    for key, val in model.leakage.items():
-        if key.startswith(("dbar", "iv")):
-            assert val == 0.0
-    duals = [v for key, v in model.leakage.items()
-             if key.startswith("dual_wedge")]
-    assert duals and all(v > 0 for v in duals)
+    # dbar and i(v) leak nothing: the assembly refuses an image outside the
+    # truncation (test_escaping_image_is_a_model_error).  The metric-dual
+    # wedge of each (0, q) block is the one leakage the exact layer reports.
+    duals = cp1_model(0, 8).exact.dual_wedge_leakage()
+    assert set(duals) == {(0, 0), (0, 1)}
+    assert all(v > 0 for v in duals.values())
 
 
 def test_leakage_vs_cutoff():
-    """The assembled operators are exactly closed at every cutoff, so their
-    leakage sequence is identically zero (trivially nonincreasing).  The
-    metric-dual wedge is the one operator that genuinely leaves the
-    truncation; its operator-norm leakage saturates toward a constant below
-    one half plus a small tail (the top-isotype fraction of a bounded
-    multiplication operator), recorded here as a regression band."""
-    dual = []
-    for cutoff in (6, 10):
-        model = cp1_model(0, cutoff)
-        for key, val in model.leakage.items():
-            if key.startswith(("dbar", "iv")):
-                assert val == 0.0
-        dual.append(max(v for key, v in model.leakage.items()
-                        if key.startswith("dual_wedge")))
+    """The assembled operators are exactly closed at every cutoff, so they
+    leak nothing at any cutoff.  The metric-dual wedge is the one operator
+    that genuinely leaves the truncation; its operator-norm leakage
+    saturates toward a constant below one half plus a small tail (the
+    top-isotype fraction of a bounded multiplication operator), recorded
+    here as a regression band."""
+    dual = [max(cp1_model(0, cutoff).exact.dual_wedge_leakage().values())
+            for cutoff in (6, 10)]
     assert 0.4 < dual[0] < 0.51 and 0.4 < dual[1] < 0.51
     assert abs(dual[1] - dual[0]) < 0.02
 
@@ -967,4 +960,4 @@ def test_gram_conditions_reported():
             worst = max(worst, max(D) / min(D))
             ev = np.linalg.eigvalsh(np.array(gram, dtype=float))
             assert max(D) / min(D) <= ev[-1] / ev[0] * (1 + 1e-6)
-        assert model.gram_pivot_ratio[f"p{p}q{q}"] == float(worst)
+        assert block.gram_condition() == float(worst)

@@ -60,8 +60,13 @@ def test_contraction_kills_antiholomorphic_labels():
 
 
 def test_truncation_exactly_invariant():
+    # every operator maps each mode into itself, one 1 x 1 block per member,
+    # so nothing leaks and there is no exact layer to read diagnostics from
     model = torus_model(1j, 3, 1.0)
-    assert all(v == 0.0 for v in model.leakage.values())
+    (stack,) = model.cells
+    for block in (*stack.dbar.values(), *stack.iv.values()):
+        assert block.shape == (stack.size, 1, 1)
+    assert model.exact is None
     blocks = assemble_deformed(model, 4.0)
     assert complex_property_defect(blocks) == 0.0
 
