@@ -19,6 +19,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -124,7 +125,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     t_grid = raw.get("T_grid", [])
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("T_grid", "must be a nonempty list")
-    t_grid = _distinct("T_grid", [_number(f"T_grid[{i}]", t, float, 0)
+    t_grid = _distinct("T_grid", [_deformation(f"T_grid[{i}]", t)
                                   for i, t in enumerate(t_grid)])
     checks = _names("checks", raw.get("checks", list(_CHECKS)),
                     (*_CHECKS, "oscillator", "alpha"))
@@ -158,6 +159,21 @@ def _number(path: str, x, kind: type, low=None):
     if not ok:
         raise ConfigError(path, f"must be {need}")
     return kind(x)
+
+
+def _deformation(path: str, x) -> float:
+    """x as a deformation parameter T: a number > 0 whose square T ** 2,
+    which the sweep divides by and the Dirac square grows with, is a
+    nonzero finite float; otherwise a ConfigError naming path."""
+    T = _number(path, x, float, 0)
+    try:
+        ok = T ** 2 > 0.0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(path, "must be a number > 0 whose square is a "
+                          "nonzero finite float")
+    return T
 
 
 def _distinct(path: str, xs):
@@ -262,13 +278,15 @@ def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:
     _known_keys("oscillator.", osc_raw, _OSCILLATOR_KEYS)
     default = OscillatorConfig()
     grids = []
-    for key, fallback, kind, low in (
-            ("m", default.m_grid, int, 1), ("T", default.T_grid, float, 0),
-            ("cutoff", default.cutoffs, int, GALERKIN_MIN_CUTOFF)):
+    for key, fallback, parse in (
+            ("m", default.m_grid, partial(_number, kind=int, low=1)),
+            ("T", default.T_grid, _deformation),
+            ("cutoff", default.cutoffs,
+             partial(_number, kind=int, low=GALERKIN_MIN_CUTOFF))):
         values = osc_raw.get(key, fallback)
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"oscillator.{key}", "must be a nonempty list")
-        grids.append(tuple(_number(f"oscillator.{key}[{i}]", x, kind, low)
+        grids.append(tuple(parse(f"oscillator.{key}[{i}]", x)
                            for i, x in enumerate(values)))
     m_grid, t_grid, cuts = grids
     _distinct("oscillator.m", m_grid)

@@ -12,7 +12,10 @@ defect are each one batched numpy call (`matmul`, `eigvalsh`, a 2-norm
 over the last two axes).  Each applies the same BLAS/LAPACK routine to the
 same member matrix as a per-cell, per-T call would, so the results are
 equal bit for bit; cells are never merged into larger matrices, which
-would change the eigenvalues' last bits.
+would change the eigenvalues' last bits.  d_T and the Dirac squares keep
+the blocks' type: on cp1 and the product, whose blocks and T are real,
+they are float64 and the eigensolve is the real symmetric one; the torus,
+whose Dolbeault coefficients are complex, runs in complex128.
 
 d_T is plain data, a {(stack, r): block} dict (`Blocks`), and the Dirac
 square and the d_T^2 defect read T values, members and dimensions off the
@@ -84,9 +87,10 @@ def _placed(stack: CellStack, n: int, r: int, grid: np.ndarray
             ) -> np.ndarray:
     """d_T = A + T B of every member of a stack at every T of the grid, from
     the degree-r block to the degree-(r+1) block: shape (len(grid),
-    members, rows, cols).  A (dbar) and B (iv) are placed once, in the
-    blocks' own type; their supports are disjoint, so every entry is one of
-    A or T times one of B, plus a zero, as when both are added into zeros."""
+    members, rows, cols), in the blocks' own type (real unless a block is
+    complex).  A (dbar) and B (iv) are placed once; their supports are
+    disjoint, so every entry is one of A or T times one of B, plus a zero,
+    as when both are added into zeros."""
     src = stack.pqs_of_degree(r, n)
     tgt = stack.pqs_of_degree(r + 1, n)
     rows = sum(stack.dim(pq) for pq in tgt)
@@ -112,7 +116,7 @@ def _placed(stack: CellStack, n: int, r: int, grid: np.ndarray
             b[:, top:top + blk.shape[1], col:col + w] += blk
         col += w
     d = np.multiply(b, grid[:, None, None, None],
-                    out=np.empty(grid.shape + b.shape, dtype=complex))
+                    out=np.empty(grid.shape + b.shape, dtype=b.dtype))
     d += a
     return d
 
@@ -150,14 +154,14 @@ def complex_property_defect(blocks: Blocks) -> np.ndarray:
 
 def dirac(blocks: Blocks) -> Blocks:
     """Per (stack, degree), the Dirac squares of every member (and T) in
-    orthonormal bases, shape (..., dim_r, dim_r); each is exactly
-    Hermitian, 0.5 (h + h^*).  A degree with no basis has none."""
+    orthonormal bases, shape (..., dim_r, dim_r), in d_T's type; each is
+    exactly Hermitian, 0.5 (h + h^*).  A degree with no basis has none."""
     cells: Blocks = {}
     for (si, r), here in blocks.items():
         dim = here.shape[-1]
         if dim == 0:
             continue
-        h = np.zeros(here.shape[:-2] + (dim, dim), dtype=complex)
+        h = np.zeros(here.shape[:-2] + (dim, dim), dtype=here.dtype)
         below = blocks.get((si, r - 1))
         if below is not None and below.size:
             h += below @ _adjoint(below)

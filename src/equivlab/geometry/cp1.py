@@ -37,6 +37,10 @@ per chunk for the operator chunks, per block for the T-free certificate
 An operator chunk is stored as the rule's coefficient arrays, one
 diagonal per offset (at most two for dbar, one for the contraction), with
 no chunk matrix built; the d_T^2 certificate composes these diagonals.
+Its float block in orthonormal bases is `linalg.transform_op`'s for the
+contraction.  A dbar chunk's is bidiagonal, fixed by its two diagonals and
+the subleading coefficients of the monic Romanovski rows, and is written
+in closed form (`_dbar_block`), equal to `transform_op`'s bit for bit.
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
@@ -55,6 +59,8 @@ rows of the weight's table.  The squared leakage is the larger root of
 the 2 x 2 pencil
 det(K - lambda H) = 0 of the pairings with C: its trace and determinant are
 exact rationals from integer moments, and floats enter only in that root.
+The pencils of charges chi and k - chi are equal, so one is evaluated per
+pair.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -323,11 +329,16 @@ class Cp1Exact:
 
     # -- orthonormal float views -------------------------------------------
 
-    def ortho_chunk(self, op_chunks, src_pq: PQ, tgt_pq: PQ,
-                    chi: int) -> np.ndarray:
+    def ortho_chunk(self, src_pq: PQ, tgt_pq: PQ, chi: int) -> np.ndarray:
+        """The float block of charge chi of the operator from block src_pq
+        to block tgt_pq in orthonormal bases: dbar where q rises, in closed
+        form (`_dbar_block`), else the contraction, by `transform_op`."""
         tgt = self.blocks[tgt_pq].chunks[chi]
         src = self.blocks[src_pq].chunks[chi]
-        return transform_op(op_chunks[chi], tgt.table, tgt.n, src.table, src.n)
+        if tgt_pq[1] > src_pq[1]:
+            return _dbar_block(self.dbar_chunks[src_pq][chi], tgt, src)
+        return transform_op(self.iv_chunks[src_pq][chi], tgt.table, tgt.n,
+                            src.table, src.n)
 
     # -- exact identity checks ---------------------------------------------
 
@@ -396,11 +407,48 @@ class Cp1Exact:
         out: dict[PQ, float] = {}
         for q in (0, 1):
             src, tgt = self.blocks[(0, q)], self.blocks[(1, q)]
+            # the pencils of chi and k - chi are equal, so one per pair
             pencils = (_dual_wedge_pencil(self.k, src, tgt, chi)
-                       for chi in src.chunks)
+                       for chi in src.chunks if 2 * chi <= self.k)
             out[(0, q)] = max(math.sqrt((float(tr) + math.sqrt(
                 float(tr * tr - 4 * det))) / 2) for tr, det in pencils)
         return out
+
+
+def _dbar_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
+    """The orthonormal float block of one dbar chunk, in closed form.
+
+    In the monic Romanovski bases of the two chunks dbar is bidiagonal:
+    from its diagonals (s - 1, c') and (s, c), column j holds c[j] at row
+    j + s and c[j-1] x_j + c'[j] - c[j] y_(j+s) at row j + s - 1, where
+    x_j = j (alpha + j) / (2j + alpha - P) is the t^(j-1) coefficient of
+    the source's monic row j and y the same of the target's (the last
+    term dropped where row j + s does not exist).  Each entry is one
+    integer ratio, over a positive denominator so that a zero is +0.0,
+    divided into a float, and then scaled by the square-root pivots, as
+    `transform_op` rounds and scales its exact core: the two agree bit
+    for bit."""
+    (_, c1), (s, c) = sorted(diagonals)
+    sa, sp = src.table.alpha, src.table.big_p
+    ta, tp = tgt.table.alpha, tgt.table.big_p
+    out = np.zeros((tgt.n, src.n))
+    for j in range(src.n):
+        top = j + s
+        xn, xd = j * (sa + j), 2 * j + sa - sp
+        yn, yd = 0, 1
+        if 0 <= top < tgt.n:
+            out[top, j] = c[j]
+            yn, yd = top * (ta + top), 2 * top + ta - tp
+        if 0 <= top - 1 < tgt.n:
+            num = ((c[j - 1] * xn if j else 0) + c1[j] * xd) * yd
+            num -= c[j] * yn * xd
+            den = xd * yd
+            if den < 0:
+                num, den = -num, -den
+            out[top - 1, j] = num / den
+    out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
+    out /= src.table.sqrt_pivots(src.n)[None, :]
+    return out
 
 
 def _moment_numerators(us: range, big_p: int) -> dict[int, int]:
@@ -479,12 +527,12 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
         dims = dict(layout)
         # each block is its charges' float chunks along a member axis
         dbar_blocks = {
-            pq: np.stack([exact.ortho_chunk(exact.dbar_chunks[pq], pq,
-                                            (pq[0], 1), chi) for chi in chis])
+            pq: np.stack([exact.ortho_chunk(pq, (pq[0], 1), chi)
+                          for chi in chis])
             for pq in ((0, 0), (1, 0)) if pq in dims and (pq[0], 1) in dims}
         iv_blocks = {
-            pq: np.stack([exact.ortho_chunk(exact.iv_chunks[pq], pq,
-                                            (0, pq[1]), chi) for chi in chis])
+            pq: np.stack([exact.ortho_chunk(pq, (0, pq[1]), chi)
+                          for chi in chis])
             for pq in ((1, 0), (1, 1)) if pq in dims and (0, pq[1]) in dims}
         names = [f"chi{chi}" for chi in chis]
         cells.append(CellStack(name="+".join(names), names=names, dims=dims,

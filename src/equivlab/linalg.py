@@ -23,10 +23,13 @@ denominator), and a Gram is its table and its size n: `transform_op` and
 orthonormal view of an operator and the inverse form B^T G^{-1} B.  An
 operator is given by its few nonzero diagonals
 (`Diagonals`), so L_t^T M costs O(n^2) and only L_s^{-1} is applied in
-full.  The dual-wedge leakage of `geometry.cp1` needs no more: its
-residual has rank 2, so it takes the inverse form of two columns only, and
-its basis of the 2-d complement is two rows and two pivots from the table
-of the weight with (1+t)^2 absorbed.
+full.  `geometry.cp1` runs `transform_op` on its contraction chunks; its
+dbar chunks are bidiagonal in orthonormal bases and written in closed
+form there, with `transform_op` as their test oracle.  The dual-wedge
+leakage of `geometry.cp1` needs no more: its residual has rank 2, so it
+takes the inverse form of two columns only, and its basis of the 2-d
+complement is two rows and two pivots from the table of the weight with
+(1+t)^2 absorbed.
 Its float views are integer dot products divided straight into floats, as
 correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
 plain Fraction elimination, the independent oracle of the tests.

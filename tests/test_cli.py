@@ -189,6 +189,11 @@ def _with(path, value):
     (_with(["T_grid"], [True]), "T_grid[0]"),
     (_with(["T_grid"], [2, 2.0, 4]), "T_grid[1]"),
     (["sweep", "--model", "cp1", "--T", "2,x"], "T_grid[1]"),
+    (_with(["T_grid", 1], 1e-200), "T_grid[1]"),
+    (_with(["T_grid", 0], 1.4e154), "T_grid[0]"),
+    (["sweep", "--model", "torus", "--T", "2,1e160"], "T_grid[1]"),
+    (["oscillator", "--m", "1", "--T", "1e200", "--cutoff", "4"],
+     "oscillator.T[0]"),
     (["sweep", "--model", "torus", "--tau", "1", "--T", "2"],
      "models[0].tau"),
     (["sweep", "--model", "product", "--tau", "1", "--T", "2"],
@@ -216,7 +221,9 @@ def _with(path, value):
     (_with(["oscillator"], 3), "oscillator"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
-        "T-bool", "T-repeated", "sweep-T", "sweep-tau", "sweep-product-tau",
+        "T-bool", "T-repeated", "sweep-T", "T-square-underflows",
+        "T-square-overflows", "sweep-T-square-overflows",
+        "oscillator-T-square-overflows", "sweep-tau", "sweep-product-tau",
         "sweep-cp1-tau", "sweep-cp1-c", "sweep-cp1-torus-cutoff",
         "sweep-torus-k", "sweep-torus-torus-cutoff", "sweep-product-c",
         "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",

@@ -854,47 +854,13 @@ def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
     assert calls == []
 
 
-# --- identities for closed-form float blocks ---------------------------------
-
-def monic_subleading(table, j):
-    """The t^(j-1) coefficient x_j = j (alpha + j) / (2j + alpha - P) of the
-    monic Romanovski row j of a table's weight; x_0 = 0."""
-    if not j:
-        return Fraction(0)
-    return Fraction(j * (table.alpha + j), 2 * j + table.alpha - table.big_p)
-
-
-def closed_form_dbar_block(diagonals, tgt, src):
-    """A dbar chunk block from its two diagonals (s, c_s), (s - 1, c_{s-1})
-    and the two tables alone: column j holds c_s[j] at row j + s and
-    c_s[j-1] x_j + c_{s-1}[j] - c_s[j] y_{j+s} at row j + s - 1, y the
-    target's monic subleading coefficients, the last term dropped where row
-    j + s does not exist.  Each entry is rounded once and scaled by the
-    square-root pivots in `transform_op`'s order."""
-    (s1, c1), (s, c) = sorted(diagonals)
-    assert s1 == s - 1
-    out = np.zeros((tgt.n, src.n))
-    for j in range(src.n):
-        top = j + s
-        low = (c[j - 1] * monic_subleading(src.table, j) if j else 0) + c1[j]
-        if 0 <= top < tgt.n:
-            out[top, j] = float(Fraction(c[j]))
-            low -= c[j] * monic_subleading(tgt.table, top)
-        else:
-            assert c[j] == 0        # closure
-        if 0 <= top - 1 < tgt.n:
-            out[top - 1, j] = float(Fraction(low))
-        else:
-            assert low == 0
-    out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
-    out /= src.table.sqrt_pivots(src.n)[None, :]
-    return out
-
+# --- identities the run path uses -------------------------------------------
 
 @pytest.mark.parametrize("k", range(5))
 def test_dbar_chunk_blocks_are_closed_form_bidiagonal(k):
-    # every dbar chunk block of transform_op, bit for bit (sign bits
-    # included), from the diagonals and the Romanovski coefficients alone
+    # every dbar chunk block of the run path, written in closed form, has at
+    # most two nonzero diagonals and is transform_op's bit for bit, sign
+    # bits included
     for cutoff in sorted({max(k + 2, 4), 7, 12, 23, 40}):
         ex = Cp1Exact(k, cutoff)
         for (p, q), chunks in ex.dbar_chunks.items():
@@ -905,7 +871,9 @@ def test_dbar_chunk_blocks_are_closed_form_bidiagonal(k):
                 src = ex.blocks[(p, q)].chunks[chi]
                 want = transform_op(diagonals, tgt.table, tgt.n,
                                     src.table, src.n)
-                got = closed_form_dbar_block(diagonals, tgt, src)
+                got = ex.ortho_chunk((p, q), (p, 1), chi)
+                rows, cols = np.nonzero(got)
+                assert len(set(rows - cols)) <= 2
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -923,6 +891,32 @@ def test_dual_wedge_pencil_symmetric_under_charge_reflection(k):
                 if chi < k - chi:
                     assert (_dual_wedge_pencil(k, src, tgt, chi)
                             == _dual_wedge_pencil(k, src, tgt, k - chi))
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 6), (1, 8), (3, 7), (4, 12)])
+def test_dual_wedge_leakage_reads_one_pencil_per_charge_pair(monkeypatch, k,
+                                                            cutoff):
+    # the leakage evaluates the pencil once for each pair {chi, k - chi}, at
+    # its chi <= k - chi, and is the maximum over every charge's pencil
+    ex = Cp1Exact(k, cutoff)
+    want = {}
+    for q in (0, 1):
+        src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+        want[(0, q)] = max(
+            math.sqrt((float(tr) + math.sqrt(float(tr * tr - 4 * det))) / 2)
+            for tr, det in (_dual_wedge_pencil(k, src, tgt, chi)
+                            for chi in src.chunks))
+    calls, pencil = [], cp1mod._dual_wedge_pencil
+
+    def counting(k, src, tgt, chi):
+        calls.append((src.pq, chi))
+        return pencil(k, src, tgt, chi)
+
+    monkeypatch.setattr(cp1mod, "_dual_wedge_pencil", counting)
+    assert ex.dual_wedge_leakage() == want
+    assert sorted(calls) == [((0, q), chi) for q in (0, 1)
+                             for chi in sorted(ex.blocks[(0, q)].chunks)
+                             if chi <= k - chi]
 
 
 def test_operator_leakage_zero_and_dual_wedge_reported():

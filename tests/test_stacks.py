@@ -108,12 +108,13 @@ def product_sector(left, mu):
 
 def degree_map(sector, n, r, T):
     """Matrix of (dbar + T iv) from the degree-r block to the degree-(r+1)
-    block of one sector."""
+    block of one sector, in the blocks' own type: real on a real model."""
     src = sector.pqs_of_degree(r, n)
     tgt = sector.pqs_of_degree(r + 1, n)
     rows = sum(sector.dim(pq) for pq in tgt)
     cols = sum(sector.dim(pq) for pq in src)
-    out = np.zeros((rows, cols), dtype=complex)
+    out = np.zeros((rows, cols), dtype=np.result_type(
+        float, *sector.dbar.values(), *sector.iv.values()))
     row_off = {}
     off = 0
     for pq in tgt:
@@ -136,9 +137,9 @@ def degree_map(sector, n, r, T):
 
 def sector_dirac(sector, n, r, T):
     dim = sector.degree_dim(r, n)
-    h = np.zeros((dim, dim), dtype=complex)
     below = degree_map(sector, n, r - 1, T) if r > -n else None
     here = degree_map(sector, n, r, T)
+    h = np.zeros((dim, dim), dtype=here.dtype)
     if below is not None and below.size:
         h += below @ below.conj().T
     if here.size:
@@ -337,6 +338,34 @@ def test_pass_over_grid_equals_per_sector(case, grid):
             assert np.array_equal(evals, want[r][0])
             assert np.array_equal(np.signbit(evals), np.signbit(want[r][0]))
             assert n == want[r][1]
+
+
+@pytest.mark.parametrize("case,dtype", [
+    ("torus", np.complex128), ("cp1-k2", np.float64),
+    ("product", np.float64)])
+def test_pass_runs_in_the_blocks_type(case, dtype, monkeypatch):
+    # a real model stays real: d_T, the Dirac squares and the matrices the
+    # eigensolver reads are float64 on cp1 and the product, whose blocks
+    # and T are real, and complex128 on the torus
+    model, _ = PASS_CASES[case]()
+    seen = []
+
+    def recording(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            arrays = out.values() if name == "dirac" else [
+                args[0] if name == "eigh" else out]
+            seen.extend((name, a.dtype) for a in arrays)
+            return out
+        return wrapped
+
+    for name, attr in (("placed", "_placed"), ("dirac", "dirac"),
+                       ("eigh", "hermitian_eigenvalues")):
+        monkeypatch.setattr(deformed, attr,
+                            recording(name, getattr(deformed, attr)))
+    deformed.spectral_pass(model, (2.0, 0.0))
+    assert {name for name, _ in seen} == {"placed", "dirac", "eigh"}
+    assert all(t == dtype for _, t in seen)
 
 
 @pytest.mark.parametrize("T", T_VALUES)
