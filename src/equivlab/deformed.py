@@ -60,7 +60,7 @@ import numpy as np
 from .geometry.base import AssembledModel, CellStack, ModelSpec
 from .geometry.product import RIGHT_MULTIPLICITY, ProductModel
 from .geometry.torus import laplace_eigenvalue, modes
-from .linalg import hermitian_eigenvalues
+from .linalg import EigensolverError, hermitian_eigenvalues
 # not called here, but perfbench/tracing.py still wraps it under this name
 from .linalg import hermiticity_defect  # noqa: F401
 
@@ -345,8 +345,17 @@ def _bochner_torus(model: AssembledModel, T: float) -> dict:
     worst = 0.0
     for h in dirac(assemble_deformed(model, T)).values():
         scalar = target[:, None, None] * np.eye(h.shape[-1])
-        worst = max(worst, float(
-            np.linalg.norm(h - scalar, 2, axis=(-2, -1)).max()))
+        # a T whose square is finite can still overflow 2 T^2 |c|^2, and
+        # the SVD of the 2-norm then fails: the check is left open, as a
+        # failed eigensolve leaves it
+        try:
+            norms = np.linalg.norm(h - scalar, 2, axis=(-2, -1))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"2-norm of the bochner residual: {exc}",
+                {"check": "bochner", "T": T,
+                 "level_max": float(target.max())}) from exc
+        worst = max(worst, float(norms.max()))
     return {"residual": worst, "zero_order_term": 0.0, "exact": False}
 
 

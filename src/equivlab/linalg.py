@@ -193,10 +193,8 @@ class RomanovskiTable:
         self._extremes: list[tuple[Fraction, Fraction]] = []
         self._float_pivots: list[float] = []
         self._sqrt_pivots = np.zeros(0)
-        # columns of L, all cut at len(self._cols) rows, and per n < that
-        # the first n of them cut at n rows
+        # columns of L, all cut at len(self._cols) rows
         self._cols: list[tuple[list[int], int]] = []
-        self._cut_cols: dict[int, list[tuple[list[int], int]]] = {}
 
     def grow(self, n: int) -> None:
         """Make rows and pivots 0..n-1 available: those of the n x n Gram
@@ -242,13 +240,12 @@ class RomanovskiTable:
                  for j in range(m, size - 1)]) for m in range(size)]
         if len(self._cols) == n:
             return self._cols
-        if n not in self._cut_cols:
-            out = self._cut_cols[n] = []
-            for m, (col, _) in enumerate(self._cols[:n]):
-                head = col[:n - m]
-                g = math.gcd(*head)
-                out.append(([x // g for x in head], head[0] // g))
-        return self._cut_cols[n]
+        out = []
+        for m, (col, _) in enumerate(self._cols[:n]):
+            head = col[:n - m]
+            g = math.gcd(*head)
+            out.append(([x // g for x in head], head[0] // g))
+        return out
 
 
 def _solve(inv_rows: list[tuple[list[int], int]], vectors) -> IMatrix:

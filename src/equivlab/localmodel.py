@@ -14,7 +14,7 @@ eigenvalues 2j, j in [-m, m], with binomial multiplicities, so the full
 spectrum is 2T (K + m + j).  The kernel is one-dimensional, spanned by
 exp(theta - T |Z|^2 / 2) with theta the degree-zero pairing form of the
 frame, and the first nonzero eigenvalue is 2T: the spectral-gap constant
-A = 2 is frozen as a fixture.
+is A = 2 (GAP_CONSTANT).
 
 The fiber algebra on C^m is the graded tensor product of m copies of the
 m = 1 algebra, basis (1, dz, dzbar, dz dzbar), and W and exp(theta) are
@@ -24,7 +24,8 @@ even, so both are tensor powers of their m = 1 cases:
     exp(theta_m) = P (exp(theta_1) (x) ... (x) exp(theta_1)),
 
 with W_1 = -i (c(wbar) hatc(w) + c(w) hatc(wbar)) and exp(theta_1) =
-1 - dz dzbar read off the committed m = 1 Clifford tables.  P is the signed
+1 - dz dzbar written out as integer literals, which the tests compare with
+the m = 1 Clifford tables committed under tests/fixtures.  P is the signed
 permutation from the per-coordinate product basis to the label order
 (lexicographic on the (anti, holo) index tuples of dz^holo dzbar^anti);
 its sign is the Koszul sign of sorting the generators, listed coordinate
@@ -65,7 +66,7 @@ from importlib import resources
 
 import numpy as np
 
-GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T; fixture value
+GAP_CONSTANT = 2.0   # first nonzero eigenvalue over T
 GALERKIN_MIN_CUTOFF = 4   # smallest Hermite cutoff of an OscillatorModel
 # largest Galerkin dimension cutoff^(2m) 4^m of an OscillatorModel: 2^24
 # eigenvalues are 128 MiB; m = 3 at cutoff 8 and m = 4 at cutoff 4 reach it

@@ -5,16 +5,15 @@ zero set.  A Hodge table is a plain dict, (p, q) -> h^{p,q}, of its
 nonzero entries, and a per-degree table one of degree r -> dimension;
 `per_degree` reads the second off the first.
 
-Closed-form entries are never trusted alone: the committed fixture is
-cross-validated in the test suite against exact degree-(p,q) kernel counts
-of the undeformed truncated complex before anything downstream consumes it.
+Closed-form entries are never trusted alone: the test suite
+cross-validates them against exact degree-(p,q) kernel counts of the
+undeformed truncated complex.  No copy of them is committed; the code here
+is their one statement.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .geometry.base import ModelError, ModelSpec
 
@@ -107,27 +106,3 @@ def localization_prediction(spec: ModelSpec) -> dict[int, int]:
     never vanishes)."""
     return zero_set(spec).total_per_degree(spec.n)
 
-
-# ---------------------------------------------------------------------------
-# Fixture IO
-# ---------------------------------------------------------------------------
-
-def fixture_tables() -> dict:
-    """The committed closed-form tables with per-entry provenance."""
-    text = resources.files("equivlab.fixtures").joinpath(
-        "hodge_tables.json").read_text()
-    return json.loads(text)
-
-
-def generate_fixture_tables() -> dict:
-    out = {"schema_version": 1,
-           "provenance": ("closed-form counts cross-validated against exact "
-                          "degree-(p,q) kernel dimensions of the undeformed "
-                          "truncated complex at cutoff 8; see tests"),
-           "torus": {f"{p},{q}": torus_table().get((p, q), 0)
-                     for p in (0, 1) for q in (0, 1)},
-           "cp1": {}}
-    for k in range(4):
-        out["cp1"][str(k)] = {f"{p},{q}": cp1_table(k).get((p, q), 0)
-                              for p in (0, 1) for q in (0, 1)}
-    return out

@@ -22,19 +22,23 @@ Conventions fixed here and validated exactly by the committed golden tables:
 
 Coefficients are exact scalars in Q(i)[sqrt2], so every identity holds
 with no rounding.  This module is the test suite's reference: it generates
-the committed m = 1 Clifford tables (`golden_tables`, written by
-scripts/make_fixtures.py), and the float fiber that `equivlab.localmodel`
-builds from those tables by Kronecker products is pinned entry for entry
-to the exact construction here, read through `ExactScalar.to_complex`.
+the committed m = 1 Clifford tables (`golden_tables`, written to
+GOLDEN_TABLES_PATH by scripts/make_fixtures.py), and the float fiber that
+`equivlab.localmodel` builds by Kronecker products is pinned entry for
+entry to the exact construction here, read through `ExactScalar.to_complex`.
 """
 
 from __future__ import annotations
 
 import itertools
+import pathlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from scalars import ONE, SQRT2, SQRT_M2, ZERO, ExactScalar
+
+GOLDEN_TABLES_PATH = (pathlib.Path(__file__).parent / "fixtures"
+                      / "clifford_tables_n1.json")
 
 
 class BasisLabel(NamedTuple):

@@ -1029,6 +1029,41 @@ def test_large_T_sweep_passes(tmp_path):
     assert not any("error" in p for p in payloads["payloads"])
 
 
+# T ** 2 is finite at this T, so the parse check lets it through, but the
+# torus level 2 T^2 |c|^2 overflows and the bochner residual's 2-norm fails
+OVERFLOWING_T = 1.3e154
+
+
+def test_overflowing_torus_sweep_is_unresolved(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--model", "torus", "--cutoff", "2", "--T",
+                 str(OVERFLOWING_T), "-o", str(out)]) == 1
+    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    assert len(verdicts) == 3
+    assert set(verdicts.values()) == {"unresolved"}
+    (payload,) = json.loads((out / "payloads.json").read_text())["payloads"]
+    assert payload["error"].startswith("2-norm of the bochner residual")
+    assert "'check': 'bochner'" in payload["error"]
+
+
+def test_overflowing_torus_run_matches_serial(tmp_path):
+    raw = small_config()
+    raw["models"] = [raw["models"][0],
+                     {"kind": "torus", "tau": [0.3, 1.1], "cutoff": 2,
+                      "field": {"kind": "constant", "c": [0.8, 0.6]}}]
+    raw["T_grid"] = [OVERFLOWING_T]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    for jobs in ("1", "2"):
+        assert main(["run", str(config), "--jobs", jobs,
+                     "-o", str(tmp_path / jobs)]) == 1
+    report = (tmp_path / "1" / "report.json").read_bytes()
+    assert report == (tmp_path / "2" / "report.json").read_bytes()
+    verdicts = json.loads(report)["verdicts"]
+    assert len(verdicts) == 10
+    assert set(verdicts.values()) == {"unresolved"}
+
+
 def test_non_psd_error_survives_pickling():
     err = pickle.loads(pickle.dumps(deformed.NotPSDError(1, -1.0e-6)))
     assert (err.degree, err.eigenvalue) == (1, -1.0e-6)

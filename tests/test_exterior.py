@@ -1,15 +1,15 @@
 import itertools
 import json
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exterior import (AlgebraElement, BasisLabel, TangentVector, clifford_c,
-                      clifford_hat_c, contract, enumerate_basis, frame_vector,
-                      golden_tables, hermitian_inner, metric_dual_wedge, wedge)
+from exterior import (GOLDEN_TABLES_PATH, AlgebraElement, BasisLabel,
+                      TangentVector, clifford_c, clifford_hat_c, contract,
+                      enumerate_basis, frame_vector, golden_tables,
+                      hermitian_inner, metric_dual_wedge, wedge)
 from scalars import ExactScalar
 
 
@@ -270,8 +270,7 @@ def test_float_view_keeps_golden_relations():
 
 def test_golden_tables_match_committed_fixture():
     regenerated = golden_tables()
-    committed = json.loads(resources.files("equivlab.fixtures")
-                           .joinpath("clifford_tables_n1.json").read_text())
+    committed = json.loads(GOLDEN_TABLES_PATH.read_text())
     assert committed["basis"] == regenerated["basis"]
     assert committed["operators"] == regenerated["operators"]
     assert committed["anticommutators"] == regenerated["anticommutators"]

@@ -1,5 +1,5 @@
 """Fiber oscillator model: closed form vs Galerkin, the kernel state, the
-spectral-gap fixture, bump/normalization quantities, isometry defects.
+spectral-gap constant, bump/normalization quantities, isometry defects.
 
 The assembled Galerkin matrix is the oracle for the factor route: the
 sparse Kronecker sum is built term by term and solved densely at small
@@ -15,7 +15,6 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -31,9 +30,9 @@ from equivlab.localmodel import (GALERKIN_MAX_DIM, GAP_CONSTANT,
                                  fiber_endomorphism, isometry_defect,
                                  kernel_overlap, oscillator_galerkin,
                                  smooth_bump)
-from exterior import (AlgebraElement, BasisLabel, clifford_c, clifford_hat_c,
-                      enumerate_basis, frame_vector, metric_dual_wedge,
-                      norm_sq, wedge)
+from exterior import (GOLDEN_TABLES_PATH, AlgebraElement, BasisLabel,
+                      clifford_c, clifford_hat_c, enumerate_basis,
+                      frame_vector, metric_dual_wedge, norm_sq, wedge)
 from scalars import ExactScalar, I_UNIT
 
 
@@ -83,8 +82,7 @@ def fixture_m1_fiber() -> tuple[np.ndarray, np.ndarray]:
     W_1 = -i (c(wbar) hatc(w) + c(w) hatc(wbar)) and, since
     theta_1 = dzbar dz = (i/2) c(w) hatc(wbar) on 1,
     exp(theta_1) = (1 + (i/2) c(w) hatc(wbar)) 1."""
-    tables = json.loads(resources.files("equivlab.fixtures")
-                        .joinpath("clifford_tables_n1.json").read_text())
+    tables = json.loads(GOLDEN_TABLES_PATH.read_text())
     ops = {name: [[ExactScalar(*map(Fraction, entry)) for entry in row]
                   for row in mat]
            for name, mat in tables["operators"].items()}
@@ -251,12 +249,6 @@ def test_m2_spectrum_is_convolution_of_m1():
                                        max_level=8)
     conv = convolve_spectra(one, one, cap=2 * T * 8)
     assert conv == [(float(v), m) for v, m in two]
-
-
-def test_gap_fixture_committed():
-    fixture = json.loads(resources.files("equivlab.fixtures")
-                         .joinpath("oscillator_gap.json").read_text())
-    assert fixture["A"] == GAP_CONSTANT == 2.0
 
 
 # --- Galerkin route ----------------------------------------------------------

@@ -1,14 +1,13 @@
 """Closed-form cohomology tables, Kunneth combination, and the localization
 prediction, cross-validated against exact kernel counts of the truncated
-complexes (the committed fixture is regenerated and compared)."""
+complexes."""
 
 import pytest
 
 from equivlab.deformed import graded_euler, t_sweep
 from equivlab.geometry import cp1_model, torus_model
 from equivlab.geometry.base import ModelSpec, FieldSpec
-from equivlab.oracle import (POINT_TABLE, cp1_table, fixture_tables,
-                             generate_fixture_tables, kunneth,
+from equivlab.oracle import (POINT_TABLE, cp1_table, kunneth,
                              localization_prediction, model_hodge_table,
                              per_degree, torus_table, zero_set)
 from spectra import kernel_table
@@ -37,13 +36,6 @@ def test_cp1_tables_cross_validated_spectrally(k):
 def test_torus_table_cross_validated_spectrally():
     model = torus_model(1j, 2, 1.0)
     assert kernel_table(model, 0.0) == per_degree(torus_table(), 1)
-
-
-def test_fixture_matches_regenerated():
-    committed = fixture_tables()
-    fresh = generate_fixture_tables()
-    assert committed["torus"] == fresh["torus"]
-    assert committed["cp1"] == fresh["cp1"]
 
 
 # --- kunneth ----------------------------------------------------------------
