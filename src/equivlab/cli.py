@@ -654,9 +654,10 @@ def _resolve_outdir(path: str) -> str:
 
 def _parse_list(text: str) -> list:
     """Comma-separated numbers, each an int where it reads as one; an entry
-    that is no number stays text, for the config checks to reject by name."""
+    that is no number, the empty one too, stays text, for the config checks
+    to reject by name."""
     out = []
-    for x in filter(None, text.split(",")):
+    for x in text.split(","):
         for kind in (int, float):
             try:
                 x = kind(x)

@@ -21,12 +21,10 @@ No Gram is built: its L D L^T factors are written in closed form from
 (alpha, P, n), the rows of L^{-1} being the finite Romanovski polynomials
 of that weight.  Those factors depend on n only through a prefix, so
 `Cp1Exact` keeps one `linalg.RomanovskiTable` per weight (`Weights`), and
-a chunk is (a0, b0, n) with its weight's table, which every chunk and
-leakage pencil of that weight reads: the (0,0) and (0,1) blocks share P,
-as do (1,0) and (1,1), each alpha recurs across charges, and the pencils
-read rows of the (0,q) weight.  Each row and pivot is computed once per
-model, and `linalg.transform_op` and `linalg.inverse_form` take a chunk's
-Gram as its (table, n).
+a chunk is (a0, b0, n) with its weight's table, which every chunk of that
+weight reads: the (0,0) and (0,1) blocks share P, as do (1,0) and (1,1),
+and each alpha recurs across charges.  Each row and pivot is computed once
+per model, and `linalg.transform_op` takes a chunk's Gram as its (table, n).
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
@@ -50,17 +48,13 @@ truncated block exactly into the next (the assembly errors out otherwise),
 so the deformed complex closes at finite cutoff and its kernel counts are
 honest finite-complex cohomology dimensions.  The metric dual operators leak
 outside the truncation; the wedge-by-dual-field leakage is computed exactly
-and reported.  Within one charge chunk it is a rank-2 problem: in t = |z|^2
-the images of the basis monomials are powers of t in P_{<n_t+2}, and the
-target chunk is (1+t)^2 P_{<n_t}, so what leaves the target lies in the
-2-d complement C of the target there, spanned by two orthogonal
-polynomials of the weight with (1+t)^2 absorbed, read as two Romanovski
-rows of the weight's table.  The squared leakage is the larger root of
-the 2 x 2 pencil
-det(K - lambda H) = 0 of the pairings with C: its trace and determinant are
-exact rationals from integer moments, and floats enter only in that root.
-The pencils of charges chi and k - chi are equal, so one is evaluated per
-pair.
+and reported.  Within one charge chunk it is a rank-2 problem: what leaves
+the target lies in a 2-d complement, and the squared leakage is the larger
+root of a 2 x 2 pencil of exact pairings.  Its trace and determinant are
+rational functions of (k, N, q, chi) in closed form (`_leakage_pencil`), so
+floats enter only in that root.  They depend on chi only through
+(2 chi - k)^2, so the pencils of chi and k - chi are equal and one is
+evaluated per pair.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
@@ -72,7 +66,6 @@ the same one) are the members, named chi<chi>, of one stack.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +74,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..linalg import Diagonals, RomanovskiTable, inverse_form, transform_op
+from ..linalg import Diagonals, RomanovskiTable, transform_op
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -215,9 +208,6 @@ class Chunk(NamedTuple):
     n: int
     table: RomanovskiTable
 
-    def monomials(self) -> list[tuple[int, int]]:
-        return [(self.a0 + i, self.b0 + i) for i in range(self.n)]
-
     def exponents(self) -> tuple[np.ndarray, np.ndarray]:
         i = np.arange(self.n, dtype=object)     # Python ints
         return self.a0 + i, self.b0 + i
@@ -236,7 +226,6 @@ class Block:
     pq: PQ
     den: int
     chunks: dict[int, Chunk]                # by charge, ascending
-    weights: Weights                        # shared by the model's blocks
 
     @property
     def dim(self) -> int:
@@ -263,7 +252,7 @@ def _build_block(k: int, cutoff: int, p: int, q: int, weights: Weights
         table = weights[abs(e), big_p]
         table.grow(n)
         chunks[e + p - q] = Chunk(a0, b0, n, table)
-    return Block((p, q), den, chunks, weights)
+    return Block((p, q), den, chunks)
 
 
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
@@ -314,10 +303,9 @@ class Cp1Exact:
     def __init__(self, k: int, cutoff: int):
         self.k = k
         self.cutoff = cutoff
-        # one factor table per weight, for every chunk and pencil of it
-        self.weights = Weights()
+        weights = Weights()     # one factor table per weight, for every block
         self.blocks: dict[PQ, Block] = {
-            pq: _build_block(k, cutoff, *pq, self.weights) for pq in _PQS}
+            pq: _build_block(k, cutoff, *pq, weights) for pq in _PQS}
         self.dbar_chunks: dict[PQ, dict[int, Diagonals]] = {}
         self.iv_chunks: dict[PQ, dict[int, Diagonals]] = {}
         for (p, q) in ((0, 0), (1, 0)):
@@ -404,12 +392,14 @@ class Cp1Exact:
         chunks of the square root of the larger root of the chunk's 2 x 2
         pencil, lambda = (tr + sqrt(tr^2 - 4 det)) / 2 from the exact trace
         and determinant, so floats enter only in the two square roots."""
+        if self.cutoff < 1:
+            raise ModelError("the dual-wedge leakage needs cutoff >= 1")
         out: dict[PQ, float] = {}
         for q in (0, 1):
-            src, tgt = self.blocks[(0, q)], self.blocks[(1, q)]
             # the pencils of chi and k - chi are equal, so one per pair
-            pencils = (_dual_wedge_pencil(self.k, src, tgt, chi)
-                       for chi in src.chunks if 2 * chi <= self.k)
+            pencils = (_leakage_pencil(self.k, self.cutoff, q, chi)
+                       for chi in self.blocks[(0, q)].chunks
+                       if 2 * chi <= self.k)
             out[(0, q)] = max(math.sqrt((float(tr) + math.sqrt(
                 float(tr * tr - 4 * det))) / 2) for tr, det in pencils)
         return out
@@ -451,63 +441,29 @@ def _dbar_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
     return out
 
 
-def _moment_numerators(us: range, big_p: int) -> dict[int, int]:
-    """u! (P-u-2)! for each u in us: the Beta moments m(u, P) times (P-1)!."""
-    if us and (us[0] < 0 or us[-1] > big_p - 2):
-        bad = us[0] if us[0] < 0 else us[-1]
-        raise ModelError(f"divergent moment: u={bad}, P={big_p}")
-    fact = math.factorial
-    return {u: fact(u) * fact(big_p - u - 2) for u in us}
-
-
-def _dual_wedge_pencil(k: int, src: Block, tgt: Block, chi: int
-                       ) -> tuple[Fraction, Fraction]:
-    """Exact trace and determinant of H^{-1} K for one charge chunk of the
-    (0,q) block; its larger eigenvalue is the chunk's squared leakage.
-
-    The image z^a zbar^(b+1) / (1+s)^(den+2) of a source monomial is z^e t^j
-    (zbar^-e t^j when e < 0), t = |z|^2, with e = a - b - 1 fixed on the
-    chunk and j = b + 1 - delta, delta = max(0, -e): pairings are moments
-    of w = t^alpha (1+t)^-P, alpha = |e|.  Over (1+s)^(den+2) the target
-    chunk is (1+t)^2 P_{<n_t}, so its complement C in P_{<n_t+2} is the f
-    orthogonal to P_{<n_t} under (1+t)^2 w = t^alpha (1+t)^-(P-2), the
-    source block's own weight exponent: with n = n_t and p'_m, D'_m the
-    monic orthogonal polynomials of that weight and their squared norms,
-    C is spanned by p'_n and t p'_n - (D'_n / D'_{n-1}) p'_{n-1} (by 1 and
-    t when n = 0).  H is the Gram of this basis c under w, and
-    K = X G_s^{-1} X^T with X_im = <c_i, image m>.
-    """
-    q = src.pq[1]
-    big_p = weight_exponent(1, q, src.den + 2, k)
-    e = chi + q - 1
-    delta, alpha = max(0, -e), abs(e)
-    n_t = tgt.chunks[chi].n if chi in tgt.chunks else 0
-    table = src.weights[alpha, big_p - 2]
-    table.grow(n_t + 1)
-    top, tden = table.rows[n_t]
-    c2 = [0, *top]
-    if n_t:
-        # t p'_n - (D'_n / D'_{n-1}) p'_{n-1}, scaled to integers
-        prev, pden = table.rows[n_t - 1]
-        r = table.pivots[n_t] / table.pivots[n_t - 1]
-        c2 = [pden * r.denominator * x - tden * r.numerator * y
-              for x, y in zip(c2, [*prev, 0, 0])]
-    hankel = list(_moment_numerators(range(alpha, alpha + 2 * n_t + 3),
-                                     big_p).values())
-    # g[i][s] = <c_i, t^s> under w, times (P-1)!
-    g = [[sum(map(operator.mul, c, hankel[s:])) for s in range(n_t + 2)]
-         for c in (top, c2)]
-    (h00, h01), (_, h11) = [[sum(map(operator.mul, gi, c)) for c in (top, c2)]
-                            for gi in g]
-    chunk = src.chunks[chi]
-    ((k00, k01), (_, k11)), kden = inverse_form(
-        chunk.table, chunk.n,
-        [[gi[b + 1 - delta] for _, b in chunk.monomials()] for gi in g])
-    # H and X are over (P-1)!, so H^{-1} K is over it once
-    det_h = h00 * h11 - h01 * h01
-    kf = kden * math.factorial(big_p - 1)
-    return (Fraction(h11 * k00 - 2 * h01 * k01 + h00 * k11, det_h * kf),
-            Fraction(k00 * k11 - k01 * k01, det_h * kf * kf))
+def _leakage_pencil(k: int, cutoff: int, q: int, chi: int
+                    ) -> tuple[Fraction, Fraction]:
+    """Exact trace and determinant of H^{-1} K for the charge chunk chi of
+    the (0,q) block, whose larger eigenvalue is the chunk's squared
+    leakage, in closed form for cutoff N >= 1.  With P = 2N + k + 2 the
+    weight exponent of the (0,0) and (0,1) blocks, m = P - k - 2q and
+    v = (2 chi - k)^2, both are rational in (P, k, q, v).  The determinant
+    vanishes at v = (P - 2)^2, the edge charges -N and N + k whose target
+    chunk is empty, and at v = P^2, the first charges outside the block.
+    H is the Gram of a basis of the complement of the target chunk and
+    K = X G_s^{-1} X^T its pairings with the images; the tests hold that
+    Hankel-moment construction as the oracle."""
+    big_p, m, v = 2 * cutoff + k + 2, 2 * (cutoff - q + 1), (2 * chi - k) ** 2
+    tr = m * ((big_p * big_p + 3 * big_p * k - 5 * big_p - 3 * k
+               + 6 * q * (big_p - 1)) * v
+              + big_p * (big_p - 2) * (big_p * big_p - big_p * k - big_p + k
+                                       - 4 - 2 * q * (big_p - 1)))
+    det = m * m * (m * m - 4) * (v - big_p ** 2) * (v - (big_p - 2) ** 2)
+    # P (P-3) (P-2) (P-1), then the rest of each denominator
+    base = big_p * (big_p - 3) * (big_p - 2) * (big_p - 1)
+    return (Fraction(tr, 8 * base * (big_p + 1)),
+            Fraction(det, 256 * base * big_p * (big_p - 2) * (big_p - 1)
+                     * (big_p + 1)))
 
 
 # ---------------------------------------------------------------------------

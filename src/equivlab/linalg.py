@@ -18,18 +18,13 @@ cut at n rows is a prefix of the same column cut lower, so one
 `RomanovskiTable` per weight computes each once and grows on demand; the
 Grams of every size of that weight read it.  It holds the factors as
 integers (each column of L and row of L^{-1} over its least common
-denominator), and a Gram is its table and its size n: `transform_op` and
-`inverse_form` run the exact steps on such (table, n) pairs, the
-orthonormal view of an operator and the inverse form B^T G^{-1} B.  An
-operator is given by its few nonzero diagonals
-(`Diagonals`), so L_t^T M costs O(n^2) and only L_s^{-1} is applied in
-full.  `geometry.cp1` runs `transform_op` on its contraction chunks; its
-dbar chunks are bidiagonal in orthonormal bases and written in closed
-form there, with `transform_op` as their test oracle.  The dual-wedge
-leakage of `geometry.cp1` needs no more: its residual has rank 2, so it
-takes the inverse form of two columns only, and its basis of the 2-d
-complement is two rows and two pivots from the table of the weight with
-(1+t)^2 absorbed.
+denominator), and a Gram is its table and its size n: `transform_op` runs
+the exact steps of the orthonormal view of an operator on such (table, n)
+pairs.  An operator is given by its few nonzero diagonals (`Diagonals`),
+so L_t^T M costs O(n^2) and only L_s^{-1} is applied in full (`_solve`).
+`geometry.cp1` runs `transform_op` on its contraction chunks; its dbar
+chunks are bidiagonal in orthonormal bases and written in closed form
+there, with `transform_op` as their test oracle.
 Its float views are integer dot products divided straight into floats, as
 correctly rounded as float(Fraction).  `ldlt` and `invert_unit_lower` are
 plain Fraction elimination, the independent oracle of the tests.
@@ -283,23 +278,6 @@ def transform_op(diagonals: Diagonals, target: RomanovskiTable, n_t: int,
     out *= target.sqrt_pivots(n_t)[:, None]
     out /= source.sqrt_pivots(n_s)[None, :]
     return out
-
-
-def inverse_form(table: RomanovskiTable, n: int, bcols: IMatrix
-                 ) -> tuple[IMatrix, int]:
-    """B^T G^{-1} B = Y^T D^{-1} Y, Y = L^{-1} B, for the n x n Gram G of
-    table's weight and the integer matrix B given by its columns, as a
-    symmetric integer matrix over one denominator.  Row v of Y is over
-    den_v, the denominator of inverse row v, so it is weighed by
-    1 / (den_v^2 D_v) = weights[v] / wden."""
-    table.grow(n)
-    inv_rows, pivots = table.rows[:n], table.pivots[:n]
-    ycols = _solve(inv_rows, bcols)
-    wdens = [den * den * d.numerator for (_, den), d in zip(inv_rows, pivots)]
-    wden = functools.reduce(math.lcm, wdens, 1)
-    weights = [wden // wd * d.denominator for wd, d in zip(wdens, pivots)]
-    wy = [list(map(operator.mul, weights, y)) for y in ycols]
-    return [[sum(map(operator.mul, w, y)) for y in ycols] for w in wy], wden
 
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:

@@ -219,6 +219,14 @@ def _with(path, value):
     (_with(["checks"], 5), "checks"),
     (_with(["outputs"], 7), "outputs"),
     (_with(["oscillator"], 3), "oscillator"),
+    (["sweep", "--model", "torus", "--cutoff", "2", "--T", "2,,8"],
+     "T_grid[1]"),
+    (["oscillator", "--m", "1", "--T", "2", "--cutoff", "4,"],
+     "oscillator.cutoff[1]"),
+    (["oscillator", "--m", "1,", "--T", "2", "--cutoff", "4,,"],
+     "oscillator.m[1]"),
+    (["sweep", "--model", "torus", "--tau", "0,,1", "--T", "2"],
+     "models[0].tau"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "T-square-underflows",
@@ -228,7 +236,9 @@ def _with(path, value):
         "sweep-torus-k", "sweep-torus-torus-cutoff", "sweep-product-c",
         "oscillator-m", "oscillator-m-repeated", "oscillator-T-repeated",
         "config-m-repeated", "config-T-repeated", "oscillator-too-large",
-        "checks-not-list", "outputs-not-list", "oscillator-not-object"])
+        "checks-not-list", "outputs-not-list", "oscillator-not-object",
+        "sweep-T-empty-entry", "oscillator-cutoff-empty-entry",
+        "oscillator-m-empty-entry", "sweep-tau-empty-entry"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
     # each was truncated, run on, or a traceback; now a ConfigError that

@@ -17,14 +17,15 @@ import equivlab.geometry.cp1 as cp1mod
 from equivlab import linalg
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import (Cp1Exact, _compose, _dual_wedge_pencil,
-                                   _moment_numerators, beta_moment,
-                                   block_params, cp1_model, curvature_contract,
+from equivlab.geometry.cp1 import (Cp1Exact, Weights, _build_block, _compose,
+                                   _leakage_pencil, beta_moment, block_params,
+                                   cp1_model, curvature_contract,
                                    curvature_wedge, dbar, dbar_star,
                                    dual_field_wedge, field_contract,
                                    field_norm_mul, weight_exponent)
 from equivlab.linalg import (RomanovskiTable, fmatmul, invert_unit_lower, ldlt,
                              to_ints, transform_op)
+from leakage_oracle import chunk_monomials, moment_numerators, moment_pencil
 from test_deformed import doubled
 from test_linalg import dense, factors
 
@@ -84,7 +85,8 @@ def apply_rule(rule, s: Section) -> Section:
 
 def monomials(block):
     """The block's basis monomials, chunk by chunk in ascending charge."""
-    return [ab for chunk in block.chunks.values() for ab in chunk.monomials()]
+    return [ab for chunk in block.chunks.values()
+            for ab in chunk_monomials(chunk)]
 
 
 def basis_section(block, k, i):
@@ -100,7 +102,7 @@ def gram_fractions(block, k, chi):
     """The Gram matrix of one charge chunk as Fractions, entry (i, j) the
     Beta moment m(a_i + b_j, P) of the chunk's monomials."""
     big_p = weight_exponent(*block.pq, block.den, k)
-    chunk = block.chunks[chi].monomials()
+    chunk = chunk_monomials(block.chunks[chi])
     return [[beta_moment(a + d, big_p) for _, d in chunk] for a, _ in chunk]
 
 
@@ -220,7 +222,7 @@ def test_chunk_grams_are_reduced_integer_moments(k, cutoff):
             gram = gram_fractions(block, k, chi)
             lcols, inv_rows, _ = factors(chunk.table, chunk.n)
             sections = [monomial_section(block, k, ab)
-                        for ab in chunk.monomials()]
+                        for ab in chunk_monomials(chunk)]
             assert gram[0] == [l2_pair(sections[0], s) for s in sections]
             assert [row[-1] for row in gram] == [
                 l2_pair(s, sections[-1]) for s in sections]
@@ -277,7 +279,7 @@ def test_closed_form_chunks_match_sorted_monomials(k, cutoff):
         big_p = weight_exponent(p, q, block.den, k)
         for chi, monos in want.items():
             chunk = block.chunks[chi]
-            assert chunk.monomials() == monos
+            assert chunk_monomials(chunk) == monos
             alpha = sum(monos[0])
             assert factors(chunk.table, chunk.n) == factors(
                 RomanovskiTable(alpha, big_p), len(monos))
@@ -381,10 +383,10 @@ def test_deformed_square_detects_perturbed_contraction():
 def rule_chunk(k, src, tgt, rule, chi):
     """A chunk's matrix from one scalar rule call per source monomial, each
     image placed by looking its monomial up among the target chunk's."""
-    rows = ({ab: i for i, ab in enumerate(tgt.chunks[chi].monomials())}
+    rows = ({ab: i for i, ab in enumerate(chunk_monomials(tgt.chunks[chi]))}
             if chi in tgt.chunks else {})
     m = [[0] * src.chunks[chi].n for _ in rows]
-    for j, (a, b) in enumerate(src.chunks[chi].monomials()):
+    for j, (a, b) in enumerate(chunk_monomials(src.chunks[chi])):
         for (da, db), x in rule(k, *src.pq, src.den, a, b)[2]:
             if x:
                 m[rows[(a + da, b + db)]][j] += x
@@ -524,8 +526,8 @@ def test_adjoint_consistency_of_assembled_blocks():
                 pairs = [[l2_pair(monomial_section(src, k, u),
                                   apply_rule(dual_field_wedge,
                                              monomial_section(tgt, k, w)))
-                          for w in tgt.chunks[chi].monomials()]
-                         for u in src.chunks[chi].monomials()]
+                          for w in chunk_monomials(tgt.chunks[chi])]
+                         for u in chunk_monomials(src.chunks[chi])]
                 assert fmatmul(transpose(m), gram_fractions(tgt, k, chi)) == pairs
 
 
@@ -764,13 +766,14 @@ def moment_outcome(fn):
 @given(st.integers(-3, 40), st.integers(0, 44))
 def test_moment_identity_absorbs_square_weight(u, big_p):
     # int t^u (1+t)^2 (1+t)^-P dt = int t^u (1+t)^-(P-2) dt, and both sides
-    # diverge together; the leakage's integer moments are the same numbers
+    # diverge together; the leakage oracle's integer moments are the same
+    # numbers
     lhs = moment_outcome(lambda: beta_moment(u, big_p)
                          + 2 * beta_moment(u + 1, big_p)
                          + beta_moment(u + 2, big_p))
     rhs = moment_outcome(lambda: beta_moment(u, big_p - 2))
     assert lhs == rhs
-    nums = moment_outcome(lambda: _moment_numerators(range(u, u + 1), big_p))
+    nums = moment_outcome(lambda: moment_numerators(range(u, u + 1), big_p))
     want = moment_outcome(lambda: beta_moment(u, big_p))
     if want == "divergent":
         assert nums == "divergent"
@@ -783,11 +786,11 @@ def per_section_dual_wedge_core(ex, q, chi):
     gram_y - B^T G_t^-1 B, with G_t^-1 B solved as L^-T D^-1 L^-1 B."""
     k, src, tgt = ex.k, ex.blocks[(0, q)], ex.blocks[(1, q)]
     images = [apply_rule(dual_field_wedge, monomial_section(src, k, ab))
-              for ab in src.chunks[chi].monomials()]
+              for ab in chunk_monomials(src.chunks[chi])]
     resid = [[l2_pair(a, b) for b in images] for a in images]
     if chi in tgt.chunks:
         bmat = [[l2_pair(monomial_section(tgt, k, v), y) for y in images]
-                for v in tgt.chunks[chi].monomials()]
+                for v in chunk_monomials(tgt.chunks[chi])]
         L, D = ldlt(gram_fractions(tgt, k, chi))
         linv = invert_unit_lower(L)
         y = [[x / d for x in row] for row, d in zip(fmatmul(linv, bmat), D)]
@@ -805,7 +808,8 @@ CHUNK_CASES = [(k, n) for k in range(4) for n in sorted({k + 4, 8})]
 def test_dual_wedge_core_matches_section_pairings(k, cutoff):
     # the Fraction core L^-1 R L^-T has rank <= 2, and scaled by D^-1 (so
     # similar to G_s^-1 R) its trace and second elementary symmetric function
-    # are the exact trace and determinant of the 2 x 2 pencil
+    # are the exact trace and determinant of the 2 x 2 pencil: the closed
+    # form's and the moment oracle's
     ex = Cp1Exact(k, cutoff)
     for q in (0, 1):
         src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
@@ -818,7 +822,8 @@ def test_dual_wedge_core_matches_section_pairings(k, cutoff):
             e2 = (trace * trace
                   - sum(x * y for row, col in zip(m, zip(*m))
                         for x, y in zip(row, col))) / 2
-            assert _dual_wedge_pencil(k, src, tgt, chi) == (trace, e2)
+            assert _leakage_pencil(k, cutoff, q, chi) == (trace, e2)
+            assert moment_pencil(k, src, tgt, chi) == (trace, e2)
 
 
 @pytest.mark.parametrize("k,cutoff", CHUNK_CASES + [(0, 24)])
@@ -828,30 +833,66 @@ def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
     with localcontext() as ctx:
         ctx.prec = 50
         for q in (0, 1):
-            src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
             ref = Decimal(0)
-            for chi in src.chunks:
+            for chi in ex.blocks[(0, q)].chunks:
                 tr, det = (Decimal(x.numerator) / x.denominator for x in
-                           _dual_wedge_pencil(k, src, tgt, chi))
+                           _leakage_pencil(k, cutoff, q, chi))
                 ref = max(ref, ((tr + (tr * tr - 4 * det).sqrt()) / 2).sqrt())
             assert abs(Decimal(got[(0, q)]) - ref) <= 2 * Decimal(
                 math.ulp(got[(0, q)]))
 
 
 def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
-    # the pencil reads two Romanovski rows and two pivots of the source
-    # block's weight exponent, not a whole factorization per chunk: it cuts
-    # no columns of L
+    # the pencils are closed forms in (k, N, q, chi): the leakage grows no
+    # Romanovski table and cuts no columns of L
     ex = Cp1Exact(1, 8)
-    calls, lcols = [], RomanovskiTable.lcols
+    calls = []
+    for name in ("grow", "lcols"):
+        method = getattr(RomanovskiTable, name)
 
-    def counting(table, n):
-        calls.append((table, n))
-        return lcols(table, n)
+        def counting(table, n, method=method, name=name):
+            calls.append((name, table.alpha, table.big_p, n))
+            return method(table, n)
 
-    monkeypatch.setattr(RomanovskiTable, "lcols", counting)
+        monkeypatch.setattr(RomanovskiTable, name, counting)
     assert ex.dual_wedge_leakage()
     assert calls == []
+
+
+LEAKAGE_CASES = [(k, n) for k in range(6) for n in range(1, 17)]
+
+
+def test_leakage_pencil_matches_moment_oracle():
+    # the closed form equals the Hankel-moment pencil as exact Fractions on
+    # every chunk of both (0, q) blocks, cutoffs below the model minimum
+    # included
+    for k, cutoff in LEAKAGE_CASES:
+        ex = Cp1Exact(k, cutoff)
+        for q in (0, 1):
+            src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+            for chi in src.chunks:
+                assert (_leakage_pencil(k, cutoff, q, chi)
+                        == moment_pencil(k, src, tgt, chi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 64), st.integers(0, 1),
+       st.floats(0, 1))
+def test_leakage_pencil_matches_moment_oracle_sampled(k, cutoff, q, where):
+    # one chunk of a (0, q) block anywhere in k <= 20, N <= 64, chi in
+    # -N .. N + k, against the moment oracle on that block alone
+    weights = Weights()
+    src, tgt = (_build_block(k, cutoff, p, q, weights) for p in (0, 1))
+    chi = -cutoff + round(where * (2 * cutoff + k))
+    assert chi in src.chunks
+    assert _leakage_pencil(k, cutoff, q, chi) == moment_pencil(k, src, tgt,
+                                                               chi)
+
+
+def test_dual_wedge_leakage_needs_a_positive_cutoff():
+    # at N = 0 the closed form's denominator can vanish (P = 3 at k = 1)
+    with pytest.raises(ModelError):
+        Cp1Exact(1, 0).dual_wedge_leakage()
 
 
 # --- identities the run path uses -------------------------------------------
@@ -881,7 +922,8 @@ def test_dbar_chunk_blocks_are_closed_form_bidiagonal(k):
 @pytest.mark.parametrize("k", range(6))
 def test_dual_wedge_pencil_symmetric_under_charge_reflection(k):
     # the charges of each (0, q) block are closed under chi -> k - chi, and
-    # the exact pencils of chi and k - chi are equal
+    # the moment pencils of chi and k - chi are equal, as the closed form's
+    # dependence on chi through (2 chi - k)^2 alone says
     for cutoff in (2, 3, 4, 5, 8, 13, 28):
         ex = Cp1Exact(k, cutoff)
         for q in (0, 1):
@@ -889,30 +931,31 @@ def test_dual_wedge_pencil_symmetric_under_charge_reflection(k):
             for chi in src.chunks:
                 assert k - chi in src.chunks
                 if chi < k - chi:
-                    assert (_dual_wedge_pencil(k, src, tgt, chi)
-                            == _dual_wedge_pencil(k, src, tgt, k - chi))
+                    assert (moment_pencil(k, src, tgt, chi)
+                            == moment_pencil(k, src, tgt, k - chi))
 
 
 @pytest.mark.parametrize("k,cutoff", [(0, 6), (1, 8), (3, 7), (4, 12)])
 def test_dual_wedge_leakage_reads_one_pencil_per_charge_pair(monkeypatch, k,
                                                             cutoff):
-    # the leakage evaluates the pencil once for each pair {chi, k - chi}, at
-    # its chi <= k - chi, and is the maximum over every charge's pencil
+    # the leakage evaluates the closed form once for each pair
+    # {chi, k - chi}, at its chi <= k - chi, and is the maximum over every
+    # charge's moment pencil
     ex = Cp1Exact(k, cutoff)
     want = {}
     for q in (0, 1):
         src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
         want[(0, q)] = max(
             math.sqrt((float(tr) + math.sqrt(float(tr * tr - 4 * det))) / 2)
-            for tr, det in (_dual_wedge_pencil(k, src, tgt, chi)
+            for tr, det in (moment_pencil(k, src, tgt, chi)
                             for chi in src.chunks))
-    calls, pencil = [], cp1mod._dual_wedge_pencil
+    calls, pencil = [], cp1mod._leakage_pencil
 
-    def counting(k, src, tgt, chi):
-        calls.append((src.pq, chi))
-        return pencil(k, src, tgt, chi)
+    def counting(k, cutoff, q, chi):
+        calls.append(((0, q), chi))
+        return pencil(k, cutoff, q, chi)
 
-    monkeypatch.setattr(cp1mod, "_dual_wedge_pencil", counting)
+    monkeypatch.setattr(cp1mod, "_leakage_pencil", counting)
     assert ex.dual_wedge_leakage() == want
     assert sorted(calls) == [((0, q), chi) for q in (0, 1)
                              for chi in sorted(ex.blocks[(0, q)].chunks)
