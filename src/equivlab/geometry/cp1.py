@@ -17,14 +17,14 @@ operator chunks have integer entries.  A charge chunk is fixed by e = a - b:
 its monomials are (a0 + i, b0 + i), i < n, with a0 = max(e, 0), b0 = a0 - e
 and n = min(amax - a0, bmax - b0) + 1, so its Gram is the Hankel matrix
 m(alpha + i + j, P), alpha = a0 + b0 = |e|, of the weight t^alpha (1+t)^{-P}.
-No Gram is built: its L D L^T factors are written in closed form from
-(alpha, P, n), the rows of L^{-1} being the finite Romanovski polynomials
-of that weight.  Those factors depend on n only through a prefix, so
-`Cp1Exact` keeps one `linalg.RomanovskiTable` per weight (`Weights`), and
-a chunk is (a0, b0, n) with its weight's table, which every chunk of that
-weight reads: the (0,0) and (0,1) blocks share P, as do (1,0) and (1,1),
-and each alpha recurs across charges.  Each row and pivot is computed once
-per model, and `linalg.transform_op` takes a chunk's Gram as its (table, n).
+No Gram is built: its L D L^T factors are closed forms in (alpha, P, n),
+the rows of L^{-1} being the finite Romanovski polynomials of that weight
+and the pivots D their squared norms.  The pivots depend on n only through
+a prefix, so `Cp1Exact` keeps one `linalg.RomanovskiTable` of pivots per
+weight (`Weights`), and a chunk is (a0, b0, n) with its weight's table,
+which every chunk of that weight reads: the (0,0) and (0,1) blocks share
+P, as do (1,0) and (1,1), and each alpha recurs across charges.  Each
+pivot is computed once per model.
 
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
@@ -35,10 +35,14 @@ per chunk for the operator chunks, per block for the T-free certificate
 An operator chunk is stored as the rule's coefficient arrays, one
 diagonal per offset (at most two for dbar, one for the contraction), with
 no chunk matrix built; the d_T^2 certificate composes these diagonals.
-Its float block in orthonormal bases is `linalg.transform_op`'s for the
-contraction.  A dbar chunk's is bidiagonal, fixed by its two diagonals and
-the subleading coefficients of the monic Romanovski rows, and is written
-in closed form (`_dbar_block`), equal to `transform_op`'s bit for bit.
+Its float block in orthonormal bases is a closed form too: each exact
+entry is rounded once and scaled by the square-root pivots of the two
+chunks.  A dbar chunk's is bidiagonal, fixed by its two diagonals and the
+subleading coefficients of the monic Romanovski rows (`_dbar_block`).  A
+contraction chunk's is a banded recurrence down its columns, since every
+weight it meets is a Christoffel modification of one (`_iv_block`).  Both
+equal, bit for bit, the dense transform D_t^{1/2} L_t^T M L_s^{-T}
+D_s^{-1/2} of the tests (`tests/transform_oracle.transform_op`).
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
 den = N + q and numerator degrees a <= den + k - 2p, b <= den - 2q, which is
@@ -70,11 +74,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from ..linalg import Diagonals, RomanovskiTable, transform_op
+from ..linalg import Diagonals, RomanovskiTable
 # unused here, but perfbench/tracing.py wraps it under this name
 from ..linalg import fmatmul  # noqa: F401
 from .base import AssembledModel, CellStack, FieldSpec, ModelError, ModelSpec, PQ
@@ -214,7 +218,8 @@ class Chunk(NamedTuple):
 
 
 class Weights(dict):
-    """The `RomanovskiTable` of each weight (alpha, P), made on first use."""
+    """The pivot table (`RomanovskiTable`) of each weight (alpha, P), made
+    on first use; both float blocks and `Block.gram_condition` read it."""
 
     def __missing__(self, weight: tuple[int, int]) -> RomanovskiTable:
         table = self[weight] = RomanovskiTable(*weight)
@@ -301,9 +306,13 @@ class Cp1Exact:
     identity checks that only make sense at infinite precision."""
 
     def __init__(self, k: int, cutoff: int):
+        # every block needs a monomial: cutoff >= max(1, 2 - k) for k >= 0
+        if min(min(block_params(k, cutoff, *pq)[1:]) for pq in _PQS) < 0:
+            raise ModelError(
+                f"cp1 cutoff {cutoff} leaves a block empty at twist {k}")
         self.k = k
         self.cutoff = cutoff
-        weights = Weights()     # one factor table per weight, for every block
+        weights = Weights()     # one pivot table per weight, for every block
         self.blocks: dict[PQ, Block] = {
             pq: _build_block(k, cutoff, *pq, weights) for pq in _PQS}
         self.dbar_chunks: dict[PQ, dict[int, Diagonals]] = {}
@@ -320,13 +329,12 @@ class Cp1Exact:
     def ortho_chunk(self, src_pq: PQ, tgt_pq: PQ, chi: int) -> np.ndarray:
         """The float block of charge chi of the operator from block src_pq
         to block tgt_pq in orthonormal bases: dbar where q rises, in closed
-        form (`_dbar_block`), else the contraction, by `transform_op`."""
+        form (`_dbar_block`), else the contraction (`_iv_block`)."""
         tgt = self.blocks[tgt_pq].chunks[chi]
         src = self.blocks[src_pq].chunks[chi]
         if tgt_pq[1] > src_pq[1]:
             return _dbar_block(self.dbar_chunks[src_pq][chi], tgt, src)
-        return transform_op(self.iv_chunks[src_pq][chi], tgt.table, tgt.n,
-                            src.table, src.n)
+        return _iv_block(self.iv_chunks[src_pq][chi], tgt, src)
 
     # -- exact identity checks ---------------------------------------------
 
@@ -392,8 +400,6 @@ class Cp1Exact:
         chunks of the square root of the larger root of the chunk's 2 x 2
         pencil, lambda = (tr + sqrt(tr^2 - 4 det)) / 2 from the exact trace
         and determinant, so floats enter only in the two square roots."""
-        if self.cutoff < 1:
-            raise ModelError("the dual-wedge leakage needs cutoff >= 1")
         out: dict[PQ, float] = {}
         for q in (0, 1):
             # the pencils of chi and k - chi are equal, so one per pair
@@ -416,8 +422,8 @@ def _dbar_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
     term dropped where row j + s does not exist).  Each entry is one
     integer ratio, over a positive denominator so that a zero is +0.0,
     divided into a float, and then scaled by the square-root pivots, as
-    `transform_op` rounds and scales its exact core: the two agree bit
-    for bit."""
+    the dense transform of the tests rounds and scales its exact core:
+    the two agree bit for bit."""
     (_, c1), (s, c) = sorted(diagonals)
     sa, sp = src.table.alpha, src.table.big_p
     ta, tp = tgt.table.alpha, tgt.table.big_p
@@ -439,6 +445,62 @@ def _dbar_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
     out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
     out /= src.table.sqrt_pivots(src.n)[None, :]
     return out
+
+
+def _iv_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
+    """The orthonormal float block of one contraction chunk, in closed form:
+    each entry of `_iv_core` divided into a float once and scaled as
+    `_dbar_block` scales, so the block equals the dense transform's bit
+    for bit.  The chunk's one diagonal has every coefficient 1, so only its
+    shift is read."""
+    (s, _), = diagonals
+    out = np.zeros((tgt.n, src.n))
+    for i, (nums, den) in enumerate(_iv_core(s, src.table.alpha,
+                                             tgt.table.big_p, src.n, tgt.n)):
+        out[:len(nums), i] = [x / den for x in nums]
+    out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
+    out /= src.table.sqrt_pivots(src.n)[None, :]
+    return out
+
+
+def _iv_core(s: int, alpha: int, big_p: int, n_s: int, n_t: int
+             ) -> Iterator[tuple[list[int], int]]:
+    """The columns of the exact core of a contraction chunk (its block
+    before the pivot scaling), each as integers over one positive
+    denominator that their gcd reduces.
+
+    The contraction is t^s on the chunk's polynomials, s its one diagonal's
+    shift, from the weight t^alpha (1+t)^-(Q-2) to t^(alpha+1-2s) (1+t)^-Q,
+    a Christoffel modification of it.  Column i holds the coordinates of
+    t^s p_i, p the source's monic Romanovski rows, in the target's, q; and
+    with r = Q - alpha - 2i these obey the connection formula
+
+        t^s (p_i + a_i p_(i-1) + b_i p_(i-2)) = q_(i+s) + h_i q_(i+s-1),
+
+    a_i = 2i (alpha+i) / (r (r-2)), b_i = i (i-1) (alpha+i) (alpha+i-1) /
+    ((r-1) r^2 (r+1)), and h_i = i (Q-i) / (r (r-1)) for s = 0 or
+    (alpha+i) (Q-alpha-i) / (r (r-1)) for s = 1 (terms past the target's
+    n_t dropped).  So column i is that right side minus a_i times column
+    i - 1 and b_i times column i - 2: O(n^2) integer work per chunk."""
+    back = [([], 1), ([], 1)]       # columns i - 2 and i - 1, (nums, den)
+    for i in range(n_s):
+        r = big_p - alpha - 2 * i
+        den = r * (r - 1)
+        side = i * (big_p - i) if s == 0 else (alpha + i) * (big_p - alpha - i)
+        h = [0] * (i + s - 1) + [side, den] if i + s else [den]
+        # the nonzero a_i and b_i as a / d, each with its column (nums, den)
+        terms = [(a, d, *col) for a, d, col in (
+            (2 * i * (alpha + i), r * (r - 2), back[1]),
+            (i * (i - 1) * (alpha + i) * (alpha + i - 1),
+             (r - 1) * r * r * (r + 1), back[0])) if a]
+        total = math.lcm(den, *(d * e for _, d, _, e in terms))
+        nums = [x * (total // den) for x in h[:n_t]]
+        for a, d, col, e in terms:
+            f = a * (total // (d * e))
+            nums[:len(col)] = [x - f * y for x, y in zip(nums, col)]
+        g = math.gcd(total, *nums)
+        back = [back[1], ([x // g for x in nums], total // g)]
+        yield back[1]
 
 
 def _leakage_pencil(k: int, cutoff: int, q: int, chi: int

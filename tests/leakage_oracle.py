@@ -17,11 +17,9 @@ import operator
 from fractions import Fraction
 
 from equivlab.geometry.base import ModelError
-from equivlab.geometry.cp1 import Block, Chunk, Weights, weight_exponent
-from equivlab.linalg import IMatrix, RomanovskiTable, _solve
-
-# the tables of the weights (alpha, P - 2) the pencils read
-_TABLES = Weights()
+from equivlab.geometry.cp1 import Block, Chunk, weight_exponent
+from equivlab.linalg import RomanovskiTable
+from transform_oracle import TABLES, IMatrix, factor_table, solve
 
 
 def chunk_monomials(chunk: Chunk) -> list[tuple[int, int]]:
@@ -45,9 +43,10 @@ def inverse_form(table: RomanovskiTable, n: int, bcols: IMatrix
     symmetric integer matrix over one denominator.  Row v of Y is over
     den_v, the denominator of inverse row v, so it is weighed by
     1 / (den_v^2 D_v) = weights[v] / wden."""
+    table = factor_table(table)
     table.grow(n)
     inv_rows, pivots = table.rows[:n], table.pivots[:n]
-    ycols = _solve(inv_rows, bcols)
+    ycols = solve(inv_rows, bcols)
     wdens = [den * den * d.numerator for (_, den), d in zip(inv_rows, pivots)]
     wden = functools.reduce(math.lcm, wdens, 1)
     weights = [wden // wd * d.denominator for wd, d in zip(wdens, pivots)]
@@ -77,7 +76,7 @@ def moment_pencil(k: int, src: Block, tgt: Block, chi: int
     e = chi + q - 1
     delta, alpha = max(0, -e), abs(e)
     n_t = tgt.chunks[chi].n if chi in tgt.chunks else 0
-    table = _TABLES[alpha, big_p - 2]
+    table = TABLES[alpha, big_p - 2]
     table.grow(n_t + 1)
     top, tden = table.rows[n_t]
     c2 = [0, *top]

@@ -18,14 +18,16 @@ from equivlab import linalg
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError
 from equivlab.geometry.cp1 import (Cp1Exact, Weights, _build_block, _compose,
-                                   _leakage_pencil, beta_moment, block_params,
-                                   cp1_model, curvature_contract,
+                                   _iv_core, _leakage_pencil, beta_moment,
+                                   block_params, cp1_model, curvature_contract,
                                    curvature_wedge, dbar, dbar_star,
                                    dual_field_wedge, field_contract,
                                    field_norm_mul, weight_exponent)
 from equivlab.linalg import (RomanovskiTable, fmatmul, invert_unit_lower, ldlt,
-                             to_ints, transform_op)
+                             to_ints)
+import transform_oracle
 from leakage_oracle import chunk_monomials, moment_numerators, moment_pencil
+from transform_oracle import FactorTable, exact_core, transform_op
 from test_deformed import doubled
 from test_linalg import dense, factors
 
@@ -282,7 +284,7 @@ def test_closed_form_chunks_match_sorted_monomials(k, cutoff):
             assert chunk_monomials(chunk) == monos
             alpha = sum(monos[0])
             assert factors(chunk.table, chunk.n) == factors(
-                RomanovskiTable(alpha, big_p), len(monos))
+                FactorTable(alpha, big_p), len(monos))
 
 
 def test_normalized_volume():
@@ -637,7 +639,7 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
         chunk = block.chunks[chi]
         alpha = abs(chunk.a0 - chunk.b0)
         big_p = weight_exponent(*pq, block.den, k)
-        return RomanovskiTable(alpha, big_p), chunk.n
+        return FactorTable(alpha, big_p), chunk.n
 
     paths = [(ex.dbar_chunks, "dbar", lambda p, q: (p, 1)),
              (ex.iv_chunks, "iv", lambda p, q: (0, q))]
@@ -661,48 +663,31 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
 
 @pytest.mark.parametrize("k,cutoff", [(0, 4), (3, 7), (2, 14), (1, 20)])
 def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
-    # one factor table per weight: assembling a model (its chunks, float
-    # blocks, Gram conditions and leakage pencils) computes each row
-    # and each pivot of each weight once
-    def counted(name):
-        fn, calls = getattr(linalg, name), Counter()
+    # one pivot table per weight: assembling a model (its chunks, float
+    # blocks, Gram conditions and leakage pencils) computes each pivot of
+    # each weight once, and no row of L^-1 (the float blocks are closed
+    # forms that read only pivots)
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def counting(*args):
-            calls[args] += 1
+            calls[name, args] += 1
             return fn(*args)
 
-        monkeypatch.setattr(linalg, name, counting)
-        return calls
+        monkeypatch.setattr(module, name, counting)
 
-    rows, pivots = counted("romanovski_row"), counted("romanovski_pivot")
-    cp1_model(k, cutoff)
-    assert rows and set(rows.values()) == set(pivots.values()) == {1}
-    assert rows.keys() == pivots.keys()
+    counted(linalg, "romanovski_pivot")
+    counted(transform_oracle, "romanovski_row")
+    model = cp1_model(k, cutoff)
+    assert calls and set(calls.values()) == {1}
+    assert {name for name, _ in calls} == {"romanovski_pivot"}
+    assert not any(hasattr(chunk.table, "rows")
+                   for block in model.exact.blocks.values()
+                   for chunk in block.chunks.values())
     if (k, cutoff) == (2, 14):
-        assert len(rows) <= 299
-
-
-def test_source_only_block_builds_no_l_columns(monkeypatch):
-    # the (1,0) block is only ever a source, of dbar and of the contraction,
-    # and only a target reads the columns of L: no table cuts them at a size
-    # that only the (1,0) block uses
-    cuts, lcols = set(), RomanovskiTable.lcols
-
-    def recording(table, n):
-        cuts.add((table, n))
-        return lcols(table, n)
-
-    monkeypatch.setattr(RomanovskiTable, "lcols", recording)
-    ex = cp1_model(0, 8).exact
-
-    def sizes(pq):
-        return {(c.table, c.n) for c in ex.blocks[pq].chunks.values()}
-
-    source_only = sizes((1, 0)).difference(
-        *(sizes(pq) for pq in ex.blocks if pq != (1, 0)))
-    assert source_only
-    assert not cuts & source_only
-    assert cuts & sizes((0, 1))
+        assert len(calls) <= 299
 
 
 def test_embed_preserves_pairings():
@@ -844,10 +829,10 @@ def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
 
 def test_dual_wedge_leakage_builds_no_factorization(monkeypatch):
     # the pencils are closed forms in (k, N, q, chi): the leakage grows no
-    # Romanovski table and cuts no columns of L
+    # Romanovski table and reads no pivot
     ex = Cp1Exact(1, 8)
     calls = []
-    for name in ("grow", "lcols"):
+    for name in ("grow", "sqrt_pivots", "pivot_ratio"):
         method = getattr(RomanovskiTable, name)
 
         def counting(table, n, method=method, name=name):
@@ -865,11 +850,12 @@ LEAKAGE_CASES = [(k, n) for k in range(6) for n in range(1, 17)]
 def test_leakage_pencil_matches_moment_oracle():
     # the closed form equals the Hankel-moment pencil as exact Fractions on
     # every chunk of both (0, q) blocks, cutoffs below the model minimum
-    # included
+    # included; the blocks are built alone, since Cp1Exact refuses (0, 1),
+    # whose (1, 0) block is empty
     for k, cutoff in LEAKAGE_CASES:
-        ex = Cp1Exact(k, cutoff)
+        weights = Weights()
         for q in (0, 1):
-            src, tgt = ex.blocks[(0, q)], ex.blocks[(1, q)]
+            src, tgt = (_build_block(k, cutoff, p, q, weights) for p in (0, 1))
             for chi in src.chunks:
                 assert (_leakage_pencil(k, cutoff, q, chi)
                         == moment_pencil(k, src, tgt, chi))
@@ -890,9 +876,48 @@ def test_leakage_pencil_matches_moment_oracle_sampled(k, cutoff, q, where):
 
 
 def test_dual_wedge_leakage_needs_a_positive_cutoff():
-    # at N = 0 the closed form's denominator can vanish (P = 3 at k = 1)
+    # at N = 0 the closed form's denominator can vanish (P = 3 at k = 1);
+    # the model refuses that cutoff
     with pytest.raises(ModelError):
         Cp1Exact(1, 0).dual_wedge_leakage()
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, -1), (0, 0), (0, 1), (1, 0),
+                                      (4, -1)])
+def test_cutoff_leaving_a_block_empty_is_a_model_error(k, cutoff):
+    # every block needs a monomial: cutoff >= max(1, 2 - k)
+    assert min(min(block_params(k, cutoff, *pq)[1:])
+               for pq in ((0, 0), (1, 0), (0, 1), (1, 1))) < 0
+    with pytest.raises(ModelError, match="empty"):
+        Cp1Exact(k, cutoff)
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 2), (1, 1)])
+def test_smallest_cutoffs_build_and_certify(k, cutoff):
+    # at the least cutoff with no empty block every certificate and float
+    # block works: the d_T^2 and Bochner certificates hold, the leakage is
+    # finite, and every float chunk equals the dense transform
+    ex = Cp1Exact(k, cutoff)
+    assert ex.deformed_square_is_zero(Fraction(3))
+    curvature, clifford, theta = ex.bochner_brackets
+    assert (curvature, clifford) == (0, 0) and theta
+    leakage = ex.dual_wedge_leakage()
+    assert sorted(leakage) == [(0, 0), (0, 1)]
+    assert all(0 < x < 1 for x in leakage.values())
+    assert all(math.isfinite(b.gram_condition()) for b in ex.blocks.values())
+    paths = [(ex.dbar_chunks, lambda p, q: (p, 1)),
+             (ex.iv_chunks, lambda p, q: (0, q))]
+    for op_chunks, target in paths:
+        for src_pq, chunks in op_chunks.items():
+            tgt_pq = target(*src_pq)
+            for chi, diagonals in chunks.items():
+                if chi in ex.blocks[tgt_pq].chunks:
+                    tgt = ex.blocks[tgt_pq].chunks[chi]
+                    src = ex.blocks[src_pq].chunks[chi]
+                    assert np.array_equal(
+                        ex.ortho_chunk(src_pq, tgt_pq, chi),
+                        transform_op(diagonals, tgt.table, tgt.n,
+                                     src.table, src.n))
 
 
 # --- identities the run path uses -------------------------------------------
@@ -917,6 +942,70 @@ def test_dbar_chunk_blocks_are_closed_form_bidiagonal(k):
                 assert len(set(rows - cols)) <= 2
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def iv_chunk_pairs(ex):
+    """(source, target, chi, source chunk, target chunk, diagonals) of every
+    contraction chunk with a nonempty target."""
+    for (p, q), chunks in ex.iv_chunks.items():
+        for chi, diagonals in chunks.items():
+            if chi in ex.blocks[(0, q)].chunks:
+                yield ((p, q), (0, q), chi, ex.blocks[(p, q)].chunks[chi],
+                       ex.blocks[(0, q)].chunks[chi], diagonals)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_iv_chunk_blocks_are_closed_form(k):
+    # every contraction chunk block of the run path, written as a banded
+    # recurrence, is the dense transform's bit for bit, sign bits included
+    for cutoff in sorted({max(k + 2, 4), 7, 12, 23, 40}):
+        ex = Cp1Exact(k, cutoff)
+        for src_pq, tgt_pq, chi, src, tgt, diagonals in iv_chunk_pairs(ex):
+            want = transform_op(diagonals, tgt.table, tgt.n, src.table, src.n)
+            got = ex.ortho_chunk(src_pq, tgt_pq, chi)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("k,cutoff", [(0, 2), (1, 1), (0, 4), (1, 5), (2, 6),
+                                      (3, 7), (0, 12), (2, 14), (5, 20)])
+def test_iv_core_is_exact_core(k, cutoff):
+    # the recurrence's columns, as Fractions, are the exact core
+    # L_t^T M L_s^-T of the dense transform, column by column; a column is
+    # over a positive denominator coprime to its numerators
+    ex = Cp1Exact(k, cutoff)
+    for _, _, _, src, tgt, diagonals in iv_chunk_pairs(ex):
+        (s, _), = diagonals
+        nums, rden, cden = exact_core(diagonals, tgt.table, tgt.n,
+                                      src.table, src.n)
+        want = [[Fraction(nums[r][c], rden[r] * cden[c]) for r in range(tgt.n)]
+                for c in range(src.n)]
+        got = []
+        for col, den in _iv_core(s, src.table.alpha, tgt.table.big_p,
+                                 src.n, tgt.n):
+            assert den > 0 and math.gcd(den, *col) == 1
+            got.append([Fraction(x, den) for x in col]
+                       + [Fraction(0)] * (tgt.n - len(col)))
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 64), st.integers(0, 1),
+       st.floats(0, 1))
+def test_iv_block_matches_transform_sampled(k, cutoff, q, where):
+    # one contraction chunk anywhere in k <= 20, N <= 64, against the
+    # dense transform on that chunk alone
+    cutoff = max(cutoff, 2 - k)
+    weights = Weights()
+    src, tgt = (_build_block(k, cutoff, p, q, weights) for p in (1, 0))
+    diagonals = cp1mod._exact_op_chunks(k, src, tgt, field_contract)
+    chis = [chi for chi in src.chunks if chi in tgt.chunks]
+    chi = chis[round(where * (len(chis) - 1))]
+    s, t = src.chunks[chi], tgt.chunks[chi]
+    got = cp1mod._iv_block(diagonals[chi], t, s)
+    want = transform_op(diagonals[chi], t.table, t.n, s.table, s.n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivlab.linalg import (EigensolverError, GramError, RomanovskiTable,
-                             float_ratios, fmatmul, hermitian_eigenvalues,
-                             invert_unit_lower, ldlt, romanovski_pivot,
-                             romanovski_row, transform_op)
+                             fmatmul, hermitian_eigenvalues, invert_unit_lower,
+                             ldlt, romanovski_pivot)
+from transform_oracle import (FactorTable, factor_table, float_ratios,
+                              romanovski_row, transform_op)
 
 
 # --- per-entry Fraction reference kernels ------------------------------------
@@ -120,7 +121,7 @@ def unit_lower(draw):
 
 def moment_gram(alpha, big_p, n):
     """The Hankel Gram m(alpha + i + j, P) = u! (P-u-2)! / (P-1)! of the
-    weight t^alpha (1+t)^-P, the form `RomanovskiTable` factors."""
+    weight t^alpha (1+t)^-P, the form `FactorTable` factors."""
     f = math.factorial
     return [[Fraction(f(alpha + i + j) * f(big_p - alpha - i - j - 2),
                       f(big_p - 1)) for j in range(n)] for i in range(n)]
@@ -129,9 +130,12 @@ def moment_gram(alpha, big_p, n):
 def factors(table, n):
     """(columns of L, rows of L^-1, pivots D) of the n x n Gram of table's
     weight, each column and row as integers over its least common
-    denominator."""
+    denominator: the pivots are table's own, the rows and columns those of
+    its weight's factor table."""
     table.grow(n)
-    return table.lcols(n), table.rows[:n], table.pivots[:n]
+    full = factor_table(table)
+    full.grow(n)
+    return full.lcols(n), full.rows[:n], table.pivots[:n]
 
 
 @st.composite
@@ -211,7 +215,7 @@ def test_transform_op_is_rounded_exact_core(case):
     # the float view is the exact core L^T M L^-T rounded entrywise, then
     # scaled by D^(1/2) on each side
     params, m = case
-    table, n = RomanovskiTable(*params[:2]), params[2]
+    table, n = FactorTable(*params[:2]), params[2]
     L, _ = ldlt(moment_gram(*params))
     core = ref_fmatmul(ref_fmatmul(transpose(L), m),
                        transpose(invert_unit_lower(L)))
@@ -237,7 +241,7 @@ def test_transform_op_between_two_blocks(case):
     # an integer operator between two Gram blocks, as the cp1 chunks are:
     # L_t^T M L_s^-T rounded entrywise, each factor from its own side
     gt, gs, m = case
-    tgt, src = RomanovskiTable(*gt[:2]), RomanovskiTable(*gs[:2])
+    tgt, src = FactorTable(*gt[:2]), FactorTable(*gs[:2])
     Lt, Ls = ldlt(moment_gram(*gt))[0], ldlt(moment_gram(*gs))[0]
     core = ref_fmatmul(ref_fmatmul(transpose(Lt), m),
                        transpose(invert_unit_lower(Ls)))
@@ -293,7 +297,7 @@ def test_invert_unit_lower():
 
 
 def test_orthonormalizer_identity_transform():
-    table = RomanovskiTable(1, 16)
+    table = FactorTable(1, 16)
     # transforming the identity operator gives a congruence of G to I
     eye = frac_matrix(np.eye(6, dtype=int).tolist())
     t = transform_op(diagonals(eye), table, 6, table, 6)
@@ -304,7 +308,7 @@ def test_orthonormalizer_identity_transform():
 def test_orthonormalizer_matches_float_congruence():
     rng = np.random.default_rng(2)
     m = frac_matrix(rng.integers(-4, 5, size=(5, 5)).tolist())
-    table = RomanovskiTable(2, 14)
+    table = FactorTable(2, 14)
     got = transform_op(diagonals(m), table, 5, table, 5)
     mf = to_float(m)
     # eigenvalues of the pencil (G M, G) equal eigenvalues of got when M is
@@ -320,7 +324,7 @@ def test_orthonormalizer_integer_factors_rebuild_ldlt(params):
     # G = L D L^T; the rows and pivots are those `romanovski_row` and
     # `romanovski_pivot` give one m at a time
     (alpha, big_p, n), g = params, moment_gram(*params)
-    lcols, inv_rows, D = factors(RomanovskiTable(alpha, big_p), n)
+    lcols, inv_rows, D = factors(FactorTable(alpha, big_p), n)
     rows = [romanovski_row(alpha, big_p, m) for m in range(n)]
     pivots = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
     assert (inv_rows, D) == (rows, pivots)
@@ -350,7 +354,7 @@ def test_factors_are_romanovski_closed_forms(params):
     # (P-m-1)! (beta)_m; and L = G L^-T D^-1 column by column
     alpha, big_p, n = params
     g, f = moment_gram(alpha, big_p, n), math.factorial
-    lcols, inv_rows, D = factors(RomanovskiTable(alpha, big_p), n)
+    lcols, inv_rows, D = factors(FactorTable(alpha, big_p), n)
     for m in range(n):
         beta = m + alpha - big_p + 1
         coeffs = [Fraction(math.comb(m, j) * rising(beta, j),
@@ -377,9 +381,9 @@ def test_shared_table_reads_each_size_as_its_own(params, data):
     # square roots, the reduced columns of L and max D / min D
     alpha, big_p, n = params
     sizes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
-    table = RomanovskiTable(alpha, big_p)
+    table = FactorTable(alpha, big_p)
     for m in sizes + [n] + sizes:
-        own_table = RomanovskiTable(alpha, big_p)
+        own_table = FactorTable(alpha, big_p)
         shared_cols, shared_rows, shared_d = factors(table, m)
         own_cols, own_rows, own_d = factors(own_table, m)
         assert (shared_rows, shared_d) == (own_rows, own_d)
