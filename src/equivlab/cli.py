@@ -39,10 +39,11 @@ from .localmodel import (GALERKIN_MAX_DIM, GALERKIN_MIN_CUTOFF, GAP_CONSTANT,
 from .oracle import localization_prediction
 
 CONFIG_SCHEMA_VERSION = 1
-_CHECKS = ("complex_property", "bochner", "localization", "vanishing", "euler")
-# the alpha check's cutoff radius and T, the point its 0.002 bound was set at
+# the alpha check's cutoff radius and T, the point its 0.002 bound was set
+# at, and the T its isometry defect is taken at
 CUTOFF_EPS = 1.0
 ALPHA_T_PROBE = 100.0
+ISOMETRY_T_PROBE = 50.0
 # the keys each object of a config may hold, in the order they are read; a
 # model entry and its field must hold each key of their kind (see `_spec`)
 _ROOT_KEYS = ("schema_version", "name", "models", "T_grid", "checks",
@@ -127,16 +128,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("T_grid", "must be a nonempty list")
     t_grid = _distinct("T_grid", [_deformation(f"T_grid[{i}]", t)
                                   for i, t in enumerate(t_grid)])
-    checks = _names("checks", raw.get("checks", list(_CHECKS)),
-                    (*_CHECKS, "oscillator", "alpha"))
+    # left out, checks is every model check, whether a model of the config
+    # runs it or not; a listed check must be one that some model runs
+    checks = _names("checks", raw.get("checks", [
+        check for check, (kinds, _) in CHECKS.items() if kinds]), tuple(CHECKS))
+    if not checks:
+        raise ConfigError("checks", "must be a nonempty list")
     if "checks" in raw:
-        _runnable(checks, models)
+        for i, check in enumerate(checks):
+            kinds = CHECKS[check][0]
+            if kinds and not any(spec.kind in kinds for spec in models):
+                raise ConfigError(
+                    f"checks[{i}]", "must be a check that a model of the "
+                    f"config runs; {check} runs on {' and '.join(kinds)} "
+                    "models only")
     outputs = _names("outputs", raw.get("outputs", ["csv", "json", "plotdata"]),
                      ("csv", "json", "plotdata"))
     osc = None
-    if "oscillator" in raw or "oscillator" in checks or "alpha" in checks:
+    fiber = any(not CHECKS[check][0] for check in checks)
+    if "oscillator" in raw or fiber:
         osc = _parse_oscillator(_object("oscillator", raw.get("oscillator", {})))
-        if "oscillator" not in checks and "alpha" not in checks:
+        if not fiber:
             raise ConfigError("oscillator", "must be left out unless checks "
                               "lists oscillator or alpha, which read it")
     return ExperimentConfig(name=name, models=tuple(models),
@@ -210,25 +222,6 @@ def _names(path: str, xs, known: tuple[str, ...]) -> list:
         if x not in known:
             raise ConfigError(f"{path}[{i}]", f"unknown {path[:-1]} {x!r}")
     return _distinct(path, xs)
-
-
-def _kinds_checked(check: str) -> tuple[str, ...]:
-    """The model kinds that `run_checks` gives a `check` verdict."""
-    return {"vanishing": ("torus",),
-            "bochner": ("torus", "cp1")}.get(check, tuple(_MODEL_KEYS))
-
-
-def _runnable(checks: list, models: list[ModelSpec]) -> None:
-    """A ConfigError naming checks if empty, or its first check that no
-    model of the config runs."""
-    if not checks:
-        raise ConfigError("checks", "must be a nonempty list")
-    for i, check in enumerate(checks):
-        kinds = _kinds_checked(check)
-        if not any(spec.kind in kinds for spec in models):
-            raise ConfigError(f"checks[{i}]", "must be a check that a model "
-                              f"of the config runs; {check} runs on "
-                              f"{' and '.join(kinds)} models only")
 
 
 def _complex(path: str, x) -> complex:
@@ -347,9 +340,9 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
                    for T, t in sweep.tables.items()},
         "table0": dict(sorted(sweep.table0.items())),
         "unresolved": sweep.unresolved,
-        # the growth law is read only where the field has no zeros
+        # the growth law, which only the vanishing check reads
         "growth": ({_fmt(T): v for T, v in sweep.min_eig_over_T2.items()}
-                   if spec.kind == "torus" else {}),
+                   if spec.kind in CHECKS["vanishing"][0] else {}),
         "leakage": {},
         "gram_pivot_ratio": {},
         "complex_defect_ratio": {_fmt(T): v for T, v
@@ -368,7 +361,7 @@ def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
                               in exact.dual_wedge_leakage().items()}
         payload["gram_pivot_ratio"] = {f"p{p}q{q}": b.gram_condition()
                                        for (p, q), b in exact.blocks.items()}
-    if spec.kind in _kinds_checked("bochner"):
+    if spec.kind in CHECKS["bochner"][0]:
         payload["bochner"] = bochner_check(model, T_grid[0])
     return payload
 
@@ -388,65 +381,105 @@ def _payload_worker(args):
 # Checks
 # ---------------------------------------------------------------------------
 
+def _complex_property(spec, payload, T_grid) -> str:
+    # each ratio is a defect over its own round-off bound; the exact
+    # certificate, where the model has one, must hold too
+    ok = all(v <= 1.0 for v in payload["complex_defect_ratio"].values())
+    return "pass" if ok and payload["complex_exact_zero"] is not False else "fail"
+
+
+def _bochner(spec, payload, T_grid) -> str:
+    res = payload["bochner"]
+    if res["exact"]:
+        # rational arithmetic: the identity holds or it does not
+        ok = res["residual"] == 0.0
+    else:
+        ok = res["residual"] <= torus_bochner_bound(spec, T_grid[0])
+    return "pass" if ok else "fail"
+
+
+def _localization(spec, payload, T_grid) -> str:
+    # a resolved count off the prediction fails at any T, even after an
+    # unresolved cell at an earlier T
+    predicted = localization_prediction(spec)
+    unresolved = {tuple(u) for u in payload["unresolved"]}
+    state = "pass"
+    for tkey, dims in payload["tables"].items():
+        got = {int(r): d for r, d in dims.items()}
+        open_r = {r for r in got if (float(tkey), r) in unresolved}
+        if got.keys() != predicted.keys() or any(
+                d != predicted[r] for r, d in got.items() if r not in open_r):
+            return "fail"
+        if open_r:
+            state = "unresolved"
+    return state
+
+
+def _vanishing(spec, payload, T_grid) -> str:
+    expect = 2.0 * abs(spec.field.c) ** 2
+    ok = all(all(d == 0 for d in dims.values())
+             for dims in payload["tables"].values())
+    ok = ok and all(abs(g / expect - 1.0) <= 0.01
+                    for g in payload["growth"].values())
+    return "pass" if ok and not payload["unresolved"] else "fail"
+
+
+def _euler(spec, payload, T_grid) -> str:
+    e0 = graded_euler(payload["table0"])
+    ok = all(graded_euler(dims) == e0 for dims in payload["tables"].values())
+    return "pass" if ok else "fail"
+
+
+def _oscillator(results: dict) -> str:
+    ok = True
+    gaps: dict[int, list[float]] = {}
+    for entry in results["models"]:
+        ok = ok and entry["kernel_count"] == 1
+        ok = ok and entry["overlap"] >= 1.0 - 1.0e-8
+        ok = ok and entry["min_nonzero"] >= GAP_CONSTANT * entry["T"] * (1 - 1e-8)
+        ok = ok and abs(entry["gap_over_T"] / GAP_CONSTANT - 1.0) <= 1.0e-8
+        gaps.setdefault(entry["m"], []).append(entry["gap_over_T"])
+    for gs in gaps.values():
+        ok = ok and max(gs) - min(gs) <= 1.0e-8 * GAP_CONSTANT
+    return "pass" if ok else "fail"
+
+
+def _alpha(results: dict) -> str:
+    ok = all(abs(entry["alpha_Tm"] * 2.0 ** entry["m"] - 1.0) <= 0.002
+             and entry["isometry_defect"] <= 1.0e-9
+             for entry in results["alpha"])
+    return "pass" if ok else "fail"
+
+
+# each check: the model kinds it runs on, and its judge.  A model check's
+# judge reads (spec, payload, T_grid) of one model; a fiber check runs on no
+# model kind, and its judge reads the oscillator results.
+_ALL_KINDS = tuple(_MODEL_KEYS)
+CHECKS = {"complex_property": (_ALL_KINDS, _complex_property),
+          "bochner": (("torus", "cp1"), _bochner),
+          "localization": (_ALL_KINDS, _localization),
+          "vanishing": (("torus",), _vanishing),
+          "euler": (_ALL_KINDS, _euler),
+          "oscillator": ((), _oscillator),
+          "alpha": ((), _alpha)}
+
+
 def run_checks(config: ExperimentConfig, payloads: list[dict]) -> dict[str, str]:
+    """The verdict of each listed check on each model whose kind it runs
+    on.  A model whose payload is an error gets the same verdict in each:
+    a solver failure leaves the answer open, and a negative eigenvalue of a
+    sum of Gram products means the operator is wrong."""
     verdicts: dict[str, str] = {}
     for spec, payload in zip(config.models, payloads, strict=True):
-        label = payload["label"]
-        if payload.get("error"):
-            # a solver failure leaves the answer open; a negative eigenvalue
-            # of a sum of Gram products means the operator is wrong.  The
-            # model gets a verdict for each check its kind runs.
-            state = "fail" if payload["non_psd"] else "unresolved"
-            for check in config.checks:
-                if check in _CHECKS and spec.kind in _kinds_checked(check):
-                    verdicts[f"{check}:{label}"] = state
-            continue
-        if "complex_property" in config.checks:
-            # each ratio is a defect over its own round-off bound
-            ok = all(v <= 1.0 for v in payload["complex_defect_ratio"].values())
-            if payload["complex_exact_zero"] is not None:
-                ok = ok and payload["complex_exact_zero"]
-            verdicts[f"complex_property:{label}"] = "pass" if ok else "fail"
-        if "bochner" in config.checks and payload["bochner"] is not None:
-            res = payload["bochner"]
-            if res["exact"]:
-                # rational arithmetic: the identity holds or it does not
-                ok = res["residual"] == 0.0
+        for check in config.checks:
+            kinds, judge = CHECKS[check]
+            if spec.kind not in kinds:
+                continue
+            if payload.get("error"):
+                state = "fail" if payload["non_psd"] else "unresolved"
             else:
-                ok = res["residual"] <= torus_bochner_bound(
-                    spec, config.T_grid[0])
-            verdicts[f"bochner:{label}"] = "pass" if ok else "fail"
-        if "localization" in config.checks:
-            # a resolved count off the prediction fails at any T, even after
-            # an unresolved cell at an earlier T
-            predicted = localization_prediction(spec)
-            unresolved = {tuple(u) for u in payload["unresolved"]}
-            state = "pass"
-            for tkey, dims in payload["tables"].items():
-                got = {int(r): d for r, d in dims.items()}
-                open_r = {r for r in got if (float(tkey), r) in unresolved}
-                if got.keys() != predicted.keys() or any(
-                        d != predicted[r] for r, d in got.items()
-                        if r not in open_r):
-                    state = "fail"
-                    break
-                if open_r:
-                    state = "unresolved"
-            verdicts[f"localization:{label}"] = state
-        if ("vanishing" in config.checks
-                and spec.kind in _kinds_checked("vanishing")):
-            expect = 2.0 * abs(spec.field.c) ** 2
-            ok = all(all(d == 0 for d in dims.values())
-                     for dims in payload["tables"].values())
-            ok = ok and all(abs(g / expect - 1.0) <= 0.01
-                            for g in payload["growth"].values())
-            ok = ok and not payload["unresolved"]
-            verdicts[f"vanishing:{label}"] = "pass" if ok else "fail"
-        if "euler" in config.checks:
-            e0 = graded_euler(payload["table0"])
-            ok = all(graded_euler(dims) == e0
-                     for dims in payload["tables"].values())
-            verdicts[f"euler:{label}"] = "pass" if ok else "fail"
+                state = judge(spec, payload, config.T_grid)
+            verdicts[f"{check}:{payload['label']}"] = state
     return verdicts
 
 
@@ -471,32 +504,11 @@ def oscillator_results(osc: OscillatorConfig) -> dict:
     for m in osc.m_grid:
         a, atm = alpha_T(CUTOFF_EPS, m, ALPHA_T_PROBE)
         u = np.array([1.0 + 0.5j, -0.25j, 0.75])
-        defect = isometry_defect(CUTOFF_EPS, m, 50.0, u)
+        defect = isometry_defect(CUTOFF_EPS, m, ISOMETRY_T_PROBE, u)
         out["alpha"].append({"m": m, "T": ALPHA_T_PROBE, "eps": CUTOFF_EPS,
                              "alpha": a, "alpha_Tm": atm,
                              "isometry_defect": defect})
     return out
-
-
-def oscillator_verdicts(results: dict) -> dict[str, str]:
-    verdicts = {}
-    ok = True
-    gaps: dict[int, list[float]] = {}
-    for entry in results["models"]:
-        ok = ok and entry["kernel_count"] == 1
-        ok = ok and entry["overlap"] >= 1.0 - 1.0e-8
-        ok = ok and entry["min_nonzero"] >= GAP_CONSTANT * entry["T"] * (1 - 1e-8)
-        ok = ok and abs(entry["gap_over_T"] / GAP_CONSTANT - 1.0) <= 1.0e-8
-        gaps.setdefault(entry["m"], []).append(entry["gap_over_T"])
-    for m, gs in gaps.items():
-        ok = ok and max(gs) - min(gs) <= 1.0e-8 * GAP_CONSTANT
-    verdicts["oscillator"] = "pass" if ok else "fail"
-    ok = True
-    for entry in results["alpha"]:
-        ok = ok and abs(entry["alpha_Tm"] * 2.0 ** entry["m"] - 1.0) <= 0.002
-        ok = ok and entry["isometry_defect"] <= 1.0e-9
-    verdicts["alpha"] = "pass" if ok else "fail"
-    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -521,54 +533,50 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def write_results_csv(payloads: list[dict], path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for payload in payloads:
-        for rec in payload.get("rows", []):
-            writer.writerow(rec[f] for f in CSV_FIELDS)
-    _atomic_write(path, buf.getvalue())
+def _tsv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
-def emit_plotdata(outdir: str, payloads: list[dict],
-                  osc_results: dict | None) -> list[str]:
-    """Columnar text files for external plotting; documented headers."""
-    written = []
-    eig_lines = ["model\tT\tr\tidx\tlambda"]
-    gap_lines = ["model\tT\tr\tgap_ratio\tresolved"]
-    growth_lines = ["model\tT\tlam_min_over_T2"]
-    for payload in payloads:
-        label = payload["label"]
-        for rec in payload.get("rows", []):
-            for i in range(1, KEPT_EIGENVALUES + 1):
-                val = rec.get(f"lam{i}", "")
-                if val != "":
-                    eig_lines.append(
-                        f"{label}\t{rec['T']}\t{rec['r']}\t{i}\t{val}")
-            gap_lines.append(f"{label}\t{rec['T']}\t{rec['r']}\t"
-                             f"{rec['gap_ratio']}\t{rec['resolved']}")
-        for tkey, g in sorted(payload.get("growth", {}).items(),
-                              key=lambda kv: float(kv[0])):
-            growth_lines.append(f"{label}\t{tkey}\t{g:.17g}")
-    files = {"eig_trajectories.tsv": eig_lines, "gap_ratio.tsv": gap_lines,
-             "torus_growth.tsv": growth_lines}
+def _artifacts(config: ExperimentConfig, payloads: list[dict],
+               osc_results: dict | None):
+    """(file name, text) of each artifact that config.outputs lists, but
+    report.json, one at a time.  Plot data is columnar text for external
+    plotting, one documented header line per file."""
+    if "csv" in config.outputs:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        for payload in payloads:
+            for rec in payload.get("rows", []):
+                writer.writerow(rec[f] for f in CSV_FIELDS)
+        yield "results.csv", buf.getvalue()
+    if "json" in config.outputs:
+        yield "payloads.json", json.dumps(
+            {"config": config.canonical(), "payloads": payloads,
+             "oscillator": osc_results}, sort_keys=True, indent=1, default=str)
+    if "plotdata" not in config.outputs:
+        return
+    rows = [(p["label"], rec) for p in payloads for rec in p.get("rows", [])]
+    yield "eig_trajectories.tsv", _tsv("model\tT\tr\tidx\tlambda", (
+        f"{label}\t{rec['T']}\t{rec['r']}\t{i}\t{rec[f'lam{i}']}"
+        for label, rec in rows for i in range(1, KEPT_EIGENVALUES + 1)
+        if rec.get(f"lam{i}", "") != ""))
+    yield "gap_ratio.tsv", _tsv("model\tT\tr\tgap_ratio\tresolved", (
+        f"{label}\t{rec['T']}\t{rec['r']}\t{rec['gap_ratio']}\t"
+        f"{rec['resolved']}" for label, rec in rows))
+    yield "torus_growth.tsv", _tsv("model\tT\tlam_min_over_T2", (
+        f"{p['label']}\t{tkey}\t{g:.17g}" for p in payloads
+        for tkey, g in sorted(p.get("growth", {}).items(),
+                              key=lambda kv: float(kv[0]))))
     if osc_results is not None:
-        osc_lines = ["m\tT\tcutoff\tgap_over_T\toverlap"]
-        for e in osc_results["models"]:
-            osc_lines.append(f"{e['m']}\t{e['T']:.17g}\t{e['cutoff']}\t"
-                             f"{e['gap_over_T']:.17g}\t{e['overlap']:.17g}")
-        alpha_lines = ["m\tT\teps\talpha\talpha_Tm"]
-        for e in osc_results["alpha"]:
-            alpha_lines.append(f"{e['m']}\t{e['T']:.17g}\t{e['eps']:.17g}\t"
-                               f"{e['alpha']:.17g}\t{e['alpha_Tm']:.17g}")
-        files["oscillator_gap.tsv"] = osc_lines
-        files["alpha_scaling.tsv"] = alpha_lines
-    for name, lines in files.items():
-        path = os.path.join(outdir, name)
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-    return written
+        yield "oscillator_gap.tsv", _tsv("m\tT\tcutoff\tgap_over_T\toverlap", (
+            f"{e['m']}\t{e['T']:.17g}\t{e['cutoff']}\t"
+            f"{e['gap_over_T']:.17g}\t{e['overlap']:.17g}"
+            for e in osc_results["models"]))
+        yield "alpha_scaling.tsv", _tsv("m\tT\teps\talpha\talpha_Tm", (
+            f"{e['m']}\t{e['T']:.17g}\t{e['eps']:.17g}\t"
+            f"{e['alpha']:.17g}\t{e['alpha_Tm']:.17g}"
+            for e in osc_results["alpha"]))
 
 
 @dataclass
@@ -612,23 +620,14 @@ def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
     osc_results = None
     if config.oscillator is not None:
         osc_results = oscillator_results(config.oscillator)
-        for key, v in oscillator_verdicts(osc_results).items():
-            if key in config.checks:
-                verdicts[key] = v
+        # the fiber checks, the ones that run on no model kind
+        verdicts.update((check, CHECKS[check][1](osc_results))
+                        for check in config.checks if not CHECKS[check][0])
     report = Report(config_hash=config.config_hash(), verdicts=verdicts)
-    if "csv" in config.outputs:
-        path = os.path.join(outdir, "results.csv")
-        write_results_csv(payloads, path)
+    for name, text in _artifacts(config, payloads, osc_results):
+        path = os.path.join(outdir, name)
+        _atomic_write(path, text)
         report.artifacts.append(path)
-    if "json" in config.outputs:
-        path = os.path.join(outdir, "payloads.json")
-        _atomic_write(path, json.dumps(
-            {"config": config.canonical(), "payloads": payloads,
-             "oscillator": osc_results}, sort_keys=True, indent=1,
-            default=str))
-        report.artifacts.append(path)
-    if "plotdata" in config.outputs:
-        report.artifacts.extend(emit_plotdata(outdir, payloads, osc_results))
     report_path = os.path.join(outdir, "report.json")
     _atomic_write(report_path, json.dumps(report.to_dict(relative_to=outdir),
                                           sort_keys=True, indent=1))

@@ -308,7 +308,8 @@ def test_checks_left_out_keep_the_default_list():
     # the default list is exempt: a cp1-only config without checks still
     # runs every check that applies to it, and its hash is unchanged
     config = parse_config(_models_checks([1], None))
-    assert config.checks == tuple(sorted(cli._CHECKS))
+    assert config.checks == tuple(sorted(
+        check for check, (kinds, _) in cli.CHECKS.items() if kinds))
     assert config.config_hash() == (
         "6821eb89f13b8bbe40d591297f96928461c3b69f0357c77bf80f88c8b10d9e63")
 
@@ -821,7 +822,7 @@ def test_unresolved_oscillator_kernel_has_no_gap(monkeypatch):
     entry = results["models"][0]
     assert entry["kernel_count"] == -1
     assert math.isnan(entry["min_nonzero"])
-    assert cli.oscillator_verdicts(results)["oscillator"] == "fail"
+    assert cli.CHECKS["oscillator"][1](results) == "fail"
 
 
 def test_oscillator_payload_entry_keys():
@@ -831,6 +832,19 @@ def test_oscillator_payload_entry_keys():
     entry, = cli.oscillator_results(osc)["models"]
     assert set(entry) == {"m", "T", "cutoff", "dim", "kernel_count",
                           "overlap", "min_nonzero", "gap_over_T"}
+
+
+@pytest.mark.parametrize("check", ["alpha", "oscillator"])
+def test_one_fiber_check_gets_the_one_verdict(check, tmp_path):
+    # both fiber checks are judged from the same results, but a run gives
+    # a verdict only to the one that its config lists
+    raw = _models_checks([0], [check],
+                         oscillator={"m": [1], "cutoff": [4], "T": [2.0]})
+    raw["models"][0]["cutoff"] = 1
+    report = run(parse_config(raw), str(tmp_path))
+    verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert verdicts == {check: "pass"}
+    assert report.exit_code() == 0
 
 
 def test_oscillator_subcommand(tmp_path):

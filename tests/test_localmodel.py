@@ -486,11 +486,17 @@ def test_alpha_probe_equals_leggauss_rules(monkeypatch):
     # run reports them, are the values that leggauss's own rules give
     osc = cli.OscillatorConfig(m_grid=(1, 2, 3), T_grid=(1.0,),
                                cutoffs=(4, 4, 4))
+    probes = []
+    defect = cli.isometry_defect
+    monkeypatch.setattr(cli, "isometry_defect", lambda eps, m, T, u: (
+        probes.append(T), defect(eps, m, T, u))[1])
     committed = cli.oscillator_results(osc)["alpha"]
     monkeypatch.setattr(localmodel, "_RAMP_RULE", leggauss(40))
     monkeypatch.setattr(localmodel, "_FIBER_RULE", leggauss(64))
     assert [(e["eps"], e["T"]) for e in committed] == [
         (cli.CUTOFF_EPS, cli.ALPHA_T_PROBE)] * 3
+    # the isometry defect is taken at its own probe, not at the entry's T
+    assert probes == [cli.ISOMETRY_T_PROBE] * 3 == [50.0] * 3
     assert committed == cli.oscillator_results(osc)["alpha"]
 
 

@@ -1,11 +1,16 @@
-"""The benchmark tracer's contract with the package: every layer boundary
-that `perfbench/tracing.py` wraps exists under its name, and removing the
-tracer puts each original back."""
+"""The benchmark's contract with the package: every layer boundary that
+`perfbench/tracing.py` wraps exists under its name, removing the tracer
+puts each original back, and `perfbench/run.py` expects the verdicts that a
+run gives."""
 
 import importlib.util
 import pathlib
+import sys
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from equivlab.cli import CHECKS
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -13,6 +18,23 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench():
+    """perfbench/run.py, read only, with the `workloads` module it imports
+    from its own directory; sys.path is restored, and `workloads` is left
+    out of sys.modules."""
+    path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
 
 
 def test_tracer_wraps_and_restores_every_name():
@@ -29,3 +51,22 @@ def test_tracer_wraps_and_restores_every_name():
     assert patched and all(replaced)
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_benchmark_expects_the_verdicts_a_run_gives():
+    # run.py keeps its own table of the kinds each check runs on; a copy
+    # that drifts from cli.CHECKS fails every repetition with "verdicts ...
+    # missing or unexpected".  Only checks that a workload lists are held
+    # to it, so a check that none lists needs no benchmark edit.
+    bench = load_bench()
+    workloads = bench.workloads
+    listed = set(workloads.PROBE["checks"])
+    for name in workloads.WORKLOADS:
+        for seed in range(4):
+            listed.update(workloads.make_config(name, seed)["checks"])
+    assert {"oscillator", "alpha", "vanishing", "bochner"} <= listed
+    for check in listed:
+        kinds = CHECKS[check][0]
+        assert set(bench._PER_MODEL_CHECKS.get(check, ())) == set(kinds), check
+        if not kinds:
+            assert check in bench._GLOBAL_CHECKS, check
