@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import torus
 from .base import AssembledModel, FieldSpec, ModelSpec
 from .cp1 import assemble_cp1
-from .torus import mode_coefficients
 
 # right degree b -> number of torus labels of that degree per mode
 RIGHT_MULTIPLICITY = {-1: 1, 0: 2, 1: 1}
@@ -44,9 +44,8 @@ class ProductModel:
 
 def assemble_product(spec: ModelSpec) -> ProductModel:
     """The assembled left factor and the torus levels."""
-    mu = mode_coefficients(spec.right.tau, spec.right.cutoff)
     return ProductModel(spec=spec, left=assemble_cp1(spec.left),
-                        levels=2.0 * np.abs(mu) ** 2)
+                        levels=torus.levels(spec.right.tau, spec.right.cutoff))
 
 
 def product_model(k: int, cp1_cutoff: int, tau: complex,

@@ -44,6 +44,14 @@ def mode_coefficients(tau: complex, cutoff: int) -> np.ndarray:
                      for j, k in modes(cutoff)])
 
 
+def levels(tau: complex, cutoff: int) -> np.ndarray:
+    """2 |mu_jk|^2 per mode, in `modes` order: the undeformed Dirac square
+    on every label of the mode.  |mu|^2 is Re^2 + Im^2, as the assembled
+    Dirac square forms it (the real part of conj(mu) mu)."""
+    mu = mode_coefficients(tau, cutoff)
+    return 2.0 * (mu.real ** 2 + mu.imag ** 2)
+
+
 def assemble_torus(spec: ModelSpec) -> AssembledModel:
     """One stack whose members are the Fourier modes; every block is 1x1."""
     mu = mode_coefficients(spec.tau, spec.cutoff)[:, None, None]
@@ -63,9 +71,3 @@ def torus_model(tau: complex, cutoff: int, c: complex) -> AssembledModel:
     spec = ModelSpec(kind="torus", tau=tau, cutoff=cutoff,
                      field=FieldSpec("constant", c=c))
     return assemble_torus(spec)
-
-
-def laplace_eigenvalue(tau: complex, j: int, k: int) -> float:
-    """Exact eigenvalue of the undeformed degree-zero Dirac square on mode
-    (j, k): twice the Dolbeault Laplacian coefficient."""
-    return 2.0 * abs(dolbeault_coefficient(tau, j, k)) ** 2

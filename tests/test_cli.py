@@ -163,6 +163,10 @@ def test_product_right_factor_validated_as_torus(right_field, why, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# an int that passes -inf < x < inf but that float() cannot convert
+BIG_INT = 10 ** 400
+
+
 def _with(path, value):
     """small_config with raw[path[0]][path[1]]... set to value."""
     raw = small_config()
@@ -227,6 +231,12 @@ def _with(path, value):
      "oscillator.m[1]"),
     (["sweep", "--model", "torus", "--tau", "0,,1", "--T", "2"],
      "models[0].tau"),
+    (_with(["T_grid", 0], BIG_INT), "T_grid[0]"),
+    (_with(["models", 0, "tau"], [0, BIG_INT]), "models[0].tau[1]"),
+    (["oscillator", "--m", "1", "--T", str(BIG_INT), "--cutoff", "4"],
+     "oscillator.T[0]"),
+    (["sweep", "--model", "torus", "--cutoff", "2", "--T", str(BIG_INT)],
+     "T_grid[0]"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "T-square-underflows",
@@ -238,7 +248,9 @@ def _with(path, value):
         "config-m-repeated", "config-T-repeated", "oscillator-too-large",
         "checks-not-list", "outputs-not-list", "oscillator-not-object",
         "sweep-T-empty-entry", "oscillator-cutoff-empty-entry",
-        "oscillator-m-empty-entry", "sweep-tau-empty-entry"])
+        "oscillator-m-empty-entry", "sweep-tau-empty-entry",
+        "T-int-overflows", "tau-int-overflows", "oscillator-T-int-overflows",
+        "sweep-T-int-overflows"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
     # each was truncated, run on, or a traceback; now a ConfigError that
@@ -694,13 +706,18 @@ def test_report_without_report_json_exits_2(tmp_path, capsys):
     ("missing.json", "cannot read {path}: "),
     (".", "cannot read {path}: "),
     ("latin1.json", "not valid JSON: 'utf-8' codec can't decode"),
-], ids=["missing", "directory", "not-utf8"])
+    ("long-int.json", "not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["missing", "directory", "not-utf8", "int-too-long"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, name, why):
-    # a missing file, a directory or bytes that are not UTF-8: one line on
-    # stderr naming the problem, as invalid JSON gives, not a traceback
+    # a missing file, a directory, bytes that are not UTF-8 or an integer
+    # of more digits than Python converts: one line on stderr naming the
+    # problem, as invalid JSON gives, not a traceback
     path = tmp_path / name
     if name == "latin1.json":
         path.write_bytes(b'{"name": "caf\xe9"}')
+    elif name == "long-int.json":
+        path.write_text(json.dumps(small_config()).replace(
+            '"T_grid": [1.0, 4.0]', '"T_grid": [1' + "0" * 4999 + "]"))
     out = tmp_path / "out"
     argv = [command, str(path)]
     if command == "run":

@@ -14,7 +14,7 @@ from equivlab.deformed import (FLOOR_REL, RESOLVE_RATIO, WINDOW_FRACTION,
 from equivlab.cli import parse_config, run
 from equivlab.geometry import cp1 as cp1mod
 from equivlab.geometry import cp1_model, product_model, torus_model
-from equivlab.geometry.torus import laplace_eigenvalue
+from equivlab.geometry import torus
 from product_oracle import tensored_product
 from spectra import (degree_dim, degree_eigenvalues, degree_results,
                      kernel_table)
@@ -180,10 +180,7 @@ def test_spectra_nonnegative():
 def test_torus_deformed_spectrum_matches_fourier_oracle():
     tau, cutoff, T, c = 1j, 2, 2.0, 1.0
     model = torus_model(tau, cutoff, c)
-    oracle = sorted(
-        laplace_eigenvalue(tau, j, k) + 2 * T * T * abs(c) ** 2
-        for j in range(-cutoff, cutoff + 1)
-        for k in range(-cutoff, cutoff + 1))
+    oracle = sorted(torus.levels(tau, cutoff) + 2 * T * T * abs(c) ** 2)
     got = degree_eigenvalues(model, T)[-1]
     assert np.allclose(got, oracle, atol=1e-9)
 
@@ -322,7 +319,7 @@ def test_bochner_cp1_scales_the_brackets_by_exact_T():
     assert model.exact.bochner_brackets == (0, 0, 1)
     for T in (1e-7, -0.3, 2.5):
         out = bochner_check(model, T)
-        assert out == {"residual": 0.0, "exact": True,
+        assert out == {"residual": 0.0, "bound": 0.0, "exact": True,
                        "zero_order_term": float(2 * abs(Fraction(T)))}
 
 

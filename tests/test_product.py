@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equivlab.deformed import (assemble_deformed, cluster_kernel,
-                               complex_property_defect, dirac, t_sweep)
+from equivlab.deformed import (assemble_deformed, bochner_check,
+                               cluster_kernel, complex_property_defect, dirac,
+                               t_sweep)
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
-from equivlab.geometry import cp1_model, torus_model
-from equivlab.geometry.product import product_model
+from equivlab.geometry import cp1_model, torus, torus_model
+from equivlab.geometry.product import assemble_product, product_model
 from product_oracle import tensored_product
 from spectra import (degree_dim, degree_eigenvalues, degree_results,
                      degrees_at, member_dim)
@@ -131,3 +132,16 @@ def test_product_complex_property_is_the_left_factors():
             assemble_deformed(model.left, T))
         assert model.exact.deformed_square_is_zero(Fraction(T))
     assert model.exact is model.left.exact
+
+
+def test_product_and_bochner_read_one_level_array():
+    # at tau = 0.3 + 1.1i, Python's abs and np.abs round the level of mode
+    # (-1, -2) apart (147.146829252605 against 147.14682925260493), so two
+    # roundings of the levels would show here
+    tau, c, T = 0.3 + 1.1j, 0.8 + 0.6j, 3.0
+    spec = product_model(0, 4, tau, 2).spec
+    assert np.array_equal(assemble_product(spec).levels,
+                          torus.levels(tau, 2))
+    top = float(np.max(torus.levels(tau, 2) + 2.0 * T * T * abs(c) ** 2))
+    assert bochner_check(torus_model(tau, 2, c), T)["bound"] == (
+        4.0 * np.finfo(float).eps * top)

@@ -13,8 +13,8 @@ import pytest
 
 from equivlab.deformed import assemble_deformed, complex_property_defect
 from equivlab.geometry.base import ModelError, ModelSpec, FieldSpec
-from equivlab.geometry.torus import (dolbeault_coefficient,
-                                     laplace_eigenvalue, torus_model)
+from equivlab.geometry.torus import (dolbeault_coefficient, levels,
+                                     torus_model)
 from spectra import degree_eigenvalues
 
 
@@ -83,9 +83,7 @@ def test_undeformed_spectrum_is_fourier_ladder():
     tau, cutoff = 1j, 2
     model = torus_model(tau, cutoff, 1.0)
     spectra = degree_eigenvalues(model, 0.0)
-    expect = sorted(laplace_eigenvalue(tau, j, k)
-                    for j in range(-cutoff, cutoff + 1)
-                    for k in range(-cutoff, cutoff + 1))
+    expect = sorted(levels(tau, cutoff))
     for r, mult in ((-1, 1), (0, 2), (1, 1)):
         got = spectra[r]
         want = np.sort(np.repeat(expect, mult))
