@@ -30,7 +30,7 @@ from .deformed import (CSV_FIELDS, KEPT_EIGENVALUES, NotPSDError,
 # not called here since the sweep measures the complex property on the d_T
 # it builds, but perfbench/tracing.py still wraps them under these names
 from .deformed import assemble_deformed, complex_property_defect  # noqa: F401
-from .geometry import assemble
+from .geometry import assemble, float_entries
 from .geometry.base import SCHEMA_VERSION, FieldSpec, ModelError, ModelSpec
 from .linalg import EigensolverError
 from .localmodel import (GALERKIN_MAX_DIM, GALERKIN_MIN_CUTOFF, GAP_CONSTANT,
@@ -240,7 +240,10 @@ def _spec(path: str, x, what: str = "model"):
     Every key of x's kind is required and no other is allowed; a model
     entry's schema_version, the one key it may leave out, must be the
     integer SCHEMA_VERSION.  A key or number that does not fit is a ConfigError
-    naming it; an unknown kind or a value out of range is a ModelError."""
+    naming it; an unknown kind or a value out of range is a ModelError.  A
+    model whose assembly would hold more than GALERKIN_MAX_DIM float
+    entries (`geometry.float_entries`) is a ConfigError naming its cutoff,
+    or for a product the product."""
     x = _object(path, x)
     kinds = _MODEL_KEYS if what == "model" else _FIELD_KEYS
     kind = x.get("kind")
@@ -267,7 +270,16 @@ def _spec(path: str, x, what: str = "model"):
             parts[key] = _number(where, value, int)
         else:                                   # kind, factor
             parts[key] = value
-    return (ModelSpec if what == "model" else FieldSpec)(**parts)
+    if what == "field":
+        return FieldSpec(**parts)
+    spec = ModelSpec(**parts)
+    if float_entries(spec) > GALERKIN_MAX_DIM:
+        raise ConfigError(
+            path if kind == "product" else f"{path}.cutoff",
+            "must be small enough that the model's stacks"
+            f"{' and spectrum at one T' * (kind == 'product')} hold at most "
+            f"{GALERKIN_MAX_DIM} float entries")
+    return spec
 
 
 def _parse_oscillator(osc_raw: dict) -> OscillatorConfig:

@@ -220,10 +220,13 @@ def _kunneth_degrees(model: ProductModel, left_degrees: Iterator[Degree],
                      T: float) -> Iterator[Degree]:
     left = {r: (evals, n) for r, _, evals, n in left_degrees}
     for r in range(-model.n, model.n + 1):
-        terms = [left[r - b] for b, mult in RIGHT_MULTIPLICITY.items()
-                 if r - b in left for _ in range(mult)]
-        yield r, T, _merged([np.add.outer(evals, model.levels).ravel()
-                             for evals, _ in terms]), max(n for _, n in terms)
+        terms = [(left[r - b], mult) for b, mult in RIGHT_MULTIPLICITY.items()
+                 if r - b in left]
+        # each term's sums are formed once and repeated per torus label
+        yield r, T, _merged([
+            sums for (evals, _), mult in terms
+            for sums in [np.add.outer(evals, model.levels).ravel()] * mult
+        ]), max(n for (_, n), _ in terms)
 
 
 def _merged(parts: list[np.ndarray]) -> np.ndarray:

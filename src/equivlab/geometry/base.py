@@ -36,6 +36,15 @@ class ModelError(ValueError):
     pass
 
 
+def quoted(x: int) -> str:
+    """The integer x for a message: its digits, or past 20 digits their
+    count, so that an out-of-range value such as 10**400 stays short."""
+    digits = str(abs(x))
+    if len(digits) <= 20:
+        return str(x)
+    return f"{'-' * (x < 0)}<{len(digits)}-digit integer>"
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Holomorphic vector field descriptor.
@@ -93,8 +102,9 @@ class ModelSpec:
         elif self.kind == "cp1":
             if self.cutoff < max(self.k + 2, 4):
                 raise ModelError(
-                    f"cutoff {self.cutoff} too small to contain all twist-{self.k} "
-                    f"holomorphic sections; need >= {max(self.k + 2, 4)}")
+                    f"cutoff {quoted(self.cutoff)} too small to contain all "
+                    f"twist-{quoted(self.k)} holomorphic sections; need >= "
+                    f"{quoted(max(self.k + 2, 4))}")
             if self.k < 0:
                 raise ModelError("negative twists are not assembled")
             if self.field.kind != "linear":

@@ -29,9 +29,10 @@ pivot is computed once per model.
 Every operator is an integer monomial rule (`dbar` and the six after it):
 it sends z^a zbar^b / (1+s)^den to at most two monomials at offsets (da, db)
 over (1+s)^(den + shift), both fixed per operator and block, with integer
-coefficients affine in (a, b).  So a rule is evaluated on exponent arrays:
-per chunk for the operator chunks, per block for the T-free certificate
-`Cp1Exact.bochner_brackets`, which the Bochner residual at any T scales.
+coefficients affine in (a, b).  So a rule is evaluated once per block, on
+its exponent arrays (`Block.exponents`): the operator chunks slice that
+image, and the T-free certificate `Cp1Exact.bochner_brackets`, which the
+Bochner residual at any T scales, reads it whole.
 An operator chunk is stored as the rule's coefficient arrays, one
 diagonal per offset (at most two for dbar, one for the contraction), with
 no chunk matrix built; the d_T^2 certificate composes these diagonals.
@@ -40,8 +41,9 @@ entry is rounded once and scaled by the square-root pivots of the two
 chunks.  A dbar chunk's is bidiagonal, fixed by its two diagonals and the
 subleading coefficients of the monic Romanovski rows (`_dbar_block`).  A
 contraction chunk's is a banded recurrence down its columns, since every
-weight it meets is a Christoffel modification of one (`_iv_block`).  Both
-equal, bit for bit, the dense transform D_t^{1/2} L_t^T M L_s^{-T}
+weight it meets is a Christoffel modification of one (`_iv_block`), built
+once per source charge for the two chunks that share it (`_iv_shared`).
+Both equal, bit for bit, the dense transform D_t^{1/2} L_t^T M L_s^{-T}
 D_s^{-1/2} of the tests (`tests/transform_oracle.transform_op`).
 
 Truncation: the degree-(p,q) block at cutoff N uses denominator exponent
@@ -55,25 +57,26 @@ outside the truncation; the wedge-by-dual-field leakage is computed exactly
 and reported.  Within one charge chunk it is a rank-2 problem: what leaves
 the target lies in a 2-d complement, and the squared leakage is the larger
 root of a 2 x 2 pencil of exact pairings.  Its trace and determinant are
-rational functions of (k, N, q, chi) in closed form (`_leakage_pencil`), so
-floats enter only in that root.  They depend on chi only through
-(2 chi - k)^2, so the pencils of chi and k - chi are equal and one is
-evaluated per pair.
+integer ratios in closed form in (k, N, q, chi) (`_leakage_pencil`), so
+floats enter only in their quotients and that root.  They depend on chi
+only through (2 chi - k)^2, so the pencils of chi and k - chi are equal
+and one is evaluated per pair.
 
 All operators conserve the rotation charge chi = a - b + p - q, so every
 block is assembled, factored, and orthonormalized charge chunk by charge
 chunk.  The assembled model is a list of cell stacks, one per layout: the
 charges with the same chunk dimension in every block (chi and k - chi have
-the same one) are the members, named chi<chi>, of one stack.
+the same one) are the members, named chi<chi>, of one stack.  The stacks
+hold `stack_entries` floats, about 8 N^3 / 3.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -157,14 +160,15 @@ def curvature_contract(k: int, p: int, q: int, den: int, a: Exps, b: Exps
     return (0, 0), den - 1, [((1, 1), 1), ((0, 0), -1)]
 
 
-Family = dict[tuple[PQ, int, int, int], np.ndarray]
+Family = dict[tuple[PQ, int, int, int], Exps]
 
 
 def _apply(k: int, a: Exps, b: Exps, rules: tuple[Rule, ...], family: Family,
            out: Family | None = None, scale: int = 1) -> Family:
     """Add scale times the sum of the rules, applied to family, into out.
     A family maps (p,q), den and an offset (da, db) from the monomials
-    (a, b) to the coefficients of (a + da, b + db), one per monomial."""
+    (a, b) to the coefficients of (a + da, b + db), one per monomial or one
+    int for all of them."""
     out = {} if out is None else out
     for (pq, den, da, db), co in family.items():
         ta, tb = a + da, b + db
@@ -172,12 +176,14 @@ def _apply(k: int, a: Exps, b: Exps, rules: tuple[Rule, ...], family: Family,
             image = rule(k, *pq, den, ta, tb)
             for (ea, eb), x in image[2] if image else ():
                 key = (*image[:2], da + ea, db + eb)
-                out[key] = out.get(key, 0) + scale * co * x
+                term = co * (scale * x)
+                out[key] = out[key] + term if key in out else term
     return out
 
 
 def _largest(family: Family) -> int:
-    return max((np.abs(co).max() for co in family.values()), default=0)
+    return max((np.abs(co).max() if isinstance(co, np.ndarray) else abs(co)
+                for co in family.values()), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +209,19 @@ def block_params(k: int, cutoff: int, p: int, q: int) -> tuple[int, int, int]:
     return den, den + k - 2 * p, den - 2 * q
 
 
+def stack_entries(k: int, cutoff: int) -> int:
+    """The float entries of the stacks `assemble_cp1` allocates, in closed
+    form: (2N + 1)(4N^2 + 6Nk + 4N + 3k - 3) / 3 at cutoff N."""
+    n = cutoff
+    return (2 * n + 1) * (4 * n * n + 6 * n * k + 4 * n + 3 * k - 3) // 3
+
+
+def dimension(k: int, cutoff: int) -> int:
+    """The model's basis size in closed form: 4N^2 + 4Nk + 4N + 2k."""
+    n = cutoff
+    return 2 * (2 * n * n + 2 * n * k + 2 * n + k)
+
+
 class Chunk(NamedTuple):
     """One charge chunk of a block: the monomials (a0 + i, b0 + i) for
     i < n, and the factor table of their Gram's weight, grown to n."""
@@ -211,10 +230,6 @@ class Chunk(NamedTuple):
     b0: int
     n: int
     table: RomanovskiTable
-
-    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
-        i = np.arange(self.n, dtype=object)     # Python ints
-        return self.a0 + i, self.b0 + i
 
 
 class Weights(dict):
@@ -235,6 +250,13 @@ class Block:
     @property
     def dim(self) -> int:
         return sum(c.n for c in self.chunks.values())
+
+    @cached_property
+    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) of each monomial, chunk by chunk, as Python ints."""
+        a, b = zip(*((c.a0 + i, c.b0 + i)
+                     for c in self.chunks.values() for i in range(c.n)))
+        return np.array(a, dtype=object), np.array(b, dtype=object)
 
     def gram_condition(self) -> float:
         """The exact pivot ratio max D / min D of G = L D L^T, worst over
@@ -263,41 +285,49 @@ def _build_block(k: int, cutoff: int, p: int, q: int, weights: Weights
 def _exact_op_chunks(k: int, src: Block, tgt: Block, rule: Rule
                      ) -> dict[int, Diagonals]:
     """Chunk-diagonal integer operator of a rule between two blocks, each
-    chunk as its diagonals, one per term of the rule; errors if an image
-    leaves the target truncation (this is the closure proof).  Term
-    (da, db) of source monomial col lies in the target chunk at row
-    col + shift exactly when that row is in [0, n) and b' - b0 equals it."""
-    out: dict[int, Diagonals] = {}
-    for chi, chunk in src.chunks.items():
-        a0, b0, n, _ = tgt.chunks.get(chi, (0, 0, 0, None))
-        _, den, terms = rule(k, *src.pq, src.den, *chunk.exponents())
-        if den != tgt.den:
-            raise ModelError(
-                f"{rule.__name__}: image denominator {den} != block {tgt.den}")
-        out[chi] = []
-        for (da, db), co in terms:
+    chunk as its diagonals, one per term of the rule, sliced from the
+    rule's image on the source block; errors if an image leaves the target
+    truncation (this is the closure proof).  Term (da, db) of source
+    monomial col lies in the target chunk at row col + shift exactly when
+    b' - b0 equals that row and the row is in [0, n), so only a prefix and
+    a suffix of the columns can escape."""
+    _, den, terms = rule(k, *src.pq, src.den, *src.exponents)
+    if den != tgt.den:
+        raise ModelError(
+            f"{rule.__name__}: image denominator {den} != block {tgt.den}")
+    out: dict[int, Diagonals] = {chi: [] for chi in src.chunks}
+    for (da, db), co in terms:
+        coeffs = iter(np.full(src.dim, co, dtype=object).tolist())
+        for chi, chunk in src.chunks.items():
+            a0, b0, n = tgt.chunks[chi][:3] if chi in tgt.chunks else (0, 0, 0)
             shift = chunk.a0 + da - a0
-            on_diagonal = chunk.b0 + db - b0 == shift
-            coeffs = np.full(chunk.n, co, dtype=object).tolist()
-            for col, x in enumerate(coeffs):
-                if x and (not on_diagonal or not 0 <= col + shift < n):
+            c = list(islice(coeffs, chunk.n))
+            # columns lo .. hi - 1 land inside the target chunk
+            lo = hi = 0
+            if chunk.b0 + db - b0 == shift:
+                lo, hi = max(-shift, 0), max(n - shift, 0)
+            for col in (*range(lo), *range(hi, chunk.n)):
+                if c[col]:
                     image = (chunk.a0 + col + da, chunk.b0 + col + db)
                     raise ModelError(f"{rule.__name__}: image monomial "
                                      f"{image} escapes the truncation")
-            out[chi].append((shift, coeffs))
+            out[chi].append((shift, c))
     return out
 
 
-def _compose(left: Diagonals, right: Diagonals, out: Counter) -> Counter:
-    """Add the entries {(row, col): value} of the chunk product left right
+def _compose(left: Diagonals, right: Diagonals,
+             out: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Add the diagonals {shift: entries} of the chunk product left right
     into out.  Entry j of a right diagonal (s, c) lands on row j + s of the
-    middle chunk, which a left diagonal (s', c') sends to row j + s + s'
-    with c'[j + s]."""
+    middle chunk (c[j] is 0 where that row does not exist), which a left
+    diagonal (s', c') sends to row j + s + s' with c'[j + s]."""
     for s, c in right:
-        for j, x in enumerate(c):
-            if x:               # so row j + s is in the middle chunk
-                for s2, c2 in left:
-                    out[j + s + s2, j] += c2[j + s] * x
+        for s2, c2 in left:
+            lo, hi = max(0, -s), min(len(c), len(c2) - s)
+            if lo < hi:
+                d = out.setdefault(s + s2, [0] * len(c))
+                d[lo:hi] = [x + y * z for x, y, z in
+                            zip(d[lo:hi], c2[lo + s:hi + s], c[lo:hi])]
     return out
 
 
@@ -323,18 +353,41 @@ class Cp1Exact:
         for (p, q) in ((1, 0), (1, 1)):
             self.iv_chunks[(p, q)] = _exact_op_chunks(
                 k, self.blocks[(p, q)], self.blocks[(0, q)], field_contract)
+        # per source charge, a shared contraction block and its readers left
+        self._iv_blocks: dict[int, tuple[np.ndarray, int]] = {}
 
     # -- orthonormal float views -------------------------------------------
 
     def ortho_chunk(self, src_pq: PQ, tgt_pq: PQ, chi: int) -> np.ndarray:
         """The float block of charge chi of the operator from block src_pq
         to block tgt_pq in orthonormal bases: dbar where q rises, in closed
-        form (`_dbar_block`), else the contraction (`_iv_block`)."""
+        form (`_dbar_block`), else the contraction (`_iv_shared`)."""
         tgt = self.blocks[tgt_pq].chunks[chi]
         src = self.blocks[src_pq].chunks[chi]
         if tgt_pq[1] > src_pq[1]:
             return _dbar_block(self.dbar_chunks[src_pq][chi], tgt, src)
-        return _iv_block(self.iv_chunks[src_pq][chi], tgt, src)
+        return self._iv_shared(chi - 1 + src_pq[1])[:tgt.n, :src.n]
+
+    def _iv_shared(self, e: int) -> np.ndarray:
+        """The read-only contraction block of the chunks whose source
+        monomials have a - b = e, charge e + 1 of (1,0) -> (0,0) and charge
+        e of (1,1) -> (0,1): they share shift and weights, and the closed
+        form is prefix-stable, so one block at the larger size of each side
+        is both, bit for bit.  It is kept until both have read it."""
+        if e not in self._iv_blocks:
+            pairs = [(q, chi) for q, chi in ((0, e + 1), (1, e))
+                     if all(chi in self.blocks[p, q].chunks for p in (0, 1))]
+            src, tgt = ([self.blocks[p, q].chunks[chi] for q, chi in pairs]
+                        for p in (1, 0))
+            (s, _), = self.iv_chunks[1, pairs[0][0]][pairs[0][1]]
+            block = _iv_block(s, src[0].table, tgt[0].table,
+                              max(c.n for c in src), max(c.n for c in tgt))
+            block.flags.writeable = False
+            self._iv_blocks[e] = (block, len(pairs))
+        block, readers = self._iv_blocks.pop(e)
+        if readers > 1:
+            self._iv_blocks[e] = (block, readers - 1)
+        return block
 
     # -- exact identity checks ---------------------------------------------
 
@@ -354,10 +407,10 @@ class Cp1Exact:
         paths = ((self.dbar_chunks[(0, 0)], self.iv_chunks[(1, 0)]),
                  (self.iv_chunks[(1, 1)], self.dbar_chunks[(1, 0)]))
         for chi in self.blocks[(1, 0)].chunks:
-            entries = Counter()
+            diagonals: dict[int, list[int]] = {}
             for left, right in paths:
-                _compose(left[chi], right[chi], entries)
-            if any(entries.values()):
+                _compose(left[chi], right[chi], diagonals)
+            if any(map(any, diagonals.values())):
                 return False
         return True
 
@@ -377,10 +430,8 @@ class Cp1Exact:
         theta_ops = (curvature_wedge, curvature_contract)
         curvature = clifford = theta = 0
         for pq, block in self.blocks.items():
-            a, b = map(np.concatenate, zip(*(
-                c.exponents() for c in block.chunks.values())))
-            apply = partial(_apply, self.k, a, b)
-            e = {(pq, block.den, 0, 0): np.ones(len(a), dtype=object)}
+            apply = partial(_apply, self.k, *block.exponents)
+            e = {(pq, block.den, 0, 0): 1}     # each basis section
             ve = apply(v_ops, e)
             # -Theta e, then D V e + V D e added onto it
             bracket = apply(theta_ops, e, scale=-1)
@@ -399,15 +450,17 @@ class Cp1Exact:
         truncated target block, per source block: the worst over its charge
         chunks of the square root of the larger root of the chunk's 2 x 2
         pencil, lambda = (tr + sqrt(tr^2 - 4 det)) / 2 from the exact trace
-        and determinant, so floats enter only in the two square roots."""
+        and determinant, so floats enter only in the two correctly rounded
+        quotients tr and tr^2 - 4 det and the two square roots."""
         out: dict[PQ, float] = {}
         for q in (0, 1):
             # the pencils of chi and k - chi are equal, so one per pair
             pencils = (_leakage_pencil(self.k, self.cutoff, q, chi)
                        for chi in self.blocks[(0, q)].chunks
                        if 2 * chi <= self.k)
-            out[(0, q)] = max(math.sqrt((float(tr) + math.sqrt(
-                float(tr * tr - 4 * det))) / 2) for tr, det in pencils)
+            out[(0, q)] = max(math.sqrt((tn / td + math.sqrt(
+                (tn * tn * dd - 4 * dn * td * td) / (td * td * dd))) / 2)
+                for (tn, td), (dn, dd) in pencils)
         return out
 
 
@@ -447,19 +500,19 @@ def _dbar_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
     return out
 
 
-def _iv_block(diagonals: Diagonals, tgt: Chunk, src: Chunk) -> np.ndarray:
-    """The orthonormal float block of one contraction chunk, in closed form:
-    each entry of `_iv_core` divided into a float once and scaled as
+def _iv_block(s: int, source: RomanovskiTable, target: RomanovskiTable,
+              n_s: int, n_t: int) -> np.ndarray:
+    """The orthonormal float block of a contraction of shift s from the
+    n_s monomials of source's weight to the n_t of target's, in closed
+    form: each entry of `_iv_core` divided into a float once and scaled as
     `_dbar_block` scales, so the block equals the dense transform's bit
-    for bit.  The chunk's one diagonal has every coefficient 1, so only its
-    shift is read."""
-    (s, _), = diagonals
-    out = np.zeros((tgt.n, src.n))
-    for i, (nums, den) in enumerate(_iv_core(s, src.table.alpha,
-                                             tgt.table.big_p, src.n, tgt.n)):
+    for bit."""
+    out = np.zeros((n_t, n_s))
+    for i, (nums, den) in enumerate(_iv_core(s, source.alpha, target.big_p,
+                                             n_s, n_t)):
         out[:len(nums), i] = [x / den for x in nums]
-    out *= tgt.table.sqrt_pivots(tgt.n)[:, None]
-    out /= src.table.sqrt_pivots(src.n)[None, :]
+    out *= target.sqrt_pivots(n_t)[:, None]
+    out /= source.sqrt_pivots(n_s)[None, :]
     return out
 
 
@@ -467,7 +520,8 @@ def _iv_core(s: int, alpha: int, big_p: int, n_s: int, n_t: int
              ) -> Iterator[tuple[list[int], int]]:
     """The columns of the exact core of a contraction chunk (its block
     before the pivot scaling), each as integers over one positive
-    denominator that their gcd reduces.
+    denominator that their gcd reduces; column i has its rows up to
+    i + s, the rest being 0.
 
     The contraction is t^s on the chunk's polynomials, s its one diagonal's
     shift, from the weight t^alpha (1+t)^-(Q-2) to t^(alpha+1-2s) (1+t)^-Q,
@@ -481,35 +535,39 @@ def _iv_core(s: int, alpha: int, big_p: int, n_s: int, n_t: int
     ((r-1) r^2 (r+1)), and h_i = i (Q-i) / (r (r-1)) for s = 0 or
     (alpha+i) (Q-alpha-i) / (r (r-1)) for s = 1 (terms past the target's
     n_t dropped).  So column i is that right side minus a_i times column
-    i - 1 and b_i times column i - 2: O(n^2) integer work per chunk."""
-    back = [([], 1), ([], 1)]       # columns i - 2 and i - 1, (nums, den)
+    i - 1 and b_i times column i - 2: O(n^2) integer work per block, and a
+    column does not depend on n_s or n_t past its rows."""
+    c1, e1, c2, e2 = [], 1, [], 1       # columns i - 1 and i - 2 over e1, e2
     for i in range(n_s):
         r = big_p - alpha - 2 * i
-        den = r * (r - 1)
-        side = i * (big_p - i) if s == 0 else (alpha + i) * (big_p - alpha - i)
-        h = [0] * (i + s - 1) + [side, den] if i + s else [den]
-        # the nonzero a_i and b_i as a / d, each with its column (nums, den)
-        terms = [(a, d, *col) for a, d, col in (
-            (2 * i * (alpha + i), r * (r - 2), back[1]),
-            (i * (i - 1) * (alpha + i) * (alpha + i - 1),
-             (r - 1) * r * r * (r + 1), back[0])) if a]
-        total = math.lcm(den, *(d * e for _, d, _, e in terms))
-        nums = [x * (total // den) for x in h[:n_t]]
-        for a, d, col, e in terms:
-            f = a * (total // (d * e))
-            nums[:len(col)] = [x - f * y for x, y in zip(nums, col)]
+        # a_i and b_i over the denominators of columns i - 1 and i - 2
+        den, ad, bd = r * (r - 1), r * (r - 2) * e1, (r * r - 1) * r * r * e2
+        total = math.lcm(den, ad, bd)
+        f1 = 2 * i * (alpha + i) * (total // ad)
+        f2 = i * (i - 1) * (alpha + i) * (alpha + i - 1) * (total // bd)
+        nums = [-f1 * y - f2 * z for y, z in zip(c1, c2)]
+        nums += [-f1 * y for y in c1[len(c2):]]
+        # the right side, h_i at row i + s - 1 and 1 at row i + s
+        top, g = i + s, total // den
+        nums += [0] * (min(top + 1, n_t) - len(nums))
+        if 0 < top <= n_t:
+            nums[top - 1] += g * (i * (big_p - i) if s == 0
+                                  else (alpha + i) * (big_p - alpha - i))
+        if top < n_t:
+            nums[top] += g * den
         g = math.gcd(total, *nums)
-        back = [back[1], ([x // g for x in nums], total // g)]
-        yield back[1]
+        c2, e2, c1, e1 = c1, e1, [x // g for x in nums], total // g
+        yield c1, e1
 
 
 def _leakage_pencil(k: int, cutoff: int, q: int, chi: int
-                    ) -> tuple[Fraction, Fraction]:
+                    ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Exact trace and determinant of H^{-1} K for the charge chunk chi of
     the (0,q) block, whose larger eigenvalue is the chunk's squared
-    leakage, in closed form for cutoff N >= 1.  With P = 2N + k + 2 the
-    weight exponent of the (0,0) and (0,1) blocks, m = P - k - 2q and
-    v = (2 chi - k)^2, both are rational in (P, k, q, v).  The determinant
+    leakage, in closed form for cutoff N >= 1, each as (numerator,
+    positive denominator).  With P = 2N + k + 2 the weight exponent of the
+    (0,0) and (0,1) blocks, m = P - k - 2q and v = (2 chi - k)^2, both are
+    rational in (P, k, q, v).  The determinant
     vanishes at v = (P - 2)^2, the edge charges -N and N + k whose target
     chunk is empty, and at v = P^2, the first charges outside the block.
     H is the Gram of a basis of the complement of the target chunk and
@@ -523,9 +581,9 @@ def _leakage_pencil(k: int, cutoff: int, q: int, chi: int
     det = m * m * (m * m - 4) * (v - big_p ** 2) * (v - (big_p - 2) ** 2)
     # P (P-3) (P-2) (P-1), then the rest of each denominator
     base = big_p * (big_p - 3) * (big_p - 2) * (big_p - 1)
-    return (Fraction(tr, 8 * base * (big_p + 1)),
-            Fraction(det, 256 * base * big_p * (big_p - 2) * (big_p - 1)
-                     * (big_p + 1)))
+    return ((tr, 8 * base * (big_p + 1)),
+            (det, 256 * base * big_p * (big_p - 2) * (big_p - 1)
+             * (big_p + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +602,18 @@ def assemble_cp1(spec: ModelSpec) -> AssembledModel:
     for layout, chis in layouts.items():
         dims = dict(layout)
         # each block is its charges' float chunks along a member axis
-        dbar_blocks = {
-            pq: np.stack([exact.ortho_chunk(pq, (pq[0], 1), chi)
-                          for chi in chis])
-            for pq in ((0, 0), (1, 0)) if pq in dims and (pq[0], 1) in dims}
-        iv_blocks = {
-            pq: np.stack([exact.ortho_chunk(pq, (0, pq[1]), chi)
-                          for chi in chis])
-            for pq in ((1, 0), (1, 1)) if pq in dims and (0, pq[1]) in dims}
+        ops = {}
+        for src, tgt in (((0, 0), (0, 1)), ((1, 0), (1, 1)),    # dbar
+                         ((1, 0), (0, 0)), ((1, 1), (0, 1))):   # iv
+            if src in dims and tgt in dims:
+                ops[src, tgt] = np.empty((len(chis), dims[tgt], dims[src]))
+                for i, chi in enumerate(chis):
+                    ops[src, tgt][i] = exact.ortho_chunk(src, tgt, chi)
         names = [f"chi{chi}" for chi in chis]
-        cells.append(CellStack(name="+".join(names), names=names, dims=dims,
-                               dbar=dbar_blocks, iv=iv_blocks))
+        cells.append(CellStack(
+            name="+".join(names), names=names, dims=dims,
+            dbar={src: x for (src, tgt), x in ops.items() if tgt[1] > src[1]},
+            iv={src: x for (src, tgt), x in ops.items() if tgt[1] == src[1]}))
     return AssembledModel(spec=spec, cells=cells, exact=exact)
 
 

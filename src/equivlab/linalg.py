@@ -13,10 +13,11 @@ is eliminated: the rows of L^{-1} are the monic finite Romanovski
 polynomials of the weight (Raposo, Weber, Alvarez-Castillo & Kirchbach,
 2007), and the pivots D_m are their squared norms, `romanovski_pivot`.
 Pivot m depends only on (alpha, P, m), so one `RomanovskiTable` per weight
-computes each once and grows on demand; the Grams of every size of that
-weight read it.  `geometry.cp1` writes the float block of each operator
-chunk (given by its few nonzero diagonals, `Diagonals`) in closed form from
-the Romanovski recurrences and scales it by the tables' square-root pivots.
+computes each once, D_m from D_(m-1) by their ratio, and grows on demand;
+the Grams of every size of that weight read it.
+`geometry.cp1` writes the float block of each operator chunk (given by its
+few nonzero diagonals, `Diagonals`) in closed form from the Romanovski
+recurrences and scales it by the tables' square-root pivots.
 The dense transform D_t^{1/2} (L_t^T M L_s^{-T}) D_s^{-1/2}, with the rows
 and columns of the factors as integers, is the test oracle of those blocks
 (`tests/transform_oracle.py`).  `ldlt` and `invert_unit_lower` are plain
@@ -135,14 +136,17 @@ def romanovski_pivot(alpha: int, big_p: int, m: int) -> Fraction:
 class RomanovskiTable:
     """The pivots D_m shared by every Hankel Gram of one weight
     t^alpha (1+t)^-P, grown on demand.  Pivot m depends only on
-    (alpha, P, m), so the n x n Gram of the weight reads the first n."""
+    (alpha, P, m), so the n x n Gram of the weight reads the first n.
+    D_m is nums[m] / dens[m] in lowest terms: D_0 from `romanovski_pivot`,
+    then D_m / D_(m-1) = m (alpha+m) (P-m) (P-alpha-m) / ((r+1) r^2 (r-1))
+    with r = P - alpha - 2m."""
 
     def __init__(self, alpha: int, big_p: int):
         self.alpha, self.big_p = alpha, big_p
-        self.pivots: list[Fraction] = []
-        # (max, min) of pivots 0..m, per m
-        self._extremes: list[tuple[Fraction, Fraction]] = []
-        self._float_pivots: list[float] = []
+        self.nums: list[int] = []
+        self.dens: list[int] = []
+        # the indices of the largest and the smallest of pivots 0..m, per m
+        self._extremes: list[tuple[int, int]] = []
         self._sqrt_pivots = np.zeros(0)
 
     def grow(self, n: int) -> None:
@@ -153,25 +157,38 @@ class RomanovskiTable:
         if alpha < 0 or alpha + 2 * (n - 1) > big_p - 2:
             raise ValueError(
                 f"divergent moments: alpha={alpha}, P={big_p}, n={n}")
-        for m in range(len(self.pivots), n):
-            d = romanovski_pivot(alpha, big_p, m)
-            hi, lo = self._extremes[-1] if m else (d, d)
-            self.pivots.append(d)
-            self._extremes.append((max(hi, d), min(lo, d)))
-            self._float_pivots.append(float(d))
+        nums, dens = self.nums, self.dens
+        for m in range(len(nums), n):
+            if m:
+                r = big_p - alpha - 2 * m
+                num = nums[-1] * m * (alpha + m) * (big_p - m) * (
+                    big_p - alpha - m)
+                den = dens[-1] * (r + 1) * r * r * (r - 1)
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                hi, lo = self._extremes[-1]
+                hi = m if num * dens[hi] > nums[hi] * den else hi
+                lo = m if num * dens[lo] < nums[lo] * den else lo
+            else:
+                d = romanovski_pivot(alpha, big_p, 0)
+                num, den, hi, lo = d.numerator, d.denominator, 0, 0
+            nums.append(num)
+            dens.append(den)
+            self._extremes.append((hi, lo))
 
     def pivot_ratio(self, n: int) -> float:
         """max D_m / min D_m over m < n, exact and then rounded."""
         self.grow(n)
         hi, lo = self._extremes[n - 1]
-        return float(hi / lo)
+        return self.nums[hi] * self.dens[lo] / (self.dens[hi] * self.nums[lo])
 
     def sqrt_pivots(self, n: int) -> np.ndarray:
         """D_m^{1/2} for m < n, each the rounded square root of the rounded
         pivot."""
         if len(self._sqrt_pivots) < n:
             self.grow(n)
-            self._sqrt_pivots = np.sqrt(np.array(self._float_pivots))
+            self._sqrt_pivots = np.sqrt(
+                [x / y for x, y in zip(self.nums, self.dens)])
         return self._sqrt_pivots[:n]
 
 

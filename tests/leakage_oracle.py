@@ -45,7 +45,8 @@ def inverse_form(table: RomanovskiTable, n: int, bcols: IMatrix
     1 / (den_v^2 D_v) = weights[v] / wden."""
     table = factor_table(table)
     table.grow(n)
-    inv_rows, pivots = table.rows[:n], table.pivots[:n]
+    inv_rows = table.rows[:n]
+    pivots = [Fraction(*d) for d in zip(table.nums[:n], table.dens[:n])]
     ycols = solve(inv_rows, bcols)
     wdens = [den * den * d.numerator for (_, den), d in zip(inv_rows, pivots)]
     wden = functools.reduce(math.lcm, wdens, 1)
@@ -83,7 +84,8 @@ def moment_pencil(k: int, src: Block, tgt: Block, chi: int
     if n_t:
         # t p'_n - (D'_n / D'_{n-1}) p'_{n-1}, scaled to integers
         prev, pden = table.rows[n_t - 1]
-        r = table.pivots[n_t] / table.pivots[n_t - 1]
+        r = Fraction(table.nums[n_t] * table.dens[n_t - 1],
+                     table.dens[n_t] * table.nums[n_t - 1])
         c2 = [pden * r.denominator * x - tden * r.numerator * y
               for x, y in zip(c2, [*prev, 0, 0])]
     hankel = list(moment_numerators(range(alpha, alpha + 2 * n_t + 3),

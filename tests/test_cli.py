@@ -16,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equivlab import cli, deformed
+from equivlab import cli, deformed, geometry
 from equivlab.cli import (ConfigError, load_config, main, parse_config, run)
 from equivlab.deformed import CSV_FIELDS
 from equivlab.geometry.base import FieldSpec, ModelError, ModelSpec
 from equivlab.geometry.cp1 import Cp1Exact
 from equivlab.linalg import EigensolverError
+from equivlab.localmodel import GALERKIN_MAX_DIM
 
 
 def small_config(tmp_name="smoke"):
@@ -237,6 +238,14 @@ def _with(path, value):
      "oscillator.T[0]"),
     (["sweep", "--model", "torus", "--cutoff", "2", "--T", str(BIG_INT)],
      "T_grid[0]"),
+    (_with(["models", 0, "cutoff"], BIG_INT), "models[0].cutoff"),
+    (_with(["models", 1, "cutoff"], BIG_INT), "models[1].cutoff"),
+    (["sweep", "--model", "cp1", "--cutoff", str(BIG_INT), "--T", "2"],
+     "models[0].cutoff"),
+    (["sweep", "--model", "product", "--torus-cutoff", str(BIG_INT), "--T",
+      "2"], "models[0].right.cutoff"),
+    (["sweep", "--model", "product", "--cutoff", "40", "--torus-cutoff", "40",
+      "--T", "2"], "models[0]"),
 ], ids=["k-float", "cutoff-float", "k-bool", "k-string", "tau-one",
         "c-one", "model-not-object", "c-nan", "tau-inf", "T-nan", "T-inf",
         "T-bool", "T-repeated", "sweep-T", "T-square-underflows",
@@ -250,7 +259,9 @@ def _with(path, value):
         "sweep-T-empty-entry", "oscillator-cutoff-empty-entry",
         "oscillator-m-empty-entry", "sweep-tau-empty-entry",
         "T-int-overflows", "tau-int-overflows", "oscillator-T-int-overflows",
-        "sweep-T-int-overflows"])
+        "sweep-T-int-overflows", "torus-cutoff-too-large",
+        "cp1-cutoff-too-large", "sweep-cp1-cutoff-too-large",
+        "sweep-product-torus-cutoff-too-large", "sweep-product-too-large"])
 def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
                                               capsys):
     # each was truncated, run on, or a traceback; now a ConfigError that
@@ -268,6 +279,51 @@ def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("invalid ") and f": {path}: must be " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model,largest", [
+    ({"kind": "cp1", "k": 0, "field": {"kind": "linear"}}, 184),
+    ({"kind": "cp1", "k": 3, "field": {"kind": "linear"}}, 182),
+    ({"kind": "torus", "tau": [0, 1], "field": {"kind": "constant",
+                                                "c": [1, 0]}}, 1023),
+], ids=["cp1-k0", "cp1-k3", "torus"])
+def test_model_size_is_bounded_at_parse_time(model, largest):
+    # the largest cutoff whose stacks fit GALERKIN_MAX_DIM float entries
+    # parses and the next is refused naming it, before anything is built;
+    # every committed config, CI's cutoff-96 sweep and the oscillator's
+    # unit torus stay well inside
+    raw = dict(small_config(), models=[dict(model, cutoff=largest)],
+               checks=["euler"])
+    assert geometry.float_entries(parse_config(raw).models[0]) <= (
+        GALERKIN_MAX_DIM)
+    raw["models"][0]["cutoff"] = largest + 1
+    with pytest.raises(ConfigError, match="float entries") as err:
+        parse_config(raw)
+    assert err.value.path == "models[0].cutoff"
+    for config in sorted((pathlib.Path(__file__).parents[1]
+                          / "configs").glob("*.json")):
+        load_config(str(config))
+    raw["models"][0] = {"kind": "cp1", "k": 1, "cutoff": 96,
+                        "field": {"kind": "linear"}}
+    parse_config(raw)
+
+
+@pytest.mark.parametrize("key", ["k", "cutoff"])
+def test_out_of_range_integer_is_quoted_by_its_digit_count(key, tmp_path,
+                                                           capsys):
+    # a cp1 k of 401 digits (so the cutoff is below k + 2) and a cp1 cutoff
+    # of minus 401 digits are refused by a message that counts the digits
+    value = BIG_INT if key == "k" else -BIG_INT
+    raw = _with(["models", 1, key], value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == "models[1]"
+    assert "401-digit integer" in str(err.value)
+    assert "0" * 30 not in str(err.value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 2
+    assert "401-digit integer" in capsys.readouterr().err
 
 
 def _models_checks(models, checks, **extra):
@@ -1076,9 +1132,11 @@ OVERFLOWING_T = 1.3e154
 
 
 def test_overflowing_torus_sweep_is_unresolved(tmp_path):
+    # the Dirac square overflows to inf and nan, which numpy reports
     out = tmp_path / "out"
-    assert main(["sweep", "--model", "torus", "--cutoff", "2", "--T",
-                 str(OVERFLOWING_T), "-o", str(out)]) == 1
+    with pytest.warns(RuntimeWarning):
+        assert main(["sweep", "--model", "torus", "--cutoff", "2", "--T",
+                     str(OVERFLOWING_T), "-o", str(out)]) == 1
     verdicts = json.loads((out / "report.json").read_text())["verdicts"]
     assert len(verdicts) == 3
     assert set(verdicts.values()) == {"unresolved"}
@@ -1095,9 +1153,10 @@ def test_overflowing_torus_run_matches_serial(tmp_path):
     raw["T_grid"] = [OVERFLOWING_T]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    for jobs in ("1", "2"):
-        assert main(["run", str(config), "--jobs", jobs,
-                     "-o", str(tmp_path / jobs)]) == 1
+    with pytest.warns(RuntimeWarning):      # the overflow, as above
+        for jobs in ("1", "2"):
+            assert main(["run", str(config), "--jobs", jobs,
+                         "-o", str(tmp_path / jobs)]) == 1
     report = (tmp_path / "1" / "report.json").read_bytes()
     assert report == (tmp_path / "2" / "report.json").read_bytes()
     verdicts = json.loads(report)["verdicts"]

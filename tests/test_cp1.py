@@ -2,6 +2,7 @@
 closure of the truncated complex, kernel counts, and leakage reporting."""
 
 import math
+import re
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -350,6 +351,37 @@ def test_escaping_image_is_a_model_error(monkeypatch, da, db, dden, msg):
         Cp1Exact(1, 6)
 
 
+@pytest.mark.parametrize("col,offset,image", [
+    (0, (0, -1), "(2, -1)"),            # one row below the target chunk
+    (3, (3, 2), "(8, 5)"),              # one row past its last
+], ids=["first-column", "last-column"])
+def test_closure_proof_tests_first_and_last_columns(monkeypatch, col,
+                                                    offset, image):
+    # the rows outside a target chunk are a prefix and a suffix of the
+    # source chunk's columns, so only those columns are tested for a
+    # nonzero coefficient: one extra term, nonzero only at the first or
+    # only at the last monomial of a chunk and landing on the target
+    # chunk's diagonal just outside it, is caught.  At k = 1, N = 6 the
+    # (1,0) chunk of charge 3 is (2 + i, i), i < 4, and its (0,0) target
+    # (3 + i, i), i < 5
+    k, cutoff = 1, 6
+    chunk = Cp1Exact(k, cutoff).blocks[(1, 0)].chunks[3]
+    assert (chunk.a0, chunk.b0, chunk.n) == (2, 0, 4)
+    mono = (chunk.a0 + col, chunk.b0 + col)
+
+    def escaping(k, p, q, den, a, b):
+        image = field_contract(k, p, q, den, a, b)
+        if (p, q) != (1, 0):
+            return image
+        at = np.array([int((x, y) == mono) for x, y in zip(a, b)],
+                      dtype=object)
+        return (*image[:2], image[2] + [(offset, at)])
+
+    monkeypatch.setattr(cp1mod, "field_contract", escaping)
+    with pytest.raises(ModelError, match=re.escape(f"{image} escapes")):
+        Cp1Exact(k, cutoff)
+
+
 def test_field_vanishes_at_origin():
     # the image of any section under the contraction has no constant term
     s = section(0, 1, 0, 6, {(0, 0): Fraction(1), (1, 1): Fraction(2)})
@@ -432,8 +464,10 @@ def test_chunk_diagonals_and_banded_composition(k, cutoff):
                                dense(right[chi], blocks[mid].chunks[chi].n))
             want = {(i, j): x for i, row in enumerate(prod)
                     for j, x in enumerate(row) if x}
-            got = _compose(left[chi], right[chi], Counter())
-            assert {key: x for key, x in got.items() if x} == want
+            got = {(j + shift, j): x for shift, c in
+                   _compose(left[chi], right[chi], {}).items()
+                   for j, x in enumerate(c) if x}
+            assert got == want
             nonzero = nonzero or bool(want)
             banded.update(got)
             dense_sum.update(want)
@@ -601,8 +635,7 @@ def test_rule_on_exponent_arrays_matches_scalar_calls(rule):
     # coefficients
     k = 2
     for pq, block in Cp1Exact(k, 7).blocks.items():
-        a, b = map(np.concatenate, zip(*(c.exponents()
-                                         for c in block.chunks.values())))
+        a, b = block.exponents
         image = rule(k, *pq, block.den, a, b)
         scalars = [rule(k, *pq, block.den, *ab) for ab in monomials(block)]
         assert [(int(x), int(y)) for x, y in zip(a, b)] == monomials(block)
@@ -661,12 +694,61 @@ def test_stacked_blocks_equal_per_chunk_path(k, cutoff):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_stacked_blocks_equal_own_size_closed_forms(monkeypatch, k):
+    # one contraction block per source charge e = a - b, shared by the
+    # (1,0) -> (0,0) chunk of charge e + 1 and the (1,1) -> (0,1) chunk of
+    # charge e and built once at the larger size of each side: every
+    # stacked block, dbar's too, is the closed form built at its own
+    # chunk's size, bit for bit and in sign bits (N <= 24), and a chunk's
+    # float view is read-only
+    built = Counter()
+    iv_block = cp1mod._iv_block
+
+    def counting(s, source, target, n_s, n_t):
+        built[source.alpha, source.big_p, target.alpha, target.big_p] += 1
+        return iv_block(s, source, target, n_s, n_t)
+
+    monkeypatch.setattr(cp1mod, "_iv_block", counting)
+    for cutoff in range(max(k + 2, 4), 25):
+        built.clear()
+        model = cp1_model(k, cutoff)
+        ex = model.exact
+        shared = {chi - 1 + q for q in (0, 1) for chi in ex.iv_chunks[(1, q)]
+                  if chi in ex.blocks[(0, q)].chunks}
+        assert sorted(built.values()) == [1] * len(shared)
+        for stack in model.cells:
+            for i, chi in enumerate(int(name[3:]) for name in stack.names):
+                for kind, ops in (("dbar", stack.dbar), ("iv", stack.iv)):
+                    for src_pq, got in ops.items():
+                        tgt_pq = (src_pq[0], 1) if kind == "dbar" else (
+                            0, src_pq[1])
+                        s = ex.blocks[src_pq].chunks[chi]
+                        t = ex.blocks[tgt_pq].chunks[chi]
+                        if kind == "dbar":
+                            want = cp1mod._dbar_block(
+                                ex.dbar_chunks[src_pq][chi], t, s)
+                        else:
+                            (shift, _), = ex.iv_chunks[src_pq][chi]
+                            want = iv_block(shift, s.table, t.table, s.n, t.n)
+                            view = ex.ortho_chunk(src_pq, tgt_pq, chi)
+                            assert not view.flags.writeable
+                        assert same_bits(got[i], want)
+
+
 @pytest.mark.parametrize("k,cutoff", [(0, 4), (3, 7), (2, 14), (1, 20)])
 def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
     # one pivot table per weight: assembling a model (its chunks, float
     # blocks, Gram conditions and leakage pencils) computes each pivot of
     # each weight once, and no row of L^-1 (the float blocks are closed
-    # forms that read only pivots)
+    # forms that read only pivots).  Only D_0 is a ratio of factorials,
+    # one call per weight; the table grows the rest by the ratio
+    # recurrence
     calls = Counter()
 
     def counted(module, name):
@@ -683,9 +765,13 @@ def test_each_romanovski_row_is_computed_once(monkeypatch, k, cutoff):
     model = cp1_model(k, cutoff)
     assert calls and set(calls.values()) == {1}
     assert {name for name, _ in calls} == {"romanovski_pivot"}
-    assert not any(hasattr(chunk.table, "rows")
-                   for block in model.exact.blocks.values()
-                   for chunk in block.chunks.values())
+    tables = {id(chunk.table): chunk.table
+              for block in model.exact.blocks.values()
+              for chunk in block.chunks.values()}
+    weights = {(table.alpha, table.big_p) for table in tables.values()}
+    assert len(weights) == len(tables)
+    assert {args for _, args in calls} == {(*w, 0) for w in weights}
+    assert not any(hasattr(table, "rows") for table in tables.values())
     if (k, cutoff) == (2, 14):
         assert len(calls) <= 299
 
@@ -789,6 +875,11 @@ def per_section_dual_wedge_core(ex, q, chi):
 CHUNK_CASES = [(k, n) for k in range(4) for n in sorted({k + 4, 8})]
 
 
+def pencil(k, cutoff, q, chi):
+    """The closed-form trace and determinant as Fractions."""
+    return tuple(Fraction(*x) for x in _leakage_pencil(k, cutoff, q, chi))
+
+
 @pytest.mark.parametrize("k,cutoff", CHUNK_CASES)
 def test_dual_wedge_core_matches_section_pairings(k, cutoff):
     # the Fraction core L^-1 R L^-T has rank <= 2, and scaled by D^-1 (so
@@ -807,7 +898,7 @@ def test_dual_wedge_core_matches_section_pairings(k, cutoff):
             e2 = (trace * trace
                   - sum(x * y for row, col in zip(m, zip(*m))
                         for x, y in zip(row, col))) / 2
-            assert _leakage_pencil(k, cutoff, q, chi) == (trace, e2)
+            assert pencil(k, cutoff, q, chi) == (trace, e2)
             assert moment_pencil(k, src, tgt, chi) == (trace, e2)
 
 
@@ -820,7 +911,7 @@ def test_dual_wedge_leakage_within_2_ulp_of_decimal_reference(k, cutoff):
         for q in (0, 1):
             ref = Decimal(0)
             for chi in ex.blocks[(0, q)].chunks:
-                tr, det = (Decimal(x.numerator) / x.denominator for x in
+                tr, det = (Decimal(num) / den for num, den in
                            _leakage_pencil(k, cutoff, q, chi))
                 ref = max(ref, ((tr + (tr * tr - 4 * det).sqrt()) / 2).sqrt())
             assert abs(Decimal(got[(0, q)]) - ref) <= 2 * Decimal(
@@ -857,7 +948,7 @@ def test_leakage_pencil_matches_moment_oracle():
         for q in (0, 1):
             src, tgt = (_build_block(k, cutoff, p, q, weights) for p in (0, 1))
             for chi in src.chunks:
-                assert (_leakage_pencil(k, cutoff, q, chi)
+                assert (pencil(k, cutoff, q, chi)
                         == moment_pencil(k, src, tgt, chi))
 
 
@@ -871,8 +962,7 @@ def test_leakage_pencil_matches_moment_oracle_sampled(k, cutoff, q, where):
     src, tgt = (_build_block(k, cutoff, p, q, weights) for p in (0, 1))
     chi = -cutoff + round(where * (2 * cutoff + k))
     assert chi in src.chunks
-    assert _leakage_pencil(k, cutoff, q, chi) == moment_pencil(k, src, tgt,
-                                                               chi)
+    assert pencil(k, cutoff, q, chi) == moment_pencil(k, src, tgt, chi)
 
 
 def test_dual_wedge_leakage_needs_a_positive_cutoff():
@@ -1002,7 +1092,8 @@ def test_iv_block_matches_transform_sampled(k, cutoff, q, where):
     chis = [chi for chi in src.chunks if chi in tgt.chunks]
     chi = chis[round(where * (len(chis) - 1))]
     s, t = src.chunks[chi], tgt.chunks[chi]
-    got = cp1mod._iv_block(diagonals[chi], t, s)
+    (shift, _), = diagonals[chi]
+    got = cp1mod._iv_block(shift, s.table, t.table, s.n, t.n)
     want = transform_op(diagonals[chi], t.table, t.n, s.table, s.n)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))

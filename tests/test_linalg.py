@@ -135,7 +135,8 @@ def factors(table, n):
     table.grow(n)
     full = factor_table(table)
     full.grow(n)
-    return full.lcols(n), full.rows[:n], table.pivots[:n]
+    return (full.lcols(n), full.rows[:n],
+            [Fraction(*d) for d in zip(table.nums[:n], table.dens[:n])])
 
 
 @st.composite
@@ -390,6 +391,26 @@ def test_shared_table_reads_each_size_as_its_own(params, data):
         assert np.array_equal(table.sqrt_pivots(m), own_table.sqrt_pivots(m))
         assert shared_cols == own_cols
         assert table.pivot_ratio(m) == float(max(own_d) / min(own_d))
+
+
+def test_pivot_recurrence_equals_factorial_pivots():
+    # every pivot of every weight with alpha <= 12 and P <= 64, grown by the
+    # ratio recurrence from D_0, is `romanovski_pivot` in lowest terms; its
+    # float and square root are those of the Fraction, and max D / min D
+    # over each prefix is exact and then rounded
+    for alpha in range(13):
+        for big_p in range(alpha + 2, 65):
+            n = (big_p - 2 - alpha) // 2 + 1
+            table = RomanovskiTable(alpha, big_p)
+            table.grow(n)
+            want = [romanovski_pivot(alpha, big_p, m) for m in range(n)]
+            assert list(zip(table.nums, table.dens)) == [
+                (d.numerator, d.denominator) for d in want]
+            assert np.array_equal(table.sqrt_pivots(n),
+                                  np.sqrt([float(d) for d in want]))
+            for m in range(1, n + 1):
+                assert table.pivot_ratio(m) == float(max(want[:m])
+                                                     / min(want[:m]))
 
 
 def test_orthonormalizer_rejects_divergent_moments():

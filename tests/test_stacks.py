@@ -14,7 +14,8 @@ import pytest
 from equivlab import deformed
 from equivlab.deformed import (assemble_deformed, bochner_check,
                                complex_property_defect, dirac)
-from equivlab.geometry import cp1_model, product_model, torus_model
+from equivlab.geometry import (cp1, cp1_model, float_entries, product_model,
+                                torus_model)
 from equivlab.geometry.product import RIGHT_MULTIPLICITY
 from equivlab.geometry import torus
 from equivlab.geometry.torus import dolbeault_coefficient, modes
@@ -379,3 +380,28 @@ def test_torus_bochner_equals_per_mode(T):
             target = (level + shift) * np.eye(h.shape[0])
             worst = max(worst, float(np.linalg.norm(h - target, 2)))
     assert bochner_check(model, T)["residual"] == worst
+
+
+def stack_size(model):
+    return sum(a.size for stack in model.cells
+               for a in (*stack.dbar.values(), *stack.iv.values()))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_float_entries_count_what_assembly_allocates(k):
+    # the closed forms that bound a model at parse time are the entries of
+    # the assembled stacks and the cp1 basis size, at every cutoff a spec
+    # allows (k <= 5, N <= 18); a product adds its spectrum at one T
+    for cutoff in range(max(k + 2, 4), 19):
+        model = cp1_model(k, cutoff)
+        assert cp1.stack_entries(k, cutoff) == stack_size(model)
+        assert cp1.dimension(k, cutoff) == sum(
+            block.dim for block in model.exact.blocks.values())
+        assert float_entries(model.spec) == stack_size(model)
+    for cutoff in range(1, 5):
+        model = torus_model(TAU, cutoff, 0.8 + 0.6j)
+        assert float_entries(model.spec) == stack_size(model)
+        product = product_model(k, max(k + 2, 4), TAU, cutoff)
+        _, (degrees,) = deformed.spectral_pass(product, [2.0])
+        assert float_entries(product.spec) == stack_size(product.left) + sum(
+            len(evals) for _, _, evals, _ in degrees)
