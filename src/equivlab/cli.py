@@ -1,10 +1,10 @@
 """Batch experiment runner: config-driven sweeps, verdicts, and reports.
 
 A run is driven by one JSON config (versioned schema, documented in the
-README).  Everything downstream is deterministic in the config: fixed model
-and degree orderings, no time-dependent seeds, floats printed with repr
-precision, and artifacts written atomically.  The exit status encodes the
-worst verdict: 0 all pass, 1 some check unresolved, 2 some check failed.
+README) and computes and writes only what its listed checks read.  It is
+deterministic in the config: fixed model and degree orderings, no
+time-dependent seeds, floats in repr precision, atomic writes.  The exit
+status is the worst verdict's: 0 all pass, 1 unresolved, 2 failed.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "must be a nonempty string")
     models_raw = raw.get("models", [])
-    if not isinstance(models_raw, list) or not models_raw:
-        raise ConfigError("models", "must be a nonempty list")
+    if not isinstance(models_raw, list):
+        raise ConfigError("models", "must be a list")
     models = []
     for i, md in enumerate(models_raw):
         try:
@@ -124,8 +124,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         except ModelError as exc:
             raise ConfigError(f"models[{i}]", str(exc)) from exc
     t_grid = raw.get("T_grid", [])
-    if not isinstance(t_grid, list) or not t_grid:
-        raise ConfigError("T_grid", "must be a nonempty list")
+    if not isinstance(t_grid, list):
+        raise ConfigError("T_grid", "must be a list")
     t_grid = _distinct("T_grid", [_deformation(f"T_grid[{i}]", t)
                                   for i, t in enumerate(t_grid)])
     # left out, checks is every model check, whether a model of the config
@@ -134,6 +134,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         check for check, (kinds, _) in CHECKS.items() if kinds]), tuple(CHECKS))
     if not checks:
         raise ConfigError("checks", "must be a nonempty list")
+    # only a config of fiber checks alone may hold no model and no T grid
+    if not models and any(CHECKS[check][0] for check in checks):
+        raise ConfigError("models", "must be nonempty to run a model check")
+    if bool(t_grid) != bool(models):
+        raise ConfigError("T_grid", "must be nonempty exactly when models is")
     if "checks" in raw:
         for i, check in enumerate(checks):
             kinds = CHECKS[check][0]
@@ -343,45 +348,42 @@ def load_config(path: str) -> ExperimentConfig:
 # Per-model computation (worker-safe payloads)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def model_payload(spec: ModelSpec, T_grid: list[float]) -> dict:
-    """Everything the checks and reports need for one model, as plain data."""
+def model_payload(spec: ModelSpec, T_grid: list[float], checks: tuple) -> dict:
+    """Everything the listed checks and the reports need for one model, as
+    plain data; `growth`, `complex_exact_zero` and `bochner`, each read by
+    one check, are {}, null and null unless that check runs on the model."""
+    runs = {check for check in checks if spec.kind in CHECKS[check][0]}
     model = assemble(spec)
     sweep = t_sweep(model, list(T_grid))
+    exact = model.exact
     payload = {
         "model": spec.to_dict(),
         "label": spec.label(),
         "rows": sweep_rows_for_csv(spec, sweep),
-        "tables": {_fmt(T): dict(sorted(t.items()))
+        "tables": {f"{T:.17g}": dict(sorted(t.items()))
                    for T, t in sweep.tables.items()},
         "table0": dict(sorted(sweep.table0.items())),
         "unresolved": sweep.unresolved,
-        # the growth law, which only the vanishing check reads
-        "growth": ({_fmt(T): v for T, v in sweep.min_eig_over_T2.items()}
-                   if spec.kind in CHECKS["vanishing"][0] else {}),
+        "growth": ({f"{T:.17g}": v for T, v in sweep.min_eig_over_T2.items()}
+                   if "vanishing" in runs else {}),
         "leakage": {},
         "gram_pivot_ratio": {},
-        "complex_defect_ratio": {_fmt(T): v for T, v
+        "complex_defect_ratio": {f"{T:.17g}": v for T, v
                                  in sweep.complex_defect_ratio.items()},
-        "complex_exact_zero": None,
-        "bochner": None,
-    }
-    exact = model.exact
-    if exact is not None:
         # d_T^2 is T times a T-free certificate, so the largest T decides
         # the whole grid: it is the one nonzero whenever any is
-        payload["complex_exact_zero"] = bool(exact.deformed_square_is_zero(
-            Fraction(max(T_grid))))
+        "complex_exact_zero": (
+            bool(exact.deformed_square_is_zero(Fraction(max(T_grid))))
+            if exact is not None and "complex_property" in runs else None),
+        "bochner": (bochner_check(model, T_grid[0]) if "bochner" in runs
+                    else None),
+    }
+    if exact is not None:
         # dbar and i(v) close on the truncation; only this wedge can leak
         payload["leakage"] = {f"dual_wedge:p{p}q{q}": v for (p, q), v
                               in exact.dual_wedge_leakage().items()}
         payload["gram_pivot_ratio"] = {f"p{p}q{q}": b.gram_condition()
                                        for (p, q), b in exact.blocks.items()}
-    if spec.kind in CHECKS["bochner"][0]:
-        payload["bochner"] = bochner_check(model, T_grid[0])
     return payload
 
 
@@ -547,22 +549,21 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _tsv(header: str, rows) -> str:
+def _tsv(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
 def _artifacts(config: ExperimentConfig, payloads: list[dict],
                osc_results: dict | None):
     """(file name, text) of each artifact that config.outputs lists, but
-    report.json, one at a time.  Plot data is columnar text for external
-    plotting, one documented header line per file."""
-    if "csv" in config.outputs:
+    report.json, one at a time; a table with no row is left out.  Plot data
+    is columnar text for external plotting, one documented header per file."""
+    rows = [rec for p in payloads for rec in p.get("rows", [])]
+    if "csv" in config.outputs and rows:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        for payload in payloads:
-            for rec in payload.get("rows", []):
-                writer.writerow(rec[f] for f in CSV_FIELDS)
+        writer.writerows([rec[f] for f in CSV_FIELDS] for rec in rows)
         yield "results.csv", buf.getvalue()
     if "json" in config.outputs:
         yield "payloads.json", json.dumps(
@@ -570,27 +571,29 @@ def _artifacts(config: ExperimentConfig, payloads: list[dict],
              "oscillator": osc_results}, sort_keys=True, indent=1, default=str)
     if "plotdata" not in config.outputs:
         return
-    rows = [(p["label"], rec) for p in payloads for rec in p.get("rows", [])]
-    yield "eig_trajectories.tsv", _tsv("model\tT\tr\tidx\tlambda", (
-        f"{label}\t{rec['T']}\t{rec['r']}\t{i}\t{rec[f'lam{i}']}"
-        for label, rec in rows for i in range(1, KEPT_EIGENVALUES + 1)
-        if rec.get(f"lam{i}", "") != ""))
-    yield "gap_ratio.tsv", _tsv("model\tT\tr\tgap_ratio\tresolved", (
-        f"{label}\t{rec['T']}\t{rec['r']}\t{rec['gap_ratio']}\t"
-        f"{rec['resolved']}" for label, rec in rows))
-    yield "torus_growth.tsv", _tsv("model\tT\tlam_min_over_T2", (
-        f"{p['label']}\t{tkey}\t{g:.17g}" for p in payloads
-        for tkey, g in sorted(p.get("growth", {}).items(),
-                              key=lambda kv: float(kv[0]))))
-    if osc_results is not None:
-        yield "oscillator_gap.tsv", _tsv("m\tT\tcutoff\tgap_over_T\toverlap", (
-            f"{e['m']}\t{e['T']:.17g}\t{e['cutoff']}\t"
-            f"{e['gap_over_T']:.17g}\t{e['overlap']:.17g}"
-            for e in osc_results["models"]))
-        yield "alpha_scaling.tsv", _tsv("m\tT\teps\talpha\talpha_Tm", (
-            f"{e['m']}\t{e['T']:.17g}\t{e['eps']:.17g}\t"
-            f"{e['alpha']:.17g}\t{e['alpha_Tm']:.17g}"
-            for e in osc_results["alpha"]))
+    osc = osc_results or {"models": [], "alpha": []}
+    for name, header, lines in (
+            ("eig_trajectories.tsv", "model\tT\tr\tidx\tlambda", [
+                f"{rec['model']}\t{rec['T']}\t{rec['r']}\t"
+                f"{i}\t{rec[f'lam{i}']}" for rec in rows
+                for i in range(1, KEPT_EIGENVALUES + 1) if rec[f"lam{i}"]]),
+            ("gap_ratio.tsv", "model\tT\tr\tgap_ratio\tresolved", [
+                f"{rec['model']}\t{rec['T']}\t{rec['r']}\t{rec['gap_ratio']}\t"
+                f"{rec['resolved']}" for rec in rows]),
+            ("torus_growth.tsv", "model\tT\tlam_min_over_T2", [
+                f"{p['label']}\t{tkey}\t{g:.17g}" for p in payloads
+                for tkey, g in sorted(p.get("growth", {}).items(),
+                                      key=lambda kv: float(kv[0]))]),
+            ("oscillator_gap.tsv", "m\tT\tcutoff\tgap_over_T\toverlap", [
+                f"{e['m']}\t{e['T']:.17g}\t{e['cutoff']}\t"
+                f"{e['gap_over_T']:.17g}\t{e['overlap']:.17g}"
+                for e in osc["models"]]),
+            ("alpha_scaling.tsv", "m\tT\teps\talpha\talpha_Tm", [
+                f"{e['m']}\t{e['T']:.17g}\t{e['eps']:.17g}\t"
+                f"{e['alpha']:.17g}\t{e['alpha_Tm']:.17g}"
+                for e in osc["alpha"]])):
+        if lines:
+            yield name, _tsv(header, lines)
 
 
 @dataclass
@@ -622,7 +625,7 @@ class Report:
 def run(config: ExperimentConfig, outdir: str, jobs: int = 1,
         verbose: bool = False) -> Report:
     os.makedirs(outdir, exist_ok=True)
-    tasks = [(m, list(config.T_grid)) for m in config.models]
+    tasks = [(m, list(config.T_grid), config.checks) for m in config.models]
     if jobs > 1 and len(tasks) > 1:
         # imported here: it loads logging, which a serial run does not use
         import concurrent.futures
@@ -801,10 +804,7 @@ def main(argv: list[str] | None = None) -> int:
         grids = {key: _parse_list(text) for key, text in vars(args).items()
                  if key in _OSCILLATOR_KEYS and text is not None}
         raw = {"schema_version": 1, "name": "oscillator",
-               "models": [{"kind": "torus", "tau": [0, 1], "cutoff": 1,
-                           "field": {"kind": "constant", "c": [1, 0]}}],
-               "T_grid": [1.0], "checks": ["oscillator", "alpha"],
-               "oscillator": grids}
+               "checks": ["oscillator", "alpha"], "oscillator": grids}
         return _run_command(lambda: parse_config(raw),
                             "invalid oscillator parameters", args)
 

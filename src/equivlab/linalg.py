@@ -194,21 +194,31 @@ class RomanovskiTable:
 
 def hermitian_eigenvalues(h: np.ndarray, context: dict | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian float matrix, or of each matrix of a stack
-    along the leading axes, with diagnostics surfaced on solver failure.
-    The input must be exactly Hermitian, as `deformed.dirac` builds it:
-    eigvalsh reads only the lower triangle."""
+    along the leading axes, with diagnostics surfaced on solver failure; a
+    non-finite eigenvalue, which an overflowed entry gives, is a failure
+    too.  The input must be exactly Hermitian, as `deformed.dirac` builds
+    it: eigvalsh reads only the lower triangle."""
     if h.size == 0:
         return np.zeros(h.shape[:-1])
     try:
-        return np.linalg.eigvalsh(h)
+        evals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
-        diag = dict(context or {})
-        diag["shape"] = h.shape[-2:]
-        if h.ndim > 2:
-            diag["members"] = h.shape[-3]
-        diag["norm"] = float(np.linalg.norm(h))
-        diag["herm_defect"] = hermiticity_defect(h)
-        raise EigensolverError(str(exc), diag) from exc
+        raise _solver_error(str(exc), h, context) from exc
+    # NaN propagates through min and max, so the two extremes decide
+    if not (math.isfinite(evals.min()) and math.isfinite(evals.max())):
+        raise _solver_error("eigenvalue not finite", h, context)
+    return evals
+
+
+def _solver_error(message: str, h: np.ndarray, context: dict | None
+                  ) -> EigensolverError:
+    diag = dict(context or {})
+    diag["shape"] = h.shape[-2:]
+    if h.ndim > 2:
+        diag["members"] = h.shape[-3]
+    diag["norm"] = float(np.linalg.norm(h))
+    diag["herm_defect"] = hermiticity_defect(h)
+    return EigensolverError(message, diag)
 
 
 def hermiticity_defect(h: np.ndarray) -> float:

@@ -290,8 +290,7 @@ def test_malformed_input_exits_2_naming_field(source, path, tmp_path,
 def test_model_size_is_bounded_at_parse_time(model, largest):
     # the largest cutoff whose stacks fit GALERKIN_MAX_DIM float entries
     # parses and the next is refused naming it, before anything is built;
-    # every committed config, CI's cutoff-96 sweep and the oscillator's
-    # unit torus stay well inside
+    # every committed config and CI's cutoff-96 sweep stay well inside
     raw = dict(small_config(), models=[dict(model, cutoff=largest)],
                checks=["euler"])
     assert geometry.float_entries(parse_config(raw).models[0]) <= (
@@ -349,15 +348,23 @@ def _models_checks(models, checks, **extra):
     (_models_checks([0, 1], ["euler"], oscillator={"m": [1], "cutoff": [4]}),
      "oscillator"),
     (_models_checks([0, 1], None, oscillator={}), "oscillator"),
+    (_models_checks([], ["euler"]), "models"),
+    (_models_checks([], None), "models"),
+    (_models_checks([], ["alpha"], oscillator={"m": [1], "cutoff": [4]}),
+     "T_grid"),
+    (_models_checks([0], ["euler"], T_grid=[]), "T_grid"),
 ], ids=["vanishing-cp1-only", "vanishing-second", "bochner-product-only",
         "vanishing-no-torus", "checks-empty", "oscillator-unread",
-        "oscillator-unread-default-checks"])
+        "oscillator-unread-default-checks", "no-models-model-check",
+        "no-models-default-checks", "T-grid-without-models",
+        "models-without-T-grid"])
 def test_check_that_cannot_run_exits_2_naming_it(source, path, tmp_path,
                                                  capsys):
     # a listed check that no model of the config runs, an empty check list,
     # and an oscillator block that no listed check reads each passed with
-    # no verdict for them (or echoed an unused block into the hash);
-    # nothing is written
+    # no verdict for them (or echoed an unused block into the hash); a
+    # model check with no model to run on, and a T grid with no model to
+    # sweep or a model with no T grid, are refused too; nothing is written
     with pytest.raises(ConfigError) as err:
         parse_config(source)
     assert err.value.path == path
@@ -380,6 +387,35 @@ def test_checks_left_out_keep_the_default_list():
         check for check, (kinds, _) in cli.CHECKS.items() if kinds))
     assert config.config_hash() == (
         "6821eb89f13b8bbe40d591297f96928461c3b69f0357c77bf80f88c8b10d9e63")
+
+
+FIBER_ONLY = {"schema_version": 1, "name": "fibers",
+              "checks": ["oscillator", "alpha"],
+              "oscillator": {"m": [1], "cutoff": [4], "T": [2.0]}}
+FIBER_FILES = ["alpha_scaling.tsv", "oscillator_gap.tsv", "payloads.json",
+               "report.json"]
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["left-out", "empty"])
+def test_fiber_only_config_needs_no_model(empty, tmp_path):
+    # a config of fiber checks alone may leave models and T_grid out, or
+    # give them as []: it assembles nothing, writes no model artifact, and
+    # its canonical form, which writes "models": [], parses back
+    raw = dict(FIBER_ONLY, models=[], T_grid=[]) if empty else FIBER_ONLY
+    config = parse_config(raw)
+    assert config.models == () and config.T_grid == ()
+    assert parse_config(config.canonical()) == config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdicts"] == {"alpha": "pass", "oscillator": "pass"}
+    assert sorted(os.listdir(out)) == FIBER_FILES
+    payloads = json.loads((out / "payloads.json").read_text())
+    assert payloads["payloads"] == []
+    assert payloads["config"]["models"] == [] == payloads["config"]["T_grid"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
@@ -939,6 +975,10 @@ def test_oscillator_subcommand(tmp_path):
         alpha_lines = (out / "alpha_scaling.tsv").read_text().splitlines()
         assert alpha_lines[0].split("\t") == ["m", "T", "eps", "alpha",
                                                "alpha_Tm"]
+        # no model is assembled or swept, so no model artifact is written
+        assert sorted(os.listdir(out)) == FIBER_FILES
+        payloads = json.loads((out / "payloads.json").read_text())
+        assert payloads["payloads"] == []
 
 
 def test_parallel_run_matches_serial(tmp_path):
@@ -1109,7 +1149,7 @@ def test_one_eigensolve_per_stack_and_degree(monkeypatch):
         return solve(h, context)
 
     monkeypatch.setattr(deformed, "hermitian_eigenvalues", counting)
-    payload = cli.model_payload(spec, list(config.T_grid))
+    payload = cli.model_payload(spec, list(config.T_grid), config.checks)
     assert len(calls) == 38
     assert all(c["T"] == [2.0, 4.0, 8.0, 0.0] for c in calls)
     assert payload["table0"] == {-1: 0, 0: 2, 1: 0}
@@ -1141,8 +1181,9 @@ def test_overflowing_torus_sweep_is_unresolved(tmp_path):
     assert len(verdicts) == 3
     assert set(verdicts.values()) == {"unresolved"}
     (payload,) = json.loads((out / "payloads.json").read_text())["payloads"]
-    assert payload["error"].startswith("2-norm of the bochner residual")
-    assert "'check': 'bochner'" in payload["error"]
+    # the sweep's eigensolve fails first, on its non-finite spectrum
+    assert payload["error"].startswith("eigenvalue not finite")
+    assert "'stack': 'modes'" in payload["error"]
 
 
 def test_overflowing_torus_run_matches_serial(tmp_path):
@@ -1162,6 +1203,34 @@ def test_overflowing_torus_run_matches_serial(tmp_path):
     verdicts = json.loads(report)["verdicts"]
     assert len(verdicts) == 10
     assert set(verdicts.values()) == {"unresolved"}
+
+
+def test_non_finite_eigenvalue_is_unresolved(tmp_path):
+    # without bochner listed the overflowed Dirac square reaches only the
+    # sweep, whose NaN eigenvalues were counted into a fail; they are an
+    # eigensolver failure, so every check of both tori is unresolved, on
+    # the serial path and the worker path alike
+    raw = small_config()
+    raw["models"] = [raw["models"][0],
+                     {"kind": "torus", "tau": [0.3, 1.1], "cutoff": 2,
+                      "field": {"kind": "constant", "c": [0.8, 0.6]}}]
+    raw["T_grid"] = [OVERFLOWING_T]
+    raw["checks"] = ["localization", "euler"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    with pytest.warns(RuntimeWarning):      # the overflow, serially
+        for jobs in ("1", "2"):
+            assert main(["run", str(config), "--jobs", jobs,
+                         "-o", str(tmp_path / jobs)]) == 1
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+        assert len(verdicts) == 4
+        assert set(verdicts.values()) == {"unresolved"}
+        payloads = json.loads((out / "payloads.json").read_text())
+        assert all(p["error"].startswith("eigenvalue not finite")
+                   for p in payloads["payloads"])
+        assert not (out / "results.csv").exists()
 
 
 def test_non_psd_error_survives_pickling():
@@ -1205,7 +1274,43 @@ def test_tiny_T_reads_both_exact_checks(monkeypatch):
     # 2 |T| |Theta| with |Theta| = 1
     monkeypatch.setattr(Cp1Exact, "_anticommutator_is_zero", False)
     spec = ModelSpec(kind="cp1", k=0, cutoff=4, field=FieldSpec("linear"))
-    payload = cli.model_payload(spec, [1e-7])
+    payload = cli.model_payload(spec, [1e-7],
+                                ["bochner", "complex_property"])
     assert payload["complex_exact_zero"] is False
     assert payload["bochner"]["zero_order_term"] == float(2 * Fraction(1e-7))
     assert payload["bochner"]["residual"] == 0.0
+
+
+@pytest.mark.parametrize("checks,expect", [
+    (["localization"], {}),
+    (["bochner"], {"bochner": 1}),
+    (["complex_property"], {"exact_square": 1}),
+    (["vanishing", "complex_property", "bochner"],
+     {"bochner": 1, "exact_square": 1}),
+], ids=["neither", "bochner", "complex-property", "both"])
+def test_entries_are_computed_only_for_listed_checks(checks, expect,
+                                                     monkeypatch):
+    # a cp1 sweep listing localization, euler and complex_property computed
+    # the Bochner certificate too; each payload entry that one check reads
+    # is now computed only when that check runs on the model, and is
+    # otherwise null or {}
+    calls = {}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(cli, "bochner_check",
+                        counted("bochner", cli.bochner_check))
+    monkeypatch.setattr(Cp1Exact, "deformed_square_is_zero", counted(
+        "exact_square", Cp1Exact.deformed_square_is_zero))
+    spec = ModelSpec(kind="cp1", k=0, cutoff=4, field=FieldSpec("linear"))
+    payload = cli.model_payload(spec, [2.0], checks)
+    assert calls == expect
+    assert (payload["bochner"] is None) == ("bochner" not in checks)
+    assert (payload["complex_exact_zero"] is None) == (
+        "complex_property" not in checks)
+    # a cp1 model runs no vanishing check, so it has no growth entry
+    assert payload["growth"] == {}

@@ -54,7 +54,7 @@ def test_leakage_report_shape():
     # reads both diagnostics off the exact layer (the product's is its cp1
     # factor's), which the torus does not have.
     for spec in (CP1, PRODUCT):
-        payload = model_payload(spec, [2.0])
+        payload = model_payload(spec, [2.0], ())
         exact = assemble(spec).exact
         leakage = exact.dual_wedge_leakage()
         assert payload["leakage"] == {"dual_wedge:p0q0": leakage[(0, 0)],
@@ -63,7 +63,7 @@ def test_leakage_report_shape():
         assert payload["gram_pivot_ratio"] == {
             f"p{p}q{q}": exact.blocks[(p, q)].gram_condition()
             for p, q in ((0, 0), (1, 0), (0, 1), (1, 1))}
-    payload = model_payload(torus_model(1j, 2, 1.0).spec, [2.0])
+    payload = model_payload(torus_model(1j, 2, 1.0).spec, [2.0], ())
     assert payload["leakage"] == {} and payload["gram_pivot_ratio"] == {}
 
 
@@ -88,5 +88,5 @@ def test_diagnostics_are_read_only_by_the_payload(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     for spec in (CP1, PRODUCT):
         calls.clear()
-        model_payload(spec, [2.0])
+        model_payload(spec, [2.0], ())
         assert calls == {"dual_wedge_leakage": 1, "gram_condition": 4}

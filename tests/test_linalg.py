@@ -426,5 +426,18 @@ def test_hermitian_eigenvalues_diagnostics():
         hermitian_eigenvalues(bad, {"ctx": "test"})
 
 
+def test_non_finite_eigenvalue_is_a_solver_failure():
+    # an overflowed entry gave NaN eigenvalues, which the kernel count read
+    # as numbers; the stack's eigensolve now fails with its diagnostics
+    h = np.array([[[1.0, 0.0], [0.0, 2.0]], [[np.inf, 0.0], [0.0, 1.0]]])
+    # the Hermiticity diagnostic reads inf - inf
+    with pytest.raises(EigensolverError) as err, pytest.warns(RuntimeWarning):
+        hermitian_eigenvalues(h, {"r": 0})
+    assert err.value.message == "eigenvalue not finite"
+    assert err.value.diagnostics["r"] == 0
+    assert err.value.diagnostics["members"] == 2
+    assert np.array_equal(hermitian_eigenvalues(h[:1]), [[1.0, 2.0]])
+
+
 def test_empty_matrix():
     assert hermitian_eigenvalues(np.zeros((0, 0))).size == 0
